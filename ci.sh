@@ -73,11 +73,10 @@
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
 #
-# `./ci.sh bench` runs only the KPI bench stage — the quick loop while
-# tuning performance. `./ci.sh shard` runs only the shard gate.
-# `./ci.sh cluster` runs only the cluster gate. `./ci.sh rdma` runs
-# only the rdma gate. `./ci.sh workload` runs only the workload gate.
-# `./ci.sh obs` runs only the obs gate.
+# `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
+# quick loop while tuning performance), shard, cluster, rdma, workload
+# (each of these three followed by the KPI bench) or obs. An unknown
+# stage name fails with the stage list.
 set -eu
 cd "$(dirname "$0")"
 
@@ -105,117 +104,93 @@ run_shard() {
 	fi
 }
 
-run_cluster_tests() {
+run_cluster() {
 	echo "== cluster gate: bounded chaos soak + determinism gates (under -race)"
 	go test -race -short -run 'TestClusterSoak|TestClusterScheduleDerivation' ./internal/chaos/
 	go test -race -run 'TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably' ./internal/cluster/
 }
 
-run_cluster() {
-	run_cluster_tests
-	run_bench
-}
-
-run_rdma_tests() {
+run_rdma() {
 	echo "== rdma gate: NIC model, MR-locality, figure determinism (under -race) + bounded soak"
 	go test -race -run 'RDMA' ./internal/rdma/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
 	go test -race -short -run 'TestRDMASoak|TestRDMASameSeedSameTrace' ./internal/chaos/
 }
 
-run_rdma() {
-	run_rdma_tests
-	run_bench
-}
-
-run_workload_tests() {
+run_workload() {
 	echo "== workload gate: sources, arrivals, autoscaler, fleet admin surface (under -race)"
 	go test -race ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
 	go test -race -run 'TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration' ./internal/fleet/
 	go test -race -short -run 'TestWorkloadSoak' ./internal/chaos/
 }
 
-run_workload() {
-	run_workload_tests
-	run_bench
-}
-
-run_obs_tests() {
+run_obs() {
 	echo "== obs gate: series store, alert engine, flight recorder (under -race)"
 	go test -race ./internal/obs/
 	echo "== obs gate: incident soak + bundle byte-identity (serial vs pooled vs GOMAXPROCS=2)"
 	go test -run 'TestIncidentSoak' ./internal/chaos/
 }
 
-if [ "${1:-}" = "bench" ]; then
-	run_bench
-	exit 0
-fi
-if [ "${1:-}" = "shard" ]; then
+run_all() {
+	echo "== go vet ./..."
+	go vet ./...
+
+	echo "== go build ./..."
+	go build ./...
+
+	echo "== go test -short ./internal/chaos/"
+	go test -short ./internal/chaos/
+
+	echo "== wall-clock gate (no time.Now() in internal/ or cmd/)"
+	# internal/ is absolute: simulator code must use simulated picoseconds.
+	# cmd/ may measure host wall-clock only where annotated `wallclock:ok`
+	# (the shard-scaling figure, the bench's injected clock).
+	if grep -rn "time\.Now()" internal/ --include="*.go"; then
+		echo "ci.sh: time.Now() found in internal/ — simulator code must use simulated time" >&2
+		exit 1
+	fi
+	if grep -rn "time\.Now()" cmd/ --include="*.go" | grep -v "wallclock:ok"; then
+		echo "ci.sh: unannotated time.Now() in cmd/ — annotate intentional host-clock reads with wallclock:ok" >&2
+		exit 1
+	fi
+
+	echo "== go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
+	go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
+
+	echo "== golden Perfetto trace"
+	go test -run 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
+
+	echo "== tracestat golden output"
+	go test -run 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
+	go test -run 'TestGoToolPprofAcceptsExport' ./internal/profile/
+
 	run_shard
-	exit 0
-fi
-if [ "${1:-}" = "cluster" ]; then
+
 	run_cluster
-	exit 0
-fi
-if [ "${1:-}" = "rdma" ]; then
+
 	run_rdma
-	exit 0
-fi
-if [ "${1:-}" = "workload" ]; then
+
 	run_workload
-	exit 0
-fi
-if [ "${1:-}" = "obs" ]; then
-	run_obs_tests
-	exit 0
-fi
 
-echo "== go vet ./..."
-go vet ./...
+	run_obs
 
-echo "== go build ./..."
-go build ./...
+	run_bench
 
-echo "== go test -short ./internal/chaos/"
-go test -short ./internal/chaos/
+	echo "== go test -shuffle=on ./..."
+	go test -shuffle=on ./...
 
-echo "== wall-clock gate (no time.Now() in internal/ or cmd/)"
-# internal/ is absolute: simulator code must use simulated picoseconds.
-# cmd/ may measure host wall-clock only where annotated `wallclock:ok`
-# (the shard-scaling figure, the bench's injected clock).
-if grep -rn "time\.Now()" internal/ --include="*.go"; then
-	echo "ci.sh: time.Now() found in internal/ — simulator code must use simulated time" >&2
-	exit 1
-fi
-if grep -rn "time\.Now()" cmd/ --include="*.go" | grep -v "wallclock:ok"; then
-	echo "ci.sh: unannotated time.Now() in cmd/ — annotate intentional host-clock reads with wallclock:ok" >&2
-	exit 1
-fi
+	echo "ci.sh: all gates passed"
+}
 
-echo "== go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
-go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
-
-echo "== golden Perfetto trace"
-go test -run 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
-
-echo "== tracestat golden output"
-go test -run 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
-go test -run 'TestGoToolPprofAcceptsExport' ./internal/profile/
-
-run_shard
-
-run_cluster_tests
-
-run_rdma_tests
-
-run_workload_tests
-
-run_obs_tests
-
-run_bench
-
-echo "== go test -shuffle=on ./..."
-go test -shuffle=on ./...
-
-echo "ci.sh: all gates passed"
+case "${1:-}" in
+"") run_all ;;
+bench) run_bench ;;
+shard) run_shard ;;
+cluster) run_cluster; run_bench ;;
+rdma) run_rdma; run_bench ;;
+workload) run_workload; run_bench ;;
+obs) run_obs ;;
+*)
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs; no argument runs the full gate)" >&2
+	exit 2
+	;;
+esac

@@ -65,12 +65,11 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/corpus"
-	"repro/internal/dram"
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/profile"
-	"repro/internal/rdma"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -194,8 +193,8 @@ func main() {
 	}
 }
 
-// runOne builds a fresh system, runs one closed-loop measurement, and
-// returns the formatted report.
+// runOne builds a fresh serving stack, runs one closed-loop measurement,
+// and returns the formatted report.
 func runOne(cfg cliConfig, msg, conns int) (string, error) {
 	if cfg.workload != "" {
 		if cfg.shards > 0 || cfg.datapath == "peer" || cfg.tracePath != "" || cfg.profile {
@@ -212,35 +211,6 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 		}
 		return runSharded(cfg, msg, conns)
 	}
-	peer := cfg.datapath == "peer"
-	if !peer && cfg.datapath != "host" {
-		return "", fmt.Errorf("-datapath %q: use host or peer", cfg.datapath)
-	}
-	// A fleet policy name as the placement, or -devices above 1 with the
-	// plain smartdimm placement (defaulting to round-robin), selects the
-	// multi-device fleet backend.
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	isFleet := polErr == nil
-	if cfg.devices > 1 && !isFleet {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-devices %d: placement %q is single-device; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)",
-				cfg.devices, cfg.placement)
-		}
-		isFleet, pol = true, fleet.RoundRobin
-	}
-
-	withDIMM := cfg.placement == "smartdimm" || cfg.placement == "adaptive" || isFleet
-	if peer && !(cfg.placement == "smartdimm" || isFleet) {
-		return "", fmt.Errorf("-datapath peer: placement %q has no device buffers; use smartdimm or a fleet policy", cfg.placement)
-	}
-	ranks := 0
-	if isFleet {
-		ranks = cfg.devices
-	}
-	dp := sim.DataPathHost
-	if peer {
-		dp = sim.DataPathPeer
-	}
 	var tracer *telemetry.Tracer
 	traceCAS := 0
 	if cfg.tracePath != "" || cfg.profile {
@@ -251,101 +221,27 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 		// Perfetto counter track has data.
 		traceCAS = 1 << 16
 	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params: sim.DefaultParams(), LLCBytes: cfg.llc, LLCWays: cfg.ways,
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
-		WithSmartDIMM:  withDIMM,
-		SmartDIMMRanks: ranks,
-		DataPath:       dp,
-		Tracer:         tracer,
-		TraceCAS:       traceCAS,
+	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
+	st, err := scenario.Build(scenario.Spec{
+		Placement: cfg.placement, Devices: cfg.devices, DataPath: cfg.datapath, ULP: cfg.ulpName,
+		Msg: msg, Conns: conns, Workers: cfg.workers, Seed: cfg.seed,
+		WarmupPs: warmup, MeasurePs: measure,
+		LLCBytes: cfg.llc, LLCWays: cfg.ways, FileKind: cfg.kind,
+		Tracer: tracer, TraceCAS: traceCAS,
 	})
 	if err != nil {
 		return "", err
 	}
-	var nic *rdma.NIC
-	if peer {
-		if nic, err = rdma.New(rdma.Config{Sys: sys, Tracer: tracer}); err != nil {
-			return "", err
-		}
+	m, err := st.Run()
+	if err != nil {
+		return "", err
 	}
-
-	var backend offload.Backend
-	var fl *fleet.Fleet
-	switch {
-	case isFleet:
-		fl, err = fleet.New(fleet.Config{Sys: sys, Policy: pol, RNIC: nic})
-		if err != nil {
-			return "", err
-		}
-		backend = fl
-	case cfg.placement == "cpu":
-		backend = &offload.CPU{Sys: sys}
-	case cfg.placement == "smartnic":
-		backend = &offload.SmartNIC{Sys: sys}
-	case cfg.placement == "qat":
-		backend = &offload.QAT{Sys: sys}
-	case cfg.placement == "smartdimm":
-		backend = &offload.SmartDIMM{Sys: sys}
-	case cfg.placement == "adaptive":
-		backend = &offload.Adaptive{Sys: sys,
-			CPUBackend: &offload.CPU{Sys: sys}, DIMM: &offload.SmartDIMM{Sys: sys}}
-	default:
-		return "", fmt.Errorf("unknown placement %q", cfg.placement)
-	}
-
-	mode := server.HTTPSMode
-	switch cfg.ulpName {
-	case "tls":
-	case "compression":
-		mode = server.CompressedHTTP
-	case "none":
-		mode = server.PlainHTTP
-		backend = nil
-	default:
-		return "", fmt.Errorf("unknown ulp %q", cfg.ulpName)
-	}
-	if peer && backend != nil {
-		if backend, err = offload.NewRDMA(backend, nic); err != nil {
-			return "", err
-		}
-	}
-
-	scfg := server.Config{
-		Sys: sys, Backend: backend, Mode: mode, Workers: cfg.workers,
-		MsgSize: msg, Connections: conns, FileKind: cfg.kind, Seed: cfg.seed,
-	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	var m server.Metrics
-	if isFleet {
-		// The fleet's queue-occupancy model shares the system's simulated
-		// clock, so fleet runs must drive the system engine directly
-		// (RunClosedLoop builds a private engine the fleet can't see).
-		srv, err := server.New(sys.Engine, scfg)
-		if err != nil {
-			return "", err
-		}
-		gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-			Connections: conns,
-			ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-		})
-		gen.Start()
-		sys.Engine.RunUntil(warmup)
-		srv.BeginMeasurement()
-		gen.BeginMeasurement()
-		sys.Engine.RunUntil(warmup + measure)
-		m = srv.Collect()
-	} else {
-		m, err = server.RunClosedLoop(scfg, warmup, measure)
-		if err != nil {
-			return "", err
-		}
-	}
+	sys, fl := st.Sys, st.Fleet
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "placement:   %s\n", cfg.placement)
 	fmt.Fprintf(&b, "datapath:    %s\n", cfg.datapath)
-	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers\n", mode, msg, conns, cfg.workers)
+	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers\n", st.Mode, msg, conns, cfg.workers)
 	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
 	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
 	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
@@ -355,28 +251,28 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 	if fl != nil {
 		t := fl.Totals()
 		fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active; %d batches / %d descriptors\n",
-			t.Devices, pol, t.Active, t.Batches, t.Descriptors)
+			t.Devices, fl.Policy(), t.Active, t.Batches, t.Descriptors)
 		fmt.Fprintf(&b, "placement:   %d migrations (%d sheds), %d trips / %d readmits, %d soft ops, fallback rate %.4f\n",
 			t.Migrations, t.Sheds, t.Trips, t.Readmits, t.SoftOps, t.Degraded.FallbackRate())
 	}
-	if withDIMM && sys.Dev != nil {
-		st := sys.Dev.Stats()
+	if sys.Dev != nil {
+		ds := sys.Dev.Stats()
 		fmt.Fprintf(&b, "smartdimm:   %d registrations, %d DSA lines, %d self-recycles, %d S7, %d S10, %d ALERT_N\n",
-			st.Registrations, st.DSALinesFed, st.SelfRecycles, st.IgnoredWrites, st.ScratchpadReads, st.Alerts)
+			ds.Registrations, ds.DSALinesFed, ds.SelfRecycles, ds.IgnoredWrites, ds.ScratchpadReads, ds.Alerts)
 		fmt.Fprintf(&b, "driver:      %d CompCpy, %d force-recycles\n",
 			sys.Driver.Stats().CompCpyCalls, sys.Driver.Stats().ForceRecycleCalls)
-		if ad, ok := backend.(*offload.Adaptive); ok {
+		if ad, ok := st.Backend.(*offload.Adaptive); ok {
 			fmt.Fprintf(&b, "adaptive:    %d offloaded, %d on CPU (last miss rate %.3f)\n",
 				ad.OffloadedN, ad.OnCPUN, ad.LastMissRate)
 		}
 	}
-	if nic != nil {
-		st := nic.Stats()
+	if st.NIC != nil {
+		ns := st.NIC.Stats()
 		fmt.Fprintf(&b, "rdma:        %d MRs (%d live), %d WQEs (%d ok / %d failed), %d doorbells (%.2f wqe/ring, %d lost), %d RNR naks, %d stale retargets\n",
-			st.MRs, st.LiveMRs, st.Posted, st.Completed, st.Failed,
-			st.Doorbells, st.DoorbellsCoalesce, st.DoorbellsLost, st.RNRNaks, st.StaleRkeyRetries)
+			ns.MRs, ns.LiveMRs, ns.Posted, ns.Completed, ns.Failed,
+			ns.Doorbells, ns.DoorbellsCoalesce, ns.DoorbellsLost, ns.RNRNaks, ns.StaleRkeyRetries)
 		fmt.Fprintf(&b, "             %d peer bytes on the wire (%.2fus serialized), %d preloaded\n",
-			st.PeerBytes, float64(st.WirePs)/float64(sim.Us), st.Preloaded)
+			ns.PeerBytes, float64(ns.WirePs)/float64(sim.Us), ns.Preloaded)
 	}
 	if cfg.metrics {
 		reg := telemetry.NewRegistry()
@@ -406,15 +302,7 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 		}
 	}
 	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			return "", err
-		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
+		if err := tracer.WritePerfettoFile(cfg.tracePath); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
@@ -427,12 +315,9 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 // arrival trace at cfg.rps over a cfg.devices-rank fleet, optionally
 // supervised by the SLO autoscaler (-slo-us).
 func runWorkload(cfg cliConfig, conns int) (string, error) {
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	if polErr != nil {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-workload: placement %q is single-device; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)", cfg.placement)
-		}
-		pol = fleet.RoundRobin
+	pol, err := scenario.FleetPolicy(cfg.placement)
+	if err != nil {
+		return "", fmt.Errorf("-workload: %w", err)
 	}
 	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
 	rc := workload.RunConfig{
@@ -528,15 +413,7 @@ func writeIncidents(dir string, rep workload.Report, b *strings.Builder) error {
 		}
 		events := 0
 		if in.Trace != nil {
-			f, err := os.Create(filepath.Join(sub, "trace.json"))
-			if err != nil {
-				return err
-			}
-			if err := in.Trace.WritePerfetto(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := in.Trace.WritePerfettoFile(filepath.Join(sub, "trace.json")); err != nil {
 				return err
 			}
 			events = in.Trace.Len()
@@ -557,19 +434,12 @@ func writeIncidents(dir string, rep workload.Report, b *strings.Builder) error {
 // execute on cfg.execWorkers goroutines. Reported metrics (and -trace /
 // -metrics artifacts) are byte-identical at any -exec-workers setting.
 func runSharded(cfg cliConfig, msg, conns int) (string, error) {
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	if polErr != nil {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-shards: placement %q is single-system; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)", cfg.placement)
-		}
-		pol = fleet.RoundRobin
+	pol, err := scenario.FleetPolicy(cfg.placement)
+	if err != nil {
+		return "", fmt.Errorf("-shards: %w", err)
 	}
-	mode := server.HTTPSMode
-	switch cfg.ulpName {
-	case "tls":
-	case "compression":
-		mode = server.CompressedHTTP
-	default:
+	mode, err := scenario.ParseULP(cfg.ulpName)
+	if err != nil || mode == server.PlainHTTP {
 		return "", fmt.Errorf("-shards: ulp %q unsupported; sharded runs serve tls or compression", cfg.ulpName)
 	}
 	trace := cfg.tracePath != "" || cfg.profile
@@ -626,15 +496,7 @@ func runSharded(cfg cliConfig, msg, conns int) (string, error) {
 	}
 	if cfg.tracePath != "" {
 		merged := cl.MergedTrace()
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			return "", err
-		}
-		if err := merged.WritePerfetto(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
+		if err := merged.WritePerfettoFile(cfg.tracePath); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",

@@ -10,9 +10,7 @@ import (
 	"log"
 
 	"repro/internal/corpus"
-	"repro/internal/dram"
-	"repro/internal/offload"
-	"repro/internal/server"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -27,35 +25,23 @@ func main() {
 		msgSize, connections, workers, llcBytes>>10)
 	fmt.Printf("%-12s %-10s %-10s %-12s %s\n", "placement", "RPS", "CPU util", "mem GB/s", "mean latency")
 
-	type setup struct {
-		name string
-		dimm bool
-		mk   func(*sim.System) offload.Backend
-	}
-	for _, s := range []setup{
-		{"CPU", false, func(sys *sim.System) offload.Backend { return &offload.CPU{Sys: sys, Functional: true} }},
-		{"SmartNIC", false, func(sys *sim.System) offload.Backend { return &offload.SmartNIC{Sys: sys} }},
-		{"QuickAssist", false, func(sys *sim.System) offload.Backend { return &offload.QAT{Sys: sys, Functional: true} }},
-		{"SmartDIMM", true, func(sys *sim.System) offload.Backend { return &offload.SmartDIMM{Sys: sys} }},
+	for _, p := range []struct{ name, placement string }{
+		{"CPU", "cpu"}, {"SmartNIC", "smartnic"}, {"QuickAssist", "qat"}, {"SmartDIMM", "smartdimm"},
 	} {
-		sys, err := sim.NewSystem(sim.SystemConfig{
-			Params: sim.DefaultParams(), LLCBytes: llcBytes, LLCWays: 8,
-			Geometry:      dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
-			WithSmartDIMM: s.dimm,
+		st, err := scenario.Build(scenario.Spec{
+			Placement: p.placement, ULP: "tls", Msg: msgSize, Conns: connections, Workers: workers,
+			Seed: 1, WarmupPs: 2 * sim.Ms, MeasurePs: 10 * sim.Ms,
+			LLCBytes: llcBytes, LLCWays: 8, FileKind: corpus.Text,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := server.RunClosedLoop(server.Config{
-			Sys: sys, Backend: s.mk(sys), Mode: server.HTTPSMode,
-			Workers: workers, MsgSize: msgSize, Connections: connections,
-			FileKind: corpus.Text, Seed: 1,
-		}, 2*sim.Ms, 10*sim.Ms)
+		m, err := st.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s %-10.0f %-10.1f%% %-12.3f %.0f us\n",
-			s.name, m.RPS, m.CPUUtil*100, m.MemBWGBps, float64(m.MeanLatPs)/float64(sim.Us))
+			p.name, m.RPS, m.CPUUtil*100, m.MemBWGBps, float64(m.MeanLatPs)/float64(sim.Us))
 	}
 	fmt.Println("\nUnder LLC contention SmartDIMM serves more requests with less CPU and")
 	fmt.Println("memory bandwidth: encryption happens in the DIMM buffer device while the")

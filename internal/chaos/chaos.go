@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"repro/internal/aesgcm"
 	"repro/internal/core"
@@ -176,15 +175,7 @@ func RunWithTrace(seed int64, ops int, tracePath string) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return rep, err
-	}
-	if err := tr.WritePerfetto(f); err != nil {
-		f.Close()
-		return rep, err
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WritePerfettoFile(tracePath); err != nil {
 		return rep, err
 	}
 	rep.TracePath = tracePath

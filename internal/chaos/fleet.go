@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -126,15 +125,7 @@ func RunFleetWithTrace(seed int64, ops int, tracePath string) (FleetReport, erro
 	if err != nil {
 		return rep, err
 	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return rep, err
-	}
-	if err := tr.WritePerfetto(f); err != nil {
-		f.Close()
-		return rep, err
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WritePerfettoFile(tracePath); err != nil {
 		return rep, err
 	}
 	rep.TracePath = tracePath

@@ -354,9 +354,11 @@ func (n *node) onAppend(g int, term int64, prevIdx int, prevTerm int64, ents []l
 	}
 	ln := n.c.nodes[from]
 	if term < r.term {
-		respTerm := r.term
+		// Capture the reply at send time: the callback runs on the
+		// leader's shard, which must not read this replica's log.
+		respTerm, next := r.term, len(r.log)+1
 		n.c.net.Send(n.addr, ln.addr, ctlBytes, func() {
-			ln.onAppendAck(g, respTerm, false, 0, len(r.log)+1, sentPs, n.id)
+			ln.onAppendAck(g, respTerm, false, 0, next, sentPs, n.id)
 		})
 		return
 	}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/corpus"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -31,19 +33,10 @@ func FigBreakdown(pool *runner.Pool, sc Scale, mode server.Mode, msgSize int) ([
 	}
 	results, err := runner.Map(context.Background(), pool, placements,
 		func(_ context.Context, place Placement, _ int) (result, error) {
-			sys, err := newSystem(sc, place, 0)
-			if err != nil {
-				return result{}, err
-			}
-			b := backendFor(place, sys)
-			if !b.Supports(mode2ulp(mode)) {
+			m, err := measureUncontended(sc.spec(place, mode, msgSize, corpus.HTML, 5))
+			if errors.Is(err, scenario.ErrUnsupported) {
 				return result{skip: true}, nil
 			}
-			m, err := server.RunClosedLoop(server.Config{
-				Sys: sys, Backend: b, Mode: mode, Workers: sc.Workers,
-				MsgSize: msgSize, Connections: sc.Connections,
-				FileKind: corpus.HTML, Seed: 5,
-			}, sc.WarmupPs, sc.MeasurePs)
 			if err != nil {
 				return result{}, err
 			}

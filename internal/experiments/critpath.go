@@ -2,16 +2,17 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/corpus"
 	"repro/internal/profile"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/wrkgen"
 )
 
 // CritPathRow is one placement's critical-path attribution: for every
@@ -57,39 +58,17 @@ func CritPathBreakdown(pool *runner.Pool, sc Scale, mode server.Mode, msgSize in
 	results, err := runner.Map(context.Background(), pool, placements,
 		func(_ context.Context, place Placement, _ int) (result, error) {
 			tr := telemetry.New()
-			sys, err := sim.NewSystem(sim.SystemConfig{
-				Params:        sim.DefaultParams(),
-				LLCBytes:      sc.LLCBytes,
-				LLCWays:       sc.LLCWays,
-				Geometry:      mediumGeometry(),
-				WithSmartDIMM: place == PlaceSmartDIMM,
-				Tracer:        tr,
-			})
-			if err != nil {
-				return result{}, err
-			}
-			b := backendFor(place, sys)
-			if !b.Supports(mode2ulp(mode)) {
+			sp := sc.spec(place, mode, msgSize, corpus.HTML, 5)
+			sp.Tracer = tr
+			st, err := scenario.Build(sp)
+			if errors.Is(err, scenario.ErrUnsupported) {
 				return result{skip: true}, nil
 			}
-			srv, err := server.New(sys.Engine, server.Config{
-				Sys: sys, Backend: b, Mode: mode, Workers: sc.Workers,
-				MsgSize: msgSize, Connections: sc.Connections,
-				FileKind: corpus.HTML, Seed: 5,
-			})
 			if err != nil {
 				return result{}, err
 			}
-			gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-				Connections: sc.Connections,
-				ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-			})
-			gen.Start()
-			sys.Engine.RunUntil(sc.WarmupPs)
-			srv.BeginMeasurement()
-			sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-			if sys.Trace != nil {
-				sys.Trace.ExportTo(tr)
+			if _, err := st.Run(); err != nil {
+				return result{}, err
 			}
 			cp := profile.AnalyzeTracer(tr, profile.Options{FromPs: sc.WarmupPs})
 			row := CritPathRow{Placement: place, Requests: len(cp.Requests),

@@ -22,6 +22,28 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// checkGolden compares got byte-for-byte against testdata/<name>,
+// rewriting the file first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s diverged from golden\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
 // critScale keeps the traced four-placement sweep fast.
 func critScale() Scale {
 	return Scale{
@@ -44,24 +66,7 @@ func TestCritPathGolden(t *testing.T) {
 	if err := WriteCritPathTable(&b, rows); err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(b.String())
-
-	path := filepath.Join("testdata", "critpath.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("critical-path table diverged from golden\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	checkGolden(t, "critpath.golden", []byte(b.String()))
 
 	// The headline claim must hold in the golden itself: SmartDIMM's
 	// copy share is zero while CPU's is not.

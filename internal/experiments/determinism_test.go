@@ -74,9 +74,27 @@ func renderSweeps(t *testing.T, pool *runner.Pool) string {
 // parallel harness: a four-worker pool must reproduce the serial sweep
 // byte-for-byte. Every simulation owns its engine and seeded RNG, so the
 // only way this can fail is shared mutable state leaking between runs —
-// exactly the bug class this test exists to catch.
+// exactly the bug class this test exists to catch. The serial sweep plus
+// the per-stage breakdown (at full precision) is also pinned against
+// testdata/sweeps.golden, so no refactor of the serving-stack assembly
+// may move a figure; regenerate with
+// `go test ./internal/experiments/ -run TestSweepsDeterministic -update`.
 func TestSweepsDeterministicUnderParallelism(t *testing.T) {
 	serial := renderSweeps(t, nil)
+	var b strings.Builder
+	b.WriteString(serial)
+	rows, err := FigBreakdown(nil, detScale(), server.HTTPSMode, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		m := r.Metrics
+		fmt.Fprintf(&b, "breakdown %s %v %v %v %v %v %v %v %v %v %v\n", r.Placement,
+			m.Requests, m.ElapsedPs, m.RPS, m.CPUBusyPs, m.MemBytes, m.TXBytes,
+			m.MeanLatPs, m.Latency.Percentile(99), m.StagePs, r.SharePct)
+	}
+	checkGolden(t, "sweeps.golden", []byte(b.String()))
+
 	parallel := renderSweeps(t, runner.New(4))
 	if serial != parallel {
 		t.Fatalf("parallel sweep diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)

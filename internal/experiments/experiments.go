@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -16,10 +17,10 @@ import (
 	"repro/internal/nettcp"
 	"repro/internal/offload"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/wrkgen"
 )
 
 // Every sweep in this package takes a *runner.Pool: each parameter point
@@ -93,31 +94,47 @@ func (p Placement) String() string {
 	}
 }
 
-// newSystem assembles a system for a placement.
-func newSystem(sc Scale, place Placement, traceCAS int) (*sim.System, error) {
-	return sim.NewSystem(sim.SystemConfig{
-		Params:        sim.DefaultParams(),
-		LLCBytes:      sc.LLCBytes,
-		LLCWays:       sc.LLCWays,
-		Geometry:      mediumGeometry(),
-		WithSmartDIMM: place == PlaceSmartDIMM,
-		TraceCAS:      traceCAS,
-	})
-}
+// The scenario.Spec spellings of the placements and server modes.
+var (
+	specPlacement = [...]string{PlaceCPU: "cpu", PlaceSmartNIC: "smartnic", PlaceQAT: "qat", PlaceSmartDIMM: "smartdimm"}
+	specULP       = map[server.Mode]string{server.PlainHTTP: "none", server.HTTPSMode: "tls", server.CompressedHTTP: "compression"}
+)
 
-// backendFor builds the placement's backend over sys.
-func backendFor(place Placement, sys *sim.System) offload.Backend {
-	switch place {
-	case PlaceCPU:
-		return &offload.CPU{Sys: sys}
-	case PlaceSmartNIC:
-		return &offload.SmartNIC{Sys: sys}
-	case PlaceQAT:
-		return &offload.QAT{Sys: sys}
-	default:
-		return &offload.SmartDIMM{Sys: sys}
+// spec describes one serving run of this package at scale sc.
+func (sc Scale) spec(place Placement, mode server.Mode, msg int, kind corpus.Kind, seed int64) scenario.Spec {
+	return scenario.Spec{
+		Placement: specPlacement[place], ULP: specULP[mode],
+		Msg: msg, Conns: sc.Connections, Workers: sc.Workers, Seed: seed,
+		WarmupPs: sc.WarmupPs, MeasurePs: sc.MeasurePs,
+		LLCBytes: sc.LLCBytes, LLCWays: sc.LLCWays, FileKind: kind,
 	}
 }
+
+// buildUncontended builds sp's stack with the memory-bandwidth contention
+// model off. Fig. 3/10/11/12, Table I and the stage breakdown were
+// calibrated without it; turning it on inverts Table I's isolation
+// ordering (EXPERIMENTS.md §Table I, ROADMAP).
+func buildUncontended(sp scenario.Spec) (*scenario.Stack, error) {
+	st, err := scenario.Build(sp)
+	if err != nil {
+		return nil, err
+	}
+	st.Sys.Hier.Clock = nil
+	return st, nil
+}
+
+// measureUncontended builds and runs sp without the contention model.
+func measureUncontended(sp scenario.Spec) (server.Metrics, error) {
+	st, err := buildUncontended(sp)
+	if err != nil {
+		return server.Metrics{}, err
+	}
+	return st.Run()
+}
+
+// noThink is the zero client think time of the wrk-style runs that
+// issue the next request the instant a response lands.
+func noThink(int) int64 { return 0 }
 
 // --- Fig. 2 -----------------------------------------------------------------
 
@@ -217,18 +234,9 @@ func Fig3(pool *runner.Pool, sc Scale, connCounts []int, msgSize int) ([]Fig3Poi
 	out, err := runner.Map(context.Background(), pool, connCounts,
 		func(_ context.Context, conns, _ int) (Fig3Point, error) {
 			run := func(mode server.Mode) (server.Metrics, error) {
-				sys, err := newSystem(sc, PlaceCPU, 0)
-				if err != nil {
-					return server.Metrics{}, err
-				}
-				cfg := server.Config{
-					Sys: sys, Mode: mode, Workers: sc.Workers, MsgSize: msgSize,
-					Connections: conns, FileKind: corpus.HTML, Seed: 7,
-				}
-				if mode != server.PlainHTTP {
-					cfg.Backend = &offload.CPU{Sys: sys}
-				}
-				return server.RunClosedLoop(cfg, sc.WarmupPs, sc.MeasurePs)
+				sp := sc.spec(PlaceCPU, mode, msgSize, corpus.HTML, 7)
+				sp.Conns = conns
+				return measureUncontended(sp)
 			}
 			http, err := run(server.PlainHTTP)
 			if err != nil {
@@ -343,32 +351,23 @@ type Fig10Series struct {
 func Fig10(pool *runner.Pool, llcSizes []int, sc Scale) ([]Fig10Series, error) {
 	out, err := runner.Map(context.Background(), pool, llcSizes,
 		func(_ context.Context, llc, _ int) (Fig10Series, error) {
-			sys, err := sim.NewSystem(sim.SystemConfig{
-				Params: sim.DefaultParams(), LLCBytes: llc, LLCWays: sc.LLCWays,
-				Geometry: mediumGeometry(), WithSmartDIMM: true,
-			})
+			sp := sc.spec(PlaceSmartDIMM, server.HTTPSMode, 4096, corpus.Text, 3)
+			sp.LLCBytes, sp.ThinkPsFor = llc, noThink
+			st, err := buildUncontended(sp)
 			if err != nil {
 				return Fig10Series{}, err
 			}
-			eng := sim.NewEngine()
-			srv, err := server.New(eng, server.Config{
-				Sys: sys, Backend: &offload.SmartDIMM{Sys: sys}, Mode: server.HTTPSMode,
-				Workers: sc.Workers, MsgSize: 4096, Connections: sc.Connections,
-				FileKind: corpus.Text, Seed: 3,
-			})
-			if err != nil {
-				return Fig10Series{}, err
-			}
-			gen := wrkgen.New(eng, srv, wrkgen.Config{Connections: sc.Connections})
+			sys, eng := st.Sys, st.Sys.Engine
 			series := &stats.TimeSeries{Name: fmt.Sprintf("llc=%dMB", llc>>20)}
 			var tick func()
 			tick = func() {
 				series.Append(eng.Now(), float64(sys.Dev.ScratchpadOccupancyBytes()))
 				eng.After(100*sim.Us, tick)
 			}
-			gen.Start()
 			eng.After(0, tick)
-			eng.RunUntil(sc.WarmupPs + sc.MeasurePs)
+			if _, err := st.Run(); err != nil {
+				return Fig10Series{}, err
+			}
 			return Fig10Series{
 				LLCBytes:      llc,
 				Series:        series,
@@ -424,18 +423,12 @@ func RunPlacements(pool *runner.Pool, sc Scale, mode server.Mode, msgSizes []int
 	}
 	results, err := runner.Map(context.Background(), pool, jobs,
 		func(_ context.Context, j job, _ int) (result, error) {
-			sys, err := newSystem(sc, j.place, 0)
-			if err != nil {
-				return result{}, err
-			}
-			b := backendFor(j.place, sys)
-			if !b.Supports(mode2ulp(mode)) {
+			sp := sc.spec(j.place, mode, j.msg, kind, 5)
+			sp.WarmupPs, sp.MeasurePs = warm, meas
+			m, err := measureUncontended(sp)
+			if errors.Is(err, scenario.ErrUnsupported) {
 				return result{skip: true}, nil
 			}
-			m, err := server.RunClosedLoop(server.Config{
-				Sys: sys, Backend: b, Mode: mode, Workers: sc.Workers,
-				MsgSize: j.msg, Connections: sc.Connections, FileKind: kind, Seed: 5,
-			}, warm, meas)
 			if err != nil {
 				return result{}, err
 			}
@@ -461,13 +454,6 @@ func RunPlacements(pool *runner.Pool, sc Scale, mode server.Mode, msgSizes []int
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-func mode2ulp(m server.Mode) offload.ULP {
-	if m == server.HTTPSMode {
-		return offload.TLS
-	}
-	return offload.Compression
 }
 
 func perReq(v int64, n uint64) float64 {
@@ -530,26 +516,19 @@ func Table1(pool *runner.Pool, sc Scale) ([]Table1Row, error) {
 	}
 	results, err := runner.Map(context.Background(), pool, jobs,
 		func(_ context.Context, j job, _ int) (result, error) {
-			sys, err := newSystem(sc, j.place, 0)
-			if err != nil {
-				return result{}, err
-			}
+			sp := sc.spec(j.place, server.HTTPSMode, 4096, corpus.Text, 5)
 			switch j.kind {
 			case soloServer:
-				m, err := server.RunClosedLoop(server.Config{
-					Sys: sys, Backend: backendFor(j.place, sys), Mode: server.HTTPSMode,
-					Workers: sc.Workers, MsgSize: 4096, Connections: sc.Connections,
-					FileKind: corpus.Text, Seed: 5,
-				}, sc.WarmupPs, sc.MeasurePs)
+				m, err := measureUncontended(sp)
 				if err != nil {
 					return result{}, err
 				}
 				return result{rps: m.RPS}, nil
 			case soloAntagonist:
-				ops, err := runAntagonist(sys, sc)
+				ops, err := runAntagonist(sp)
 				return result{ops: ops}, err
 			default:
-				coRPS, coOps, err := runCoLocated(sys, j.place, sc)
+				coRPS, coOps, err := runCoLocated(sp)
 				return result{coRPS: coRPS, coOps: coOps}, err
 			}
 		})
@@ -571,43 +550,42 @@ func Table1(pool *runner.Pool, sc Scale) ([]Table1Row, error) {
 	return out, nil
 }
 
-// runAntagonist measures the co-runner's solo throughput.
-func runAntagonist(sys *sim.System, sc Scale) (float64, error) {
-	eng := sim.NewEngine()
-	a, err := corun.Start(eng, corun.DefaultConfig(sys))
+// runAntagonist measures the co-runner's solo throughput on sp's host,
+// with no server built.
+func runAntagonist(sp scenario.Spec) (float64, error) {
+	sys, err := scenario.System(sp)
 	if err != nil {
 		return 0, err
 	}
-	eng.RunUntil(sc.WarmupPs)
+	sys.Hier.Clock = nil // as buildUncontended
+	a, err := corun.Start(sys.Engine, corun.DefaultConfig(sys))
+	if err != nil {
+		return 0, err
+	}
+	sys.Engine.RunUntil(sp.WarmupPs)
 	a.BeginMeasurement()
-	eng.RunUntil(sc.WarmupPs + sc.MeasurePs)
+	sys.Engine.RunUntil(sp.WarmupPs + sp.MeasurePs)
 	return a.OpsPerSecond(), nil
 }
 
-// runCoLocated runs the server and the antagonist on one engine and
-// memory system.
-func runCoLocated(sys *sim.System, place Placement, sc Scale) (rps, ops float64, err error) {
-	eng := sim.NewEngine()
-	srv, err := server.New(eng, server.Config{
-		Sys: sys, Backend: backendFor(place, sys), Mode: server.HTTPSMode,
-		Workers: sc.Workers, MsgSize: 4096, Connections: sc.Connections,
-		FileKind: corpus.Text, Seed: 5,
-	})
+// runCoLocated runs the server (zero think time) and the antagonist on
+// one engine and memory system, returning client-side RPS.
+func runCoLocated(sp scenario.Spec) (rps, ops float64, err error) {
+	sp.ThinkPsFor = noThink
+	st, err := buildUncontended(sp)
 	if err != nil {
 		return 0, 0, err
 	}
-	gen := wrkgen.New(eng, srv, wrkgen.Config{Connections: sc.Connections})
-	ant, err := corun.Start(eng, corun.DefaultConfig(sys))
+	ant, err := corun.Start(st.Sys.Engine, corun.DefaultConfig(st.Sys))
 	if err != nil {
 		return 0, 0, err
 	}
-	gen.Start()
-	eng.RunUntil(sc.WarmupPs)
-	gen.BeginMeasurement()
-	srv.BeginMeasurement()
+	st.Warmup()
 	ant.BeginMeasurement()
-	eng.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	return gen.RPS(), ant.OpsPerSecond(), nil
+	if _, err := st.Measure(); err != nil {
+		return 0, 0, err
+	}
+	return st.Gen.RPS(), ant.OpsPerSecond(), nil
 }
 
 // --- Fig. 13 -----------------------------------------------------------------

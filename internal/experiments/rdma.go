@@ -20,15 +20,12 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/corun"
-	"repro/internal/fleet"
-	"repro/internal/offload"
 	"repro/internal/profile"
-	"repro/internal/rdma"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/wrkgen"
 )
 
 // RDMARanks is the rank count the rdma figure compares at: equal for
@@ -91,78 +88,34 @@ func FigRDMA(pool *runner.Pool, sc Scale) ([]RDMAPoint, error) {
 
 func runRDMAConfig(cf rdmaConfig, sc Scale) (RDMAPoint, error) {
 	tr := telemetry.New()
-	dp := sim.DataPathHost
-	if cf.peer {
-		dp = sim.DataPathPeer
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params:         sim.DefaultParams(),
-		LLCBytes:       sc.LLCBytes,
-		LLCWays:        sc.LLCWays,
-		Geometry:       mediumGeometry(),
-		WithSmartDIMM:  cf.ranks > 0,
-		SmartDIMMRanks: cf.ranks,
-		DataPath:       dp,
-		Tracer:         tr,
-	})
-	if err != nil {
-		return RDMAPoint{}, err
-	}
-	var backend offload.Backend
-	var nic *rdma.NIC
-	if cf.ranks > 0 {
-		if cf.peer {
-			if nic, err = rdma.New(rdma.Config{Sys: sys, Tracer: tr}); err != nil {
-				return RDMAPoint{}, err
-			}
-		}
-		fl, err := fleet.New(fleet.Config{Sys: sys, Policy: fleet.RoundRobin, RNIC: nic})
-		if err != nil {
-			return RDMAPoint{}, err
-		}
-		backend = fl
-		if cf.peer {
-			if backend, err = offload.NewRDMA(fl, nic); err != nil {
-				return RDMAPoint{}, err
-			}
-		}
-	} else {
-		backend = &offload.CPU{Sys: sys}
-	}
 	// 16KB messages (the paper's TLS record size): each record splits
 	// into several MTU-sized WQEs, so doorbell coalescing is visible in
 	// the wqe/doorbell column.
-	srv, err := server.New(sys.Engine, server.Config{
-		Sys: sys, Backend: backend, Mode: server.HTTPSMode, Workers: sc.Workers,
-		MsgSize: 16384, Connections: sc.Connections, FileKind: corpus.Text, Seed: 5,
-	})
+	sp := sc.spec(PlaceCPU, server.HTTPSMode, 16384, corpus.Text, 5)
+	sp.Tracer = tr
+	if cf.ranks > 0 {
+		sp.Placement, sp.Devices = "rr", cf.ranks
+	}
+	if cf.peer {
+		sp.DataPath = "peer"
+	}
+	st, err := scenario.Build(sp)
 	if err != nil {
 		return RDMAPoint{}, err
 	}
-	gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-		Connections: sc.Connections,
-		ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-	})
 	var ant *corun.Antagonist
 	if cf.corun {
-		if ant, err = corun.Start(sys.Engine, corun.DefaultConfig(sys)); err != nil {
+		if ant, err = corun.Start(st.Sys.Engine, corun.DefaultConfig(st.Sys)); err != nil {
 			return RDMAPoint{}, err
 		}
 	}
-	gen.Start()
-	sys.Engine.RunUntil(sc.WarmupPs)
-	srv.BeginMeasurement()
-	gen.BeginMeasurement()
+	st.Warmup()
 	if ant != nil {
 		ant.BeginMeasurement()
 	}
-	sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	m := srv.Collect()
-	if err := srv.LastError(); err != nil {
+	m, err := st.Measure()
+	if err != nil {
 		return RDMAPoint{}, fmt.Errorf("rdma %s: %w", cf.label, err)
-	}
-	if sys.Trace != nil {
-		sys.Trace.ExportTo(tr)
 	}
 	cp := profile.AnalyzeTracer(tr, profile.Options{FromPs: sc.WarmupPs})
 	row := CritPathRow{Stages: cp.Stages}
@@ -176,12 +129,12 @@ func runRDMAConfig(cf rdmaConfig, sc Scale) (RDMAPoint, error) {
 		BouncePct: row.ShareOf("bounce"),
 		RDMAPct:   row.ShareOf("rdma"),
 	}
-	if nic != nil {
-		st := nic.Stats()
-		if st.Doorbells > 0 {
-			pt.WQEPerDoorbell = float64(st.Completed+st.Failed) / float64(st.Doorbells)
+	if st.NIC != nil {
+		ns := st.NIC.Stats()
+		if ns.Doorbells > 0 {
+			pt.WQEPerDoorbell = float64(ns.Completed+ns.Failed) / float64(ns.Doorbells)
 		}
-		pt.PeerBytes = st.PeerBytes
+		pt.PeerBytes = ns.PeerBytes
 	}
 	if ant != nil {
 		pt.AntOps = ant.OpsPerSecond()

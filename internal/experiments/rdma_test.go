@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -33,21 +30,7 @@ func TestCritPathRDMAGolden(t *testing.T) {
 	if err := WriteRDMATable(&b, pts); err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(b.String())
-
-	path := filepath.Join("testdata", "critpath_rdma.golden")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("rdma table diverged from golden\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	checkGolden(t, "critpath_rdma.golden", []byte(b.String()))
 
 	// The headline claims must hold in the golden itself.
 	byLabel := func(label string, co bool) *RDMAPoint {

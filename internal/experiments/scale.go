@@ -21,9 +21,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fleet"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/wrkgen"
 )
 
 // FleetScale sizes the fleet scaling experiment: QuickScale's LLC and
@@ -86,47 +86,25 @@ func zipfThink(conns int, basePs int64, seed int64) func(int) int64 {
 	return func(c int) int64 { return thinks[c%conns] }
 }
 
-// runScalePoint assembles an n-rank system, a fleet over it, and the
-// HTTPS server, and measures one closed-loop window. The server runs on
-// the system's own engine so fleet queue occupancy and the memory
-// contention model share the simulated clock.
+// runScalePoint measures one closed-loop window of compressed HTTP
+// served through an n-rank fleet.
 func runScalePoint(sc Scale, j scaleJob, msgSize int) (ScalePoint, error) {
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params:         sim.DefaultParams(),
-		LLCBytes:       sc.LLCBytes,
-		LLCWays:        sc.LLCWays,
-		Geometry:       mediumGeometry(),
-		WithSmartDIMM:  true,
-		SmartDIMMRanks: j.devices,
-	})
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	fl, err := fleet.New(fleet.Config{Sys: sys, Policy: j.policy})
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	srv, err := server.New(sys.Engine, server.Config{
-		Sys: sys, Backend: fl, Mode: server.CompressedHTTP, Workers: sc.Workers,
-		MsgSize: msgSize, Connections: sc.Connections, FileKind: corpus.HTML, Seed: 11,
-	})
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	base := int64(sys.Params.RTTUs * float64(sim.Us))
-	gcfg := wrkgen.Config{Connections: sc.Connections, ThinkPs: base}
+	sp := sc.spec(PlaceSmartDIMM, server.CompressedHTTP, msgSize, corpus.HTML, 11)
+	sp.Placement, sp.Devices = j.policy.String(), j.devices
 	load := "uniform"
 	if j.zipf {
-		gcfg.ThinkPsFor = zipfThink(sc.Connections, base, 17)
+		base := int64(sim.DefaultParams().RTTUs * float64(sim.Us))
+		sp.ThinkPsFor = zipfThink(sc.Connections, base, 17)
 		load = "zipf"
 	}
-	gen := wrkgen.New(sys.Engine, srv, gcfg)
-	gen.Start()
-	sys.Engine.RunUntil(sc.WarmupPs)
-	srv.BeginMeasurement()
-	gen.BeginMeasurement()
-	sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	t := fl.Totals()
+	st, err := scenario.Build(sp)
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	if _, err := st.Run(); err != nil {
+		return ScalePoint{}, err
+	}
+	gen, t := st.Gen, st.Fleet.Totals()
 	return ScalePoint{
 		Devices:    j.devices,
 		Policy:     j.policy.String(),

@@ -18,58 +18,17 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
-	"repro/internal/dram"
 	"repro/internal/fleet"
-	"repro/internal/offload"
-	"repro/internal/rdma"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/wrkgen"
 )
 
-// BenchScenario pins one deterministic serving run.
-type BenchScenario struct {
-	Name      string `json:"name"`
-	Placement string `json:"placement"` // cpu | smartdimm | a fleet policy
-	Devices   int    `json:"devices"`   // SmartDIMM ranks (fleet when > 1)
-	ULP       string `json:"ulp"`       // tls | compression
-	Msg       int    `json:"msg"`
-	Conns     int    `json:"conns"`
-	Workers   int    `json:"workers"`
-	Seed      int64  `json:"seed"`
-	WarmupPs  int64  `json:"warmup_ps"`
-	MeasurePs int64  `json:"measure_ps"`
-	// Shards > 0 runs the scenario on the sharded PDES cluster
-	// (fleet.Sharded): Shards sub-systems with Devices ranks each,
-	// Placement naming the per-shard fleet policy. ExecWorkers sets the
-	// epoch parallelism (0 = GOMAXPROCS, 1 = serial reference); the sim
-	// KPIs are byte-identical either way, only wall KPIs move.
-	Shards      int         `json:"shards,omitempty"`
-	ExecWorkers int         `json:"exec_workers,omitempty"`
-	Params      *sim.Params `json:"-"` // calibration override; nil = DefaultParams
-	// Nodes > 0 runs the scenario on the replicated cluster tier
-	// (internal/cluster): Nodes server nodes behind quorum-ack
-	// replication with Conns closed-loop client connections, chaos off.
-	// The KPI set is the client-visible one (acked ops, redirects,
-	// promotions) rather than the per-server serving KPIs.
-	Nodes int `json:"nodes,omitempty"`
-	// DataPath selects how records reach the device buffers: "" or
-	// "host" is the host-mediated path (storage DMA bouncing through
-	// host DRAM on page-cache misses); "peer" is the zero-copy RDMA
-	// path (the NIC writes straight into the registered lower-half
-	// buffers). "peer" requires an inline placement (smartdimm or a
-	// fleet policy).
-	DataPath string `json:"datapath,omitempty"`
-	// Workload, when set ("kv" or "embed"), runs the scenario through
-	// the trace-replay workload suite (internal/workload) instead of the
-	// closed-loop generator: an open-loop arrival trace at RPS drives
-	// the named request mix over a Devices-rank fleet, chaos and
-	// autoscaler off. Placement names the fleet policy; Msg is ignored
-	// (the source's own payload mix governs).
-	Workload string  `json:"workload,omitempty"`
-	RPS      float64 `json:"rps,omitempty"` // open-loop offered rate (Workload only)
-}
+// BenchScenario pins one deterministic serving run; it is the one
+// scenario description every driver consumes.
+type BenchScenario = scenario.Spec
 
 // Clock reads a wall-time instant in nanoseconds. The bench harness
 // takes it as an injected dependency (internal/ is wall-clock-free by
@@ -96,29 +55,29 @@ type BenchReport struct {
 // makes short windows exactly reproducible.
 func DefaultBenchScenarios() []BenchScenario {
 	return []BenchScenario{
-		{Name: "smartdimm-1dev", Placement: "smartdimm", Devices: 1, ULP: "tls",
+		{Name: "smartdimm-1dev", Placement: "smartdimm", Devices: 1, ULP: "tls", FileKind: corpus.Text,
 			Msg: 4096, Conns: 64, Workers: 10, Seed: 1, WarmupPs: sim.Ms, MeasurePs: 4 * sim.Ms},
-		{Name: "fleet-4rank", Placement: "rr", Devices: 4, ULP: "tls",
+		{Name: "fleet-4rank", Placement: "rr", Devices: 4, ULP: "tls", FileKind: corpus.Text,
 			Msg: 4096, Conns: 128, Workers: 10, Seed: 1, WarmupPs: sim.Ms, MeasurePs: 4 * sim.Ms},
-		{Name: "cpu-baseline", Placement: "cpu", Devices: 1, ULP: "tls",
+		{Name: "cpu-baseline", Placement: "cpu", Devices: 1, ULP: "tls", FileKind: corpus.Text,
 			Msg: 4096, Conns: 64, Workers: 10, Seed: 1, WarmupPs: sim.Ms, MeasurePs: 4 * sim.Ms},
 		// The sharded PDES scenario: ~100k requests over an 8-shard rack
 		// slice, sized so single-run parallelism shows up in the wall
 		// columns (sim KPIs stay byte-identical at any ExecWorkers).
-		{Name: "fleet-8rank-big", Placement: "rr", Shards: 8, Devices: 1, ULP: "tls",
+		{Name: "fleet-8rank-big", Placement: "rr", Shards: 8, Devices: 1, ULP: "tls", FileKind: corpus.Text,
 			Msg: 4096, Conns: 512, Workers: 10, Seed: 1, WarmupPs: sim.Ms, MeasurePs: 20 * sim.Ms},
 		// The replicated cluster tier, healthy (chaos off): pins the
 		// replication path's client-visible KPIs — quorum-ack write and
 		// leased-read goodput, mean ack latency, and the redirect/timeout
 		// counters that caught the router cursor ping-pong regression.
-		{Name: "cluster-3node", Placement: "cluster", Nodes: 3, ULP: "tls",
+		{Name: "cluster-3node", Placement: "cluster", Nodes: 3, ULP: "tls", FileKind: corpus.Text,
 			Msg: 1024, Conns: 6, Workers: 2, Seed: 1, WarmupPs: 2 * sim.Ms, MeasurePs: 8 * sim.Ms},
 		// The zero-copy peer-DMA data path: fleet-4rank's twin with the
 		// NIC depositing records straight into the registered rank
 		// buffers. Pins the RDMA ingress KPIs (goodput with the bounce
 		// stage gone, doorbell coalescing) against the host-mediated
 		// twin above.
-		{Name: "rdma-4rank", Placement: "rr", Devices: 4, ULP: "tls", DataPath: "peer",
+		{Name: "rdma-4rank", Placement: "rr", Devices: 4, ULP: "tls", DataPath: "peer", FileKind: corpus.Text,
 			Msg: 4096, Conns: 128, Workers: 10, Seed: 1, WarmupPs: sim.Ms, MeasurePs: 4 * sim.Ms},
 		// The production workload suite (internal/workload), open-loop
 		// at a fixed offered rate, autoscaler off: the KV-cache GET/SET
@@ -145,50 +104,34 @@ func RunBenchScenario(sc BenchScenario) (BenchResult, error) {
 // belong in BENCH_baseline.json; StripVolatile removes them.
 func RunBenchScenarioClocked(sc BenchScenario, clock Clock) (BenchResult, error) {
 	res := BenchResult{Name: sc.Name}
-	params := sim.DefaultParams()
-	if sc.Params != nil {
-		params = *sc.Params
-	}
 	var start int64
 	if clock != nil {
 		start = clock()
 	}
-	var retired float64 // simulated work units for the wall-rate KPI
-	if sc.Workload != "" {
-		kpis, err := runWorkloadBench(sc, params)
-		if err != nil {
-			return res, err
+	var err error
+	switch {
+	case sc.Workload != "":
+		res.KPIs, err = runWorkloadBench(sc)
+	case sc.Nodes > 0:
+		res.KPIs, err = runClusterWorkload(sc)
+	case sc.Shards > 0:
+		res.KPIs, err = runShardedWorkload(sc)
+	default:
+		var st *scenario.Stack
+		if st, err = scenario.Build(sc); err == nil {
+			var m server.Metrics
+			m, err = st.Run()
+			res.KPIs = servingKPIs(m, sc.SimParams())
 		}
-		res.KPIs = kpis
-		retired = kpis["requests"]
-	} else if sc.Nodes > 0 {
-		kpis, err := runClusterWorkload(sc, params)
-		if err != nil {
-			return res, err
-		}
-		res.KPIs = kpis
-		retired = kpis["ops"]
-	} else {
-		m, err := runScenarioWorkload(sc, params)
-		if err != nil {
-			return res, err
-		}
-		cyclesPerByte := 0.0
-		if m.TXBytes > 0 {
-			// ps → cycles: cycles = ps * GHz / 1000.
-			cyclesPerByte = float64(m.CPUBusyPs) * params.CPUClockGHz / 1000 / float64(m.TXBytes)
-		}
-		res.KPIs = map[string]float64{
-			"requests":        float64(m.Requests),
-			"rps":             m.RPS,
-			"mean_lat_ps":     float64(m.MeanLatPs),
-			"p99_lat_ps":      m.Latency.Percentile(99),
-			"cycles_per_byte": cyclesPerByte,
-			"mem_bw_gbps":     m.MemBWGBps,
-		}
-		retired = float64(m.Requests)
+	}
+	if err != nil {
+		return res, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if clock != nil {
+		retired := res.KPIs["requests"] // simulated work units for the wall-rate KPI
+		if sc.Nodes > 0 {
+			retired = res.KPIs["ops"]
+		}
 		wall := float64(clock()-start) * 1e-9
 		res.KPIs["wall_seconds"] = wall
 		if wall > 0 {
@@ -198,59 +141,67 @@ func RunBenchScenarioClocked(sc BenchScenario, clock Clock) (BenchResult, error)
 	return res, nil
 }
 
-// runWorkloadBench runs the scenario through the trace-replay workload
-// suite and extracts the serving KPIs plus the open-loop ones (issued
-// count and end-to-end p99 over the replayer's record). workload.Run
-// calibrates from DefaultParams; Params overrides don't apply here.
-func runWorkloadBench(sc BenchScenario, params sim.Params) (map[string]float64, error) {
-	pol, err := fleet.ParsePolicy(sc.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: workload runs need a fleet policy placement: %w", sc.Name, err)
-	}
-	rep, err := workload.Run(workload.RunConfig{
-		Kind: sc.Workload, Ranks: sc.Devices, Policy: pol,
-		Conns: sc.Conns, Workers: sc.Workers, Seed: sc.Seed,
-		HorizonPs: sc.WarmupPs + sc.MeasurePs, WarmupPs: sc.WarmupPs, DrainPs: sim.Ms,
-		KV:       workload.KVConfig{ZipfS: 0.99},
-		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sc.RPS},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	m := rep.Metrics
+// servingKPIs extracts the serving KPIs from a run's server metrics.
+func servingKPIs(m server.Metrics, params sim.Params) map[string]float64 {
 	cyclesPerByte := 0.0
 	if m.TXBytes > 0 {
+		// ps → cycles: cycles = ps * GHz / 1000.
 		cyclesPerByte = float64(m.CPUBusyPs) * params.CPUClockGHz / 1000 / float64(m.TXBytes)
 	}
 	return map[string]float64{
 		"requests":        float64(m.Requests),
 		"rps":             m.RPS,
 		"mean_lat_ps":     float64(m.MeanLatPs),
-		"p99_lat_ps":      rep.P99Ps,
+		"p99_lat_ps":      m.Latency.Percentile(99),
 		"cycles_per_byte": cyclesPerByte,
 		"mem_bw_gbps":     m.MemBWGBps,
-		"issued":          float64(rep.Issued),
-	}, nil
+	}
+}
+
+// runWorkloadBench runs the scenario through the trace-replay workload
+// suite and extracts the serving KPIs plus the open-loop ones (issued
+// count and end-to-end p99 over the replayer's record).
+func runWorkloadBench(sc BenchScenario) (map[string]float64, error) {
+	pol, err := scenario.FleetPolicy(sc.Placement)
+	if err != nil {
+		return nil, fmt.Errorf("workload runs need a fleet: %w", err)
+	}
+	params := sc.SimParams()
+	rep, err := workload.Run(workload.RunConfig{
+		Kind: sc.Workload, Ranks: sc.Devices, Policy: pol,
+		Conns: sc.Conns, Workers: sc.Workers, Seed: sc.Seed, Params: &params,
+		HorizonPs: sc.WarmupPs + sc.MeasurePs, WarmupPs: sc.WarmupPs, DrainPs: sim.Ms,
+		KV:       workload.KVConfig{ZipfS: 0.99},
+		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sc.RPS},
+	})
+	if err != nil {
+		return nil, err
+	}
+	kpis := servingKPIs(rep.Metrics, params)
+	kpis["p99_lat_ps"] = rep.P99Ps
+	kpis["issued"] = float64(rep.Issued)
+	return kpis, nil
 }
 
 // runClusterWorkload runs the scenario on the replicated cluster tier
 // and extracts the client-visible KPIs.
-func runClusterWorkload(sc BenchScenario, params sim.Params) (map[string]float64, error) {
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
+func runClusterWorkload(sc BenchScenario) (map[string]float64, error) {
+	mode, err := scenario.ParseULP(sc.ULP)
+	if err != nil {
+		return nil, err
 	}
+	params := sc.SimParams()
 	c, err := cluster.New(cluster.Config{
 		Nodes: sc.Nodes, Conns: sc.Conns, MsgSize: sc.Msg, Workers: sc.Workers,
-		FileKind: corpus.Text, Mode: mode, Seed: sc.Seed,
+		FileKind: sc.FileKind, Mode: mode, Seed: sc.Seed,
 		ExecWorkers: sc.ExecWorkers, Params: &params,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
 	m, err := c.Run(sc.WarmupPs, sc.MeasurePs)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
 	return map[string]float64{
 		"ops":          float64(m.Ops),
@@ -264,128 +215,32 @@ func runClusterWorkload(sc BenchScenario, params sim.Params) (map[string]float64
 	}, nil
 }
 
-// runScenarioWorkload executes the scenario's serving run — on the
-// sharded cluster when Shards > 0, on a single serial system otherwise —
-// and returns the (aggregated) server metrics.
-func runScenarioWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
-	if sc.Shards > 0 {
-		return runShardedWorkload(sc, params)
-	}
-	return runSerialWorkload(sc, params)
-}
-
-// runShardedWorkload runs the scenario on a fleet.Sharded cluster.
-func runShardedWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
-	pol, err := fleet.ParsePolicy(sc.Placement)
+// runShardedWorkload runs the scenario on a fleet.Sharded cluster and
+// extracts the serving KPIs of the aggregated server metrics.
+func runShardedWorkload(sc BenchScenario) (map[string]float64, error) {
+	pol, err := scenario.FleetPolicy(sc.Placement)
 	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: sharded runs need a fleet policy placement: %w", sc.Name, err)
+		return nil, fmt.Errorf("sharded runs need a fleet: %w", err)
 	}
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
+	mode, err := scenario.ParseULP(sc.ULP)
+	if err != nil {
+		return nil, err
 	}
+	params := sc.SimParams()
 	cl, err := fleet.NewSharded(fleet.ShardedConfig{
 		Shards: sc.Shards, RanksPerShard: sc.Devices, Policy: pol,
 		Workers: sc.Workers, MsgSize: sc.Msg, Connections: sc.Conns,
-		FileKind: corpus.Text, Mode: mode, Seed: sc.Seed,
+		FileKind: sc.FileKind, Mode: mode, Seed: sc.Seed,
 		ExecWorkers: sc.ExecWorkers, Params: &params,
 	})
 	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
 	sm, err := cl.Run(sc.WarmupPs, sc.MeasurePs)
 	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
-	return sm.Agg, nil
-}
-
-// runSerialWorkload runs the scenario on one serial system.
-func runSerialWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
-	pol, polErr := fleet.ParsePolicy(sc.Placement)
-	isFleet := polErr == nil
-	if sc.Devices > 1 && !isFleet {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %d devices needs a fleet policy placement", sc.Name, sc.Devices)
-	}
-	withDIMM := sc.Placement == "smartdimm" || isFleet
-	ranks := 0
-	if isFleet {
-		ranks = sc.Devices
-	}
-	peer := sc.DataPath == "peer"
-	if sc.DataPath != "" && sc.DataPath != "host" && !peer {
-		return server.Metrics{}, fmt.Errorf("scenario %s: unknown data path %q", sc.Name, sc.DataPath)
-	}
-	if peer && !withDIMM {
-		return server.Metrics{}, fmt.Errorf("scenario %s: peer data path needs an inline placement", sc.Name)
-	}
-	dp := sim.DataPathHost
-	if peer {
-		dp = sim.DataPathPeer
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params: params, LLCBytes: 2 << 20, LLCWays: 8,
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
-		WithSmartDIMM:  withDIMM,
-		SmartDIMMRanks: ranks,
-		DataPath:       dp,
-	})
-	if err != nil {
-		return server.Metrics{}, err
-	}
-	var nic *rdma.NIC
-	if peer {
-		if nic, err = rdma.New(rdma.Config{Sys: sys}); err != nil {
-			return server.Metrics{}, err
-		}
-	}
-
-	var backend offload.Backend
-	switch {
-	case isFleet:
-		fl, err := fleet.New(fleet.Config{Sys: sys, Policy: pol, RNIC: nic})
-		if err != nil {
-			return server.Metrics{}, err
-		}
-		backend = fl
-	case sc.Placement == "cpu":
-		backend = &offload.CPU{Sys: sys}
-	case sc.Placement == "smartdimm":
-		backend = &offload.SmartDIMM{Sys: sys}
-	default:
-		return server.Metrics{}, fmt.Errorf("scenario %s: unknown placement %q", sc.Name, sc.Placement)
-	}
-	if peer {
-		if backend, err = offload.NewRDMA(backend, nic); err != nil {
-			return server.Metrics{}, err
-		}
-	}
-
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
-	}
-	srv, err := server.New(sys.Engine, server.Config{
-		Sys: sys, Backend: backend, Mode: mode, Workers: sc.Workers,
-		MsgSize: sc.Msg, Connections: sc.Conns, FileKind: corpus.Text, Seed: sc.Seed,
-	})
-	if err != nil {
-		return server.Metrics{}, err
-	}
-	gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-		Connections: sc.Conns,
-		ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-	})
-	gen.Start()
-	sys.Engine.RunUntil(sc.WarmupPs)
-	srv.BeginMeasurement()
-	gen.BeginMeasurement()
-	sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	m := srv.Collect()
-	if err := srv.LastError(); err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	return m, nil
+	return servingKPIs(sm.Agg, params), nil
 }
 
 // RunBench runs every scenario in order.

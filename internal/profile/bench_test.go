@@ -2,14 +2,17 @@ package profile
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/corpus"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 // tinyScenario keeps bench tests fast: short windows, few connections.
 func tinyScenario(name string) BenchScenario {
-	return BenchScenario{Name: name, Placement: "smartdimm", Devices: 1, ULP: "tls",
+	return BenchScenario{Name: name, Placement: "smartdimm", Devices: 1, ULP: "tls", FileKind: corpus.Text,
 		Msg: 1024, Conns: 16, Workers: 4, Seed: 1,
 		WarmupPs: sim.Ms / 2, MeasurePs: sim.Ms}
 }
@@ -80,6 +83,43 @@ func TestBenchGateTripsOnSlowedHotPath(t *testing.T) {
 	}
 	if d := CompareBench(base, &BenchReport{Scenarios: []BenchResult{again}}, 0.05); len(d) != 0 {
 		t.Fatalf("identical rerun tripped the gate: %v", d)
+	}
+}
+
+// A calibration override reaches every driver: the trace-replay
+// workload path honours Params like the closed loop does. The KV path's
+// host work is priced in nanoseconds, not cycles (a halved clock moves
+// only cycles_per_byte there), so the slowed hot path here is the
+// per-request parse.
+func TestBenchWorkloadHonoursParams(t *testing.T) {
+	kv := BenchScenario{Name: "kv", Placement: "rr", Devices: 2, Workload: "kv", RPS: 4e5,
+		Conns: 16, Workers: 4, Seed: 1, WarmupPs: sim.Ms / 2, MeasurePs: sim.Ms}
+	fast, err := RunBenchScenario(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowParams := sim.DefaultParams()
+	slowParams.HTTPParseNs *= 10
+	kv.Params = &slowParams
+	slow, err := RunBenchScenario(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.KPIs["p99_lat_ps"] <= fast.KPIs["p99_lat_ps"] {
+		t.Fatalf("10x parse cost left kv p99 at %v (full speed %v)", slow.KPIs["p99_lat_ps"], fast.KPIs["p99_lat_ps"])
+	}
+}
+
+// The serial assembler refuses specs that name another driver instead
+// of silently running a serial closed loop in their place.
+func TestBuildRejectsOtherDrivers(t *testing.T) {
+	for _, sc := range DefaultBenchScenarios() {
+		if sc.Shards == 0 && sc.Nodes == 0 && sc.Workload == "" {
+			continue
+		}
+		if _, err := scenario.Build(sc); err == nil || !strings.Contains(err.Error(), "own driver") {
+			t.Errorf("%s: Build error = %v, want a refusal", sc.Name, err)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ulp maps a mode to its offload ULP.
-func (m Mode) ulp() offload.ULP {
+// ULP maps a mode to its offload ULP.
+func (m Mode) ULP() offload.ULP {
 	if m == HTTPSMode {
 		return offload.TLS
 	}
@@ -294,10 +294,10 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			if cfg.Backend == nil {
 				return nil, fmt.Errorf("server: mode %v needs a backend", cfg.Mode)
 			}
-			if !cfg.Backend.Supports(cfg.Mode.ulp()) {
-				return nil, fmt.Errorf("server: %s cannot offload %v", cfg.Backend.Name(), cfg.Mode.ulp())
+			if !cfg.Backend.Supports(cfg.Mode.ULP()) {
+				return nil, fmt.Errorf("server: %s cannot offload %v", cfg.Backend.Name(), cfg.Mode.ULP())
 			}
-			oc, err := cfg.Backend.NewConn(cfg.Mode.ulp(), id, cfg.MsgSize)
+			oc, err := cfg.Backend.NewConn(cfg.Mode.ULP(), id, cfg.MsgSize)
 			if err != nil {
 				return nil, fmt.Errorf("server: conn %d: %w", id, err)
 			}
@@ -605,7 +605,7 @@ func (s *Server) runStage(rc *reqCtx) {
 			}
 			parts = append(parts, stagePart{stage: StageGather, cpu: gcpu, dev: gdev})
 		}
-		res, err := s.cfg.Backend.Process(s.cfg.Mode.ulp(), coreID, c.oconn, spec.Payload)
+		res, err := s.cfg.Backend.Process(s.cfg.Mode.ULP(), coreID, c.oconn, spec.Payload)
 		if err != nil {
 			s.failReq(rc, err)
 			return

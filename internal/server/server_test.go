@@ -6,7 +6,27 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/offload"
 	"repro/internal/sim"
+	"repro/internal/wrkgen"
 )
+
+// runClosedLoop drives the server on its system's engine with a
+// wrk-style closed-loop client for the warmup and measurement windows.
+func runClosedLoop(cfg Config, warmupPs, measurePs int64) (Metrics, error) {
+	eng := cfg.Sys.Engine
+	srv, err := New(eng, cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	gen := wrkgen.New(eng, srv, wrkgen.Config{
+		Connections: cfg.Connections,
+		ThinkPs:     int64(cfg.Sys.Params.RTTUs * float64(sim.Us)),
+	})
+	gen.Start()
+	eng.RunUntil(warmupPs)
+	srv.BeginMeasurement()
+	eng.RunUntil(warmupPs + measurePs)
+	return srv.Collect(), srv.LastError()
+}
 
 func newSys(t testing.TB, llcBytes int, withDIMM bool) *sim.System {
 	t.Helper()
@@ -27,7 +47,7 @@ const (
 
 func TestPlainHTTPServes(t *testing.T) {
 	sys := newSys(t, 1<<20, false)
-	m, err := RunClosedLoop(Config{
+	m, err := runClosedLoop(Config{
 		Sys: sys, Mode: PlainHTTP, Workers: 4, MsgSize: 4096,
 		Connections: 32, FileKind: corpus.HTML, Seed: 1,
 	}, warm, measure)
@@ -47,7 +67,7 @@ func TestPlainHTTPServes(t *testing.T) {
 
 func TestHTTPSOnCPUServes(t *testing.T) {
 	sys := newSys(t, 512<<10, false)
-	m, err := RunClosedLoop(Config{
+	m, err := runClosedLoop(Config{
 		Sys: sys, Backend: &offload.CPU{Sys: sys, Functional: true},
 		Mode: HTTPSMode, Workers: 4, MsgSize: 4096,
 		Connections: 32, FileKind: corpus.HTML, Seed: 1,
@@ -77,7 +97,7 @@ func TestHTTPSMemBWExceedsHTTP(t *testing.T) {
 		if mode != PlainHTTP {
 			cfg.Backend = &offload.CPU{Sys: sys, Functional: false}
 		}
-		m, err := RunClosedLoop(cfg, warm, measure)
+		m, err := runClosedLoop(cfg, warm, measure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +125,7 @@ func TestSmartDIMMBeatsCPUUnderContention(t *testing.T) {
 		} else {
 			b = &offload.CPU{Sys: sys, Functional: false}
 		}
-		m, err := RunClosedLoop(Config{
+		m, err := runClosedLoop(Config{
 			Sys: sys, Backend: b, Mode: HTTPSMode, Workers: 4,
 			MsgSize: 4096, Connections: 64, FileKind: corpus.Text, Seed: 1,
 		}, warm, measure)
@@ -128,7 +148,7 @@ func TestSmartDIMMBeatsCPUUnderContention(t *testing.T) {
 
 func TestCompressionMode(t *testing.T) {
 	sys := newSys(t, 512<<10, false)
-	m, err := RunClosedLoop(Config{
+	m, err := runClosedLoop(Config{
 		Sys: sys, Backend: &offload.CPU{Sys: sys, Functional: true},
 		Mode: CompressedHTTP, Workers: 4, MsgSize: 4096,
 		Connections: 16, FileKind: corpus.HTML, Seed: 1,
@@ -147,7 +167,7 @@ func TestCompressionMode(t *testing.T) {
 
 func TestSmartNICRejectsCompression(t *testing.T) {
 	sys := newSys(t, 512<<10, false)
-	_, err := RunClosedLoop(Config{
+	_, err := runClosedLoop(Config{
 		Sys: sys, Backend: &offload.SmartNIC{Sys: sys},
 		Mode: CompressedHTTP, Workers: 2, MsgSize: 4096,
 		Connections: 4, FileKind: corpus.HTML, Seed: 1,
@@ -180,7 +200,7 @@ func TestModeString(t *testing.T) {
 func TestMoreWorkersMoreThroughput(t *testing.T) {
 	run := func(workers int) Metrics {
 		sys := newSys(t, 512<<10, false)
-		m, err := RunClosedLoop(Config{
+		m, err := runClosedLoop(Config{
 			Sys: sys, Backend: &offload.CPU{Sys: sys, Functional: false},
 			Mode: HTTPSMode, Workers: workers, MsgSize: 16384,
 			Connections: 64, FileKind: corpus.Text, Seed: 1,
@@ -205,7 +225,7 @@ func TestAdaptiveBackendInServer(t *testing.T) {
 		CPUBackend: &offload.CPU{Sys: sys, Functional: false},
 		DIMM:       &offload.SmartDIMM{Sys: sys},
 	}
-	m, err := RunClosedLoop(Config{
+	m, err := runClosedLoop(Config{
 		Sys: sys, Backend: ad, Mode: HTTPSMode, Workers: 4,
 		MsgSize: 4096, Connections: 64, FileKind: corpus.Text, Seed: 3,
 	}, 2*sim.Ms, 8*sim.Ms)

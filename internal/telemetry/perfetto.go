@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -24,6 +25,12 @@ import (
 func (t *Tracer) WritePerfetto(w io.Writer) error {
 	_, err := w.Write(t.PerfettoJSON())
 	return err
+}
+
+// WritePerfettoFile writes the whole trace as Perfetto trace_event JSON
+// to the file at path, creating or truncating it.
+func (t *Tracer) WritePerfettoFile(path string) error {
+	return os.WriteFile(path, t.PerfettoJSON(), 0o644)
 }
 
 // PerfettoJSON renders the trace; one event per line for diffability.

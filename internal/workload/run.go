@@ -43,6 +43,8 @@ type RunConfig struct {
 	// Conns/Workers mirror the server knobs. Zero selects 64/10.
 	Conns, Workers int
 	Seed           int64
+	// Params overrides the calibration; nil selects DefaultParams.
+	Params *sim.Params
 
 	// Arrivals shapes the open-loop trace. Connections, Seed, and
 	// HorizonPs are filled from the run when zero.
@@ -201,6 +203,9 @@ func Run(cfg RunConfig) (Report, error) {
 		tracer = telemetry.New()
 	}
 	params := sim.DefaultParams()
+	if cfg.Params != nil {
+		params = *cfg.Params
+	}
 	sys, err := sim.NewSystem(sim.SystemConfig{
 		Params: params, LLCBytes: 2 << 20, LLCWays: 8,
 		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
