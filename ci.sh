@@ -5,42 +5,44 @@
 #
 # Stages:
 #   1. go vet       — static checks across the module
-#   2. go build     — everything compiles, including cmds and examples
-#   3. chaos smoke  — the bounded (-short) chaos soak first: randomized
+#   2. gofmt        — no file under internal/, cmd/ or examples/ may
+#                     differ from gofmt's output
+#   3. go build     — everything compiles, including cmds and examples
+#   4. chaos smoke  — the bounded (-short) chaos soak first: randomized
 #                     fault schedules against the cross-layer invariants,
 #                     cheap enough to fail fast before the long stages
-#   4. wall-clock gate — no simulator code may read the host clock:
+#   5. wall-clock gate — no simulator code may read the host clock:
 #                     trace timestamps come from simulated picoseconds
 #                     only, so any time.Now() inside internal/ breaks
 #                     byte-reproducible traces and fails the build
-#   5. race tests   — the concurrency-bearing packages (the runner pool,
+#   6. race tests   — the concurrency-bearing packages (the runner pool,
 #                     the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
 #                     dispatcher's determinism gate, and telemetry
 #                     tracing under the parallel runner) under -race
-#   6. golden trace — the Perfetto exporter against its committed golden
+#   7. golden trace — the Perfetto exporter against its committed golden
 #                     file plus the full-stack byte-reproducibility gate
-#   7. tracestat golden — the trace analyzers (profile tree, critical
+#   8. tracestat golden — the trace analyzers (profile tree, critical
 #                     path) against their committed golden table, plus
 #                     the serial/pooled/GOMAXPROCS=2 byte-identity gate
 #                     and the `go tool pprof` acceptance check
-#   8. shard gate   — the sharded PDES engine: the serial-reference vs
+#   9. shard gate   — the sharded PDES engine: the serial-reference vs
 #                     parallel-epoch vs GOMAXPROCS=2 byte-identity gates
 #                     (engine, full cluster, fault-injected soak) under
 #                     -race, plus structural grep gates: goroutines in
 #                     internal/sim only in the sharded executor, no
 #                     package-level mutable state in the shard code
-#   9. KPI bench    — the pinned deterministic scenarios from
+#  10. KPI bench    — the pinned deterministic scenarios from
 #                     internal/profile, gated against BENCH_baseline.json
 #                     (writes BENCH_results.json); re-pin an intended
 #                     change with `go run ./cmd/tracestat -bench
 #                     -update-baseline`
-#  10. go test      — the full suite with a shuffled test order: the
+#  11. go test      — the full suite with a shuffled test order: the
 #                     serial-vs-parallel sweep determinism gate plus the
 #                     full 200-schedule chaos soak, and -shuffle guards
 #                     against inter-test state leaking into results
 #
-#  11. cluster gate — the replicated tier: the bounded cluster chaos
+#  12. cluster gate — the replicated tier: the bounded cluster chaos
 #                     soak (kills, asymmetric partitions, drain/rejoin
 #                     against the linearizability checker) under -race,
 #                     the cluster byte-identical-trace and
@@ -48,7 +50,7 @@
 #                     bench gate (which includes the pinned
 #                     cluster-3node scenario)
 #
-#  12. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC /
+#  13. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC /
 #                     offload / fleet MR-locality tests and the
 #                     serial-vs-pooled-vs-GOMAXPROCS=2 byte-identity
 #                     gate for the rdma figure under -race, the bounded
@@ -56,7 +58,7 @@
 #                     and mid-migration races), and the KPI bench gate
 #                     (which includes the pinned rdma-4rank scenario)
 #
-#  13. workload gate — the production workload suite + SLO autoscaler:
+#  14. workload gate — the production workload suite + SLO autoscaler:
 #                     the zipf/KV/embed source unit tests, the arrival
 #                     trace determinism gates, the autoscaler hysteresis
 #                     tests, the fleet admin-drain/telemetry tests, and
@@ -65,7 +67,7 @@
 #                     includes the pinned kv-4rank/embed-4rank
 #                     scenarios)
 #
-#  14. obs gate   — the observability plane: the series store / alert
+#  15. obs gate   — the observability plane: the series store / alert
 #                     engine / flight recorder unit tests under -race,
 #                     and the incident soak — the hardened flash-crowd +
 #                     rank-fault scenario with alerting and recording
@@ -75,8 +77,11 @@
 #
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
-# (each of these three followed by the KPI bench) or obs. An unknown
-# stage name fails with the stage list.
+# (each of these three followed by the KPI bench), obs, or fuzz (each
+# Fuzz* target run for a bounded 10 s of coverage-guided fuzzing on top
+# of the committed seed corpora, which plain `go test` already replays;
+# not part of the full gate). An unknown stage name fails with the
+# stage list.
 set -eu
 cd "$(dirname "$0")"
 
@@ -130,9 +135,27 @@ run_obs() {
 	go test -run 'TestIncidentSoak' ./internal/chaos/
 }
 
+run_fuzz() {
+	echo "== fuzz: every Fuzz* target for 10s each"
+	for pkg in $(go list ./...); do
+		for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+			echo "-- $pkg $target"
+			go test -run '^$' -fuzz "^$target\$" -fuzztime=10s "$pkg"
+		done
+	done
+}
+
 run_all() {
 	echo "== go vet ./..."
 	go vet ./...
+
+	echo "== gofmt -l internal cmd examples"
+	unformatted=$(gofmt -l internal cmd examples)
+	if [ -n "$unformatted" ]; then
+		echo "$unformatted"
+		echo "ci.sh: files above are not gofmt-formatted — run gofmt -w on them" >&2
+		exit 1
+	fi
 
 	echo "== go build ./..."
 	go build ./...
@@ -189,8 +212,9 @@ cluster) run_cluster; run_bench ;;
 rdma) run_rdma; run_bench ;;
 workload) run_workload; run_bench ;;
 obs) run_obs ;;
+fuzz) run_fuzz ;;
 *)
-	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs; no argument runs the full gate)" >&2
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs fuzz; no argument runs the full gate)" >&2
 	exit 2
 	;;
 esac

@@ -37,6 +37,11 @@ var (
 	// Precomputed GF(2^8) constant-multiplication tables for the
 	// MixColumns (x2, x3) and InvMixColumns (x9, x11, x13, x14) matrices.
 	mul2, mul3, mul9, mul11, mul13, mul14 [256]byte
+
+	// te0..te3 fuse SubBytes and MixColumns for one encryption round:
+	// te_i[x] is the column MixColumns produces from sbox[x] placed in
+	// row i, so a round column is four lookups XORed together.
+	te0, te1, te2, te3 [256]uint32
 )
 
 // gf8Mul multiplies two elements of GF(2^8) modulo x^8+x^4+x^3+x+1.
@@ -84,6 +89,14 @@ func init() {
 		mul13[i] = gf8Mul(b, 13)
 		mul14[i] = gf8Mul(b, 14)
 	}
+	for i := 0; i < 256; i++ {
+		s := uint32(sbox[i])
+		s2, s3 := uint32(mul2[sbox[i]]), uint32(mul3[sbox[i]])
+		te0[i] = s2<<24 | s<<16 | s<<8 | s3
+		te1[i] = s3<<24 | s2<<16 | s<<8 | s
+		te2[i] = s<<24 | s3<<16 | s2<<8 | s
+		te3[i] = s<<24 | s<<16 | s3<<8 | s2
+	}
 }
 
 func rotl8(x byte, n uint) byte { return x<<n | x>>(8-n) }
@@ -115,7 +128,7 @@ func NewCipher(key []byte) (*Cipher, error) {
 		t := c.enc[i-1]
 		if i%nk == 0 {
 			t = subWord(rotWord(t)) ^ (rcon << 24)
-			rcon = uint32(gf8Mul(byte(rcon), 2))
+			rcon = uint32(mul2[rcon])
 		} else if nk > 6 && i%nk == 4 {
 			t = subWord(t)
 		}
@@ -144,14 +157,11 @@ func subWord(w uint32) uint32 {
 }
 
 func invMixColumnsWord(w uint32) uint32 {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], w)
-	var o [4]byte
-	o[0] = gf8Mul(b[0], 14) ^ gf8Mul(b[1], 11) ^ gf8Mul(b[2], 13) ^ gf8Mul(b[3], 9)
-	o[1] = gf8Mul(b[0], 9) ^ gf8Mul(b[1], 14) ^ gf8Mul(b[2], 11) ^ gf8Mul(b[3], 13)
-	o[2] = gf8Mul(b[0], 13) ^ gf8Mul(b[1], 9) ^ gf8Mul(b[2], 14) ^ gf8Mul(b[3], 11)
-	o[3] = gf8Mul(b[0], 11) ^ gf8Mul(b[1], 13) ^ gf8Mul(b[2], 9) ^ gf8Mul(b[3], 14)
-	return binary.BigEndian.Uint32(o[:])
+	b0, b1, b2, b3 := w>>24, w>>16&0xff, w>>8&0xff, w&0xff
+	return uint32(mul14[b0]^mul11[b1]^mul13[b2]^mul9[b3])<<24 |
+		uint32(mul9[b0]^mul14[b1]^mul11[b2]^mul13[b3])<<16 |
+		uint32(mul13[b0]^mul9[b1]^mul14[b2]^mul11[b3])<<8 |
+		uint32(mul11[b0]^mul13[b1]^mul9[b2]^mul14[b3])
 }
 
 // Encrypt encrypts one 16-byte block from src into dst (may alias).
@@ -185,14 +195,7 @@ func (c *Cipher) Encrypt(dst, src []byte) {
 // encRound computes one column of SubBytes+ShiftRows+MixColumns for the
 // state columns (a,b,c,d) where a supplies the top byte.
 func encRound(a, b, c, d uint32) uint32 {
-	x0 := sbox[a>>24]
-	x1 := sbox[b>>16&0xff]
-	x2 := sbox[c>>8&0xff]
-	x3 := sbox[d&0xff]
-	return uint32(mul2[x0]^mul3[x1]^x2^x3)<<24 |
-		uint32(x0^mul2[x1]^mul3[x2]^x3)<<16 |
-		uint32(x0^x1^mul2[x2]^mul3[x3])<<8 |
-		uint32(mul3[x0]^x1^x2^mul2[x3])
+	return te0[a>>24] ^ te1[b>>16&0xff] ^ te2[c>>8&0xff] ^ te3[d&0xff]
 }
 
 func finalRound(a, b, c, d uint32) uint32 {

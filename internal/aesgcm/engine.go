@@ -1,6 +1,7 @@
 package aesgcm
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -35,14 +36,14 @@ type RecordConfig struct {
 	Length int    // plaintext/ciphertext length in bytes
 }
 
-// ConfigBytes returns the approximate Config Memory footprint of this
-// record's context as laid out in hardware: key + IV + EIV + AAD plus one
-// precomputed H power per ciphertext block. The paper quotes ~1KB per
-// 4KB source page, which this layout matches (4KB/16B = 256 blocks... the
-// DSA stores powers for the blocks of one page: 256 x 16B = 4KB would
-// exceed it, so the hardware keeps powers in strides of 4 and multiplies
-// lanes forward, storing only the 4 lane heads plus H^4 — the same
-// scheme NewHPowers models).
+// ConfigBytes returns the Config Memory footprint of this record's
+// context as laid out in hardware: the key, IV, EIV and AAD, an 8-byte
+// header (direction, field lengths, payload length), and Stride+1 hash
+// blocks: the four lane heads H^1..H^4 plus the lane multiplier H^4.
+// One stored power per ciphertext block would need 256 x 16 B = 4 KB for
+// a 4 KB page, four times the ~1 KB per source page the paper budgets;
+// the DSA instead multiplies each lane forward by H^4 as cachelines
+// arrive, the recurrence NewHPowers models.
 func (c *RecordConfig) ConfigBytes() int {
 	return len(c.Key) + len(c.IV) + len(c.EIV) + len(c.AAD) + (Stride+1)*BlockSize + 8
 }
@@ -51,8 +52,9 @@ func (c *RecordConfig) ConfigBytes() int {
 // Fig. 7. It (de/en)crypts 64-byte cachelines of a single TLS record in
 // any order, folding each cacheline's GHASH contribution into a partial
 // tag using precomputed powers of H, exactly as the hardware does when
-// rdCAS commands arrive out of order. The engine is stateless across
-// records: a new engine is built per registered source buffer.
+// rdCAS commands arrive out of order. A new engine is built per
+// registered source buffer; the only state records share is the
+// read-mostly KeySchedule.
 type CachelineEngine struct {
 	dir       Direction
 	cipher    *Cipher
@@ -68,9 +70,48 @@ type CachelineEngine struct {
 	partial   FieldEl // running XOR of per-block GHASH contributions
 }
 
-// NewCachelineEngine validates the config and precomputes the H powers
-// (the GF multiplier starts "as soon as the sbuf is registered").
+// KeySchedule is the per-key state the TLS DSA keeps across records: the
+// expanded AES key and the powers of the hash subkey H. The records of
+// one connection share both, so an engine built on a kept schedule only
+// computes the powers a longer record adds. H belongs to the schedule's
+// identity because the CPU supplies it in each record's config.
+type KeySchedule struct {
+	key    []byte
+	cipher *Cipher
+	powers *HPowers
+}
+
+// NewKeySchedule expands key (16, 24 or 32 bytes) and starts an empty
+// table of powers of the 16-byte hash subkey h; engines grow it on
+// demand.
+func NewKeySchedule(key, h []byte) (*KeySchedule, error) {
+	if len(h) != BlockSize {
+		return nil, errors.New("aesgcm: H must be 16 bytes")
+	}
+	c, err := NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return &KeySchedule{key: append([]byte(nil), key...), cipher: c, powers: NewHPowers(h, 0)}, nil
+}
+
+// NewEngine builds a record engine on the schedule, extending the H
+// powers if this record needs more than any earlier one. cfg.Key and
+// cfg.H must be those the schedule was built from.
+func (k *KeySchedule) NewEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, error) {
+	return newEngine(dir, cfg, k)
+}
+
+// NewCachelineEngine validates the config, expands the key and
+// precomputes the H powers (the GF multiplier starts "as soon as the
+// sbuf is registered").
 func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, error) {
+	return newEngine(dir, cfg, nil)
+}
+
+// newEngine builds the engine on ks, or on a fresh schedule when ks is
+// nil.
+func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngine, error) {
 	if cfg.Length < 0 {
 		return nil, errors.New("aesgcm: negative record length")
 	}
@@ -80,20 +121,25 @@ func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, erro
 	if len(cfg.H) != BlockSize || len(cfg.EIV) != BlockSize {
 		return nil, errors.New("aesgcm: H and EIV must be 16 bytes")
 	}
-	c, err := NewCipher(cfg.Key)
-	if err != nil {
-		return nil, err
+	if ks == nil {
+		var err error
+		if ks, err = NewKeySchedule(cfg.Key, cfg.H); err != nil {
+			return nil, err
+		}
+	} else if !bytes.Equal(ks.key, cfg.Key) || ks.powers.h != LoadEl(cfg.H) {
+		return nil, errors.New("aesgcm: key schedule built for a different key or H")
 	}
 	ctBlocks := (cfg.Length + BlockSize - 1) / BlockSize
 	aadBlocks := (len(cfg.AAD) + BlockSize - 1) / BlockSize
 	// Exponents run up to aadBlocks+ctBlocks+1 (the +1 is the lengths
 	// block, which always multiplies last and therefore carries H^1;
 	// earlier blocks carry correspondingly higher powers).
+	ks.powers.grow(aadBlocks + ctBlocks + 1)
 	e := &CachelineEngine{
 		dir:       dir,
-		cipher:    c,
+		cipher:    ks.cipher,
 		iv:        append([]byte(nil), cfg.IV...),
-		powers:    NewHPowers(cfg.H, aadBlocks+ctBlocks+1),
+		powers:    ks.powers,
 		length:    cfg.Length,
 		ctBlocks:  ctBlocks,
 		totalCLs:  (cfg.Length + CachelineSize - 1) / CachelineSize,

@@ -12,7 +12,7 @@ func TestGHASHMatchesMulDefinition(t *testing.T) {
 	f := func(h, y [16]byte) bool {
 		tbl := newMulTable(LoadEl(h[:]))
 		got := tbl.mul(LoadEl(y[:]))
-		want := LoadEl(y[:]).Mul(LoadEl(h[:]))
+		want := LoadEl(y[:]).mulBitSerial(LoadEl(h[:]))
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -310,6 +310,22 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	bad.Key = []byte("tiny")
 	if _, err := NewCachelineEngine(Encrypt, bad); err == nil {
 		t.Error("bad key accepted")
+	}
+
+	// A kept schedule serves only the (key, H) it was built for.
+	ks, err := NewKeySchedule(key, cfg.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = cfg
+	bad.Key = []byte("fedcba9876543210")
+	if _, err := ks.NewEngine(Encrypt, bad); err == nil {
+		t.Error("schedule of another key accepted")
+	}
+	bad = cfg
+	bad.H = make([]byte, BlockSize)
+	if _, err := ks.NewEngine(Encrypt, bad); err == nil {
+		t.Error("schedule of another H accepted")
 	}
 }
 

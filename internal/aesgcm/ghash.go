@@ -1,6 +1,10 @@
 package aesgcm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
 
 // FieldEl is an element of GF(2^128) in the GCM bit ordering (the first
 // byte of the block holds the polynomial's lowest-degree coefficients in
@@ -35,38 +39,67 @@ func (e FieldEl) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
 // x^128 + x^7 + x^2 + x + 1 in the shifted representation.
 const gcmR = 0xe100000000000000
 
-// Mul returns the GF(2^128) product e*o under the GCM conventions. The
-// bit-serial loop mirrors what a hardware GF multiplier does per cycle;
-// the simulator charges its cost separately, so clarity wins over speed
-// here (a 4-bit windowed variant is used by GHASH's hot path below).
+// Mul returns the GF(2^128) product e*o under the GCM conventions. It is
+// the constant-time carry-less Karatsuba multiply of BearSSL's
+// ghash_ctmul64: three 64x64 carry-less products for the low halves,
+// three more on the bit-reversed operands for the high halves, then a
+// shift-and-reduce modulo x^128 + x^7 + x^2 + x + 1. The power-weighted
+// GHASH folds of the cacheline engine and the H-power chains use it;
+// mulBitSerial is the bit-at-a-time reference it is tested against.
 func (e FieldEl) Mul(o FieldEl) FieldEl {
-	var z FieldEl
-	v := o
-	for i := 0; i < 128; i++ {
-		var bit uint64
-		if i < 64 {
-			bit = (e.Hi >> (63 - uint(i))) & 1
-		} else {
-			bit = (e.Lo >> (127 - uint(i))) & 1
-		}
-		if bit == 1 {
-			z.Hi ^= v.Hi
-			z.Lo ^= v.Lo
-		}
-		lsb := v.Lo & 1
-		v.Lo = v.Lo>>1 | v.Hi<<63
-		v.Hi >>= 1
-		if lsb == 1 {
-			v.Hi ^= gcmR
-		}
-	}
-	return z
+	// The GCM representation is bit-reflected: Lo's least significant
+	// bit is the x^127 coefficient, Hi's most significant bit is x^0.
+	y1, y0 := e.Hi, e.Lo
+	h1, h0 := o.Hi, o.Lo
+	y1r, y0r := bits.Reverse64(y1), bits.Reverse64(y0)
+	h1r, h0r := bits.Reverse64(h1), bits.Reverse64(h0)
+
+	z0 := bmul64(y0, h0)
+	z1 := bmul64(y1, h1)
+	z2 := bmul64(y0^y1, h0^h1)
+	z0h := bmul64(y0r, h0r)
+	z1h := bmul64(y1r, h1r)
+	z2h := bmul64(y0r^y1r, h0r^h1r)
+	z2 ^= z0 ^ z1
+	z2h ^= z0h ^ z1h
+	z0h = bits.Reverse64(z0h) >> 1
+	z1h = bits.Reverse64(z1h) >> 1
+	z2h = bits.Reverse64(z2h) >> 1
+
+	// The 256-bit product v3:v2:v1:v0, shifted left by one to undo the
+	// reflection's off-by-one, then reduced into v3:v2.
+	v0, v1, v2, v3 := z0, z0h^z2, z1^z2h, z1h
+	v3 = v3<<1 | v2>>63
+	v2 = v2<<1 | v1>>63
+	v1 = v1<<1 | v0>>63
+	v0 <<= 1
+	v2 ^= v0 ^ v0>>1 ^ v0>>2 ^ v0>>7
+	v1 ^= v0<<63 ^ v0<<62 ^ v0<<57
+	v3 ^= v1 ^ v1>>1 ^ v1>>2 ^ v1>>7
+	v2 ^= v1<<63 ^ v1<<62 ^ v1<<57
+	return FieldEl{Hi: v3, Lo: v2}
+}
+
+// bmul64 returns the low 64 bits of the carry-less product x*y using
+// integer multiplies on operands masked to every fourth bit: the 4-bit
+// holes absorb the carries (at most 15 per position below bit 64), so
+// masking each partial product back to its bit class leaves the XOR sum.
+func bmul64(x, y uint64) uint64 {
+	const m0, m1, m2, m3 = 0x1111111111111111, 0x2222222222222222, 0x4444444444444444, 0x8888888888888888
+	x0, x1, x2, x3 := x&m0, x&m1, x&m2, x&m3
+	y0, y1, y2, y3 := y&m0, y&m1, y&m2, y&m3
+	z0 := x0*y0 ^ x1*y3 ^ x2*y2 ^ x3*y1
+	z1 := x0*y1 ^ x1*y0 ^ x2*y3 ^ x3*y2
+	z2 := x0*y2 ^ x1*y1 ^ x2*y0 ^ x3*y3
+	z3 := x0*y3 ^ x1*y2 ^ x2*y1 ^ x3*y0
+	return z0&m0 | z1&m1 | z2&m2 | z3&m3
 }
 
 // mulTable is a 16-entry table of x*H for the 4-bit windowed multiply,
-// indexed by nibble value. Building it once per hash subkey amortizes the
-// bit-serial work across all blocks, the same trade hardware GHASH
-// pipelines make.
+// indexed by nibble value. Neither production path uses it: streaming
+// GHASH uses the 8-bit mulTable8 and the power-weighted folds use Mul.
+// It stays as the ablation baseline the 8-bit table is benchmarked
+// against.
 type mulTable [16]FieldEl
 
 func newMulTable(h FieldEl) *mulTable {
@@ -100,8 +133,7 @@ func mulByX(v FieldEl) FieldEl {
 // mul multiplies y by the table's hash subkey using a 4-bit-windowed
 // Horner evaluation. In the GCM representation the LSB end of Lo holds
 // the highest-degree coefficients, so walking low nibbles first visits
-// terms in descending degree, exactly what Horner needs. Kept as the
-// reference/ablation path; the GHASH hot loop uses the 8-bit table.
+// terms in descending degree, exactly what Horner needs.
 func (t *mulTable) mul(y FieldEl) FieldEl {
 	var z FieldEl
 	process := func(word uint64) {
@@ -118,10 +150,12 @@ func (t *mulTable) mul(y FieldEl) FieldEl {
 	return z
 }
 
-// mulTable8 is the 256-entry byte-indexed multiplication table: the same
-// Horner structure as mulTable, but consuming a whole byte per step so a
-// block costs 16 table folds instead of 32 nibble folds. Index bit 7
-// (the byte's MSB) is the lowest-degree term, matching the GCM bit
+// mulTable8 is the 256-entry byte-indexed multiplication table, the
+// production path for streaming GHASH (GCM.Seal/Open): one subkey
+// multiplies every block, so the per-subkey table build pays off. It has
+// the same Horner structure as mulTable, but consumes a whole byte per
+// step so a block costs 16 table folds instead of 32 nibble folds. Index
+// bit 7 (the byte's MSB) is the lowest-degree term, matching the GCM bit
 // order of the 4-bit table.
 type mulTable8 [256]FieldEl
 
@@ -242,31 +276,35 @@ type HPowers struct {
 // generated stride-first to model the hardware's four parallel chains.
 const Stride = 4
 
-// NewHPowers precomputes n powers of the subkey. The generation order
-// models the DSA: four independent multiplication chains, one per block
-// lane, each advancing by H^4 per step.
+// NewHPowers precomputes n powers of the subkey. The recurrence models
+// the DSA: four independent multiplication chains, one per block lane,
+// each advancing by H^4 per step.
 func NewHPowers(h []byte, n int) *HPowers {
-	he := LoadEl(h)
-	hp := &HPowers{h: he, powers: make([]FieldEl, n)}
-	if n == 0 {
-		return hp
-	}
-	// Seed the first stride serially: H^1..H^4.
-	hp.powers[0] = he
-	for i := 1; i < Stride && i < n; i++ {
-		hp.powers[i] = hp.powers[i-1].Mul(he)
-	}
-	if n <= Stride {
-		return hp
-	}
-	h4 := hp.powers[Stride-1]
-	// Four independent lanes: lane L computes H^(L+1), H^(L+5), ...
-	for lane := 0; lane < Stride; lane++ {
-		for i := lane + Stride; i < n; i += Stride {
-			hp.powers[i] = hp.powers[i-Stride].Mul(h4)
-		}
-	}
+	hp := &HPowers{h: LoadEl(h)}
+	hp.grow(n)
 	return hp
+}
+
+// grow extends the table to at least n powers along the same recurrence:
+// H^1..H^4 serially, then H^i = H^(i-4) * H^4. Each entry depends only on
+// entries already present, so a table extended later holds exactly what
+// a table built at the larger size would.
+func (p *HPowers) grow(n int) {
+	if n > len(p.powers) {
+		p.powers = slices.Grow(p.powers, n-len(p.powers))
+	}
+	for i := len(p.powers); i < n; i++ {
+		var next FieldEl
+		switch {
+		case i == 0:
+			next = p.h
+		case i < Stride:
+			next = p.powers[i-1].Mul(p.h)
+		default:
+			next = p.powers[i-Stride].Mul(p.powers[Stride-1])
+		}
+		p.powers = append(p.powers, next)
+	}
 }
 
 // Power returns H^i (1-indexed). It panics if i is out of the

@@ -323,16 +323,16 @@ func TestMarshalContextErrors(t *testing.T) {
 }
 
 func TestBuildDSAErrors(t *testing.T) {
-	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}); err == nil {
+	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}, nil); err == nil {
 		t.Fatal("truncated TLS context accepted")
 	}
-	if _, err := buildDSA(Opcode(99), 100, nil); err == nil {
+	if _, err := buildDSA(Opcode(99), 100, nil, nil); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	if _, err := buildDSA(OpCompress, PageSize+1, nil); err == nil {
+	if _, err := buildDSA(OpCompress, PageSize+1, nil, nil); err == nil {
 		t.Fatal("oversized compress accepted")
 	}
-	if _, err := buildDSA(OpDecompress, 0, nil); err == nil {
+	if _, err := buildDSA(OpDecompress, 0, nil, nil); err == nil {
 		t.Fatal("zero-length decompress accepted")
 	}
 }

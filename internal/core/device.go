@@ -66,7 +66,7 @@ type DeviceStats struct {
 	StaleEvictions  uint64 // re-registrations that retired a stale allocation
 	DSAErrors       uint64
 	RecordAborts    uint64 // records torn down after a DSA fault or abort op
-	BufferCycles    int64 // buffer-device clock (1/4 DRAM clock) high-water
+	BufferCycles    int64  // buffer-device clock (1/4 DRAM clock) high-water
 }
 
 // Device is the SmartDIMM buffer device: a dram.Module interposed
@@ -87,6 +87,9 @@ type Device struct {
 	// records maps the record's first source page to its record for
 	// multi-page attach.
 	records map[uint64]*record
+	// keys holds the TLS key schedules of recent records, at most one
+	// per Config Memory page.
+	keys *scheduleCache
 	// Faults, when non-nil, injects device-side faults: "core.alert"
 	// (spurious ALERT_N on a data read), "core.dsa" (DSA processing
 	// fault, aborting the record), and "core.ttinsert" (Translation
@@ -131,6 +134,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		sp:      newScratchpad(cfg.ScratchpadPages),
 		cm:      newConfigMem(cfg.ConfigPages),
 		records: make(map[uint64]*record),
+		keys:    newScheduleCache(cfg.ConfigPages),
 	}
 	for i := range d.bank {
 		d.bank[i] = -1
@@ -696,7 +700,7 @@ func destCoverage(op Opcode, recordLen, pageIndex int) int {
 func (d *Device) finishRegistration() error {
 	r := d.reg
 	d.reg = nil
-	dsa, err := buildDSA(r.rec.op, r.rec.length, d.cm.pages[r.cfgIdx].raw)
+	dsa, err := buildDSA(r.rec.op, r.rec.length, d.cm.pages[r.cfgIdx].raw, d.keys)
 	if err != nil {
 		d.stats.DSAErrors++
 		d.abortRecord(r.rec)

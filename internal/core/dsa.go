@@ -95,8 +95,12 @@ type tlsDSA struct {
 	flushed bool
 }
 
-func newTLSDSA(ctx TLSContext) (*tlsDSA, error) {
-	eng, err := aesgcm.NewCachelineEngine(ctx.Direction, aesgcm.RecordConfig{
+func newTLSDSA(ctx TLSContext, keys *scheduleCache) (*tlsDSA, error) {
+	ks, err := keys.get(ctx.Key, ctx.H)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := ks.NewEngine(ctx.Direction, aesgcm.RecordConfig{
 		Key: ctx.Key, IV: ctx.IV, H: ctx.H, EIV: ctx.EIV, AAD: ctx.AAD,
 		Length: ctx.PayloadLen,
 	})
@@ -415,9 +419,44 @@ func marshalContext(ctx *OffloadContext) ([]byte, error) {
 	}
 }
 
+// scheduleCache is a device's store of TLS key schedules, keyed by the
+// (key, H) pair of the config: records of one connection reuse the
+// expanded key and the H powers instead of rebuilding them. H is part of
+// the key because the CPU supplies it, so a record whose H does not
+// match gets a schedule of its own. The store holds at most max entries
+// and is emptied when full, which keeps eviction deterministic.
+type scheduleCache struct {
+	max int
+	m   map[string]*aesgcm.KeySchedule
+}
+
+func newScheduleCache(max int) *scheduleCache {
+	return &scheduleCache{max: max, m: make(map[string]*aesgcm.KeySchedule)}
+}
+
+// get returns the schedule for (key, h), building it on a miss.
+func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
+	// h is always 16 bytes, so key||h identifies the pair.
+	var buf [32 + aesgcm.BlockSize]byte
+	id := append(append(buf[:0], key...), h...)
+	if ks, ok := c.m[string(id)]; ok {
+		return ks, nil
+	}
+	ks, err := aesgcm.NewKeySchedule(key, h)
+	if err != nil {
+		return nil, err
+	}
+	if len(c.m) >= c.max {
+		clear(c.m)
+	}
+	c.m[string(id)] = ks
+	return ks, nil
+}
+
 // buildDSA deserializes the context bytes and instantiates the record's
-// DSA, as the device does once registration completes.
-func buildDSA(op Opcode, length int, raw []byte) (dsaInstance, error) {
+// DSA, as the device does once registration completes. TLS records take
+// their key schedule from keys.
+func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache) (dsaInstance, error) {
 	switch op {
 	case OpTLSEncrypt, OpTLSDecrypt:
 		if len(raw) < 8 {
@@ -443,7 +482,7 @@ func buildDSA(op Opcode, length int, raw []byte) (dsaInstance, error) {
 		if payloadLen+TagSize != length {
 			return nil, fmt.Errorf("core: TLS payload %d + tag != record length %d", payloadLen, length)
 		}
-		return newTLSDSA(ctx)
+		return newTLSDSA(ctx, keys)
 	case OpCompress:
 		var cfg deflate.HWConfig
 		if len(raw) >= 20 {

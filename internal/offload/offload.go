@@ -150,9 +150,10 @@ type Conn struct {
 	Dst  uint64 // record buffer holding the ULP output
 	Size int    // per-buffer size in bytes
 
-	Key    []byte
+	Key    []byte // fixed for the connection's lifetime
 	ivBase [12]byte
 	seq    uint64
+	aead   *aesgcm.GCM // Key's codec, built on first use by gcm
 
 	// State is the software compressor's per-connection state region
 	// (zlib-style sliding window + hash tables). Only the CPU
@@ -176,6 +177,19 @@ func (c *Conn) NextIV() []byte {
 		iv[11-i] ^= byte(s >> (8 * i))
 	}
 	return iv
+}
+
+// gcm returns the connection's AES-GCM codec. The key never changes, so
+// the key schedule and GHASH table are built once, not per record.
+func (c *Conn) gcm() (*aesgcm.GCM, error) {
+	if c.aead == nil {
+		g, err := aesgcm.NewGCM(c.Key)
+		if err != nil {
+			return nil, err
+		}
+		c.aead = g
+	}
+	return c.aead, nil
 }
 
 // Backend is one accelerator placement.
@@ -356,7 +370,7 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	var gcm *aesgcm.GCM
 	if b.Functional && u == TLS {
 		var err error
-		gcm, err = aesgcm.NewGCM(conn.Key)
+		gcm, err = conn.gcm()
 		if err != nil {
 			return res, err
 		}
@@ -542,7 +556,7 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	var gcm *aesgcm.GCM
 	if b.Functional && u == TLS {
 		var err error
-		gcm, err = aesgcm.NewGCM(conn.Key)
+		gcm, err = conn.gcm()
 		if err != nil {
 			return res, err
 		}
@@ -693,7 +707,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 		switch u {
 		case TLS:
 			iv := conn.NextIV()
-			g, err := aesgcm.NewGCM(conn.Key)
+			g, err := conn.gcm()
 			if err != nil {
 				return res, err
 			}
@@ -732,7 +746,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 			if tr := b.Sys.Tracer; tr != nil {
 				tr.Instant(tr.Track("offload"), "cpu-fallback", b.Sys.Engine.Now())
 			}
-			flat, ferr := b.fallbackChunk(u, coreID, ctx, sbuf, dbuf, n)
+			flat, ferr := b.fallbackChunk(u, coreID, conn, ctx, sbuf, dbuf, n)
 			if ferr != nil {
 				return res, fmt.Errorf("offload: CPU fallback after %v: %w", err, ferr)
 			}
@@ -773,7 +787,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 // fallbackChunk runs one chunk of a failed offload on the CPU software
 // path, writing the same wire format the DSA would have produced into
 // the destination buffer. Returns the CPU time charged.
-func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, ctx *core.OffloadContext, sbuf, dbuf uint64, n int) (int64, error) {
+func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.OffloadContext, sbuf, dbuf uint64, n int) (int64, error) {
 	p := b.Sys.Params
 	data, lat, err := b.Sys.ReadBytes(coreID, sbuf, n)
 	if err != nil {
@@ -782,7 +796,7 @@ func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, ctx *core.OffloadContext, s
 	var out []byte
 	switch u {
 	case TLS:
-		g, err := aesgcm.NewGCM(ctx.TLS.Key)
+		g, err := conn.gcm()
 		if err != nil {
 			return 0, err
 		}

@@ -54,7 +54,7 @@ func (b *CPU) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, e
 	var gcm *aesgcm.GCM
 	if b.Functional {
 		var err error
-		gcm, err = aesgcm.NewGCM(conn.Key)
+		gcm, err = conn.gcm()
 		if err != nil {
 			return res, err
 		}
@@ -98,7 +98,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
 		iv := conn.NextIV()
-		g, err := aesgcm.NewGCM(conn.Key)
+		g, err := conn.gcm()
 		if err != nil {
 			return res, err
 		}

@@ -134,7 +134,7 @@ func (p *Profile) WritePprof(w io.Writer) error {
 		nextID++
 
 		var fn pbuf
-		fn.intField(1, int64(id))        // function id
+		fn.intField(1, int64(id))          // function id
 		fn.intField(2, st.id(f.node.Name)) // name
 		fn.intField(3, st.id(f.node.Name)) // system_name
 		fn.intField(4, st.id(f.path))      // filename = full component path

@@ -43,11 +43,11 @@ func (c *Counter) Collect(emit func(telemetry.Sample)) {
 // fallback (CPU) path, and circuit-breaker transitions. A zero value is
 // ready to use.
 type Degradation struct {
-	PrimaryOps    uint64 // served by the primary backend
-	FallbackOps   uint64 // demoted to the fallback path
-	ShortCircuits uint64 // routed straight to fallback while the breaker was open
-	Opens         uint64 // breaker open transitions (primary demoted)
-	Closes        uint64 // breaker close transitions (primary restored)
+	PrimaryOps     uint64 // served by the primary backend
+	FallbackOps    uint64 // demoted to the fallback path
+	ShortCircuits  uint64 // routed straight to fallback while the breaker was open
+	Opens          uint64 // breaker open transitions (primary demoted)
+	Closes         uint64 // breaker close transitions (primary restored)
 	InjectedFaults uint64 // failures forced by fault injection
 }
 
