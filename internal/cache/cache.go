@@ -74,14 +74,18 @@ func (s *Stats) MissRate() float64 {
 	return float64(miss) / float64(acc)
 }
 
+// line is one way's payload and replacement state. Its tag and valid
+// bit live in Cache.keys, so a lookup scans one word per way, all in
+// a row, instead of one line per way.
 type line struct {
-	tag     uint64
 	data    [LineSize]byte
-	valid   bool
-	dirty   bool
 	lastUse uint64
-	class   Class
+	dirty   bool
 }
+
+// validKey marks a live entry of Cache.keys; the rest of the key is the
+// line's tag (address / LineSize, which never reaches bit 63).
+const validKey = 1 << 63
 
 // Config sizes the cache.
 type Config struct {
@@ -104,10 +108,12 @@ func DefaultXeonLLC() Config {
 }
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement and per-class way masking.
+// replacement and per-class way masking. Set s occupies ways
+// [s*Ways, (s+1)*Ways) of both keys and lines.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	keys    []uint64 // tag | validKey per set x way; 0 is an empty way
+	lines   []line
 	setMask uint64
 	tick    uint64
 	stats   Stats
@@ -128,11 +134,8 @@ func New(cfg Config) (*Cache, error) {
 	if nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, nSets), setMask: uint64(nSets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c, nil
+	n := nSets * cfg.Ways
+	return &Cache{cfg: cfg, keys: make([]uint64, n), lines: make([]line, n), setMask: uint64(nSets - 1)}, nil
 }
 
 // MustNew is New that panics on error. It exists for tests and
@@ -157,16 +160,18 @@ func (c *Cache) Stats() Stats { return c.stats }
 // SizeBytes returns the configured capacity.
 func (c *Cache) SizeBytes() int { return c.cfg.SizeBytes }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr / LineSize) & c.setMask }
-func (c *Cache) tagOf(addr uint64) uint64    { return addr / LineSize }
+// setBase returns the index of way 0 of addr's set.
+func (c *Cache) setBase(addr uint64) int {
+	return int((addr/LineSize)&c.setMask) * c.cfg.Ways
+}
 
-// lookup returns the way holding addr, or -1.
+// lookup returns the keys/lines index holding addr, or -1.
 func (c *Cache) lookup(addr uint64) int {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for w := range set {
-		if set[w].valid && set[w].tag == tag {
-			return w
+	base := c.setBase(addr)
+	key := addr/LineSize | validKey
+	for w, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key {
+			return base + w
 		}
 	}
 	return -1
@@ -179,9 +184,8 @@ func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr) != -1 }
 // IsDirty reports whether the line is cached and dirty, without touching
 // LRU or statistics.
 func (c *Cache) IsDirty(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	w := c.lookup(addr)
-	return w != -1 && set[w].dirty
+	i := c.lookup(addr)
+	return i != -1 && c.lines[i].dirty
 }
 
 // Read performs a demand read of the line containing addr. On a hit the
@@ -192,15 +196,15 @@ func (c *Cache) Read(addr uint64, class Class, dst []byte) (ok bool) {
 	c.tick++
 	c.stats.Accesses[class]++
 	c.winAcc++
-	w := c.lookup(addr)
-	if w == -1 {
+	i := c.lookup(addr)
+	if i == -1 {
 		c.stats.Misses[class]++
 		c.winMiss++
 		return false
 	}
-	set := c.sets[c.setIndex(addr)]
-	set[w].lastUse = c.tick
-	copy(dst, set[w].data[:])
+	l := &c.lines[i]
+	l.lastUse = c.tick
+	copy(dst, l.data[:])
 	return true
 }
 
@@ -212,48 +216,47 @@ func (c *Cache) Write(addr uint64, class Class, src []byte) (ok bool) {
 	c.tick++
 	c.stats.Accesses[class]++
 	c.winAcc++
-	w := c.lookup(addr)
-	if w == -1 {
+	i := c.lookup(addr)
+	if i == -1 {
 		c.stats.Misses[class]++
 		c.winMiss++
 		return false
 	}
-	set := c.sets[c.setIndex(addr)]
-	set[w].lastUse = c.tick
-	set[w].dirty = true
-	copy(set[w].data[:], src)
+	l := &c.lines[i]
+	l.lastUse = c.tick
+	l.dirty = true
+	copy(l.data[:], src)
 	return true
 }
 
 // Fill installs a clean line fetched from memory, evicting per class
-// mask + LRU if needed. The returned victim (if any) must be written
-// back by the caller when dirty.
-func (c *Cache) Fill(addr uint64, class Class, data []byte) *Victim {
+// mask + LRU if needed. When ok, v is the evicted line, which the caller
+// must write back if it is dirty.
+func (c *Cache) Fill(addr uint64, class Class, data []byte) (v Victim, ok bool) {
 	return c.fill(addr, class, data, false)
 }
 
 // FillDirty installs a line that is immediately dirty: a full-line CPU
 // store miss (no fetch needed) or a DDIO DMA write from a device.
-func (c *Cache) FillDirty(addr uint64, class Class, data []byte) *Victim {
+func (c *Cache) FillDirty(addr uint64, class Class, data []byte) (v Victim, ok bool) {
 	return c.fill(addr, class, data, true)
 }
 
-func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) *Victim {
+func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victim, ok bool) {
 	c.tick++
 	c.stats.Fills++
-	si := c.setIndex(addr)
-	set := c.sets[si]
-	tag := c.tagOf(addr)
 
 	// If present already (races between fill paths), update in place.
-	if w := c.lookup(addr); w != -1 {
-		copy(set[w].data[:], data)
-		set[w].dirty = set[w].dirty || dirty
-		set[w].lastUse = c.tick
-		set[w].class = class
-		return nil
+	if i := c.lookup(addr); i != -1 {
+		l := &c.lines[i]
+		copy(l.data[:], data)
+		l.dirty = l.dirty || dirty
+		l.lastUse = c.tick
+		return Victim{}, false
 	}
 
+	base := c.setBase(addr)
+	keys, lines := c.keys[base:base+c.cfg.Ways], c.lines[base:base+c.cfg.Ways]
 	mask := c.cfg.WayMask[class]
 	if mask == 0 {
 		mask = ^uint64(0)
@@ -261,18 +264,17 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) *Victim 
 	// Prefer an invalid allowed way.
 	victimWay := -1
 	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
+	for w := range keys {
 		if mask&(1<<uint(w)) == 0 {
 			continue
 		}
-		if !set[w].valid {
+		if keys[w] == 0 {
 			victimWay = w
-			oldest = 0
 			break
 		}
-		if set[w].lastUse < oldest {
+		if lines[w].lastUse < oldest {
 			victimWay = w
-			oldest = set[w].lastUse
+			oldest = lines[w].lastUse
 		}
 	}
 	if victimWay == -1 {
@@ -280,36 +282,35 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) *Victim 
 		// behaviourally rather than dropping the line.
 		victimWay = 0
 	}
-	var victim *Victim
-	if set[victimWay].valid {
-		v := &Victim{Addr: set[victimWay].tag * LineSize, Dirty: set[victimWay].dirty}
-		v.Data = set[victimWay].data
-		victim = v
+	l := &lines[victimWay]
+	if k := keys[victimWay]; k != 0 {
+		v, ok = Victim{Addr: (k &^ validKey) * LineSize, Dirty: l.dirty, Data: l.data}, true
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	set[victimWay] = line{tag: tag, valid: true, dirty: dirty, lastUse: c.tick, class: class}
-	copy(set[victimWay].data[:], data)
-	return victim
+	keys[victimWay] = addr/LineSize | validKey
+	l.dirty, l.lastUse = dirty, c.tick
+	n := copy(l.data[:], data)
+	clear(l.data[n:])
+	return v, ok
 }
 
-// FlushLine removes the line containing addr (clflush semantics),
-// returning it for writeback if it was present. Clean lines are simply
-// invalidated.
-func (c *Cache) FlushLine(addr uint64) *Victim {
-	w := c.lookup(addr)
-	if w == -1 {
-		return nil
+// FlushLine removes the line containing addr (clflush semantics). When
+// the line was present ok is true and v is the line, for writeback if it
+// is dirty; clean lines are simply invalidated.
+func (c *Cache) FlushLine(addr uint64) (v Victim, ok bool) {
+	i := c.lookup(addr)
+	if i == -1 {
+		return Victim{}, false
 	}
-	set := c.sets[c.setIndex(addr)]
-	v := &Victim{Addr: set[w].tag * LineSize, Dirty: set[w].dirty}
-	v.Data = set[w].data
-	set[w].valid = false
+	l := &c.lines[i]
+	v = Victim{Addr: (c.keys[i] &^ validKey) * LineSize, Dirty: l.dirty, Data: l.data}
+	c.keys[i] = 0
 	if v.Dirty {
 		c.stats.Writebacks++
 	}
-	return v
+	return v, true
 }
 
 // FlushRange flushes every line in [addr, addr+size), invoking wb for
@@ -320,10 +321,10 @@ func (c *Cache) FlushRange(addr uint64, size int, wb func(Victim)) int {
 	present := 0
 	start := addr &^ (LineSize - 1)
 	for a := start; a < addr+uint64(size); a += LineSize {
-		if v := c.FlushLine(a); v != nil {
+		if v, ok := c.FlushLine(a); ok {
 			present++
 			if v.Dirty && wb != nil {
-				wb(*v)
+				wb(v)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func TestReadMissFillHit(t *testing.T) {
 	if c.Read(0x1000, ClassCPU, buf) {
 		t.Fatal("cold read hit")
 	}
-	if v := c.Fill(0x1000, ClassCPU, lineData(0xAA)); v != nil {
+	if _, ok := c.Fill(0x1000, ClassCPU, lineData(0xAA)); ok {
 		t.Fatal("fill into empty cache evicted")
 	}
 	if !c.Read(0x1000, ClassCPU, buf) {
@@ -57,8 +57,8 @@ func TestWriteDirtyAndWriteback(t *testing.T) {
 	if !c.IsDirty(0x1000) {
 		t.Fatal("write did not mark dirty")
 	}
-	v := c.FlushLine(0x1000)
-	if v == nil || !v.Dirty || v.Addr != 0x1000 {
+	v, ok := c.FlushLine(0x1000)
+	if !ok || !v.Dirty || v.Addr != 0x1000 {
 		t.Fatalf("flush victim %+v", v)
 	}
 	if !bytes.Equal(v.Data[:], lineData(0xBB)) {
@@ -82,8 +82,8 @@ func TestLRUEviction(t *testing.T) {
 	// Touch line 0 so line 1 becomes LRU.
 	buf := make([]byte, LineSize)
 	c.Read(base, ClassCPU, buf)
-	v := c.Fill(base+4*128, ClassCPU, lineData(4))
-	if v == nil || v.Addr != base+1*128 {
+	v, ok := c.Fill(base+4*128, ClassCPU, lineData(4))
+	if !ok || v.Addr != base+1*128 {
 		t.Fatalf("expected LRU victim at %#x, got %+v", base+128, v)
 	}
 	if v.Dirty {
@@ -96,8 +96,8 @@ func TestFillDirtyVictimCarriesData(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.FillDirty(uint64(i)*128, ClassCPU, lineData(byte(i)))
 	}
-	v := c.FillDirty(4*128, ClassCPU, lineData(9))
-	if v == nil || !v.Dirty {
+	v, ok := c.FillDirty(4*128, ClassCPU, lineData(9))
+	if !ok || !v.Dirty {
 		t.Fatalf("dirty victim expected, got %+v", v)
 	}
 	if !bytes.Equal(v.Data[:], lineData(0)) {
@@ -109,12 +109,12 @@ func TestCATWayMaskRestrictsAllocation(t *testing.T) {
 	c := tiny()
 	c.SetWayMask(ClassDMA, 0b0001) // DMA may only use way 0
 	// Two DMA fills to the same set must evict each other.
-	v1 := c.FillDirty(0, ClassDMA, lineData(1))
-	v2 := c.FillDirty(128, ClassDMA, lineData(2))
-	if v1 != nil {
+	_, ok1 := c.FillDirty(0, ClassDMA, lineData(1))
+	v2, ok2 := c.FillDirty(128, ClassDMA, lineData(2))
+	if ok1 {
 		t.Fatal("first DMA fill evicted")
 	}
-	if v2 == nil || v2.Addr != 0 {
+	if !ok2 || v2.Addr != 0 {
 		t.Fatalf("second DMA fill should evict the first, got %+v", v2)
 	}
 	// CPU fills are unrestricted and do not evict the DMA line.
@@ -137,7 +137,7 @@ func TestDDIOLeakToDRAM(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i) * LineSize
 		addrs = append(addrs, addr)
-		if v := c.FillDirty(addr, ClassDMA, lineData(byte(i))); v != nil && v.Dirty {
+		if v, ok := c.FillDirty(addr, ClassDMA, lineData(byte(i))); ok && v.Dirty {
 			leaked++
 		}
 	}

@@ -125,6 +125,8 @@ type scenario struct {
 	tls, tlsShadow *offload.Conn
 	comp           *offload.Conn
 	nextID         int
+	// enc frames the pages opCompRX stages, reused across operations.
+	enc *deflate.HWEncoder
 
 	cleanup []chunkRef
 }
@@ -459,7 +461,9 @@ func (s *scenario) opCompTX() error {
 // inflates them through the SmartDIMM receive path.
 func (s *scenario) opCompRX() error {
 	l := offload.LayoutFor(offload.Compression)
-	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	if s.enc == nil {
+		s.enc = deflate.NewHWEncoder(deflate.PaperHWConfig())
+	}
 	nrec := 1 + s.rng.Intn(2)
 	var records [][]byte
 	var lens []int
@@ -467,7 +471,7 @@ func (s *scenario) opCompRX() error {
 	for k := 0; k < nrec; k++ {
 		cn := 1 + s.rng.Intn(core.MaxCompressInput)
 		data := s.payload(cn)
-		page, err := core.EncodeCompressedPage(data, enc)
+		page, err := core.EncodeCompressedPage(data, s.enc)
 		if err != nil {
 			return err
 		}

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/aesgcm"
+	"repro/internal/deflate"
 	"repro/internal/dram"
 )
 
@@ -323,16 +326,92 @@ func TestMarshalContextErrors(t *testing.T) {
 }
 
 func TestBuildDSAErrors(t *testing.T) {
-	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}, nil); err == nil {
+	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}, nil, nil); err == nil {
 		t.Fatal("truncated TLS context accepted")
 	}
-	if _, err := buildDSA(Opcode(99), 100, nil, nil); err == nil {
+	if _, err := buildDSA(Opcode(99), 100, nil, nil, nil); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	if _, err := buildDSA(OpCompress, PageSize+1, nil, nil); err == nil {
+	if _, err := buildDSA(OpCompress, PageSize+1, nil, nil, nil); err == nil {
 		t.Fatal("oversized compress accepted")
 	}
-	if _, err := buildDSA(OpDecompress, 0, nil, nil); err == nil {
+	if _, err := buildDSA(OpDecompress, 0, nil, nil, nil); err == nil {
 		t.Fatal("zero-length decompress accepted")
+	}
+
+	// Out-of-range compression configs are rejected with ErrDSAConfig
+	// before any encoder is built.
+	var enc encoderSlot
+	bad := map[string]deflate.HWConfig{
+		"window-over-chunk":    {ParallelWindow: deflate.ChunkSize + 1},
+		"huge-table":           {ParallelWindow: 8, Banks: 8, TableEntries: maxDSATableEntries + 1},
+		"billions-of-entries":  {ParallelWindow: 8, Banks: 1 << 31, TableEntries: 1<<32 - 1},
+		"banks-over-entries":   {ParallelWindow: 8, Banks: 64, TableEntries: 32},
+		"banks-over-default":   {ParallelWindow: 8, Banks: 5000},
+		"history-over-rfc":     {ParallelWindow: 8, WindowSize: deflate.MaxDistance + 1},
+		"negative-wraps-large": {ParallelWindow: 8, WindowSize: -1},
+	}
+	for name, cfg := range bad {
+		raw, err := marshalContext(&OffloadContext{Op: OpCompress, HW: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc); !errors.Is(err, ErrDSAConfig) {
+			t.Errorf("%s: err = %v, want ErrDSAConfig", name, err)
+		}
+	}
+	if enc.enc != nil {
+		t.Fatalf("rejected configs built an encoder for %+v", enc.cfg)
+	}
+	good := []deflate.HWConfig{
+		{}, // paper config
+		{ParallelWindow: deflate.ChunkSize, Banks: 7, PortsPerBank: 1, WindowSize: deflate.MaxDistance, TableEntries: maxDSATableEntries},
+		{ParallelWindow: 1, Banks: 3, TableEntries: 3},
+	}
+	for _, cfg := range good {
+		raw, _ := marshalContext(&OffloadContext{Op: OpCompress, HW: cfg})
+		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
+	}
+}
+
+// TestEncoderSlot feeds arbitrary context bytes to buildDSA: the
+// device's encoder slot never holds a table over maxDSATableEntries,
+// a rejected config leaves it as it was, a repeated config reuses its
+// encoder and a new one replaces it.
+func TestEncoderSlot(t *testing.T) {
+	var enc encoderSlot
+	rng := rand.New(rand.NewSource(14))
+	raw := make([]byte, 20)
+	built := 0
+	for i := 0; i < 2000; i++ {
+		for f := 0; f < 5; f++ {
+			// Mostly small values, so many configs are valid.
+			v := rng.Uint32() >> uint(rng.Intn(32))
+			binary.LittleEndian.PutUint32(raw[4*f:], v)
+		}
+		before := enc
+		if _, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc); err == nil {
+			built++
+		} else if enc != before {
+			t.Fatalf("rejected config %x replaced the encoder", raw)
+		}
+		if enc.enc != nil && (enc.cfg.TableEntries > maxDSATableEntries || enc.cfg.Banks > enc.cfg.TableEntries) {
+			t.Fatalf("encoder slot holds an oversized config %+v", enc.cfg)
+		}
+	}
+	if built < 20 {
+		t.Fatalf("only %d of 2000 random configs were valid; the bound is untested", built)
+	}
+	p := deflate.PaperHWConfig()
+	first := enc.get(p)
+	if enc.get(p) != first {
+		t.Fatal("a repeated config rebuilt its encoder")
+	}
+	q := p
+	q.Banks = 4
+	if enc.get(q) == first || enc.cfg != q {
+		t.Fatal("a new config kept the old encoder")
 	}
 }

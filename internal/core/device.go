@@ -90,6 +90,8 @@ type Device struct {
 	// keys holds the TLS key schedules of recent records, at most one
 	// per Config Memory page.
 	keys *scheduleCache
+	// enc holds the Deflate DSA encoder of the last compression record.
+	enc encoderSlot
 	// Faults, when non-nil, injects device-side faults: "core.alert"
 	// (spurious ALERT_N on a data read), "core.dsa" (DSA processing
 	// fault, aborting the record), and "core.ttinsert" (Translation
@@ -700,7 +702,7 @@ func destCoverage(op Opcode, recordLen, pageIndex int) int {
 func (d *Device) finishRegistration() error {
 	r := d.reg
 	d.reg = nil
-	dsa, err := buildDSA(r.rec.op, r.rec.length, d.cm.pages[r.cfgIdx].raw, d.keys)
+	dsa, err := buildDSA(r.rec.op, r.rec.length, d.cm.pages[r.cfgIdx].raw, d.keys, &d.enc)
 	if err != nil {
 		d.stats.DSAErrors++
 		d.abortRecord(r.rec)

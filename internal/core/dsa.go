@@ -246,14 +246,18 @@ func EncodeCompressedPage(orig []byte, enc *deflate.HWEncoder) ([]byte, error) {
 		return nil, fmt.Errorf("core: compression input %d exceeds %d", len(orig), MaxCompressInput)
 	}
 	out := make([]byte, PageSize)
-	stream := enc.Compress(orig)
+	// A stream that fits is appended within out's capacity, so it lands
+	// in place after the header.
+	stream := enc.AppendCompress(out[compHeaderSize:compHeaderSize], orig)
 	if len(stream)+compHeaderSize <= PageSize {
 		binary.LittleEndian.PutUint32(out, uint32(len(stream)))
-		copy(out[compHeaderSize:], stream)
-	} else {
-		binary.LittleEndian.PutUint32(out, compRawFlag|uint32(len(orig)))
-		copy(out[compHeaderSize:], orig)
+		return out, nil
 	}
+	// The stream outgrew the page after filling it: frame the input raw
+	// and zero what the stream left behind the copy.
+	binary.LittleEndian.PutUint32(out, compRawFlag|uint32(len(orig)))
+	n := copy(out[compHeaderSize:], orig)
+	clear(out[compHeaderSize+n:])
 	return out, nil
 }
 
@@ -292,11 +296,11 @@ type deflateDSA struct {
 	nextOff int
 }
 
-func newDeflateDSA(length int, cfg deflate.HWConfig) (*deflateDSA, error) {
+func newDeflateDSA(length int, cfg deflate.HWConfig, enc *encoderSlot) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
-	return &deflateDSA{enc: deflate.NewHWEncoder(cfg), length: length}, nil
+	return &deflateDSA{enc: enc.get(cfg), length: length}, nil
 }
 
 // DestLen implements dsaInstance: the destination is always a full page.
@@ -453,10 +457,74 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 	return ks, nil
 }
 
+// encoderSlot holds a device's Deflate DSA encoder. A compression
+// record borrows it instead of building one: Compress runs to
+// completion inside the record's last ProcessSourceLine call, so
+// records never interleave on the encoder, and they share its
+// candidate table and buffers. The slot keeps one encoder, for the
+// last record's HWConfig, and rebuilds it when a record asks for
+// another; buildDSA bounds each config's table at maxDSATableEntries.
+type encoderSlot struct {
+	cfg deflate.HWConfig
+	enc *deflate.HWEncoder
+}
+
+// get returns the encoder for cfg, rebuilding the slot's on a change.
+func (s *encoderSlot) get(cfg deflate.HWConfig) *deflate.HWEncoder {
+	if s.enc == nil || s.cfg != cfg {
+		s.cfg, s.enc = cfg, deflate.NewHWEncoder(cfg)
+	}
+	return s.enc
+}
+
+// ErrDSAConfig marks a compression context whose DSA configuration is
+// out of the range the device accepts.
+var ErrDSAConfig = errors.New("core: DSA config out of range")
+
+// maxDSATableEntries bounds the candidate table, across all banks, that
+// one compression context may ask the device to hold.
+const maxDSATableEntries = 1 << 16
+
+// parseHWConfig decodes the five little-endian uint32 fields of a
+// compression context. A zero ParallelWindow selects the paper's
+// configuration; otherwise zero fields take the paper's values and the
+// rest must satisfy ParallelWindow <= ChunkSize,
+// Banks <= TableEntries <= maxDSATableEntries and
+// WindowSize <= MaxDistance.
+func parseHWConfig(raw []byte) (deflate.HWConfig, error) {
+	if len(raw) < 20 {
+		return deflate.PaperHWConfig(), nil
+	}
+	field := func(i int) int { return int(binary.LittleEndian.Uint32(raw[4*i:])) }
+	cfg := deflate.HWConfig{
+		ParallelWindow: field(0),
+		Banks:          field(1),
+		PortsPerBank:   field(2),
+		WindowSize:     field(3),
+		TableEntries:   field(4),
+	}
+	if cfg.ParallelWindow == 0 {
+		return deflate.PaperHWConfig(), nil
+	}
+	cfg = cfg.WithDefaults()
+	switch {
+	case cfg.ParallelWindow > deflate.ChunkSize:
+		return cfg, fmt.Errorf("%w: parallel window %d > %d", ErrDSAConfig, cfg.ParallelWindow, deflate.ChunkSize)
+	case cfg.TableEntries > maxDSATableEntries:
+		return cfg, fmt.Errorf("%w: %d table entries > %d", ErrDSAConfig, cfg.TableEntries, maxDSATableEntries)
+	case cfg.Banks > cfg.TableEntries:
+		return cfg, fmt.Errorf("%w: %d banks > %d table entries", ErrDSAConfig, cfg.Banks, cfg.TableEntries)
+	case cfg.WindowSize > deflate.MaxDistance:
+		return cfg, fmt.Errorf("%w: window %d > %d", ErrDSAConfig, cfg.WindowSize, deflate.MaxDistance)
+	}
+	return cfg, nil
+}
+
 // buildDSA deserializes the context bytes and instantiates the record's
 // DSA, as the device does once registration completes. TLS records take
-// their key schedule from keys.
-func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache) (dsaInstance, error) {
+// their key schedule from keys, compression records their encoder from
+// enc.
+func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encoderSlot) (dsaInstance, error) {
 	switch op {
 	case OpTLSEncrypt, OpTLSDecrypt:
 		if len(raw) < 8 {
@@ -484,20 +552,11 @@ func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache) (dsaInstan
 		}
 		return newTLSDSA(ctx, keys)
 	case OpCompress:
-		var cfg deflate.HWConfig
-		if len(raw) >= 20 {
-			cfg = deflate.HWConfig{
-				ParallelWindow: int(binary.LittleEndian.Uint32(raw[0:])),
-				Banks:          int(binary.LittleEndian.Uint32(raw[4:])),
-				PortsPerBank:   int(binary.LittleEndian.Uint32(raw[8:])),
-				WindowSize:     int(binary.LittleEndian.Uint32(raw[12:])),
-				TableEntries:   int(binary.LittleEndian.Uint32(raw[16:])),
-			}
+		cfg, err := parseHWConfig(raw)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.ParallelWindow == 0 {
-			cfg = deflate.PaperHWConfig()
-		}
-		return newDeflateDSA(length, cfg)
+		return newDeflateDSA(length, cfg, enc)
 	case OpDecompress:
 		return newInflateDSA(length)
 	default:

@@ -50,7 +50,7 @@ func startTLSRecord(t *testing.T, keys *scheduleCache, dir aesgcm.Direction, key
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsa, err := buildDSA(ctx.Op, len(src), raw, keys)
+	dsa, err := buildDSA(ctx.Op, len(src), raw, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

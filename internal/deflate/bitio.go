@@ -17,25 +17,31 @@
 // stream inflates with compress/flate and vice versa.
 package deflate
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+	"math/bits"
+)
 
 // bitWriter packs bits LSB-first into bytes, as RFC 1951 §3.1.1
 // prescribes for everything except Huffman codes (which callers must
-// pre-reverse; see writeCode).
+// pre-reverse; see writeCode). Bits collect in a 64-bit accumulator
+// that is flushed 32 bits at a time, so nAcc < 32 between calls.
 type bitWriter struct {
 	buf  []byte
 	acc  uint64
 	nAcc uint
 }
 
-// writeBits appends the low n bits of v, LSB-first.
+// writeBits appends the low n bits of v (n <= 32, no bits set above
+// n), LSB-first.
 func (w *bitWriter) writeBits(v uint32, n uint) {
 	w.acc |= uint64(v) << w.nAcc
 	w.nAcc += n
-	for w.nAcc >= 8 {
-		w.buf = append(w.buf, byte(w.acc))
-		w.acc >>= 8
-		w.nAcc -= 8
+	if w.nAcc >= 32 {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(w.acc))
+		w.acc >>= 32
+		w.nAcc -= 32
 	}
 }
 
@@ -46,12 +52,13 @@ func (w *bitWriter) writeCode(code uint32, n uint) {
 	w.writeBits(reverseBits(code, n), n)
 }
 
-// alignByte pads with zero bits to the next byte boundary.
+// alignByte flushes the accumulator, padding with zero bits to the
+// next byte boundary.
 func (w *bitWriter) alignByte() {
-	if w.nAcc > 0 {
+	for w.nAcc > 0 {
 		w.buf = append(w.buf, byte(w.acc))
-		w.acc = 0
-		w.nAcc = 0
+		w.acc >>= 8
+		w.nAcc -= min(w.nAcc, 8)
 	}
 }
 
@@ -72,14 +79,8 @@ func (w *bitWriter) bytes() []byte {
 // bitLen returns the total number of bits written so far.
 func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 
-func reverseBits(v uint32, n uint) uint32 {
-	var r uint32
-	for i := uint(0); i < n; i++ {
-		r = r<<1 | (v & 1)
-		v >>= 1
-	}
-	return r
-}
+// reverseBits reverses the low n bits of v (n <= 32).
+func reverseBits(v uint32, n uint) uint32 { return bits.Reverse32(v) >> (32 - n) }
 
 // errUnexpectedEOF mirrors io.ErrUnexpectedEOF for truncated streams.
 var errUnexpectedEOF = errors.New("deflate: unexpected end of stream")

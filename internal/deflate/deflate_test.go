@@ -3,6 +3,7 @@ package deflate
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -294,28 +295,124 @@ func TestBuildLengthsProperties(t *testing.T) {
 				used++
 			}
 		}
-		lengths := buildLengths(freq, maxCodeLen)
-		// Kraft inequality must hold and every used symbol has a code.
-		kraft := 0
-		for i, l := range lengths {
-			if freq[i] > 0 && l == 0 {
+		// The literal/length and distance trees are limited to 15 bits,
+		// the code-length tree to 7.
+		for _, limit := range []int{maxCodeLen, 7} {
+			if !lengthsValid(t, freq, buildLengths(freq, limit), limit) {
 				return false
 			}
-			if freq[i] == 0 && l != 0 {
-				return false
-			}
-			if l > 0 {
-				kraft += 1 << (maxCodeLen - int(l))
-			}
 		}
-		if kraft > 1<<maxCodeLen {
-			return false
-		}
-		_, err := canonicalCodes(lengths)
-		return err == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lengthsValid reports whether lengths is a usable Deflate code for
+// freq: every used symbol and no unused one has a code of at most limit
+// bits, and the code is complete (Kraft sum exactly 1) unless a single
+// symbol is used, which takes one 1-bit code.
+func lengthsValid(t *testing.T, freq []int, lengths []uint8, limit int) bool {
+	t.Helper()
+	kraft, used := 0, 0
+	for i, l := range lengths {
+		if (freq[i] > 0) != (l > 0) || int(l) > limit {
+			t.Logf("limit %d: symbol %d freq %d has length %d", limit, i, freq[i], l)
+			return false
+		}
+		if l > 0 {
+			used++
+			kraft += 1 << (maxCodeLen - int(l))
+		}
+	}
+	want := 1 << maxCodeLen
+	switch used {
+	case 0:
+		want = 0
+	case 1:
+		want = 1 << (maxCodeLen - 1)
+	}
+	if kraft != want {
+		t.Logf("limit %d: Kraft sum %d, want %d (lengths %v)", limit, kraft, want, lengths)
+		return false
+	}
+	_, err := canonicalCodes(lengths)
+	return err == nil
+}
+
+// fibFreqs returns n Fibonacci frequencies, whose unlimited Huffman
+// tree is n-1 deep: the worst case for length limiting.
+func fibFreqs(n int) []int {
+	freq := make([]int, n)
+	a, b := 1, 1
+	for i := range freq {
+		freq[i] = a
+		a, b = b, a+b
+	}
+	return freq
+}
+
+func TestLengthLimitedCodesComplete(t *testing.T) {
+	for n := 2; n <= 30; n++ {
+		freq := fibFreqs(n)
+		for _, limit := range []int{maxCodeLen, 7} {
+			if !lengthsValid(t, freq, buildLengths(freq, limit), limit) {
+				t.Fatalf("%d Fibonacci frequencies, limit %d: invalid code", n, limit)
+			}
+		}
+	}
+}
+
+// TestDeepHuffmanRoundTrip feeds the software encoder token streams
+// whose Huffman trees exceed 15 levels, so the emitted dynamic block
+// carries length-limited codes, and checks both inflaters accept it.
+func TestDeepHuffmanRoundTrip(t *testing.T) {
+	// Literal-only tokens with Fibonacci counts: the literal tree alone
+	// is 23 levels deep before limiting.
+	var src []byte
+	for sym, f := range fibFreqs(24) {
+		src = append(src, bytes.Repeat([]byte{byte(sym * 7)}, f)...)
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(src), func(i, j int) { src[i], src[j] = src[j], src[i] })
+	e := NewEncoder(EncoderOptions{})
+	tokens := make([]token, len(src))
+	for i, b := range src {
+		tokens[i] = literalToken(b)
+	}
+	e.writeBlock(tokens, src, true)
+	stream := e.w.bytes()
+	e.w.buf = nil
+	if btype := (stream[0] >> 1) & 3; btype != 2 {
+		t.Fatalf("BTYPE %d, want a dynamic block", btype)
+	}
+	checkBothInflaters(t, "fibonacci literals", stream, src)
+
+	// Whole Compress calls on geometric byte distributions (each byte
+	// value a fixed factor rarer than the last): over 256KB the rarest
+	// values sit below depth 15.
+	for _, stop := range []float64{0.3, 0.35, 0.382, 0.42} {
+		rng := rand.New(rand.NewSource(1))
+		src := make([]byte, 256<<10)
+		for i := range src {
+			s := 0
+			for rng.Float64() > stop && s < 255 {
+				s++
+			}
+			src[i] = byte(s)
+		}
+		checkBothInflaters(t, fmt.Sprintf("geometric %.3f", stop), Compress(src), src)
+	}
+}
+
+func checkBothInflaters(t *testing.T, name string, stream, want []byte) {
+	t.Helper()
+	got, err := Decompress(stream)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s: Decompress: %v (round trip equal: %v)", name, err, bytes.Equal(got, want))
+	}
+	if !bytes.Equal(stdInflate(t, stream), want) {
+		t.Fatalf("%s: compress/flate output differs", name)
 	}
 }
 

@@ -5,7 +5,11 @@ package deflate
 // This is the "ULP processed on the CPU" baseline of the paper's
 // evaluation.
 
-import "sync"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 const (
 	hashBits  = 15
@@ -210,9 +214,16 @@ func (e *Encoder) lz77(src []byte) {
 }
 
 // matchLen returns the length of the common prefix of src[a:] and
-// src[b:], capped at maxLen. a < b.
+// src[b:], capped at maxLen, comparing eight bytes at a time. a < b
+// and b+maxLen <= len(src).
 func matchLen(src []byte, a, b, maxLen int) int {
 	n := 0
+	for n+8 <= maxLen {
+		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
 	for n < maxLen && src[a+n] == src[b+n] {
 		n++
 	}
@@ -301,7 +312,7 @@ func (e *Encoder) writeBlock(tokens []token, src []byte, final bool) {
 	case fixedBits <= storedBits:
 		w.writeBits(finalBit, 1)
 		w.writeBits(1, 2) // BTYPE=01 fixed
-		writeTokens(w, tokens, fixedLitCodes, fixedDistCodes)
+		writeFixedTokens(w, tokens)
 	default:
 		writeStored(w, src, final)
 	}

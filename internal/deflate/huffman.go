@@ -187,8 +187,8 @@ func buildLengths(freq []int, limit int) []uint8 {
 }
 
 // limitLengths enforces a maximum code length by shortening overlong
-// codes and re-balancing so the Kraft inequality still holds with
-// equality on the used portion.
+// codes and re-balancing so the Kraft inequality holds with equality:
+// the limited code is complete, as inflaters require.
 func (s *huffScratch) limitLengths(lengths []uint8, limit int) {
 	over := false
 	for _, l := range lengths {
@@ -244,6 +244,20 @@ func (s *huffScratch) limitLengths(lengths []uint8, limit int) {
 		kraft -= 1 << (limit - used[best].len)
 		used[best].len++
 		kraft += 1 << (limit - used[best].len)
+	}
+	// Lengthening usually overshoots and leaves the code incomplete,
+	// which inflaters reject. Fill the slack by shortening the longest
+	// codes: every Kraft term is a multiple of the longest code's, so
+	// the gap is too and shortening the longest code always fits.
+	for kraft < budget {
+		longest := 0
+		for i, u := range used {
+			if u.len >= used[longest].len {
+				longest = i
+			}
+		}
+		kraft += 1 << (limit - used[longest].len)
+		used[longest].len--
 	}
 	for _, u := range used {
 		lengths[u.sym] = uint8(u.len)

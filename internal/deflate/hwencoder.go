@@ -21,6 +21,11 @@ package deflate
 // The emitted stream uses fixed Huffman codes, giving the deterministic
 // output latency the paper's design choices aim for.
 
+import (
+	"bytes"
+	"math/bits"
+)
+
 // HWConfig parameterizes the DSA model. The zero value is invalid; use
 // PaperHWConfig for the paper's configuration, or adjust fields for the
 // §V-B ablation benches.
@@ -62,31 +67,82 @@ type HWStats struct {
 	Replaced        uint64 // hash entries overwritten (oldest replaced)
 }
 
-// HWEncoder is a reusable hardware-style Deflate encoder instance.
+// HWEncoder is a reusable hardware-style Deflate encoder instance. It
+// owns all of its scratch: the candidate table, the per-window port
+// counters, the candidate and token buffers and the bit writer. The
+// table is never cleared: each Compress call stamps a new generation
+// and entries of older generations read as empty, which is how the
+// hardware's per-page table reset costs nothing here. An HWEncoder is
+// not safe for concurrent use.
 type HWEncoder struct {
 	cfg   HWConfig
 	stats HWStats
+
+	entriesPerBank int
+	// pow2 selects the shift/mask index path: Banks and entriesPerBank
+	// are both powers of two (the paper configuration).
+	pow2                 bool
+	bankMask, bankShift  uint32
+	slotMask, entryShift uint32
+
+	table   []hwEntry // Banks x entriesPerBank, bank-major
+	gen     uint32    // current Compress call's stamp; 0 is never live
+	portUse []int32   // per-bank reads this window; zero between windows
+	cands   []hwCand
+	tokens  []token
+	w       bitWriter
+	out     []byte
 }
 
-// NewHWEncoder validates the configuration.
+// NewHWEncoder returns an encoder for cfg. Non-positive fields take the
+// paper's values, and WindowSize is clamped to MaxDistance, the longest
+// distance a Deflate stream can encode.
 func NewHWEncoder(cfg HWConfig) *HWEncoder {
-	if cfg.ParallelWindow <= 0 {
-		cfg.ParallelWindow = 8
+	cfg = cfg.WithDefaults()
+	if cfg.WindowSize > MaxDistance {
+		cfg.WindowSize = MaxDistance
 	}
-	if cfg.Banks <= 0 {
-		cfg.Banks = 8
+	epb := max(cfg.TableEntries/cfg.Banks, 1)
+	e := &HWEncoder{
+		cfg:            cfg,
+		entriesPerBank: epb,
+		table:          make([]hwEntry, cfg.Banks*epb),
+		portUse:        make([]int32, cfg.Banks),
+		cands:          make([]hwCand, 0, cfg.ParallelWindow),
 	}
-	if cfg.PortsPerBank <= 0 {
-		cfg.PortsPerBank = 8
+	if isPow2(cfg.Banks) && isPow2(epb) {
+		e.pow2 = true
+		e.bankMask = uint32(cfg.Banks - 1)
+		e.bankShift = uint32(bits.TrailingZeros(uint(cfg.Banks)))
+		e.slotMask = uint32(epb - 1)
+		e.entryShift = uint32(bits.TrailingZeros(uint(epb)))
 	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 4096
-	}
-	if cfg.TableEntries <= 0 {
-		cfg.TableEntries = 4096
-	}
-	return &HWEncoder{cfg: cfg}
+	return e
 }
+
+// WithDefaults returns c with every non-positive field replaced by the
+// paper's value (PaperHWConfig).
+func (c HWConfig) WithDefaults() HWConfig {
+	p := PaperHWConfig()
+	if c.ParallelWindow <= 0 {
+		c.ParallelWindow = p.ParallelWindow
+	}
+	if c.Banks <= 0 {
+		c.Banks = p.Banks
+	}
+	if c.PortsPerBank <= 0 {
+		c.PortsPerBank = p.PortsPerBank
+	}
+	if c.WindowSize <= 0 {
+		c.WindowSize = p.WindowSize
+	}
+	if c.TableEntries <= 0 {
+		c.TableEntries = p.TableEntries
+	}
+	return c
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Stats returns the accumulated DSA statistics.
 func (e *HWEncoder) Stats() HWStats { return e.stats }
@@ -98,135 +154,138 @@ func (e *HWEncoder) ResetStats() { e.stats = HWStats{} }
 const ChunkSize = 64
 
 // Compress deflates src as the DSA would, returning an RFC 1951 stream
-// (single final block, fixed Huffman codes). The paper compresses at 4KB
-// page granularity; larger inputs are legal here but the history window
-// still never exceeds the configured size.
+// (single final block, fixed Huffman codes) in a new slice the caller
+// owns. The paper compresses at 4KB page granularity; larger inputs are
+// legal here but the history window still never exceeds the configured
+// size.
 func (e *HWEncoder) Compress(src []byte) []byte {
+	e.out = e.AppendCompress(e.out[:0], src)
+	return bytes.Clone(e.out)
+}
+
+// AppendCompress appends the stream Compress would return to dst and
+// returns the extended slice. With enough spare capacity in dst the
+// stream is written in place, without allocating.
+func (e *HWEncoder) AppendCompress(dst, src []byte) []byte {
 	tokens := e.lz77HW(src)
-	var w bitWriter
+	w := &e.w
+	w.buf, w.acc, w.nAcc = dst, 0, 0
 	w.writeBits(1, 1) // BFINAL
 	w.writeBits(1, 2) // BTYPE=01 fixed
-	writeTokens(&w, tokens, fixedLitCodes, fixedDistCodes)
-	return w.bytes()
+	writeFixedTokens(w, tokens)
+	out := w.bytes()
+	w.buf = nil // do not retain the caller's buffer across calls
+	return out
 }
 
-// hwEntry is one candidate slot: the position of a previous occurrence.
+// hwEntry is one candidate slot: the position of a previous occurrence,
+// live only when gen is the encoder's current generation.
 type hwEntry struct {
-	pos   int32
-	valid bool
+	pos int32
+	gen uint32
 }
 
-// lz77HW runs the banked best-effort match pipeline.
+// hwCand is one position of the current parallelization window.
+type hwCand struct {
+	at   int32 // position in src
+	prev int32 // candidate previous occurrence, -1 if none
+	bank int32 // bank whose port this probe used, -1 if none
+}
+
+// slot returns the bank and the flat table index hash h maps to.
+func (e *HWEncoder) slot(h uint32) (bank, idx int) {
+	if e.pow2 {
+		b := h & e.bankMask
+		return int(b), int(b<<e.entryShift | (h>>e.bankShift)&e.slotMask)
+	}
+	b := int(h) % e.cfg.Banks
+	return b, b*e.entriesPerBank + int(h/uint32(e.cfg.Banks))%e.entriesPerBank
+}
+
+// lz77HW runs the banked best-effort match pipeline into e.tokens.
 func (e *HWEncoder) lz77HW(src []byte) []token {
-	var tokens []token
+	tokens := e.tokens[:0]
 	if len(src) == 0 {
+		e.tokens = tokens
 		return tokens
 	}
+	e.gen++
+	if e.gen == 0 {
+		// The stamp wrapped: clear so no entry from 2^32 calls ago
+		// reads as live.
+		clear(e.table)
+		e.gen = 1
+	}
 	cfg := e.cfg
-	entriesPerBank := cfg.TableEntries / cfg.Banks
-	if entriesPerBank == 0 {
-		entriesPerBank = 1
-	}
-	table := make([][]hwEntry, cfg.Banks)
-	for b := range table {
-		table[b] = make([]hwEntry, entriesPerBank)
-	}
-
-	bankOf := func(h uint32) int { return int(h) % cfg.Banks }
-	slotOf := func(h uint32) int { return int(h/uint32(cfg.Banks)) % entriesPerBank }
+	gen, table, portUse := e.gen, e.table, e.portUse
+	st := e.stats
 
 	pos := 0
 	for pos < len(src) {
 		// One pipeline stage: examine up to ParallelWindow positions.
-		winEnd := pos + cfg.ParallelWindow
-		if winEnd > len(src) {
-			winEnd = len(src)
+		winEnd := min(pos+cfg.ParallelWindow, len(src))
+		if pos%ChunkSize == 0 {
+			st.Cycles++
 		}
-		if (pos % ChunkSize) == 0 {
-			e.stats.Cycles++
-		}
-		// Per-window bank port accounting.
-		portUse := make([]int, cfg.Banks)
-
-		type cand struct {
-			at   int // position in src
-			prev int // candidate previous occurrence, -1 if none
-		}
-		cands := make([]cand, 0, cfg.ParallelWindow)
+		cands := e.cands[:0]
 		for p := pos; p < winEnd; p++ {
+			c := hwCand{at: int32(p), prev: -1, bank: -1}
 			if p+4 > len(src) {
-				cands = append(cands, cand{at: p, prev: -1})
+				cands = append(cands, c)
 				continue
 			}
-			h := hash4(src[p:])
-			b := bankOf(h)
-			s := slotOf(h)
-			e.stats.CandidateProbes++
-			if portUse[b] >= cfg.PortsPerBank {
+			b, i := e.slot(hash4(src[p:]))
+			st.CandidateProbes++
+			if int(portUse[b]) >= cfg.PortsPerBank {
 				// Bank conflict: candidate dropped, no table update.
-				e.stats.BankConflicts++
-				cands = append(cands, cand{at: p, prev: -1})
+				st.BankConflicts++
+				cands = append(cands, c)
 				continue
 			}
 			portUse[b]++
-			entry := table[b][s]
-			prevPos := -1
-			if entry.valid && int(entry.pos) < p && p-int(entry.pos) <= cfg.WindowSize {
-				prevPos = int(entry.pos)
+			c.bank = int32(b)
+			if entry := table[i]; entry.gen == gen {
+				if prev := int(entry.pos); prev < p && p-prev <= cfg.WindowSize {
+					c.prev = entry.pos
+				}
+				if int(entry.pos) != p {
+					st.Replaced++
+				}
 			}
-			if entry.valid && int(entry.pos) != p {
-				e.stats.Replaced++
-			}
-			table[b][s] = hwEntry{pos: int32(p), valid: true}
-			cands = append(cands, cand{at: p, prev: prevPos})
+			table[i] = hwEntry{pos: int32(p), gen: gen}
+			cands = append(cands, c)
 		}
 
 		// Greedy non-overlapping match selection within the window.
+		// Candidates are contiguous, so each one either starts at the
+		// first unconsumed byte or lies inside an earlier match.
 		consumed := pos
 		for _, c := range cands {
-			if c.at < consumed {
-				continue // covered by a previous match in this window
+			if c.bank >= 0 {
+				portUse[c.bank] = 0
 			}
-			// Emit literals for any gap (cannot happen with contiguous
-			// windows, but keep the invariant explicit).
-			for consumed < c.at {
-				tokens = append(tokens, literalToken(src[consumed]))
-				e.stats.Literals++
-				consumed++
-			}
-			if c.prev < 0 {
-				tokens = append(tokens, literalToken(src[c.at]))
-				e.stats.Literals++
-				consumed++
+			at := int(c.at)
+			if at < consumed {
 				continue
 			}
-			maxLen := len(src) - c.at
-			if maxLen > MaxMatch {
-				maxLen = MaxMatch
+			if c.prev >= 0 {
+				l := matchLen(src, int(c.prev), at, min(len(src)-at, MaxMatch))
+				if l >= MinMatch {
+					tokens = append(tokens, matchToken(l, at-int(c.prev)))
+					st.Matches++
+					consumed += l
+					continue
+				}
 			}
-			l := matchLen(src, c.prev, c.at, maxLen)
-			if l < MinMatch {
-				tokens = append(tokens, literalToken(src[c.at]))
-				e.stats.Literals++
-				consumed++
-				continue
-			}
-			tokens = append(tokens, matchToken(l, c.at-c.prev))
-			e.stats.Matches++
-			consumed += l
+			tokens = append(tokens, literalToken(src[at]))
+			st.Literals++
+			consumed++
 		}
-		if consumed < winEnd {
-			// Trailing positions not consumed (e.g. dropped candidates at
-			// the very end) were already emitted as literals above; this
-			// branch is unreachable but kept as a safety net.
-			for consumed < winEnd {
-				tokens = append(tokens, literalToken(src[consumed]))
-				e.stats.Literals++
-				consumed++
-			}
-		}
+		e.cands = cands
 		pos = consumed
 	}
+	e.stats = st
+	e.tokens = tokens
 	return tokens
 }
 

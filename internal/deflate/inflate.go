@@ -55,15 +55,7 @@ func DecompressLimit(data []byte, limit int) ([]byte, error) {
 			}
 			out = append(out, chunk...)
 		case 1: // fixed Huffman
-			lit, err := newDecodeTable(fixedLitLenLengths())
-			if err != nil {
-				return nil, err
-			}
-			dist, err := newDecodeTable(fixedDistLengths())
-			if err != nil {
-				return nil, err
-			}
-			out, err = inflateBlock(r, out, lit, dist, limit)
+			out, err = inflateBlock(r, out, fixedLitDecode, fixedDistDecode, limit)
 			if err != nil {
 				return nil, err
 			}
@@ -85,6 +77,15 @@ func DecompressLimit(data []byte, limit int) ([]byte, error) {
 	}
 }
 
+// The fixed-code decoders never change, so every fixed block shares
+// one pair built at init.
+var fixedLitDecode, fixedDistDecode *decodeTable
+
+func init() {
+	fixedLitDecode, _ = newDecodeTable(fixedLitLenLengths())
+	fixedDistDecode, _ = newDecodeTable(fixedDistLengths())
+}
+
 // readDynamicTables parses the dynamic block header (HLIT/HDIST/HCLEN and
 // the RLE-compressed code lengths).
 func readDynamicTables(r *bitReader) (lit, dist *decodeTable, err error) {
@@ -103,7 +104,7 @@ func readDynamicTables(r *bitReader) (lit, dist *decodeTable, err error) {
 	hlit := int(hlitBits) + 257
 	hdist := int(hdistBits) + 1
 	hclen := int(hclenBits) + 4
-	if hlit > numLitLenSyms+2 || hdist > numDistSyms+2 {
+	if hlit > numLitLenSyms || hdist > numDistSyms {
 		return nil, nil, fmt.Errorf("%w: header counts out of range", ErrCorrupt)
 	}
 
@@ -115,7 +116,7 @@ func readDynamicTables(r *bitReader) (lit, dist *decodeTable, err error) {
 		}
 		clLens[clOrder[i]] = uint8(v)
 	}
-	clTable, err := newDecodeTable(clLens)
+	clTable, err := newCompleteDecodeTable(clLens)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -173,15 +174,34 @@ func readDynamicTables(r *bitReader) (lit, dist *decodeTable, err error) {
 	if lens[endBlockSym] == 0 {
 		return nil, nil, fmt.Errorf("%w: no end-of-block code", ErrCorrupt)
 	}
-	lit, err = newDecodeTable(lens[:hlit])
+	lit, err = newCompleteDecodeTable(lens[:hlit])
 	if err != nil {
 		return nil, nil, err
 	}
-	dist, err = newDecodeTable(lens[hlit:])
+	dist, err = newCompleteDecodeTable(lens[hlit:])
 	if err != nil {
 		return nil, nil, err
 	}
 	return lit, dist, nil
+}
+
+// newCompleteDecodeTable builds a dynamic block's decoder and, as zlib
+// and compress/flate do, rejects an incomplete code unless it is empty
+// or a single one-bit code.
+func newCompleteDecodeTable(lengths []uint8) (*decodeTable, error) {
+	t, err := newDecodeTable(lengths)
+	if err != nil {
+		return nil, err
+	}
+	kraft, used := 0, 0
+	for l := 1; l <= maxCodeLen; l++ {
+		kraft += t.counts[l] << (maxCodeLen - l)
+		used += t.counts[l]
+	}
+	if kraft != 1<<maxCodeLen && used != 0 && !(used == 1 && t.counts[1] == 1) {
+		return nil, fmt.Errorf("%w: incomplete Huffman code", ErrCorrupt)
+	}
+	return t, nil
 }
 
 // inflateBlock decodes one block's symbol stream into out.

@@ -82,19 +82,31 @@ func init() {
 	}
 }
 
-// distCode maps a distance (1..32768) to its distance symbol.
-func distCode(d int) int {
-	// Binary search over the 30 bases.
-	lo, hi := 0, numDistSyms-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(distBase[mid]) <= d {
-			lo = mid
+// distSym maps a distance to its symbol the way zlib's _dist_code
+// does: distances 1..256 index the first half directly, longer ones by
+// (d-1)>>7, since every symbol above 15 spans a multiple of 128.
+var distSym [512]uint8
+
+func init() {
+	code := 0
+	for d := 1; d <= MaxDistance; d++ {
+		for code+1 < numDistSyms && int(distBase[code+1]) <= d {
+			code++
+		}
+		if d <= 256 {
+			distSym[d-1] = uint8(code)
 		} else {
-			hi = mid - 1
+			distSym[256+(d-1)>>7] = uint8(code)
 		}
 	}
-	return lo
+}
+
+// distCode maps a distance (1..32768) to its distance symbol.
+func distCode(d int) int {
+	if d <= 256 {
+		return int(distSym[d-1])
+	}
+	return int(distSym[256+(d-1)>>7])
 }
 
 // fixedLitLenLengths returns the code lengths of the fixed litlen code
@@ -161,4 +173,57 @@ func writeTokens(w *bitWriter, tokens []token, lit, dist []huffCode) {
 	}
 	eob := lit[endBlockSym]
 	w.writeCode(eob.code, uint(eob.len))
+}
+
+// revCode is a pre-reversed bit string ready for bitWriter.writeBits.
+type revCode struct {
+	bits uint32
+	n    uint8
+}
+
+// Fixed-code emission tables: each literal's reversed code, each match
+// length's reversed length code followed by its extra bits, and each
+// distance symbol's reversed 5-bit code.
+var (
+	fixedLitBits [256]revCode
+	fixedLenBits [MaxMatch + 1]revCode
+	fixedDistRev [numDistSyms]uint32
+	fixedEOBBits revCode
+)
+
+func init() {
+	rev := func(c huffCode) revCode {
+		return revCode{reverseBits(c.code, uint(c.len)), c.len}
+	}
+	for b := range fixedLitBits {
+		fixedLitBits[b] = rev(fixedLitCodes[b])
+	}
+	for l := MinMatch; l <= MaxMatch; l++ {
+		sym := lengthSym[l]
+		c := rev(fixedLitCodes[sym])
+		c.bits |= uint32(l-int(lengthBase[sym])) << c.n
+		c.n += lengthExtra[sym]
+		fixedLenBits[l] = c
+	}
+	for d := range fixedDistRev {
+		fixedDistRev[d] = rev(fixedDistCodes[d]).bits
+	}
+	fixedEOBBits = rev(fixedLitCodes[endBlockSym])
+}
+
+// writeFixedTokens is writeTokens specialised to the fixed Huffman
+// codes: one writeBits per literal, two per match.
+func writeFixedTokens(w *bitWriter, tokens []token) {
+	for _, t := range tokens {
+		if t.isLiteral() {
+			c := fixedLitBits[t.lit]
+			w.writeBits(c.bits, uint(c.n))
+			continue
+		}
+		c := fixedLenBits[t.len]
+		w.writeBits(c.bits, uint(c.n))
+		dsym := distCode(int(t.dist))
+		w.writeBits(fixedDistRev[dsym]|(uint32(t.dist)-distBase[dsym])<<5, 5+uint(distExtra[dsym]))
+	}
+	w.writeBits(fixedEOBBits.bits, uint(fixedEOBBits.n))
 }

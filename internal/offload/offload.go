@@ -647,6 +647,18 @@ type SmartDIMM struct {
 	Soft bool
 	// Degraded counts chunks served by CompCpy vs the CPU fallback.
 	Degraded stats.Degradation
+
+	hw *deflate.HWEncoder // CPU-fallback encoder, built on first use by hwEncoder
+}
+
+// hwEncoder returns the backend's Deflate DSA-model encoder, which
+// frames CPU-fallback pages exactly as the device would. It holds no
+// per-connection state, so every connection's fallbacks share it.
+func (b *SmartDIMM) hwEncoder() *deflate.HWEncoder {
+	if b.hw == nil {
+		b.hw = deflate.NewHWEncoder(deflate.PaperHWConfig())
+	}
+	return b.hw
 }
 
 // drv returns the backing driver: the explicitly bound rank, or the
@@ -808,7 +820,7 @@ func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.Offlo
 		}
 		lat += p.AESGCMComputePs(n)
 	case Compression:
-		page, err := core.EncodeCompressedPage(data, deflate.NewHWEncoder(deflate.PaperHWConfig()))
+		page, err := core.EncodeCompressedPage(data, b.hwEncoder())
 		if err != nil {
 			return 0, err
 		}
