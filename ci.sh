@@ -15,8 +15,8 @@
 #                     trace timestamps come from simulated picoseconds
 #                     only, so any time.Now() inside internal/ breaks
 #                     byte-reproducible traces and fails the build
-#   6. race tests   — the concurrency-bearing packages (the runner pool,
-#                     the event kernel, the offload/nettcp layers the
+#   6. race tests   — the concurrency-bearing packages (the runner pool
+#                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
 #                     dispatcher's determinism gate, and telemetry
 #                     tracing under the parallel runner) under -race
@@ -50,8 +50,8 @@
 #                     bench gate (which includes the pinned
 #                     cluster-3node scenario)
 #
-#  13. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC /
-#                     offload / fleet MR-locality tests and the
+#  13. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC,
+#                     nettcp ingress and fleet MR-locality tests and the
 #                     serial-vs-pooled-vs-GOMAXPROCS=2 byte-identity
 #                     gate for the rdma figure under -race, the bounded
 #                     RDMA chaos soak (doorbell loss, RNR, MR-unregister
@@ -85,6 +85,31 @@
 set -eu
 cd "$(dirname "$0")"
 
+# gate PATTERN [FLAGS] PKG... runs `go test FLAGS -run PATTERN PKG...`,
+# but first fails if PATTERN selects no test in one of the packages, or
+# if one of its |-alternatives selects no test in any of them: a renamed
+# test must fail the gate, not turn it into a silent "no tests to run".
+gate() {
+	pattern=$1
+	shift
+	selected=""
+	for pkg in $(printf '%s\n' "$@" | grep -v '^-'); do
+		names=$(go test -list . "$pkg" | grep '^Test' | grep -E "$pattern" || true)
+		if [ -z "$names" ]; then
+			echo "ci.sh: -run '$pattern' selects no test in $pkg" >&2
+			exit 1
+		fi
+		selected="$selected $names"
+	done
+	for alt in $(echo "$pattern" | tr '|' ' '); do
+		if ! echo "$selected" | tr ' ' '\n' | grep -qE "$alt"; then
+			echo "ci.sh: -run alternative '$alt' selects no test in $*" >&2
+			exit 1
+		fi
+	done
+	go test "$@" -run "$pattern"
+}
+
 run_bench() {
 	echo "== KPI bench gate (BENCH_baseline.json, results in BENCH_results.json)"
 	go run ./cmd/tracestat -bench -baseline BENCH_baseline.json -out BENCH_results.json
@@ -92,7 +117,7 @@ run_bench() {
 
 run_shard() {
 	echo "== shard determinism gate (serial vs parallel vs GOMAXPROCS=2, under -race)"
-	go test -race -run 'Shard' ./internal/sim/ ./internal/fleet/ ./internal/chaos/
+	gate 'Shard' -race ./internal/sim/ ./internal/fleet/ ./internal/chaos/
 
 	# Parallel epoch execution must stay confined to the sharded executor:
 	# shard-local model code is written single-threaded and relies on it.
@@ -111,28 +136,28 @@ run_shard() {
 
 run_cluster() {
 	echo "== cluster gate: bounded chaos soak + determinism gates (under -race)"
-	go test -race -short -run 'TestClusterSoak|TestClusterScheduleDerivation' ./internal/chaos/
-	go test -race -run 'TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably' ./internal/cluster/
+	gate 'TestClusterSoak|TestClusterScheduleDerivation' -race -short ./internal/chaos/
+	gate 'TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably' -race ./internal/cluster/
 }
 
 run_rdma() {
 	echo "== rdma gate: NIC model, MR-locality, figure determinism (under -race) + bounded soak"
-	go test -race -run 'RDMA' ./internal/rdma/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
-	go test -race -short -run 'TestRDMASoak|TestRDMASameSeedSameTrace' ./internal/chaos/
+	gate 'RDMA' -race ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
+	gate 'TestRDMASoak|TestRDMASameSeedSameTrace' -race -short ./internal/chaos/
 }
 
 run_workload() {
 	echo "== workload gate: sources, arrivals, autoscaler, fleet admin surface (under -race)"
 	go test -race ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
-	go test -race -run 'TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration' ./internal/fleet/
-	go test -race -short -run 'TestWorkloadSoak' ./internal/chaos/
+	gate 'TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration' -race ./internal/fleet/
+	gate 'TestWorkloadSoak' -race -short ./internal/chaos/
 }
 
 run_obs() {
 	echo "== obs gate: series store, alert engine, flight recorder (under -race)"
 	go test -race ./internal/obs/
 	echo "== obs gate: incident soak + bundle byte-identity (serial vs pooled vs GOMAXPROCS=2)"
-	go test -run 'TestIncidentSoak' ./internal/chaos/
+	gate 'TestIncidentSoak' ./internal/chaos/
 }
 
 run_fuzz() {
@@ -176,15 +201,15 @@ run_all() {
 		exit 1
 	fi
 
-	echo "== go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
-	go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
+	echo "== go test -race ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
+	go test -race ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
 
 	echo "== golden Perfetto trace"
-	go test -run 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
+	gate 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
 
 	echo "== tracestat golden output"
-	go test -run 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
-	go test -run 'TestGoToolPprofAcceptsExport' ./internal/profile/
+	gate 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
+	gate 'TestGoToolPprofAcceptsExport' ./internal/profile/
 
 	run_shard
 

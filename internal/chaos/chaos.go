@@ -21,9 +21,12 @@
 //   - schedules replay: the same seed reproduces the identical fault
 //     trace (fault.Injector.TraceString) and the identical report.
 //
-// A scenario deliberately runs on a tiny device (8 Scratchpad / 8
-// Config pages) so multi-record operations exercise Force-Recycle and
-// genuine exhaustion, not just the injected faults.
+// Every soak returns one Report: named counts in a fixed order, the
+// canonical replay artifacts, and the violations, rendered by one
+// String. The device, fleet and RDMA soaks share one harness (soak): a
+// deliberately tiny device (8 Scratchpad / 8 Config pages) so
+// multi-record operations exercise Force-Recycle and genuine exhaustion,
+// not just the injected faults.
 package chaos
 
 import (
@@ -31,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/aesgcm"
 	"repro/internal/core"
@@ -38,8 +42,10 @@ import (
 	"repro/internal/deflate"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/memctrl"
 	"repro/internal/offload"
+	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -51,46 +57,86 @@ const (
 	compMsg = 2 * core.MaxCompressInput
 )
 
-// Report summarizes one chaos scenario. Violations lists every
-// invariant breach; an empty list means the scenario survived.
+// Report is one soak's outcome. Violations lists every invariant
+// breach; an empty list means the soak survived. Two runs of the same
+// seed must render identical strings regardless of execution schedule.
 type Report struct {
+	Soak string
 	Seed int64
-	Ops  int
-	// Tolerated counts operations that failed with a degradable error
-	// (the typed set the software stack recovers from) — expected under
-	// injection, not a violation.
-	Tolerated int
-	// Consults/Fired are the injector's totals across all sites.
-	Consults, Fired int64
-	// PrimaryOps/FallbackOps are per-chunk outcomes from the SmartDIMM
-	// backend's degradation counters.
-	PrimaryOps, FallbackOps uint64
-	Violations              []string
-	// Trace is the canonical fault trace: equal across runs of the same
-	// seed, the reproducibility artifact.
-	Trace string
-	// TracePath is where RunWithTrace wrote the Perfetto trace (empty
-	// for plain Run).
-	TracePath string
+	// Counts are the soak's totals, in the order the soak records them.
+	Counts []Count
+	// Artifacts are the canonical replay artifacts: fault, placement
+	// and NIC traces, the cluster schedule and check, the workload
+	// canonical, incident bundles.
+	Artifacts  []Artifact
+	Violations []string
 }
 
-// Collect implements telemetry.Collector.
-func (r Report) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "consults", Value: float64(r.Consults)})
-	emit(telemetry.Sample{Name: "fired", Value: float64(r.Fired)})
-	emit(telemetry.Sample{Name: "primary_ops", Value: float64(r.PrimaryOps)})
-	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(r.FallbackOps)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
+// Count is one named soak total.
+type Count struct {
+	Name string
+	N    int64
 }
 
-// chunkRef is one destination region an operation may have registered;
-// the drain phase USEs every one of them to settle accounting.
-type chunkRef struct {
-	addr uint64
-	size int
+// Artifact is one named canonical replay artifact.
+type Artifact struct{ Name, Text string }
+
+func (r *Report) count(name string, n int64) { r.Counts = append(r.Counts, Count{name, n}) }
+
+func (r *Report) artifact(name, text string) {
+	r.Artifacts = append(r.Artifacts, Artifact{name, text})
+}
+
+func (r *Report) violate(format string, args ...any) {
+	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+}
+
+// Count returns the named total. It panics on a name the soak does not
+// record, so a misspelt name cannot read as a silent zero.
+func (r Report) Count(name string) int64 {
+	for _, c := range r.Counts {
+		if c.Name == name {
+			return c.N
+		}
+	}
+	panic(fmt.Sprintf("chaos: %s soak records no count %q", r.Soak, name))
+}
+
+// Artifact returns the named artifact's text, or "" if the soak has none.
+func (r Report) Artifact(name string) string {
+	for _, a := range r.Artifacts {
+		if a.Name == name {
+			return a.Text
+		}
+	}
+	return ""
+}
+
+// Ok reports whether every invariant held.
+func (r Report) Ok() bool { return len(r.Violations) == 0 }
+
+// String renders the canonical soak transcript: the header, every count
+// on one line, every artifact under its name, then the violations.
+func (r Report) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s chaos seed=%d\n", r.Soak, r.Seed)
+	for i, c := range r.Counts {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", c.Name, c.N)
+	}
+	b.WriteByte('\n')
+	for _, a := range r.Artifacts {
+		fmt.Fprintf(&b, "-- %s --\n%s", a.Name, a.Text)
+		if a.Text != "" && !strings.HasSuffix(a.Text, "\n") {
+			b.WriteByte('\n')
+		}
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
+	}
+	return b.String()
 }
 
 // tolerable mirrors the offload layer's degradable set: the only
@@ -106,29 +152,6 @@ func tolerable(err error) bool {
 func tlsAAD(n int) []byte {
 	m := n + aesgcm.TagSize
 	return []byte{0x17, 0x03, 0x03, byte(m >> 8), byte(m)}
-}
-
-type scenario struct {
-	rng  *rand.Rand
-	inj  *fault.Injector
-	sys  *sim.System
-	off  *offload.SmartDIMM
-	base []byte
-	rep  *Report
-
-	// tls+tlsShadow share an id and therefore key material: the shadow's
-	// NextIV is consumed in lockstep with the operation conn's, giving
-	// the verifier the IV sequence without reaching into unexported
-	// state. Any failed operation abandons the pair (the conn's sequence
-	// number is indeterminate after a partial operation) and allocates a
-	// fresh one under a new id.
-	tls, tlsShadow *offload.Conn
-	comp           *offload.Conn
-	nextID         int
-	// enc frames the pages opCompRX stages, reused across operations.
-	enc *deflate.HWEncoder
-
-	cleanup []chunkRef
 }
 
 // armSites installs an independent random plan (or none) at every
@@ -157,77 +180,220 @@ func armSites(rng *rand.Rand, inj *fault.Injector) {
 	}
 }
 
-// Run executes one chaos scenario: ops randomized operations (TLS
-// TX/RX, compression TX/RX) against a tiny SmartDIMM under the seeded
-// fault schedule, a plain-DIMM read/write phase under dram.alert, then
-// the disarm/drain/conservation check. The returned error reports
-// harness construction failures only; invariant breaches land in
-// Report.Violations.
-func Run(seed int64, ops int) (Report, error) {
-	return run(seed, ops, nil)
+// Every harness soak runs on tiny devices (tinyPages Scratchpad and
+// Config pages each); the fleet and RDMA soaks use soakRanks of them, so
+// a forced failure always leaves survivors to reshard onto while the
+// affinity policy still gets an incomplete last channel group.
+const (
+	tinyPages = 8
+	soakRanks = 3
+)
+
+// soak is the harness the device, fleet and RDMA soaks share: the
+// seeded RNG and injector, the corpus payloads, the tiny system,
+// violation and tolerated-error accounting, and the drain plus
+// per-device conservation sweep.
+type soak struct {
+	Report
+	rng       *rand.Rand
+	inj       *fault.Injector
+	sys       *sim.System
+	base      []byte
+	tolerated int64
+	nextID    int
+	op        int // current operation index, for violation context
+	cleanup   []chunkRef
 }
 
-// RunWithTrace is Run with span tracing enabled: the scenario records a
-// Perfetto trace (fault instants, driver CompCpy spans, device events,
-// controller drains) and writes it to tracePath. Same-seed runs write
-// byte-identical traces.
-func RunWithTrace(seed int64, ops int, tracePath string) (Report, error) {
-	tr := telemetry.New()
-	rep, err := run(seed, ops, tr)
-	if err != nil {
-		return rep, err
-	}
-	if err := tr.WritePerfettoFile(tracePath); err != nil {
-		return rep, err
-	}
-	rep.TracePath = tracePath
-	return rep, nil
+// chunkRef is one destination chunk an operation may have left
+// registered, held relative to its connection so a migration (which
+// rewrites the connection's buffer addresses) cannot strand the drain.
+type chunkRef struct {
+	conn *offload.Conn
+	off  uint64
+	size int
 }
 
-func run(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
-	if ops <= 0 {
-		ops = 12
+// newSoak seeds the RNG and injector, lets arm draw the fault plan from
+// them, and builds the system cfg describes (ranks, data path, tracer)
+// on tiny devices behind a 4MB LLC.
+func newSoak(name string, seed int64, arm func(*rand.Rand, *fault.Injector), cfg sim.SystemConfig) (*soak, error) {
+	s := &soak{
+		Report: Report{Soak: name, Seed: seed},
+		rng:    rand.New(rand.NewSource(seed)),
+		inj:    fault.New(seed),
+		base:   corpus.Generate(corpus.HTML, 96<<10, seed),
 	}
-	rep := Report{Seed: seed, Ops: ops}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.New(seed)
-	armSites(rng, inj)
-
-	dc := core.DeviceConfig{
+	arm(s.rng, s.inj)
+	cfg.DeviceConfig = &core.DeviceConfig{
 		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  8,
-		ConfigPages:      8,
+		ScratchpadPages:  tinyPages,
+		ConfigPages:      tinyPages,
 		DSALatencyCycles: 32,
 		MMIOPages:        1,
 	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		WithSmartDIMM: true,
-		LLCBytes:      4 << 20,
-		LLCWays:       8,
-		DeviceConfig:  &dc,
-		Faults:        inj,
-		Tracer:        tracer,
-	})
+	cfg.LLCBytes, cfg.LLCWays, cfg.Faults = 4<<20, 8, s.inj
+	sys, err := sim.NewSystem(cfg)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
+	s.sys = sys
+	return s, nil
+}
 
-	s := &scenario{
-		rng:  rng,
-		inj:  inj,
-		sys:  sys,
-		off:  &offload.SmartDIMM{Sys: sys},
-		base: corpus.Generate(corpus.HTML, 96<<10, seed),
-		rep:  &rep,
+// newFleet draws a placement policy from the soak RNG and builds a
+// fleet over the soak's ranks with short breaker windows, so trips and
+// readmissions both happen within a soak-sized op stream. nic, when
+// non-nil, gives the fleet the peer-DMA NIC to rebind registrations on.
+func (s *soak) newFleet(policies []fleet.Policy, nic *rdma.NIC) (*fleet.Fleet, error) {
+	pol := policies[s.rng.Intn(len(policies))]
+	s.artifact("policy", pol.String())
+	return fleet.New(fleet.Config{
+		Sys: s.sys, Policy: pol, RNIC: nic, TracePlacement: true,
+		FailThreshold: 2, CooldownOps: 8, MigrateCooldownOps: 2,
+	})
+}
+
+// id hands out the next connection id.
+func (s *soak) id() int {
+	s.nextID++
+	return s.nextID - 1
+}
+
+// fail classifies an operation failure: typed degradable errors are
+// tolerated, anything else is a violation.
+func (s *soak) fail(label string, err error) {
+	if tolerable(err) {
+		s.tolerated++
+	} else {
+		s.violate("%s: non-degradable error: %v", label, err)
 	}
+}
+
+// payload returns a deterministic slice of the corpus.
+func (s *soak) payload(n int) []byte {
+	off := s.rng.Intn(len(s.base) - n)
+	return s.base[off : off+n]
+}
+
+// track records a destination chunk for the drain.
+func (s *soak) track(conn *offload.Conn, off, size int) {
+	s.cleanup = append(s.cleanup, chunkRef{conn, uint64(off), size})
+}
+
+// drain quiesces injection, then settles every destination chunk any
+// operation may have left registered. USE consumes the record the
+// normal way; the rewrite+flush models the software reusing the
+// buffer, which swap-recycles any line whose early writeback was
+// S7-ignored while the DSA was still producing it (such a line's LLC
+// copy is clean, so USE's flush alone never writes it back). Chunk
+// addresses resolve through the live connection structs, so buffers
+// that migrated between ranks drain where they ended up. With faults
+// disarmed every step must succeed. Rank 0's driver reaches every rank:
+// it flushes and reads through the shared hierarchy.
+func (s *soak) drain() {
+	s.inj.DisarmAll()
+	zeros := make([]byte, offload.MaxTLSPayload+aesgcm.TagSize) // the largest chunk: a full TLS record
+	for _, c := range s.cleanup {
+		addr := c.conn.Dst + c.off
+		if _, _, err := s.sys.Driver.Use(0, addr, c.size); err != nil {
+			s.violate("drain: USE(%#x,%d) after disarm: %v", addr, c.size, err)
+		}
+		wlen := (c.size + 63) &^ 63 // stays within the chunk's pages
+		if _, err := s.sys.Driver.WriteBuffer(0, addr, zeros[:wlen]); err != nil {
+			s.violate("drain: rewrite(%#x,%d): %v", addr, wlen, err)
+		}
+		if _, err := s.sys.Hier.Flush(addr, wlen); err != nil {
+			s.violate("drain: flush(%#x,%d): %v", addr, wlen, err)
+		}
+	}
+}
+
+// checkDevices is the post-drain conservation sweep: every device is
+// back at its configured free-list sizes with an empty Translation
+// Table and no record in flight — even devices whose connections
+// migrated away mid-operation — and the engine holds no leaked events.
+func (s *soak) checkDevices() {
+	for i, dev := range s.sys.Devs {
+		if free := dev.ScratchpadFreePages(); free != tinyPages {
+			s.violate("conservation: dev %d: %d/%d scratchpad pages free after drain", i, free, tinyPages)
+		}
+		if free := dev.ConfigFreePages(); free != tinyPages {
+			s.violate("conservation: dev %d: %d/%d config pages free after drain", i, free, tinyPages)
+		}
+		if n := dev.TranslationCount(); n != 0 {
+			s.violate("conservation: dev %d: %d translation entries leaked", i, n)
+		}
+		if n := dev.InFlightRecords(); n != 0 {
+			s.violate("conservation: dev %d: %d records still in flight", i, n)
+		}
+	}
+	if n := s.sys.Engine.Pending(); n != 0 {
+		s.violate("engine: %d events leaked", n)
+	}
+}
+
+// checkPages asserts the cross-fleet page invariant: allocated pages
+// over every rank driver equal exactly what the fleet's live
+// connections hold, wherever migration has put them.
+func (s *soak) checkPages(fl *fleet.Fleet, when string) {
+	if out, exp := fl.OutstandingPages(), fl.ExpectedPages(); out != exp {
+		s.violate("conservation %s: %d pages allocated across ranks, connections should hold %d", when, out, exp)
+	}
+}
+
+// finish records the counts every harness soak shares, then the soak's
+// own, then the canonical fault trace.
+func (s *soak) finish(ops int, counts ...Count) Report {
+	consults, fired := s.inj.Counts()
+	s.count("ops", int64(ops))
+	s.count("tolerated", s.tolerated)
+	s.count("consults", consults)
+	s.count("fired", fired)
+	s.Counts = append(s.Counts, counts...)
+	s.artifact("faults", s.inj.TraceString())
+	return s.Report
+}
+
+// deviceSoak drives one tiny SmartDIMM directly through its offload
+// backend.
+type deviceSoak struct {
+	*soak
+	off *offload.SmartDIMM
+	// tls+tlsShadow share an id and therefore key material: the shadow's
+	// NextIV is consumed in lockstep with the operation conn's, giving
+	// the verifier the IV sequence without reaching into unexported
+	// state. Any failed operation abandons the pair (the conn's sequence
+	// number is indeterminate after a partial operation) and allocates a
+	// fresh one under a new id.
+	tls, tlsShadow *offload.Conn
+	comp           *offload.Conn
+	// enc frames the pages opCompRX stages, reused across operations.
+	enc *deflate.HWEncoder
+}
+
+// Run executes one device soak: ops randomized operations (TLS TX/RX,
+// compression TX/RX) against a tiny SmartDIMM under the seeded fault
+// schedule, a plain-DIMM read/write phase under dram.alert, then the
+// disarm/drain/conservation check. A non-nil tr records the run's spans
+// (fault instants, driver CompCpy spans, device events, controller
+// drains); same-seed runs record byte-identical traces. The returned
+// error reports harness construction failures only; invariant breaches
+// land in Report.Violations.
+func Run(seed int64, ops int, tr *telemetry.Tracer) (Report, error) {
+	h, err := newSoak("device", seed, armSites, sim.SystemConfig{WithSmartDIMM: true, Tracer: tr})
+	if err != nil {
+		return Report{}, err
+	}
+	s := &deviceSoak{soak: h, off: &offload.SmartDIMM{Sys: h.sys}}
 	if err := s.newTLSPair(); err != nil {
-		return rep, err
+		return Report{}, err
 	}
 	if err := s.newComp(); err != nil {
-		return rep, err
+		return Report{}, err
 	}
 
-	for i := 0; i < ops; i++ {
+	for s.op = 0; s.op < ops; s.op++ {
 		var err error
 		switch s.rng.Intn(4) {
 		case 0:
@@ -240,83 +406,33 @@ func run(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
 			err = s.opCompRX()
 		}
 		if err != nil {
-			return rep, err
+			return Report{}, err
 		}
 	}
 
 	psys, err := s.plainDIMMPhase()
 	if err != nil {
-		return rep, err
+		return Report{}, err
 	}
-
-	// Drain: quiesce injection, then reclaim every destination chunk any
-	// operation may have left registered. USE consumes the record the
-	// normal way; the rewrite+flush models the software reusing the
-	// buffer, which swap-recycles any line whose early writeback was
-	// S7-ignored while the DSA was still producing it (such a line's LLC
-	// copy is clean, so USE's flush alone never writes it back). With
-	// faults disarmed every step must succeed, and afterwards every
-	// resource pool must be back at its configured size.
-	s.inj.DisarmAll()
-	zeros := make([]byte, (tlsMsg/2+aesgcm.TagSize+63)&^63)
-	for _, c := range s.cleanup {
-		if _, _, err := s.sys.Driver.Use(0, c.addr, c.size); err != nil {
-			s.violate("drain: USE(%#x,%d) after disarm: %v", c.addr, c.size, err)
-		}
-		wlen := (c.size + 63) &^ 63 // stays within the chunk's pages
-		if _, err := s.sys.Driver.WriteBuffer(0, c.addr, zeros[:wlen]); err != nil {
-			s.violate("drain: rewrite(%#x,%d): %v", c.addr, wlen, err)
-		}
-		if _, err := s.sys.Hier.Flush(c.addr, wlen); err != nil {
-			s.violate("drain: flush(%#x,%d): %v", c.addr, wlen, err)
-		}
-	}
-	dev := s.sys.Dev
-	if free := dev.ScratchpadFreePages(); free != dc.ScratchpadPages {
-		s.violate("conservation: %d/%d scratchpad pages free after drain", free, dc.ScratchpadPages)
-	}
-	if free := dev.ConfigFreePages(); free != dc.ConfigPages {
-		s.violate("conservation: %d/%d config pages free after drain", free, dc.ConfigPages)
-	}
-	if n := dev.TranslationCount(); n != 0 {
-		s.violate("conservation: %d translation entries leaked", n)
-	}
-	if n := dev.InFlightRecords(); n != 0 {
-		s.violate("conservation: %d records still in flight", n)
-	}
-	if n := s.sys.Engine.Pending(); n != 0 {
-		s.violate("engine: %d events leaked", n)
-	}
+	s.drain()
+	s.checkDevices()
 	if n := psys.Engine.Pending(); n != 0 {
 		s.violate("engine: %d events leaked on plain-DIMM system", n)
 	}
-
-	rep.Consults, rep.Fired = inj.Counts()
-	rep.PrimaryOps = s.off.Degraded.PrimaryOps
-	rep.FallbackOps = s.off.Degraded.FallbackOps
-	rep.Trace = inj.TraceString()
-	return rep, nil
+	return s.finish(ops,
+		Count{"primary_ops", int64(s.off.Degraded.PrimaryOps)},
+		Count{"fallback_ops", int64(s.off.Degraded.FallbackOps)}), nil
 }
 
-func (s *scenario) violate(format string, args ...interface{}) {
-	s.rep.Violations = append(s.rep.Violations, fmt.Sprintf(format, args...))
-}
-
-// opFailed classifies an operation failure (typed degradable errors are
-// tolerated, anything else is a violation) and renews the affected
+// opFailed classifies an operation failure and renews the affected
 // connection so later operations start from known sequence state.
-func (s *scenario) opFailed(label string, err error, renew func() error) error {
-	if tolerable(err) {
-		s.rep.Tolerated++
-	} else {
-		s.violate("%s: non-degradable error: %v", label, err)
-	}
+func (s *deviceSoak) opFailed(label string, err error, renew func() error) error {
+	s.fail(label, err)
 	return renew()
 }
 
-func (s *scenario) newTLSPair() error {
-	id := s.nextID
-	s.nextID++
+func (s *deviceSoak) newTLSPair() error {
+	id := s.id()
 	conn, err := s.off.NewConn(offload.TLS, id, tlsMsg)
 	if err != nil {
 		return err
@@ -329,10 +445,8 @@ func (s *scenario) newTLSPair() error {
 	return nil
 }
 
-func (s *scenario) newComp() error {
-	id := s.nextID
-	s.nextID++
-	conn, err := s.off.NewConn(offload.Compression, id, compMsg)
+func (s *deviceSoak) newComp() error {
+	conn, err := s.off.NewConn(offload.Compression, s.id(), compMsg)
 	if err != nil {
 		return err
 	}
@@ -340,21 +454,15 @@ func (s *scenario) newComp() error {
 	return nil
 }
 
-// payload returns a deterministic slice of the corpus.
-func (s *scenario) payload(n int) []byte {
-	off := s.rng.Intn(len(s.base) - n)
-	return s.base[off : off+n]
-}
-
 // opTLSTX encrypts a message through Process and verifies every record
 // decrypts back to the staged payload with the mirrored IV sequence.
-func (s *scenario) opTLSTX() error {
+func (s *deviceSoak) opTLSTX() error {
 	l := offload.LayoutFor(offload.TLS)
 	n := 1 + s.rng.Intn(tlsMsg)
 	payload := s.payload(n)
 	chunks := l.Chunks(n)
 	for k, cn := range chunks {
-		s.cleanup = append(s.cleanup, chunkRef{s.tls.Dst + uint64(k*l.DstStride), cn + aesgcm.TagSize})
+		s.track(s.tls, k*l.DstStride, cn+aesgcm.TagSize)
 	}
 	if err := offload.StagePayloadDMA(s.sys, s.tls, payload); err != nil {
 		return s.opFailed("tls-tx stage", err, s.newTLSPair)
@@ -386,7 +494,7 @@ func (s *scenario) opTLSTX() error {
 
 // opTLSRX seals records with the shadow's IV sequence, stages them as
 // NIC RX traffic, and decrypts them through the SmartDIMM receive path.
-func (s *scenario) opTLSRX() error {
+func (s *deviceSoak) opTLSRX() error {
 	l := offload.LayoutFor(offload.TLS)
 	g, err := aesgcm.NewGCM(s.tls.Key)
 	if err != nil {
@@ -406,7 +514,7 @@ func (s *scenario) opTLSRX() error {
 		records = append(records, sealed)
 		lens = append(lens, cn)
 		want = append(want, pt...)
-		s.cleanup = append(s.cleanup, chunkRef{s.tls.Dst + uint64(k*l.DstStride), cn + aesgcm.TagSize})
+		s.track(s.tls, k*l.DstStride, cn+aesgcm.TagSize)
 	}
 	if err := offload.StageRXRecordsDMA(s.sys, s.tls, records); err != nil {
 		return s.opFailed("tls-rx stage", err, s.newTLSPair)
@@ -426,13 +534,13 @@ func (s *scenario) opTLSRX() error {
 
 // opCompTX compresses a message through Process and verifies every
 // destination page decodes back to its source chunk.
-func (s *scenario) opCompTX() error {
+func (s *deviceSoak) opCompTX() error {
 	l := offload.LayoutFor(offload.Compression)
 	n := 1 + s.rng.Intn(compMsg)
 	payload := s.payload(n)
 	chunks := l.Chunks(n)
 	for k := range chunks {
-		s.cleanup = append(s.cleanup, chunkRef{s.comp.Dst + uint64(k*l.DstStride), core.PageSize})
+		s.track(s.comp, k*l.DstStride, core.PageSize)
 	}
 	if err := offload.StagePayloadDMA(s.sys, s.comp, payload); err != nil {
 		return s.opFailed("comp-tx stage", err, s.newComp)
@@ -459,7 +567,7 @@ func (s *scenario) opCompTX() error {
 
 // opCompRX stages wire-format compressed pages as RX traffic and
 // inflates them through the SmartDIMM receive path.
-func (s *scenario) opCompRX() error {
+func (s *deviceSoak) opCompRX() error {
 	l := offload.LayoutFor(offload.Compression)
 	if s.enc == nil {
 		s.enc = deflate.NewHWEncoder(deflate.PaperHWConfig())
@@ -484,7 +592,7 @@ func (s *scenario) opCompRX() error {
 		records = append(records, page)
 		lens = append(lens, 4+plen)
 		want = append(want, data)
-		s.cleanup = append(s.cleanup, chunkRef{s.comp.Dst + uint64(k*l.DstStride), core.PageSize})
+		s.track(s.comp, k*l.DstStride, core.PageSize)
 	}
 	if err := offload.StageRXRecordsDMA(s.sys, s.comp, records); err != nil {
 		return s.opFailed("comp-rx stage", err, s.newComp)
@@ -510,7 +618,7 @@ func (s *scenario) opCompRX() error {
 // channel under injected ALERT_N must still round-trip data bit-exact —
 // alerts cost retries, never correctness. The write-back is forced with
 // a flush so the reads actually reach DRAM.
-func (s *scenario) plainDIMMPhase() (*sim.System, error) {
+func (s *deviceSoak) plainDIMMPhase() (*sim.System, error) {
 	psys, err := sim.NewSystem(sim.SystemConfig{
 		LLCBytes: 1 << 20,
 		LLCWays:  4,
@@ -521,28 +629,16 @@ func (s *scenario) plainDIMMPhase() (*sim.System, error) {
 	}
 	data := s.payload(2 * dram.PageSize)
 	if _, err := psys.WriteBytes(0, 0, data); err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm write: %v", err)
+		s.fail("plain-dimm write", err)
 		return psys, nil
 	}
 	if _, err := psys.Hier.Flush(0, len(data)); err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm flush: %v", err)
+		s.fail("plain-dimm flush", err)
 		return psys, nil
 	}
 	got, _, err := psys.ReadBytes(0, 0, len(data))
 	if err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm read: %v", err)
+		s.fail("plain-dimm read", err)
 		return psys, nil
 	}
 	if !bytes.Equal(got, data) {

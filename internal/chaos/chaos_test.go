@@ -13,81 +13,84 @@ func soakSize() int {
 	return 200
 }
 
+// soakSeeds runs n schedules of one soak, failing on the first
+// invariant violation with the seed and the whole report (so the
+// schedule replays exactly), and returns every count summed.
+func soakSeeds(t *testing.T, n int, seed func(i int) int64, run func(seed int64) (Report, error)) map[string]int64 {
+	t.Helper()
+	sum := map[string]int64{}
+	for i := 0; i < n; i++ {
+		rep, err := run(seed(i))
+		if err != nil {
+			t.Fatalf("seed %d: harness error: %v", seed(i), err)
+		}
+		if !rep.Ok() {
+			t.Fatalf("seed %d: %d invariant violations:\n%s", seed(i), len(rep.Violations), rep)
+		}
+		for _, c := range rep.Counts {
+			sum[c.Name] += c.N
+		}
+	}
+	return sum
+}
+
+// sameSeedSameReport replays each seed and requires the whole report —
+// every count and every trace — to reproduce byte-for-byte.
+func sameSeedSameReport(t *testing.T, seeds []int64, run func(seed int64) (Report, error)) {
+	t.Helper()
+	for _, seed := range seeds {
+		a, err := run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Artifact("faults") == "" || a.String() != b.String() {
+			t.Fatalf("seed %d: report not reproducible:\n--- first\n%s--- second\n%s", seed, a, b)
+		}
+	}
+}
+
 // TestChaosSoak runs randomized fault schedules across all layers and
 // fails on the first invariant violation, reporting the seed so the
 // schedule can be replayed exactly.
 func TestChaosSoak(t *testing.T) {
 	n := soakSize()
-	var fired, consults int64
-	var primary, fallback uint64
-	tolerated := 0
-	for i := 0; i < n; i++ {
-		seed := int64(1000 + i*7919)
-		rep, err := Run(seed, 12)
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", seed, err)
-		}
-		if len(rep.Violations) > 0 {
-			t.Fatalf("seed %d: %d invariant violations:\n%s\ntrace:\n%s",
-				seed, len(rep.Violations), rep.Violations[0], rep.Trace)
-		}
-		fired += rep.Fired
-		consults += rep.Consults
-		primary += rep.PrimaryOps
-		fallback += rep.FallbackOps
-		tolerated += rep.Tolerated
-	}
+	sum := soakSeeds(t, n, func(i int) int64 { return int64(1000 + i*7919) },
+		func(seed int64) (Report, error) { return Run(seed, 12, nil) })
 	// The soak must actually exercise the machinery: faults fire, some
 	// chunks degrade to the CPU rung, and plenty still take the DSA path.
-	if fired == 0 {
+	if sum["fired"] == 0 {
 		t.Fatal("no faults fired across the whole soak")
 	}
-	if fallback == 0 {
+	if sum["fallback_ops"] == 0 {
 		t.Fatal("no chunk ever took the CPU fallback rung")
 	}
-	if primary == 0 {
+	if sum["primary_ops"] == 0 {
 		t.Fatal("no chunk ever took the DSA path")
 	}
-	t.Logf("soak: %d schedules, %d/%d consultations fired, %d primary / %d fallback chunks, %d tolerated op failures",
-		n, fired, consults, primary, fallback, tolerated)
+	t.Logf("soak: %d schedules, totals %v", n, sum)
 }
 
 // TestChaosSameSeedSameTrace replays a schedule and requires the fault
 // trace and the whole report to reproduce byte-for-byte.
 func TestChaosSameSeedSameTrace(t *testing.T) {
-	for _, seed := range []int64{42, 4242, 424242} {
-		a, err := Run(seed, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(seed, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Trace != b.Trace {
-			t.Fatalf("seed %d: fault trace not reproducible:\n--- first\n%s--- second\n%s", seed, a.Trace, b.Trace)
-		}
-		if a.Fired != b.Fired || a.Consults != b.Consults ||
-			a.PrimaryOps != b.PrimaryOps || a.FallbackOps != b.FallbackOps ||
-			a.Tolerated != b.Tolerated || len(a.Violations) != len(b.Violations) {
-			t.Fatalf("seed %d: reports diverge: %+v vs %+v", seed, a, b)
-		}
-	}
+	sameSeedSameReport(t, []int64{42, 4242, 424242},
+		func(seed int64) (Report, error) { return Run(seed, 12, nil) })
 }
 
-// TestChaosQuietSeedIsCleanBaseline checks the harness itself: with ops
-// but (almost certainly) few or no armed faults, everything must pass
-// on the primary path.
+// TestChaosNoInjectionBaseline checks the harness on its smallest
+// schedule: one operation under seed 7's fault plan, then the
+// plain-DIMM phase and the drain/conservation sweep, must pass clean.
 func TestChaosNoInjectionBaseline(t *testing.T) {
-	// Seed chosen so armSites leaves every site unarmed is not
-	// guaranteed; instead run with ops=0: only the plain-DIMM phase and
-	// the conservation checks execute.
-	rep, err := Run(7, 1)
+	rep, err := Run(7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Violations) > 0 {
-		t.Fatalf("violations on a single-op scenario: %v", rep.Violations)
+	if !rep.Ok() {
+		t.Fatalf("violations on a single-op scenario:\n%s", rep)
 	}
 }
 
@@ -98,75 +101,33 @@ func TestChaosNoInjectionBaseline(t *testing.T) {
 // covering every placement policy many times over.
 func TestFleetChaosSoak(t *testing.T) {
 	n := soakSize() / 2
-	var fired int64
-	var primary, fallback, trips, readmits, migrations uint64
-	tolerated := 0
-	for i := 0; i < n; i++ {
-		seed := int64(5000 + i*6007)
-		rep, err := RunFleet(seed, 16)
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", seed, err)
-		}
-		if len(rep.Violations) > 0 {
-			t.Fatalf("seed %d (policy %s): %d invariant violations:\n%s\nplacement:\n%s",
-				seed, rep.Policy, len(rep.Violations), rep.Violations[0], rep.Placement)
-		}
-		fired += rep.Fired
-		primary += rep.PrimaryOps
-		fallback += rep.FallbackOps
-		trips += rep.Trips
-		readmits += rep.Readmits
-		migrations += rep.Migrations
-		tolerated += rep.Tolerated
-	}
+	sum := soakSeeds(t, n, func(i int) int64 { return int64(5000 + i*6007) },
+		func(seed int64) (Report, error) { return RunFleet(seed, 16) })
 	// The soak must exercise the failure machinery, not just clean paths:
 	// members trip and readmit, connections migrate between ranks, and
 	// chunks take both the DSA path and the fallback rung.
-	if fired == 0 {
+	if sum["fired"] == 0 {
 		t.Fatal("no faults fired across the fleet soak")
 	}
-	if trips == 0 {
+	if sum["trips"] == 0 {
 		t.Fatal("no member breaker ever tripped")
 	}
-	if readmits == 0 {
+	if sum["readmits"] == 0 {
 		t.Fatal("no tripped member was ever readmitted")
 	}
-	if migrations == 0 {
+	if sum["migrations"] == 0 {
 		t.Fatal("no connection ever migrated between ranks")
 	}
-	if primary == 0 || fallback == 0 {
-		t.Fatalf("degradation ladder not exercised: %d primary / %d fallback chunks", primary, fallback)
+	if sum["primary_ops"] == 0 || sum["fallback_ops"] == 0 {
+		t.Fatalf("degradation ladder not exercised: %d primary / %d fallback chunks", sum["primary_ops"], sum["fallback_ops"])
 	}
-	t.Logf("fleet soak: %d schedules, %d faults fired, %d trips / %d readmits / %d migrations, %d primary / %d fallback chunks, %d tolerated failures",
-		n, fired, trips, readmits, migrations, primary, fallback, tolerated)
+	t.Logf("fleet soak: %d schedules, totals %v", n, sum)
 }
 
 // TestFleetChaosSameSeedSameTrace replays fleet schedules and requires
-// both the fault trace and the placement trace to reproduce
-// byte-for-byte, along with the whole report.
+// the whole report — fault trace, placement trace and every count — to
+// reproduce byte-for-byte.
 func TestFleetChaosSameSeedSameTrace(t *testing.T) {
-	for _, seed := range []int64{42, 4242, 424242} {
-		a, err := RunFleet(seed, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunFleet(seed, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Trace != b.Trace {
-			t.Fatalf("seed %d: fault trace not reproducible", seed)
-		}
-		if a.Placement != b.Placement {
-			t.Fatalf("seed %d: placement trace not reproducible:\n--- first\n%s\n--- second\n%s",
-				seed, a.Placement, b.Placement)
-		}
-		if a.Fired != b.Fired || a.Consults != b.Consults ||
-			a.PrimaryOps != b.PrimaryOps || a.FallbackOps != b.FallbackOps ||
-			a.Trips != b.Trips || a.Readmits != b.Readmits ||
-			a.Migrations != b.Migrations || a.SoftOps != b.SoftOps ||
-			a.Tolerated != b.Tolerated || len(a.Violations) != len(b.Violations) {
-			t.Fatalf("seed %d: reports diverge: %+v vs %+v", seed, a, b)
-		}
-	}
+	sameSeedSameReport(t, []int64{42, 4242, 424242},
+		func(seed int64) (Report, error) { return RunFleet(seed, 16) })
 }

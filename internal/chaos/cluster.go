@@ -23,76 +23,19 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// ClusterSoakConfig sizes one RunCluster schedule.
-type ClusterSoakConfig struct {
-	Nodes       int   // server nodes (default 3)
-	Conns       int   // client connections (default 4)
-	WarmupPs    int64 // leader election + steady state (default 2ms)
-	ChaosPs     int64 // fault window (default 6ms)
-	SettlePs    int64 // post-heal catch-up before checking (default 3ms)
-	ExecWorkers int   // epoch parallelism: 0 = GOMAXPROCS, 1 = serial
-	Trace       bool  // thread per-shard tracers through the run
-}
-
-// ClusterReport is one schedule's canonical outcome.
-type ClusterReport struct {
-	Seed  int64
-	Nodes int
-	// Schedule lists the derived fault plan, one canonical line per
-	// event, in firing order.
-	Schedule []string
-	// Client-observed outcome over the chaos window.
-	Ops         uint64
-	AckedWrites uint64
-	AckedReads  uint64
-	Timeouts    uint64
-	Retries     uint64
-	Promotions  uint64
-	Net         cluster.NetTotals
-	// Check is the linearizability verdict; Violations folds its
-	// breaches plus soak-level liveness checks.
-	Check      cluster.CheckReport
-	Violations []string
-}
-
-// Ok reports whether the schedule passed every invariant.
-func (r ClusterReport) Ok() bool { return len(r.Violations) == 0 && r.Check.Ok() }
-
-// Collect implements telemetry.Collector.
-func (r ClusterReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "nodes", Value: float64(r.Nodes)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "acked_writes", Value: float64(r.AckedWrites)})
-	emit(telemetry.Sample{Name: "acked_reads", Value: float64(r.AckedReads)})
-	emit(telemetry.Sample{Name: "timeouts", Value: float64(r.Timeouts)})
-	emit(telemetry.Sample{Name: "retries", Value: float64(r.Retries)})
-	emit(telemetry.Sample{Name: "promotions", Value: float64(r.Promotions)})
-	emit(telemetry.Sample{Name: "check_violations", Value: float64(r.Check.ViolationCount)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// String renders the canonical soak transcript — the byte-compared
-// artifact of the cluster determinism gate.
-func (r ClusterReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster chaos seed=%d nodes=%d\n", r.Seed, r.Nodes)
-	for _, s := range r.Schedule {
-		fmt.Fprintf(&b, "  plan %s\n", s)
-	}
-	fmt.Fprintf(&b, "ops=%d acked_writes=%d acked_reads=%d timeouts=%d retries=%d promotions=%d\n",
-		r.Ops, r.AckedWrites, r.AckedReads, r.Timeouts, r.Retries, r.Promotions)
-	fmt.Fprintf(&b, "net sent=%d dropped=%d retrans=%d delivered=%d expired=%d\n",
-		r.Net.Sent, r.Net.Dropped, r.Net.Retrans, r.Net.Delivered, r.Net.Expired)
-	b.WriteString(r.Check.String())
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
-	}
-	return b.String()
-}
+// The cluster soak's pinned size: three nodes serving four client
+// connections through warmup (leader election and steady state), a 6ms
+// fault window, and a post-heal settle before the check.
+const (
+	clusterNodes   = 3
+	clusterConns   = 4
+	clusterWarmup  = 2 * sim.Ms
+	clusterChaos   = 6 * sim.Ms
+	clusterSettle  = 3 * sim.Ms
+	clusterHealsAt = clusterWarmup + clusterChaos
+)
 
 // clusterSchedule is the fault plan derived from one seed.
 type clusterSchedule struct {
@@ -171,35 +114,22 @@ func deriveSchedule(rng *rand.Rand, nodes int, warmupPs, chaosPs int64) clusterS
 }
 
 // RunCluster executes one seed-replayable cluster chaos schedule and
-// checks it. The returned error reports harness construction failures
-// only; invariant breaches land in the report. The cluster comes back
-// alongside so callers can fingerprint its merged trace.
-func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Cluster, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 3
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 4
-	}
-	if cfg.WarmupPs <= 0 {
-		cfg.WarmupPs = 2 * sim.Ms
-	}
-	if cfg.ChaosPs <= 0 {
-		cfg.ChaosPs = 6 * sim.Ms
-	}
-	if cfg.SettlePs <= 0 {
-		cfg.SettlePs = 3 * sim.Ms
-	}
-	rep := ClusterReport{Seed: seed, Nodes: cfg.Nodes}
-
-	sched := deriveSchedule(rand.New(rand.NewSource(seed^0x5eed)), cfg.Nodes, cfg.WarmupPs, cfg.ChaosPs)
-	rep.Schedule = sched.lines
+// checks it. workers is the epoch parallelism (1 = serial, 0 =
+// GOMAXPROCS); trace threads per-shard tracers through the run. The
+// returned error reports harness construction failures only; invariant
+// breaches, the linearizability checker's included, land in the report.
+// The cluster comes back alongside so callers can fingerprint its merged
+// trace.
+func RunCluster(seed int64, workers int, trace bool) (Report, *cluster.Cluster, error) {
+	rep := Report{Soak: "cluster", Seed: seed}
+	sched := deriveSchedule(rand.New(rand.NewSource(seed^0x5eed)), clusterNodes, clusterWarmup, clusterChaos)
+	rep.artifact("schedule", strings.Join(sched.lines, "\n"))
 
 	c, err := cluster.New(cluster.Config{
-		Nodes: cfg.Nodes, Conns: cfg.Conns,
+		Nodes: clusterNodes, Conns: clusterConns,
 		MsgSize: 1024, Workers: 2, NodeConns: 2,
 		FileKind: corpus.Text, Seed: seed,
-		Trace: cfg.Trace, ExecWorkers: cfg.ExecWorkers,
+		Trace: trace, ExecWorkers: workers,
 		NetFaults: func(ep int) *fault.Injector {
 			// One injector per endpoint (shard-owned), every endpoint
 			// arming the same value-typed partition windows — that is how
@@ -208,7 +138,7 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 			// per-endpoint-independent via the injector seed.
 			inj := fault.New(seed + int64(ep)*7919)
 			inj.Arm(cluster.SiteNetCut, sched.partitions)
-			for d := 0; d <= cfg.Nodes; d++ {
+			for d := 0; d <= clusterNodes; d++ {
 				if d != ep {
 					inj.Arm(fmt.Sprintf("%s.%d", cluster.SiteNetDrop, d), fault.Bernoulli{Prob: sched.lossProb})
 				}
@@ -228,34 +158,41 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 		c.UndrainAt(sched.drainNode, sched.undrainAt)
 	}
 
-	healPs := cfg.WarmupPs + cfg.ChaosPs
 	c.Start()
-	c.RunUntil(cfg.WarmupPs)
+	c.RunUntil(clusterWarmup)
 	c.BeginMeasurement()
-	c.RunUntil(healPs)          // partitions end, victims rejoined
-	c.RunUntil(healPs + sim.Ms) // post-heal serving window (availability proof)
+	c.RunUntil(clusterHealsAt)          // partitions end, victims rejoined
+	c.RunUntil(clusterHealsAt + sim.Ms) // post-heal serving window (availability proof)
 	m, err := c.Collect()
 	if err != nil {
 		return rep, c, err
 	}
-	c.Quiesce(cfg.SettlePs)
+	c.Quiesce(clusterSettle)
 
-	rep.Ops, rep.AckedWrites, rep.AckedReads = m.Ops, m.AckedWrites, m.AckedReads
-	rep.Timeouts, rep.Retries, rep.Promotions = m.Timeouts, m.Retries, m.Promotions
-	rep.Net = c.Net().Totals()
-	rep.Check = c.Check()
+	net := c.Net().Totals()
+	check := c.Check()
+	rep.Counts = []Count{
+		{"ops", int64(m.Ops)}, {"acked_writes", int64(m.AckedWrites)}, {"acked_reads", int64(m.AckedReads)},
+		{"timeouts", int64(m.Timeouts)}, {"retries", int64(m.Retries)}, {"promotions", int64(m.Promotions)},
+		{"net_sent", int64(net.Sent)}, {"net_dropped", int64(net.Dropped)}, {"net_retrans", int64(net.Retrans)},
+		{"net_delivered", int64(net.Delivered)}, {"net_expired", int64(net.Expired)},
+	}
+	rep.artifact("check", check.String())
+	if !check.Ok() {
+		rep.violate("linearizability: %d violations (see check)", check.ViolationCount)
+	}
 	healed := false
 	for _, op := range c.History() {
-		if op.Kind == cluster.OpWrite && op.AckPs >= healPs {
+		if op.Kind == cluster.OpWrite && op.AckPs >= clusterHealsAt {
 			healed = true
 			break
 		}
 	}
 	if !healed {
-		rep.Violations = append(rep.Violations, "no write acked after heal (availability did not recover)")
+		rep.violate("no write acked after heal (availability did not recover)")
 	}
-	if rep.Net.Dropped == 0 {
-		rep.Violations = append(rep.Violations, "schedule dropped no messages — chaos not wired through")
+	if net.Dropped == 0 {
+		rep.violate("schedule dropped no messages — chaos not wired through")
 	}
 	return rep, c, nil
 }

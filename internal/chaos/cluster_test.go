@@ -2,86 +2,57 @@ package chaos
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/runner/runnertest"
 )
 
-// TestClusterSoakSchedules is the linearizability chaos soak demanded
-// by ROADMAP item 2: hundreds of seed-replayable schedules mixing node
-// kills, symmetric and asymmetric partitions, drain/rejoin, and packet
-// loss — and not one client-acked write may be lost, not one read may
-// violate linearizability. -short runs a 40-schedule slice (the CI
-// gate); the full run covers 200.
+// TestClusterSoakSchedules is the linearizability chaos soak:
+// hundreds of seed-replayable schedules mixing node kills, symmetric
+// and asymmetric partitions, drain/rejoin, and packet loss — and not
+// one client-acked write may be lost, not one read may violate
+// linearizability. -short runs a 40-schedule slice (the CI gate); the
+// full run covers 200.
 func TestClusterSoakSchedules(t *testing.T) {
-	n := 200
-	if testing.Short() {
-		n = 40
-	}
-	for i := 0; i < n; i++ {
-		seed := int64(9000 + i)
-		rep, _, err := RunCluster(seed, ClusterSoakConfig{})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", seed, err)
-		}
-		if !rep.Ok() {
-			t.Fatalf("seed %d: invariants violated:\n%s", seed, rep)
-		}
-	}
-}
-
-// clusterSoakFingerprint runs one traced schedule and renders its
-// deterministic artifacts for byte comparison.
-func clusterSoakFingerprint(t *testing.T, execWorkers int) []byte {
-	t.Helper()
-	rep, c, err := RunCluster(424242, ClusterSoakConfig{ExecWorkers: execWorkers, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	b.WriteString(rep.String())
-	if err := c.MergedTrace().WritePerfetto(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
+	soakSeeds(t, soakSize(), func(i int) int64 { return int64(9000 + i) },
+		func(seed int64) (Report, error) {
+			rep, _, err := RunCluster(seed, 0, false)
+			return rep, err
+		})
 }
 
 // TestClusterSoakDeterministic is the cluster trace gate: the same
 // chaos schedule produces byte-identical reports and merged traces
 // under serial execution, parallel execution, and GOMAXPROCS=2.
 func TestClusterSoakDeterministic(t *testing.T) {
-	ref := clusterSoakFingerprint(t, 1)
-	if got := clusterSoakFingerprint(t, 4); !bytes.Equal(got, ref) {
-		t.Fatalf("parallel soak diverged from serial reference (%d vs %d bytes)", len(got), len(ref))
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	if got := clusterSoakFingerprint(t, 0); !bytes.Equal(got, ref) {
-		t.Fatal("GOMAXPROCS=2 soak diverged from serial reference")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte {
+		rep, c, err := RunCluster(424242, workers, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bytes.NewBufferString(rep.String())
+		if err := c.MergedTrace().WritePerfetto(b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	})
 }
 
 // TestClusterScheduleDerivation pins seed-replayability of the plan
-// itself: same seed, same schedule lines; different seed, different
-// plan.
+// itself: same seed, same report; different seed, different plan.
 func TestClusterScheduleDerivation(t *testing.T) {
-	a, _, err := RunCluster(77, ClusterSoakConfig{ChaosPs: 4 * sim.Ms})
-	if err != nil {
-		t.Fatal(err)
+	run := func(seed int64) Report {
+		rep, _, err := RunCluster(seed, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	b, _, err := RunCluster(77, ClusterSoakConfig{ChaosPs: 4 * sim.Ms})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(77), run(77)
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different reports:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
-	cR, _, err := RunCluster(78, ClusterSoakConfig{ChaosPs: 4 * sim.Ms})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() == cR.String() {
+	if a.Artifact("schedule") == run(78).Artifact("schedule") {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }

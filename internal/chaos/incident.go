@@ -25,30 +25,14 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// IncidentReport is the soak's outcome.
-type IncidentReport struct {
-	Seed             int64
-	Alerts           []obs.Transition
-	AlertLog         string
-	Incidents        []obs.Incident
-	IncidentsDropped int
-	SLOHeldFrac      float64
-	Violations       []string
-	// Canonical is the run's byte-compared replay artifact; Bundles are
-	// the per-incident canonical reports (text + trace digest).
-	Canonical string
-	Bundles   []string
-}
-
 // incidentSoakConfig is the workload soak scenario with the crowd
-// hardened and the observability plane armed; seed and pool vary.
-func incidentSoakConfig(seed int64, pool *runner.Pool) workload.RunConfig {
-	cfg := workloadSoakConfig(seed, pool)
+// hardened and the observability plane armed; seed and workers vary.
+func incidentSoakConfig(seed int64, workers int) workload.RunConfig {
+	cfg := workloadSoakConfig(seed, workers)
 	// 3.0x on base 900k peaks ~2.7M rps — at the two initial ranks'
 	// collapse point, so the tail breaches from the crowd alone and the
 	// burn-rate page leads the injected rank failure instead of
@@ -62,22 +46,21 @@ func incidentSoakConfig(seed int64, pool *runner.Pool) workload.RunConfig {
 }
 
 // RunIncidentSoak executes the soak once. Construction failures return
-// an error; invariant breaches land in Violations.
-func RunIncidentSoak(seed int64, pool *runner.Pool) (IncidentReport, error) {
-	rep, err := workload.Run(incidentSoakConfig(seed, pool))
+// an error; invariant breaches land in Report.Violations. The captured
+// incidents come back alongside, in firing order; the report carries
+// each one's canonical bundle (report text plus trace digest).
+func RunIncidentSoak(seed int64, workers int) (Report, []obs.Incident, error) {
+	rep, err := workload.Run(incidentSoakConfig(seed, workers))
 	if err != nil {
-		return IncidentReport{}, err
+		return Report{}, nil, err
 	}
-	out := IncidentReport{
-		Seed: seed, Alerts: rep.Alerts, AlertLog: rep.AlertLog,
-		Incidents: rep.Incidents, IncidentsDropped: rep.IncidentsDropped,
-		SLOHeldFrac: rep.SLOHeldFrac, Canonical: rep.Canonical(),
-	}
-	for _, in := range rep.Incidents {
-		out.Bundles = append(out.Bundles, in.Canonical())
-	}
-	v := func(format string, args ...any) {
-		out.Violations = append(out.Violations, fmt.Sprintf(format, args...))
+	out := Report{Soak: "incident", Seed: seed, Counts: []Count{
+		{"alerts", int64(len(rep.Alerts))}, {"incidents", int64(len(rep.Incidents))},
+		{"incidents_dropped", int64(rep.IncidentsDropped)},
+	}}
+	out.artifact("canonical", rep.Canonical())
+	for i, in := range rep.Incidents {
+		out.artifact(fmt.Sprintf("bundle %d", i), in.Canonical())
 	}
 
 	// Walk the transition log once: first firing per rule, last state
@@ -101,51 +84,51 @@ func RunIncidentSoak(seed int64, pool *runner.Pool) (IncidentReport, error) {
 	burnAt, burnOK := firstFiring["slo-burn"]
 	tripAt, tripOK := firstFiring["breaker-trip"]
 	if !burnOK {
-		v("burn-rate page never fired")
+		out.violate("burn-rate page never fired")
 	}
 	if !tripOK {
-		v("breaker-trip alert never fired")
+		out.violate("breaker-trip alert never fired")
 	}
 	if burnOK && tripOK && burnAt >= tripAt {
-		v("burn-rate page at %d did not lead the breaker alert at %d", burnAt, tripAt)
+		out.violate("burn-rate page at %d did not lead the breaker alert at %d", burnAt, tripAt)
 	}
 	for _, rule := range ruleOrder {
 		if tr := lastByRule[rule]; tr.To != obs.Inactive {
-			v("rule %s ended %s at %d (never resolved)", rule, tr.To, tr.AtPs)
+			out.violate("rule %s ended %s at %d (never resolved)", rule, tr.To, tr.AtPs)
 		}
 	}
 
 	// Every firing froze exactly one bundle, and each bundle correlates
 	// its cause.
 	if len(rep.Incidents) != firings {
-		v("%d incidents captured for %d firings", len(rep.Incidents), firings)
+		out.violate("%d incidents captured for %d firings", len(rep.Incidents), firings)
 	}
 	if rep.IncidentsDropped != 0 {
-		v("%d incidents dropped", rep.IncidentsDropped)
+		out.violate("%d incidents dropped", rep.IncidentsDropped)
 	}
 	for _, in := range rep.Incidents {
 		if !strings.Contains(in.Report, "rule="+in.Rule) {
-			v("incident at %d misattributed (rule %q not in report header)", in.AtPs, in.Rule)
+			out.violate("incident at %d misattributed (rule %q not in report header)", in.AtPs, in.Rule)
 		}
 		if in.Trace == nil || in.Trace.Len() == 0 {
-			v("incident %s at %d carries no trace slice", in.Rule, in.AtPs)
+			out.violate("incident %s at %d carries no trace slice", in.Rule, in.AtPs)
 		}
 		if in.Rule == "breaker-trip" && !strings.Contains(in.Report, " fault ") {
-			v("breaker incident at %d missing the injected fault from its timeline", in.AtPs)
+			out.violate("breaker incident at %d missing the injected fault from its timeline", in.AtPs)
 		}
 		if in.Rule == "slo-burn" && !strings.Contains(in.Report, " action ") {
-			v("burn incident at %d missing the autoscaler response from its timeline", in.AtPs)
+			out.violate("burn incident at %d missing the autoscaler response from its timeline", in.AtPs)
 		}
 	}
 
 	// This is a genuine incident run: the SLO must actually have been
 	// violated for a stretch, and the controller must still not thrash.
 	if rep.SLOHeldFrac > 0.9 {
-		v("SLO held %.0f%% of ticks — the scenario never became an incident", rep.SLOHeldFrac*100)
+		out.violate("SLO held %.0f%% of ticks — the scenario never became an incident", rep.SLOHeldFrac*100)
 	}
 	if rep.Completed == 0 {
-		v("no requests completed")
+		out.violate("no requests completed")
 	}
-	checkNoFlap(splitActions(rep.Actions), v)
-	return out, nil
+	checkNoFlap(splitActions(rep.Actions), &out)
+	return out, rep.Incidents, nil
 }

@@ -4,14 +4,14 @@ package chaos
 // alert narrative — burn-rate page, breaker alert, both resolved — with
 // one incident bundle per firing, and the run canonical plus every
 // bundle must replay byte-identically from the seed, serial or pooled,
-// at GOMAXPROCS 1 and 2.
+// at any GOMAXPROCS.
 
 import (
-	"runtime"
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 )
 
 // The deterministic alert sequence for seed 7 (calibrated against the
@@ -29,28 +29,29 @@ var wantAlertLog = strings.Join([]string{
 }, "\n")
 
 func TestIncidentSoak(t *testing.T) {
-	rep, err := RunIncidentSoak(7, nil)
+	rep, incidents, err := RunIncidentSoak(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if rep.AlertLog != wantAlertLog {
-		t.Fatalf("alert log:\n%swant:\n%s", rep.AlertLog, wantAlertLog)
+	canonical := rep.Artifact("canonical")
+	if !strings.Contains(canonical, "--- alerts ---\n"+wantAlertLog+"incidents ") {
+		t.Fatalf("alert log in canonical:\n%swant:\n%s", canonical, wantAlertLog)
 	}
-	if len(rep.Incidents) != 2 {
-		t.Fatalf("%d incidents, want 2", len(rep.Incidents))
+	if len(incidents) != 2 {
+		t.Fatalf("%d incidents, want 2", len(incidents))
 	}
 	// Bundle order is firing order: page first, breaker second.
-	if rep.Incidents[0].Rule != "slo-burn" || rep.Incidents[1].Rule != "breaker-trip" {
+	if incidents[0].Rule != "slo-burn" || incidents[1].Rule != "breaker-trip" {
 		t.Fatalf("incident order = [%s %s], want [slo-burn breaker-trip]",
-			rep.Incidents[0].Rule, rep.Incidents[1].Rule)
+			incidents[0].Rule, incidents[1].Rule)
 	}
 	// The breaker bundle's 2ms lookback reaches back across the page:
 	// its timeline must correlate the fault, the page, and the
 	// autoscaler's first admission.
-	breaker := rep.Incidents[1].Report
+	breaker := incidents[1].Report
 	for _, want := range []string{
 		"fault fail rank1",
 		"alert slo-burn pending->firing",
@@ -61,60 +62,34 @@ func TestIncidentSoak(t *testing.T) {
 		}
 	}
 	// Each bundle pins its trace slice with a digest.
-	for i, b := range rep.Bundles {
-		if !strings.Contains(b, "trace_sha256 ") {
-			t.Errorf("bundle %d has no trace digest", i)
+	for i := range incidents {
+		if b := rep.Artifact(fmt.Sprintf("bundle %d", i)); !strings.Contains(b, "trace_sha256 ") {
+			t.Errorf("bundle %d has no trace digest:\n%s", i, b)
 		}
 	}
-	t.Logf("incident soak: slo_held=%.0f%% alerts=%d bundles=%d",
-		rep.SLOHeldFrac*100, len(rep.Alerts), len(rep.Bundles))
+	t.Logf("incident soak: %v", rep.Counts)
 }
 
 func TestIncidentSoakReplaysFromSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay soak is the long half of the gate")
 	}
-	ref, err := RunIncidentSoak(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, got IncidentReport) {
-		t.Helper()
-		if got.Canonical != ref.Canonical {
-			t.Fatalf("%s canonical differs from serial:\n--- serial ---\n%s--- %s ---\n%s",
-				label, ref.Canonical, label, got.Canonical)
-		}
-		if len(got.Bundles) != len(ref.Bundles) {
-			t.Fatalf("%s captured %d bundles, serial %d", label, len(got.Bundles), len(ref.Bundles))
-		}
-		for i := range ref.Bundles {
-			if got.Bundles[i] != ref.Bundles[i] {
-				t.Fatalf("%s bundle %d differs from serial:\n--- serial ---\n%s--- %s ---\n%s",
-					label, i, ref.Bundles[i], label, got.Bundles[i])
-			}
-		}
-	}
-	pooled, err := RunIncidentSoak(7, runner.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("pooled", pooled)
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		again, err := RunIncidentSoak(7, runner.New(0))
+	var ref Report
+	runnertest.SameBytes(t, func(workers int) []byte {
+		rep, _, err := RunIncidentSoak(7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GOMAXPROCS(prev)
-		check("gomaxprocs", again)
-	}
-	other, err := RunIncidentSoak(8, nil)
+		if workers == 1 {
+			ref = rep
+		}
+		return []byte(rep.String())
+	})
+	other, _, err := RunIncidentSoak(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Canonical == ref.Canonical {
+	if other.Artifact("canonical") == ref.Artifact("canonical") {
 		t.Fatal("different seeds produced identical canonical reports")
 	}
 }

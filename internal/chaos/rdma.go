@@ -15,81 +15,37 @@
 // Invariants checked: every landing lies inside the registered region it
 // was addressed to (no record outside its MR); WQE conservation — posted
 // equals completed + failed + pending throughout, and pending is zero
-// after disarm + drain; cross-rank page conservation over the fleet; no
-// leaked engine events; and the report's combined trace (injector + NIC
-// + placement) replays byte-identically from the seed.
+// after disarm + drain; cross-rank page conservation over the fleet; the
+// shared per-device conservation sweep and no leaked engine events; and
+// the report's fault, NIC and placement traces replay byte-identically
+// from the seed.
 package chaos
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// rdmaRanks matches the fleet schedule: failures always leave survivors.
-const rdmaRanks = 3
-
-// RDMAReport summarizes one RDMA chaos scenario.
-type RDMAReport struct {
-	Seed    int64
-	Ops     int
-	Devices int
-	Policy  string
-	// Tolerated counts deposits that failed with a degradable error
-	// (retry exhaustion under injected doorbell loss / RNR).
-	Tolerated int
-	// Consults/Fired are the injector's totals across all sites.
-	Consults, Fired int64
-	// NIC counters after the final drain.
-	Posted, Completed, Failed    uint64
-	DoorbellsLost, RNRNaks       uint64
-	StaleRetries, BoundsRefusals uint64
-	PeerBytes                    uint64
-	Migrations                   uint64
-	Violations                   []string
-	// Trace concatenates the fault, NIC-op, and placement traces; it
-	// must replay byte-identically from the seed.
-	Trace string
-}
-
-// Collect implements telemetry.Collector.
-func (r RDMAReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "posted", Value: float64(r.Posted)})
-	emit(telemetry.Sample{Name: "completed", Value: float64(r.Completed)})
-	emit(telemetry.Sample{Name: "failed", Value: float64(r.Failed)})
-	emit(telemetry.Sample{Name: "doorbells_lost", Value: float64(r.DoorbellsLost)})
-	emit(telemetry.Sample{Name: "rnr_naks", Value: float64(r.RNRNaks)})
-	emit(telemetry.Sample{Name: "stale_retries", Value: float64(r.StaleRetries)})
-	emit(telemetry.Sample{Name: "bounds_refusals", Value: float64(r.BoundsRefusals)})
-	emit(telemetry.Sample{Name: "migrations", Value: float64(r.Migrations)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-type rdmaScenario struct {
-	rng   *rand.Rand
-	inj   *fault.Injector
-	sys   *sim.System
+type rdmaSoak struct {
+	*soak
 	nic   *rdma.NIC
 	fl    *fleet.Fleet
 	bkend *offload.RDMA
-	base  []byte
-	rep   *RDMAReport
 	conns []*offload.Conn
-	op    int
+}
+
+// armRDMA gives the two RDMA sites schedules drawn from the scenario
+// RNG, so a soak covers quiet, bursty, and saturated fault regimes.
+func armRDMA(rng *rand.Rand, inj *fault.Injector) {
+	inj.Arm(rdma.SiteDoorbell, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
+	inj.Arm(rdma.SiteRNR, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
 }
 
 // RunRDMA executes one RDMA chaos scenario: ops seeded deposits over
@@ -97,79 +53,40 @@ type rdmaScenario struct {
 // armed, plus the two forced races (MR unregister in flight, peer write
 // across a drain-and-reshard migration), then disarm + drain + the full
 // invariant sweep. The returned error reports harness construction
-// failures only; invariant breaches land in RDMAReport.Violations.
-func RunRDMA(seed int64, ops int) (RDMAReport, error) {
-	if ops <= 0 {
-		ops = 16
-	}
-	rep := RDMAReport{Seed: seed, Ops: ops, Devices: rdmaRanks}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.New(seed)
-	// The two RDMA sites get schedules drawn from the scenario RNG, so a
-	// soak covers quiet, bursty, and saturated fault regimes.
-	inj.Arm(rdma.SiteDoorbell, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
-	inj.Arm(rdma.SiteRNR, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
-
-	dc := core.DeviceConfig{
-		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  8,
-		ConfigPages:      8,
-		DSALatencyCycles: 32,
-		MMIOPages:        1,
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		SmartDIMMRanks: rdmaRanks,
-		LLCBytes:       4 << 20,
-		LLCWays:        8,
-		DeviceConfig:   &dc,
-		DataPath:       sim.DataPathPeer,
-		Faults:         inj,
-	})
+// failures only; invariant breaches land in Report.Violations.
+func RunRDMA(seed int64, ops int) (Report, error) {
+	h, err := newSoak("rdma", seed, armRDMA, sim.SystemConfig{SmartDIMMRanks: soakRanks, DataPath: sim.DataPathPeer})
 	if err != nil {
-		return rep, err
+		return Report{}, err
 	}
 	nic, err := rdma.New(rdma.Config{
-		Sys: sys, Faults: inj, TraceOps: true, RecordLandings: true,
+		Sys: h.sys, Faults: h.inj, TraceOps: true, RecordLandings: true,
 	})
 	if err != nil {
-		return rep, err
+		return Report{}, err
 	}
-	policies := []fleet.Policy{fleet.RoundRobin, fleet.LeastLoaded, fleet.Sticky}
-	pol := policies[rng.Intn(len(policies))]
-	rep.Policy = pol.String()
-	fl, err := fleet.New(fleet.Config{
-		Sys: sys, Policy: pol, RNIC: nic, TracePlacement: true,
-		FailThreshold: 2, CooldownOps: 8, MigrateCooldownOps: 2,
-	})
+	fl, err := h.newFleet([]fleet.Policy{fleet.RoundRobin, fleet.LeastLoaded, fleet.Sticky}, nic)
 	if err != nil {
-		return rep, err
+		return Report{}, err
 	}
 	bkend, err := offload.NewRDMA(fl, nic)
 	if err != nil {
-		return rep, err
+		return Report{}, err
 	}
-
-	s := &rdmaScenario{
-		rng: rng, inj: inj, sys: sys, nic: nic, fl: fl, bkend: bkend,
-		base: corpus.Generate(corpus.HTML, 96<<10, seed),
-		rep:  &rep,
-	}
+	s := &rdmaSoak{soak: h, nic: nic, fl: fl, bkend: bkend}
 	for i := 0; i < 4; i++ {
 		conn, err := bkend.NewConn(offload.Compression, i, compMsg)
 		if err != nil {
-			return rep, err
+			return Report{}, err
 		}
 		s.conns = append(s.conns, conn)
 	}
 
-	forceQuiesce := ops / 3
-	forceMigrate := (2 * ops) / 3
-	for i := 0; i < ops; i++ {
-		s.op = i
-		switch i {
-		case forceQuiesce:
+	for s.op = 0; s.op < ops; s.op++ {
+		switch s.op {
+		case ops / 3:
 			s.forceUnregisterInFlight()
-		case forceMigrate:
+		case (2 * ops) / 3:
 			s.forceMigrationInFlight()
 		}
 		s.opDeposit(s.rng.Intn(len(s.conns)))
@@ -178,46 +95,43 @@ func RunRDMA(seed int64, ops int) (RDMAReport, error) {
 
 	// Disarm, then drain every QP: with injection quiet the doorbells
 	// cannot be lost, so every retained WQE executes now.
-	s.inj.DisarmAll()
-	if _, err := s.nic.DrainAll(); err != nil {
+	s.drain()
+	if _, err := nic.DrainAll(); err != nil {
 		s.violate("drain: DrainAll after disarm: %v", err)
 	}
-	if p := s.nic.Pending(); p != 0 {
+	if p := nic.Pending(); p != 0 {
 		s.violate("drain: %d WQEs still pending after disarm+drain", p)
 	}
 	s.checkWQEConservation("after disarm+drain")
 	s.checkLandings()
-	if out, exp := fl.OutstandingPages(), fl.ExpectedPages(); out != exp {
-		s.violate("conservation: %d pages allocated across ranks, connections should hold %d", out, exp)
-	}
-	if n := sys.Engine.Pending(); n != 0 {
-		s.violate("engine: %d events leaked", n)
-	}
+	s.checkPages(fl, "after final drain")
+	s.checkDevices()
 
 	st := nic.Stats()
-	rep.Consults, rep.Fired = inj.Counts()
-	rep.Posted, rep.Completed, rep.Failed = st.Posted, st.Completed, st.Failed
-	rep.DoorbellsLost, rep.RNRNaks = st.DoorbellsLost, st.RNRNaks
-	rep.StaleRetries, rep.BoundsRefusals = st.StaleRkeyRetries, st.BoundsRefusals
-	rep.PeerBytes = st.PeerBytes
-	rep.Migrations = fl.Totals().Migrations
-	rep.Trace = inj.TraceString() + nic.TraceString() + fl.TraceString()
+	rep := s.finish(ops,
+		Count{"posted", int64(st.Posted)},
+		Count{"completed", int64(st.Completed)},
+		Count{"failed", int64(st.Failed)},
+		Count{"doorbells_lost", int64(st.DoorbellsLost)},
+		Count{"rnr_naks", int64(st.RNRNaks)},
+		Count{"stale_retries", int64(st.StaleRkeyRetries)},
+		Count{"bounds_refusals", int64(st.BoundsRefusals)},
+		Count{"peer_bytes", int64(st.PeerBytes)},
+		Count{"migrations", int64(fl.Totals().Migrations)})
+	rep.artifact("nic", nic.TraceString())
+	rep.artifact("placement", fl.TraceString())
 	return rep, nil
-}
-
-func (s *rdmaScenario) violate(format string, args ...interface{}) {
-	s.rep.Violations = append(s.rep.Violations, fmt.Sprintf(format, args...))
 }
 
 // opDeposit streams one payload through the peer path. A few percent of
 // deposits are rogue (deliberately out of bounds): the NIC must refuse
 // them without touching memory.
-func (s *rdmaScenario) opDeposit(slot int) {
+func (s *rdmaSoak) opDeposit(slot int) {
 	conn := s.conns[slot]
 	if s.rng.Intn(16) == 0 {
 		if err := s.nic.PostWrite(conn.ID, conn.Size-8, s.payload(256)); err != nil {
 			if errors.Is(err, rdma.ErrSQFull) {
-				s.rep.Tolerated++ // leftovers from a lost-doorbell deposit
+				s.tolerated++ // leftovers from a lost-doorbell deposit
 			} else {
 				s.violate("op %d: rogue post refused at the SQ (want bounds refusal at exec): %v", s.op, err)
 			}
@@ -233,7 +147,7 @@ func (s *rdmaScenario) opDeposit(slot int) {
 		if errors.Is(err, rdma.ErrRetryExhausted) {
 			// Injected doorbell loss out-ran the retry budget; the WQEs
 			// stay posted and the final drain delivers them.
-			s.rep.Tolerated++
+			s.tolerated++
 			return
 		}
 		s.violate("op %d: deposit conn %d: %v", s.op, conn.ID, err)
@@ -242,7 +156,7 @@ func (s *rdmaScenario) opDeposit(slot int) {
 
 // forceUnregisterInFlight posts a WQE, quiesces its MR before the
 // doorbell, and checks the late write fails cleanly without landing.
-func (s *rdmaScenario) forceUnregisterInFlight() {
+func (s *rdmaSoak) forceUnregisterInFlight() {
 	conn := s.conns[s.rng.Intn(len(s.conns))]
 	if err := s.nic.PostWrite(conn.ID, 0, s.payload(1024)); err != nil {
 		if !errors.Is(err, rdma.ErrSQFull) {
@@ -283,7 +197,7 @@ func (s *rdmaScenario) forceUnregisterInFlight() {
 // forceMigrationInFlight posts a WQE, force-fails the connection's home
 // rank (drain-and-reshard moves the buffers and rebinds the MR), and
 // checks the late write followed the registration.
-func (s *rdmaScenario) forceMigrationInFlight() {
+func (s *rdmaSoak) forceMigrationInFlight() {
 	conn := s.conns[s.rng.Intn(len(s.conns))]
 	home := s.fl.Home(conn.ID)
 	if home < 0 {
@@ -329,7 +243,7 @@ func (s *rdmaScenario) forceMigrationInFlight() {
 
 // readmitAll returns tripped members to service so the soak keeps all
 // ranks in play after a forced failure.
-func (s *rdmaScenario) readmitAll() {
+func (s *rdmaSoak) readmitAll() {
 	for i := 0; i < s.fl.Members(); i++ {
 		if err := s.fl.Readmit(i); err != nil {
 			s.violate("op %d: readmit d%d: %v", s.op, i, err)
@@ -337,14 +251,8 @@ func (s *rdmaScenario) readmitAll() {
 	}
 }
 
-// payload returns a deterministic slice of the corpus.
-func (s *rdmaScenario) payload(n int) []byte {
-	off := s.rng.Intn(len(s.base) - n)
-	return s.base[off : off+n]
-}
-
 // checkWQEConservation asserts posted == completed + failed + pending.
-func (s *rdmaScenario) checkWQEConservation(when string) {
+func (s *rdmaSoak) checkWQEConservation(when string) {
 	st := s.nic.Stats()
 	if st.Posted != st.Completed+st.Failed+uint64(s.nic.Pending()) {
 		s.violate("wqe conservation %s (op %d): posted %d != completed %d + failed %d + pending %d",
@@ -354,7 +262,7 @@ func (s *rdmaScenario) checkWQEConservation(when string) {
 
 // checkLandings asserts every recorded landing lies inside the MR it was
 // addressed to.
-func (s *rdmaScenario) checkLandings() {
+func (s *rdmaSoak) checkLandings() {
 	for _, l := range s.nic.Landings() {
 		mr, ok := s.nic.LookupMR(l.Rkey)
 		if !ok {

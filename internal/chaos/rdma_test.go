@@ -11,83 +11,40 @@ import (
 // the seed so the schedule replays exactly.
 func TestRDMASoak(t *testing.T) {
 	n := soakSize() / 2
-	var fired int64
-	var posted, completed, failed uint64
-	var lost, naks, stale, bounds, migrations uint64
-	tolerated := 0
-	for i := 0; i < n; i++ {
-		seed := int64(9000 + i*7907)
-		rep, err := RunRDMA(seed, 24)
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", seed, err)
-		}
-		if len(rep.Violations) > 0 {
-			t.Fatalf("seed %d (policy %s): %d invariant violations:\n%s\ntrace:\n%s",
-				seed, rep.Policy, len(rep.Violations), rep.Violations[0], rep.Trace)
-		}
-		fired += rep.Fired
-		posted += rep.Posted
-		completed += rep.Completed
-		failed += rep.Failed
-		lost += rep.DoorbellsLost
-		naks += rep.RNRNaks
-		stale += rep.StaleRetries
-		bounds += rep.BoundsRefusals
-		migrations += rep.Migrations
-		tolerated += rep.Tolerated
-	}
+	sum := soakSeeds(t, n, func(i int) int64 { return int64(9000 + i*7907) },
+		func(seed int64) (Report, error) { return RunRDMA(seed, 24) })
 	// The soak must exercise the whole failure surface, not just the
 	// clean path: doorbells get lost, receivers NAK, rogue writes are
 	// refused, and in-flight WQEs cross migrations.
-	if fired == 0 {
-		t.Fatal("no faults fired across the rdma soak")
+	for _, c := range []struct{ name, what string }{
+		{"fired", "no faults fired across the rdma soak"},
+		{"doorbells_lost", "no doorbell was ever lost"},
+		{"rnr_naks", "no RNR NAK was ever injected"},
+		{"bounds_refusals", "no rogue write was ever refused"},
+		{"stale_retries", "no in-flight WQE ever crossed a migration"},
+		{"migrations", "no connection ever migrated"},
+	} {
+		if sum[c.name] == 0 {
+			t.Fatal(c.what)
+		}
 	}
-	if lost == 0 {
-		t.Fatal("no doorbell was ever lost")
-	}
-	if naks == 0 {
-		t.Fatal("no RNR NAK was ever injected")
-	}
-	if bounds == 0 {
-		t.Fatal("no rogue write was ever refused")
-	}
-	if stale == 0 {
-		t.Fatal("no in-flight WQE ever crossed a migration")
-	}
-	if migrations == 0 {
-		t.Fatal("no connection ever migrated")
-	}
-	if completed == 0 || posted != completed+failed {
+	if posted, completed, failed := sum["posted"], sum["completed"], sum["failed"]; completed == 0 || posted != completed+failed {
 		t.Fatalf("wqe ledger: posted %d, completed %d, failed %d", posted, completed, failed)
 	}
-	t.Logf("rdma soak: %d schedules, %d fired, %d posted (%d ok / %d failed), %d lost doorbells, %d naks, %d stale retargets, %d bounds refusals, %d migrations, %d tolerated",
-		n, fired, posted, completed, failed, lost, naks, stale, bounds, migrations, tolerated)
+	t.Logf("rdma soak: %d schedules, totals %v", n, sum)
 }
 
-// TestRDMASameSeedSameTrace replays a schedule and requires the
-// combined injector + NIC + placement trace and the whole report to
+// TestRDMASameSeedSameTrace replays a schedule and requires the whole
+// report — injector, NIC and placement traces and every count — to
 // reproduce byte-for-byte.
 func TestRDMASameSeedSameTrace(t *testing.T) {
-	for _, seed := range []int64{13, 1313, 131313} {
-		a, err := RunRDMA(seed, 24)
-		if err != nil {
-			t.Fatal(err)
+	sameSeedSameReport(t, []int64{13, 1313, 131313}, func(seed int64) (Report, error) {
+		rep, err := RunRDMA(seed, 24)
+		if err == nil && rep.Artifact("nic") == "" {
+			t.Fatalf("seed %d: empty NIC trace", seed)
 		}
-		b, err := RunRDMA(seed, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Trace == "" || a.Trace != b.Trace {
-			t.Fatalf("seed %d: trace not reproducible (%d vs %d bytes)", seed, len(a.Trace), len(b.Trace))
-		}
-		if a.Posted != b.Posted || a.Completed != b.Completed || a.Failed != b.Failed ||
-			a.DoorbellsLost != b.DoorbellsLost || a.RNRNaks != b.RNRNaks ||
-			a.StaleRetries != b.StaleRetries || a.PeerBytes != b.PeerBytes ||
-			a.Migrations != b.Migrations || a.Tolerated != b.Tolerated ||
-			len(a.Violations) != len(b.Violations) {
-			t.Fatalf("seed %d: reports diverge:\n%+v\n%+v", seed, a, b)
-		}
-	}
+		return rep, err
+	})
 }
 
 // TestRDMANoInjectionBaseline checks the harness itself: a single-op
@@ -97,7 +54,7 @@ func TestRDMANoInjectionBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Violations) > 0 {
-		t.Fatalf("violations on a single-op scenario: %v", rep.Violations)
+	if !rep.Ok() {
+		t.Fatalf("violations on a single-op scenario:\n%s", rep)
 	}
 }

@@ -21,69 +21,15 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// ShardedReport summarizes one sharded chaos soak.
-type ShardedReport struct {
-	Seed   int64
-	Shards int
-	// Requests/Errors/Tolerated aggregate the serving outcome: Errors is
-	// the servers' abandoned-request count, Tolerated how many shards
-	// ended on a degradable last error.
-	Requests  uint64
-	Errors    uint64
-	Tolerated int
-	// Consults/Fired sum the injector totals across shards.
-	Consults, Fired int64
-	// Trips/Readmits/FallbackOps sum the per-shard fleet reactions.
-	Trips, Readmits, FallbackOps uint64
-	Epochs, CrossMsgs            uint64
-	Violations                   []string
-	// PerShard holds one deterministic line per shard; Traces the
-	// per-shard canonical fault traces.
-	PerShard []string
-	Traces   []string
-}
-
-// Collect implements telemetry.Collector.
-func (r ShardedReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "shards", Value: float64(r.Shards)})
-	emit(telemetry.Sample{Name: "requests", Value: float64(r.Requests)})
-	emit(telemetry.Sample{Name: "errors", Value: float64(r.Errors)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "consults", Value: float64(r.Consults)})
-	emit(telemetry.Sample{Name: "fired", Value: float64(r.Fired)})
-	emit(telemetry.Sample{Name: "trips", Value: float64(r.Trips)})
-	emit(telemetry.Sample{Name: "readmits", Value: float64(r.Readmits)})
-	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(r.FallbackOps)})
-	emit(telemetry.Sample{Name: "epochs", Value: float64(r.Epochs)})
-	emit(telemetry.Sample{Name: "cross_shard_msgs", Value: float64(r.CrossMsgs)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// String renders the canonical soak transcript. Two runs of the same
-// seed must produce identical strings regardless of execution schedule.
-func (r ShardedReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sharded chaos seed=%d shards=%d\n", r.Seed, r.Shards)
-	fmt.Fprintf(&b, "requests=%d errors=%d tolerated=%d\n", r.Requests, r.Errors, r.Tolerated)
-	fmt.Fprintf(&b, "faults consults=%d fired=%d\n", r.Consults, r.Fired)
-	fmt.Fprintf(&b, "fleet trips=%d readmits=%d fallback=%d\n", r.Trips, r.Readmits, r.FallbackOps)
-	fmt.Fprintf(&b, "engine epochs=%d cross_msgs=%d\n", r.Epochs, r.CrossMsgs)
-	for _, line := range r.PerShard {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	for s, tr := range r.Traces {
-		fmt.Fprintf(&b, "-- shard %d fault trace --\n%s", s, tr)
-	}
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
-	}
-	return b.String()
-}
+// The sharded soak's pinned size: two server shards, four connections
+// each, measured for 2ms after a 1ms warmup.
+const (
+	shardedShards  = 2
+	shardedConns   = 4 * shardedShards
+	shardedMeasure = 2 * sim.Ms
+)
 
 // armServingSites installs a seeded per-shard fault plan on the sites
 // the serving path consults: CRC corruption on the rank's command bus
@@ -99,40 +45,23 @@ func armServingSites(rng *rand.Rand, inj *fault.Injector) {
 	}
 }
 
-// ShardedSoakConfig sizes a RunSharded soak.
-type ShardedSoakConfig struct {
-	Shards      int   // server shards (default 2)
-	Connections int   // total connections (default 4*Shards)
-	ExecWorkers int   // epoch parallelism: 0 = GOMAXPROCS, 1 = serial reference
-	MeasurePs   int64 // measurement window (default 2ms)
-	Trace       bool  // thread per-shard span tracers through the run
-}
-
 // RunSharded executes one sharded chaos soak: a compressed-HTTP serving
-// workload over Shards fault-injected sub-systems, the standard
-// warmup/measure protocol, then invariant checks per shard. The
-// returned error reports harness construction failures only; invariant
-// breaches land in ShardedReport.Violations. The cluster is returned
-// alongside so callers can fingerprint its merged trace.
-func RunSharded(seed int64, cfg ShardedSoakConfig) (ShardedReport, *fleet.Sharded, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Connections <= 0 {
-		cfg.Connections = 4 * cfg.Shards
-	}
-	if cfg.MeasurePs <= 0 {
-		cfg.MeasurePs = 2 * sim.Ms
-	}
-	rep := ShardedReport{Seed: seed, Shards: cfg.Shards}
-
-	injs := make([]*fault.Injector, cfg.Shards)
+// workload over fault-injected sub-systems, the standard warmup/measure
+// protocol, then invariant checks per shard. workers is the epoch
+// parallelism (1 = serial reference, 0 = GOMAXPROCS); trace threads
+// per-shard span tracers through the run. The returned error reports
+// harness construction failures only; invariant breaches land in
+// Report.Violations. The cluster is returned alongside so callers can
+// fingerprint its merged trace.
+func RunSharded(seed int64, workers int, trace bool) (Report, *fleet.Sharded, error) {
+	rep := Report{Soak: "sharded", Seed: seed}
+	injs := make([]*fault.Injector, shardedShards)
 	sc, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: cfg.Shards, Workers: 4,
-		MsgSize: 2048, Connections: cfg.Connections,
+		Shards: shardedShards, Workers: 4,
+		MsgSize: 2048, Connections: shardedConns,
 		FileKind: corpus.HTML, Mode: server.CompressedHTTP, Seed: seed,
-		ExecWorkers: cfg.ExecWorkers,
-		Trace:       cfg.Trace,
+		ExecWorkers: workers,
+		Trace:       trace,
 		Faults: func(shard int) *fault.Injector {
 			// A per-shard RNG derived from (seed, shard) picks the plan;
 			// the injector's own site streams derive from its seed — both
@@ -153,52 +82,56 @@ func RunSharded(seed int64, cfg ShardedSoakConfig) (ShardedReport, *fleet.Sharde
 		srv.BeginMeasurement()
 	}
 	sc.Generator().BeginMeasurement()
-	sc.Engine().RunUntil(sim.Ms + cfg.MeasurePs)
+	sc.Engine().RunUntil(sim.Ms + shardedMeasure)
 
+	var requests, errs, tolerated, consults, fired, trips, readmits, fallback int64
+	var perShard strings.Builder
 	for s, srv := range sc.Servers() {
 		m := srv.Collect()
-		rep.Requests += m.Requests
-		rep.Errors += m.Errors
+		requests += int64(m.Requests)
+		errs += int64(m.Errors)
 		if err := srv.LastError(); err != nil {
 			if tolerable(err) {
-				rep.Tolerated++
+				tolerated++
 			} else {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("shard %d: non-degradable error: %v", s, err))
+				rep.violate("shard %d: non-degradable error: %v", s, err)
 			}
 		}
 		if m.Requests == 0 {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("shard %d: served no requests under fault load", s))
+			rep.violate("shard %d: served no requests under fault load", s)
 		}
 		fl := sc.Fleets()[s]
 		t := fl.Totals()
-		rep.Trips += t.Trips
-		rep.Readmits += t.Readmits
-		rep.FallbackOps += t.Degraded.FallbackOps
+		trips += int64(t.Trips)
+		readmits += int64(t.Readmits)
+		fallback += int64(t.Degraded.FallbackOps)
 		// Conservation while live: pages allocated across the shard's
 		// ranks must equal what its connections hold, even mid-fault.
 		if out, exp := fl.OutstandingPages(), fl.ExpectedPages(); out != exp {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("shard %d: conservation: %d pages allocated, connections hold %d", s, out, exp))
+			rep.violate("shard %d: conservation: %d pages allocated, connections hold %d", s, out, exp)
 		}
-		consults, fired := injs[s].Counts()
-		rep.Consults += consults
-		rep.Fired += fired
-		if consults == 0 {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("shard %d: fault sites never consulted — injection not wired through", s))
+		c, f := injs[s].Counts()
+		consults += c
+		fired += f
+		if c == 0 {
+			rep.violate("shard %d: fault sites never consulted — injection not wired through", s)
 		}
-		rep.PerShard = append(rep.PerShard, fmt.Sprintf(
-			"shard%d requests=%d errors=%d consults=%d fired=%d trips=%d fallback=%d",
-			s, m.Requests, m.Errors, consults, fired, t.Trips, t.Degraded.FallbackOps))
-		rep.Traces = append(rep.Traces, injs[s].TraceString())
+		fmt.Fprintf(&perShard, "shard%d requests=%d errors=%d consults=%d fired=%d trips=%d fallback=%d\n",
+			s, m.Requests, m.Errors, c, f, t.Trips, t.Degraded.FallbackOps)
 	}
-	rep.Epochs = sc.Engine().Epochs()
-	rep.CrossMsgs = sc.Engine().Sent()
-	if rep.Requests > 0 && rep.CrossMsgs < 2*(rep.Requests-uint64(cfg.Connections)) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"dispatch fabric undercounted: %d msgs for %d requests", rep.CrossMsgs, rep.Requests))
+	epochs, cross := int64(sc.Engine().Epochs()), int64(sc.Engine().Sent())
+	if requests > 0 && cross < 2*(requests-shardedConns) {
+		rep.violate("dispatch fabric undercounted: %d msgs for %d requests", cross, requests)
+	}
+	rep.Counts = []Count{
+		{"requests", requests}, {"errors", errs}, {"tolerated", tolerated},
+		{"consults", consults}, {"fired", fired},
+		{"trips", trips}, {"readmits", readmits}, {"fallback_ops", fallback},
+		{"epochs", epochs}, {"cross_shard_msgs", cross},
+	}
+	rep.artifact("shards", perShard.String())
+	for s, inj := range injs {
+		rep.artifact(fmt.Sprintf("shard %d faults", s), inj.TraceString())
 	}
 	return rep, sc, nil
 }

@@ -2,71 +2,47 @@ package chaos
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/runner/runnertest"
 )
-
-// shardedSoak runs one traced soak and returns the canonical report
-// string plus the merged trace bytes.
-func shardedSoak(t *testing.T, seed int64, execWorkers int) (string, []byte) {
-	t.Helper()
-	rep, sc, err := RunSharded(seed, ShardedSoakConfig{
-		Shards: 2, ExecWorkers: execWorkers, MeasurePs: sim.Ms, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("seed %d: %s", seed, v)
-	}
-	var b bytes.Buffer
-	if err := sc.MergedTrace().WritePerfetto(&b); err != nil {
-		t.Fatal(err)
-	}
-	return rep.String(), b.Bytes()
-}
 
 // TestShardedChaosDeterministic is the fault-injected shard determinism
 // gate: the soak's report and merged trace are byte-identical across the
 // serial reference schedule, full parallelism, and GOMAXPROCS=2.
 func TestShardedChaosDeterministic(t *testing.T) {
-	refRep, refTrace := shardedSoak(t, 42, 1)
-	gotRep, gotTrace := shardedSoak(t, 42, 4)
-	if gotRep != refRep {
-		t.Fatalf("parallel soak report diverged:\n--- serial ---\n%.600s\n--- parallel ---\n%.600s", refRep, gotRep)
-	}
-	if !bytes.Equal(gotTrace, refTrace) {
-		t.Fatal("parallel soak trace diverged from serial reference")
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	gotRep, gotTrace = shardedSoak(t, 42, 0)
-	if gotRep != refRep {
-		t.Fatal("GOMAXPROCS=2 soak report diverged from serial reference")
-	}
-	if !bytes.Equal(gotTrace, refTrace) {
-		t.Fatal("GOMAXPROCS=2 soak trace diverged from serial reference")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte {
+		rep, sc, err := RunSharded(42, workers, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("workers=%d: %s", workers, v)
+		}
+		b := bytes.NewBufferString(rep.String())
+		if err := sc.MergedTrace().WritePerfetto(b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	})
 }
 
-// TestShardedChaosSoak sweeps seeds serially and parallel, checking
+// TestShardedChaosSoak sweeps seeds at full epoch parallelism, checking
 // invariants inside RunSharded and that faults actually land.
 func TestShardedChaosSoak(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		rep, _, err := RunSharded(seed, ShardedSoakConfig{ExecWorkers: 0})
+		rep, _, err := RunSharded(seed, 0, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, v := range rep.Violations {
 			t.Errorf("seed %d: %s", seed, v)
 		}
-		if rep.Requests == 0 || rep.Consults == 0 {
-			t.Fatalf("seed %d: soak did not exercise the cluster: %+v", seed, rep)
+		if rep.Count("requests") == 0 || rep.Count("consults") == 0 {
+			t.Fatalf("seed %d: soak did not exercise the cluster:\n%s", seed, rep)
 		}
-		if rep.Fired > 0 && rep.Errors == 0 && rep.FallbackOps == 0 && rep.Trips == 0 {
-			t.Errorf("seed %d: %d faults fired with no visible reaction", seed, rep.Fired)
+		if rep.Count("fired") > 0 && rep.Count("errors") == 0 && rep.Count("fallback_ops") == 0 && rep.Count("trips") == 0 {
+			t.Errorf("seed %d: %d faults fired with no visible reaction", seed, rep.Count("fired"))
 		}
 	}
 }

@@ -22,48 +22,18 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/autoscale"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/wrkgen"
 )
 
-// WorkloadReport is the soak's outcome.
-type WorkloadReport struct {
-	Seed        int64
-	Kind        string
-	Issued      uint64
-	Completed   uint64
-	SLOHeldFrac float64
-	Admits      uint64 // administrative (autoscaler) admissions
-	Drains      uint64 // administrative drains
-	Trips       uint64 // breaker trips (the injected fault)
-	Actions     int
-	FinalActive int
-	Violations  []string
-	// Canonical is the run's byte-compared replay artifact.
-	Canonical string
-}
-
-// Collect implements telemetry.Collector.
-func (r WorkloadReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "issued", Value: float64(r.Issued)})
-	emit(telemetry.Sample{Name: "completed", Value: float64(r.Completed)})
-	emit(telemetry.Sample{Name: "slo_held_frac", Value: r.SLOHeldFrac})
-	emit(telemetry.Sample{Name: "admits", Value: float64(r.Admits)})
-	emit(telemetry.Sample{Name: "drains", Value: float64(r.Drains)})
-	emit(telemetry.Sample{Name: "trips", Value: float64(r.Trips)})
-	emit(telemetry.Sample{Name: "actions", Value: float64(r.Actions)})
-	emit(telemetry.Sample{Name: "final_active", Value: float64(r.FinalActive)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// workloadSoakConfig is the pinned scenario; seed and pool vary.
-func workloadSoakConfig(seed int64, pool *runner.Pool) workload.RunConfig {
+// workloadSoakConfig is the pinned scenario; seed and the trace
+// generator's worker count (as for runner.New) vary.
+func workloadSoakConfig(seed int64, workers int) workload.RunConfig {
 	// Calibration (probe runs at these knobs): two ranks hold ~2.0M rps
 	// of this KV mix at p99 ~17us and collapse near 2.8M; three or four
 	// ranks hold 2.8M at ~25us. Base 900k with a 3x crowd peaks ~2.7M —
@@ -90,67 +60,52 @@ func workloadSoakConfig(seed int64, pool *runner.Pool) workload.RunConfig {
 			{AtPs: 4200 * sim.Us, Rank: 1},
 			{AtPs: 7 * sim.Ms, Rank: 1, Restore: true},
 		},
-		Pool: pool,
+		Pool: runner.New(workers),
 	}
 }
 
 // RunWorkloadSoak executes the soak once. Construction failures return
-// an error; invariant breaches land in Violations.
-func RunWorkloadSoak(seed int64, pool *runner.Pool) (WorkloadReport, error) {
-	rep, err := workload.Run(workloadSoakConfig(seed, pool))
+// an error; invariant breaches land in Report.Violations.
+func RunWorkloadSoak(seed int64, workers int) (Report, error) {
+	rep, err := workload.Run(workloadSoakConfig(seed, workers))
 	if err != nil {
-		return WorkloadReport{}, err
+		return Report{}, err
 	}
-	out := WorkloadReport{
-		Seed: seed, Kind: rep.Kind,
-		Issued: rep.Issued, Completed: rep.Completed,
-		SLOHeldFrac: rep.SLOHeldFrac,
-		Admits:      rep.Fleet.AdminAdmits, Drains: rep.Fleet.AdminDrains,
-		Trips:       rep.Fleet.Trips,
-		Actions:     len(splitActions(rep.Actions)),
-		FinalActive: rep.FinalActive,
-		Canonical:   rep.Canonical(),
-	}
-	v := func(format string, args ...any) {
-		out.Violations = append(out.Violations, fmt.Sprintf(format, args...))
-	}
+	actions := splitActions(rep.Actions)
+	out := Report{Soak: "workload", Seed: seed, Counts: []Count{
+		{"issued", int64(rep.Issued)}, {"completed", int64(rep.Completed)},
+		{"admits", int64(rep.Fleet.AdminAdmits)}, {"drains", int64(rep.Fleet.AdminDrains)},
+		{"trips", int64(rep.Fleet.Trips)}, {"actions", int64(len(actions))},
+		{"final_active", int64(rep.FinalActive)},
+	}}
+	out.artifact("canonical", rep.Canonical())
 	if rep.Completed == 0 {
-		v("no requests completed")
+		out.violate("no requests completed")
 	}
 	if rep.Issued < rep.Completed {
-		v("completed %d > issued %d", rep.Completed, rep.Issued)
+		out.violate("completed %d > issued %d", rep.Completed, rep.Issued)
 	}
 	// The InitialActive=2 park counts as 2 drains; the crowd must force
 	// at least one admission beyond that.
-	if out.Admits == 0 {
-		v("flash crowd never scaled up (0 admits)")
+	if rep.Fleet.AdminAdmits == 0 {
+		out.violate("flash crowd never scaled up (0 admits)")
 	}
-	if out.Trips == 0 {
-		v("injected fault never tripped the breaker")
+	if rep.Fleet.Trips == 0 {
+		out.violate("injected fault never tripped the breaker")
 	}
 	if rep.SLOHeldFrac < 0.5 {
-		v("SLO held only %.0f%% of measured ticks (floor 50%%)", rep.SLOHeldFrac*100)
+		out.violate("SLO held only %.0f%% of measured ticks (floor 50%%)", rep.SLOHeldFrac*100)
 	}
 	if !rep.PagesOK {
-		v("page conservation violated across rank drivers")
+		out.violate("page conservation violated across rank drivers")
 	}
-	checkNoFlap(splitActions(rep.Actions), v)
+	checkNoFlap(actions, &out)
 	return out, nil
 }
 
-// splitActions breaks the action trace into lines.
+// splitActions breaks the action trace into its non-empty lines.
 func splitActions(trace string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(trace); i++ {
-		if trace[i] == '\n' {
-			if i > start {
-				out = append(out, trace[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
+	return strings.FieldsFunc(trace, func(r rune) bool { return r == '\n' })
 }
 
 // checkNoFlap flags opposite-direction actions landing closer together
@@ -160,7 +115,7 @@ func splitActions(trace string) []string {
 // that says the controller thrashed.
 const flapWindowPs = sim.Ms
 
-func checkNoFlap(actions []string, v func(string, ...any)) {
+func checkNoFlap(actions []string, rep *Report) {
 	type act struct {
 		at   int64
 		what string
@@ -176,10 +131,10 @@ func checkNoFlap(actions []string, v func(string, ...any)) {
 		a, b := parsed[i-1], parsed[i]
 		opposite := (a.what == "admit" && b.what == "drain") || (a.what == "drain" && b.what == "admit")
 		if opposite && b.at-a.at < flapWindowPs {
-			v("flap: %q then %q within %dus", actions[i-1], actions[i], (b.at-a.at)/sim.Us)
+			rep.violate("flap: %q then %q within %dus", actions[i-1], actions[i], (b.at-a.at)/sim.Us)
 		}
 	}
 	if len(actions) > 12 {
-		v("%d autoscale actions in a 10ms run (thrash)", len(actions))
+		rep.violate("%d autoscale actions in a 10ms run (thrash)", len(actions))
 	}
 }

@@ -3,64 +3,50 @@ package chaos
 // Workload-soak tests: the pinned flash-crowd + rank-fault scenario
 // must hold its invariants, and the canonical report must replay
 // byte-identically from the seed — serial or pooled trace generation,
-// at GOMAXPROCS 1 and 2.
+// at any GOMAXPROCS.
 
 import (
-	"runtime"
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 )
 
 func TestWorkloadSoak(t *testing.T) {
-	rep, err := RunWorkloadSoak(11, nil)
+	rep, err := RunWorkloadSoak(11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if rep.Admits == 0 || rep.Trips == 0 {
-		t.Fatalf("soak exercised nothing: admits=%d trips=%d", rep.Admits, rep.Trips)
+	if rep.Count("admits") == 0 || rep.Count("trips") == 0 {
+		t.Fatalf("soak exercised nothing:\n%s", rep)
 	}
-	t.Logf("soak: issued=%d slo_held=%.0f%% actions=%d final_active=%d",
-		rep.Issued, rep.SLOHeldFrac*100, rep.Actions, rep.FinalActive)
+	t.Logf("soak: %v", rep.Counts)
 }
 
 func TestWorkloadSoakReplaysFromSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay soak is the long half of the gate")
 	}
-	ref, err := RunWorkloadSoak(11, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := RunWorkloadSoak(11, runner.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Canonical != ref.Canonical {
-		t.Fatalf("pooled soak differs from serial:\n--- serial ---\n%s--- pooled ---\n%s", ref.Canonical, pooled.Canonical)
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		again, err := RunWorkloadSoak(11, runner.New(0))
+	run := func(seed int64, workers int) Report {
+		rep, err := RunWorkloadSoak(seed, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.Canonical != ref.Canonical {
-			t.Fatalf("GOMAXPROCS=%d soak differs from serial reference", procs)
-		}
+		return rep
 	}
+	var ref Report
+	runnertest.SameBytes(t, func(workers int) []byte {
+		rep := run(11, workers)
+		if workers == 1 {
+			ref = rep
+		}
+		return []byte(rep.String())
+	})
 	// A different seed must actually change the run (the canonical
 	// artifact is not a constant).
-	other, err := RunWorkloadSoak(12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Canonical == ref.Canonical {
+	if run(12, 1).Artifact("canonical") == ref.Artifact("canonical") {
 		t.Fatal("different seeds produced identical canonical reports")
 	}
 }

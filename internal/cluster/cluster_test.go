@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/runner/runnertest"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -187,15 +187,7 @@ func clusterFingerprint(t *testing.T, execWorkers int) []byte {
 // GOMAXPROCS produce byte-identical traces, metrics, and reports even
 // across a kill/rejoin schedule.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
-	ref := clusterFingerprint(t, 1)
-	if got := clusterFingerprint(t, 4); !bytes.Equal(got, ref) {
-		t.Fatalf("parallel cluster run diverged from serial reference (%d vs %d bytes)", len(got), len(ref))
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	if got := clusterFingerprint(t, 0); !bytes.Equal(got, ref) {
-		t.Fatal("GOMAXPROCS=2 cluster run diverged from serial reference")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte { return clusterFingerprint(t, workers) })
 }
 
 // TestClusterRejectsBadConfigs pins the constructor guard rails.

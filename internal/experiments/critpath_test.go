@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/offload"
 	"repro/internal/profile"
 	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -143,34 +143,20 @@ func analyzeTrace(t *testing.T, trace []byte) string {
 }
 
 // The acceptance gate: the same-seed run must yield byte-identical
-// profile text and critical-path tables whether the simulation ran
-// serially, fanned through the runner pool, or under GOMAXPROCS=2.
+// profile text and critical-path tables whether two traced runs execute
+// serially, side by side on runner pool workers, or under GOMAXPROCS=2.
 func TestTracestatByteIdenticalAcrossSchedulers(t *testing.T) {
-	serial := analyzeTrace(t, tracedRun(t))
-	if !strings.Contains(serial, "simulated-time profile") || !strings.Contains(serial, "critical path:") {
-		t.Fatalf("analysis output malformed:\n%.400s", serial)
-	}
-
-	// Through the pool: the traced run executes on a pool worker.
-	pool := runner.New(0)
-	pooled, err := runner.Map(context.Background(), pool, []int{0, 1},
-		func(context.Context, int, int) (string, error) {
-			return analyzeTrace(t, tracedRun(t)), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range pooled {
-		if got != serial {
-			t.Fatalf("pooled run %d diverged from serial analysis", i)
+	runnertest.SameBytes(t, func(workers int) []byte {
+		outs, err := runner.Map(context.Background(), runner.New(workers), []int{0, 1},
+			func(context.Context, int, int) (string, error) {
+				return analyzeTrace(t, tracedRun(t)), nil
+			})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Under a constrained scheduler.
-	prev := runtime.GOMAXPROCS(2)
-	constrained := analyzeTrace(t, tracedRun(t))
-	runtime.GOMAXPROCS(prev)
-	if constrained != serial {
-		t.Fatal("GOMAXPROCS=2 run diverged from serial analysis")
-	}
+		if !strings.Contains(outs[0], "simulated-time profile") || !strings.Contains(outs[0], "critical path:") {
+			t.Fatalf("analysis output malformed:\n%.400s", outs[0])
+		}
+		return []byte(strings.Join(outs, "\n==== next run ====\n"))
+	})
 }

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 	"repro/internal/server"
 )
 
@@ -76,34 +75,16 @@ func TestCritPathRDMAGolden(t *testing.T) {
 // The determinism gate for the rdma figure: serial, pooled, and
 // GOMAXPROCS=2 runs must render byte-identical tables.
 func TestRDMADeterministicAcrossSchedulers(t *testing.T) {
-	render := func(pool *runner.Pool) string {
+	runnertest.SameBytes(t, func(workers int) []byte {
 		var b strings.Builder
-		if err := WriteRDMATable(&b, rdmaPoints(t, pool)); err != nil {
+		if err := WriteRDMATable(&b, rdmaPoints(t, runner.New(workers))); err != nil {
 			t.Fatal(err)
 		}
-		return b.String()
-	}
-	serial := render(nil)
-	if !strings.Contains(serial, "peer-dimm") {
-		t.Fatalf("table malformed:\n%s", serial)
-	}
-	pool := runner.New(0)
-	pooled, err := runner.Map(context.Background(), pool, []int{0, 1},
-		func(context.Context, int, int) (string, error) { return render(pool), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range pooled {
-		if got != serial {
-			t.Fatalf("pooled run %d diverged from serial", i)
+		if !strings.Contains(b.String(), "peer-dimm") {
+			t.Fatalf("table malformed:\n%s", b.String())
 		}
-	}
-	prev := runtime.GOMAXPROCS(2)
-	constrained := render(nil)
-	runtime.GOMAXPROCS(prev)
-	if constrained != serial {
-		t.Fatal("GOMAXPROCS=2 run diverged from serial")
-	}
+		return []byte(b.String())
+	})
 }
 
 // Peer-DMA pressure-isolation sanity: the antagonist column exists and

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -19,6 +18,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 	"repro/internal/sim"
 )
 
@@ -330,27 +330,21 @@ func TestFleetDeterministicUnderParallelism(t *testing.T) {
 		{fleet.Affinity, 4}, {fleet.Sticky, 4},
 		{fleet.RoundRobin, 1},
 	}
-	render := func(pool *runner.Pool) string {
-		outs, err := runner.Map(context.Background(), pool, jobs,
+	var serial string
+	runnertest.SameBytes(t, func(workers int) []byte {
+		outs, err := runner.Map(context.Background(), runner.New(workers), jobs,
 			func(_ context.Context, j scriptJob, _ int) (string, error) {
 				return runFleetScript(j)
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strings.Join(outs, "\n==== next job ====\n")
-	}
-	serial := render(nil)
-	parallel := render(runner.New(4))
-	prev := runtime.GOMAXPROCS(2)
-	squeezed := render(runner.New(4))
-	runtime.GOMAXPROCS(prev)
-	if serial != parallel {
-		t.Fatalf("parallel fleet runs diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if serial != squeezed {
-		t.Fatalf("GOMAXPROCS=2 fleet runs diverged from serial:\n--- serial ---\n%s\n--- GOMAXPROCS=2 ---\n%s", serial, squeezed)
-	}
+		out := strings.Join(outs, "\n==== next job ====\n")
+		if workers == 1 {
+			serial = out
+		}
+		return []byte(out)
+	})
 	// The episodes must actually appear in the compared artifact, or the
 	// gate silently compares trivia.
 	for _, want := range []string{"place c", "trip d", "drain c", "readmit d"} {

@@ -3,10 +3,10 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/runner/runnertest"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -70,15 +70,9 @@ func shardedFingerprint(t *testing.T, execWorkers int, lookahead int64, withExec
 // execution, and a different GOMAXPROCS all produce byte-identical
 // traces, metrics dumps, and reports.
 func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
-	ref := shardedFingerprint(t, 1, 0, true)
-	if got := shardedFingerprint(t, 4, 0, true); !bytes.Equal(got, ref) {
-		t.Fatalf("parallel sharded run diverged from serial reference (%d vs %d bytes)", len(got), len(ref))
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	if got := shardedFingerprint(t, 0, 0, true); !bytes.Equal(got, ref) {
-		t.Fatal("GOMAXPROCS=2 sharded run diverged from serial reference")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte {
+		return shardedFingerprint(t, workers, 0, true)
+	})
 }
 
 // TestShardedClusterLookaheadInvariance shrinks the epoch window well

@@ -2,9 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/runner/runnertest"
 )
 
 // shardLog is one shard's deterministic event log: every handler
@@ -73,15 +74,9 @@ func runPingModel(shards, workers int, lookahead int64, events int) string {
 // serial reference schedule (Workers=1) and fully parallel execution
 // produce byte-identical event logs, also under a different GOMAXPROCS.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	ref := runPingModel(4, 1, 250_000, 200)
-	if got := runPingModel(4, 4, 250_000, 200); got != ref {
-		t.Fatalf("parallel execution diverged from serial reference:\n--- serial ---\n%.400s\n--- parallel ---\n%.400s", ref, got)
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	if got := runPingModel(4, 0, 250_000, 200); got != ref {
-		t.Fatal("GOMAXPROCS=2 execution diverged from serial reference")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte {
+		return []byte(runPingModel(4, workers, 250_000, 200))
+	})
 }
 
 // TestShardedLookaheadWindows shrinks the conservative window down to

@@ -8,8 +8,6 @@ package telemetry_test
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/chaos"
@@ -133,33 +131,21 @@ func TestNetTCPTraceInstants(t *testing.T) {
 	}
 }
 
-// TestChaosRunWithTrace checks the chaos harness writes a reproducible
-// Perfetto file and records where it put it.
+// TestChaosRunWithTrace checks a traced chaos run records a
+// reproducible Perfetto trace with its fault track.
 func TestChaosRunWithTrace(t *testing.T) {
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-	r1, err := chaos.RunWithTrace(21, 8, p1)
-	if err != nil {
-		t.Fatal(err)
+	run := func() []byte {
+		tr := telemetry.New()
+		rep, err := chaos.Run(21, 8, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Ok() {
+			t.Fatalf("chaos violations:\n%s", rep)
+		}
+		return tr.PerfettoJSON()
 	}
-	if r1.TracePath != p1 {
-		t.Fatalf("TracePath = %q, want %q", r1.TracePath, p1)
-	}
-	if len(r1.Violations) != 0 {
-		t.Fatalf("chaos violations: %v", r1.Violations)
-	}
-	if _, err := chaos.RunWithTrace(21, 8, p2); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatal("same-seed chaos traces differ")
 	}

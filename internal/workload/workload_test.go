@@ -9,11 +9,11 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/autoscale"
 	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/wrkgen"
@@ -220,29 +220,15 @@ func TestRunKVAutoscales(t *testing.T) {
 
 // TestRunSameSeedSameReport is the workload determinism gate: the same
 // seed must produce a byte-identical canonical report whether the trace
-// generates serially, on a 2-worker pool, or at GOMAXPROCS=2.
+// generates serially, on a 4-worker pool, or at GOMAXPROCS=2.
 func TestRunSameSeedSameReport(t *testing.T) {
-	ref, err := Run(soakCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Canonical()
-	pooled, err := Run(soakCfg(runner.New(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pooled.Canonical(); got != want {
-		t.Fatalf("pooled report differs from serial:\n--- serial ---\n%s--- pooled ---\n%s", want, got)
-	}
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	again, err := Run(soakCfg(runner.New(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := again.Canonical(); got != want {
-		t.Fatal("GOMAXPROCS=2 report differs from serial")
-	}
+	runnertest.SameBytes(t, func(workers int) []byte {
+		rep, err := Run(soakCfg(runner.New(workers)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(rep.Canonical())
+	})
 }
 
 // TestRunEmbed drives the gather workload end to end: every request is

@@ -1,10 +1,10 @@
 package wrkgen
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/runner/runnertest"
 	"repro/internal/sim"
 )
 
@@ -23,40 +23,20 @@ func arrivalCfg() ArrivalConfig {
 
 // TestArrivalTraceDeterministic is the arrival determinism gate: the
 // same seed must yield byte-identical traces whether streams generate
-// serially, on a 2-worker pool, or on a GOMAXPROCS-wide pool under
-// GOMAXPROCS=1 and 2 — possible only because every bit of arrival-
+// serially, on a 4-worker pool, or on a GOMAXPROCS-wide pool under
+// GOMAXPROCS=2 — possible only because every bit of arrival-
 // process state is per-stream, never package-shared.
 func TestArrivalTraceDeterministic(t *testing.T) {
-	cfg := arrivalCfg()
-	serial, err := GenArrivals(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Arrivals) == 0 {
-		t.Fatal("empty trace")
-	}
-	ref := serial.String()
-
-	pooled, err := GenArrivalsPooled(cfg, runner.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pooled.String(); got != ref {
-		t.Fatalf("pooled trace differs from serial (%d vs %d bytes)", len(got), len(ref))
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		tr, err := GenArrivalsPooled(cfg, runner.New(0))
+	runnertest.SameBytes(t, func(workers int) []byte {
+		tr, err := GenArrivalsPooled(arrivalCfg(), runner.New(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tr.String(); got != ref {
-			t.Fatalf("GOMAXPROCS=%d trace differs from serial reference", procs)
+		if len(tr.Arrivals) == 0 {
+			t.Fatal("empty trace")
 		}
-	}
+		return []byte(tr.String())
+	})
 }
 
 // TestArrivalShapes sanity-checks the rate shaping: the flash-crowd
