@@ -110,14 +110,53 @@ gate() {
 	go test "$@" -run "$pattern"
 }
 
+# The targeted test runs, one row each: stage, flags (comma-separated;
+# - for none), -run pattern, packages. A row with pattern - runs every
+# test of its packages with plain `go test`; any other row goes through
+# gate. run_stage runs a stage's rows in table order.
+TESTS='
+smoke    -short        -                                                  ./internal/chaos/
+race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
+golden   -             TestPerfettoGolden|TestFullStackTraceReproducible  ./internal/telemetry/
+golden   -             TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers ./internal/experiments/
+golden   -             TestGoToolPprofAcceptsExport                       ./internal/profile/
+shard    -race         Shard                                              ./internal/sim/ ./internal/fleet/ ./internal/chaos/
+cluster  -race,-short  TestClusterSoak|TestClusterScheduleDerivation      ./internal/chaos/
+cluster  -race         TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably ./internal/cluster/
+rdma     -race         RDMA                                               ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
+rdma     -race,-short  TestRDMASoak|TestRDMASameSeedSameTrace             ./internal/chaos/
+workload -race         -                                                  ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
+workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration ./internal/fleet/
+workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
+obs      -race         -                                                  ./internal/obs/
+obs      -             TestIncidentSoak                                   ./internal/chaos/
+'
+
+run_stage() {
+	while read -r stage flags pattern pkgs; do
+		[ "$stage" = "$1" ] || continue
+		flags=$(echo "$flags" | tr ',' ' ')
+		[ "$flags" = "-" ] && flags=""
+		# $flags and $pkgs are deliberately unquoted: each is a word list.
+		if [ "$pattern" = "-" ]; then
+			echo "== $stage: go test $flags $pkgs"
+			go test $flags $pkgs
+		else
+			echo "== $stage: go test $flags $pkgs -run '$pattern'"
+			gate "$pattern" $flags $pkgs
+		fi
+	done <<EOF
+$TESTS
+EOF
+}
+
 run_bench() {
 	echo "== KPI bench gate (BENCH_baseline.json, results in BENCH_results.json)"
 	go run ./cmd/tracestat -bench -baseline BENCH_baseline.json -out BENCH_results.json
 }
 
 run_shard() {
-	echo "== shard determinism gate (serial vs parallel vs GOMAXPROCS=2, under -race)"
-	gate 'Shard' -race ./internal/sim/ ./internal/fleet/ ./internal/chaos/
+	run_stage shard
 
 	# Parallel epoch execution must stay confined to the sharded executor:
 	# shard-local model code is written single-threaded and relies on it.
@@ -132,32 +171,6 @@ run_shard() {
 		echo "ci.sh: package-level var in internal/sim/shard.go — shard state must live in ShardedEngine" >&2
 		exit 1
 	fi
-}
-
-run_cluster() {
-	echo "== cluster gate: bounded chaos soak + determinism gates (under -race)"
-	gate 'TestClusterSoak|TestClusterScheduleDerivation' -race -short ./internal/chaos/
-	gate 'TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably' -race ./internal/cluster/
-}
-
-run_rdma() {
-	echo "== rdma gate: NIC model, MR-locality, figure determinism (under -race) + bounded soak"
-	gate 'RDMA' -race ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
-	gate 'TestRDMASoak|TestRDMASameSeedSameTrace' -race -short ./internal/chaos/
-}
-
-run_workload() {
-	echo "== workload gate: sources, arrivals, autoscaler, fleet admin surface (under -race)"
-	go test -race ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
-	gate 'TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration' -race ./internal/fleet/
-	gate 'TestWorkloadSoak' -race -short ./internal/chaos/
-}
-
-run_obs() {
-	echo "== obs gate: series store, alert engine, flight recorder (under -race)"
-	go test -race ./internal/obs/
-	echo "== obs gate: incident soak + bundle byte-identity (serial vs pooled vs GOMAXPROCS=2)"
-	gate 'TestIncidentSoak' ./internal/chaos/
 }
 
 run_fuzz() {
@@ -185,8 +198,7 @@ run_all() {
 	echo "== go build ./..."
 	go build ./...
 
-	echo "== go test -short ./internal/chaos/"
-	go test -short ./internal/chaos/
+	run_stage smoke
 
 	echo "== wall-clock gate (no time.Now() in internal/ or cmd/)"
 	# internal/ is absolute: simulator code must use simulated picoseconds.
@@ -201,26 +213,13 @@ run_all() {
 		exit 1
 	fi
 
-	echo "== go test -race ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
-	go test -race ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
-
-	echo "== golden Perfetto trace"
-	gate 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
-
-	echo "== tracestat golden output"
-	gate 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
-	gate 'TestGoToolPprofAcceptsExport' ./internal/profile/
-
+	for stage in race golden; do
+		run_stage $stage
+	done
 	run_shard
-
-	run_cluster
-
-	run_rdma
-
-	run_workload
-
-	run_obs
-
+	for stage in cluster rdma workload obs; do
+		run_stage $stage
+	done
 	run_bench
 
 	echo "== go test -shuffle=on ./..."
@@ -233,10 +232,11 @@ case "${1:-}" in
 "") run_all ;;
 bench) run_bench ;;
 shard) run_shard ;;
-cluster) run_cluster; run_bench ;;
-rdma) run_rdma; run_bench ;;
-workload) run_workload; run_bench ;;
-obs) run_obs ;;
+cluster | rdma | workload)
+	run_stage "$1"
+	run_bench
+	;;
+obs) run_stage obs ;;
 fuzz) run_fuzz ;;
 *)
 	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs fuzz; no argument runs the full gate)" >&2

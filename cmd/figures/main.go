@@ -7,6 +7,7 @@
 //	figures               # all experiments at quick scale
 //	figures -fig 11       # one figure
 //	figures -fig 2b       # bursty-loss variant of Fig. 2 (not in "all")
+//	figures -fig 9trace > trace.dat  # Fig. 9's raw CAS scatter (not in "all")
 //	figures -fig scale    # fleet scaling, 1-8 SmartDIMM ranks (not in "all")
 //	figures -fig shard    # sharded-engine wall-clock scaling (not in "all")
 //	figures -fig failover # cluster availability across a node kill (not in "all")
@@ -28,15 +29,15 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/power"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate (2,2b,3,9,10,11,12,13,scale,shard,failover,breakdown,critpath,rdma,autoscale,incident); empty = all (non-paper figures excluded)")
+	fig := flag.String("fig", "", "figure to regenerate (2,2b,3,9,9trace,10,11,12,13,scale,shard,failover,breakdown,critpath,rdma,autoscale,incident); empty = all (non-paper figures excluded)")
 	table := flag.Int("table", 0, "table number to regenerate (1); 0 = all")
 	pow := flag.Bool("power", false, "print the §VII-D power/area model")
 	scale := flag.String("scale", "quick", "workload scale: quick or paper")
@@ -67,6 +68,9 @@ func main() {
 	// default output identical to the paper's figures.
 	if *fig == "2b" {
 		fig2b(pool)
+	}
+	if *fig == "9trace" {
+		fig9Trace()
 	}
 	if *fig == "scale" {
 		figScale(pool)
@@ -239,26 +243,25 @@ func figShard() {
 		var requests uint64
 		var rps float64
 		for i, execWorkers := range []int{1, 0} {
-			cl, err := fleet.NewSharded(fleet.ShardedConfig{
-				Shards: shards, Policy: fleet.RoundRobin,
-				MsgSize: 4096, Connections: 64 * shards,
-				FileKind: corpus.Text, Mode: server.HTTPSMode, Seed: 1,
-				ExecWorkers: execWorkers,
+			st, err := scenario.Build(scenario.Spec{
+				Placement: "rr", Shards: shards, ULP: "tls",
+				Msg: 4096, Conns: 64 * shards, FileKind: corpus.Text, Seed: 1,
+				WarmupPs: sim.Ms, MeasurePs: 4 * sim.Ms, ExecWorkers: execWorkers,
 			})
 			if err != nil {
 				fail(err)
 			}
 			start := time.Now() // wallclock:ok — measures host wall-clock scaling, not simulated time
-			m, err := cl.Run(sim.Ms, 4*sim.Ms)
+			r, err := st.Run()
 			if err != nil {
 				fail(err)
 			}
 			walls[i] = time.Since(start).Seconds()
 			if i == 0 {
-				requests, rps = m.Agg.Requests, m.Agg.RPS
-			} else if m.Agg.Requests != requests {
+				requests, rps = r.Metrics.Requests, r.Metrics.RPS
+			} else if r.Metrics.Requests != requests {
 				fail(fmt.Errorf("shards=%d: parallel run diverged from serial (%d vs %d requests)",
-					shards, m.Agg.Requests, requests))
+					shards, r.Metrics.Requests, requests))
 			}
 		}
 		fmt.Printf("%-8d %-10d %-12.0f %-12.2f %-14.2f %-14.0f %.2fx\n",
@@ -355,8 +358,23 @@ func fig9() {
 	for c := 0; c < 4; c++ {
 		fmt.Printf("core %d mean monotonic rdCAS run: %.1f cachelines\n", c, res.MeanRunLen[c])
 	}
-	fmt.Println("(use cmd/tracegen to dump the raw scatter for plotting)")
+	fmt.Println("(use -fig 9trace to dump the raw scatter for plotting)")
 	fmt.Println()
+}
+
+// fig9Trace dumps the Fig. 9 CAS trace as "time_ps kind phys_addr core"
+// rows on stdout, ready for gnuplot
+// (plot 'trace.dat' using 1:3 with dots), and its summary on stderr.
+func fig9Trace() {
+	res, err := experiments.Fig9()
+	if err != nil {
+		fail(err)
+	}
+	if err := res.Trace.Dump(os.Stdout); err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "figures: %d rdCAS, %d wrCAS, %d self-recycles, spread %dMB\n",
+		res.Trace.Reads(), res.Trace.Writes(), res.SelfRecycles, res.SpreadBytes>>20)
 }
 
 func fig10(pool *runner.Pool, sc experiments.Scale) {

@@ -34,9 +34,9 @@
 // Workload suite: -workload kv|embed replaces the closed-loop generator
 // with the trace-replay workload suite (internal/workload) — an
 // open-loop arrival trace at -rps drives the KV-cache GET/SET mix or
-// the embedding-gather mix over a -devices-rank fleet; -msg is ignored
-// (the source's payload mix governs). -slo-us additionally runs the SLO
-// autoscaler over the fleet and reports its action log.
+// the embedding-gather mix over a -devices-rank fleet; -msg and -corpus
+// do not apply (the source's payload mix governs). -slo-us additionally
+// runs the SLO autoscaler over the fleet and reports its action log.
 //
 // Observability (workload runs only): -scrape-us sets the simulated-time
 // scrape interval of the metrics plane; -alerts evaluates the default
@@ -52,6 +52,10 @@
 // RDMA NIC model and refills by one-sided writes straight into the
 // registered SmartDIMM buffers (requires the smartdimm placement or a
 // fleet policy).
+//
+// Every run is assembled by scenario.Build, which rejects a flag the
+// run's kind cannot honour: -workload with -shards, -trace, -profile or
+// -llc, and -datapath peer with -shards, are errors.
 package main
 
 import (
@@ -65,7 +69,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/corpus"
-	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/profile"
 	"repro/internal/runner"
@@ -74,113 +77,38 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
-// cliConfig carries the flag values shared by every run of the sweep.
+// cliConfig carries what every run of the sweep shares: the run's Spec
+// (each sweep point fills Msg and Conns) and the report flags.
 type cliConfig struct {
-	placement   string
-	datapath    string
-	ulpName     string
-	workers     int
-	devices     int
-	shards      int
-	execWorkers int
-	llc         int
-	ways        int
-	kind        corpus.Kind
-	warmupMs    int
-	measureMs   int
-	seed        int64
+	spec        scenario.Spec
 	tracePath   string
 	metrics     bool
 	profile     bool
-	workload    string
-	rps         float64
 	sloUs       float64
 	scrapeUs    int64
 	alerts      bool
 	incidentDir string
 }
 
+// point is one (msg, conns) point of the sweep.
+type point struct{ msg, conns int }
+
 func main() {
-	placement := flag.String("placement", "smartdimm",
-		"cpu | smartnic | qat | smartdimm | adaptive, or a fleet policy rr | leastload | affinity | sticky (default policy with -devices > 1: rr)")
-	devices := flag.Int("devices", 1, "SmartDIMM ranks; above 1, connections shard across a fleet (see -placement)")
-	datapath := flag.String("datapath", "host", "record ingress: host (storage DMA via host DRAM) | peer (zero-copy RDMA into device buffers; needs smartdimm or a fleet placement)")
-	shards := flag.Int("shards", 0, "run ONE simulation split across N parallel engine shards (sub-systems with -devices ranks each); 0 = the serial engine")
-	execWorkers := flag.Int("exec-workers", 0, "with -shards: epoch execution parallelism (0 = GOMAXPROCS, 1 = serial reference schedule; results are byte-identical either way)")
-	ulpName := flag.String("ulp", "tls", "tls | compression | none (plain HTTP)")
-	msgList := flag.String("msg", "4096", "message (response body) sizes in bytes, comma-separated")
-	connList := flag.String("conns", "256", "persistent connection counts, comma-separated")
-	workers := flag.Int("workers", 10, "server worker threads")
-	llc := flag.Int("llc", 2<<20, "LLC size in bytes")
-	ways := flag.Int("ways", 8, "LLC associativity")
-	kindName := flag.String("corpus", "text", "file corpus: zeros|html|text|json|random")
-	warmupMs := flag.Int("warmup-ms", 2, "warmup window")
-	measureMs := flag.Int("measure-ms", 20, "measurement window")
-	seed := flag.Int64("seed", 1, "workload seed")
-	par := flag.Int("parallel", 0, "concurrent sweep runs (0 = GOMAXPROCS, 1 = serial)")
-	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this file (single-point sweeps only)")
-	metrics := flag.Bool("metrics", false, "append the full metrics registry (name value lines) to the report")
-	prof := flag.Bool("profile", false, "append the simulated-time profile tree and critical-path table to the report (traces the run internally)")
-	workloadName := flag.String("workload", "", "trace-replay workload suite: kv (cache GET/SET mix) | embed (embedding gathers); empty = closed-loop generator")
-	rps := flag.Float64("rps", 1e6, "with -workload: open-loop offered rate (requests/s)")
-	sloUs := flag.Float64("slo-us", 0, "with -workload: run the SLO autoscaler with this p99 latency objective (us); 0 = no autoscaler")
-	scrapeUs := flag.Int64("scrape-us", 0, "with -workload: observability scrape interval (us); 0 = one scrape per control tick")
-	alerts := flag.Bool("alerts", false, "with -workload: evaluate the default alert rules (burn-rate page on the -slo-us objective, breaker-trip) and print the alert log")
-	incidentDir := flag.String("incident-dir", "", "with -workload: arm the flight recorder and write each incident bundle (report.txt + trace.json) under this directory")
-	flag.Parse()
-
-	kind, err := parseKind(*kindName)
+	cfg, sweep, par, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fatal(err)
-	}
-	msgs, err := parseIntList("msg", *msgList)
-	if err != nil {
-		fatal(err)
-	}
-	conns, err := parseIntList("conns", *connList)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *devices < 1 {
-		fatal(fmt.Errorf("-devices %d: need at least one rank", *devices))
-	}
-	cfg := cliConfig{
-		placement: strings.ToLower(*placement), datapath: strings.ToLower(*datapath),
-		ulpName: strings.ToLower(*ulpName),
-		workers: *workers, devices: *devices, shards: *shards, execWorkers: *execWorkers,
-		llc: *llc, ways: *ways, kind: kind,
-		warmupMs: *warmupMs, measureMs: *measureMs, seed: *seed,
-		tracePath: *tracePath, metrics: *metrics, profile: *prof,
-		workload: strings.ToLower(*workloadName), rps: *rps, sloUs: *sloUs,
-		scrapeUs: *scrapeUs, alerts: *alerts, incidentDir: *incidentDir,
-	}
-
-	type point struct{ msg, conns int }
-	var sweep []point
-	for _, m := range msgs {
-		for _, c := range conns {
-			sweep = append(sweep, point{msg: m, conns: c})
-		}
-	}
-	if cfg.tracePath != "" && len(sweep) > 1 {
-		fatal(fmt.Errorf("-trace: sweep has %d points; tracing needs a single msg/conns point", len(sweep)))
-	}
-	if cfg.incidentDir != "" && len(sweep) > 1 {
-		fatal(fmt.Errorf("-incident-dir: sweep has %d points; incident capture needs a single msg/conns point", len(sweep)))
 	}
 	var pool *runner.Pool
-	if *par != 1 && len(sweep) > 1 {
-		pool = runner.New(*par)
+	if par != 1 && len(sweep) > 1 {
+		pool = runner.New(par)
 	}
 	// Each run formats its own report; blocks print in sweep order no
 	// matter which worker finishes first.
 	blocks, err := runner.Map(context.Background(), pool, sweep,
 		func(_ context.Context, pt point, _ int) (string, error) {
-			return runOne(cfg, pt.msg, pt.conns)
+			return runOne(cfg, pt)
 		})
 	if err != nil {
 		fatal(err)
@@ -193,140 +121,244 @@ func main() {
 	}
 }
 
-// runOne builds a fresh serving stack, runs one closed-loop measurement,
-// and returns the formatted report.
-func runOne(cfg cliConfig, msg, conns int) (string, error) {
-	if cfg.workload != "" {
-		if cfg.shards > 0 || cfg.datapath == "peer" || cfg.tracePath != "" || cfg.profile {
-			return "", fmt.Errorf("-workload: not combinable with -shards, -datapath peer, -trace, or -profile")
+// parseArgs maps the command line onto the sweep's shared config, its
+// points, and the sweep parallelism.
+func parseArgs(args []string) (cliConfig, []point, int, error) {
+	fs := flag.NewFlagSet("smartdimm-sim", flag.ExitOnError)
+	placement := fs.String("placement", "smartdimm",
+		"cpu | smartnic | qat | smartdimm | adaptive, or a fleet policy rr | leastload | affinity | sticky (default policy with -devices > 1: rr)")
+	devices := fs.Int("devices", 1, "SmartDIMM ranks; above 1, connections shard across a fleet (see -placement)")
+	datapath := fs.String("datapath", "host", "record ingress: host (storage DMA via host DRAM) | peer (zero-copy RDMA into device buffers; needs smartdimm or a fleet placement)")
+	shards := fs.Int("shards", 0, "run ONE simulation split across N parallel engine shards (sub-systems with -devices ranks each); 0 = the serial engine")
+	execWorkers := fs.Int("exec-workers", 0, "with -shards: epoch execution parallelism (0 = GOMAXPROCS, 1 = serial reference schedule; results are byte-identical either way)")
+	ulpName := fs.String("ulp", "tls", "tls | compression | none (plain HTTP)")
+	msgList := fs.String("msg", "4096", "message (response body) sizes in bytes, comma-separated")
+	connList := fs.String("conns", "256", "persistent connection counts, comma-separated")
+	workers := fs.Int("workers", 10, "server worker threads")
+	llc := fs.Int("llc", 0, "LLC size in bytes (0 = 2MB)")
+	ways := fs.Int("ways", 0, "LLC associativity (0 = 8)")
+	kindName := fs.String("corpus", "text", "file corpus: zeros|html|text|json|random")
+	warmupMs := fs.Int("warmup-ms", 2, "warmup window")
+	measureMs := fs.Int("measure-ms", 20, "measurement window")
+	seed := fs.Int64("seed", 1, "workload seed")
+	par := fs.Int("parallel", 0, "concurrent sweep runs (0 = GOMAXPROCS, 1 = serial)")
+	tracePath := fs.String("trace", "", "write a Chrome/Perfetto trace of the run to this file (single-point sweeps only)")
+	metrics := fs.Bool("metrics", false, "append the full metrics registry (name value lines) to the report")
+	prof := fs.Bool("profile", false, "append the simulated-time profile tree and critical-path table to the report (traces the run internally)")
+	workloadName := fs.String("workload", "", "trace-replay workload suite: kv (cache GET/SET mix) | embed (embedding gathers); empty = closed-loop generator")
+	rps := fs.Float64("rps", 1e6, "with -workload: open-loop offered rate (requests/s)")
+	sloUs := fs.Float64("slo-us", 0, "with -workload: run the SLO autoscaler with this p99 latency objective (us); 0 = no autoscaler")
+	scrapeUs := fs.Int64("scrape-us", 0, "with -workload: observability scrape interval (us); 0 = one scrape per control tick")
+	alerts := fs.Bool("alerts", false, "with -workload: evaluate the default alert rules (burn-rate page on the -slo-us objective, breaker-trip) and print the alert log")
+	incidentDir := fs.String("incident-dir", "", "with -workload: arm the flight recorder and write each incident bundle (report.txt + trace.json) under this directory")
+	fs.Parse(args) // ExitOnError: a bad flag exits here
+
+	kind, err := parseKind(*kindName)
+	if err != nil {
+		return cliConfig{}, nil, 0, err
+	}
+	msgs, err := parseIntList("msg", *msgList)
+	if err != nil {
+		return cliConfig{}, nil, 0, err
+	}
+	conns, err := parseIntList("conns", *connList)
+	if err != nil {
+		return cliConfig{}, nil, 0, err
+	}
+	if *devices < 1 {
+		return cliConfig{}, nil, 0, fmt.Errorf("-devices %d: need at least one rank", *devices)
+	}
+	cfg := cliConfig{
+		spec: scenario.Spec{
+			Placement: strings.ToLower(*placement), Devices: *devices, DataPath: strings.ToLower(*datapath),
+			ULP: strings.ToLower(*ulpName), Workers: *workers, Seed: *seed, FileKind: kind,
+			WarmupPs: int64(*warmupMs) * sim.Ms, MeasurePs: int64(*measureMs) * sim.Ms,
+			Shards: *shards, ExecWorkers: *execWorkers, LLCBytes: *llc, LLCWays: *ways,
+		},
+		tracePath: *tracePath, metrics: *metrics, profile: *prof,
+		sloUs: *sloUs, scrapeUs: *scrapeUs, alerts: *alerts, incidentDir: *incidentDir,
+	}
+	if *workloadName != "" {
+		// The workload's request mix sets the payloads: -msg and -corpus
+		// do not apply.
+		cfg.spec.Workload, cfg.spec.RPS, cfg.spec.FileKind = strings.ToLower(*workloadName), *rps, 0
+		msgs = []int{0}
+	} else if *scrapeUs > 0 || *alerts || *incidentDir != "" {
+		return cliConfig{}, nil, 0, fmt.Errorf("-scrape-us/-alerts/-incident-dir: observability plane runs need -workload")
+	}
+	var sweep []point
+	for _, m := range msgs {
+		for _, c := range conns {
+			sweep = append(sweep, point{msg: m, conns: c})
 		}
-		return runWorkload(cfg, conns)
 	}
-	if cfg.scrapeUs > 0 || cfg.alerts || cfg.incidentDir != "" {
-		return "", fmt.Errorf("-scrape-us/-alerts/-incident-dir: observability plane runs need -workload")
+	if *tracePath != "" && len(sweep) > 1 {
+		return cliConfig{}, nil, 0, fmt.Errorf("-trace: sweep has %d points; tracing needs a single msg/conns point", len(sweep))
 	}
-	if cfg.shards > 0 {
-		if cfg.datapath == "peer" {
-			return "", fmt.Errorf("-datapath peer: not supported with -shards")
-		}
-		return runSharded(cfg, msg, conns)
+	if *incidentDir != "" && len(sweep) > 1 {
+		return cliConfig{}, nil, 0, fmt.Errorf("-incident-dir: sweep has %d points; incident capture needs a single msg/conns point", len(sweep))
 	}
-	var tracer *telemetry.Tracer
-	traceCAS := 0
+	return cfg, sweep, *par, nil
+}
+
+// runOne builds a fresh run through scenario.Build, drives one
+// measurement, and returns the formatted report. Build refuses any flag
+// combination the run's kind cannot honour (-workload with -shards or
+// -trace, -datapath peer with -shards, ...).
+func runOne(cfg cliConfig, pt point) (string, error) {
+	sp := cfg.spec
+	sp.Msg, sp.Conns = pt.msg, pt.conns
 	if cfg.tracePath != "" || cfg.profile {
 		// -profile analyzes the same event stream a -trace run records,
-		// so both flags thread a tracer through the system.
-		tracer = telemetry.New()
-		// A traced run also records the channel-0 CAS stream so the
-		// Perfetto counter track has data.
-		traceCAS = 1 << 16
+		// so both flags thread a tracer through the run.
+		sp.Tracer = telemetry.New()
+		if sp.Shards == 0 {
+			// A traced serial run also records the channel-0 CAS stream
+			// so the Perfetto counter track has data.
+			sp.TraceCAS = 1 << 16
+		}
 	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	st, err := scenario.Build(scenario.Spec{
-		Placement: cfg.placement, Devices: cfg.devices, DataPath: cfg.datapath, ULP: cfg.ulpName,
-		Msg: msg, Conns: conns, Workers: cfg.workers, Seed: cfg.seed,
-		WarmupPs: warmup, MeasurePs: measure,
-		LLCBytes: cfg.llc, LLCWays: cfg.ways, FileKind: cfg.kind,
-		Tracer: tracer, TraceCAS: traceCAS,
-	})
+	st, err := scenario.Build(sp)
 	if err != nil {
 		return "", err
 	}
-	m, err := st.Run()
+	if st.Workload != nil {
+		layerObs(cfg, st.Workload)
+	}
+	r, err := st.Run()
 	if err != nil {
 		return "", err
 	}
-	sys, fl := st.Sys, st.Fleet
-
 	var b strings.Builder
-	fmt.Fprintf(&b, "placement:   %s\n", cfg.placement)
-	fmt.Fprintf(&b, "datapath:    %s\n", cfg.datapath)
-	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers\n", st.Mode, msg, conns, cfg.workers)
-	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
-	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
-	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
-	fmt.Fprintf(&b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
-	fmt.Fprintf(&b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
-	fmt.Fprintf(&b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
+	reg := telemetry.NewRegistry()
+	reg.Register("server", r.Metrics)
+	switch {
+	case r.Workload != nil:
+		err = workloadReport(&b, cfg, st, *r.Workload, reg)
+	case r.Sharded != nil:
+		shardedReport(&b, st, r, reg)
+	default:
+		serialReport(&b, st, r.Metrics, reg)
+	}
+	if err == nil && cfg.metrics {
+		fmt.Fprintf(&b, "--- metrics ---\n")
+		err = reg.WriteText(&b)
+	}
+	if err == nil && sp.Tracer != nil {
+		err = writeTrace(&b, cfg, st)
+	}
+	return b.String(), err
+}
+
+// writeServing appends the server-metrics lines every report shares; a
+// closed-loop run (msg > 0) adds its wire bytes and mean latency.
+func writeServing(b *strings.Builder, m server.Metrics, msg int) {
+	fmt.Fprintf(b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
+	fmt.Fprintf(b, "RPS:         %.0f\n", m.RPS)
+	fmt.Fprintf(b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
+	fmt.Fprintf(b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
+	if msg > 0 {
+		fmt.Fprintf(b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
+		fmt.Fprintf(b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
+	}
+}
+
+// serialReport formats a run on one serial system and registers its
+// components' metrics.
+func serialReport(b *strings.Builder, st *scenario.Stack, m server.Metrics, reg *telemetry.Registry) {
+	sp, sys, fl := st.Spec, st.Sys, st.Fleet
+	fmt.Fprintf(b, "placement:   %s\n", sp.Placement)
+	fmt.Fprintf(b, "datapath:    %s\n", sp.DataPath)
+	fmt.Fprintf(b, "mode:        %s, %dB messages, %d connections, %d workers\n", st.Mode, sp.Msg, sp.Conns, sp.Workers)
+	writeServing(b, m, sp.Msg)
 	if fl != nil {
 		t := fl.Totals()
-		fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active; %d batches / %d descriptors\n",
+		fmt.Fprintf(b, "fleet:       %d devices (%s), %d active; %d batches / %d descriptors\n",
 			t.Devices, fl.Policy(), t.Active, t.Batches, t.Descriptors)
-		fmt.Fprintf(&b, "placement:   %d migrations (%d sheds), %d trips / %d readmits, %d soft ops, fallback rate %.4f\n",
+		fmt.Fprintf(b, "placement:   %d migrations (%d sheds), %d trips / %d readmits, %d soft ops, fallback rate %.4f\n",
 			t.Migrations, t.Sheds, t.Trips, t.Readmits, t.SoftOps, t.Degraded.FallbackRate())
 	}
 	if sys.Dev != nil {
 		ds := sys.Dev.Stats()
-		fmt.Fprintf(&b, "smartdimm:   %d registrations, %d DSA lines, %d self-recycles, %d S7, %d S10, %d ALERT_N\n",
+		fmt.Fprintf(b, "smartdimm:   %d registrations, %d DSA lines, %d self-recycles, %d S7, %d S10, %d ALERT_N\n",
 			ds.Registrations, ds.DSALinesFed, ds.SelfRecycles, ds.IgnoredWrites, ds.ScratchpadReads, ds.Alerts)
-		fmt.Fprintf(&b, "driver:      %d CompCpy, %d force-recycles\n",
+		fmt.Fprintf(b, "driver:      %d CompCpy, %d force-recycles\n",
 			sys.Driver.Stats().CompCpyCalls, sys.Driver.Stats().ForceRecycleCalls)
 		if ad, ok := st.Backend.(*offload.Adaptive); ok {
-			fmt.Fprintf(&b, "adaptive:    %d offloaded, %d on CPU (last miss rate %.3f)\n",
+			fmt.Fprintf(b, "adaptive:    %d offloaded, %d on CPU (last miss rate %.3f)\n",
 				ad.OffloadedN, ad.OnCPUN, ad.LastMissRate)
 		}
 	}
 	if st.NIC != nil {
 		ns := st.NIC.Stats()
-		fmt.Fprintf(&b, "rdma:        %d MRs (%d live), %d WQEs (%d ok / %d failed), %d doorbells (%.2f wqe/ring, %d lost), %d RNR naks, %d stale retargets\n",
+		fmt.Fprintf(b, "rdma:        %d MRs (%d live), %d WQEs (%d ok / %d failed), %d doorbells (%.2f wqe/ring, %d lost), %d RNR naks, %d stale retargets\n",
 			ns.MRs, ns.LiveMRs, ns.Posted, ns.Completed, ns.Failed,
 			ns.Doorbells, ns.DoorbellsCoalesce, ns.DoorbellsLost, ns.RNRNaks, ns.StaleRkeyRetries)
-		fmt.Fprintf(&b, "             %d peer bytes on the wire (%.2fus serialized), %d preloaded\n",
+		fmt.Fprintf(b, "             %d peer bytes on the wire (%.2fus serialized), %d preloaded\n",
 			ns.PeerBytes, float64(ns.WirePs)/float64(sim.Us), ns.Preloaded)
 	}
-	if cfg.metrics {
-		reg := telemetry.NewRegistry()
-		reg.Register("server", m)
-		sys.RegisterMetrics(reg)
-		if fl != nil {
-			reg.Register("fleet", fl.Totals())
-		}
-		fmt.Fprintf(&b, "--- metrics ---\n")
-		if err := reg.WriteText(&b); err != nil {
-			return "", err
-		}
+	sys.RegisterMetrics(reg)
+	if fl != nil {
+		reg.Register("fleet", fl.Totals())
 	}
-	if tracer != nil && sys.Trace != nil {
-		sys.Trace.ExportTo(tracer)
+}
+
+// shardedReport formats a run split across -shards parallel engine
+// shards (fleet.Sharded): each shard is a disjoint sub-system with
+// -devices ranks behind a per-shard fleet backend, and the front-end
+// shard dispatches connections across them. Reported metrics (and
+// -trace / -metrics artifacts) are byte-identical at any -exec-workers
+// setting.
+func shardedReport(b *strings.Builder, st *scenario.Stack, r scenario.Result, reg *telemetry.Registry) {
+	sp, cl, sm := st.Spec, st.Sharded, r.Sharded
+	fmt.Fprintf(b, "placement:   %s, %d shards x %d ranks (exec workers: %d)\n",
+		cl.Fleets()[0].Policy(), sp.Shards, sp.Devices, cl.Engine().Workers)
+	fmt.Fprintf(b, "mode:        %s, %dB messages, %d connections, %d workers/shard\n", st.Mode, sp.Msg, sp.Conns, sp.Workers)
+	writeServing(b, r.Metrics, sp.Msg)
+	fmt.Fprintf(b, "engine:      lookahead %.2fus, %d epochs, %d cross-shard msgs, %d events\n",
+		float64(cl.Engine().Lookahead())/float64(sim.Us), sm.Epochs, sm.SentMsgs, sm.Processed)
+	for s, ps := range sm.PerShard {
+		fmt.Fprintf(b, "  shard %d:   %d requests, RPS %.0f, mean latency %.1f us\n",
+			s, ps.Requests, ps.RPS, float64(ps.MeanLatPs)/float64(sim.Us))
+	}
+	cl.RegisterMetrics(reg)
+}
+
+// writeTrace appends the -profile tree (plus, for a serial run, the
+// critical-path table) and writes the -trace file.
+func writeTrace(b *strings.Builder, cfg cliConfig, st *scenario.Stack) error {
+	tracer := st.Spec.Tracer
+	if st.Sys != nil && st.Sys.Trace != nil {
+		st.Sys.Trace.ExportTo(tracer)
 	}
 	if cfg.profile {
-		p := profile.FromTracer(tracer)
-		fmt.Fprintf(&b, "--- profile ---\n")
-		if err := p.WriteTree(&b); err != nil {
-			return "", err
+		fmt.Fprintf(b, "--- profile ---\n")
+		if err := profile.FromTracer(tracer).WriteTree(b); err != nil {
+			return err
 		}
-		cp := profile.AnalyzeTracer(tracer, profile.Options{FromPs: warmup})
-		fmt.Fprintf(&b, "--- critical path ---\n")
-		if err := cp.WriteTable(&b); err != nil {
-			return "", err
+		if st.Sys != nil {
+			cp := profile.AnalyzeTracer(tracer, profile.Options{FromPs: st.Spec.WarmupPs})
+			fmt.Fprintf(b, "--- critical path ---\n")
+			if err := cp.WriteTable(b); err != nil {
+				return err
+			}
 		}
 	}
 	if cfg.tracePath != "" {
 		if err := tracer.WritePerfettoFile(cfg.tracePath); err != nil {
-			return "", err
+			return err
 		}
-		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
+		fmt.Fprintf(b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
 			cfg.tracePath, tracer.Len())
 	}
-	return b.String(), nil
+	return nil
 }
 
-// runWorkload drives the trace-replay workload suite: an open-loop
-// arrival trace at cfg.rps over a cfg.devices-rank fleet, optionally
-// supervised by the SLO autoscaler (-slo-us).
-func runWorkload(cfg cliConfig, conns int) (string, error) {
-	pol, err := scenario.FleetPolicy(cfg.placement)
-	if err != nil {
-		return "", fmt.Errorf("-workload: %w", err)
-	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	rc := workload.RunConfig{
-		Kind: cfg.workload, Ranks: cfg.devices, Policy: pol,
-		Conns: conns, Workers: cfg.workers, Seed: cfg.seed,
-		HorizonPs: warmup + measure, WarmupPs: warmup,
-		KV:       workload.KVConfig{ZipfS: 0.99},
-		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: cfg.rps},
-	}
+// layerObs puts the workload-only flags on the mapped run config: the
+// SLO autoscaler (-slo-us), the scrape interval (-scrape-us), the
+// default alert rules (-alerts) and the flight recorder
+// (-incident-dir).
+func layerObs(cfg cliConfig, rc *workload.RunConfig) {
 	if cfg.sloUs > 0 {
 		rc.Scale = &autoscale.Config{SLOPs: cfg.sloUs * float64(sim.Us)}
 	}
@@ -343,57 +375,45 @@ func runWorkload(cfg cliConfig, conns int) (string, error) {
 		rc.Rules = workload.DefaultAlertRules(slo * float64(sim.Us))
 	}
 	rc.Record = cfg.incidentDir != ""
-	rep, err := workload.Run(rc)
-	if err != nil {
-		return "", err
-	}
-	m := rep.Metrics
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload:    %s, %.0f rps offered (open loop), %d connections, %d workers\n",
-		rep.Kind, cfg.rps, conns, cfg.workers)
-	fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active at end\n", cfg.devices, pol, rep.FinalActive)
-	fmt.Fprintf(&b, "issued:      %d (%d completed, peak in-flight %d)\n", rep.Issued, rep.Completed, rep.PeakInFlight)
-	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
-	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
-	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
-	fmt.Fprintf(&b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
-	fmt.Fprintf(&b, "latency:     p50 %.1f us, p99 %.1f us (end to end)\n",
+}
+
+// workloadReport formats a trace-replay workload run: an open-loop
+// arrival trace at -rps over a -devices-rank fleet, optionally
+// supervised by the SLO autoscaler (-slo-us).
+func workloadReport(b *strings.Builder, cfg cliConfig, st *scenario.Stack, rep workload.Report, reg *telemetry.Registry) error {
+	m, rc := rep.Metrics, st.Workload
+	fmt.Fprintf(b, "workload:    %s, %.0f rps offered (open loop), %d connections, %d workers\n",
+		rep.Kind, st.Spec.RPS, rc.Conns, rc.Workers)
+	fmt.Fprintf(b, "fleet:       %d devices (%s), %d active at end\n", rc.Ranks, rc.Policy, rep.FinalActive)
+	fmt.Fprintf(b, "issued:      %d (%d completed, peak in-flight %d)\n", rep.Issued, rep.Completed, rep.PeakInFlight)
+	writeServing(b, m, 0)
+	fmt.Fprintf(b, "latency:     p50 %.1f us, p99 %.1f us (end to end)\n",
 		rep.P50Ps/float64(sim.Us), rep.P99Ps/float64(sim.Us))
 	switch rep.Kind {
 	case "kv":
-		fmt.Fprintf(&b, "mix:         %d gets / %d sets\n", rep.Gets, rep.Sets)
+		fmt.Fprintf(b, "mix:         %d gets / %d sets\n", rep.Gets, rep.Sets)
 	case "embed":
-		fmt.Fprintf(&b, "mix:         %d gathers\n", rep.Gathers)
+		fmt.Fprintf(b, "mix:         %d gathers\n", rep.Gathers)
 	}
 	if rc.Scale != nil {
-		fmt.Fprintf(&b, "autoscaler:  SLO %.0fus held %.0f%% of ticks; %d admits, %d drains\n",
+		fmt.Fprintf(b, "autoscaler:  SLO %.0fus held %.0f%% of ticks; %d admits, %d drains\n",
 			cfg.sloUs, rep.SLOHeldFrac*100, rep.Fleet.AdminAdmits, rep.Fleet.AdminDrains)
 		if rep.Actions != "" {
-			fmt.Fprintf(&b, "--- actions ---\n%s", rep.Actions)
+			fmt.Fprintf(b, "--- actions ---\n%s", rep.Actions)
 		}
 	}
 	if len(rc.Rules) > 0 {
-		fmt.Fprintf(&b, "alerts:      %d transitions, %d incidents (%d dropped)\n",
+		fmt.Fprintf(b, "alerts:      %d transitions, %d incidents (%d dropped)\n",
 			len(rep.Alerts), len(rep.Incidents), rep.IncidentsDropped)
 		if rep.AlertLog != "" {
-			fmt.Fprintf(&b, "--- alerts ---\n%s", rep.AlertLog)
+			fmt.Fprintf(b, "--- alerts ---\n%s", rep.AlertLog)
 		}
 	}
+	reg.Register("run", rep)
 	if cfg.incidentDir != "" {
-		if err := writeIncidents(cfg.incidentDir, rep, &b); err != nil {
-			return "", err
-		}
+		return writeIncidents(cfg.incidentDir, rep, b)
 	}
-	if cfg.metrics {
-		reg := telemetry.NewRegistry()
-		reg.Register("server", m)
-		reg.Register("run", rep)
-		fmt.Fprintf(&b, "--- metrics ---\n")
-		if err := reg.WriteText(&b); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
+	return nil
 }
 
 // writeIncidents dumps each captured flight-recorder bundle under dir:
@@ -425,84 +445,6 @@ func writeIncidents(dir string, rep workload.Report, b *strings.Builder) error {
 		fmt.Fprintf(b, "incident:    %d firings past the bundle cap were dropped\n", rep.IncidentsDropped)
 	}
 	return nil
-}
-
-// runSharded runs one simulation split across cfg.shards parallel
-// engine shards (fleet.Sharded): each shard is a disjoint sub-system
-// with cfg.devices ranks behind a per-shard fleet backend, the
-// front-end shard dispatches connections across them, and epochs
-// execute on cfg.execWorkers goroutines. Reported metrics (and -trace /
-// -metrics artifacts) are byte-identical at any -exec-workers setting.
-func runSharded(cfg cliConfig, msg, conns int) (string, error) {
-	pol, err := scenario.FleetPolicy(cfg.placement)
-	if err != nil {
-		return "", fmt.Errorf("-shards: %w", err)
-	}
-	mode, err := scenario.ParseULP(cfg.ulpName)
-	if err != nil || mode == server.PlainHTTP {
-		return "", fmt.Errorf("-shards: ulp %q unsupported; sharded runs serve tls or compression", cfg.ulpName)
-	}
-	trace := cfg.tracePath != "" || cfg.profile
-	cl, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: cfg.shards, RanksPerShard: cfg.devices, Policy: pol,
-		Workers: cfg.workers, MsgSize: msg, Connections: conns,
-		FileKind: cfg.kind, Mode: mode, Seed: cfg.seed,
-		ExecWorkers: cfg.execWorkers,
-		LLCBytes:    cfg.llc, LLCWays: cfg.ways,
-		Trace: trace,
-	})
-	if err != nil {
-		return "", err
-	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	sm, err := cl.Run(warmup, measure)
-	if err != nil {
-		return "", err
-	}
-	m := sm.Agg
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "placement:   %s, %d shards x %d ranks (exec workers: %d)\n",
-		pol, cfg.shards, cfg.devices, cl.Engine().Workers)
-	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers/shard\n", mode, msg, conns, cfg.workers)
-	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
-	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
-	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
-	fmt.Fprintf(&b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
-	fmt.Fprintf(&b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
-	fmt.Fprintf(&b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
-	fmt.Fprintf(&b, "engine:      lookahead %.2fus, %d epochs, %d cross-shard msgs, %d events\n",
-		float64(cl.Engine().Lookahead())/float64(sim.Us), sm.Epochs, sm.SentMsgs, sm.Processed)
-	for s, ps := range sm.PerShard {
-		fmt.Fprintf(&b, "  shard %d:   %d requests, RPS %.0f, mean latency %.1f us\n",
-			s, ps.Requests, ps.RPS, float64(ps.MeanLatPs)/float64(sim.Us))
-	}
-	if cfg.metrics {
-		reg := telemetry.NewRegistry()
-		reg.Register("server", m)
-		cl.RegisterMetrics(reg)
-		fmt.Fprintf(&b, "--- metrics ---\n")
-		if err := reg.WriteText(&b); err != nil {
-			return "", err
-		}
-	}
-	if cfg.profile {
-		merged := cl.MergedTrace()
-		p := profile.FromTracer(merged)
-		fmt.Fprintf(&b, "--- profile ---\n")
-		if err := p.WriteTree(&b); err != nil {
-			return "", err
-		}
-	}
-	if cfg.tracePath != "" {
-		merged := cl.MergedTrace()
-		if err := merged.WritePerfettoFile(cfg.tracePath); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
-			cfg.tracePath, merged.Len())
-	}
-	return b.String(), nil
 }
 
 func parseIntList(name, s string) ([]int, error) {

@@ -36,10 +36,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := st.Run()
+		r, err := st.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
+		m := r.Metrics
 		fmt.Printf("%-12s %-10.0f %-10.1f%% %-12.3f %.0f us\n",
 			p.name, m.RPS, m.CPUUtil*100, m.MemBWGBps, float64(m.MeanLatPs)/float64(sim.Us))
 	}

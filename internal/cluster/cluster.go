@@ -81,12 +81,11 @@ type Config struct {
 	// 1 = the serial reference schedule).
 	ExecWorkers int
 
-	// Params/LLCBytes/LLCWays/Geometry configure each node's sub-system
-	// (zero values select the same defaults as fleet.ShardedConfig).
+	// Params/LLCBytes/LLCWays configure each node's sub-system (zero
+	// values select the same defaults as fleet.ShardedConfig).
 	Params   *sim.Params
 	LLCBytes int
 	LLCWays  int
-	Geometry dram.Geometry
 }
 
 // Cluster is the assembled tier.
@@ -173,9 +172,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LLCBytes == 0 {
 		cfg.LLCBytes, cfg.LLCWays = 2<<20, 8
 	}
-	if cfg.Geometry.Ranks == 0 {
-		cfg.Geometry = dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
-	}
 
 	c := &Cluster{cfg: cfg}
 	c.se = sim.NewShardedEngine(cfg.Nodes+1, cfg.Net.PropPs)
@@ -212,7 +208,7 @@ func New(cfg Config) (*Cluster, error) {
 		tracer := c.tracers[1+i]
 		sys, err := sim.NewSystem(sim.SystemConfig{
 			Params: params, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays,
-			Geometry:       cfg.Geometry,
+			Geometry:       dram.MediumGeometry(),
 			WithSmartDIMM:  true,
 			SmartDIMMRanks: 1,
 			Tracer:         tracer,

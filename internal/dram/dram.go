@@ -89,6 +89,12 @@ func SmallGeometry() Geometry {
 	return Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 1024, ColsPerRow: 128}
 }
 
+// MediumGeometry returns the 512MB rank every serving run simulates:
+// enough DRAM for paper-scale connection counts.
+func MediumGeometry() Geometry {
+	return Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
+}
+
 // TotalBanks returns the number of banks across all ranks.
 func (g Geometry) TotalBanks() int { return g.Ranks * g.BankGroups * g.BanksPerBG }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/corun"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/nettcp"
 	"repro/internal/offload"
@@ -61,12 +60,6 @@ func PaperScale() Scale {
 		WarmupPs: 4 * sim.Ms, MeasurePs: 20 * sim.Ms,
 		LLCBytes: 4 << 20, LLCWays: 16,
 	}
-}
-
-// mediumGeometry provides 512MB of simulated DRAM, enough for
-// paper-scale connection counts.
-func mediumGeometry() dram.Geometry {
-	return dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
 }
 
 // Placement names one accelerator configuration of §VI.
@@ -129,7 +122,8 @@ func measureUncontended(sp scenario.Spec) (server.Metrics, error) {
 	if err != nil {
 		return server.Metrics{}, err
 	}
-	return st.Run()
+	r, err := st.Run()
+	return r.Metrics, err
 }
 
 // noThink is the zero client think time of the wrk-style runs that
@@ -274,10 +268,7 @@ type Fig9Result struct {
 // Fig9 reproduces the trace experiment: four cores concurrently
 // offloading TLS records, buffers spaced 32MB apart.
 func Fig9() (*Fig9Result, error) {
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params: sim.DefaultParams(), LLCBytes: 256 << 10, LLCWays: 8,
-		Geometry: mediumGeometry(), WithSmartDIMM: true, TraceCAS: 200000,
-	})
+	sys, err := scenario.System(scenario.Spec{Placement: "smartdimm", LLCBytes: 256 << 10, TraceCAS: 200000})
 	if err != nil {
 		return nil, err
 	}

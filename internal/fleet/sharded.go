@@ -7,8 +7,8 @@
 // backend, server worker pool, RNG stream, fault injector, and tracer.
 //
 // The only cross-shard interaction is the request/response exchange with
-// the front-end, which crosses shards through ShardedEngine.Send at
-// DispatchPs — the one-way NIC wire latency. DispatchPs is therefore the
+// the front-end, which crosses shards through ShardedEngine.Send at the
+// dispatch latency — the one-way NIC wire latency, and therefore the
 // cluster's conservative lookahead window; DeriveDispatchPs derives it
 // from the calibration parameters (half the in-rack RTT) floored at the
 // slowest-resolving cross-domain latencies the model carries (the
@@ -58,27 +58,20 @@ type ShardedConfig struct {
 	Mode        server.Mode // zero value (PlainHTTP) is rejected; use HTTPSMode/CompressedHTTP
 	Seed        int64
 
-	// DispatchPs is the one-way front-end<->shard latency (NIC wire +
-	// propagation). Zero derives it from Params (DeriveDispatchPs).
-	DispatchPs int64
-	// LookaheadPs is the conservative window; zero selects DispatchPs.
-	// It must not exceed DispatchPs — Send rejects shorter crossings.
+	// LookaheadPs is the conservative window; zero selects the dispatch
+	// latency (DeriveDispatchPs of Params). It must not exceed that
+	// latency — Send rejects shorter crossings.
 	LookaheadPs int64
-	// ThinkPs is the client think time between a response and the next
-	// request. The dispatch hops already charge a full RTT per request,
-	// so the default is max(0, RTT - 2*DispatchPs).
-	ThinkPs int64
 	// ExecWorkers caps parallel epoch execution (ShardedEngine.Workers):
 	// 0 = GOMAXPROCS, 1 = the serial reference schedule.
 	ExecWorkers int
 
-	// Params/LLCBytes/LLCWays/Geometry configure each sub-system; zero
-	// values select the KPI-bench defaults (2MB 8-way LLC slice per
-	// shard, small geometry).
+	// Params/LLCBytes/LLCWays configure each sub-system; zero values
+	// select the KPI-bench defaults (2MB 8-way LLC slice per shard).
+	// Every shard simulates one dram.MediumGeometry rank set.
 	Params   *sim.Params
 	LLCBytes int
 	LLCWays  int
-	Geometry dram.Geometry
 
 	// Trace threads a per-shard tracer through every sub-system (and the
 	// front-end); MergedTrace folds them into one stream after the run.
@@ -91,6 +84,7 @@ type ShardedConfig struct {
 // Sharded is the assembled cluster.
 type Sharded struct {
 	cfg     ShardedConfig
+	dispPs  int64 // one-way front-end<->shard latency (DeriveDispatchPs)
 	eng     *sim.ShardedEngine
 	systems []*sim.System
 	fleets  []*Fleet
@@ -156,31 +150,25 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	if cfg.DispatchPs <= 0 {
-		cfg.DispatchPs = DeriveDispatchPs(params)
-	}
+	dispPs := DeriveDispatchPs(params)
 	if cfg.LookaheadPs <= 0 {
-		cfg.LookaheadPs = cfg.DispatchPs
+		cfg.LookaheadPs = dispPs
 	}
-	if cfg.LookaheadPs > cfg.DispatchPs {
+	if cfg.LookaheadPs > dispPs {
 		return nil, fmt.Errorf("fleet: lookahead %dps exceeds dispatch latency %dps; the window must be a lower bound",
-			cfg.LookaheadPs, cfg.DispatchPs)
+			cfg.LookaheadPs, dispPs)
 	}
-	if cfg.ThinkPs < 0 {
-		cfg.ThinkPs = 0
-	} else if cfg.ThinkPs == 0 {
-		if rtt := int64(params.RTTUs * float64(sim.Us)); rtt > 2*cfg.DispatchPs {
-			cfg.ThinkPs = rtt - 2*cfg.DispatchPs
-		}
+	// The dispatch hops already charge a full RTT per request, so the
+	// client thinks for whatever of the RTT they leave over.
+	var thinkPs int64
+	if rtt := int64(params.RTTUs * float64(sim.Us)); rtt > 2*dispPs {
+		thinkPs = rtt - 2*dispPs
 	}
 	if cfg.LLCBytes == 0 {
 		cfg.LLCBytes, cfg.LLCWays = 2<<20, 8
 	}
-	if cfg.Geometry.Ranks == 0 {
-		cfg.Geometry = dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
-	}
 
-	sc := &Sharded{cfg: cfg}
+	sc := &Sharded{cfg: cfg, dispPs: dispPs}
 	sc.eng = sim.NewShardedEngine(cfg.Shards+1, cfg.LookaheadPs)
 	sc.eng.Workers = cfg.ExecWorkers
 	sc.tracers = make([]*telemetry.Tracer, cfg.Shards+1)
@@ -205,7 +193,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		}
 		sys, err := sim.NewSystem(sim.SystemConfig{
 			Params: params, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays,
-			Geometry:       cfg.Geometry,
+			Geometry:       dram.MediumGeometry(),
 			WithSmartDIMM:  true,
 			SmartDIMMRanks: cfg.RanksPerShard,
 			Tracer:         tracer,
@@ -235,14 +223,14 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}
 	sc.gen = wrkgen.New(sc.eng.Shard(0), sc, wrkgen.Config{
 		Connections: cfg.Connections,
-		ThinkPs:     cfg.ThinkPs,
+		ThinkPs:     thinkPs,
 	})
 	return sc, nil
 }
 
 // Submit implements wrkgen.Target on the front-end shard: the request
 // crosses to its connection's home shard over the dispatch fabric, and
-// the completion crosses back — each hop one DispatchPs, together the
+// the completion crosses back — each hop one dispatch latency, together the
 // wire RTT every request pays. With tracing on, the front-end wraps the
 // whole crossing in a "creq" async lifecycle and records each fabric
 // hop as a "dispatch" span, so the critical-path analyzer can attribute
@@ -258,11 +246,11 @@ func (sc *Sharded) Submit(connID int, done func()) {
 	tr := sc.tracers[0]
 	fe := sc.eng.Shard(0)
 	tr.AsyncBegin(sc.dispTrack, "creq", id, fe.Now())
-	tr.Span(sc.dispTrack, "dispatch", fe.Now(), sc.cfg.DispatchPs)
-	sc.eng.Send(0, 1+s, sc.cfg.DispatchPs, func() {
+	tr.Span(sc.dispTrack, "dispatch", fe.Now(), sc.dispPs)
+	sc.eng.Send(0, 1+s, sc.dispPs, func() {
 		srv.Submit(local, func() {
-			sc.eng.Send(1+s, 0, sc.cfg.DispatchPs, func() {
-				tr.Span(sc.dispTrack, "dispatch", fe.Now()-sc.cfg.DispatchPs, sc.cfg.DispatchPs)
+			sc.eng.Send(1+s, 0, sc.dispPs, func() {
+				tr.Span(sc.dispTrack, "dispatch", fe.Now()-sc.dispPs, sc.dispPs)
 				tr.AsyncEnd(sc.dispTrack, "creq", id, fe.Now())
 				done()
 			})

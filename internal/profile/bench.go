@@ -16,14 +16,9 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
-	"repro/internal/fleet"
 	"repro/internal/scenario"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
 // BenchScenario pins one deterministic serving run; it is the one
@@ -91,8 +86,8 @@ func DefaultBenchScenarios() []BenchScenario {
 	}
 }
 
-// RunBenchScenario builds a fresh system and runs one closed-loop
-// measurement, returning the scenario's KPIs.
+// RunBenchScenario builds a fresh run of the scenario, drives its
+// measurement, and returns its KPIs.
 func RunBenchScenario(sc BenchScenario) (BenchResult, error) {
 	return RunBenchScenarioClocked(sc, nil)
 }
@@ -108,28 +103,18 @@ func RunBenchScenarioClocked(sc BenchScenario, clock Clock) (BenchResult, error)
 	if clock != nil {
 		start = clock()
 	}
-	var err error
-	switch {
-	case sc.Workload != "":
-		res.KPIs, err = runWorkloadBench(sc)
-	case sc.Nodes > 0:
-		res.KPIs, err = runClusterWorkload(sc)
-	case sc.Shards > 0:
-		res.KPIs, err = runShardedWorkload(sc)
-	default:
-		var st *scenario.Stack
-		if st, err = scenario.Build(sc); err == nil {
-			var m server.Metrics
-			m, err = st.Run()
-			res.KPIs = servingKPIs(m, sc.SimParams())
-		}
+	st, err := scenario.Build(sc)
+	var r scenario.Result
+	if err == nil {
+		r, err = st.Run()
 	}
 	if err != nil {
 		return res, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
+	res.KPIs = benchKPIs(r, sc.SimParams())
 	if clock != nil {
 		retired := res.KPIs["requests"] // simulated work units for the wall-rate KPI
-		if sc.Nodes > 0 {
+		if r.Cluster != nil {
 			retired = res.KPIs["ops"]
 		}
 		wall := float64(clock()-start) * 1e-9
@@ -141,14 +126,30 @@ func RunBenchScenarioClocked(sc BenchScenario, clock Clock) (BenchResult, error)
 	return res, nil
 }
 
-// servingKPIs extracts the serving KPIs from a run's server metrics.
-func servingKPIs(m server.Metrics, params sim.Params) map[string]float64 {
+// benchKPIs extracts a run's KPIs by kind: the client-visible
+// replication KPIs of a cluster run, otherwise the serving KPIs of the
+// (aggregated) server metrics, with a workload run's tail and issued
+// count taken from the open-loop replayer's end-to-end record.
+func benchKPIs(r scenario.Result, params sim.Params) map[string]float64 {
+	if c := r.Cluster; c != nil {
+		return map[string]float64{
+			"ops":          float64(c.Ops),
+			"ops_per_sec":  c.OpsPerSec,
+			"acked_writes": float64(c.AckedWrites),
+			"acked_reads":  float64(c.AckedReads),
+			"mean_lat_ps":  float64(c.MeanLatPs),
+			"redirects":    float64(c.Redirects),
+			"timeouts":     float64(c.Timeouts),
+			"promotions":   float64(c.Promotions),
+		}
+	}
+	m := r.Metrics
 	cyclesPerByte := 0.0
 	if m.TXBytes > 0 {
 		// ps → cycles: cycles = ps * GHz / 1000.
 		cyclesPerByte = float64(m.CPUBusyPs) * params.CPUClockGHz / 1000 / float64(m.TXBytes)
 	}
-	return map[string]float64{
+	kpis := map[string]float64{
 		"requests":        float64(m.Requests),
 		"rps":             m.RPS,
 		"mean_lat_ps":     float64(m.MeanLatPs),
@@ -156,96 +157,11 @@ func servingKPIs(m server.Metrics, params sim.Params) map[string]float64 {
 		"cycles_per_byte": cyclesPerByte,
 		"mem_bw_gbps":     m.MemBWGBps,
 	}
-}
-
-// runWorkloadBench runs the scenario through the trace-replay workload
-// suite and extracts the serving KPIs plus the open-loop ones (issued
-// count and end-to-end p99 over the replayer's record).
-func runWorkloadBench(sc BenchScenario) (map[string]float64, error) {
-	pol, err := scenario.FleetPolicy(sc.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("workload runs need a fleet: %w", err)
+	if w := r.Workload; w != nil {
+		kpis["p99_lat_ps"] = w.P99Ps
+		kpis["issued"] = float64(w.Issued)
 	}
-	params := sc.SimParams()
-	rep, err := workload.Run(workload.RunConfig{
-		Kind: sc.Workload, Ranks: sc.Devices, Policy: pol,
-		Conns: sc.Conns, Workers: sc.Workers, Seed: sc.Seed, Params: &params,
-		HorizonPs: sc.WarmupPs + sc.MeasurePs, WarmupPs: sc.WarmupPs, DrainPs: sim.Ms,
-		KV:       workload.KVConfig{ZipfS: 0.99},
-		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sc.RPS},
-	})
-	if err != nil {
-		return nil, err
-	}
-	kpis := servingKPIs(rep.Metrics, params)
-	kpis["p99_lat_ps"] = rep.P99Ps
-	kpis["issued"] = float64(rep.Issued)
-	return kpis, nil
-}
-
-// runClusterWorkload runs the scenario on the replicated cluster tier
-// and extracts the client-visible KPIs.
-func runClusterWorkload(sc BenchScenario) (map[string]float64, error) {
-	mode, err := scenario.ParseULP(sc.ULP)
-	if err != nil {
-		return nil, err
-	}
-	params := sc.SimParams()
-	c, err := cluster.New(cluster.Config{
-		Nodes: sc.Nodes, Conns: sc.Conns, MsgSize: sc.Msg, Workers: sc.Workers,
-		FileKind: sc.FileKind, Mode: mode, Seed: sc.Seed,
-		ExecWorkers: sc.ExecWorkers, Params: &params,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m, err := c.Run(sc.WarmupPs, sc.MeasurePs)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]float64{
-		"ops":          float64(m.Ops),
-		"ops_per_sec":  m.OpsPerSec,
-		"acked_writes": float64(m.AckedWrites),
-		"acked_reads":  float64(m.AckedReads),
-		"mean_lat_ps":  float64(m.MeanLatPs),
-		"redirects":    float64(m.Redirects),
-		"timeouts":     float64(m.Timeouts),
-		"promotions":   float64(m.Promotions),
-	}, nil
-}
-
-// runShardedWorkload runs the scenario on a fleet.Sharded cluster and
-// extracts the serving KPIs of the aggregated server metrics.
-func runShardedWorkload(sc BenchScenario) (map[string]float64, error) {
-	pol, err := scenario.FleetPolicy(sc.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("sharded runs need a fleet: %w", err)
-	}
-	mode, err := scenario.ParseULP(sc.ULP)
-	if err != nil {
-		return nil, err
-	}
-	params := sc.SimParams()
-	cl, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: sc.Shards, RanksPerShard: sc.Devices, Policy: pol,
-		Workers: sc.Workers, MsgSize: sc.Msg, Connections: sc.Conns,
-		FileKind: sc.FileKind, Mode: mode, Seed: sc.Seed,
-		ExecWorkers: sc.ExecWorkers, Params: &params,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sm, err := cl.Run(sc.WarmupPs, sc.MeasurePs)
-	if err != nil {
-		return nil, err
-	}
-	return servingKPIs(sm.Agg, params), nil
-}
-
-// RunBench runs every scenario in order.
-func RunBench(scenarios []BenchScenario) (*BenchReport, error) {
-	return RunBenchClocked(scenarios, nil)
+	return kpis
 }
 
 // RunBenchClocked runs every scenario in order with an optional wall

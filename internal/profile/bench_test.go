@@ -2,11 +2,9 @@ package profile
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -107,19 +105,6 @@ func TestBenchWorkloadHonoursParams(t *testing.T) {
 	}
 	if slow.KPIs["p99_lat_ps"] <= fast.KPIs["p99_lat_ps"] {
 		t.Fatalf("10x parse cost left kv p99 at %v (full speed %v)", slow.KPIs["p99_lat_ps"], fast.KPIs["p99_lat_ps"])
-	}
-}
-
-// The serial assembler refuses specs that name another driver instead
-// of silently running a serial closed loop in their place.
-func TestBuildRejectsOtherDrivers(t *testing.T) {
-	for _, sc := range DefaultBenchScenarios() {
-		if sc.Shards == 0 && sc.Nodes == 0 && sc.Workload == "" {
-			continue
-		}
-		if _, err := scenario.Build(sc); err == nil || !strings.Contains(err.Error(), "own driver") {
-			t.Errorf("%s: Build error = %v, want a refusal", sc.Name, err)
-		}
 	}
 }
 

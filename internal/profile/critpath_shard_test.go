@@ -4,8 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/fleet"
-	"repro/internal/server"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -99,18 +98,18 @@ func TestCritPathShardAwareAttribution(t *testing.T) {
 // stage, and the front-end "creq" windows decompose into fabric time
 // plus wait.
 func TestCritPathShardedClusterDispatchStage(t *testing.T) {
-	sc, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: 2, Workers: 4, MsgSize: 2048, Connections: 6,
-		FileKind: corpus.Text, Mode: server.HTTPSMode, Seed: 11,
-		ExecWorkers: 1, Trace: true,
+	mt := telemetry.New()
+	st, err := scenario.Build(scenario.Spec{
+		Placement: "rr", Shards: 2, Workers: 4, Msg: 2048, Conns: 6, ULP: "tls",
+		FileKind: corpus.Text, Seed: 11, ExecWorkers: 1,
+		WarmupPs: sim.Ms / 2, MeasurePs: sim.Ms, Tracer: mt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Run(sim.Ms/2, sim.Ms); err != nil {
+	if _, err := st.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mt := sc.MergedTrace()
 	cp := Analyze(mt.Tracks(), mt.Events(), Options{FromPs: sim.Ms / 2, ShardAware: true})
 	if len(cp.Requests) == 0 {
 		t.Fatal("no requests analyzed from the merged trace")
@@ -130,7 +129,7 @@ func TestCritPathShardedClusterDispatchStage(t *testing.T) {
 		t.Fatalf("dispatch fabric not attributed: stages = %+v", cp.Stages)
 	}
 	// Every creq window must contain fabric time: the round trip is two
-	// DispatchPs hops by construction.
+	// dispatch hops by construction.
 	nCreq := 0
 	for _, e := range mt.Events() {
 		if e.Kind == telemetry.KindAsyncBegin && e.Name == "creq" {

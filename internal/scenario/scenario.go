@@ -1,17 +1,20 @@
-// Package scenario is the one serving-stack assembler. A Spec names a
-// serving run — accelerator placement, ULP, data path, load shape and
-// measurement windows — and Build wires the simulated host, the
-// placement's offload backend, the server model and the closed-loop
-// client, all on the system's own engine; Run drives the measurement.
-// The KPI bench, the smartdimm-sim CLI and the paper-figure sweeps all
-// assemble their servers here, so the path that is measured is the path
-// whose timing models run.
+// Package scenario is the one serving-run assembler. A Spec names a
+// serving run — accelerator placement, ULP, data path, load shape,
+// measurement windows, and which engine runs it — and Build assembles
+// it: a serial system under a closed-loop client, a sharded PDES
+// cluster (Shards), a replicated cluster (Nodes), or a trace-replay
+// workload run (Workload). Run drives the measurement and returns one
+// Result. The KPI bench, the smartdimm-sim CLI and the paper-figure
+// sweeps all assemble their runs here, so the path that is measured is
+// the path whose timing models run.
 package scenario
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/dram"
 	"repro/internal/fleet"
@@ -20,6 +23,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 	"repro/internal/wrkgen"
 )
 
@@ -51,10 +55,11 @@ type Spec struct {
 	ExecWorkers int         `json:"exec_workers,omitempty"`
 	Params      *sim.Params `json:"-"` // calibration override; nil = DefaultParams
 	// Nodes > 0 runs the scenario on the replicated cluster tier
-	// (internal/cluster): Nodes server nodes behind quorum-ack
+	// (internal/cluster): Nodes one-rank server nodes behind quorum-ack
 	// replication with Conns closed-loop client connections, chaos off.
-	// The KPI set is the client-visible one (acked ops, redirects,
-	// promotions) rather than the per-server serving KPIs.
+	// Placement is "cluster" (or empty). The KPI set is the
+	// client-visible one (acked ops, redirects, promotions) rather than
+	// the per-server serving KPIs.
 	Nodes int `json:"nodes,omitempty"`
 	// DataPath selects how records reach the device buffers: "" or
 	// "host" is the host-mediated path (storage DMA bouncing through
@@ -67,8 +72,9 @@ type Spec struct {
 	// the trace-replay workload suite (internal/workload) instead of the
 	// closed-loop generator: an open-loop arrival trace at RPS drives
 	// the named request mix over a Devices-rank fleet, chaos and
-	// autoscaler off. Placement names the fleet policy; Msg and FileKind
-	// are ignored (the source's own payload mix governs).
+	// autoscaler off (see WorkloadConfig). Placement names the fleet
+	// policy; the source's own payload mix replaces Msg and FileKind,
+	// and the LLC is fixed, so a workload spec leaves those zero.
 	Workload string  `json:"workload,omitempty"`
 	RPS      float64 `json:"rps,omitempty"` // open-loop offered rate (Workload only)
 
@@ -76,12 +82,73 @@ type Spec struct {
 	LLCBytes int `json:"llc_bytes,omitempty"`
 	LLCWays  int `json:"llc_ways,omitempty"`
 	// Tracer, when non-nil, threads span tracing through the system and
-	// the NIC; TraceCAS attaches a channel-0 CAS trace of that many events.
+	// the NIC (serial and sharded specs). A sharded run traces every
+	// shard on its own and Run replaces the Tracer's contents with the
+	// merged stream. TraceCAS attaches a channel-0 CAS trace of that
+	// many events (serial specs only).
 	Tracer   *telemetry.Tracer `json:"-"`
 	TraceCAS int               `json:"-"`
 	// ThinkPsFor, when non-nil, overrides the client's per-connection
-	// think time (default: one network RTT).
+	// think time (default: one network RTT; serial specs only).
 	ThinkPsFor func(connID int) int64 `json:"-"`
+}
+
+// kind names the engine a Spec runs on.
+func (sp Spec) kind() string {
+	switch {
+	case sp.Shards > 0:
+		return "sharded"
+	case sp.Nodes > 0:
+		return "cluster"
+	case sp.Workload != "":
+		return "workload"
+	}
+	return "serial"
+}
+
+// check refuses every field sp sets that its kind cannot honour, so no
+// setting is silently dropped.
+func (sp Spec) check() error {
+	switch sp.DataPath {
+	case "", "host", "peer":
+	default:
+		return fmt.Errorf("unknown data path %q (want host or peer)", sp.DataPath)
+	}
+	peer := sp.DataPath == "peer"
+	type field struct {
+		name string
+		set  bool
+	}
+	var unused []field
+	switch sp.kind() {
+	case "sharded":
+		unused = []field{{"Nodes", sp.Nodes > 0}, {"Workload", sp.Workload != ""}, {"RPS", sp.RPS != 0},
+			{"DataPath peer", peer}, {"TraceCAS", sp.TraceCAS != 0}, {"ThinkPsFor", sp.ThinkPsFor != nil}}
+	case "cluster":
+		unused = []field{{"Workload", sp.Workload != ""}, {"RPS", sp.RPS != 0},
+			{"Placement " + sp.Placement, sp.Placement != "" && sp.Placement != "cluster"},
+			{"Devices", sp.Devices > 1}, {"ULP none", sp.ULP == "none"}, {"DataPath peer", peer},
+			{"Tracer", sp.Tracer != nil}, {"TraceCAS", sp.TraceCAS != 0}, {"ThinkPsFor", sp.ThinkPsFor != nil}}
+	case "workload":
+		unused = []field{{"ULP " + sp.ULP, sp.ULP != "" && sp.ULP != "tls"},
+			{"Msg", sp.Msg != 0}, {"FileKind", sp.FileKind != 0}, {"ExecWorkers", sp.ExecWorkers != 0},
+			{"LLCBytes", sp.LLCBytes != 0}, {"LLCWays", sp.LLCWays != 0}, {"DataPath peer", peer},
+			{"Tracer", sp.Tracer != nil}, {"TraceCAS", sp.TraceCAS != 0}, {"ThinkPsFor", sp.ThinkPsFor != nil}}
+	default:
+		unused = []field{{"ExecWorkers", sp.ExecWorkers != 0}, {"RPS", sp.RPS != 0}}
+	}
+	for _, f := range unused {
+		if f.set {
+			return fmt.Errorf("%s spec cannot use %s", sp.kind(), f.name)
+		}
+	}
+	return nil
+}
+
+// llc returns the shared LLC's size and associativity: 2MB / 8 ways
+// unless set.
+func (sp Spec) llc() (bytes, ways int) {
+	return cmp.Or(sp.LLCBytes, 2<<20), cmp.Or(sp.LLCWays, 8)
 }
 
 // SimParams returns the run's calibration: the override or the default.
@@ -92,8 +159,8 @@ func (sp Spec) SimParams() sim.Params {
 	return sim.DefaultParams()
 }
 
-// ParseULP maps a ULP name to the server mode serving it.
-func ParseULP(name string) (server.Mode, error) {
+// parseULP maps a ULP name to the server mode serving it.
+func parseULP(name string) (server.Mode, error) {
 	switch name {
 	case "", "tls":
 		return server.HTTPSMode, nil
@@ -105,9 +172,9 @@ func ParseULP(name string) (server.Mode, error) {
 	return 0, fmt.Errorf("unknown ulp %q (want tls, compression, or none)", name)
 }
 
-// FleetPolicy parses the placement of a fleet-only run (sharded,
+// fleetPolicy parses the placement of a fleet-only run (sharded,
 // workload): a fleet policy, or smartdimm meaning round-robin.
-func FleetPolicy(placement string) (fleet.Policy, error) {
+func fleetPolicy(placement string) (fleet.Policy, error) {
 	if placement == "smartdimm" {
 		return fleet.RoundRobin, nil
 	}
@@ -136,7 +203,7 @@ func parse(sp Spec) (placement, error) {
 	case "cpu", "smartnic", "qat", "smartdimm", "adaptive":
 		p.name = sp.Placement
 		if sp.Devices > 1 {
-			pol, err := FleetPolicy(sp.Placement)
+			pol, err := fleetPolicy(sp.Placement)
 			if err != nil {
 				return p, fmt.Errorf("%d devices: %w", sp.Devices, err)
 			}
@@ -149,22 +216,24 @@ func parse(sp Spec) (placement, error) {
 		}
 		p = placement{fleet: true, pol: pol}
 	}
-	switch sp.DataPath {
-	case "", "host":
-	case "peer":
+	if sp.DataPath == "peer" {
 		if !p.inline() {
 			return p, fmt.Errorf("peer data path: placement %q has no device buffers; use smartdimm or a fleet policy", sp.Placement)
 		}
 		p.peer = true
-	default:
-		return p, fmt.Errorf("unknown data path %q (want host or peer)", sp.DataPath)
 	}
 	return p, nil
 }
 
 // System builds only the simulated host of sp — for runs that drive the
-// system without a server (Table I's solo antagonist).
+// system without a server (Table I's solo antagonist, Fig. 9's CompCpy streams).
 func System(sp Spec) (*sim.System, error) {
+	if sp.kind() != "serial" {
+		return nil, fmt.Errorf("%s spec has no single system", sp.kind())
+	}
+	if err := sp.check(); err != nil {
+		return nil, err
+	}
 	p, err := parse(sp)
 	if err != nil {
 		return nil, err
@@ -173,13 +242,7 @@ func System(sp Spec) (*sim.System, error) {
 }
 
 func newSystem(sp Spec, p placement) (*sim.System, error) {
-	llc, ways := sp.LLCBytes, sp.LLCWays
-	if llc == 0 {
-		llc = 2 << 20
-	}
-	if ways == 0 {
-		ways = 8
-	}
+	llc, ways := sp.llc()
 	ranks, dp := 0, sim.DataPathHost
 	if p.fleet {
 		ranks = sp.Devices
@@ -189,9 +252,7 @@ func newSystem(sp Spec, p placement) (*sim.System, error) {
 	}
 	return sim.NewSystem(sim.SystemConfig{
 		Params: sp.SimParams(), LLCBytes: llc, LLCWays: ways,
-		// 512MB of simulated DRAM per rank: enough for paper-scale
-		// connection counts.
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
+		Geometry:       dram.MediumGeometry(),
 		WithSmartDIMM:  p.inline() || p.name == "adaptive",
 		SmartDIMMRanks: ranks,
 		DataPath:       dp,
@@ -204,9 +265,12 @@ func newSystem(sp Spec, p placement) (*sim.System, error) {
 // (the SmartNIC has no compression engine); sweeps skip such points.
 var ErrUnsupported = errors.New("placement cannot offload this ulp")
 
-// Stack is one assembled serving run. Between Build and Run callers may
-// attach more load to Sys.Engine (the co-run antagonist) or read any
-// component; every field is wired to the same engine.
+// Stack is one assembled serving run. A serial stack fills Sys through
+// Gen; between Build and Run callers may attach more load to Sys.Engine
+// (the co-run antagonist) or read any component, all wired to the same
+// engine. The other kinds fill only their own field: Sharded, Cluster,
+// or Workload — the mapped run config, which callers may extend (the
+// autoscaler, alert rules, the flight recorder) before Run.
 type Stack struct {
 	Spec    Spec
 	Mode    server.Mode
@@ -216,38 +280,90 @@ type Stack struct {
 	Backend offload.Backend // nil for ULP none
 	Server  *server.Server
 	Gen     *wrkgen.Generator
+
+	Sharded  *fleet.Sharded
+	Cluster  *cluster.Cluster
+	Workload *workload.RunConfig
 }
 
-// Build assembles sp's serving stack: one serial system under a
-// closed-loop client. Sharded, cluster and workload specs have drivers
-// of their own (profile.RunBenchScenario dispatches them), so Build
-// refuses them rather than silently running something else.
+// Result is one run's outcome: the server metrics over the measured
+// window (aggregated over the shards of a sharded run; zero for a
+// cluster run, whose servers are replicas) and the kind's own report.
+type Result struct {
+	Metrics  server.Metrics
+	Sharded  *fleet.ShardedMetrics
+	Cluster  *cluster.Metrics
+	Workload *workload.Report
+}
+
+// Build assembles sp's run on the engine its kind names: fleet.Sharded
+// for Shards, cluster.Cluster for Nodes, the trace-replay suite for
+// Workload, and otherwise one serial system under a closed-loop client.
+// A field the kind cannot honour is an error, not silently dropped.
 func Build(sp Spec) (*Stack, error) {
-	if sp.Shards > 0 || sp.Nodes > 0 || sp.Workload != "" {
-		return nil, fmt.Errorf("scenario %s: Build runs one serial closed loop; a sharded, cluster or workload spec needs its own driver", sp.Name)
+	if err := sp.check(); err != nil {
+		return nil, err
 	}
-	mode, err := ParseULP(sp.ULP)
+	mode, err := parseULP(sp.ULP)
 	if err != nil {
 		return nil, err
 	}
+	st := &Stack{Spec: sp, Mode: mode}
+	llc, ways := sp.llc()
+	switch sp.kind() {
+	case "sharded":
+		var pol fleet.Policy
+		if pol, err = fleetPolicy(sp.Placement); err != nil {
+			return nil, fmt.Errorf("sharded spec: %w", err)
+		}
+		st.Sharded, err = fleet.NewSharded(fleet.ShardedConfig{
+			Shards: sp.Shards, RanksPerShard: sp.Devices, Policy: pol,
+			Workers: sp.Workers, MsgSize: sp.Msg, Connections: sp.Conns,
+			FileKind: sp.FileKind, Mode: mode, Seed: sp.Seed,
+			ExecWorkers: sp.ExecWorkers, Params: sp.Params,
+			LLCBytes: llc, LLCWays: ways, Trace: sp.Tracer != nil,
+		})
+	case "cluster":
+		st.Cluster, err = cluster.New(cluster.Config{
+			Nodes: sp.Nodes, Conns: sp.Conns, MsgSize: sp.Msg, Workers: sp.Workers,
+			FileKind: sp.FileKind, Mode: mode, Seed: sp.Seed,
+			ExecWorkers: sp.ExecWorkers, Params: sp.Params,
+			LLCBytes: llc, LLCWays: ways,
+		})
+	case "workload":
+		var rc workload.RunConfig
+		rc, err = WorkloadConfig(sp)
+		st.Workload = &rc
+	default:
+		err = st.buildSerial()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// buildSerial wires one serial system under a closed-loop client.
+func (st *Stack) buildSerial() error {
+	sp, mode := st.Spec, st.Mode
 	p, err := parse(sp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sys, err := newSystem(sp, p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st := &Stack{Spec: sp, Mode: mode, Sys: sys}
+	st.Sys = sys
 	if p.peer {
 		if st.NIC, err = rdma.New(rdma.Config{Sys: sys, Tracer: sp.Tracer}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	switch p.name {
 	case "":
 		if st.Fleet, err = fleet.New(fleet.Config{Sys: sys, Policy: p.pol, RNIC: st.NIC}); err != nil {
-			return nil, err
+			return err
 		}
 		st.Backend = st.Fleet
 	case "cpu":
@@ -266,42 +382,91 @@ func Build(sp Spec) (*Stack, error) {
 	case mode == server.PlainHTTP:
 		st.Backend = nil
 	case !st.Backend.Supports(mode.ULP()):
-		return nil, fmt.Errorf("%w: %s cannot offload %v", ErrUnsupported, st.Backend.Name(), mode.ULP())
+		return fmt.Errorf("%w: %s cannot offload %v", ErrUnsupported, st.Backend.Name(), mode.ULP())
 	case st.NIC != nil:
 		if st.Backend, err = offload.NewRDMA(st.Backend, st.NIC); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if st.Server, err = server.New(sys.Engine, server.Config{
 		Sys: sys, Backend: st.Backend, Mode: mode, Workers: sp.Workers,
 		MsgSize: sp.Msg, Connections: sp.Conns, FileKind: sp.FileKind, Seed: sp.Seed,
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	st.Gen = wrkgen.New(sys.Engine, st.Server, wrkgen.Config{
 		Connections: sp.Conns,
 		ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
 		ThinkPsFor:  sp.ThinkPsFor,
 	})
-	return st, nil
+	return nil
 }
 
-// Run drives the closed loop through the warmup and measurement windows
-// and returns the server's metrics over the measured window.
-func (s *Stack) Run() (server.Metrics, error) {
+// WorkloadConfig maps a workload spec onto the trace-replay suite's run
+// config: an open-loop arrival trace of four streams at RPS over a
+// Devices-rank fleet, Zipf-0.99 KV keys, and a 1ms drain past the
+// measured window. The autoscaler, alert rules and flight recorder stay
+// off; callers layer them on the returned config.
+func WorkloadConfig(sp Spec) (workload.RunConfig, error) {
+	if err := sp.check(); err != nil {
+		return workload.RunConfig{}, err
+	}
+	pol, err := fleetPolicy(sp.Placement)
+	if err != nil {
+		return workload.RunConfig{}, fmt.Errorf("workload spec: %w", err)
+	}
+	return workload.RunConfig{
+		Kind: sp.Workload, Ranks: sp.Devices, Policy: pol,
+		Conns: sp.Conns, Workers: sp.Workers, Seed: sp.Seed, Params: sp.Params,
+		HorizonPs: sp.WarmupPs + sp.MeasurePs, WarmupPs: sp.WarmupPs, DrainPs: sim.Ms,
+		KV:       workload.KVConfig{ZipfS: 0.99},
+		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sp.RPS},
+	}, nil
+}
+
+// Run drives the measurement — warmup, then the measured window — and
+// returns its Result.
+func (s *Stack) Run() (Result, error) {
+	sp := s.Spec
+	switch {
+	case s.Sharded != nil:
+		sm, err := s.Sharded.Run(sp.WarmupPs, sp.MeasurePs)
+		if err != nil {
+			return Result{}, err
+		}
+		if sp.Tracer != nil {
+			*sp.Tracer = *s.Sharded.MergedTrace()
+		}
+		return Result{Metrics: sm.Agg, Sharded: &sm}, nil
+	case s.Cluster != nil:
+		m, err := s.Cluster.Run(sp.WarmupPs, sp.MeasurePs)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Cluster: &m}, nil
+	case s.Workload != nil:
+		rep, err := workload.Run(*s.Workload)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Metrics: rep.Metrics, Workload: &rep}, nil
+	}
 	s.Warmup()
-	return s.Measure()
+	m, err := s.Measure()
+	return Result{Metrics: m}, err
 }
 
-// Warmup starts the client and runs the warmup window. Run is Warmup
-// then Measure; callers split them to open another component's
-// measurement window (the co-run antagonist's) at the same instant.
+// Warmup starts a serial stack's client and runs the warmup window. Run
+// is Warmup then Measure; callers split them to open another
+// component's measurement window (the co-run antagonist's) at the same
+// instant.
 func (s *Stack) Warmup() {
 	s.Gen.Start()
 	s.Sys.Engine.RunUntil(s.Spec.WarmupPs)
 }
 
-// Measure opens the measurement window, runs it, and collects.
+// Measure opens a serial stack's measurement window, runs it, and
+// collects.
 func (s *Stack) Measure() (server.Metrics, error) {
 	s.Server.BeginMeasurement()
 	s.Gen.BeginMeasurement()
