@@ -74,10 +74,14 @@
 #                     armed — whose run canonical AND every incident
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
+##  16. alloc gate — the per-cacheline host path allocates nothing: a
+#                     TLS cacheline on a kept key schedule, a full
+#                     write-queue drain, and a TLS source line's rdCAS
+#                     through the device into the Scratchpad
 #
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
-# (each of these three followed by the KPI bench), obs, or fuzz (each
+# (each of these three followed by the KPI bench), obs, alloc, or fuzz (each
 # Fuzz* target run for a bounded 10 s of coverage-guided fuzzing on top
 # of the committed seed corpora, which plain `go test` already replays;
 # not part of the full gate). An unknown stage name fails with the
@@ -130,6 +134,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/
 '
 
 run_stage() {
@@ -217,7 +222,7 @@ run_all() {
 		run_stage $stage
 	done
 	run_shard
-	for stage in cluster rdma workload obs; do
+	for stage in cluster rdma workload obs alloc; do
 		run_stage $stage
 	done
 	run_bench
@@ -236,10 +241,10 @@ cluster | rdma | workload)
 	run_stage "$1"
 	run_bench
 	;;
-obs) run_stage obs ;;
+obs | alloc) run_stage "$1" ;;
 fuzz) run_fuzz ;;
 *)
-	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs fuzz; no argument runs the full gate)" >&2
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc fuzz; no argument runs the full gate)" >&2
 	exit 2
 	;;
 esac

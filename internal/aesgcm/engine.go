@@ -58,16 +58,19 @@ func (c *RecordConfig) ConfigBytes() int {
 type CachelineEngine struct {
 	dir       Direction
 	cipher    *Cipher
-	iv        []byte
 	eiv       [BlockSize]byte
 	powers    *HPowers
 	length    int
 	ctBlocks  int
-	aadBlocks int
 	totalCLs  int
 	doneCLs   int
 	processed []bool
 	partial   FieldEl // running XOR of per-block GHASH contributions
+	// ctr holds a cacheline's four counter blocks (the record IV plus a
+	// 32-bit counter each) and ks their keystream. They live in the
+	// engine because the block cipher's interface call would move stack
+	// buffers to the heap on every cacheline.
+	ctr, ks [CachelineSize]byte
 }
 
 // KeySchedule is the per-key state the TLS DSA keeps across records: the
@@ -112,6 +115,9 @@ func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, erro
 // newEngine builds the engine on ks, or on a fresh schedule when ks is
 // nil.
 func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngine, error) {
+	if dir != Encrypt && dir != Decrypt {
+		return nil, fmt.Errorf("aesgcm: unknown direction %d", dir)
+	}
 	if cfg.Length < 0 {
 		return nil, errors.New("aesgcm: negative record length")
 	}
@@ -138,7 +144,6 @@ func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngi
 	e := &CachelineEngine{
 		dir:       dir,
 		cipher:    ks.cipher,
-		iv:        append([]byte(nil), cfg.IV...),
 		powers:    ks.powers,
 		length:    cfg.Length,
 		ctBlocks:  ctBlocks,
@@ -146,23 +151,27 @@ func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngi
 		processed: make([]bool, (cfg.Length+CachelineSize-1)/CachelineSize),
 	}
 	copy(e.eiv[:], cfg.EIV)
+	for b := 0; b < CachelineSize; b += BlockSize {
+		copy(e.ctr[b:], cfg.IV)
+	}
 
-	// Fold the AAD contribution immediately: the CPU supplies the AAD in
-	// the config write, so its GHASH terms are known at registration.
-	totalBlocks := aadBlocks + ctBlocks + 1
-	aad := cfg.AAD
+	// Fold the AAD and lengths blocks immediately: the CPU supplies the
+	// AAD in the config write, so their GHASH terms are known at
+	// registration. The first AAD block carries the highest power and the
+	// lengths block, which always multiplies last, carries H^1.
+	var acc product
+	exp := aadBlocks + ctBlocks + 1
 	for j := 0; j < aadBlocks; j++ {
 		var blk [BlockSize]byte
-		copy(blk[:], aad[j*BlockSize:])
-		exp := totalBlocks - j // j is 0-based: first AAD block has the highest power
-		e.partial = e.partial.Xor(LoadEl(blk[:]).Mul(e.powers.Power(exp)))
+		copy(blk[:], cfg.AAD[j*BlockSize:])
+		acc.add(LoadEl(blk[:]), ks.powers.powers[exp-1])
+		exp--
 	}
-	// Fold the lengths block (exponent 1) — also known at registration.
 	var lenBlk [BlockSize]byte
 	binary.BigEndian.PutUint64(lenBlk[0:8], uint64(len(cfg.AAD))*8)
 	binary.BigEndian.PutUint64(lenBlk[8:16], uint64(cfg.Length)*8)
-	e.aadBlocks = aadBlocks
-	e.partial = e.partial.Xor(LoadEl(lenBlk[:]).Mul(e.powers.Power(1)))
+	acc.add(LoadEl(lenBlk[:]), ks.powers.powers[0])
+	e.partial = acc.reduce()
 	return e, nil
 }
 
@@ -179,7 +188,8 @@ func (e *CachelineEngine) Done() bool { return e.doneCLs == e.totalCLs }
 // ciphertext when decrypting) and dst receives the output. The final
 // cacheline of a record may be short. Cachelines may arrive in any
 // order; processing the same cacheline twice is rejected, modelling the
-// arbiter's "pending computation" bookkeeping (Fig. 6, S6/S7).
+// arbiter's "pending computation" bookkeeping (Fig. 6, S6/S7). dst and
+// src must overlap exactly or not at all.
 func (e *CachelineEngine) ProcessCacheline(dst, src []byte, offset int) error {
 	if offset%CachelineSize != 0 {
 		return fmt.Errorf("aesgcm: offset %d not cacheline aligned", offset)
@@ -200,66 +210,52 @@ func (e *CachelineEngine) ProcessCacheline(dst, src []byte, offset int) error {
 		return fmt.Errorf("aesgcm: cacheline %d already processed", cl)
 	}
 
-	// CTR transform: XOR with the randomly accessed keystream.
-	var ks [CachelineSize]byte
-	if err := e.keystreamAt(ks[:want], offset); err != nil {
-		return err
+	// CTR transform: XOR with the randomly accessed keystream. GHASH
+	// folds ciphertext: dst after encrypting, src before decrypting
+	// (dst may alias src).
+	e.keystreamAt(offset, want)
+	if e.dir == Decrypt {
+		e.foldCiphertext(src[:want], offset)
 	}
-	// GHASH folds ciphertext: dst when encrypting, src when decrypting.
-	var ctBytes []byte
+	subtle.XORBytes(dst[:want], src[:want], e.ks[:want])
 	if e.dir == Encrypt {
-		for i := 0; i < want; i++ {
-			dst[i] = src[i] ^ ks[i]
-		}
-		ctBytes = dst[:want]
-	} else {
-		// Snapshot the ciphertext on the stack: dst may alias src.
-		var ct [CachelineSize]byte
-		copy(ct[:want], src)
-		for i := 0; i < want; i++ {
-			dst[i] = src[i] ^ ks[i]
-		}
-		ctBytes = ct[:want]
+		e.foldCiphertext(dst[:want], offset)
 	}
-	e.foldCiphertext(ctBytes, offset)
 	e.processed[cl] = true
 	e.doneCLs++
 	return nil
 }
 
-// keystreamAt produces CTR keystream for record offsets
-// [offset, offset+len(dst)), streaming the counter block instead of
-// rebuilding it per AES block.
-func (e *CachelineEngine) keystreamAt(dst []byte, offset int) error {
-	var cb, ks [BlockSize]byte
-	copy(cb[:StandardIVSize], e.iv)
-	blockIdx := offset / BlockSize
-	within := offset % BlockSize
-	written := 0
-	for written < len(dst) {
-		binary.BigEndian.PutUint32(cb[StandardIVSize:], uint32(blockIdx)+2)
-		e.cipher.Encrypt(ks[:], cb[:])
-		written += copy(dst[written:], ks[within:])
-		within = 0
-		blockIdx++
+// keystreamAt fills e.ks[:n] with the CTR keystream of the cacheline at
+// record offset off: one AES block per counter, counter 2 at offset 0.
+func (e *CachelineEngine) keystreamAt(off, n int) {
+	blk := uint32(off / BlockSize)
+	for b := 0; b < n; b += BlockSize {
+		binary.BigEndian.PutUint32(e.ctr[b+StandardIVSize:], blk+2)
+		e.cipher.Encrypt(e.ks[b:], e.ctr[b:b+BlockSize])
+		blk++
 	}
-	return nil
 }
 
-// foldCiphertext XOR-accumulates the GHASH contributions of the
-// ciphertext blocks in this cacheline. Block i (1-based over the
-// record's ciphertext blocks) carries exponent
-// (aadBlocks + ctBlocks + 1) - (aadBlocks + i) + 1 = ctBlocks - i + 2.
-func (e *CachelineEngine) foldCiphertext(ct []byte, offset int) {
-	totalBlocks := e.aadBlocks + e.ctBlocks + 1
-	for off := 0; off < len(ct); off += BlockSize {
-		var blk [BlockSize]byte
-		copy(blk[:], ct[off:])
-		blockIdx := (offset + off) / BlockSize // 0-based ct block index
-		pos := e.aadBlocks + blockIdx + 1      // 1-based position in GHASH sequence
-		exp := totalBlocks - pos + 1
-		e.partial = e.partial.Xor(LoadEl(blk[:]).Mul(e.powers.Power(exp)))
+// foldCiphertext adds the GHASH contributions of a cacheline's
+// ciphertext blocks to the partial tag, summing their unreduced products
+// and reducing once. Ciphertext block i (0-based over the record)
+// carries exponent ctBlocks - i + 1: the AAD blocks precede it and the
+// lengths block, at H^1, follows.
+func (e *CachelineEngine) foldCiphertext(ct []byte, off int) {
+	exp := e.ctBlocks - off/BlockSize + 1
+	var acc product
+	for len(ct) >= BlockSize {
+		acc.add(LoadEl(ct), e.powers.powers[exp-1])
+		ct = ct[BlockSize:]
+		exp--
 	}
+	if len(ct) > 0 {
+		var blk [BlockSize]byte
+		copy(blk[:], ct)
+		acc.add(LoadEl(blk[:]), e.powers.powers[exp-1])
+	}
+	e.partial = e.partial.Xor(acc.reduce())
 }
 
 // Tag returns the final authentication tag. It errors until every

@@ -311,6 +311,11 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	if _, err := NewCachelineEngine(Encrypt, bad); err == nil {
 		t.Error("bad key accepted")
 	}
+	for _, dir := range []Direction{-1, 2} {
+		if _, err := NewCachelineEngine(dir, cfg); err == nil {
+			t.Errorf("direction %d accepted", dir)
+		}
+	}
 
 	// A kept schedule serves only the (key, H) it was built for.
 	ks, err := NewKeySchedule(key, cfg.H)
@@ -326,6 +331,35 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	bad.H = make([]byte, BlockSize)
 	if _, err := ks.NewEngine(Encrypt, bad); err == nil {
 		t.Error("schedule of another H accepted")
+	}
+}
+
+// TestCachelineZeroAllocs checks that processing a cacheline on an
+// engine built from a kept KeySchedule allocates nothing, in either
+// direction: the counter blocks and keystream are engine-owned.
+func TestCachelineZeroAllocs(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	cfg := engineConfig(t, key, []byte("abcdefghijkl"), []byte{0x17, 0x03, 0x03, 0x40, 0x00}, 16384)
+	ks, err := NewKeySchedule(key, cfg.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := make([]byte, CachelineSize), make([]byte, CachelineSize)
+	for _, dir := range []Direction{Encrypt, Decrypt} {
+		eng, err := ks.NewEngine(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := eng.ProcessCacheline(dst, src, off); err != nil {
+				t.Fatal(err)
+			}
+			off += CachelineSize
+		})
+		if allocs != 0 {
+			t.Errorf("direction %d: %v allocs per cacheline, want 0", dir, allocs)
+		}
 	}
 }
 

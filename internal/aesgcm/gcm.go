@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Errors returned by GCM operations.
@@ -27,7 +28,10 @@ const StandardIVSize = 12
 type GCM struct {
 	cipher *Cipher
 	h      [BlockSize]byte // hash subkey H = E_K(0^128)
-	table  *mulTable8      // GHASH table, built once per key
+	// table is the GHASH table, built once per key by the first Seal or
+	// Open. The SmartDIMM path asks a connection's GCM only for H and
+	// EIV, so it never holds the table's 4 KB.
+	table atomic.Pointer[mulTable8]
 }
 
 // NewGCM wraps an AES key (16/24/32 bytes) in GCM mode.
@@ -37,9 +41,7 @@ func NewGCM(key []byte) (*GCM, error) {
 		return nil, err
 	}
 	g := &GCM{cipher: c}
-	var zero [BlockSize]byte
-	c.Encrypt(g.h[:], zero[:])
-	g.table = newMulTable8(LoadEl(g.h[:]))
+	c.Encrypt(g.h[:], g.h[:]) // g.h starts as the zero block
 	return g, nil
 }
 
@@ -59,8 +61,8 @@ func (g *GCM) EIV(iv []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, BlockSize)
-	g.cipher.Encrypt(out, j0[:])
+	out := j0[:]
+	g.cipher.Encrypt(out, out)
 	return out, nil
 }
 
@@ -88,19 +90,24 @@ func (g *GCM) KeystreamAt(dst []byte, iv []byte, offset int) error {
 	if offset < 0 {
 		return errors.New("aesgcm: negative keystream offset")
 	}
-	// Build the counter block once and only bump the 32-bit counter per
-	// block: no per-block IV copy, length check, or slice allocation.
-	var cb, ks [BlockSize]byte
-	copy(cb[:StandardIVSize], iv)
-	blockIdx := offset / BlockSize
+	// A whole block's counter is built and encrypted in place in dst; only
+	// a partial first or last block needs a buffer of its own.
+	ctr := uint32(offset/BlockSize) + 2
 	within := offset % BlockSize
-	written := 0
-	for written < len(dst) {
-		binary.BigEndian.PutUint32(cb[StandardIVSize:], uint32(blockIdx)+2)
-		g.cipher.Encrypt(ks[:], cb[:])
-		written += copy(dst[written:], ks[within:])
+	for ; len(dst) > 0; ctr++ {
+		if within == 0 && len(dst) >= BlockSize {
+			copy(dst, iv)
+			binary.BigEndian.PutUint32(dst[StandardIVSize:], ctr)
+			g.cipher.Encrypt(dst, dst)
+			dst = dst[BlockSize:]
+			continue
+		}
+		var ks [BlockSize]byte
+		copy(ks[:], iv)
+		binary.BigEndian.PutUint32(ks[StandardIVSize:], ctr)
+		g.cipher.Encrypt(ks[:], ks[:])
+		dst = dst[copy(dst, ks[within:]):]
 		within = 0
-		blockIdx++
 	}
 	return nil
 }
@@ -155,7 +162,14 @@ func (g *GCM) Open(dst, iv, sealed, aad []byte) ([]byte, error) {
 // computeTag runs GHASH over aad||ct||lengths and encrypts with E_K(J0),
 // reusing the per-key table instead of rebuilding it per record.
 func (g *GCM) computeTag(iv, ct, aad []byte) ([]byte, error) {
-	gh := GHASH{table: g.table}
+	t := g.table.Load()
+	if t == nil {
+		// Concurrent first calls may each build the table; every copy
+		// is the same.
+		t = newMulTable8(LoadEl(g.h[:]))
+		g.table.Store(t)
+	}
+	gh := GHASH{table: t}
 	gh.Update(aad)
 	gh.Update(ct)
 	gh.UpdateLengths(len(aad), len(ct))

@@ -5,6 +5,7 @@ import (
 	stdaes "crypto/aes"
 	"crypto/cipher"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -194,6 +195,36 @@ func TestGCMSealAppends(t *testing.T) {
 	}
 	if g.Overhead() != TagSize {
 		t.Fatal("overhead")
+	}
+}
+
+// TestGCMConcurrentFirstUse seals on one fresh GCM from several
+// goroutines at once: the GHASH table is built by the first Seal or
+// Open, and racing first calls must all produce crypto/cipher's record.
+func TestGCMConcurrentFirstUse(t *testing.T) {
+	key, iv := []byte("0123456789abcdef"), []byte("abcdefghijkl")
+	pt := bytes.Repeat([]byte("smartdimm"), 100)
+	blk, _ := stdaes.NewCipher(key)
+	std, _ := cipher.NewGCM(blk)
+	want := std.Seal(nil, iv, pt, nil)
+	g, err := NewGCM(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = g.Seal(nil, iv, pt, nil)
+		}()
+	}
+	wg.Wait()
+	for i, out := range got {
+		if !bytes.Equal(out, want) {
+			t.Errorf("goroutine %d sealed a different record", i)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package aesgcm
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 )
 
 // FieldEl is an element of GF(2^128) in the GCM bit ordering (the first
@@ -39,36 +38,67 @@ func (e FieldEl) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
 // x^128 + x^7 + x^2 + x + 1 in the shifted representation.
 const gcmR = 0xe100000000000000
 
-// Mul returns the GF(2^128) product e*o under the GCM conventions. It is
-// the constant-time carry-less Karatsuba multiply of BearSSL's
-// ghash_ctmul64: three 64x64 carry-less products for the low halves,
-// three more on the bit-reversed operands for the high halves, then a
-// shift-and-reduce modulo x^128 + x^7 + x^2 + x + 1. The power-weighted
-// GHASH folds of the cacheline engine and the H-power chains use it;
-// mulBitSerial is the bit-at-a-time reference it is tested against.
-func (e FieldEl) Mul(o FieldEl) FieldEl {
+// Mul returns the GF(2^128) product e*o under the GCM conventions: the
+// constant-time carry-less Karatsuba multiply of BearSSL's
+// ghash_ctmul64, a one-term product reduced. mulBitSerial is the
+// bit-at-a-time reference it is tested against.
+func (e FieldEl) Mul(o FieldEl) FieldEl { return mulBy(e, newHPower(o)) }
+
+// mulBy returns y*h.
+func mulBy(y FieldEl, h hpower) FieldEl {
+	var p product
+	p.add(y, h)
+	return p.reduce()
+}
+
+// hpower is a multiplier kept beside its bit-reversed halves, the form
+// product.add takes its second operand in.
+type hpower struct {
+	el       FieldEl
+	rHi, rLo uint64
+}
+
+func newHPower(h FieldEl) hpower {
+	return hpower{el: h, rHi: bits.Reverse64(h.Hi), rLo: bits.Reverse64(h.Lo)}
+}
+
+// product is an unreduced 256-bit carry-less product in Karatsuba form:
+// three 64x64 carry-less products for the low halves and three more, on
+// the bit-reversed operands, for the high halves. Every step from the
+// products to the reduced element is linear over XOR, so a sum of
+// products can be reduced once: the aggregated reduction of Gueron and
+// Kounavis that folds a cacheline's four GHASH terms.
+type product struct {
+	z0, z1, z2, z0h, z1h, z2h uint64
+}
+
+// add accumulates y*h into the product.
+func (p *product) add(y FieldEl, h hpower) {
 	// The GCM representation is bit-reflected: Lo's least significant
 	// bit is the x^127 coefficient, Hi's most significant bit is x^0.
-	y1, y0 := e.Hi, e.Lo
-	h1, h0 := o.Hi, o.Lo
+	y1, y0 := y.Hi, y.Lo
 	y1r, y0r := bits.Reverse64(y1), bits.Reverse64(y0)
-	h1r, h0r := bits.Reverse64(h1), bits.Reverse64(h0)
+	h1, h0 := h.el.Hi, h.el.Lo
+	p.z0 ^= bmul64(y0, h0)
+	p.z1 ^= bmul64(y1, h1)
+	p.z2 ^= bmul64(y0^y1, h0^h1)
+	p.z0h ^= bmul64(y0r, h.rLo)
+	p.z1h ^= bmul64(y1r, h.rHi)
+	p.z2h ^= bmul64(y0r^y1r, h.rLo^h.rHi)
+}
 
-	z0 := bmul64(y0, h0)
-	z1 := bmul64(y1, h1)
-	z2 := bmul64(y0^y1, h0^h1)
-	z0h := bmul64(y0r, h0r)
-	z1h := bmul64(y1r, h1r)
-	z2h := bmul64(y0r^y1r, h0r^h1r)
-	z2 ^= z0 ^ z1
-	z2h ^= z0h ^ z1h
-	z0h = bits.Reverse64(z0h) >> 1
-	z1h = bits.Reverse64(z1h) >> 1
+// reduce returns the accumulated sum reduced modulo x^128 + x^7 + x^2 +
+// x + 1.
+func (p *product) reduce() FieldEl {
+	z2 := p.z2 ^ p.z0 ^ p.z1
+	z2h := p.z2h ^ p.z0h ^ p.z1h
+	z0h := bits.Reverse64(p.z0h) >> 1
+	z1h := bits.Reverse64(p.z1h) >> 1
 	z2h = bits.Reverse64(z2h) >> 1
 
 	// The 256-bit product v3:v2:v1:v0, shifted left by one to undo the
 	// reflection's off-by-one, then reduced into v3:v2.
-	v0, v1, v2, v3 := z0, z0h^z2, z1^z2h, z1h
+	v0, v1, v2, v3 := p.z0, z0h^z2, p.z1^z2h, z1h
 	v3 = v3<<1 | v2>>63
 	v2 = v2<<1 | v1>>63
 	v1 = v1<<1 | v0>>63
@@ -95,29 +125,6 @@ func bmul64(x, y uint64) uint64 {
 	return z0&m0 | z1&m1 | z2&m2 | z3&m3
 }
 
-// mulTable is a 16-entry table of x*H for the 4-bit windowed multiply,
-// indexed by nibble value. Neither production path uses it: streaming
-// GHASH uses the 8-bit mulTable8 and the power-weighted folds use Mul.
-// It stays as the ablation baseline the 8-bit table is benchmarked
-// against.
-type mulTable [16]FieldEl
-
-func newMulTable(h FieldEl) *mulTable {
-	var t mulTable
-	// t[i] = i(h) where the 4-bit index is interpreted in the GCM bit
-	// order: index bit 3 (MSB of the nibble) is the lowest-degree term.
-	t[8] = h // 0b1000: coefficient of x^0 within the nibble
-	for i := 4; i > 0; i >>= 1 {
-		t[i] = mulByX(t[i*2])
-	}
-	for i := 2; i < 16; i *= 2 {
-		for j := 1; j < i; j++ {
-			t[i+j] = t[i].Xor(t[j])
-		}
-	}
-	return &t
-}
-
 // mulByX multiplies by the field element x (a one-bit right shift in the
 // GCM representation, with reduction).
 func mulByX(v FieldEl) FieldEl {
@@ -130,33 +137,13 @@ func mulByX(v FieldEl) FieldEl {
 	return v
 }
 
-// mul multiplies y by the table's hash subkey using a 4-bit-windowed
-// Horner evaluation. In the GCM representation the LSB end of Lo holds
-// the highest-degree coefficients, so walking low nibbles first visits
-// terms in descending degree, exactly what Horner needs.
-func (t *mulTable) mul(y FieldEl) FieldEl {
-	var z FieldEl
-	process := func(word uint64) {
-		for i := 0; i < 16; i++ {
-			nib := word & 0xf
-			word >>= 4
-			// z = z * x^4, then add this nibble's contribution.
-			z = mulByX(mulByX(mulByX(mulByX(z))))
-			z = z.Xor(t[nib])
-		}
-	}
-	process(y.Lo)
-	process(y.Hi)
-	return z
-}
-
 // mulTable8 is the 256-entry byte-indexed multiplication table, the
 // production path for streaming GHASH (GCM.Seal/Open): one subkey
 // multiplies every block, so the per-subkey table build pays off. It has
-// the same Horner structure as mulTable, but consumes a whole byte per
-// step so a block costs 16 table folds instead of 32 nibble folds. Index
-// bit 7 (the byte's MSB) is the lowest-degree term, matching the GCM bit
-// order of the 4-bit table.
+// the Horner structure of a 4-bit windowed table (the ablation baseline
+// in the tests), but consumes a whole byte per step so a block costs 16
+// table folds instead of 32 nibble folds. Index bit 7 (the byte's MSB)
+// is the lowest-degree term.
 type mulTable8 [256]FieldEl
 
 func newMulTable8(h FieldEl) *mulTable8 {
@@ -266,10 +253,11 @@ func (g *GHASH) Reset() { g.y = FieldEl{} }
 // computes the i-th powers of H "in strides of 4" as soon as the source
 // buffer is registered, so the GHASH contributions of different 64-byte
 // cachelines (4 AES blocks each) have no dependency chain (§V-A). Powers
-// are 1-indexed: Power(i) == H^i.
+// are 1-indexed: Power(i) == H^i. Each is kept beside its bit-reversed
+// halves, so a fold reverses only its input.
 type HPowers struct {
 	h      FieldEl
-	powers []FieldEl // powers[i] = H^(i+1)
+	powers []hpower // powers[i] = H^(i+1)
 }
 
 // Stride is the number of AES blocks per 64-byte cacheline; powers are
@@ -288,22 +276,22 @@ func NewHPowers(h []byte, n int) *HPowers {
 // grow extends the table to at least n powers along the same recurrence:
 // H^1..H^4 serially, then H^i = H^(i-4) * H^4. Each entry depends only on
 // entries already present, so a table extended later holds exactly what
-// a table built at the larger size would.
+// a table built at the larger size would. The slice grows to exactly n:
+// a schedule's table lives as long as its key.
 func (p *HPowers) grow(n int) {
-	if n > len(p.powers) {
-		p.powers = slices.Grow(p.powers, n-len(p.powers))
+	if n > cap(p.powers) {
+		p.powers = append(make([]hpower, 0, n), p.powers...)
 	}
 	for i := len(p.powers); i < n; i++ {
-		var next FieldEl
+		next := p.h
 		switch {
 		case i == 0:
-			next = p.h
 		case i < Stride:
-			next = p.powers[i-1].Mul(p.h)
+			next = mulBy(p.powers[i-1].el, p.powers[0])
 		default:
-			next = p.powers[i-Stride].Mul(p.powers[Stride-1])
+			next = mulBy(p.powers[i-Stride].el, p.powers[Stride-1])
 		}
-		p.powers = append(p.powers, next)
+		p.powers = append(p.powers, newHPower(next))
 	}
 }
 
@@ -314,7 +302,7 @@ func (p *HPowers) Power(i int) FieldEl {
 	if i < 1 || i > len(p.powers) {
 		panic("aesgcm: H power out of precomputed range")
 	}
-	return p.powers[i-1]
+	return p.powers[i-1].el
 }
 
 // Count returns how many powers were precomputed.

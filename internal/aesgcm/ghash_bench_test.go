@@ -2,6 +2,49 @@ package aesgcm
 
 import "testing"
 
+// mulTable is a 16-entry table of x*H for the 4-bit windowed multiply,
+// indexed by nibble value. No production path uses it: streaming GHASH
+// uses the 8-bit mulTable8 and the power-weighted folds the Karatsuba
+// product. It is the ablation baseline the 8-bit table is benchmarked
+// against.
+type mulTable [16]FieldEl
+
+func newMulTable(h FieldEl) *mulTable {
+	var t mulTable
+	// t[i] = i(h) where the 4-bit index is interpreted in the GCM bit
+	// order: index bit 3 (MSB of the nibble) is the lowest-degree term.
+	t[8] = h // 0b1000: coefficient of x^0 within the nibble
+	for i := 4; i > 0; i >>= 1 {
+		t[i] = mulByX(t[i*2])
+	}
+	for i := 2; i < 16; i *= 2 {
+		for j := 1; j < i; j++ {
+			t[i+j] = t[i].Xor(t[j])
+		}
+	}
+	return &t
+}
+
+// mul multiplies y by the table's hash subkey using a 4-bit-windowed
+// Horner evaluation. In the GCM representation the LSB end of Lo holds
+// the highest-degree coefficients, so walking low nibbles first visits
+// terms in descending degree, exactly what Horner needs.
+func (t *mulTable) mul(y FieldEl) FieldEl {
+	var z FieldEl
+	process := func(word uint64) {
+		for i := 0; i < 16; i++ {
+			nib := word & 0xf
+			word >>= 4
+			// z = z * x^4, then add this nibble's contribution.
+			z = mulByX(mulByX(mulByX(mulByX(z))))
+			z = z.Xor(t[nib])
+		}
+	}
+	process(y.Lo)
+	process(y.Hi)
+	return z
+}
+
 func ghashInput(n int) []byte {
 	data := make([]byte, n)
 	for i := range data {

@@ -119,6 +119,8 @@ type Cache struct {
 	stats   Stats
 	// window counters for miss-rate sampling (adaptive offload probe)
 	winAcc, winMiss uint64
+	// victim is the line FlushRange hands to its writeback callback.
+	victim Victim
 }
 
 // New builds a cache; SizeBytes must be a multiple of Ways*LineSize and
@@ -300,31 +302,39 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victi
 // the line was present ok is true and v is the line, for writeback if it
 // is dirty; clean lines are simply invalidated.
 func (c *Cache) FlushLine(addr uint64) (v Victim, ok bool) {
+	ok = c.flush(addr, &v)
+	return v, ok
+}
+
+// flush removes the line containing addr, describing it in v, and
+// reports whether it was present.
+func (c *Cache) flush(addr uint64, v *Victim) bool {
 	i := c.lookup(addr)
 	if i == -1 {
-		return Victim{}, false
+		return false
 	}
 	l := &c.lines[i]
-	v = Victim{Addr: (c.keys[i] &^ validKey) * LineSize, Dirty: l.dirty, Data: l.data}
+	v.Addr, v.Dirty, v.Data = (c.keys[i]&^validKey)*LineSize, l.dirty, l.data
 	c.keys[i] = 0
 	if v.Dirty {
 		c.stats.Writebacks++
 	}
-	return v, true
+	return true
 }
 
 // FlushRange flushes every line in [addr, addr+size), invoking wb for
-// each dirty victim in address order. It returns how many lines were
+// each dirty victim in address order. The victim is the cache's own and
+// is valid only during the call. FlushRange returns how many lines were
 // present (dirty or clean) — the §IV-A flush-cost claim depends on how
 // much of the range was actually cached.
-func (c *Cache) FlushRange(addr uint64, size int, wb func(Victim)) int {
+func (c *Cache) FlushRange(addr uint64, size int, wb func(*Victim)) int {
 	present := 0
 	start := addr &^ (LineSize - 1)
 	for a := start; a < addr+uint64(size); a += LineSize {
-		if v, ok := c.FlushLine(a); ok {
+		if c.flush(a, &c.victim) {
 			present++
-			if v.Dirty && wb != nil {
-				wb(v)
+			if c.victim.Dirty && wb != nil {
+				wb(&c.victim)
 			}
 		}
 	}

@@ -163,7 +163,7 @@ func TestFlushRange(t *testing.T) {
 	c.Fill(64, ClassCPU, lineData(2))
 	// 0x2000 not cached.
 	var wbs []Victim
-	present := c.FlushRange(0, 192, func(v Victim) { wbs = append(wbs, v) })
+	present := c.FlushRange(0, 192, func(v *Victim) { wbs = append(wbs, *v) })
 	if present != 2 {
 		t.Fatalf("present = %d, want 2", present)
 	}

@@ -172,7 +172,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			case k < 19:
 				from, size := a+uint64(rng.Intn(LineSize)), 1+rng.Intn(4*LineSize)
 				var got, want []Victim
-				present := c.FlushRange(from, size, func(v Victim) { got = append(got, v) })
+				present := c.FlushRange(from, size, func(v *Victim) { got = append(got, *v) })
 				wantPresent := 0
 				for x := from &^ (LineSize - 1); x < from+uint64(size); x += LineSize {
 					if v, ok := ref.flush(x); ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -575,5 +576,55 @@ func TestTranslationTableStaysHealthy(t *testing.T) {
 	}
 	if ts.Inserts == 0 || ts.Deletes == 0 {
 		t.Fatalf("translation table unused: %+v", ts)
+	}
+}
+
+// TestBuildDSARejectsUnknownDirection: a TLS context whose direction
+// byte is neither encrypt nor decrypt is a config error. Accepted, it
+// would build a DSA that decrypts but never captures the tag, holding
+// the trailer line forever.
+func TestBuildDSARejectsUnknownDirection(t *testing.T) {
+	key, iv := []byte("0123456789abcdef"), []byte("abcdefghijkl")
+	for _, op := range []Opcode{OpTLSEncrypt, OpTLSDecrypt} {
+		ctx := tlsOffloadContext(t, aesgcm.Decrypt, key, iv, nil, 100)
+		ctx.Op = op
+		ctx.TLS.Direction = 2
+		raw, err := marshalContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buildDSA(op, 100+TagSize, raw, newScheduleCache(1), nil); !errors.Is(err, ErrDSAConfig) {
+			t.Errorf("%v with direction 2: err = %v, want ErrDSAConfig", op, err)
+		}
+	}
+}
+
+// TestFeedDSAZeroAllocs checks that a registered TLS record's source
+// rdCAS, through the memory controller, the DSA and into the
+// Scratchpad, allocates nothing per source line.
+func TestFeedDSAZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	const nPages = 4
+	sbuf, _ := r.driver.AllocPages(nPages)
+	dbuf, _ := r.driver.AllocPages(nPages)
+	payload := nPages*PageSize - TagSize
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, []byte("0123456789abcdef"), []byte("abcdefghijkl"), nil, payload)
+	if _, err := r.driver.register(sbuf, dbuf, payload+TagSize, nPages, ctx); err != nil {
+		t.Fatal(err)
+	}
+	ctl := r.hier.Channels[0].Ctl
+	var line [dram.CachelineSize]byte
+	off := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ctl.Read(sbuf+off, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+		off += dram.CachelineSize
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per source line, want 0", allocs)
+	}
+	if st := r.dev.Stats(); st.DSALinesFed != 101 || st.DSAErrors != 0 {
+		t.Fatalf("fed %d lines with %d DSA errors, want 101 and 0", st.DSALinesFed, st.DSAErrors)
 	}
 }

@@ -92,6 +92,9 @@ type Device struct {
 	keys *scheduleCache
 	// enc holds the Deflate DSA encoder of the last compression record.
 	enc encoderSlot
+	// lines is the buffer every DSA appends its destination lines to;
+	// feedDSA places them before the next source line is fed.
+	lines []destLine
 	// Faults, when non-nil, injects device-side faults: "core.alert"
 	// (spurious ALERT_N on a data read), "core.dsa" (DSA processing
 	// fault, aborting the record), and "core.ttinsert" (Translation
@@ -377,23 +380,24 @@ func (d *Device) feedDSA(cycle int64, tr *translation, phys uint64, data []byte)
 		d.abortRecord(rec)
 		return
 	}
-	lines, err := rec.dsa.ProcessSourceLine(recOff, data[:end-recOff])
+	lines, err := rec.dsa.ProcessSourceLine(recOff, data[:end-recOff], d.lines[:0])
 	if err != nil {
 		d.stats.DSAErrors++
 		d.abortRecord(rec)
 		return
 	}
+	d.lines = lines
 	if t, ok := rec.dsa.(*tlsDSA); ok && t.AuthFailed() {
 		d.stats.AuthFailures++
 	}
-	for _, dl := range lines {
-		d.placeDestLine(cycle, rec, dl)
+	for i := range lines {
+		d.placeDestLine(cycle, rec, &lines[i])
 	}
 }
 
 // placeDestLine stores one DSA output line into the Scratchpad page of
 // the destination page that covers its record offset.
-func (d *Device) placeDestLine(cycle int64, rec *record, dl destLine) {
+func (d *Device) placeDestLine(cycle int64, rec *record, dl *destLine) {
 	pageIdx := dl.RecOff / PageSize
 	if pageIdx >= len(rec.destPages) {
 		d.stats.DSAErrors++

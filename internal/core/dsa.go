@@ -55,10 +55,12 @@ type destLine struct {
 // the returned destination lines into the Scratchpad.
 type dsaInstance interface {
 	// ProcessSourceLine consumes the source cacheline at byte offset off
-	// within the record. Returned lines may include earlier offsets that
-	// only now became computable (e.g. the TLS trailer once the tag is
-	// final).
-	ProcessSourceLine(off int, src []byte) ([]destLine, error)
+	// within the record and appends the destination lines it produced to
+	// lines. They may include earlier offsets that only now became
+	// computable (e.g. the TLS trailer once the tag is final). The device
+	// passes one reused buffer, so the caller consumes the lines before
+	// its next call.
+	ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error)
 	// DestLen returns the size in bytes of the destination record space.
 	DestLen() int
 }
@@ -84,8 +86,10 @@ type tlsDSA struct {
 	eng        *aesgcm.CachelineEngine
 	dir        aesgcm.Direction
 	payloadLen int
-	// held buffers lines overlapping the trailer until the tag is final.
-	held map[int][dram.CachelineSize]byte
+	// held buffers the lines overlapping the trailer until the tag is
+	// final: a 16-byte trailer spans at most two lines.
+	held  [2]destLine
+	nHeld int
 	// srcTag accumulates the received tag bytes on the decrypt path;
 	// tagSeen counts captured bytes so verification waits for all 16.
 	srcTag  [TagSize]byte
@@ -107,10 +111,7 @@ func newTLSDSA(ctx TLSContext, keys *scheduleCache) (*tlsDSA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tlsDSA{
-		eng: eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen,
-		held: make(map[int][dram.CachelineSize]byte),
-	}, nil
+	return &tlsDSA{eng: eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen}, nil
 }
 
 // DestLen implements dsaInstance: payload plus the tag trailer.
@@ -119,7 +120,7 @@ func (d *tlsDSA) DestLen() int { return d.payloadLen + TagSize }
 // trailerEnd is the end of the record space.
 func (d *tlsDSA) trailerEnd() int { return d.payloadLen + TagSize }
 
-func (d *tlsDSA) ProcessSourceLine(off int, src []byte) ([]destLine, error) {
+func (d *tlsDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
 	if off%dram.CachelineSize != 0 {
 		return nil, fmt.Errorf("core: unaligned DSA offset %d", off)
 	}
@@ -131,7 +132,8 @@ func (d *tlsDSA) ProcessSourceLine(off int, src []byte) ([]destLine, error) {
 		lineEnd = d.trailerEnd()
 	}
 
-	var out [dram.CachelineSize]byte
+	lines = append(lines, destLine{RecOff: off})
+	out := &lines[len(lines)-1].Data
 	if off < d.payloadLen {
 		want := d.payloadLen - off
 		if want > dram.CachelineSize {
@@ -156,27 +158,34 @@ func (d *tlsDSA) ProcessSourceLine(off int, src []byte) ([]destLine, error) {
 		}
 	}
 
-	var lines []destLine
 	switch {
 	case lineEnd <= d.payloadLen:
-		lines = append(lines, destLine{RecOff: off, Data: out})
 	case d.flushed:
 		// Tag already final: patch the trailer bytes in directly.
-		d.patchTrailer(&out, off, lineEnd)
-		lines = append(lines, destLine{RecOff: off, Data: out})
+		d.patchTrailer(out, off, lineEnd)
 	default:
 		// Overlaps the trailer: hold until the tag is final.
-		d.held[off] = out
+		d.hold(lines[len(lines)-1])
+		lines = lines[:len(lines)-1]
 	}
 	canFlush := d.eng.Done() && (d.dir == aesgcm.Encrypt || d.tagSeen >= TagSize)
 	if canFlush && !d.flushed {
-		flushed, err := d.flushTrailer()
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, flushed...)
+		return d.flushTrailer(lines)
 	}
 	return lines, nil
+}
+
+// hold keeps a line overlapping the trailer, replacing an earlier copy
+// at the same offset.
+func (d *tlsDSA) hold(dl destLine) {
+	i := 0
+	for i < d.nHeld && d.held[i].RecOff != dl.RecOff {
+		i++
+	}
+	d.held[i] = dl
+	if i == d.nHeld {
+		d.nHeld++
+	}
 }
 
 // patchTrailer copies the final trailer bytes into a line's buffer.
@@ -188,10 +197,11 @@ func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off, lineEnd int) 
 	}
 }
 
-// flushTrailer finalizes held lines once the engine is done: on encrypt
-// the tag is written into the trailer bytes; on decrypt the received tag
-// is verified and the trailer's first byte reports the result (1 = ok).
-func (d *tlsDSA) flushTrailer() ([]destLine, error) {
+// flushTrailer finalizes held lines once the engine is done and appends
+// them to lines: on encrypt the tag is written into the trailer bytes; on
+// decrypt the received tag is verified and the trailer's first byte
+// reports the result (1 = ok).
+func (d *tlsDSA) flushTrailer(lines []destLine) ([]destLine, error) {
 	d.flushed = true
 	if d.dir == aesgcm.Encrypt {
 		tag, err := d.eng.Tag()
@@ -207,12 +217,11 @@ func (d *tlsDSA) flushTrailer() ([]destLine, error) {
 			d.trailer[0] = 1
 		}
 	}
-	var lines []destLine
-	for off, data := range d.held {
-		d.patchTrailer(&data, off, off+dram.CachelineSize)
-		lines = append(lines, destLine{RecOff: off, Data: data})
+	for _, dl := range d.held[:d.nHeld] {
+		d.patchTrailer(&dl.Data, dl.RecOff, dl.RecOff+dram.CachelineSize)
+		lines = append(lines, dl)
 	}
-	d.held = nil
+	d.nHeld = 0
 	return lines, nil
 }
 
@@ -306,20 +315,20 @@ func newDeflateDSA(length int, cfg deflate.HWConfig, enc *encoderSlot) (*deflate
 // DestLen implements dsaInstance: the destination is always a full page.
 func (d *deflateDSA) DestLen() int { return PageSize }
 
-func (d *deflateDSA) ProcessSourceLine(off int, src []byte) ([]destLine, error) {
+func (d *deflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
 	if off != d.nextOff {
 		return nil, fmt.Errorf("core: deflate DSA requires in-order lines (got %d, want %d); use ordered CompCpy", off, d.nextOff)
 	}
 	n := copy(d.buf[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
-		return nil, nil
+		return lines, nil
 	}
 	page, err := EncodeCompressedPage(d.buf[:d.length], d.enc)
 	if err != nil {
 		return nil, err
 	}
-	return pageToLines(page), nil
+	return pageToLines(lines, page), nil
 }
 
 // inflateDSA decompresses one compressed page arriving in order.
@@ -339,32 +348,30 @@ func newInflateDSA(length int) (*inflateDSA, error) {
 // DestLen implements dsaInstance.
 func (d *inflateDSA) DestLen() int { return PageSize }
 
-func (d *inflateDSA) ProcessSourceLine(off int, src []byte) ([]destLine, error) {
+func (d *inflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
 	if off != d.nextOff {
 		return nil, fmt.Errorf("core: inflate DSA requires in-order lines (got %d, want %d)", off, d.nextOff)
 	}
 	n := copy(d.buf[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
-		return nil, nil
+		return lines, nil
 	}
 	orig, err := DecodeCompressedPage(d.buf[:d.length])
 	if err != nil {
 		return nil, err
 	}
-	var page [PageSize]byte
-	copy(page[:], orig)
-	return pageToLines(page[:]), nil
+	return pageToLines(lines, orig), nil
 }
 
-// pageToLines splits a full page into destination lines.
-func pageToLines(page []byte) []destLine {
-	lines := make([]destLine, 0, LinesPerPage)
-	for off := 0; off < len(page); off += dram.CachelineSize {
-		var dl destLine
-		dl.RecOff = off
-		copy(dl.Data[:], page[off:off+dram.CachelineSize])
-		lines = append(lines, dl)
+// pageToLines appends the lines of a full page holding page's bytes,
+// zero-filled past its end, to lines.
+func pageToLines(lines []destLine, page []byte) []destLine {
+	for off := 0; off < PageSize; off += dram.CachelineSize {
+		lines = append(lines, destLine{RecOff: off})
+		if off < len(page) {
+			copy(lines[len(lines)-1].Data[:], page[off:])
+		}
 	}
 	return lines
 }
@@ -477,8 +484,9 @@ func (s *encoderSlot) get(cfg deflate.HWConfig) *deflate.HWEncoder {
 	return s.enc
 }
 
-// ErrDSAConfig marks a compression context whose DSA configuration is
-// out of the range the device accepts.
+// ErrDSAConfig marks a context whose DSA configuration is out of the
+// range the device accepts: a compression table or window too large, or
+// a TLS direction that is neither encrypt nor decrypt.
 var ErrDSAConfig = errors.New("core: DSA config out of range")
 
 // maxDSATableEntries bounds the candidate table, across all banks, that
@@ -531,6 +539,9 @@ func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encod
 			return nil, errors.New("core: TLS context truncated")
 		}
 		dir := aesgcm.Direction(raw[0])
+		if dir != aesgcm.Encrypt && dir != aesgcm.Decrypt {
+			return nil, fmt.Errorf("%w: TLS direction %d", ErrDSAConfig, raw[0])
+		}
 		keyLen, ivLen, aadLen := int(raw[1]), int(raw[2]), int(raw[3])
 		payloadLen := int(binary.LittleEndian.Uint32(raw[4:8]))
 		need := 8 + keyLen + ivLen + 32 + aadLen

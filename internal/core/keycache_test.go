@@ -64,7 +64,7 @@ func (r *dsaRecord) step(t *testing.T) bool {
 	if end > len(r.src) {
 		end = len(r.src)
 	}
-	lines, err := r.dsa.ProcessSourceLine(r.next, r.src[r.next:end])
+	lines, err := r.dsa.ProcessSourceLine(r.next, r.src[r.next:end], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,7 @@ func DDR4_3200() Timing {
 // from {Row, BG, BA, Col} (§IV-C).
 type Mapper struct {
 	geo      Geometry
+	capacity uint64 // geo.CapacityBytes(), checked on every Decode
 	colBits  uint
 	bgBits   uint
 	baBits   uint
@@ -156,6 +157,7 @@ func NewMapper(geo Geometry) (*Mapper, error) {
 	}
 	return &Mapper{
 		geo:      geo,
+		capacity: geo.CapacityBytes(),
 		colBits:  uint(bits.TrailingZeros(uint(geo.ColsPerRow))),
 		bgBits:   uint(bits.TrailingZeros(uint(geo.BankGroups))),
 		baBits:   uint(bits.TrailingZeros(uint(geo.BanksPerBG))),
@@ -170,8 +172,8 @@ func (m *Mapper) Geometry() Geometry { return m.geo }
 // within the capacity; the low 6 bits (within-cacheline offset) are
 // ignored.
 func (m *Mapper) Decode(phys uint64) (Command, error) {
-	if phys >= m.geo.CapacityBytes() {
-		return Command{}, fmt.Errorf("dram: address %#x beyond capacity %#x", phys, m.geo.CapacityBytes())
+	if phys >= m.capacity {
+		return Command{}, fmt.Errorf("dram: address %#x beyond capacity %#x", phys, m.capacity)
 	}
 	cl := phys >> 6
 	col := int(cl & (uint64(m.geo.ColsPerRow) - 1))

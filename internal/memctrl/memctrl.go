@@ -383,7 +383,10 @@ func (c *Controller) DrainWrites() (int64, error) {
 	startCyc := c.now
 	t := c.cfg.Timing
 	var last int64
-	for i, w := range c.wq {
+	for i := range c.wq {
+		// Index, not range: a ranged copy of the 64-byte entry would
+		// escape to the heap through HandleCommand's data slice.
+		w := &c.wq[i]
 		// On any error, drop the writes already issued plus the failing
 		// one so the queue is not poisoned: a later drain must not
 		// re-issue half the batch or retry a write the DIMM rejected.

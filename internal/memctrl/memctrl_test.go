@@ -395,3 +395,28 @@ func BenchmarkStreamRead(b *testing.B) {
 		}
 	}
 }
+
+// TestDrainWritesZeroAllocs checks that draining a full write queue to
+// the DIMM allocates nothing: the queue's 64-byte entries reach
+// HandleCommand in place, not as per-entry heap copies.
+func TestDrainWritesZeroAllocs(t *testing.T) {
+	c, _ := newCtl(t)
+	buf := bytes.Repeat([]byte{7}, 64)
+	full := c.cfg.DrainThreshold - 1 // one more write would drain itself
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < full; i++ {
+			if _, err := c.Write(uint64(i)*64, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.DrainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("filling and draining %d writes: %v allocs/op, want 0", full, allocs)
+	}
+	if got := c.Stats().Writes; got != uint64(51*full) {
+		t.Fatalf("issued %d writes, want %d", got, 51*full)
+	}
+}

@@ -162,7 +162,7 @@ func (h *Hierarchy) ChannelOf(phys uint64) (int, error) {
 }
 
 // writeback pushes a dirty victim to its channel.
-func (h *Hierarchy) writeback(v cache.Victim) error {
+func (h *Hierarchy) writeback(v *cache.Victim) error {
 	ch, local, err := h.route(v.Addr)
 	if err != nil {
 		return err
@@ -189,7 +189,7 @@ func (h *Hierarchy) Read64(core int, addr uint64, dst []byte) (int64, error) {
 		return 0, err
 	}
 	if v, ok := h.LLC.Fill(addr, cache.ClassCPU, dst); ok && v.Dirty {
-		if err := h.writeback(v); err != nil {
+		if err := h.writeback(&v); err != nil {
 			return 0, err
 		}
 	}
@@ -205,7 +205,7 @@ func (h *Hierarchy) Write64(core int, addr uint64, src []byte) (int64, error) {
 		return LLCHitPs, nil
 	}
 	if v, ok := h.LLC.FillDirty(addr, cache.ClassCPU, src); ok && v.Dirty {
-		if err := h.writeback(v); err != nil {
+		if err := h.writeback(&v); err != nil {
 			return 0, err
 		}
 	}
@@ -218,7 +218,7 @@ func (h *Hierarchy) Write64(core int, addr uint64, src []byte) (int64, error) {
 func (h *Hierarchy) DMAWrite64(addr uint64, src []byte) error {
 	addr &^= dram.CachelineSize - 1
 	if v, ok := h.LLC.FillDirty(addr, cache.ClassDMA, src); ok && v.Dirty {
-		return h.writeback(v)
+		return h.writeback(&v)
 	}
 	return nil
 }
@@ -233,7 +233,7 @@ func (h *Hierarchy) DMAWrite64(addr uint64, src []byte) error {
 // wins by protocol, exactly like a DMA overwrite of an uncached region.
 func (h *Hierarchy) PeerDMAWrite64(addr uint64, src []byte) (int64, error) {
 	addr &^= dram.CachelineSize - 1
-	h.LLC.FlushRange(addr, dram.CachelineSize, func(cache.Victim) {})
+	h.LLC.FlushRange(addr, dram.CachelineSize, nil)
 	ch, local, err := h.route(addr)
 	if err != nil {
 		return 0, err
@@ -283,7 +283,7 @@ func (h *Hierarchy) Flush(addr uint64, size int) (int64, error) {
 	}
 	var wbErr error
 	dirty := 0
-	h.LLC.FlushRange(addr, size, func(v cache.Victim) {
+	h.LLC.FlushRange(addr, size, func(v *cache.Victim) {
 		dirty++
 		if err := h.writeback(v); err != nil && wbErr == nil {
 			wbErr = err
