@@ -79,9 +79,16 @@
 #                     write-queue drain, and a TLS source line's rdCAS
 #                     through the device into the Scratchpad
 #
+#  17. benchmod    — bench/ is its own Go module, so the root `go build
+#                     ./...` never compiles it: vet and test it in place
+#                     (TestBuilderMatchesPinnedRunners pins its workloads
+#                     against the KPI bench's pinned runners), so an API
+#                     change that breaks bench/ fails here, not only in
+#                     `bash bench/run.sh`
+#
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
-# (each of these three followed by the KPI bench), obs, alloc, or fuzz (each
+# (each of these three followed by the KPI bench), obs, alloc, benchmod, or fuzz (each
 # Fuzz* target run for a bounded 10 s of coverage-guided fuzzing on top
 # of the committed seed corpora, which plain `go test` already replays;
 # not part of the full gate). An unknown stage name fails with the
@@ -178,6 +185,11 @@ run_shard() {
 	fi
 }
 
+run_benchmod() {
+	echo "== benchmod: go vet + go test in the bench/ module"
+	(cd bench && export GOWORK=off GOPROXY=off && go vet . && go test .)
+}
+
 run_fuzz() {
 	echo "== fuzz: every Fuzz* target for 10s each"
 	for pkg in $(go list ./...); do
@@ -226,6 +238,7 @@ run_all() {
 		run_stage $stage
 	done
 	run_bench
+	run_benchmod
 
 	echo "== go test -shuffle=on ./..."
 	go test -shuffle=on ./...
@@ -242,9 +255,10 @@ cluster | rdma | workload)
 	run_bench
 	;;
 obs | alloc) run_stage "$1" ;;
+benchmod) run_benchmod ;;
 fuzz) run_fuzz ;;
 *)
-	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc fuzz; no argument runs the full gate)" >&2
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc benchmod fuzz; no argument runs the full gate)" >&2
 	exit 2
 	;;
 esac

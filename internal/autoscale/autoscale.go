@@ -5,7 +5,7 @@
 // comfortably under it, and flipping the placement policy when per-rank
 // queue depths diverge. Everything it reads comes from the obs series
 // store (the same series an operator would graph and alert on): the
-// rolling latency window under <LatencyPrefix>.p99/.count, per-rank
+// rolling latency window under server.window.p99/.count, per-rank
 // queue-depth sketches under fleet.rank<i>.qdepth.p99, the activity
 // bitmap under fleet.state.rank<i>.
 //
@@ -14,13 +14,13 @@
 // steady state: every admit/drain resharding connections costs
 // migrations. Three mechanisms damp it:
 //
-//   - hysteresis: a scale-up needs UpAfter consecutive breach ticks, a
-//     scale-down needs DownAfter consecutive ticks below LowFrac*SLO —
+//   - hysteresis: a scale-up needs upAfter consecutive breach ticks, a
+//     scale-down needs DownAfter consecutive ticks below lowFrac*SLO —
 //     an oscillating tail straddling the SLO edge never accumulates
 //     either streak;
 //   - cooldown: after any action the controller sits out CooldownTicks
 //     ticks, long enough for the reshard to show up in the window;
-//   - a dead band: between LowFrac*SLO and SLO neither streak grows.
+//   - a dead band: between lowFrac*SLO and SLO neither streak grows.
 //
 // The controller runs inside the scraper's single self-rescheduling
 // engine event (its control tick is every TickPs/ScrapeInterval-th
@@ -48,6 +48,20 @@ type Scaler interface {
 	Admit(i int) error
 }
 
+// The controller's fixed thresholds.
+const (
+	// latencyPrefix locates the server's rolling latency window in the
+	// series store.
+	latencyPrefix = "server.window"
+	// lowFrac*SLOPs is the scale-down threshold.
+	lowFrac = 0.4
+	// upAfter consecutive breach ticks trigger an admit.
+	upAfter = 2
+	// minSamples skips control decisions on ticks whose window holds
+	// fewer completions (idle start, post-reshard gap).
+	minSamples = 32
+)
+
 // Config parameterizes a controller.
 type Config struct {
 	// Obs is the observability plane the controller subscribes to: it
@@ -56,12 +70,9 @@ type Config struct {
 	Obs *obs.Scraper
 	Fl  Scaler
 	// Window is the rolling latency record the server feeds; the
-	// controller rolls it once per tick so <LatencyPrefix>.p99 always
+	// controller rolls it once per tick so server.window.p99 always
 	// spans the last few ticks, not the whole run.
 	Window *stats.Window
-	// LatencyPrefix locates the window's series in the store.
-	// Empty selects "server.window".
-	LatencyPrefix string
 
 	// TickPs is the control interval. It must be a whole multiple of the
 	// scraper's interval (the controller acts every TickPs/interval-th
@@ -69,19 +80,12 @@ type Config struct {
 	TickPs int64
 	// SLOPs is the p99 latency objective in picoseconds (required).
 	SLOPs float64
-	// LowFrac*SLOPs is the scale-down threshold. Zero selects 0.4.
-	LowFrac float64
-	// UpAfter consecutive breach ticks trigger an admit; zero selects 2.
-	UpAfter int
 	// DownAfter consecutive low ticks trigger a drain; zero selects 4.
 	DownAfter int
 	// CooldownTicks is the post-action quiet period; zero selects 3.
 	CooldownTicks int
 	// MinActive floors scale-down. Zero selects 1.
 	MinActive int
-	// MinSamples skips control decisions on ticks whose window holds
-	// fewer completions (idle start, post-reshard gap). Zero selects 32.
-	MinSamples int
 
 	// FlipPolicy, when non-nil, is invoked (once) when the active ranks'
 	// qdepth p99s stay imbalanced — max > ImbalanceRatio*min — for
@@ -103,20 +107,11 @@ func (c *Config) defaults() error {
 	if c.SLOPs <= 0 {
 		return fmt.Errorf("autoscale: need a latency SLO")
 	}
-	if c.LatencyPrefix == "" {
-		c.LatencyPrefix = "server.window"
-	}
 	if c.TickPs <= 0 {
 		c.TickPs = 500 * sim.Us
 	}
 	if iv := c.Obs.IntervalPs(); c.TickPs%iv != 0 {
 		return fmt.Errorf("autoscale: TickPs %d is not a multiple of the scrape interval %d", c.TickPs, iv)
-	}
-	if c.LowFrac <= 0 || c.LowFrac >= 1 {
-		c.LowFrac = 0.4
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 4
@@ -126,9 +121,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MinActive <= 0 {
 		c.MinActive = 1
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
 	}
 	if c.ImbalanceRatio <= 0 {
 		c.ImbalanceRatio = 4
@@ -162,8 +154,7 @@ type Controller struct {
 
 	// Interned series names, so per-tick store reads don't rebuild
 	// strings (mirrors the registry's own name interning).
-	latP99Name, latCountName string
-	stateNames, qdepthNames  []string
+	stateNames, qdepthNames []string
 
 	// Actions is the decision log; TraceString renders it.
 	Actions []Action
@@ -184,10 +175,8 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:          cfg,
-		tickEvery:    int(cfg.TickPs / cfg.Obs.IntervalPs()),
-		latP99Name:   cfg.LatencyPrefix + ".p99",
-		latCountName: cfg.LatencyPrefix + ".count",
+		cfg:       cfg,
+		tickEvery: int(cfg.TickPs / cfg.Obs.IntervalPs()),
 	}
 	for i := 0; i < cfg.Fl.Members(); i++ {
 		c.stateNames = append(c.stateNames, fmt.Sprintf("fleet.state.rank%d", i))
@@ -211,11 +200,11 @@ func (c *Controller) Start() {
 // tick is one control interval: read the freshly scraped series, decide,
 // roll the window.
 func (c *Controller) tick(atPs int64, st *obs.Store) {
-	p99 := st.LastValue(c.latP99Name)
-	count := int(st.LastValue(c.latCountName))
+	p99 := st.LastValue(latencyPrefix + ".p99")
+	count := int(st.LastValue(latencyPrefix + ".count"))
 	c.Ticks++
 
-	if count >= c.cfg.MinSamples {
+	if count >= minSamples {
 		c.MeasuredTicks++
 		if p99 <= c.cfg.SLOPs {
 			c.SLOHeldTicks++
@@ -237,10 +226,10 @@ func (c *Controller) decide(atPs int64, p99 float64) {
 	case p99 > c.cfg.SLOPs:
 		c.breachStreak++
 		c.lowStreak = 0
-		if c.breachStreak >= c.cfg.UpAfter {
+		if c.breachStreak >= upAfter {
 			c.scaleUp(atPs, p99)
 		}
-	case p99 < c.cfg.LowFrac*c.cfg.SLOPs:
+	case p99 < lowFrac*c.cfg.SLOPs:
 		c.lowStreak++
 		c.breachStreak = 0
 		if c.lowStreak >= c.cfg.DownAfter {

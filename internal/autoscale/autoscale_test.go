@@ -103,7 +103,7 @@ func TestControlTickSubsamplesScrapes(t *testing.T) {
 	}
 	fl := newFakeScaler(4, 1)
 	c, err := New(Config{Obs: sc, Fl: fl, Window: stats.NewWindow(4),
-		SLOPs: slo, TickPs: 100 * sim.Us, UpAfter: 2, CooldownTicks: 2})
+		SLOPs: slo, TickPs: 100 * sim.Us, CooldownTicks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 		return slo * 0.9 // dead band: resets the breach streak
 	})
 	fl := newFakeScaler(4, 2)
-	c := newController(t, eng, reg, fl, Config{SLOPs: slo, TickPs: 100 * sim.Us, UpAfter: 2, DownAfter: 4})
+	c := newController(t, eng, reg, fl, Config{SLOPs: slo, TickPs: 100 * sim.Us, DownAfter: 4})
 	eng.RunUntil(60 * 100 * sim.Us)
 	if len(c.Actions) != 0 {
 		t.Fatalf("oscillating tail caused %d actions (flap): %v", len(c.Actions), c.Actions)
@@ -163,7 +163,7 @@ func TestScaleUpDownLadder(t *testing.T) {
 	fl := newFakeScaler(4, 1)
 	c := newController(t, eng, reg, fl, Config{
 		SLOPs: slo, TickPs: 100 * sim.Us,
-		UpAfter: 2, DownAfter: 3, CooldownTicks: 2, MinActive: 1,
+		DownAfter: 3, CooldownTicks: 2, MinActive: 1,
 	})
 	eng.RunUntil(40 * 100 * sim.Us)
 	if fl.admits == 0 {

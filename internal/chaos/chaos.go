@@ -226,11 +226,9 @@ func newSoak(name string, seed int64, arm func(*rand.Rand, *fault.Injector), cfg
 	}
 	arm(s.rng, s.inj)
 	cfg.DeviceConfig = &core.DeviceConfig{
-		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  tinyPages,
-		ConfigPages:      tinyPages,
-		DSALatencyCycles: 32,
-		MMIOPages:        1,
+		Geometry:        dram.SmallGeometry(),
+		ScratchpadPages: tinyPages,
+		ConfigPages:     tinyPages,
 	}
 	cfg.LLCBytes, cfg.LLCWays, cfg.Faults = 4<<20, 8, s.inj
 	sys, err := sim.NewSystem(cfg)

@@ -51,7 +51,7 @@ func workloadSoakConfig(seed int64, workers int) workload.RunConfig {
 		},
 		Scale: &autoscale.Config{
 			SLOPs: float64(100 * sim.Us), TickPs: 200 * sim.Us,
-			UpAfter: 2, DownAfter: 6, CooldownTicks: 2, MinActive: 2,
+			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
 		},
 		// The fault lands mid-crowd — the worst moment: capacity is
 		// already short and the breaker drains an active rank. Restore

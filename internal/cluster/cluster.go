@@ -28,21 +28,42 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The client, replication and fabric constants. Safety rests on two of
+// their relations, which TestClusterTimerSafety pins: leasePs must not
+// exceed electionPs — the minimum election delay is what makes the read
+// lease safe — and heartbeatPs must cover the fabric round trip
+// (2·propPs), or heartbeats flood the wire.
+const (
+	// writeFrac is each client operation's probability of being a write.
+	writeFrac = 0.5
+
+	// Client pacing and failure handling.
+	thinkPs     = 20 * sim.Us // delay between an ack and the next op
+	opTimeoutPs = 2 * sim.Ms  // per-attempt timeout
+	retryPs     = 30 * sim.Us // backoff after a redirect
+
+	// Replication timers.
+	heartbeatPs = 60 * sim.Us  // leader heartbeat period
+	electionPs  = 400 * sim.Us // base election timeout
+	leasePs     = electionPs   // primary read lease
+
+	// The inter-node fabric.
+	netGbps     = 100          // per-link line rate
+	propPs      = 2 * sim.Us   // one-way propagation; the lookahead window
+	netRTOPs    = 300 * sim.Us // retransmission backoff after a drop
+	netMaxTries = 64           // attempts per message before it expires
+)
+
 // Config assembles a cluster.
 type Config struct {
-	// Nodes is the server-node count (default 3). Groups is the replica
-	// group count (default Nodes); RF the replication factor (default
-	// min(3, Nodes)). Group g places on nodes {g, g+1, ..} mod Nodes.
-	Nodes  int
-	Groups int
-	RF     int
+	// Nodes is the server-node count (default 3). There is one replica
+	// group per node, each on min(3, Nodes) replicas: group g places on
+	// nodes {g, g+1, ..} mod Nodes.
+	Nodes int
 
 	// Conns is the client connection count (default 2*Nodes); key k
-	// belongs to group k mod Groups, and connection c writes only key c.
+	// belongs to group k mod Nodes, and connection c writes only key c.
 	Conns int
-	// WriteFrac is each operation's probability of being a write
-	// (default 0.5; negative selects 0).
-	WriteFrac float64
 
 	// MsgSize / Mode / Workers / NodeConns / FileKind shape each node's
 	// local serving path (the node's server + fleet + SmartDIMM system).
@@ -54,26 +75,9 @@ type Config struct {
 
 	Seed int64
 
-	// Client pacing and failure handling.
-	ThinkPs     int64 // delay between an ack and the next op (default 20us)
-	OpTimeoutPs int64 // per-attempt timeout (default 2ms)
-	RetryPs     int64 // backoff after a redirect (default 30us)
-
-	// Replication timers. LeasePs must not exceed ElectionPs — the
-	// minimum election delay is what makes the read lease safe.
-	HeartbeatPs int64 // leader heartbeat period (default 60us)
-	ElectionPs  int64 // base election timeout (default 400us)
-	LeasePs     int64 // primary read lease (default ElectionPs)
-
-	// Net shapes the inter-node fabric; Net.PropPs is the conservative
-	// lookahead window (default 2us).
-	Net NetConfig
-
 	// NetFaults builds the per-endpoint net-plane injector (endpoint 0
-	// is the router, 1+i node i); SysFaults the per-node data-plane
-	// (memory-system) injector. Either may be nil.
+	// is the router, 1+i node i). It may be nil.
 	NetFaults func(endpoint int) *fault.Injector
-	SysFaults func(node int) *fault.Injector
 
 	// Trace gives every shard a tracer, merged by MergedTrace.
 	Trace bool
@@ -106,25 +110,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	if cfg.Groups <= 0 {
-		cfg.Groups = cfg.Nodes
-	}
-	if cfg.RF <= 0 {
-		cfg.RF = 3
-	}
-	if cfg.RF > cfg.Nodes {
-		cfg.RF = cfg.Nodes
-	}
 	if cfg.Conns <= 0 {
 		cfg.Conns = 2 * cfg.Nodes
-	}
-	switch {
-	case cfg.WriteFrac < 0:
-		cfg.WriteFrac = 0
-	case cfg.WriteFrac == 0:
-		cfg.WriteFrac = 0.5
-	case cfg.WriteFrac > 1:
-		cfg.WriteFrac = 1
 	}
 	if cfg.MsgSize <= 0 {
 		cfg.MsgSize = 2048
@@ -138,33 +125,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.NodeConns <= 0 {
 		cfg.NodeConns = 4
 	}
-	if cfg.ThinkPs <= 0 {
-		cfg.ThinkPs = 20 * sim.Us
-	}
-	if cfg.OpTimeoutPs <= 0 {
-		cfg.OpTimeoutPs = 2 * sim.Ms
-	}
-	if cfg.RetryPs <= 0 {
-		cfg.RetryPs = 30 * sim.Us
-	}
-	if cfg.HeartbeatPs <= 0 {
-		cfg.HeartbeatPs = 60 * sim.Us
-	}
-	if cfg.ElectionPs <= 0 {
-		cfg.ElectionPs = 400 * sim.Us
-	}
-	if cfg.LeasePs <= 0 {
-		cfg.LeasePs = cfg.ElectionPs
-	}
-	if cfg.LeasePs > cfg.ElectionPs {
-		return nil, fmt.Errorf("cluster: lease %dps exceeds the %dps election floor; a deposed primary could serve a stale read", cfg.LeasePs, cfg.ElectionPs)
-	}
-	if cfg.Net.PropPs <= 0 {
-		cfg.Net.PropPs = 2 * sim.Us
-	}
-	if cfg.HeartbeatPs < 2*cfg.Net.PropPs {
-		return nil, fmt.Errorf("cluster: heartbeat %dps under the fabric RTT %dps floods the wire", cfg.HeartbeatPs, 2*cfg.Net.PropPs)
-	}
 	params := sim.DefaultParams()
 	if cfg.Params != nil {
 		params = *cfg.Params
@@ -174,7 +134,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{cfg: cfg}
-	c.se = sim.NewShardedEngine(cfg.Nodes+1, cfg.Net.PropPs)
+	c.se = sim.NewShardedEngine(cfg.Nodes+1, propPs)
 	c.se.Workers = cfg.ExecWorkers
 
 	c.tracers = make([]*telemetry.Tracer, cfg.Nodes+1)
@@ -198,13 +158,9 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	c.net = newNet(c.se, cfg.Net, c.netInjs, c.tracers)
+	c.net = newNet(c.se, c.netInjs, c.tracers)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		var sysInj *fault.Injector
-		if cfg.SysFaults != nil {
-			sysInj = cfg.SysFaults(i)
-		}
 		tracer := c.tracers[1+i]
 		sys, err := sim.NewSystem(sim.SystemConfig{
 			Params: params, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays,
@@ -212,7 +168,6 @@ func New(cfg Config) (*Cluster, error) {
 			WithSmartDIMM:  true,
 			SmartDIMMRanks: 1,
 			Tracer:         tracer,
-			Faults:         sysInj,
 			Engine:         c.se.Shard(1 + i),
 		})
 		if err != nil {
@@ -233,7 +188,6 @@ func New(cfg Config) (*Cluster, error) {
 		n := &node{
 			c: c, id: i, addr: 1 + i,
 			eng: c.se.Shard(1 + i), sys: sys, fl: fl, srv: srv,
-			inj: sysInj, nInj: c.netInjs[1+i],
 			tr:   tracer,
 			reps: map[int]*replica{},
 		}
@@ -242,11 +196,12 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 	}
 
-	// Replica placement: group g on RF consecutive nodes starting at
+	// Replica placement: group g on rf consecutive nodes starting at
 	// g mod Nodes, members listed ascending.
-	for g := 0; g < cfg.Groups; g++ {
-		members := make([]int, 0, cfg.RF)
-		for j := 0; j < cfg.RF; j++ {
+	rf := min(3, cfg.Nodes)
+	for g := 0; g < cfg.Nodes; g++ {
+		members := make([]int, 0, rf)
+		for j := 0; j < rf; j++ {
 			members = append(members, (g+j)%cfg.Nodes)
 		}
 		sortInts(members)

@@ -39,16 +39,6 @@ const (
 	SiteNetDrop = "net.drop"
 )
 
-// NetConfig sizes the fabric.
-type NetConfig struct {
-	Gbps   float64 // per-link line rate (default 100)
-	PropPs int64   // one-way propagation; the cluster's lookahead window
-	RTOPs  int64   // retransmission backoff after a dropped attempt
-	// MaxTries bounds attempts per message (default 64); an expired
-	// message is lost for good, like a reset connection.
-	MaxTries int
-}
-
 // netEndpoint is one endpoint's sender-side state, owned by its shard.
 type netEndpoint struct {
 	id    int
@@ -71,27 +61,14 @@ type netEndpoint struct {
 // Net is the full mesh.
 type Net struct {
 	se  *sim.ShardedEngine
-	cfg NetConfig
 	eps []*netEndpoint
 }
 
 // newNet wires n endpoints over the sharded engine; endpoint e lives on
 // shard e (the cluster maps endpoint 0 to the front-end shard and
 // endpoint 1+i to node i's shard). injs[e] may be nil.
-func newNet(se *sim.ShardedEngine, cfg NetConfig, injs []*fault.Injector, trs []*telemetry.Tracer) *Net {
-	if cfg.Gbps <= 0 {
-		cfg.Gbps = 100
-	}
-	if cfg.PropPs < se.Lookahead() {
-		panic(fmt.Sprintf("cluster: net propagation %dps below lookahead %dps", cfg.PropPs, se.Lookahead()))
-	}
-	if cfg.RTOPs <= 0 {
-		cfg.RTOPs = 300 * sim.Us
-	}
-	if cfg.MaxTries <= 0 {
-		cfg.MaxTries = 64
-	}
-	n := &Net{se: se, cfg: cfg}
+func newNet(se *sim.ShardedEngine, injs []*fault.Injector, trs []*telemetry.Tracer) *Net {
+	n := &Net{se: se}
 	for e := 0; e < se.Shards(); e++ {
 		ep := &netEndpoint{
 			id:   e,
@@ -115,7 +92,7 @@ func newNet(se *sim.ShardedEngine, cfg NetConfig, injs []*fault.Injector, trs []
 }
 
 func (n *Net) serializationPs(bytes int) int64 {
-	return int64(float64(bytes*8) / (n.cfg.Gbps * 1e9) * 1e12)
+	return int64(float64(bytes*8) / (netGbps * 1e9) * 1e12)
 }
 
 // Send transmits bytes from endpoint src to dst and runs fn on dst's
@@ -147,12 +124,12 @@ func (n *Net) send(src, dst int, bytes int, god bool, try int, fn func()) {
 	if !god && n.dropped(ep, dst, done) {
 		ep.Dropped++
 		ep.tr.Instant(ep.track, "xnet.drop", done)
-		if try+1 >= n.cfg.MaxTries {
+		if try+1 >= netMaxTries {
 			ep.Expired++
 			ep.tr.Instant(ep.track, "xnet.expire", done)
 			return
 		}
-		ep.eng.At(done+n.cfg.RTOPs, func() {
+		ep.eng.At(done+netRTOPs, func() {
 			ep.Retrans++
 			ep.tr.Instant(ep.track, "xnet.retransmit", ep.eng.Now())
 			n.send(src, dst, bytes, god, try+1, fn)
@@ -161,7 +138,7 @@ func (n *Net) send(src, dst int, bytes int, god bool, try int, fn func()) {
 	}
 	ep.tr.Span(ep.track, "xwire", start, done-start)
 	ep.Delivered++
-	n.se.Send(src, dst, (done-now)+n.cfg.PropPs, fn)
+	n.se.Send(src, dst, (done-now)+propPs, fn)
 }
 
 // dropped consults the sender's fault sites: the partition site first

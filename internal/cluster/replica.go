@@ -16,8 +16,8 @@
 //     fresh primary appends a no-op entry to commit its inherited tail
 //     before serving.
 //   - Reads are served at the primary under a heartbeat lease: the
-//     quorum-acked heartbeat send timestamp plus LeasePs, paired with
-//     voter-side stickiness (a follower refuses votes for LeasePs after
+//     quorum-acked heartbeat send timestamp plus leasePs, paired with
+//     voter-side stickiness (a follower refuses votes for leasePs after
 //     valid leader contact), guarantees the old primary's lease expires
 //     before a new primary can be elected — simulated clocks are exact,
 //     so the argument needs no skew margin.
@@ -32,7 +32,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -72,8 +71,6 @@ type node struct {
 	sys  *sim.System
 	fl   *fleet.Fleet
 	srv  *server.Server
-	inj  *fault.Injector // data-plane (system) injector, may be nil
-	nInj *fault.Injector // net-plane injector, may be nil
 
 	tr        *telemetry.Tracer
 	replTrack telemetry.TrackID
@@ -147,7 +144,7 @@ func (r *replica) lastTermIdx() (int64, int) {
 // jitter, so elections converge without split votes and identically
 // across runs.
 func (r *replica) electionDelay() int64 {
-	base := r.n.c.cfg.ElectionPs
+	base := electionPs
 	step := base / 8
 	return base + int64(r.selfPos)*step + r.rng.Int63n(step)
 }
@@ -285,7 +282,7 @@ func (r *replica) hbTick(term int64) {
 			r.sendAppendTo(pos)
 		}
 	}
-	n.eng.After(n.c.cfg.HeartbeatPs, func() { r.hbTick(term) })
+	n.eng.After(heartbeatPs, func() { r.hbTick(term) })
 }
 
 func (r *replica) append(ent logEnt) {
@@ -369,7 +366,7 @@ func (n *node) onAppend(g int, term int64, prevIdx int, prevTerm int64, ents []l
 		r.state = follower
 	}
 	r.electionAt = now + r.electionDelay()
-	if s := now + n.c.cfg.LeasePs; s > r.stickyUntil {
+	if s := now + leasePs; s > r.stickyUntil {
 		r.stickyUntil = s
 	}
 
@@ -523,7 +520,7 @@ func (r *replica) stepDown(term int64) {
 
 // leaseValid reports whether this primary may serve a linearizable
 // read right now: a majority (counting itself) acked a heartbeat sent
-// within the last LeasePs.
+// within the last leasePs.
 func (r *replica) leaseValid(now int64) bool {
 	if len(r.members) == 1 {
 		return true
@@ -532,7 +529,7 @@ func (r *replica) leaseValid(now int64) bool {
 	copy(ts, r.ackSendTs)
 	ts[r.selfPos] = now
 	sort.Slice(ts, func(a, b int) bool { return ts[a] > ts[b] })
-	return ts[r.majority()-1]+r.n.c.cfg.LeasePs > now
+	return ts[r.majority()-1]+leasePs > now
 }
 
 // --- client operations ------------------------------------------------------

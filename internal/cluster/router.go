@@ -120,7 +120,7 @@ func (rt *router) BeginMeasurement() {
 }
 
 // issue invokes connection conn's next operation: a write to its own
-// key with probability WriteFrac, otherwise a read of a uniformly drawn
+// key with probability writeFrac, otherwise a read of a uniformly drawn
 // key.
 func (rt *router) issue(conn int) {
 	if rt.stopped {
@@ -128,7 +128,7 @@ func (rt *router) issue(conn int) {
 	}
 	now := rt.eng.Now()
 	kind, key := OpRead, conn
-	if rt.rng.Float64() < rt.c.cfg.WriteFrac {
+	if rt.rng.Float64() < writeFrac {
 		kind = OpWrite
 	} else {
 		key = rt.rng.Intn(rt.c.cfg.Conns)
@@ -173,7 +173,7 @@ func (rt *router) attempt(id uint64, try int) {
 			n.onClientRead(g, key, conn, id)
 		}
 	})
-	rt.eng.After(rt.c.cfg.OpTimeoutPs, func() {
+	rt.eng.After(opTimeoutPs, func() {
 		op := &rt.history[id-1]
 		if op.AckPs >= 0 || op.Retries != try {
 			return
@@ -221,7 +221,7 @@ func (rt *router) onResp(id uint64, kind respKind, hint int, ver int64, wid uint
 			rt.leaderHint[g]++ // no usable hint: probe the next member
 		}
 		try := op.Retries
-		rt.eng.After(rt.c.cfg.RetryPs, func() {
+		rt.eng.After(retryPs, func() {
 			op := &rt.history[id-1]
 			if op.AckPs >= 0 || op.Retries != try {
 				return
@@ -243,9 +243,5 @@ func (rt *router) onResp(id uint64, kind respKind, hint int, ver int64, wid uint
 		}
 	}
 	conn := op.Conn
-	if think := rt.c.cfg.ThinkPs; think > 0 {
-		rt.eng.After(think, func() { rt.issue(conn) })
-	} else {
-		rt.eng.At(now, func() { rt.issue(conn) })
-	}
+	rt.eng.After(thinkPs, func() { rt.issue(conn) })
 }

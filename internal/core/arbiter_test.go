@@ -133,7 +133,7 @@ func TestArbiterS13AlertOnPendingRead(t *testing.T) {
 	if r.dev.Stats().Alerts == 0 {
 		t.Fatal("alert not counted")
 	}
-	// Feed the source line; result becomes ready after DSALatencyCycles.
+	// Feed the source line; result becomes ready after dsaLatencyCycles.
 	r.write(10, sbuf, payload) // source write passes through (chips)
 	if alert := r.read(11, sbuf, line[:]); alert {
 		t.Fatal("source read alerted")
@@ -147,8 +147,7 @@ func TestArbiterS13AlertOnPendingRead(t *testing.T) {
 		t.Fatal("read before DSA latency elapsed did not alert")
 	}
 	// After the latency: S10 serves from the scratchpad.
-	lat := PaperDeviceConfig(dram.SmallGeometry()).DSALatencyCycles
-	if alert := r.read(12+lat, dbuf, line[:]); alert {
+	if alert := r.read(12+dsaLatencyCycles, dbuf, line[:]); alert {
 		t.Fatal("ready line still alerting")
 	}
 	if r.dev.Stats().ScratchpadReads != 1 {

@@ -25,25 +25,27 @@ type DeviceConfig struct {
 	Geometry        dram.Geometry
 	ScratchpadPages int
 	ConfigPages     int
-	// DSALatencyCycles is the DRAM-cycle latency from a source rdCAS to
-	// the corresponding result being ready in the Scratchpad. The §IV-D
-	// slack argument needs this well under the controller's read-to-write
-	// gap; the TLS DSA sustains DDR line rate, so a handful of buffer
-	// clock cycles (= 4 DRAM cycles each) suffices.
-	DSALatencyCycles int64
-	// MMIOPages reserves the top of the address range as config space.
-	MMIOPages int
 }
+
+const (
+	// dsaLatencyCycles is the DRAM-cycle latency from a source rdCAS to
+	// the corresponding result being ready in the Scratchpad: 32 DRAM
+	// cycles = 8 buffer-device cycles. The §IV-D slack argument needs
+	// this well under the controller's read-to-write gap; the TLS DSA
+	// sustains DDR line rate, so a handful of buffer clock cycles (= 4
+	// DRAM cycles each) suffices.
+	dsaLatencyCycles = 32
+	// mmioPages reserves the top of the address range as config space.
+	mmioPages = 1
+)
 
 // PaperDeviceConfig returns the §VI configuration over the given
 // geometry: 2048 Scratchpad pages (8MB), 2048 Config Memory pages (8MB).
 func PaperDeviceConfig(geo dram.Geometry) DeviceConfig {
 	return DeviceConfig{
-		Geometry:         geo,
-		ScratchpadPages:  2048,
-		ConfigPages:      2048,
-		DSALatencyCycles: 32, // 8 buffer-device cycles
-		MMIOPages:        1,
+		Geometry:        geo,
+		ScratchpadPages: 2048,
+		ConfigPages:     2048,
 	}
 }
 
@@ -123,9 +125,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if cfg.ScratchpadPages <= 0 || cfg.ConfigPages <= 0 {
 		return nil, fmt.Errorf("core: scratchpad/config pages must be positive")
 	}
-	if cfg.MMIOPages <= 0 {
-		cfg.MMIOPages = 1
-	}
 	chips, err := dram.NewChips(cfg.Geometry)
 	if err != nil {
 		return nil, err
@@ -145,7 +144,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		d.bank[i] = -1
 	}
 	cap := cfg.Geometry.CapacityBytes()
-	d.mmioBase = cap - uint64(cfg.MMIOPages)*PageSize
+	d.mmioBase = cap - mmioPages*PageSize
 	return d, nil
 }
 
@@ -414,7 +413,7 @@ func (d *Device) placeDestLine(cycle int64, rec *record, dl *destLine) {
 	copy(sp.data[off:off+dram.CachelineSize], dl.Data[:])
 	if sp.state[lineIdx] == linePending {
 		sp.state[lineIdx] = lineReady
-		sp.readyAt[lineIdx] = cycle + d.cfg.DSALatencyCycles
+		sp.readyAt[lineIdx] = cycle + dsaLatencyCycles
 	}
 }
 

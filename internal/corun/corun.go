@@ -22,23 +22,22 @@ type Config struct {
 	// WorkingSetBytes per instance; mcf's resident set is ~350MB on the
 	// testbed, scaled here to dominate the modelled LLC.
 	WorkingSetBytes int
-	// BatchReads is the number of dependent loads per scheduling quantum.
-	BatchReads int
-	// ComputeNsPerRead is the non-memory work between loads (mcf is
-	// memory-bound: small).
-	ComputeNsPerRead int64
-	Seed             int64
 }
+
+// The antagonist's fixed pointer-chasing shape.
+const (
+	// batchReads is the number of dependent loads per scheduling quantum.
+	batchReads = 64
+	// computeNsPerRead is the non-memory work between loads (mcf is
+	// memory-bound: small).
+	computeNsPerRead = 4
+	// seed seeds instance i's address stream with seed+i.
+	seed = 7
+)
 
 // DefaultConfig sizes the antagonist against the given system.
 func DefaultConfig(sys *sim.System) Config {
-	return Config{
-		Sys: sys, Instances: 10,
-		WorkingSetBytes:  4 << 20,
-		BatchReads:       64,
-		ComputeNsPerRead: 4,
-		Seed:             7,
-	}
+	return Config{Sys: sys, Instances: 10, WorkingSetBytes: 4 << 20}
 }
 
 // Antagonist is the running co-runner set.
@@ -62,9 +61,6 @@ func Start(eng *sim.Engine, cfg Config) (*Antagonist, error) {
 	if cfg.WorkingSetBytes <= 0 {
 		cfg.WorkingSetBytes = 4 << 20
 	}
-	if cfg.BatchReads <= 0 {
-		cfg.BatchReads = 64
-	}
 	a := &Antagonist{cfg: cfg, eng: eng}
 	for i := 0; i < cfg.Instances; i++ {
 		base, err := cfg.Sys.AllocPlain(cfg.WorkingSetBytes)
@@ -72,7 +68,7 @@ func Start(eng *sim.Engine, cfg Config) (*Antagonist, error) {
 			return nil, err
 		}
 		a.bases = append(a.bases, base)
-		a.rngs = append(a.rngs, rand.New(rand.NewSource(cfg.Seed+int64(i))))
+		a.rngs = append(a.rngs, rand.New(rand.NewSource(seed+int64(i))))
 		inst := i
 		eng.At(eng.Now(), func() { a.batch(inst) })
 	}
@@ -85,16 +81,16 @@ func (a *Antagonist) batch(inst int) {
 	var wall int64
 	rng := a.rngs[inst]
 	lines := uint64(a.cfg.WorkingSetBytes / 64)
-	for r := 0; r < a.cfg.BatchReads; r++ {
+	for r := 0; r < batchReads; r++ {
 		addr := a.bases[inst] + (rng.Uint64()%lines)*64
 		lat, err := a.cfg.Sys.Hier.Read64(10+inst, addr, line[:])
 		if err != nil {
 			return // working set unmapped: stop this instance
 		}
-		wall += lat + a.cfg.ComputeNsPerRead*sim.Ns
+		wall += lat + computeNsPerRead*sim.Ns
 	}
 	if a.measuring {
-		a.ops += uint64(a.cfg.BatchReads)
+		a.ops += batchReads
 	}
 	a.eng.After(wall, func() { a.batch(inst) })
 }

@@ -62,7 +62,7 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 		},
 		Scale: &autoscale.Config{
 			SLOPs: res.SLOPs, TickPs: tickPs,
-			UpAfter: 2, DownAfter: 6, CooldownTicks: 2, MinActive: 2,
+			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
 		},
 		Faults: []workload.Fault{
 			{AtPs: faultPs, Rank: 1},

@@ -54,7 +54,7 @@ func Incident(seed int64) (IncidentResult, error) {
 		},
 		Scale: &autoscale.Config{
 			SLOPs: res.SLOPs, TickPs: tickPs,
-			UpAfter: 2, DownAfter: 6, CooldownTicks: 2, MinActive: 2,
+			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
 		},
 		Faults: []workload.Fault{
 			{AtPs: faultPs, Rank: 1},

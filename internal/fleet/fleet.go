@@ -47,12 +47,12 @@ type Policy int
 
 const (
 	// RoundRobin homes new connections on devices in rotation and only
-	// migrates at hard saturation (MaxQueueDepth).
+	// migrates at hard saturation (maxQueueDepth).
 	RoundRobin Policy = iota
 	// LeastLoaded homes and proactively rebalances by per-device score:
 	// submission-queue depth plus scratchpad and write-queue pressure.
 	LeastLoaded
-	// Affinity pins each connection to a channel group (RanksPerChannel
+	// Affinity pins each connection to a channel group (ranksPerChannel
 	// ranks behind one physical channel) and balances within the group,
 	// bounding a connection's traffic to one channel. Requires the
 	// memory system's range mode (it is meaningless under 64B
@@ -95,34 +95,41 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("fleet: unknown placement policy %q (want rr, leastload, affinity, or sticky)", s)
 }
 
+// The fleet's submission and placement constants.
+const (
+	// maxQueueDepth is the admission limit: a device whose submission
+	// queue reaches it sheds the submitting connection to the least
+	// loaded sibling.
+	maxQueueDepth = 12
+	// rebalanceGap is LeastLoaded's migration trigger: migrate the
+	// submitting connection when its home queue is this much deeper
+	// than the shallowest active member's.
+	rebalanceGap = 2
+	// batchSize is the descriptor count per doorbell ring; a Process
+	// call's records are submitted in ceil(records/batchSize) batches.
+	batchSize = 4
+	// batchOverheadPs is the per-batch doorbell cost: 120 ns, an
+	// uncached MMIO write plus fence.
+	batchOverheadPs = 120 * sim.Ns
+	// ranksPerChannel sizes Affinity's channel groups: two ranks behind
+	// each physical DDR4 channel.
+	ranksPerChannel = 2
+	// mrReregPs is the extra occupancy a migration charges the target
+	// when Config.RNIC is set: 480 ns for MR invalidate + re-register +
+	// QP rebind (a few MMIO round trips and a doorbell).
+	mrReregPs = 480 * sim.Ns
+)
+
 // Config parameterizes a fleet over an assembled multi-rank system.
 type Config struct {
 	Sys    *sim.System
 	Policy Policy
 
-	// MaxQueueDepth is the admission limit: a device whose submission
-	// queue reaches it sheds the submitting connection to the least
-	// loaded sibling. Zero selects 12.
-	MaxQueueDepth int
-	// RebalanceGap is LeastLoaded's migration trigger: migrate the
-	// submitting connection when its home queue is this much deeper
-	// than the shallowest active member's. Zero selects 2.
-	RebalanceGap int
 	// MigrateCooldownOps rate-limits proactive rebalancing: a
 	// connection migrates at most once per this many fleet submissions,
 	// damping ping-pong when the load genuinely exceeds every member.
 	// Zero selects 16. Drains ignore the cooldown.
 	MigrateCooldownOps int
-	// BatchSize is the descriptor count per doorbell ring; a Process
-	// call's records are submitted in ceil(records/BatchSize) batches.
-	// Zero selects 4.
-	BatchSize int
-	// BatchOverheadPs is the per-batch doorbell cost (uncached MMIO
-	// write plus fence). Zero selects 120ns.
-	BatchOverheadPs int64
-	// RanksPerChannel sizes Affinity's channel groups. Zero selects 2
-	// (two ranks behind each physical DDR4 channel).
-	RanksPerChannel int
 	// FailThreshold trips a member's breaker after this many consecutive
 	// Process calls served entirely by the CPU fallback rung. Zero
 	// selects 3 (mirroring the offload circuit breaker).
@@ -132,8 +139,6 @@ type Config struct {
 	// the first full-fallback Process after re-admission re-trips
 	// immediately.
 	CooldownOps int
-	// NoReadmit keeps tripped members out permanently.
-	NoReadmit bool
 	// RNIC, when non-nil, is the RDMA NIC whose memory registrations
 	// cover this fleet's connection buffers (the peer-DMA data path).
 	// The fleet then enforces MR-locality across migrations: the MR is
@@ -143,10 +148,6 @@ type Config struct {
 	// so a record can only ever land on the rank owning its current
 	// registration.
 	RNIC *rdma.NIC
-	// MRReregPs is the extra occupancy a migration charges the target
-	// when RNIC is set: MR invalidate + re-register + QP rebind (a few
-	// MMIO round trips and a doorbell). Zero selects 480ns.
-	MRReregPs int64
 	// TracePlacement records every placement decision (placements,
 	// migrations, sheds, trips, drains, readmissions) into the trace
 	// returned by TraceString — the determinism gate's byte-compared
@@ -260,32 +261,14 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Sys.Hier.Interleave {
 		return nil, fmt.Errorf("fleet: channel interleaving defeats per-rank placement; use range mode")
 	}
-	if cfg.MaxQueueDepth <= 0 {
-		cfg.MaxQueueDepth = 12
-	}
-	if cfg.RebalanceGap <= 0 {
-		cfg.RebalanceGap = 2
-	}
 	if cfg.MigrateCooldownOps <= 0 {
 		cfg.MigrateCooldownOps = 16
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 4
-	}
-	if cfg.BatchOverheadPs <= 0 {
-		cfg.BatchOverheadPs = 120 * sim.Ns
-	}
-	if cfg.RanksPerChannel <= 0 {
-		cfg.RanksPerChannel = 2
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
 	if cfg.CooldownOps <= 0 {
 		cfg.CooldownOps = 256
-	}
-	if cfg.MRReregPs <= 0 {
-		cfg.MRReregPs = 480 * sim.Ns
 	}
 	f := &Fleet{cfg: cfg, conns: make(map[int]*homeRec)}
 	if tr := cfg.Sys.Tracer; tr != nil {
@@ -398,8 +381,8 @@ func (f *Fleet) Process(u offload.ULP, coreID int, conn *offload.Conn, payloadLe
 	m.submitted++
 	f.noteOutcome(m, res, now)
 
-	nBatches := int64((res.Records + f.cfg.BatchSize - 1) / f.cfg.BatchSize)
-	overhead := nBatches * f.cfg.BatchOverheadPs
+	nBatches := int64((res.Records + batchSize - 1) / batchSize)
+	overhead := nBatches * batchOverheadPs
 	f.descs += uint64(res.Records)
 	f.batches += uint64(nBatches)
 
@@ -438,9 +421,6 @@ func (f *Fleet) retire(now int64) {
 
 // tickCooldowns ages open members toward probational re-admission.
 func (f *Fleet) tickCooldowns() {
-	if f.cfg.NoReadmit {
-		return
-	}
 	for _, m := range f.members {
 		// Held members were drained administratively (autoscaler): only
 		// an explicit Admit brings them back, never the breaker cooldown.
@@ -551,14 +531,14 @@ func (f *Fleet) rehome(rec *homeRec, now int64) bool {
 }
 
 // rebalance applies the policy's migration rule before a submission:
-// LeastLoaded migrates once its home is RebalanceGap deeper than the
-// shallowest member; every policy sheds at MaxQueueDepth saturation.
+// LeastLoaded migrates once its home is rebalanceGap deeper than the
+// shallowest member; every policy sheds at maxQueueDepth saturation.
 func (f *Fleet) rebalance(rec *homeRec, now int64) {
 	m := f.members[rec.home]
 	depth := len(m.inflight)
 	min := f.minDepth()
-	if m.state == memberActive && depth < f.cfg.MaxQueueDepth &&
-		!(f.cfg.Policy == LeastLoaded && depth >= min+f.cfg.RebalanceGap) {
+	if m.state == memberActive && depth < maxQueueDepth &&
+		!(f.cfg.Policy == LeastLoaded && depth >= min+rebalanceGap) {
 		return
 	}
 	// Only move when it strictly improves the connection's queue and
@@ -580,7 +560,7 @@ func (f *Fleet) rebalance(rec *homeRec, now int64) {
 		return // no better sibling; backpressure on the home queue
 	}
 	from := rec.home
-	saturated := depth >= f.cfg.MaxQueueDepth
+	saturated := depth >= maxQueueDepth
 	if err := f.migrate(rec, to, now); err != nil {
 		return
 	}
@@ -680,7 +660,7 @@ func (f *Fleet) migrate(rec *homeRec, to int, now int64) error {
 		if _, rerr := f.cfg.RNIC.RebindQP(conn.ID, conn.Src, conn.Size); rerr != nil {
 			return fmt.Errorf("fleet: rebind c%d MR after migration: %w", conn.ID, rerr)
 		}
-		lat += f.cfg.MRReregPs
+		lat += mrReregPs
 		f.tracef("rereg c%d -> d%d", conn.ID, to)
 	}
 	t.migratedIn++
@@ -809,15 +789,15 @@ func (f *Fleet) without(set []int, idx int) []int {
 }
 
 // affinityGroup lists the active members of a connection's channel
-// group: RanksPerChannel consecutive ranks behind one physical channel.
+// group: ranksPerChannel consecutive ranks behind one physical channel.
 func (f *Fleet) affinityGroup(id int) []int {
-	groups := (len(f.members) + f.cfg.RanksPerChannel - 1) / f.cfg.RanksPerChannel
+	groups := (len(f.members) + ranksPerChannel - 1) / ranksPerChannel
 	g := id % groups
 	if g < 0 {
 		g = -g
 	}
 	var set []int
-	for i := g * f.cfg.RanksPerChannel; i < (g+1)*f.cfg.RanksPerChannel && i < len(f.members); i++ {
+	for i := g * ranksPerChannel; i < (g+1)*ranksPerChannel && i < len(f.members); i++ {
 		if f.members[i].state == memberActive {
 			set = append(set, i)
 		}

@@ -20,7 +20,6 @@ type Packet struct {
 	Wire  int   // bytes on the wire including headers
 	Flags uint8
 	Ack   int64 // cumulative ack (for ACK packets)
-	SACK  bool
 }
 
 // Packet flags.

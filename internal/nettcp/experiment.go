@@ -75,7 +75,6 @@ type BurstyNet struct {
 	Burst          fault.GEConfig
 	FlapEveryPs    int64
 	FlapDownPs     int64
-	DropProb       float64
 	ReorderProb    float64
 	ReorderDelayPs int64
 }
@@ -87,8 +86,7 @@ func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64
 	eng := sim.NewEngine()
 	rttHalf := int64(p.RTTUs * float64(sim.Us) / 2)
 	data := netsim.NewLink(eng, netsim.LinkConfig{
-		Gbps: p.LinkGbps, PropPs: rttHalf, Seed: seed,
-		DropProb: net.DropProb, Burst: net.Burst,
+		Gbps: p.LinkGbps, PropPs: rttHalf, Seed: seed, Burst: net.Burst,
 		FlapEveryPs: net.FlapEveryPs, FlapDownPs: net.FlapDownPs,
 		ReorderProb: net.ReorderProb, ReorderDelayPs: net.ReorderDelayPs,
 	})
@@ -101,7 +99,7 @@ func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64
 	if err != nil {
 		// Inputs are internally derived; an error here means a broken
 		// caller, reported as a never-completed zero-goodput point.
-		return GoodputResult{DropProb: net.DropProb}
+		return GoodputResult{}
 	}
 
 	ideal := int64(float64(total*8) / (p.LinkGbps * 1e9) * 1e12)
@@ -109,7 +107,6 @@ func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64
 	eng.RunUntil(deadline)
 
 	res := GoodputResult{
-		DropProb:    net.DropProb,
 		Retransmits: sender.Retransmits,
 		Timeouts:    sender.Timeouts,
 		Completed:   sender.Done(),

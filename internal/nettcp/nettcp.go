@@ -25,6 +25,7 @@ var (
 	ErrNoPayload = errors.New("nettcp: transfer needs a positive byte count")
 	ErrNilLink   = errors.New("nettcp: transfer needs both a data and an ack link")
 	ErrNilHook   = errors.New("nettcp: transfer needs a ULP hook (use a zero-cost hook for plain TCP)")
+	ErrBadConfig = errors.New("nettcp: transfer needs a positive MSS and RTO (start from DefaultConfig)")
 )
 
 // ULPHook charges ULP costs to the sender.
@@ -39,23 +40,20 @@ type ULPHook interface {
 
 // CPUTLSHook models TLS fully on the CPU: per-record AES-NI time,
 // amortized over the server's worker threads (the paper's testbed uses
-// 10 threads, which pipelines encryption of different records behind
-// transmission), and free retransmissions (the encrypted bytes are
-// simply resent).
+// cpuTLSCores threads, which pipelines encryption of different records
+// behind transmission), and free retransmissions (the encrypted bytes
+// are simply resent).
 type CPUTLSHook struct {
 	P sim.Params
-	// Cores is the number of worker threads encrypting in parallel;
-	// <= 0 selects the testbed's 10.
-	Cores int
 }
+
+// cpuTLSCores is the testbed's worker-thread count encrypting in
+// parallel.
+const cpuTLSCores = 10
 
 // RecordCost implements ULPHook.
 func (h CPUTLSHook) RecordCost(n int) int64 {
-	cores := h.Cores
-	if cores <= 0 {
-		cores = 10
-	}
-	return h.P.AESGCMComputePs(n) / int64(cores)
+	return h.P.AESGCMComputePs(n) / cpuTLSCores
 }
 
 // RetransmitCost implements ULPHook.
@@ -107,24 +105,25 @@ func (h *NICTLSHook) RetransmitCost(int) int64 {
 	return h.P.NICResyncUs*sim.Us + h.P.AESGCMComputePs(h.RecordLen)
 }
 
-// Config tunes the TCP model.
+// Config tunes the TCP model. Both fields must be positive.
 type Config struct {
-	MSS          int
-	InitCwndPkts int
-	RTOPs        int64
-	RecordLen    int // ULP record size carried by the stream
-	HeaderBytes  int // per-packet header overhead on the wire
-	// MaxInFlightPkts caps cwnd growth (receiver window).
-	MaxInFlightPkts int
+	MSS   int
+	RTOPs int64
 }
 
-// DefaultConfig mirrors the testbed: 1460B MSS, 100Gbe, 16KB records.
+// DefaultConfig mirrors the testbed: 1460B MSS and a 2 ms RTO.
 func DefaultConfig() Config {
-	return Config{
-		MSS: 1460, InitCwndPkts: 10, RTOPs: 2 * sim.Ms,
-		RecordLen: 16384, HeaderBytes: 40, MaxInFlightPkts: 1024,
-	}
+	return Config{MSS: 1460, RTOPs: 2 * sim.Ms}
 }
+
+// The stream's fixed shape on the testbed's 100GbE path.
+const (
+	initCwndPkts = 10    // initial congestion window, in segments
+	recordLen    = 16384 // TLS record size carried by the stream
+	headerBytes  = 40    // per-packet TCP/IP header overhead on the wire
+	// maxInFlightPkts caps cwnd growth (the receiver window).
+	maxInFlightPkts = 1024
+)
 
 // Sender is the bulk TCP sender with a ULP hook.
 type Sender struct {
@@ -187,23 +186,14 @@ func NewTransfer(eng *sim.Engine, data, ack *netsim.Link, cfg Config, hook ULPHo
 	if hook == nil {
 		return nil, nil, ErrNilHook
 	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1460
-	}
-	if cfg.InitCwndPkts <= 0 {
-		cfg.InitCwndPkts = 10
-	}
-	if cfg.RTOPs <= 0 {
-		cfg.RTOPs = 5 * sim.Ms
-	}
-	if cfg.MaxInFlightPkts <= 0 {
-		cfg.MaxInFlightPkts = 1024
+	if cfg.MSS <= 0 || cfg.RTOPs <= 0 {
+		return nil, nil, ErrBadConfig
 	}
 	s := &Sender{
 		cfg: cfg, eng: eng, data: data, hook: hook,
 		totalBytes: total,
-		cwnd:       float64(cfg.InitCwndPkts * cfg.MSS),
-		ssthresh:   float64(cfg.MaxInFlightPkts * cfg.MSS),
+		cwnd:       float64(initCwndPkts * cfg.MSS),
+		ssthresh:   float64(maxInFlightPkts * cfg.MSS),
 	}
 	r := &Receiver{eng: eng, ack: ack, ooo: make(map[int64]int)}
 	data.Deliver = r.onData
@@ -230,15 +220,15 @@ func (s *Sender) pump() {
 		return
 	}
 	window := int64(s.cwnd)
-	if max := int64(s.cfg.MaxInFlightPkts * s.cfg.MSS); window > max {
+	if max := int64(maxInFlightPkts * s.cfg.MSS); window > max {
 		window = max
 	}
 	for s.nextSeq < s.totalBytes && s.inFlight() < window {
 		// Record boundary: charge ULP processing before these bytes
 		// exist in encrypted form (once per record).
-		if s.cfg.RecordLen > 0 && s.nextSeq >= s.paidThrough {
-			cost := s.hook.RecordCost(s.cfg.RecordLen)
-			s.paidThrough = s.nextSeq + int64(s.cfg.RecordLen)
+		if s.nextSeq >= s.paidThrough {
+			cost := s.hook.RecordCost(recordLen)
+			s.paidThrough = s.nextSeq + recordLen
 			if cost > 0 {
 				s.ulpReadyPs = s.eng.Now() + cost
 				s.eng.At(s.ulpReadyPs, s.pump)
@@ -250,7 +240,7 @@ func (s *Sender) pump() {
 		if n > s.cfg.MSS {
 			n = s.cfg.MSS
 		}
-		s.data.Send(netsim.Packet{Seq: s.nextSeq, Len: n, Wire: n + s.cfg.HeaderBytes})
+		s.data.Send(netsim.Packet{Seq: s.nextSeq, Len: n, Wire: n + headerBytes})
 		s.nextSeq += int64(n)
 	}
 	s.armRTO()
@@ -297,11 +287,11 @@ func (s *Sender) retransmit(seq int64) {
 	if cost := s.hook.RetransmitCost(n); cost > 0 {
 		s.ulpReadyPs = s.eng.Now() + cost
 		s.eng.At(s.ulpReadyPs, func() {
-			s.data.Send(netsim.Packet{Seq: seq, Len: n, Wire: n + s.cfg.HeaderBytes, Flags: netsim.FlagRetransmit})
+			s.data.Send(netsim.Packet{Seq: seq, Len: n, Wire: n + headerBytes, Flags: netsim.FlagRetransmit})
 		})
 		return
 	}
-	s.data.Send(netsim.Packet{Seq: seq, Len: n, Wire: n + s.cfg.HeaderBytes, Flags: netsim.FlagRetransmit})
+	s.data.Send(netsim.Packet{Seq: seq, Len: n, Wire: n + headerBytes, Flags: netsim.FlagRetransmit})
 }
 
 // onAck processes a cumulative acknowledgment.

@@ -84,24 +84,34 @@ func TestFlapMidStream(t *testing.T) {
 
 // TestNewTransferTypedErrors pins the constructor's failure modes —
 // before these were typed, a zero-byte transfer hung silently (Done
-// never set) and a nil link or hook deferred to a panic mid-run.
+// never set) and a nil link or hook deferred to a panic mid-run. A
+// non-positive MSS or RTO is an error too, not a silent second set of
+// defaults (1460 B / 5 ms) that disagrees with DefaultConfig's 2 ms RTO.
 func TestNewTransferTypedErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	data := netsim.NewLink(eng, netsim.LinkConfig{Seed: 1})
 	ack := netsim.NewLink(eng, netsim.LinkConfig{Seed: 2})
+	def := DefaultConfig()
+	noMSS, negRTO := def, def
+	noMSS.MSS = 0
+	negRTO.RTOPs = -sim.Ms
 	for _, c := range []struct {
 		name  string
 		data  *netsim.Link
 		hook  ULPHook
+		cfg   Config
 		total int64
 		want  error
 	}{
-		{"zero payload", data, zeroHook{}, 0, ErrNoPayload},
-		{"negative payload", data, zeroHook{}, -5, ErrNoPayload},
-		{"nil data link", nil, zeroHook{}, 1 << 20, ErrNilLink},
-		{"nil hook", data, nil, 1 << 20, ErrNilHook},
+		{"zero payload", data, zeroHook{}, def, 0, ErrNoPayload},
+		{"negative payload", data, zeroHook{}, def, -5, ErrNoPayload},
+		{"nil data link", nil, zeroHook{}, def, 1 << 20, ErrNilLink},
+		{"nil hook", data, nil, def, 1 << 20, ErrNilHook},
+		{"zero MSS", data, zeroHook{}, noMSS, 1 << 20, ErrBadConfig},
+		{"negative RTO", data, zeroHook{}, negRTO, 1 << 20, ErrBadConfig},
+		{"zero config", data, zeroHook{}, Config{}, 1 << 20, ErrBadConfig},
 	} {
-		_, _, err := NewTransfer(eng, c.data, ack, DefaultConfig(), c.hook, c.total)
+		_, _, err := NewTransfer(eng, c.data, ack, c.cfg, c.hook, c.total)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}

@@ -32,12 +32,8 @@ const (
 type Reduce uint8
 
 const (
-	ReduceLast     Reduce = iota // newest value; WindowPs unused
-	ReduceDelta                  // newest minus window baseline (counters)
-	ReduceRate                   // Delta per simulated second
-	ReduceMax                    // max over the window
-	ReduceAvg                    // mean over the window
-	ReduceQuantile               // Q-th percentile of window samples
+	ReduceLast  Reduce = iota // newest value; WindowPs unused
+	ReduceDelta               // newest minus window baseline (counters)
 )
 
 func (r Reduce) String() string {
@@ -46,14 +42,6 @@ func (r Reduce) String() string {
 		return "last"
 	case ReduceDelta:
 		return "delta"
-	case ReduceRate:
-		return "rate"
-	case ReduceMax:
-		return "max"
-	case ReduceAvg:
-		return "avg"
-	case ReduceQuantile:
-		return "quantile"
 	}
 	return "?"
 }
@@ -70,7 +58,6 @@ type Rule struct {
 	Reduce   Reduce
 	WindowPs int64
 	Above    float64
-	Q        float64 // ReduceQuantile percentile (0..100)
 
 	// BurnRate knobs: the series is compared against SLO point-by-point;
 	// frac-over / Budget is the burn rate, evaluated over both windows.
@@ -157,14 +144,6 @@ func (r *Rule) eval(st *Store, nowPs int64) (bool, float64) {
 			v = se.LastValue()
 		case ReduceDelta:
 			v = se.Delta(nowPs, r.WindowPs)
-		case ReduceRate:
-			v = se.Rate(nowPs, r.WindowPs)
-		case ReduceMax:
-			v = se.MaxOver(nowPs, r.WindowPs)
-		case ReduceAvg:
-			v = se.AvgOver(nowPs, r.WindowPs)
-		case ReduceQuantile:
-			v = se.QuantileOver(r.Q, nowPs, r.WindowPs)
 		}
 		return v > r.Above, v
 	case KindBurnRate:

@@ -185,7 +185,7 @@ func TestRuleValidation(t *testing.T) {
 		{}, // no name/series
 		{Name: "x", Series: "s", Kind: KindAbsence},  // no window
 		{Name: "x", Series: "s", Kind: KindBurnRate}, // no budget
-		Threshold("x", "s", ReduceMax, 0, 1, 0),      // windowed reduce, no window
+		Threshold("x", "s", ReduceDelta, 0, 1, 0),    // windowed reduce, no window
 		BurnRate("x", "s", 1, 0.1, 2, 100, 200, 0),   // short > long
 	}
 	for i, r := range bad {

@@ -19,10 +19,6 @@
 //     bundles render with %g floats, byte-stable across runs.
 package obs
 
-import (
-	"sort"
-)
-
 // Point is one scraped sample: a value observed at a simulated instant.
 type Point struct {
 	AtPs int64
@@ -37,8 +33,6 @@ type Series struct {
 	buf  []Point
 	head int // index of the oldest point
 	n    int
-
-	scratch []float64 // QuantileOver sort space, reused across calls
 }
 
 func newSeries(name string, capacity int) *Series {
@@ -141,19 +135,6 @@ func (s *Series) Delta(nowPs, windowPs int64) float64 {
 	return last.V - base.V
 }
 
-// Rate is Delta per simulated second.
-func (s *Series) Rate(nowPs, windowPs int64) float64 {
-	last, ok := s.Last()
-	if !ok {
-		return 0
-	}
-	base, _ := s.baseline(nowPs - windowPs)
-	if last.AtPs <= base.AtPs {
-		return 0
-	}
-	return (last.V - base.V) * 1e12 / float64(last.AtPs-base.AtPs)
-}
-
 // MaxOver returns the maximum value in the window (0 when empty).
 func (s *Series) MaxOver(nowPs, windowPs int64) float64 {
 	lo, hi := s.window(nowPs, windowPs)
@@ -164,43 +145,6 @@ func (s *Series) MaxOver(nowPs, windowPs int64) float64 {
 		}
 	}
 	return max
-}
-
-// AvgOver returns the mean value over the window (0 when empty).
-func (s *Series) AvgOver(nowPs, windowPs int64) float64 {
-	lo, hi := s.window(nowPs, windowPs)
-	if hi == lo {
-		return 0
-	}
-	sum := 0.0
-	for i := lo; i < hi; i++ {
-		sum += s.At(i).V
-	}
-	return sum / float64(hi-lo)
-}
-
-// QuantileOver returns the q-th percentile (0..100, nearest-rank) of
-// the values in the window — the quantile of the series' samples, not
-// of the underlying population each sample summarizes.
-func (s *Series) QuantileOver(q float64, nowPs, windowPs int64) float64 {
-	lo, hi := s.window(nowPs, windowPs)
-	n := hi - lo
-	if n == 0 {
-		return 0
-	}
-	s.scratch = s.scratch[:0]
-	for i := lo; i < hi; i++ {
-		s.scratch = append(s.scratch, s.At(i).V)
-	}
-	sort.Float64s(s.scratch)
-	idx := int(q/100*float64(n)+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return s.scratch[idx]
 }
 
 // FracOver returns the fraction of window points whose value exceeds

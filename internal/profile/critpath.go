@@ -24,8 +24,8 @@
 // hardware — an "ulp" span on shard 1 exerts no pressure on a shard-0
 // request. Async pairing is therefore always per-track, and ShardAware
 // additionally scopes span attribution to the request's own shard
-// prefix, with SharedPrefixes ("fe/", "rt/": the dispatch fabric and
-// the router — genuinely shared planes) attributing everywhere. That
+// prefix, with the shared prefixes ("fe/", "rt/": the dispatch fabric
+// and the router — genuinely shared planes) attributing everywhere. That
 // is what surfaces dispatch-fabric wait as its own stage instead of
 // folding it into "(wait)".
 package profile
@@ -86,22 +86,24 @@ type Options struct {
 	// [FromPs, ToPs] — the measurement window, excluding warmup and the
 	// drain tail.
 	FromPs, ToPs int64
-	// ExcludeTracks names tracks whose spans are containers, not work
-	// (nil defaults to the engine's coarse RunUntil windows). Under
-	// ShardAware the name is matched after stripping the shard prefix,
-	// so "engine" excludes "s0/engine" and "n2/engine" alike.
-	ExcludeTracks []string
 	// ShardAware analyzes a merged multi-shard trace: every span and
 	// request window carries its shard prefix (the track name up to and
 	// including the first '/'), and a span attributes to a request only
 	// when the prefixes match or the span's prefix is shared — disjoint
 	// sub-systems exert no pressure on each other's requests.
 	ShardAware bool
-	// SharedPrefixes lists shard prefixes whose spans attribute to
-	// every request regardless of shard (nil defaults to "fe/" and
-	// "rt/" — the dispatch fabric and the cluster router).
-	SharedPrefixes []string
 }
+
+// excludedTrack is the track whose spans are containers, not work: the
+// engine's coarse RunUntil windows. Under Options.ShardAware the name is
+// matched after stripping the shard prefix, so it excludes "s0/engine"
+// and "n2/engine" alike.
+const excludedTrack = "engine"
+
+// sharedPrefix reports whether a shard prefix's spans attribute to every
+// request regardless of shard: "fe/" and "rt/", the dispatch fabric and
+// the cluster router.
+func sharedPrefix(p string) bool { return p == "fe/" || p == "rt/" }
 
 // span is one clipped work interval.
 type cpSpan struct {
@@ -127,22 +129,6 @@ func AnalyzeTracer(tr *telemetry.Tracer, opt Options) *CritPath {
 // Analyze computes per-request and fleet-level blocking attribution
 // from a track table and event stream in emission order.
 func Analyze(tracks []string, events []telemetry.Event, opt Options) *CritPath {
-	excluded := map[string]bool{}
-	if opt.ExcludeTracks == nil {
-		opt.ExcludeTracks = []string{"engine"}
-	}
-	for _, t := range opt.ExcludeTracks {
-		excluded[t] = true
-	}
-	shared := map[string]bool{}
-	if opt.ShardAware {
-		if opt.SharedPrefixes == nil {
-			opt.SharedPrefixes = []string{"fe/", "rt/"}
-		}
-		for _, p := range opt.SharedPrefixes {
-			shared[p] = true
-		}
-	}
 	trackName := func(id telemetry.TrackID) string {
 		if int(id) < len(tracks) {
 			return tracks[id]
@@ -161,7 +147,7 @@ func Analyze(tracks []string, events []telemetry.Event, opt Options) *CritPath {
 			prefix = shardPrefix(track)
 			track = strings.TrimPrefix(track, prefix)
 		}
-		if excluded[track] {
+		if track == excludedTrack {
 			continue
 		}
 		spans = append(spans, cpSpan{at: e.AtPs, end: e.AtPs + e.DurPs, name: e.Name, prefix: prefix})
@@ -213,7 +199,7 @@ func Analyze(tracks []string, events []telemetry.Event, opt Options) *CritPath {
 			if opt.ShardAware {
 				prefix = shardPrefix(trackName(e.Track))
 			}
-			cp.Requests = append(cp.Requests, analyzeRequest(e.ID, start, e.AtPs, prefix, spans, maxDur, opt.ShardAware, shared))
+			cp.Requests = append(cp.Requests, analyzeRequest(e.ID, start, e.AtPs, prefix, spans, maxDur, opt.ShardAware))
 		}
 	}
 
@@ -257,7 +243,7 @@ func Analyze(tracks []string, events []telemetry.Event, opt Options) *CritPath {
 // spans is sorted by start; maxDur bounds the backward search. Under
 // shardAware, only spans from the request's own shard (reqPrefix) or
 // from a shared plane attribute; foreign shards are invisible.
-func analyzeRequest(id uint64, start, end int64, reqPrefix string, spans []cpSpan, maxDur int64, shardAware bool, shared map[string]bool) Request {
+func analyzeRequest(id uint64, start, end int64, reqPrefix string, spans []cpSpan, maxDur int64, shardAware bool) Request {
 	r := Request{ID: id, StartPs: start, EndPs: end}
 	// First span possibly overlapping: start time > start-maxDur.
 	lo := sort.Search(len(spans), func(i int) bool { return spans[i].at > start-maxDur })
@@ -274,7 +260,7 @@ func analyzeRequest(id uint64, start, end int64, reqPrefix string, spans []cpSpa
 		if s.end <= start {
 			continue
 		}
-		if shardAware && s.prefix != reqPrefix && !shared[s.prefix] {
+		if shardAware && s.prefix != reqPrefix && !sharedPrefix(s.prefix) {
 			continue
 		}
 		at, e := s.at, s.end

@@ -286,6 +286,53 @@ func TestReadPerfettoPrecision(t *testing.T) {
 	}
 }
 
+// A tid the exporter cannot have written is an error, not a track: a
+// thread_name tid of 2e8 once made the reader append 2e8 empty track
+// names, and a span on tid 0 became Track -1 and panicked Analyze.
+func TestReadPerfettoRejectsBadTid(t *testing.T) {
+	for name, doc := range map[string]string{
+		"thread_name tid past event count": `{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":1000,"args":{"name":"x"}}]}`,
+		"thread_name tid 0":                `{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"x"}}]}`,
+		"span tid 0":                       `{"traceEvents":[{"name":"s","ph":"X","pid":1,"tid":0,"ts":"1.000000","dur":"1.000000"}]}`,
+		"negative tid":                     `{"traceEvents":[{"name":"s","ph":"i","pid":1,"tid":-3,"ts":"1.000000"}]}`,
+		"span tid past event count":        `{"traceEvents":[{"name":"s","ph":"X","pid":1,"tid":1000,"ts":"1.000000","dur":"1.000000"}]}`,
+	} {
+		tracks, events, err := ReadPerfetto(strings.NewReader(doc))
+		if err == nil {
+			t.Errorf("%s: accepted (%d tracks, %d events)", name, len(tracks), len(events))
+		}
+	}
+	// The exporter's own process_name line carries tid 0 and stays legal.
+	ok := `{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"p"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"a"}},` +
+		`{"name":"s","ph":"X","pid":1,"tid":1,"ts":"1.000000","dur":"1.000000"}]}`
+	if _, _, err := ReadPerfetto(strings.NewReader(ok)); err != nil {
+		t.Fatalf("well-formed trace rejected: %v", err)
+	}
+}
+
+// FuzzReadPerfetto feeds arbitrary documents through the reader and
+// every decoded trace through the critical-path analyzer: malformed
+// input is an error, never a panic or an unbounded track table.
+func FuzzReadPerfetto(f *testing.F) {
+	var buf bytes.Buffer
+	if err := buildTrace().WritePerfetto(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tracks, events, err := ReadPerfetto(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(tracks) > len(data) {
+			t.Fatalf("%d tracks from a %d-byte document", len(tracks), len(data))
+		}
+		Analyze(tracks, events, Options{})
+		Analyze(tracks, events, Options{ShardAware: true})
+	})
+}
+
 func TestPsFromMicros(t *testing.T) {
 	cases := []struct {
 		in   string

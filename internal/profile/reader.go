@@ -31,7 +31,11 @@ type pfEvent struct {
 // ReadPerfetto parses a trace_event JSON document into the track table
 // and event stream the analyzers consume. Only the constructs our
 // exporter emits are recognized; anything else is skipped so the reader
-// tolerates hand-edited or truncated-then-repaired traces.
+// tolerates hand-edited or truncated-then-repaired traces. A recognized
+// event must name a tid in [1, event count]: the exporter writes one
+// thread_name per track, so a larger tid is not ours, and trusting it
+// would grow the track table without bound (or, below 1, map to a
+// negative TrackID).
 func ReadPerfetto(r io.Reader) ([]string, []telemetry.Event, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -44,10 +48,17 @@ func ReadPerfetto(r io.Reader) ([]string, []telemetry.Event, error) {
 
 	var tracks []string
 	var events []telemetry.Event
+	maxTid := len(doc.TraceEvents)
+	badTid := func(i int, e pfEvent) error {
+		return fmt.Errorf("event %d (%s): tid %d outside [1, %d]", i, e.Name, e.Tid, maxTid)
+	}
 	for i, e := range doc.TraceEvents {
 		if e.Ph == "M" {
-			if e.Name != "thread_name" || e.Tid < 1 {
+			if e.Name != "thread_name" {
 				continue
+			}
+			if e.Tid < 1 || e.Tid > maxTid {
+				return nil, nil, badTid(i, e)
 			}
 			var args struct {
 				Name string `json:"name"`
@@ -75,6 +86,9 @@ func ReadPerfetto(r io.Reader) ([]string, []telemetry.Event, error) {
 			kind = telemetry.KindAsyncEnd
 		default:
 			continue
+		}
+		if e.Tid < 1 || e.Tid > maxTid {
+			return nil, nil, badTid(i, e)
 		}
 		ev := telemetry.Event{
 			Kind:  kind,

@@ -12,8 +12,8 @@
 //     entries (WQE) bound to one MR, plus a shared completion queue
 //     (CQE per WQE, success or failure).
 //   - Doorbells: posted WQEs execute only when the doorbell rings; the
-//     ring batches ceil(pending/DoorbellBatch) descriptors per MMIO
-//     write exactly like the fleet's submission queues (same default
+//     ring batches ceil(pending/doorbellBatch) descriptors per MMIO
+//     write exactly like the fleet's submission queues (same
 //     batch geometry), which is what makes doorbell coalescing a
 //     measurable quantity.
 //   - RNR/retry: receiver-not-ready NAKs (injected, or a stale rkey
@@ -66,28 +66,32 @@ var (
 	ErrNoQP = errors.New("rdma: no such QP")
 )
 
+// The adapter's doorbell and wire constants.
+const (
+	// doorbellBatch is the descriptor count the adapter fetches per
+	// doorbell ring; a ring of n pending WQEs costs
+	// ceil(n/doorbellBatch) MMIO writes — the fleet's submission-queue
+	// batching geometry (4 descriptors per ring).
+	doorbellBatch = 4
+	// doorbellPs is the cost of one doorbell: 120 ns, an uncached MMIO
+	// write plus fence (the fleet's batch overhead).
+	doorbellPs = 120 * sim.Ns
+	// lineRateGbps is the NIC wire rate serializing every WQE payload:
+	// one 100 GbE port.
+	lineRateGbps = 100
+	// rnrTimeoutPs is the base receiver-not-ready backoff; attempt k
+	// waits rnrTimeoutPs<<min(k,3).
+	rnrTimeoutPs = 4 * sim.Us
+)
+
 // Config assembles a NIC.
 type Config struct {
 	Sys *sim.System
 	// QPDepth is the send-queue WQE capacity per QP. Zero selects 16.
 	QPDepth int
-	// DoorbellBatch is the descriptor count the adapter fetches per
-	// doorbell ring; a ring of n pending WQEs costs
-	// ceil(n/DoorbellBatch) MMIO writes — the fleet's submission-queue
-	// batching geometry. Zero selects 4 (the fleet default).
-	DoorbellBatch int
-	// DoorbellPs is the cost of one doorbell MMIO write plus fence.
-	// Zero selects 120ns (the fleet's BatchOverheadPs default).
-	DoorbellPs int64
 	// MTU bounds the payload bytes of one WQE; larger deposits split.
 	// Zero selects 4096.
 	MTU int
-	// LineRateGbps is the NIC wire rate serializing every WQE payload.
-	// Zero selects 100.
-	LineRateGbps float64
-	// RNRTimeoutPs is the base receiver-not-ready backoff; attempt k
-	// waits RNRTimeoutPs<<min(k,3). Zero selects 4us.
-	RNRTimeoutPs int64
 	// RetryLimit bounds RNR retries per WQE and doorbell re-rings per
 	// deposit. Zero selects 7 (the IB-verbs retry-count default).
 	RetryLimit int
@@ -200,20 +204,8 @@ func New(cfg Config) (*NIC, error) {
 	if cfg.QPDepth <= 0 {
 		cfg.QPDepth = 16
 	}
-	if cfg.DoorbellBatch <= 0 {
-		cfg.DoorbellBatch = 4
-	}
-	if cfg.DoorbellPs <= 0 {
-		cfg.DoorbellPs = 120 * sim.Ns
-	}
 	if cfg.MTU <= 0 {
 		cfg.MTU = 4096
-	}
-	if cfg.LineRateGbps <= 0 {
-		cfg.LineRateGbps = 100
-	}
-	if cfg.RNRTimeoutPs <= 0 {
-		cfg.RNRTimeoutPs = 4 * sim.Us
 	}
 	if cfg.RetryLimit <= 0 {
 		cfg.RetryLimit = 7
@@ -348,7 +340,7 @@ func (n *NIC) PostWrite(id, off int, data []byte) error {
 	return nil
 }
 
-// RingDoorbell drains a QP's send queue: ceil(pending/DoorbellBatch)
+// RingDoorbell drains a QP's send queue: ceil(pending/doorbellBatch)
 // MMIO rings, each of which the injector may drop (the adapter never
 // fetches that batch and draining stops until the next ring). Returns
 // the modelled device time of everything that executed.
@@ -361,7 +353,7 @@ func (n *NIC) RingDoorbell(id int) (int64, error) {
 	cursor := now
 	for len(qp.sq) > 0 {
 		n.stats.Doorbells++
-		cursor += n.cfg.DoorbellPs
+		cursor += doorbellPs
 		if n.cfg.Faults.Fire(SiteDoorbell, now) {
 			n.stats.DoorbellsLost++
 			n.tracef("db c%d lost", id)
@@ -370,7 +362,7 @@ func (n *NIC) RingDoorbell(id int) (int64, error) {
 			}
 			break
 		}
-		batch := n.cfg.DoorbellBatch
+		batch := doorbellBatch
 		if batch > len(qp.sq) {
 			batch = len(qp.sq)
 		}
@@ -404,7 +396,7 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 	// Retarget to the QP's current binding, charging one NAK round trip.
 	if w.rkey != qp.Rkey {
 		n.stats.StaleRkeyRetries++
-		cursor += n.cfg.RNRTimeoutPs
+		cursor += rnrTimeoutPs
 		n.tracef("stale c%d rk%d->rk%d", qp.ID, w.rkey, qp.Rkey)
 		w.rkey = qp.Rkey
 	}
@@ -418,7 +410,7 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 		if shift > 3 {
 			shift = 3
 		}
-		cursor += n.cfg.RNRTimeoutPs << shift
+		cursor += rnrTimeoutPs << shift
 		if attempt+1 >= n.cfg.RetryLimit {
 			n.complete(qp.ID, len(w.data), "rnr", cursor)
 			n.tracef("fail c%d rnr", qp.ID)
@@ -478,7 +470,7 @@ func (n *NIC) complete(qpID, ln int, status string, atPs int64) {
 // wirePs is the serialization time of one WQE payload on the port.
 func (n *NIC) wirePs(payload int) int64 {
 	bits := float64(payload+wireHeaderBytes) * 8
-	return int64(bits * 1000 / n.cfg.LineRateGbps) // Gbit/s -> ps/bit
+	return int64(bits * 1000 / lineRateGbps) // Gbit/s -> ps/bit
 }
 
 // Deposit is the sender-side convenience verb the ingress path uses:

@@ -66,8 +66,6 @@ type SystemConfig struct {
 	// DeviceConfig overrides the SmartDIMM configuration; zero selects
 	// PaperDeviceConfig.
 	DeviceConfig *core.DeviceConfig
-	// ExtraChannels adds plain DIMMs after channel 0.
-	ExtraChannels int
 	// TraceCAS attaches a CAS trace to channel 0 (Fig. 9).
 	TraceCAS int // max events; 0 disables
 	// Faults, when non-nil, arms fault injection across channel 0: the
@@ -235,13 +233,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 		chans = append(chans, memsys.Channel{Ctl: ctl, Mod: d})
 	}
-	for i := 0; i < cfg.ExtraChannels; i++ {
-		d, err := dram.NewPlainDIMM(cfg.Geometry)
-		if err != nil {
-			return nil, err
-		}
-		chans = append(chans, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), d), Mod: d})
-	}
 	hier, err := memsys.New(llc, chans...)
 	if err != nil {
 		return nil, err
@@ -264,27 +255,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		// Plain buffers (page cache, connection buffers: the OS using
 		// SmartDIMM capacity as regular memory, Benefit B2) share each
 		// device range with offload buffers: offloads take the lower
-		// half, plain memory the upper half below the MMIO page. With
-		// extra channels and a single rank, plain memory moves entirely
-		// off the SmartDIMM (the layout every paper figure uses).
-		if ranks == 1 && cfg.ExtraChannels > 0 {
-			sys.plainRegions = append(sys.plainRegions,
-				plainRegion{next: devCap, end: uint64(1+cfg.ExtraChannels) * devCap})
-		} else {
-			drv.SetAllocRange(base, base+devCap/2)
-			sys.plainRegions = append(sys.plainRegions,
-				plainRegion{next: base + devCap/2, end: base + devCap - dram.PageSize})
-		}
+		// half, plain memory the upper half below the MMIO page.
+		drv.SetAllocRange(base, base+devCap/2)
+		sys.plainRegions = append(sys.plainRegions,
+			plainRegion{next: base + devCap/2, end: base + devCap - dram.PageSize})
 	}
 	if ranks == 0 {
-		sys.plainRegions = append(sys.plainRegions,
-			plainRegion{next: 0, end: uint64(1+cfg.ExtraChannels) * devCap})
-	} else if ranks > 1 && cfg.ExtraChannels > 0 {
-		// Extra plain channels extend the plain pool behind the ranks.
-		sys.plainRegions = append(sys.plainRegions,
-			plainRegion{next: uint64(ranks) * devCap, end: uint64(ranks+cfg.ExtraChannels) * devCap})
-	}
-	if ranks > 0 {
+		sys.plainRegions = append(sys.plainRegions, plainRegion{next: 0, end: devCap})
+	} else {
 		sys.Driver = sys.Drivers[0]
 	}
 	return sys, nil

@@ -1,51 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/dram"
 )
-
-func TestSystemExtraChannels(t *testing.T) {
-	sys, err := NewSystem(SystemConfig{
-		Params: DefaultParams(), LLCBytes: 1 << 20, LLCWays: 8,
-		WithSmartDIMM: true, ExtraChannels: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Hier.Channels) != 2 {
-		t.Fatalf("channels = %d", len(sys.Hier.Channels))
-	}
-	// With an extra channel, plain memory lives entirely off-SmartDIMM.
-	plain, err := sys.AllocPlain(8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := sys.Hier.ChannelOf(plain)
-	if err != nil || ch != 1 {
-		t.Fatalf("plain memory on channel %d, want 1", ch)
-	}
-	// Offload buffers stay on the SmartDIMM channel.
-	off, err := sys.Driver.AllocPages(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err = sys.Hier.ChannelOf(off)
-	if err != nil || ch != 0 {
-		t.Fatalf("offload buffer on channel %d, want 0", ch)
-	}
-	// Data integrity across both channels.
-	data := bytes.Repeat([]byte{0x5C}, 4096)
-	if _, err := sys.WriteBytes(0, plain, data); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := sys.ReadBytes(0, plain, 4096)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatal("cross-channel round trip failed")
-	}
-}
 
 func TestSystemPlainExhaustion(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{

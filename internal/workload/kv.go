@@ -19,16 +19,20 @@ type KVConfig struct {
 	ZipfS float64
 	// ReadFrac is the GET fraction; the rest are SETs. Zero selects 0.9.
 	ReadFrac float64
-	// ValueSizes / ValueWeights are the size classes and their mix.
-	// Defaults: 128B (60%), 1KiB (30%), 4KiB (10%). Every key is assigned
-	// one class up front (a key's value size is a property of the key,
-	// not of the request).
-	ValueSizes   []int
-	ValueWeights []float64
-	// AckBytes is the SET response size. Zero selects 64.
-	AckBytes int
 	Seed     int64
 }
+
+// valueClasses are the value-size classes and their mix, ascending by
+// size: 128B (60%), 1KiB (30%), 4KiB (10%). Every key is assigned one
+// class up front (a key's value size is a property of the key, not of
+// the request).
+var valueClasses = [...]struct {
+	size   int
+	weight float64
+}{{128, 0.6}, {1024, 0.3}, {4096, 0.1}}
+
+// ackBytes is the SET response size.
+const ackBytes = 64
 
 func (c *KVConfig) defaults() error {
 	if c.Keys <= 0 {
@@ -39,27 +43,6 @@ func (c *KVConfig) defaults() error {
 	}
 	if c.ReadFrac < 0 || c.ReadFrac > 1 {
 		return fmt.Errorf("workload: kv read fraction %g outside [0,1]", c.ReadFrac)
-	}
-	if len(c.ValueSizes) == 0 {
-		c.ValueSizes = []int{128, 1024, 4096}
-		c.ValueWeights = []float64{0.6, 0.3, 0.1}
-	}
-	if len(c.ValueWeights) == 0 {
-		c.ValueWeights = make([]float64, len(c.ValueSizes))
-		for i := range c.ValueWeights {
-			c.ValueWeights[i] = 1
-		}
-	}
-	if len(c.ValueWeights) != len(c.ValueSizes) {
-		return fmt.Errorf("workload: %d value sizes but %d weights", len(c.ValueSizes), len(c.ValueWeights))
-	}
-	for _, s := range c.ValueSizes {
-		if s <= 0 {
-			return fmt.Errorf("workload: non-positive value size %d", s)
-		}
-	}
-	if c.AckBytes <= 0 {
-		c.AckBytes = 64
 	}
 	return nil
 }
@@ -90,18 +73,18 @@ func NewKV(cfg KVConfig) (*KV, error) {
 	}
 	k := &KV{cfg: cfg, zipf: z, rngs: make(map[int]*rand.Rand)}
 	total := 0.0
-	for _, w := range cfg.ValueWeights {
-		total += w
+	for _, c := range valueClasses {
+		total += c.weight
 	}
 	sizeRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
 	k.valSize = make([]int, cfg.Keys)
 	for i := range k.valSize {
 		u := sizeRng.Float64() * total
 		run := 0.0
-		k.valSize[i] = cfg.ValueSizes[len(cfg.ValueSizes)-1]
-		for j, w := range cfg.ValueWeights {
-			if run += w; u < run {
-				k.valSize[i] = cfg.ValueSizes[j]
+		k.valSize[i] = valueClasses[len(valueClasses)-1].size
+		for _, c := range valueClasses {
+			if run += c.weight; u < run {
+				k.valSize[i] = c.size
 				break
 			}
 		}
@@ -133,17 +116,9 @@ func (k *KV) NextRequest(connID int) server.RequestSpec {
 	}
 	k.Sets++
 	k.SetBytes += uint64(size)
-	return server.RequestSpec{Kind: "set", Payload: size, Store: true, Ack: k.cfg.AckBytes}
+	return server.RequestSpec{Kind: "set", Payload: size, Store: true, Ack: ackBytes}
 }
 
 // MaxPayload is the largest value the source can return — the server's
 // MsgSize must cover it.
-func (k *KV) MaxPayload() int {
-	max := 0
-	for _, s := range k.cfg.ValueSizes {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
+func (k *KV) MaxPayload() int { return valueClasses[len(valueClasses)-1].size }

@@ -65,9 +65,6 @@ type RunConfig struct {
 	// control interval (one scrape per tick), or 200us without a Scale.
 	// The control interval must be a whole multiple of it.
 	ScrapePs int64
-	// SeriesCap bounds each series ring; zero sizes the ring to hold the
-	// whole run so tick timelines stay index-aligned.
-	SeriesCap int
 	// Rules are alert rules evaluated on every scrape tick.
 	Rules []obs.Rule
 	// Record arms the per-run tracer and flight recorder: every rule
@@ -83,8 +80,6 @@ type RunConfig struct {
 	// Pool parallelizes trace generation (nil = serial); the trace — and
 	// therefore the whole run — is byte-identical either way.
 	Pool *runner.Pool
-	// TracePlacement enables the fleet placement trace in the report.
-	TracePlacement bool
 }
 
 func (c *RunConfig) defaults() error {
@@ -137,7 +132,6 @@ type Report struct {
 	Actions        string // autoscale.Controller.TraceString
 	ActiveTimeline []int
 	P99Timeline    []float64 // observed tail per control tick
-	Placement      string    // fleet placement trace (TracePlacement only)
 	// Observability outcome (zero-valued when the obs plane was off).
 	AlertLog         string // obs transition log, one line per transition
 	Alerts           []obs.Transition
@@ -185,11 +179,6 @@ func (r Report) Canonical() string {
 	b.WriteString("--- alerts ---\n")
 	b.WriteString(r.AlertLog)
 	fmt.Fprintf(&b, "incidents %d dropped %d\n", len(r.Incidents), r.IncidentsDropped)
-	if r.Placement != "" {
-		b.WriteString("--- placement ---\n")
-		b.WriteString(r.Placement)
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 
@@ -216,7 +205,7 @@ func Run(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	fl, err := fleet.New(fleet.Config{Sys: sys, Policy: cfg.Policy, TracePlacement: cfg.TracePlacement})
+	fl, err := fleet.New(fleet.Config{Sys: sys, Policy: cfg.Policy})
 	if err != nil {
 		return Report{}, err
 	}
@@ -303,12 +292,9 @@ func Run(cfg RunConfig) (Report, error) {
 				scrapePs = 200 * sim.Us
 			}
 		}
-		seriesCap := cfg.SeriesCap
-		if seriesCap <= 0 {
-			// Hold the whole run: tick timelines index straight into the
-			// ring only while it has not wrapped.
-			seriesCap = int((cfg.HorizonPs+cfg.DrainPs)/scrapePs) + 8
-		}
+		// The series rings hold the whole run: tick timelines index
+		// straight into a ring only while it has not wrapped.
+		seriesCap := int((cfg.HorizonPs+cfg.DrainPs)/scrapePs) + 8
 		if cfg.Record {
 			rec = obs.NewRecorder(obs.RecorderConfig{LookbackPs: cfg.LookbackPs})
 		}
@@ -402,20 +388,13 @@ func Run(cfg RunConfig) (Report, error) {
 		// tick is every tickEvery-th scrape, so every tickEvery-th point
 		// of a series is its value at a tick.
 		tickEvery := int(tickPs / scraper.IntervalPs())
-		prefix := cfg.Scale.LatencyPrefix
-		if prefix == "" {
-			prefix = "server.window"
-		}
-		p99s := seriesAtTicks(rep.Store, prefix+".p99", tickEvery)
+		p99s := seriesAtTicks(rep.Store, "server.window.p99", tickEvery)
 		actives := seriesAtTicks(rep.Store, "fleet.active", tickEvery)
 		rep.P99Timeline = p99s
 		rep.ActiveTimeline = make([]int, len(actives))
 		for i, v := range actives {
 			rep.ActiveTimeline[i] = int(v)
 		}
-	}
-	if cfg.TracePlacement {
-		rep.Placement = fl.TraceString()
 	}
 	return rep, nil
 }

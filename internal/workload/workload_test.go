@@ -186,7 +186,7 @@ func soakCfg(pool *runner.Pool) RunConfig {
 		},
 		Scale: &autoscale.Config{
 			SLOPs: float64(40 * sim.Us), TickPs: 200 * sim.Us,
-			UpAfter: 2, DownAfter: 6, CooldownTicks: 2, MinActive: 1,
+			DownAfter: 6, CooldownTicks: 2, MinActive: 1,
 		},
 		Faults: []Fault{{AtPs: 4 * sim.Ms, Rank: 0}},
 		Pool:   pool,

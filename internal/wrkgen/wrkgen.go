@@ -28,9 +28,6 @@ type Config struct {
 	// fleet scaling experiment) give hot connections short think times
 	// and cold connections long ones.
 	ThinkPsFor func(connID int) int64
-	// MaxRequests stops issuing new requests after this many (0 = no
-	// cap; the run ends at the engine deadline).
-	MaxRequests uint64
 }
 
 // Generator drives a Target over an engine.
@@ -39,7 +36,6 @@ type Generator struct {
 	eng    *sim.Engine
 	target Target
 
-	issued    uint64
 	Completed uint64
 	Latency   stats.Histogram
 	// measuring gates stats so warmup requests don't pollute them.
@@ -84,10 +80,6 @@ func (g *Generator) RPS() float64 {
 }
 
 func (g *Generator) issue(connID int) {
-	if g.cfg.MaxRequests > 0 && g.issued >= g.cfg.MaxRequests {
-		return
-	}
-	g.issued++
 	start := g.eng.Now()
 	g.target.Submit(connID, func() {
 		if g.measuring {

@@ -11,11 +11,9 @@ import (
 type fixedServer struct {
 	eng       *sim.Engine
 	servicePs int64
-	submitted int
 }
 
 func (f *fixedServer) Submit(connID int, done func()) {
-	f.submitted++
 	f.eng.After(f.servicePs, done)
 }
 
@@ -54,18 +52,6 @@ func TestThinkTimeReducesRate(t *testing.T) {
 	}
 	if noThink, withThink := run(0), run(200*sim.Us); withThink >= noThink {
 		t.Fatalf("think time did not reduce rate: %.0f vs %.0f", withThink, noThink)
-	}
-}
-
-func TestMaxRequestsCap(t *testing.T) {
-	eng := sim.NewEngine()
-	srv := &fixedServer{eng: eng, servicePs: sim.Us}
-	g := New(eng, srv, Config{Connections: 2, MaxRequests: 10})
-	g.Start()
-	g.BeginMeasurement()
-	eng.Run()
-	if srv.submitted != 10 {
-		t.Fatalf("submitted %d, want capped 10", srv.submitted)
 	}
 }
 
