@@ -50,8 +50,8 @@
 #                     bench gate (which includes the pinned
 #                     cluster-3node scenario)
 #
-#  13. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC,
-#                     nettcp ingress and fleet MR-locality tests and the
+#  13. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC
+#                     and fleet MR-locality tests and the
 #                     serial-vs-pooled-vs-GOMAXPROCS=2 byte-identity
 #                     gate for the rdma figure under -race, the bounded
 #                     RDMA chaos soak (doorbell loss, RNR, MR-unregister
@@ -86,9 +86,14 @@
 #                     change that breaks bench/ fails here, not only in
 #                     `bash bench/run.sh`
 #
+#  18. examples    — build ./examples/... once and run every binary; a
+#                     non-zero exit fails the gate (`go build` alone only
+#                     compiles them)
+#
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
-# (each of these three followed by the KPI bench), obs, alloc, benchmod, or fuzz (each
+# (each of these three followed by the KPI bench), obs, alloc, benchmod,
+# examples, or fuzz (each
 # Fuzz* target run for a bounded 10 s of coverage-guided fuzzing on top
 # of the committed seed corpora, which plain `go test` already replays;
 # not part of the full gate). An unknown stage name fails with the
@@ -134,7 +139,7 @@ golden   -             TestGoToolPprofAcceptsExport                       ./inte
 shard    -race         Shard                                              ./internal/sim/ ./internal/fleet/ ./internal/chaos/
 cluster  -race,-short  TestClusterSoak|TestClusterScheduleDerivation      ./internal/chaos/
 cluster  -race         TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably ./internal/cluster/
-rdma     -race         RDMA                                               ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
+rdma     -race         RDMA                                               ./internal/rdma/ ./internal/fleet/ ./internal/experiments/
 rdma     -race,-short  TestRDMASoak|TestRDMASameSeedSameTrace             ./internal/chaos/
 workload -race         -                                                  ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
 workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration ./internal/fleet/
@@ -190,6 +195,21 @@ run_benchmod() {
 	(cd bench && export GOWORK=off GOPROXY=off && go vet . && go test .)
 }
 
+run_examples() {
+	echo "== examples: build ./examples/... and run each binary"
+	bin=$(mktemp -d)
+	go build -o "$bin/" ./examples/...
+	for ex in "$bin"/*; do
+		echo "-- $(basename "$ex")"
+		if ! "$ex" >/dev/null; then
+			rm -rf "$bin"
+			echo "ci.sh: example $(basename "$ex") failed" >&2
+			exit 1
+		fi
+	done
+	rm -rf "$bin"
+}
+
 run_fuzz() {
 	echo "== fuzz: every Fuzz* target for 10s each"
 	for pkg in $(go list ./...); do
@@ -239,6 +259,7 @@ run_all() {
 	done
 	run_bench
 	run_benchmod
+	run_examples
 
 	echo "== go test -shuffle=on ./..."
 	go test -shuffle=on ./...
@@ -256,9 +277,10 @@ cluster | rdma | workload)
 	;;
 obs | alloc) run_stage "$1" ;;
 benchmod) run_benchmod ;;
+examples) run_examples ;;
 fuzz) run_fuzz ;;
 *)
-	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc benchmod fuzz; no argument runs the full gate)" >&2
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc benchmod examples fuzz; no argument runs the full gate)" >&2
 	exit 2
 	;;
 esac

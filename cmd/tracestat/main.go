@@ -171,6 +171,23 @@ func runBench(baselinePath, outPath string, tol float64, updateBaseline bool) er
 	if err != nil {
 		return err
 	}
+	// Compare before marshalling: a non-finite KPI is reported as a
+	// named drift, not only as the encoder's anonymous NaN error.
+	var drifts []profile.Drift
+	if !updateBaseline {
+		baseData, err := os.ReadFile(baselinePath)
+		if err != nil {
+			return fmt.Errorf("read baseline (run with -update-baseline to create): %w", err)
+		}
+		base, err := profile.UnmarshalBench(baseData)
+		if err != nil {
+			return fmt.Errorf("%s: %w", baselinePath, err)
+		}
+		drifts = profile.CompareBench(base, rep, tol)
+		for _, d := range drifts {
+			fmt.Fprintf(os.Stderr, "bench: DRIFT %s\n", d)
+		}
+	}
 	data, err := profile.MarshalBench(rep)
 	if err != nil {
 		return err
@@ -202,19 +219,7 @@ func runBench(baselinePath, outPath string, tol float64, updateBaseline bool) er
 		fmt.Printf("bench: baseline %s re-pinned\n", baselinePath)
 		return nil
 	}
-	baseData, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("read baseline (run with -update-baseline to create): %w", err)
-	}
-	base, err := profile.UnmarshalBench(baseData)
-	if err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
-	}
-	drifts := profile.CompareBench(base, rep, tol)
 	if len(drifts) > 0 {
-		for _, d := range drifts {
-			fmt.Fprintf(os.Stderr, "bench: DRIFT %s\n", d)
-		}
 		return fmt.Errorf("%d KPI(s) drifted beyond %.1f%% tolerance", len(drifts), tol*100)
 	}
 	fmt.Printf("bench: %d scenarios within %.1f%% of baseline\n", len(rep.Scenarios), tol*100)

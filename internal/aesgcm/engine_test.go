@@ -144,7 +144,7 @@ func TestEngineMatchesSealInOrder(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	iv := []byte("abcdefghijkl")
 	for _, size := range []int{1, 63, 64, 65, 100, 4096, 4096 + 17} {
-		aad := []byte{0x17, 0x03, 0x03, 0x10, 0x00} // TLS 1.3 record header
+		aad := []byte("\x17\x03\x03\x10\x00") // the TLS record header ulp.Header(4096)
 		pt := make([]byte, size)
 		rand.New(rand.NewSource(int64(size))).Read(pt)
 
@@ -339,7 +339,7 @@ func TestEngineRejectsBadInput(t *testing.T) {
 // direction: the counter blocks and keystream are engine-owned.
 func TestCachelineZeroAllocs(t *testing.T) {
 	key := []byte("0123456789abcdef")
-	cfg := engineConfig(t, key, []byte("abcdefghijkl"), []byte{0x17, 0x03, 0x03, 0x40, 0x00}, 16384)
+	cfg := engineConfig(t, key, []byte("abcdefghijkl"), []byte("\x17\x03\x03\x40\x00"), 16384)
 	ks, err := NewKeySchedule(key, cfg.H)
 	if err != nil {
 		t.Fatal(err)

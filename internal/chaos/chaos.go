@@ -31,7 +31,6 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -43,11 +42,11 @@ import (
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/memctrl"
 	"repro/internal/offload"
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/ulp"
 )
 
 // Message capacities of the per-scenario connections: two records per
@@ -137,21 +136,6 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
 	}
 	return b.String()
-}
-
-// tolerable mirrors the offload layer's degradable set: the only
-// errors chaos operations are allowed to surface.
-func tolerable(err error) bool {
-	return errors.Is(err, core.ErrNoScratchpad) ||
-		errors.Is(err, core.ErrTranslationInsert) ||
-		errors.Is(err, core.ErrDSAFault) ||
-		errors.Is(err, memctrl.ErrAlertRetryExhausted)
-}
-
-// tlsAAD rebuilds the 5-byte TLS record header the backends use as AAD.
-func tlsAAD(n int) []byte {
-	m := n + aesgcm.TagSize
-	return []byte{0x17, 0x03, 0x03, byte(m >> 8), byte(m)}
 }
 
 // armSites installs an independent random plan (or none) at every
@@ -261,7 +245,7 @@ func (s *soak) id() int {
 // fail classifies an operation failure: typed degradable errors are
 // tolerated, anything else is a violation.
 func (s *soak) fail(label string, err error) {
-	if tolerable(err) {
+	if offload.Degradable(err) {
 		s.tolerated++
 	} else {
 		s.violate("%s: non-degradable error: %v", label, err)
@@ -479,7 +463,7 @@ func (s *deviceSoak) opTLSTX() error {
 		if err != nil {
 			return s.opFailed("tls-tx use", err, s.newTLSPair)
 		}
-		pt, oerr := g.Open(nil, iv, out, tlsAAD(cn))
+		pt, oerr := g.Open(nil, iv, out, ulp.Header(cn+aesgcm.TagSize))
 		if oerr != nil {
 			s.violate("tls-tx: record %d does not decrypt: %v", k, oerr)
 		} else if !bytes.Equal(pt, rest[:cn]) {
@@ -505,7 +489,7 @@ func (s *deviceSoak) opTLSRX() error {
 	for k := 0; k < nrec; k++ {
 		cn := 1 + s.rng.Intn(offload.MaxTLSPayload)
 		pt := s.payload(cn)
-		sealed, err := g.Seal(nil, s.tlsShadow.NextIV(), pt, tlsAAD(cn))
+		sealed, err := g.Seal(nil, s.tlsShadow.NextIV(), pt, ulp.Header(cn+aesgcm.TagSize))
 		if err != nil {
 			return err
 		}

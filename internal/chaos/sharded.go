@@ -19,6 +19,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/offload"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -91,7 +92,7 @@ func RunSharded(seed int64, workers int, trace bool) (Report, *fleet.Sharded, er
 		requests += int64(m.Requests)
 		errs += int64(m.Errors)
 		if err := srv.LastError(); err != nil {
-			if tolerable(err) {
+			if offload.Degradable(err) {
 				tolerated++
 			} else {
 				rep.violate("shard %d: non-degradable error: %v", s, err)

@@ -97,7 +97,7 @@ func runTLSEncrypt(t testing.TB, r *rig, key, iv, aad, plaintext []byte) []byte 
 func TestTLSEncryptOffloadMatchesReference(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	iv := []byte("abcdefghijkl")
-	aad := []byte{0x17, 0x03, 0x03, 0x10, 0x00}
+	aad := []byte("\x17\x03\x03\x10\x00") // the TLS record header ulp.Header(4096)
 	for _, size := range []int{100, 4096 - TagSize, 4096, 5000, 16384 - TagSize} {
 		r := newRig(t, 256*1024, 8)
 		pt := corpus.Generate(corpus.Text, size, int64(size))

@@ -259,15 +259,42 @@ func EncodeCompressedPage(orig []byte, enc *deflate.HWEncoder) ([]byte, error) {
 	// in place after the header.
 	stream := enc.AppendCompress(out[compHeaderSize:compHeaderSize], orig)
 	if len(stream)+compHeaderSize <= PageSize {
-		binary.LittleEndian.PutUint32(out, uint32(len(stream)))
+		putPageHeader(out, len(stream), false)
 		return out, nil
 	}
 	// The stream outgrew the page after filling it: frame the input raw
 	// and zero what the stream left behind the copy.
-	binary.LittleEndian.PutUint32(out, compRawFlag|uint32(len(orig)))
+	putPageHeader(out, len(orig), true)
 	n := copy(out[compHeaderSize:], orig)
 	clear(out[compHeaderSize+n:])
 	return out, nil
+}
+
+// SoftCompressPage frames data (at most MaxCompressInput bytes) in the
+// page format with the software encoder, which compresses better than
+// the DSA: the deflate stream when it is no longer than data, else data
+// stored raw, so the page never outgrows its input by more than the
+// header. The page is not padded: it is header plus payload.
+func SoftCompressPage(data []byte) []byte {
+	payload := deflate.Compress(data)
+	raw := len(payload) > len(data)
+	if raw {
+		payload = data
+	}
+	out := make([]byte, compHeaderSize+len(payload))
+	putPageHeader(out, len(payload), raw)
+	copy(out[compHeaderSize:], payload)
+	return out
+}
+
+// putPageHeader writes the page header of an n-byte payload, flagged
+// raw when the payload is the input stored uncompressed.
+func putPageHeader(page []byte, n int, raw bool) {
+	h := uint32(n)
+	if raw {
+		h |= compRawFlag
+	}
+	binary.LittleEndian.PutUint32(page, h)
 }
 
 // DecodeCompressedPage reverses EncodeCompressedPage.

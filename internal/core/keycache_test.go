@@ -100,7 +100,7 @@ func TestKeyCacheInterleavedConnections(t *testing.T) {
 		{[]byte("0123456789abcdef"), corpus.Generate(corpus.Text, 4096-TagSize, 1)},
 		{[]byte("0123456789abcdefghijklmnopqrstuv"), corpus.Generate(corpus.HTML, 1000, 2)},
 	}
-	aad := []byte{0x17, 0x03, 0x03, 0x10, 0x00}
+	aad := []byte("\x17\x03\x03\x10\x00") // the TLS record header ulp.Header(4096)
 	// Two rounds: the first builds both schedules, the second reuses them
 	// while both records are in flight at once.
 	for round := 0; round < 2; round++ {

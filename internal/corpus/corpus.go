@@ -160,24 +160,3 @@ func genJSON(rng *rand.Rand, size int) []byte {
 	b.WriteString("]")
 	return []byte(b.String())[:size]
 }
-
-// File is a named corpus blob, mirroring the files an Nginx document
-// root would serve in the paper's testbed.
-type File struct {
-	Name string
-	Kind Kind
-	Data []byte
-}
-
-// DocumentRoot builds a deterministic set of files of the given size,
-// one per corpus kind, named like web assets. The web-server model
-// serves these in the Fig. 3/11/12 experiments.
-func DocumentRoot(fileSize int, seed int64) []File {
-	kinds := AllKinds()
-	files := make([]File, 0, len(kinds))
-	for i, k := range kinds {
-		name := fmt.Sprintf("/%s_%dB.bin", k, fileSize)
-		files = append(files, File{Name: name, Kind: k, Data: Generate(k, fileSize, seed+int64(i))})
-	}
-	return files
-}

@@ -129,26 +129,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestDocumentRoot(t *testing.T) {
-	files := DocumentRoot(4096, 42)
-	if len(files) != len(AllKinds()) {
-		t.Fatalf("got %d files, want %d", len(files), len(AllKinds()))
-	}
-	seen := map[string]bool{}
-	for _, f := range files {
-		if len(f.Data) != 4096 {
-			t.Errorf("%s: size %d, want 4096", f.Name, len(f.Data))
-		}
-		if seen[f.Name] {
-			t.Errorf("duplicate name %s", f.Name)
-		}
-		seen[f.Name] = true
-		if !strings.HasPrefix(f.Name, "/") {
-			t.Errorf("name %s should be an absolute path", f.Name)
-		}
-	}
-}
-
 func TestGenerateUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -262,4 +263,59 @@ func BenchmarkLookupHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl.Lookup(keys[i%len(keys)])
 	}
+}
+
+// FuzzCuckooTable runs random insert/lookup/delete sequences against a
+// map model on tiny tables (capacity 1-64, 1-4 ways, CAM 0-3) whose
+// 256-key space saturates them, the regime TestQuickMapEquivalence's
+// 4x-oversized table never reaches. It checks that ErrFull is returned
+// only for an absent key, that every key stored before an ErrFull still
+// looks up with its value afterwards, and that Len always matches the
+// model. Each op is two bytes: kind (insert twice as likely as lookup
+// or delete, to keep the table full) and key. The seeds are under
+// testdata/fuzz/FuzzCuckooTable.
+func FuzzCuckooTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, capacity, ways, cam uint8, ops []byte) {
+		tbl := New[uint16](1+int(capacity)%64, 1+int(ways)%4, int(cam)%4)
+		model := map[uint64]uint16{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			key, val := uint64(ops[i+1]), uint16(i)
+			_, had := model[key]
+			switch ops[i] % 4 {
+			case 0, 1:
+				err := tbl.Insert(key, val)
+				switch {
+				case err == nil:
+					model[key] = val
+				case !errors.Is(err, ErrFull):
+					t.Fatalf("op %d: Insert(%d) = %v", i/2, key, err)
+				case had:
+					t.Fatalf("op %d: ErrFull for present key %d", i/2, key)
+				default:
+					for k, v := range model {
+						if got, ok := tbl.Lookup(k); !ok || got != v {
+							t.Fatalf("op %d: after ErrFull, Lookup(%d) = %d, %v; want %d", i/2, k, got, ok, v)
+						}
+					}
+				}
+			case 2:
+				if got, ok := tbl.Lookup(key); ok != had || got != model[key] {
+					t.Fatalf("op %d: Lookup(%d) = %d, %v; want %d, %v", i/2, key, got, ok, model[key], had)
+				}
+			case 3:
+				if tbl.Delete(key) != had {
+					t.Fatalf("op %d: Delete(%d) != %v", i/2, key, had)
+				}
+				delete(model, key)
+			}
+			if tbl.Len() != len(model) {
+				t.Fatalf("op %d: Len = %d, model holds %d", i/2, tbl.Len(), len(model))
+			}
+		}
+		for k, v := range model {
+			if got, ok := tbl.Lookup(k); !ok || got != v {
+				t.Fatalf("end: Lookup(%d) = %d, %v; want %d", k, got, ok, v)
+			}
+		}
+	})
 }

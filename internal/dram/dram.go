@@ -130,6 +130,14 @@ func DDR4_3200() Timing {
 	}
 }
 
+// PeakBytesPerSec is one channel's theoretical peak bandwidth: a
+// cacheline per burst (BL8 on the 64-bit bus), one burst every TBL
+// clocks. For DDR4-3200 that is 64 B / 2.5 ns = 25.6 GB/s, the data
+// rate times the bus width.
+func (t Timing) PeakBytesPerSec() float64 {
+	return CachelineSize * 1e12 / float64(int64(t.TBL)*t.TCKps)
+}
+
 // Mapper converts between physical addresses and DRAM coordinates. The
 // mapping is open-page friendly (column varies fastest, then bank group
 // for CAS-to-CAS parallelism, then bank, rank, row), which is also what

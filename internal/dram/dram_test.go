@@ -244,3 +244,14 @@ func BenchmarkChipsReadWrite(b *testing.B) {
 		ch.Read(r, buf)
 	}
 }
+
+// The channel peak the bandwidth meters report against is derived from
+// the timing, and for DDR4-3200 it is the data rate times the bus width:
+// 3200 MT/s x 8 B = 25.6 GB/s, the peak that "A Benchmarking Platform
+// for DDR4 Memory Performance in Data-Center-Class FPGAs" measures
+// against. The derivation is exact in float64.
+func TestDDR4PeakBandwidth(t *testing.T) {
+	if got, want := DDR4_3200().PeakBytesPerSec(), 3200e6*8.0; got != want || got != 25.6e9 {
+		t.Fatalf("DDR4-3200 peak = %v B/s, want %v", got, want)
+	}
+}

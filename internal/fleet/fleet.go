@@ -1035,7 +1035,6 @@ func (f *Fleet) Totals() Totals {
 	for _, m := range f.members {
 		t.Degraded.PrimaryOps += m.backend.Degraded.PrimaryOps
 		t.Degraded.FallbackOps += m.backend.Degraded.FallbackOps
-		t.Degraded.InjectedFaults += m.backend.Degraded.InjectedFaults
 		t.ServicePs.Merge(&m.ServicePs)
 	}
 	t.Degraded.FallbackOps += f.soft.Degraded.FallbackOps

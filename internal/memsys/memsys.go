@@ -279,7 +279,7 @@ func (h *Hierarchy) Flush(addr uint64, size int) (int64, error) {
 	// flush-induced wrCAS reaches the DIMM, the DSA result is ready.
 	for i := range h.Channels {
 		ctl := h.Channels[i].Ctl
-		ctl.AdvanceTo(ctl.Now() + lat/ctlTCKps(ctl))
+		ctl.AdvanceTo(ctl.Now() + lat/ctl.CycleToPs(1))
 	}
 	var wbErr error
 	dirty := 0
@@ -303,14 +303,6 @@ func (h *Hierarchy) Flush(addr uint64, size int) (int64, error) {
 		}
 	}
 	return lat, nil
-}
-
-// ctlTCKps returns the controller's clock period via a 1-cycle probe.
-func ctlTCKps(c *memctrl.Controller) int64 {
-	if p := c.CycleToPs(1); p > 0 {
-		return p
-	}
-	return 625
 }
 
 // Membar drains every channel's write queue — the fence CompCpy inserts

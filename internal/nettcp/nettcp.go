@@ -165,13 +165,6 @@ type Receiver struct {
 	ooo     map[int64]int // out-of-order segments: seq -> len
 	// Received counts in-order payload bytes delivered to the app.
 	Received int64
-	// OnDeliver, when non-nil, is called with each chunk of newly
-	// in-order payload bytes (after reassembly), in stream order. This
-	// is the NIC hand-off point: an RDMAIngress attached here turns the
-	// reassembled byte stream into one-sided writes into the
-	// connection's registered SmartDIMM buffer. Set before traffic
-	// flows; it runs inside the delivery event, so it must not block.
-	OnDeliver func(n int)
 }
 
 // NewTransfer wires a sender and receiver over the given links and
@@ -346,7 +339,6 @@ func (r *Receiver) onData(p netsim.Packet) {
 	if p.Seq == r.rcvNext {
 		r.rcvNext += int64(p.Len)
 		r.Received += int64(p.Len)
-		r.deliver(p.Len)
 		// Drain any buffered out-of-order segments.
 		for {
 			n, ok := r.ooo[r.rcvNext]
@@ -356,20 +348,12 @@ func (r *Receiver) onData(p netsim.Packet) {
 			delete(r.ooo, r.rcvNext)
 			r.rcvNext += int64(n)
 			r.Received += int64(n)
-			r.deliver(n)
 		}
 	} else if p.Seq > r.rcvNext {
 		r.ooo[p.Seq] = p.Len
 	}
 	// Cumulative ACK (also the dup-ack generator).
 	r.ack.Send(netsim.Packet{Flags: netsim.FlagAck, Ack: r.rcvNext, Wire: 40})
-}
-
-// deliver notifies the attached ingress (if any) of in-order bytes.
-func (r *Receiver) deliver(n int) {
-	if r.OnDeliver != nil {
-		r.OnDeliver(n)
-	}
 }
 
 // Goodput returns application bytes per second at the receiver given

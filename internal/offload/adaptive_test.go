@@ -125,9 +125,10 @@ func TestNonFunctionalModeCostsOnly(t *testing.T) {
 }
 
 func TestSoftCompressPageRawFallback(t *testing.T) {
-	// Incompressible input exercises the raw branch of softCompressPage.
+	// Incompressible input exercises the raw branch of the software
+	// page producer the functional CPU and QAT paths use.
 	rnd := corpus.Generate(corpus.Random, 2048, 3)
-	page := softCompressPage(rnd)
+	page := core.SoftCompressPage(rnd)
 	if len(page) != 4+len(rnd) {
 		t.Fatalf("raw fallback length %d", len(page))
 	}

@@ -23,15 +23,16 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/ulp"
 )
 
-// degradable reports whether a CompCpy failure is one the software
+// Degradable reports whether a CompCpy failure is one the software
 // stack recovers from by processing the chunk on the CPU instead:
 // scratchpad exhaustion that Force-Recycle could not relieve, a
 // translation-table insert failure, a DSA fault that aborted the
 // record, or an ALERT_N retry budget burned by injected DRAM faults.
 // Anything else (misuse, broken invariants) still propagates.
-func degradable(err error) bool {
+func Degradable(err error) bool {
 	return errors.Is(err, core.ErrNoScratchpad) ||
 		errors.Is(err, core.ErrTranslationInsert) ||
 		errors.Is(err, core.ErrDSAFault) ||
@@ -54,9 +55,6 @@ func (u ULP) String() string {
 	}
 	return "compression"
 }
-
-// TLSRecordHeader is the TLS 1.3 record header size (also used as AAD).
-const TLSRecordHeader = 5
 
 // MaxTLSPayload is the largest payload per TLS record: sized so that
 // payload+tag is exactly four 4KB pages, keeping SmartDIMM records
@@ -169,14 +167,8 @@ type Conn struct {
 // NextIV derives the per-record nonce (TLS 1.3 xors the sequence number
 // into the static IV).
 func (c *Conn) NextIV() []byte {
-	iv := make([]byte, 12)
-	copy(iv, c.ivBase[:])
-	s := c.seq
 	c.seq++
-	for i := 0; i < 8; i++ {
-		iv[11-i] ^= byte(s >> (8 * i))
-	}
-	return iv
+	return ulp.Nonce(c.ivBase, c.seq-1)
 }
 
 // gcm returns the connection's AES-GCM codec. The key never changes, so
@@ -305,33 +297,6 @@ func newPlainConn(sys *sim.System, u ULP, id, msgSize int) (*Conn, error) {
 	return c, nil
 }
 
-// tlsAAD builds the 5-byte TLS record header used as AAD.
-func tlsAAD(payloadLen int) []byte {
-	n := payloadLen + aesgcm.TagSize
-	return []byte{0x17, 0x03, 0x03, byte(n >> 8), byte(n)}
-}
-
-// softCompressPage produces the wire page format with the software
-// encoder (better ratio than the DSA, same framing).
-func softCompressPage(data []byte) []byte {
-	stream := deflate.Compress(data)
-	if len(stream)+4 <= len(data) {
-		out := make([]byte, 4+len(stream))
-		out[0] = byte(len(stream))
-		out[1] = byte(len(stream) >> 8)
-		out[2] = byte(len(stream) >> 16)
-		copy(out[4:], stream)
-		return out
-	}
-	out := make([]byte, 4+len(data))
-	out[0] = byte(len(data))
-	out[1] = byte(len(data) >> 8)
-	out[2] = byte(len(data) >> 16)
-	out[3] = 0x80
-	copy(out[4:], data)
-	return out
-}
-
 // estimateCompressed models a typical HTML compression ratio (~3x) for
 // non-functional sweeps.
 func estimateCompressed(n int) int { return 4 + n/3 }
@@ -404,19 +369,19 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		case TLS:
 			res.CPUPs += p.AESGCMComputePs(n)
 			if b.Functional {
-				sealed, err := gcm.Seal(nil, conn.NextIV(), data, tlsAAD(n))
+				hdr := ulp.Header(n + aesgcm.TagSize)
+				out, err = gcm.Seal(hdr, conn.NextIV(), data, hdr)
 				if err != nil {
 					return res, err
 				}
-				out = append(tlsAAD(n), sealed...)
 			} else {
 				conn.NextIV()
-				out = make([]byte, TLSRecordHeader+n+aesgcm.TagSize)
+				out = make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize)
 			}
 		case Compression:
 			res.CPUPs += p.DeflateComputePs(n)
 			if b.Functional {
-				out = softCompressPage(data)
+				out = core.SoftCompressPage(data)
 			} else {
 				out = make([]byte, estimateCompressed(n))
 			}
@@ -440,12 +405,10 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 // the CPU builds the plaintext record and the TCP stack as usual; the
 // NIC encrypts inline during TX. On packet loss or reordering the
 // engine desynchronizes: the driver resynchronizes and the affected
-// record falls back to CPU encryption — the Fig. 2 mechanism, charged
-// via ResyncPenalty.
+// record falls back to CPU encryption — the Fig. 2 mechanism, whose
+// cost nettcp.NICTLSHook charges per retransmission.
 type SmartNIC struct {
 	Sys *sim.System
-	// Resyncs counts desynchronization events charged so far.
-	Resyncs uint64
 }
 
 // Name implements Backend.
@@ -480,8 +443,8 @@ func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resul
 			return res, err
 		}
 		res.CPUPs += lat + p.NICCryptoSetupNs*sim.Ns
-		out := make([]byte, 0, TLSRecordHeader+n+aesgcm.TagSize)
-		out = append(out, tlsAAD(n)...)
+		out := make([]byte, 0, ulp.RecordHeaderLen+n+aesgcm.TagSize)
+		out = append(out, ulp.Header(n+aesgcm.TagSize)...)
 		out = append(out, data...)                         // plaintext: NIC encrypts in flight
 		out = append(out, make([]byte, aesgcm.TagSize)...) // tag placeholder
 		conn.NextIV()
@@ -495,18 +458,6 @@ func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resul
 		res.DstSpans = append(res.DstSpans, Span{Off: k * l.DstStride, Len: len(out)})
 	}
 	return res, nil
-}
-
-// ResyncPenalty returns the cost of one desynchronization event: the
-// driver/firmware resync plus CPU fallback encryption of the affected
-// record (recordLen payload bytes).
-func (b *SmartNIC) ResyncPenalty(recordLen int) Result {
-	b.Resyncs++
-	p := b.Sys.Params
-	return Result{
-		CPUPs:    p.AESGCMComputePs(recordLen) + p.NICResyncUs*sim.Us/2,
-		DevicePs: p.NICResyncUs * sim.Us / 2,
-	}
 }
 
 // --- QuickAssist (PCIe) backend --------------------------------------------
@@ -583,16 +534,16 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		var out []byte
 		switch {
 		case u == TLS && b.Functional:
-			sealed, err := gcm.Seal(nil, conn.NextIV(), data, tlsAAD(n))
+			hdr := ulp.Header(n + aesgcm.TagSize)
+			out, err = gcm.Seal(hdr, conn.NextIV(), data, hdr)
 			if err != nil {
 				return res, err
 			}
-			out = append(tlsAAD(n), sealed...)
 		case u == TLS:
 			conn.NextIV()
-			out = make([]byte, TLSRecordHeader+n+aesgcm.TagSize)
+			out = make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize)
 		case b.Functional:
-			out = softCompressPage(data)
+			out = core.SoftCompressPage(data)
 		default:
 			out = make([]byte, estimateCompressed(n))
 		}
@@ -731,12 +682,12 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 				Op: core.OpTLSEncrypt,
 				TLS: &core.TLSContext{
 					Direction: aesgcm.Encrypt, Key: conn.Key, IV: iv,
-					H: g.H(), EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
+					H: g.H(), EIV: eiv, AAD: ulp.Header(n + aesgcm.TagSize), PayloadLen: n,
 				},
 				Length: n,
 			}
 			size = n + core.TagSize
-			res.TXBytes += TLSRecordHeader + n + core.TagSize
+			res.TXBytes += ulp.RecordHeaderLen + n + core.TagSize
 			res.DstSpans = append(res.DstSpans, Span{Off: k * l.DstStride, Len: n + core.TagSize})
 		case Compression:
 			ctx = &core.OffloadContext{Op: core.OpCompress, Length: n}
@@ -752,7 +703,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 		case err == nil:
 			res.CPUPs += lat
 			b.Degraded.PrimaryOps++
-		case degradable(err):
+		case Degradable(err):
 			// Degradation ladder: CompCpy already tried Force-Recycle;
 			// process this chunk on the CPU into the same destination.
 			if tr := b.Sys.Tracer; tr != nil {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/aesgcm"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/ulp"
 )
 
 // RXResult is the cost and outcome breakdown of receive-side processing.
@@ -67,7 +68,7 @@ func (b *CPU) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, e
 		res.CPUPs += lat + p.AESGCMComputePs(n)
 		var pt []byte
 		if b.Functional {
-			pt, err = gcm.Open(nil, conn.NextIV(), sealed, tlsAAD(n))
+			pt, err = gcm.Open(nil, conn.NextIV(), sealed, ulp.Header(n+aesgcm.TagSize))
 			if err != nil {
 				res.AuthOK = false
 				pt = make([]byte, n)
@@ -110,7 +111,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 			Op: core.OpTLSDecrypt,
 			TLS: &core.TLSContext{
 				Direction: aesgcm.Decrypt, Key: conn.Key, IV: iv,
-				H: g.H(), EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
+				H: g.H(), EIV: eiv, AAD: ulp.Header(n + aesgcm.TagSize), PayloadLen: n,
 			},
 			Length: n,
 		}
@@ -120,7 +121,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 			lat, err = drv.CompCpy(coreID, dbuf, sbuf, n+core.TagSize, ctx, false)
 		}
 		if err != nil {
-			if !degradable(err) {
+			if !Degradable(err) {
 				return res, err
 			}
 			// CPU fallback: decrypt the staged record with AES-NI.
@@ -128,7 +129,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 			if rerr != nil {
 				return res, rerr
 			}
-			pt, oerr := g.Open(nil, iv, sealed, tlsAAD(n))
+			pt, oerr := g.Open(nil, iv, sealed, ctx.TLS.AAD)
 			if oerr != nil {
 				res.AuthOK = false
 				pt = make([]byte, n)
@@ -207,7 +208,7 @@ func (b *SmartDIMM) ReceiveCompressed(coreID int, conn *Conn, pageLens []int) (R
 			lat, err = drv.CompCpy(coreID, dbuf, sbuf, core.PageSize, ctx, true)
 		}
 		if err != nil {
-			if !degradable(err) {
+			if !Degradable(err) {
 				return res, err
 			}
 			// CPU fallback: inflate the staged page in software. Output

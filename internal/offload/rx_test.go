@@ -24,7 +24,7 @@ func buildWireTLS(t *testing.T, conn *Conn, payload []byte) ([][]byte, []int) {
 	var records [][]byte
 	var lens []int
 	for _, n := range l.Chunks(len(payload)) {
-		sealed, err := g.Seal(nil, seq.NextIV(), payload[:n], tlsAAD(n))
+		sealed, err := g.Seal(nil, seq.NextIV(), payload[:n], ulp.Header(n+aesgcm.TagSize))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,7 +220,7 @@ type Drift struct {
 	KPI      string
 	Base     float64
 	Got      float64
-	Rel      float64 // |got-base| / max(|base|, epsilon); +Inf when missing
+	Rel      float64 // |got-base| / max(|base|, epsilon); +Inf when missing or non-finite
 }
 
 func (d Drift) String() string {
@@ -261,6 +261,9 @@ func CompareBench(base, got *BenchReport, tol float64) []Drift {
 				denom = 1e-12
 			}
 			rel := math.Abs(gv-bv) / denom
+			if math.IsNaN(gv) || math.IsInf(gv, 0) {
+				rel = math.Inf(1) // a NaN would compare false against any tolerance
+			}
 			if rel > tol {
 				drifts = append(drifts, Drift{Scenario: b.Name, KPI: k, Base: bv, Got: gv, Rel: rel})
 			}

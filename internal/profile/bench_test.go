@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/corpus"
@@ -130,5 +131,34 @@ func TestCompareBenchMissingEntries(t *testing.T) {
 	}
 	if !seen["a/p99_lat_ps"] || !seen["b/(scenario)"] {
 		t.Fatalf("wrong drifts: %v", drifts)
+	}
+}
+
+// A fresh KPI that is NaN or infinite is a drift with Rel = +Inf, never
+// "within tolerance": NaN compares false against any bound.
+func TestCompareBenchNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		base, got float64
+		drift     bool
+		infRel    bool
+	}{
+		{"within", 100, 101, false, false},
+		{"beyond", 100, 110, true, false},
+		{"nan", 100, math.NaN(), true, true},
+		{"nan-zero-base", 0, math.NaN(), true, true},
+		{"+inf", 100, math.Inf(1), true, true},
+		{"-inf", 100, math.Inf(-1), true, true},
+	} {
+		base := &BenchReport{Scenarios: []BenchResult{{Name: "s", KPIs: map[string]float64{"rps": c.base}}}}
+		got := &BenchReport{Scenarios: []BenchResult{{Name: "s", KPIs: map[string]float64{"rps": c.got}}}}
+		drifts := CompareBench(base, got, 0.05)
+		if len(drifts) > 1 || (len(drifts) == 1) != c.drift {
+			t.Errorf("%s: drifts = %v, want drift %v", c.name, drifts, c.drift)
+			continue
+		}
+		if c.infRel && !math.IsInf(drifts[0].Rel, 1) {
+			t.Errorf("%s: Rel = %v, want +Inf", c.name, drifts[0].Rel)
+		}
 	}
 }

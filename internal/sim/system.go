@@ -159,7 +159,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys.Engine.Tracer = cfg.Tracer
 	// Channel-0 fault sites (core.*, memctrl.crc, dram.alert) all fire on
 	// the DRAM-cycle clock; scale to picoseconds for the trace timeline.
-	tck := memctrl.DefaultConfig().Timing.TCKps
+	timing := memctrl.DefaultConfig().Timing
+	tck := timing.TCKps
 	if cfg.Faults != nil && cfg.Tracer != nil {
 		tr := cfg.Tracer
 		faultTrack := tr.Track("faults")
@@ -169,7 +170,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	var chans []memsys.Channel
 
-	meter := &stats.BandwidthMeter{PeakBytesPerSec: 25.6e9} // DDR4-3200 x1
+	meter := &stats.BandwidthMeter{PeakBytesPerSec: timing.PeakBytesPerSec()}
 	sys.BWMeter = meter
 
 	if ranks > 0 {
@@ -197,7 +198,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			// shared BWMeter so single-rank behaviour is unchanged.
 			m := meter
 			if r > 0 {
-				m = &stats.BandwidthMeter{PeakBytesPerSec: 25.6e9}
+				m = &stats.BandwidthMeter{PeakBytesPerSec: meter.PeakBytesPerSec}
 			}
 			ctl.Meter = m
 			sys.Meters = append(sys.Meters, m)

@@ -1,7 +1,7 @@
 // Package stats provides the measurement primitives used across the
-// SmartDIMM reproduction: counters, bandwidth meters, latency histograms
-// with percentile queries, time-series samplers, and DDR CAS-command trace
-// capture (used to regenerate Fig. 9 of the paper).
+// SmartDIMM reproduction: degradation counts, bandwidth meters, latency
+// histograms with percentile queries, time-series samplers, and DDR
+// CAS-command trace capture (used to regenerate Fig. 9 of the paper).
 //
 // All types are plain value types guarded by the caller unless documented
 // otherwise; the simulator is single-threaded per system instance, so the
@@ -16,39 +16,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Collect implements telemetry.Collector.
-func (c *Counter) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "count", Value: float64(c.n)})
-}
-
 // Degradation counts graceful-degradation events on an offload path:
 // operations served by the primary placement, operations demoted to the
-// fallback (CPU) path, and circuit-breaker transitions. A zero value is
-// ready to use.
+// fallback (CPU) path, and the fleet breaker's transitions. A zero value
+// is ready to use.
 type Degradation struct {
-	PrimaryOps     uint64 // served by the primary backend
-	FallbackOps    uint64 // demoted to the fallback path
-	ShortCircuits  uint64 // routed straight to fallback while the breaker was open
-	Opens          uint64 // breaker open transitions (primary demoted)
-	Closes         uint64 // breaker close transitions (primary restored)
-	InjectedFaults uint64 // failures forced by fault injection
+	PrimaryOps  uint64 // served by the primary backend
+	FallbackOps uint64 // demoted to the fallback path
+	Opens       uint64 // breaker open transitions (primary demoted)
+	Closes      uint64 // breaker close transitions (primary restored)
 }
 
 // FallbackRate returns the fraction of operations that degraded.
@@ -66,64 +42,9 @@ func (d *Degradation) FallbackRate() float64 {
 func (d *Degradation) Collect(emit func(telemetry.Sample)) {
 	emit(telemetry.Sample{Name: "primary_ops", Value: float64(d.PrimaryOps)})
 	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(d.FallbackOps)})
-	emit(telemetry.Sample{Name: "short_circuits", Value: float64(d.ShortCircuits)})
 	emit(telemetry.Sample{Name: "opens", Value: float64(d.Opens)})
 	emit(telemetry.Sample{Name: "closes", Value: float64(d.Closes)})
-	emit(telemetry.Sample{Name: "injected_faults", Value: float64(d.InjectedFaults)})
 	emit(telemetry.Sample{Name: "fallback_rate", Value: d.FallbackRate()})
-}
-
-// Gauge is a sampled instantaneous value that tracks its running
-// maximum, minimum and mean.
-type Gauge struct {
-	cur, min, max float64
-	sum           float64
-	samples       uint64
-}
-
-// Set records a new sample for the gauge.
-func (g *Gauge) Set(v float64) {
-	if g.samples == 0 {
-		g.min, g.max = v, v
-	} else {
-		if v < g.min {
-			g.min = v
-		}
-		if v > g.max {
-			g.max = v
-		}
-	}
-	g.cur = v
-	g.sum += v
-	g.samples++
-}
-
-// Value returns the most recent sample.
-func (g *Gauge) Value() float64 { return g.cur }
-
-// Max returns the largest sample seen so far, or 0 before any sample.
-func (g *Gauge) Max() float64 { return g.max }
-
-// Min returns the smallest sample seen so far, or 0 before any sample.
-func (g *Gauge) Min() float64 { return g.min }
-
-// Mean returns the arithmetic mean of all samples, or 0 before any sample.
-func (g *Gauge) Mean() float64 {
-	if g.samples == 0 {
-		return 0
-	}
-	return g.sum / float64(g.samples)
-}
-
-// Samples returns how many times Set has been called.
-func (g *Gauge) Samples() uint64 { return g.samples }
-
-// Collect implements telemetry.Collector.
-func (g *Gauge) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "value", Value: g.cur})
-	emit(telemetry.Sample{Name: "min", Value: g.min})
-	emit(telemetry.Sample{Name: "max", Value: g.max})
-	emit(telemetry.Sample{Name: "mean", Value: g.Mean()})
 }
 
 // BandwidthMeter accumulates bytes transferred against simulated time and
@@ -133,18 +54,10 @@ type BandwidthMeter struct {
 	// PeakBytesPerSec is the theoretical peak of the measured channel.
 	PeakBytesPerSec float64
 
-	bytes      uint64
-	windowBase uint64 // cumulative bytes at the last Sample call
-	startPs    int64
-	lastPs     int64
-	started    bool
-	intervals  []BandwidthSample
-}
-
-// BandwidthSample is one windowed bandwidth observation.
-type BandwidthSample struct {
-	AtPs        int64   // window end time
-	BytesPerSec float64 // achieved bandwidth in the window
+	bytes   uint64
+	startPs int64
+	lastPs  int64
+	started bool
 }
 
 // Record accounts bytes transferred at simulated time nowPs.
@@ -155,21 +68,6 @@ func (m *BandwidthMeter) Record(nowPs int64, bytes uint64) {
 	}
 	m.bytes += bytes
 	m.lastPs = nowPs
-}
-
-// Sample closes a measurement window at nowPs and stores the windowed rate.
-// Subsequent samples measure from the previous sample point.
-func (m *BandwidthMeter) Sample(nowPs int64) BandwidthSample {
-	var window int64
-	if len(m.intervals) == 0 {
-		window = nowPs - m.startPs
-	} else {
-		window = nowPs - m.intervals[len(m.intervals)-1].AtPs
-	}
-	s := BandwidthSample{AtPs: nowPs, BytesPerSec: ratePerSec(m.bytes-m.windowBase, window)}
-	m.intervals = append(m.intervals, s)
-	m.windowBase = m.bytes
-	return s
 }
 
 // TotalBytes returns all bytes recorded since creation.
@@ -192,14 +90,10 @@ func (m *BandwidthMeter) Utilization() float64 {
 	return m.MeanBytesPerSec() / m.PeakBytesPerSec
 }
 
-// Samples returns the windowed samples captured so far.
-func (m *BandwidthMeter) Samples() []BandwidthSample { return m.intervals }
-
 // Merge folds another meter's traffic into this one, so per-device
 // channel meters aggregate into a fleet total. Byte counts add; the
 // merged observation window spans both meters' windows (fleet members
 // run under one simulated clock, so the union interval is meaningful).
-// Windowed samples are not merged — sample the aggregate instead.
 func (m *BandwidthMeter) Merge(o *BandwidthMeter) {
 	if o == nil || !o.started {
 		return
@@ -215,7 +109,6 @@ func (m *BandwidthMeter) Merge(o *BandwidthMeter) {
 		}
 	}
 	m.bytes += o.bytes
-	m.windowBase += o.bytes
 }
 
 // Collect implements telemetry.Collector.

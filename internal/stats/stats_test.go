@@ -8,48 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("new counter = %d, want 0", c.Value())
-	}
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Fatalf("counter = %d, want 42", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("after reset = %d, want 0", c.Value())
-	}
-}
-
-func TestGaugeTracksExtremaAndMean(t *testing.T) {
-	var g Gauge
-	for _, v := range []float64{3, -1, 7, 5} {
-		g.Set(v)
-	}
-	if g.Min() != -1 || g.Max() != 7 {
-		t.Fatalf("min/max = %v/%v, want -1/7", g.Min(), g.Max())
-	}
-	if g.Value() != 5 {
-		t.Fatalf("value = %v, want 5", g.Value())
-	}
-	if got, want := g.Mean(), 3.5; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", got, want)
-	}
-	if g.Samples() != 4 {
-		t.Fatalf("samples = %d, want 4", g.Samples())
-	}
-}
-
-func TestGaugeEmpty(t *testing.T) {
-	var g Gauge
-	if g.Mean() != 0 || g.Min() != 0 || g.Max() != 0 {
-		t.Fatal("empty gauge should report zeros")
-	}
-}
-
 func TestBandwidthMeterMeanRate(t *testing.T) {
 	m := BandwidthMeter{PeakBytesPerSec: 1e9}
 	m.Record(0, 0)
@@ -67,18 +25,7 @@ func TestBandwidthMeterWindows(t *testing.T) {
 	var m BandwidthMeter
 	m.Record(0, 0)
 	m.Record(500_000, 500) // 500 B in 0.5 us
-	s1 := m.Sample(1_000_000)
-	if math.Abs(s1.BytesPerSec-5e8) > 1 {
-		t.Fatalf("window1 = %v, want 5e8", s1.BytesPerSec)
-	}
 	m.Record(1_500_000, 2000)
-	s2 := m.Sample(2_000_000)
-	if math.Abs(s2.BytesPerSec-2e9) > 1 {
-		t.Fatalf("window2 = %v, want 2e9", s2.BytesPerSec)
-	}
-	if len(m.Samples()) != 2 {
-		t.Fatalf("samples = %d, want 2", len(m.Samples()))
-	}
 	if m.TotalBytes() != 2500 {
 		t.Fatalf("total = %d, want 2500", m.TotalBytes())
 	}

@@ -66,19 +66,19 @@ func NewSession(key, iv []byte) (*Session, error) {
 	return s, nil
 }
 
-// Seq returns the next record sequence number.
-func (s *Session) Seq() uint64 { return s.seq }
+// Nonce builds the TLS 1.3 per-record nonce: the record sequence number,
+// big-endian, XORed into the low bytes of the static IV.
+func Nonce(iv [12]byte, seq uint64) []byte {
+	for i := 0; i < 8; i++ {
+		iv[11-i] ^= byte(seq >> (8 * i))
+	}
+	return iv[:]
+}
 
 // nonce builds the per-record nonce and advances the sequence.
 func (s *Session) nonce() []byte {
-	iv := make([]byte, 12)
-	copy(iv, s.iv[:])
-	q := s.seq
 	s.seq++
-	for i := 0; i < 8; i++ {
-		iv[11-i] ^= byte(q >> (8 * i))
-	}
-	return iv
+	return Nonce(s.iv, s.seq-1)
 }
 
 // EncryptRecord seals payload into a full TLS record
@@ -117,39 +117,6 @@ func (s *Session) DecryptRecord(data []byte) (payload []byte, consumed int, err 
 	return pt, RecordHeaderLen + ctLen, nil
 }
 
-// EncryptMessage splits a message into maximal records.
-func (s *Session) EncryptMessage(msg []byte) ([]byte, error) {
-	var out []byte
-	for len(msg) > 0 {
-		n := len(msg)
-		if n > MaxRecordPayload {
-			n = MaxRecordPayload
-		}
-		rec, err := s.EncryptRecord(msg[:n])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec...)
-		msg = msg[n:]
-	}
-	return out, nil
-}
-
-// DecryptMessage reverses EncryptMessage over a concatenated record
-// stream.
-func (s *Session) DecryptMessage(stream []byte) ([]byte, error) {
-	var out []byte
-	for len(stream) > 0 {
-		pt, n, err := s.DecryptRecord(stream)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt...)
-		stream = stream[n:]
-	}
-	return out, nil
-}
-
 // --- Deflate content encoding (page sequence) -----------------------------
 
 // CompressBody encodes a response body as a sequence of independently
@@ -175,7 +142,7 @@ func CompressBody(body []byte, enc *deflate.HWEncoder) []byte {
 			plen, _ := core.CompressedPayloadLen(full)
 			page = full[:4+plen]
 		} else {
-			page = softPage(body[:n])
+			page = core.SoftCompressPage(body[:n])
 		}
 		out = append(out, page...)
 		body = body[n:]
@@ -183,35 +150,15 @@ func CompressBody(body []byte, enc *deflate.HWEncoder) []byte {
 	return out
 }
 
-// softPage frames a software-deflate stream in the page format.
-func softPage(data []byte) []byte {
-	stream := deflate.Compress(data)
-	if len(stream) <= len(data) {
-		out := make([]byte, 4+len(stream))
-		binary.LittleEndian.PutUint32(out, uint32(len(stream)))
-		copy(out[4:], stream)
-		return out
-	}
-	out := make([]byte, 4+len(data))
-	binary.LittleEndian.PutUint32(out, uint32(len(data))|1<<31)
-	copy(out[4:], data)
-	return out
-}
-
 // DecompressBody reverses CompressBody.
 func DecompressBody(data []byte) ([]byte, error) {
 	var out []byte
 	for len(data) > 0 {
-		if len(data) < 4 {
-			return nil, errors.New("ulp: truncated page header")
+		plen, err := core.CompressedPayloadLen(data)
+		if err != nil {
+			return nil, err
 		}
-		hdr := binary.LittleEndian.Uint32(data)
-		plen := int(hdr &^ (1 << 31))
-		if len(data) < 4+plen {
-			return nil, errors.New("ulp: truncated page payload")
-		}
-		chunk := data[: 4+plen : 4+plen]
-		orig, err := core.DecodeCompressedPage(chunk)
+		orig, err := core.DecodeCompressedPage(data)
 		if err != nil {
 			return nil, err
 		}
@@ -219,18 +166,4 @@ func DecompressBody(data []byte) ([]byte, error) {
 		data = data[4+plen:]
 	}
 	return out, nil
-}
-
-// --- Minimal HTTP response framing -----------------------------------------
-
-// BuildResponse frames an HTTP/1.1 200 response with the given body and
-// optional Content-Encoding tag (the examples use it; the server model
-// accounts framing bytes separately).
-func BuildResponse(body []byte, contentEncoding string) []byte {
-	head := "HTTP/1.1 200 OK\r\n"
-	if contentEncoding != "" {
-		head += "Content-Encoding: " + contentEncoding + "\r\n"
-	}
-	head += fmt.Sprintf("Content-Length: %d\r\n\r\n", len(body))
-	return append([]byte(head), body...)
 }

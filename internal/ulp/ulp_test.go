@@ -72,25 +72,6 @@ func TestSequenceNumbersMatter(t *testing.T) {
 	}
 }
 
-func TestMessageFragmentation(t *testing.T) {
-	tx, rx := pair(t)
-	msg := corpus.Generate(corpus.HTML, 3*MaxRecordPayload+777, 5)
-	stream, err := tx.EncryptMessage(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rx.DecryptMessage(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("message mismatch")
-	}
-	if tx.Seq() != 4 {
-		t.Fatalf("records used = %d, want 4", tx.Seq())
-	}
-}
-
 func TestRecordParsingErrors(t *testing.T) {
 	_, rx := pair(t)
 	if _, _, err := rx.DecryptRecord([]byte{1, 2}); err != ErrShortRecord {
@@ -164,23 +145,5 @@ func TestCompressBodyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBuildResponse(t *testing.T) {
-	resp := BuildResponse([]byte("body"), "deflate")
-	s := string(resp)
-	if !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 OK\r\n")) {
-		t.Fatal("status line")
-	}
-	if !bytes.Contains(resp, []byte("Content-Encoding: deflate\r\n")) {
-		t.Fatalf("encoding header missing in %q", s)
-	}
-	if !bytes.HasSuffix(resp, []byte("\r\n\r\nbody")) {
-		t.Fatalf("body framing wrong: %q", s)
-	}
-	plain := BuildResponse(nil, "")
-	if bytes.Contains(plain, []byte("Content-Encoding")) {
-		t.Fatal("spurious encoding header")
 	}
 }
