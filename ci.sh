@@ -76,8 +76,10 @@
 #                     pooled vs GOMAXPROCS=2
 ##  16. alloc gate — the per-cacheline host path allocates nothing: a
 #                     TLS cacheline on a kept key schedule, a full
-#                     write-queue drain, and a TLS source line's rdCAS
-#                     through the device into the Scratchpad
+#                     write-queue drain, a TLS source line's rdCAS
+#                     through the device into the Scratchpad, and all
+#                     64 source lines of consecutive compression
+#                     records, the encoder run and page framing included
 #
 #  17. benchmod    — bench/ is its own Go module, so the root `go build
 #                     ./...` never compiles it: vet and test it in place
@@ -146,7 +148,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/
 '
 
 run_stage() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/aesgcm"
@@ -626,5 +627,69 @@ func TestFeedDSAZeroAllocs(t *testing.T) {
 	}
 	if st := r.dev.Stats(); st.DSALinesFed != 101 || st.DSAErrors != 0 {
 		t.Fatalf("fed %d lines with %d DSA errors, want 101 and 0", st.DSALinesFed, st.DSAErrors)
+	}
+}
+
+// TestCompressRecordZeroAllocs checks that once a compression record is
+// registered, its 64 source rdCAS, including the one that runs the
+// encoder and frames the page into the Scratchpad, allocate nothing.
+// Consecutive records re-register the same pages, which retires the
+// previous record, so each takes the source buffer its predecessor
+// returned to the free list.
+func TestCompressRecordZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	ctl := r.hier.Channels[0].Ctl
+	ctx := &OffloadContext{Op: OpCompress, Length: MaxCompressInput}
+	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var line [dram.CachelineSize]byte
+	var before, after runtime.MemStats
+	var firstBuf *srcBuf
+	const records = 5
+	for i := 0; i < records; i++ {
+		data := corpus.Generate(corpus.HTML, MaxCompressInput, int64(i))
+		if _, err := r.driver.WriteBuffer(0, sbuf, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.hier.Flush(sbuf, PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.driver.register(sbuf, dbuf, PageSize, 1, ctx); err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+		if !ok {
+			t.Fatal("source page not registered")
+		}
+		buf := tr.rec.dsa.(*deflateDSA).src
+		if i == 0 {
+			firstBuf = buf
+		} else if buf != firstBuf {
+			t.Fatalf("record %d did not reuse the retired record's source buffer", i)
+		}
+		runtime.ReadMemStats(&before)
+		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+			if _, err := ctl.Read(sbuf+off, 0, line[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// The first record sizes the device's line buffer.
+		if n := after.Mallocs - before.Mallocs; i > 0 && n != 0 {
+			t.Fatalf("record %d: %d allocs over its source lines, want 0", i, n)
+		}
+		page, _, err := r.driver.Use(0, dbuf, PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := EncodeCompressedPage(data, enc)
+		if !bytes.Equal(page, want) {
+			t.Fatalf("record %d: Scratchpad page differs from EncodeCompressedPage", i)
+		}
+	}
+	if st := r.dev.Stats(); st.DSALinesFed != records*LinesPerPage || st.DSAErrors != 0 {
+		t.Fatalf("fed %d lines with %d DSA errors, want %d and 0", st.DSALinesFed, st.DSAErrors, records*LinesPerPage)
 	}
 }

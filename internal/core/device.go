@@ -92,7 +92,8 @@ type Device struct {
 	// keys holds the TLS key schedules of recent records, at most one
 	// per Config Memory page.
 	keys *scheduleCache
-	// enc holds the Deflate DSA encoder of the last compression record.
+	// enc holds the Deflate DSA encoder of the last compression record,
+	// the page it frames into and the free source buffers.
 	enc encoderSlot
 	// lines is the buffer every DSA appends its destination lines to;
 	// feedDSA places them before the next source line is fed.
@@ -456,6 +457,7 @@ func (d *Device) retirePage(tr *translation, sp *spPage) {
 		if d.records[rec.srcPages[0]] == rec {
 			delete(d.records, rec.srcPages[0])
 		}
+		d.enc.release(rec)
 	}
 }
 
@@ -482,6 +484,7 @@ func (d *Device) abortRecord(rec *record) {
 	if d.reg != nil && d.reg.rec == rec {
 		d.reg = nil
 	}
+	d.enc.release(rec)
 	d.stats.RecordAborts++
 	d.traceInstant("record-abort")
 }

@@ -254,20 +254,25 @@ func EncodeCompressedPage(orig []byte, enc *deflate.HWEncoder) ([]byte, error) {
 	if len(orig) > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression input %d exceeds %d", len(orig), MaxCompressInput)
 	}
-	out := make([]byte, PageSize)
-	// A stream that fits is appended within out's capacity, so it lands
-	// in place after the header.
-	stream := enc.AppendCompress(out[compHeaderSize:compHeaderSize], orig)
-	if len(stream)+compHeaderSize <= PageSize {
-		putPageHeader(out, len(stream), false)
-		return out, nil
+	page := new([PageSize]byte)
+	// Zero what a stream dropped for the raw fallback left behind.
+	clear(page[len(framePage(page, orig, enc)):])
+	return page[:], nil
+}
+
+// framePage frames orig (at most MaxCompressInput bytes) into page and
+// returns the framed prefix, header plus payload; the bytes past it are
+// left as they were. A stream that fits is appended within the page's
+// capacity, so it lands in place after the header. One that outgrows
+// the page is dropped, and orig is stored raw.
+func framePage(page *[PageSize]byte, orig []byte, enc *deflate.HWEncoder) []byte {
+	stream := enc.AppendCompress(page[compHeaderSize:compHeaderSize], orig)
+	if len(stream) <= MaxCompressInput {
+		putPageHeader(page[:], len(stream), false)
+		return page[:compHeaderSize+len(stream)]
 	}
-	// The stream outgrew the page after filling it: frame the input raw
-	// and zero what the stream left behind the copy.
-	putPageHeader(out, len(orig), true)
-	n := copy(out[compHeaderSize:], orig)
-	clear(out[compHeaderSize+n:])
-	return out, nil
+	putPageHeader(page[:], len(orig), true)
+	return page[:compHeaderSize+copy(page[compHeaderSize:], orig)]
 }
 
 // SoftCompressPage frames data (at most MaxCompressInput bytes) in the
@@ -324,19 +329,22 @@ func CompressedPayloadLen(page []byte) (int, error) {
 }
 
 // deflateDSA compresses one page arriving strictly in order (compression
-// offloads use CompCpy's ordered mode, Algorithm 2 lines 24-28).
+// offloads use CompCpy's ordered mode, Algorithm 2 lines 24-28). Its
+// encoder, source buffer and output page belong to the device's
+// encoderSlot.
 type deflateDSA struct {
 	enc     *deflate.HWEncoder
-	buf     [PageSize]byte
+	src     *srcBuf
+	page    *[PageSize]byte
 	length  int // input bytes expected
 	nextOff int
 }
 
-func newDeflateDSA(length int, cfg deflate.HWConfig, enc *encoderSlot) (*deflateDSA, error) {
+func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
-	return &deflateDSA{enc: enc.get(cfg), length: length}, nil
+	return &deflateDSA{enc: slot.get(cfg), src: slot.take(), page: slot.page, length: length}, nil
 }
 
 // DestLen implements dsaInstance: the destination is always a full page.
@@ -346,16 +354,12 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([
 	if off != d.nextOff {
 		return nil, fmt.Errorf("core: deflate DSA requires in-order lines (got %d, want %d); use ordered CompCpy", off, d.nextOff)
 	}
-	n := copy(d.buf[off:], src)
+	n := copy(d.src.data[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
 		return lines, nil
 	}
-	page, err := EncodeCompressedPage(d.buf[:d.length], d.enc)
-	if err != nil {
-		return nil, err
-	}
-	return pageToLines(lines, page), nil
+	return pageToLines(lines, framePage(d.page, d.src.data[:d.length], d.enc)), nil
 }
 
 // inflateDSA decompresses one compressed page arriving in order.
@@ -491,24 +495,60 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 	return ks, nil
 }
 
-// encoderSlot holds a device's Deflate DSA encoder. A compression
-// record borrows it instead of building one: Compress runs to
-// completion inside the record's last ProcessSourceLine call, so
-// records never interleave on the encoder, and they share its
-// candidate table and buffers. The slot keeps one encoder, for the
-// last record's HWConfig, and rebuilds it when a record asks for
-// another; buildDSA bounds each config's table at maxDSATableEntries.
+// encoderSlot holds a device's Deflate DSA: its encoder, the page the
+// encoder frames into and a free list of source buffers. A compression
+// record borrows the encoder and the page instead of building its own:
+// the page is compressed, framed and copied out inside the record's
+// last ProcessSourceLine call, so records never interleave on them.
+// The slot keeps one encoder, for the last record's HWConfig, and
+// rebuilds it when a record asks for another; buildDSA bounds each
+// config's table at maxDSATableEntries. A record takes a source buffer
+// when its DSA is built and gives it back when the record retires.
 type encoderSlot struct {
-	cfg deflate.HWConfig
-	enc *deflate.HWEncoder
+	cfg  deflate.HWConfig
+	enc  *deflate.HWEncoder
+	page *[PageSize]byte
+	free *srcBuf
+}
+
+// srcBuf is a compression record's source buffer; next links the
+// unused ones into the slot's free list.
+type srcBuf struct {
+	data [PageSize]byte
+	next *srcBuf
 }
 
 // get returns the encoder for cfg, rebuilding the slot's on a change.
+// The first call also allocates the slot's page.
 func (s *encoderSlot) get(cfg deflate.HWConfig) *deflate.HWEncoder {
 	if s.enc == nil || s.cfg != cfg {
 		s.cfg, s.enc = cfg, deflate.NewHWEncoder(cfg)
 	}
+	if s.page == nil {
+		s.page = new([PageSize]byte)
+	}
 	return s.enc
+}
+
+// take returns a source buffer from the free list, or a new one.
+func (s *encoderSlot) take() *srcBuf {
+	b := s.free
+	if b == nil {
+		return new(srcBuf)
+	}
+	s.free, b.next = b.next, nil
+	return b
+}
+
+// release returns a retired record's source buffer to the free list.
+// The record keeps no reference to it, so a second release is a no-op.
+func (s *encoderSlot) release(rec *record) {
+	d, ok := rec.dsa.(*deflateDSA)
+	if !ok || d.src == nil {
+		return
+	}
+	d.src.next, s.free = s.free, d.src
+	d.src = nil
 }
 
 // ErrDSAConfig marks a context whose DSA configuration is out of the

@@ -106,8 +106,7 @@ func (e *Encoder) EncodeAll(src, dst []byte) []byte {
 
 func hash4(b []byte) uint32 {
 	// 4-byte rolling hash (multiplicative); requires len(b) >= 4.
-	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return (v * 2654435761) >> hashShift
+	return (binary.LittleEndian.Uint32(b) * 2654435761) >> hashShift
 }
 
 // lz77 produces the token stream for src into e.tokens using the

@@ -3,6 +3,8 @@ package deflate
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // benchHTML synthesizes a repetitive HTML-ish page like the paper's web
@@ -67,5 +69,24 @@ func TestEncodeAllMatchesCompressOpts(t *testing.T) {
 					o, i, len(dst), len(want))
 			}
 		}
+	}
+}
+
+// BenchmarkHWEncoderPages compresses 64 distinct 4092-byte HTML pages in
+// turn, as deflate4k-dimm's connections do. A single repeated page lets
+// the branch predictor learn its match pattern, which flatters branchy
+// match loops.
+func BenchmarkHWEncoderPages(b *testing.B) {
+	pages := make([][]byte, 64)
+	for i := range pages {
+		pages[i] = corpus.Generate(corpus.HTML, 4092, int64(i))
+	}
+	enc := NewHWEncoder(PaperHWConfig())
+	dst := make([]byte, 0, 8192)
+	b.SetBytes(4092)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = enc.AppendCompress(dst[:0], pages[i%len(pages)])
 	}
 }

@@ -23,7 +23,7 @@ package deflate
 
 import (
 	"bytes"
-	"math/bits"
+	"encoding/binary"
 )
 
 // HWConfig parameterizes the DSA model. The zero value is invalid; use
@@ -68,29 +68,34 @@ type HWStats struct {
 }
 
 // HWEncoder is a reusable hardware-style Deflate encoder instance. It
-// owns all of its scratch: the candidate table, the per-window port
-// counters, the candidate and token buffers and the bit writer. The
-// table is never cleared: each Compress call stamps a new generation
-// and entries of older generations read as empty, which is how the
-// hardware's per-page table reset costs nothing here. An HWEncoder is
-// not safe for concurrent use.
+// owns all of its scratch: the candidate table, the per-window
+// candidate and port-counter arrays and the output buffer. An HWEncoder
+// is not safe for concurrent use.
 type HWEncoder struct {
 	cfg   HWConfig
 	stats HWStats
 
 	entriesPerBank int
-	// pow2 selects the shift/mask index path: Banks and entriesPerBank
-	// are both powers of two (the paper configuration).
-	pow2                 bool
-	bankMask, bankShift  uint32
-	slotMask, entryShift uint32
+	// pow2 selects the mask index path: Banks and entriesPerBank are
+	// both powers of two (the paper configuration).
+	pow2                bool
+	bankMask, tableMask uint32
 
-	table   []hwEntry // Banks x entriesPerBank, bank-major
-	gen     uint32    // current Compress call's stamp; 0 is never live
-	portUse []int32   // per-bank reads this window; zero between windows
-	cands   []hwCand
-	tokens  []token
-	w       bitWriter
+	// table holds entriesPerBank rows of Banks entries: the entry of
+	// bank b, slot s is table[s*Banks+b]. With power-of-two sizes that
+	// index is the hash's low bits. An entry holds the position of a
+	// previous occurrence plus one, and 0 when empty; each call clears
+	// the table, as the hardware resets it per page.
+	table []int32
+	// cand holds each window position's candidate: the entry its probe
+	// read, 0 when it was not probed or the probe was dropped.
+	cand []int32
+	// portUse counts each bank's reads in the current window and used
+	// lists the banks read, so they are zeroed once the window's probes
+	// are done. Both are nil when PortsPerBank >= ParallelWindow: one
+	// window's probes then cannot oversubscribe a bank.
+	portUse []int32
+	used    []int32
 	out     []byte
 }
 
@@ -106,16 +111,17 @@ func NewHWEncoder(cfg HWConfig) *HWEncoder {
 	e := &HWEncoder{
 		cfg:            cfg,
 		entriesPerBank: epb,
-		table:          make([]hwEntry, cfg.Banks*epb),
-		portUse:        make([]int32, cfg.Banks),
-		cands:          make([]hwCand, 0, cfg.ParallelWindow),
+		table:          make([]int32, cfg.Banks*epb),
+		cand:           make([]int32, cfg.ParallelWindow),
+	}
+	if cfg.PortsPerBank < cfg.ParallelWindow {
+		e.portUse = make([]int32, cfg.Banks)
+		e.used = make([]int32, 0, cfg.ParallelWindow)
 	}
 	if isPow2(cfg.Banks) && isPow2(epb) {
 		e.pow2 = true
 		e.bankMask = uint32(cfg.Banks - 1)
-		e.bankShift = uint32(bits.TrailingZeros(uint(cfg.Banks)))
-		e.slotMask = uint32(epb - 1)
-		e.entryShift = uint32(bits.TrailingZeros(uint(epb)))
+		e.tableMask = uint32(cfg.Banks*epb - 1)
 	}
 	return e
 }
@@ -166,127 +172,128 @@ func (e *HWEncoder) Compress(src []byte) []byte {
 // AppendCompress appends the stream Compress would return to dst and
 // returns the extended slice. With enough spare capacity in dst the
 // stream is written in place, without allocating.
+//
+// The pipeline runs in one pass over src, one parallelization window
+// at a time. The probe phase hashes every position of the window that
+// has four bytes left, reads its bank's slot (dropping the probe when
+// the bank's ports are used up), keeps the entry as the position's
+// candidate and writes the position into the slot. The select phase
+// walks the window greedily: a position whose candidate lies within
+// the history window and shares its first three bytes starts a match,
+// any other emits a literal, and a match may run past the window's
+// end. Each symbol's fixed-code bits go straight into the bit
+// accumulator.
 func (e *HWEncoder) AppendCompress(dst, src []byte) []byte {
-	tokens := e.lz77HW(src)
-	w := &e.w
-	w.buf, w.acc, w.nAcc = dst, 0, 0
-	w.writeBits(1, 1) // BFINAL
-	w.writeBits(1, 2) // BTYPE=01 fixed
-	writeFixedTokens(w, tokens)
-	out := w.bytes()
-	w.buf = nil // do not retain the caller's buffer across calls
-	return out
-}
-
-// hwEntry is one candidate slot: the position of a previous occurrence,
-// live only when gen is the encoder's current generation.
-type hwEntry struct {
-	pos int32
-	gen uint32
-}
-
-// hwCand is one position of the current parallelization window.
-type hwCand struct {
-	at   int32 // position in src
-	prev int32 // candidate previous occurrence, -1 if none
-	bank int32 // bank whose port this probe used, -1 if none
-}
-
-// slot returns the bank and the flat table index hash h maps to.
-func (e *HWEncoder) slot(h uint32) (bank, idx int) {
-	if e.pow2 {
-		b := h & e.bankMask
-		return int(b), int(b<<e.entryShift | (h>>e.bankShift)&e.slotMask)
-	}
-	b := int(h) % e.cfg.Banks
-	return b, b*e.entriesPerBank + int(h/uint32(e.cfg.Banks))%e.entriesPerBank
-}
-
-// lz77HW runs the banked best-effort match pipeline into e.tokens.
-func (e *HWEncoder) lz77HW(src []byte) []token {
-	tokens := e.tokens[:0]
-	if len(src) == 0 {
-		e.tokens = tokens
-		return tokens
-	}
-	e.gen++
-	if e.gen == 0 {
-		// The stamp wrapped: clear so no entry from 2^32 calls ago
-		// reads as live.
+	n := len(src)
+	pw, window, cand := e.cfg.ParallelWindow, e.cfg.WindowSize, e.cand
+	var matches, literals uint64
+	if n > 0 {
 		clear(e.table)
-		e.gen = 1
 	}
-	cfg := e.cfg
-	gen, table, portUse := e.gen, e.table, e.portUse
-	st := e.stats
 
-	pos := 0
-	for pos < len(src) {
-		// One pipeline stage: examine up to ParallelWindow positions.
-		winEnd := min(pos+cfg.ParallelWindow, len(src))
-		if pos%ChunkSize == 0 {
-			st.Cycles++
-		}
-		cands := e.cands[:0]
-		for p := pos; p < winEnd; p++ {
-			c := hwCand{at: int32(p), prev: -1, bank: -1}
-			if p+4 > len(src) {
-				cands = append(cands, c)
-				continue
-			}
-			b, i := e.slot(hash4(src[p:]))
-			st.CandidateProbes++
-			if int(portUse[b]) >= cfg.PortsPerBank {
-				// Bank conflict: candidate dropped, no table update.
-				st.BankConflicts++
-				cands = append(cands, c)
-				continue
-			}
-			portUse[b]++
-			c.bank = int32(b)
-			if entry := table[i]; entry.gen == gen {
-				if prev := int(entry.pos); prev < p && p-prev <= cfg.WindowSize {
-					c.prev = entry.pos
-				}
-				if int(entry.pos) != p {
-					st.Replaced++
-				}
-			}
-			table[i] = hwEntry{pos: int32(p), gen: gen}
-			cands = append(cands, c)
-		}
+	// BFINAL=1, BTYPE=01 (fixed Huffman codes).
+	acc, nAcc, buf := uint64(0b011), uint(3), dst
+	for pos := 0; pos < n; {
+		winEnd := min(pos+pw, n)
+		// Positions with fewer than four bytes left are not probed.
+		probeEnd := max(min(winEnd, n-3), pos)
+		e.probe(src, pos, cand[:probeEnd-pos])
+		clear(cand[probeEnd-pos : winEnd-pos])
 
-		// Greedy non-overlapping match selection within the window.
-		// Candidates are contiguous, so each one either starts at the
-		// first unconsumed byte or lies inside an earlier match.
-		consumed := pos
-		for _, c := range cands {
-			if c.bank >= 0 {
-				portUse[c.bank] = 0
+		at := pos
+		for at < winEnd {
+			// A symbol's fixed-code bits: a literal, or a length code
+			// with its extra bits followed by a distance code with its.
+			var code uint64
+			var nBits uint
+			// A candidate is its slot's entry, position plus one: live
+			// when non-zero and within the history window.
+			if v := int(cand[at-pos]); v != 0 && at+1-v <= window &&
+				(binary.LittleEndian.Uint32(src[v-1:])^binary.LittleEndian.Uint32(src[at:]))&0xffffff == 0 {
+				prev := v - 1
+				l := matchLen(src, prev, at, min(n-at, MaxMatch))
+				d := at - prev
+				dsym := distCode(d)
+				lc := fixedLenBits[l]
+				dbits := fixedDistRev[dsym] | uint32(d-int(distBase[dsym]))<<5
+				code = uint64(lc.bits) | uint64(dbits)<<lc.n
+				nBits = uint(lc.n) + 5 + uint(distExtra[dsym])
+				matches++
+				at += l
+			} else {
+				c := fixedLitBits[src[at]]
+				code, nBits = uint64(c.bits), uint(c.n)
+				literals++
+				at++
 			}
-			at := int(c.at)
-			if at < consumed {
-				continue
+			acc |= code << nAcc
+			nAcc += nBits
+			if nAcc >= 32 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+				acc >>= 32
+				nAcc -= 32
 			}
-			if c.prev >= 0 {
-				l := matchLen(src, int(c.prev), at, min(len(src)-at, MaxMatch))
-				if l >= MinMatch {
-					tokens = append(tokens, matchToken(l, at-int(c.prev)))
-					st.Matches++
-					consumed += l
-					continue
-				}
-			}
-			tokens = append(tokens, literalToken(src[at]))
-			st.Literals++
-			consumed++
 		}
-		e.cands = cands
-		pos = consumed
+		pos = at
 	}
-	e.stats = st
-	e.tokens = tokens
-	return tokens
+	e.stats.Cycles += uint64((n + ChunkSize - 1) / ChunkSize)
+	e.stats.Matches += matches
+	e.stats.Literals += literals
+
+	w := bitWriter{buf: buf, acc: acc, nAcc: nAcc}
+	w.writeBits(fixedEOBBits.bits, uint(fixedEOBBits.n))
+	return w.bytes()
+}
+
+// probe runs the probe phase for the window positions pos ..
+// pos+len(cand)-1, each with four bytes left: it sets each position's
+// candidate to the entry its slot held and writes the position into
+// the slot. A probe whose bank has no port left is dropped, with no
+// candidate and no table update. Its own loop keeps the hot locals few.
+func (e *HWEncoder) probe(src []byte, pos int, cand []int32) {
+	table := e.table
+	var replaced, conflicts uint64
+	for k := range cand {
+		h := hash4(src[pos+k:])
+		i := h & e.tableMask
+		if !e.pow2 {
+			banks := uint32(e.cfg.Banks)
+			i = h/banks%uint32(e.entriesPerBank)*banks + h%banks
+		}
+		if e.portUse != nil && !e.takePort(h) {
+			conflicts++
+			cand[k] = 0
+			continue
+		}
+		v := table[i]
+		replaced += uint64(uint32(-v) >> 31) // v > 0: a live entry is overwritten
+		table[i] = int32(pos + k + 1)
+		cand[k] = v
+	}
+	for _, b := range e.used {
+		e.portUse[b] = 0
+	}
+	e.used = e.used[:0]
+	e.stats.CandidateProbes += uint64(len(cand))
+	e.stats.BankConflicts += conflicts
+	e.stats.Replaced += replaced
+}
+
+// takePort claims one of hash h's bank's ports for the current window,
+// reporting false when the bank has none left.
+func (e *HWEncoder) takePort(h uint32) bool {
+	b := h & e.bankMask
+	if !e.pow2 {
+		b = h % uint32(e.cfg.Banks)
+	}
+	if int(e.portUse[b]) >= e.cfg.PortsPerBank {
+		return false
+	}
+	if e.portUse[b] == 0 {
+		e.used = append(e.used, int32(b))
+	}
+	e.portUse[b]++
+	return true
 }
 
 // CompressionRatio is a convenience helper returning the achieved

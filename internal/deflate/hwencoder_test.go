@@ -5,17 +5,17 @@ import (
 	"compress/flate"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
 )
 
-// lz77HWReference is the straightforward banked match pipeline the
-// allocation-free HWEncoder.lz77HW must reproduce token for token and
-// counter for counter: a fresh Banks x entriesPerBank table per call,
-// per-window port counters and candidate lists, and division-based
-// bank/slot indexing. cfg must already carry NewHWEncoder's defaults.
+// lz77HWReference is the straightforward banked match pipeline whose
+// tokens, emitted bit by bit by compressReference, the one-pass
+// HWEncoder must reproduce byte for byte and counter for counter: a
+// fresh Banks x entriesPerBank table per call, per-window port counters
+// and candidate lists, and division-based bank/slot indexing. cfg must
+// already carry NewHWEncoder's defaults.
 func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 	type hwRefEntry struct {
 		pos   int32
@@ -29,6 +29,7 @@ func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 	if entriesPerBank == 0 {
 		entriesPerBank = 1
 	}
+	st.Cycles += uint64((len(src) + ChunkSize - 1) / ChunkSize)
 	table := make([][]hwRefEntry, cfg.Banks)
 	for b := range table {
 		table[b] = make([]hwRefEntry, entriesPerBank)
@@ -41,9 +42,6 @@ func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 		winEnd := pos + cfg.ParallelWindow
 		if winEnd > len(src) {
 			winEnd = len(src)
-		}
-		if (pos % ChunkSize) == 0 {
-			st.Cycles++
 		}
 		portUse := make([]int, cfg.Banks)
 		type cand struct{ at, prev int }
@@ -180,19 +178,19 @@ func flateInflate(data []byte) ([]byte, error) {
 	return io.ReadAll(flate.NewReader(bytes.NewReader(data)))
 }
 
-// checkHWAgainstReference compresses src with enc and checks tokens,
-// the stats delta and the stream against the references, and that the
-// stream inflates with compress/flate.
+// checkHWAgainstReference compresses src with enc and checks the stream
+// and the stats delta against the references, and that the stream
+// inflates with compress/flate.
 func checkHWAgainstReference(t *testing.T, enc *HWEncoder, src []byte) {
 	t.Helper()
 	var wantSt HWStats
 	want := lz77HWReference(enc.cfg, &wantSt, src)
 	before := enc.Stats()
-	got := enc.lz77HW(src)
-	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("cfg %+v, %d bytes: tokens differ from the reference (%d vs %d)", enc.cfg, len(src), len(got), len(want))
-	}
+	stream := enc.Compress(src)
 	after := enc.Stats()
+	if ref := compressReference(want); !bytes.Equal(stream, ref) {
+		t.Fatalf("cfg %+v, %d bytes: stream differs from the reference (%d vs %d bytes)", enc.cfg, len(src), len(stream), len(ref))
+	}
 	delta := HWStats{
 		Cycles:          after.Cycles - before.Cycles,
 		BankConflicts:   after.BankConflicts - before.BankConflicts,
@@ -203,10 +201,6 @@ func checkHWAgainstReference(t *testing.T, enc *HWEncoder, src []byte) {
 	}
 	if delta != wantSt {
 		t.Fatalf("cfg %+v: stats %+v, reference %+v", enc.cfg, delta, wantSt)
-	}
-	stream := enc.Compress(src)
-	if ref := compressReference(want); !bytes.Equal(stream, ref) {
-		t.Fatalf("cfg %+v: stream differs from the reference emit", enc.cfg)
 	}
 	out, err := flateInflate(stream)
 	if err != nil || !bytes.Equal(out, src) {
@@ -226,6 +220,58 @@ func TestHWEncoderMatchesReference(t *testing.T) {
 		enc := NewHWEncoder(cfg)
 		for name, in := range testInputs() {
 			t.Run(name, func(t *testing.T) { checkHWAgainstReference(t, enc, in) })
+		}
+	}
+}
+
+// TestHWEncoderPortCounters runs configurations on both sides of the
+// port-counter skip (a window's probes can oversubscribe a bank only
+// when PortsPerBank < ParallelWindow): one or two ports, bank counts
+// that are not powers of two, history windows shorter than the input,
+// and inputs longer than a page. The zero run hashes every position to
+// one bank, so every counted configuration must see conflicts.
+func TestHWEncoderPortCounters(t *testing.T) {
+	inputs := map[string][]byte{
+		"html-4k":  corpus.Generate(corpus.HTML, 4096, 2),
+		"html-12k": corpus.Generate(corpus.HTML, 12000, 3),
+		"text-6k":  corpus.Generate(corpus.Text, 6000, 4),
+		"zeros-5k": make([]byte, 5000),
+	}
+	cfgs := []HWConfig{
+		{ParallelWindow: 8, Banks: 8, PortsPerBank: 1, WindowSize: 1024, TableEntries: 4096},
+		{ParallelWindow: 8, Banks: 8, PortsPerBank: 2, WindowSize: 4096, TableEntries: 4096},
+		{ParallelWindow: 8, Banks: 6, PortsPerBank: 2, WindowSize: 2000, TableEntries: 3000},
+		{ParallelWindow: 8, Banks: 5, PortsPerBank: 7, WindowSize: 512, TableEntries: 4096},
+		{ParallelWindow: 8, Banks: 5, PortsPerBank: 8, WindowSize: 512, TableEntries: 4096},
+		{ParallelWindow: 16, Banks: 3, PortsPerBank: 1, WindowSize: 4096, TableEntries: 999},
+		{ParallelWindow: 3, Banks: 12, PortsPerBank: 2, WindowSize: 100, TableEntries: 1 << 14},
+	}
+	for _, cfg := range cfgs {
+		enc := NewHWEncoder(cfg)
+		counted := cfg.PortsPerBank < cfg.ParallelWindow
+		if (enc.portUse != nil) != counted {
+			t.Fatalf("cfg %+v: port counters kept = %v, want %v", cfg, enc.portUse != nil, counted)
+		}
+		for name, in := range inputs {
+			t.Run(name, func(t *testing.T) { checkHWAgainstReference(t, enc, in) })
+		}
+		if conflicts := enc.Stats().BankConflicts; counted != (conflicts > 0) {
+			t.Errorf("cfg %+v: %d bank conflicts with port counters kept = %v", cfg, conflicts, counted)
+		}
+	}
+}
+
+// TestHWStatsCycles is the regression for a Cycles counter that only
+// saw windows starting on a chunk boundary, which matches jump over: a
+// call consumes one cycle per started 64-byte chunk.
+func TestHWStatsCycles(t *testing.T) {
+	page := corpus.Generate(corpus.HTML, 4096, 1)
+	enc := NewHWEncoder(PaperHWConfig())
+	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
+		enc.ResetStats()
+		enc.Compress(page[:n])
+		if got, want := enc.Stats().Cycles, uint64((n+ChunkSize-1)/ChunkSize); got != want {
+			t.Errorf("%d bytes: Cycles = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -264,25 +310,28 @@ func TestHWWindowClampedToMaxDistance(t *testing.T) {
 
 // TestHWCompressAllocs pins the encoder's scratch reuse: once warmed,
 // Compress allocates only the slice it returns and AppendCompress into
-// a large enough buffer allocates nothing.
+// a large enough buffer allocates nothing, with or without per-bank
+// port counters.
 func TestHWCompressAllocs(t *testing.T) {
 	page := corpus.Generate(corpus.HTML, 4096, 1)
-	enc := NewHWEncoder(PaperHWConfig())
-	enc.Compress(page)
-	if n := testing.AllocsPerRun(20, func() { enc.Compress(page) }); n > 1 {
-		t.Errorf("Compress: %v allocs/op, want <= 1", n)
-	}
-	buf := make([]byte, 0, 2*len(page))
-	if n := testing.AllocsPerRun(20, func() { buf = enc.AppendCompress(buf[:0], page) }); n != 0 {
-		t.Errorf("AppendCompress: %v allocs/op, want 0", n)
+	for _, cfg := range []HWConfig{PaperHWConfig(), {PortsPerBank: 1}} {
+		enc := NewHWEncoder(cfg)
+		enc.Compress(page)
+		if n := testing.AllocsPerRun(20, func() { enc.Compress(page) }); n > 1 {
+			t.Errorf("cfg %+v: Compress: %v allocs/op, want <= 1", enc.cfg, n)
+		}
+		buf := make([]byte, 0, 2*len(page))
+		if n := testing.AllocsPerRun(20, func() { buf = enc.AppendCompress(buf[:0], page) }); n != 0 {
+			t.Errorf("cfg %+v: AppendCompress: %v allocs/op, want 0", enc.cfg, n)
+		}
 	}
 }
 
 // FuzzHWEncoder checks the encoder against the reference on arbitrary
 // input and small valid configurations (non-power-of-two bank counts,
 // one port per bank, tables not divisible by the bank count), and that
-// an encoder reused across inputs behaves like a fresh one: a stale
-// generation stamp would leak candidates from the previous input.
+// an encoder reused across inputs behaves like a fresh one: a table
+// left uncleared would leak candidates from the previous input.
 func FuzzHWEncoder(f *testing.F) {
 	f.Add([]byte("abcabcabcabcabcabd"), uint8(8), uint8(8), uint8(8), uint16(4096), uint16(4096))
 	f.Fuzz(func(t *testing.T, data []byte, pw, banks, ports uint8, window, entries uint16) {

@@ -319,9 +319,7 @@ func (c *Chips) Read(cmd Command, dst []byte) error {
 	}
 	p, off := c.locate(cmd, false)
 	if p == nil {
-		for i := 0; i < CachelineSize; i++ {
-			dst[i] = 0
-		}
+		clear(dst[:CachelineSize])
 	} else {
 		copy(dst, p[off:off+CachelineSize])
 	}

@@ -276,8 +276,8 @@ func (c *Controller) reserveBus(at int64, dir int) int64 {
 // drain first (no forwarding; see package comment).
 func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 	line := addr &^ (dram.CachelineSize - 1)
-	for _, w := range c.wq {
-		if w.addr == line {
+	for i := range c.wq {
+		if c.wq[i].addr == line {
 			if _, err := c.DrainWrites(); err != nil {
 				return 0, err
 			}
