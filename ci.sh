@@ -74,12 +74,16 @@
 #                     armed — whose run canonical AND every incident
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
-##  16. alloc gate — the per-cacheline host path allocates nothing: a
-#                     TLS cacheline on a kept key schedule, a full
+##  16. alloc gate — the steady state allocates nothing: a TLS
+#                     cacheline on a kept key schedule, a full
 #                     write-queue drain, a TLS source line's rdCAS
-#                     through the device into the Scratchpad, and all
-#                     64 source lines of consecutive compression
-#                     records, the encoder run and page framing included
+#                     through the device into the Scratchpad, all 64
+#                     source lines of consecutive compression records
+#                     (the encoder run and page framing included), a
+#                     whole TLS record from registration to retirement
+#                     on pooled device state, and a whole HTTPS request
+#                     on the serial stack (server, SmartDIMM offload,
+#                     TX DMA)
 #
 #  17. benchmod    — bench/ is its own Go module, so the root `go build
 #                     ./...` never compiles it: vet and test it in place
@@ -148,7 +152,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/
 '
 
 run_stage() {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // CachelineSize is the unit the DSA processes: one DDR burst, four AES
@@ -52,9 +53,9 @@ func (c *RecordConfig) ConfigBytes() int {
 // Fig. 7. It (de/en)crypts 64-byte cachelines of a single TLS record in
 // any order, folding each cacheline's GHASH contribution into a partial
 // tag using precomputed powers of H, exactly as the hardware does when
-// rdCAS commands arrive out of order. A new engine is built per
-// registered source buffer; the only state records share is the
-// read-mostly KeySchedule.
+// rdCAS commands arrive out of order. An engine serves one registered
+// record at a time, and Reset re-keys it for the next; the only state
+// records share is the read-mostly KeySchedule.
 type CachelineEngine struct {
 	dir       Direction
 	cipher    *Cipher
@@ -102,54 +103,55 @@ func NewKeySchedule(key, h []byte) (*KeySchedule, error) {
 // powers if this record needs more than any earlier one. cfg.Key and
 // cfg.H must be those the schedule was built from.
 func (k *KeySchedule) NewEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, error) {
-	return newEngine(dir, cfg, k)
+	e := new(CachelineEngine)
+	if err := e.Reset(k, dir, cfg); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // NewCachelineEngine validates the config, expands the key and
 // precomputes the H powers (the GF multiplier starts "as soon as the
 // sbuf is registered").
 func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, error) {
-	return newEngine(dir, cfg, nil)
+	ks, err := NewKeySchedule(cfg.Key, cfg.H)
+	if err != nil {
+		return nil, err
+	}
+	return ks.NewEngine(dir, cfg)
 }
 
-// newEngine builds the engine on ks, or on a fresh schedule when ks is
-// nil.
-func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngine, error) {
+// Reset re-keys e for a new record on schedule k, as NewEngine would
+// build it, but in e's own buffers: an engine kept across records
+// allocates nothing once its processed bitmap has grown to the longest
+// record. cfg.Key and cfg.H must be those k was built from.
+func (e *CachelineEngine) Reset(k *KeySchedule, dir Direction, cfg RecordConfig) error {
 	if dir != Encrypt && dir != Decrypt {
-		return nil, fmt.Errorf("aesgcm: unknown direction %d", dir)
+		return fmt.Errorf("aesgcm: unknown direction %d", dir)
 	}
 	if cfg.Length < 0 {
-		return nil, errors.New("aesgcm: negative record length")
+		return errors.New("aesgcm: negative record length")
 	}
 	if len(cfg.IV) != StandardIVSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrIVSize, len(cfg.IV))
+		return fmt.Errorf("%w: %d bytes", ErrIVSize, len(cfg.IV))
 	}
 	if len(cfg.H) != BlockSize || len(cfg.EIV) != BlockSize {
-		return nil, errors.New("aesgcm: H and EIV must be 16 bytes")
+		return errors.New("aesgcm: H and EIV must be 16 bytes")
 	}
-	if ks == nil {
-		var err error
-		if ks, err = NewKeySchedule(cfg.Key, cfg.H); err != nil {
-			return nil, err
-		}
-	} else if !bytes.Equal(ks.key, cfg.Key) || ks.powers.h != LoadEl(cfg.H) {
-		return nil, errors.New("aesgcm: key schedule built for a different key or H")
+	if !bytes.Equal(k.key, cfg.Key) || k.powers.h != LoadEl(cfg.H) {
+		return errors.New("aesgcm: key schedule built for a different key or H")
 	}
 	ctBlocks := (cfg.Length + BlockSize - 1) / BlockSize
 	aadBlocks := (len(cfg.AAD) + BlockSize - 1) / BlockSize
 	// Exponents run up to aadBlocks+ctBlocks+1 (the +1 is the lengths
 	// block, which always multiplies last and therefore carries H^1;
 	// earlier blocks carry correspondingly higher powers).
-	ks.powers.grow(aadBlocks + ctBlocks + 1)
-	e := &CachelineEngine{
-		dir:       dir,
-		cipher:    ks.cipher,
-		powers:    ks.powers,
-		length:    cfg.Length,
-		ctBlocks:  ctBlocks,
-		totalCLs:  (cfg.Length + CachelineSize - 1) / CachelineSize,
-		processed: make([]bool, (cfg.Length+CachelineSize-1)/CachelineSize),
-	}
+	k.powers.grow(aadBlocks + ctBlocks + 1)
+	totalCLs := (cfg.Length + CachelineSize - 1) / CachelineSize
+	e.dir, e.cipher, e.powers = dir, k.cipher, k.powers
+	e.length, e.ctBlocks, e.totalCLs, e.doneCLs = cfg.Length, ctBlocks, totalCLs, 0
+	e.processed = slices.Grow(e.processed[:0], totalCLs)[:totalCLs]
+	clear(e.processed)
 	copy(e.eiv[:], cfg.EIV)
 	for b := 0; b < CachelineSize; b += BlockSize {
 		copy(e.ctr[b:], cfg.IV)
@@ -164,15 +166,15 @@ func newEngine(dir Direction, cfg RecordConfig, ks *KeySchedule) (*CachelineEngi
 	for j := 0; j < aadBlocks; j++ {
 		var blk [BlockSize]byte
 		copy(blk[:], cfg.AAD[j*BlockSize:])
-		acc.add(LoadEl(blk[:]), ks.powers.powers[exp-1])
+		acc.add(LoadEl(blk[:]), k.powers.powers[exp-1])
 		exp--
 	}
 	var lenBlk [BlockSize]byte
 	binary.BigEndian.PutUint64(lenBlk[0:8], uint64(len(cfg.AAD))*8)
 	binary.BigEndian.PutUint64(lenBlk[8:16], uint64(cfg.Length)*8)
-	acc.add(LoadEl(lenBlk[:]), ks.powers.powers[0])
+	acc.add(LoadEl(lenBlk[:]), k.powers.powers[0])
 	e.partial = acc.reduce()
-	return e, nil
+	return nil
 }
 
 // Remaining returns how many cachelines have not yet been processed.
@@ -261,16 +263,14 @@ func (e *CachelineEngine) foldCiphertext(ct []byte, off int) {
 // Tag returns the final authentication tag. It errors until every
 // cacheline has been processed — in hardware the tag lands in the
 // record trailer "after the entire sbuf is encrypted".
-func (e *CachelineEngine) Tag() ([]byte, error) {
+func (e *CachelineEngine) Tag() ([TagSize]byte, error) {
+	var s [TagSize]byte
 	if !e.Done() {
-		return nil, fmt.Errorf("aesgcm: tag not final, %d cachelines pending", e.Remaining())
+		return s, fmt.Errorf("aesgcm: tag not final, %d cachelines pending", e.Remaining())
 	}
-	var s [BlockSize]byte
 	e.partial.Store(s[:])
-	for i := range s {
-		s[i] ^= e.eiv[i]
-	}
-	return s[:], nil
+	subtle.XORBytes(s[:], s[:], e.eiv[:])
+	return s, nil
 }
 
 // VerifyTag compares the engine's final tag with the received one in
@@ -280,7 +280,7 @@ func (e *CachelineEngine) VerifyTag(tag []byte) error {
 	if err != nil {
 		return err
 	}
-	if subtle.ConstantTimeCompare(want, tag) != 1 {
+	if subtle.ConstantTimeCompare(want[:], tag) != 1 {
 		return ErrAuth
 	}
 	return nil

@@ -175,7 +175,7 @@ func TestEngineMatchesSealInOrder(t *testing.T) {
 		if !bytes.Equal(ct, want[:size]) {
 			t.Fatalf("size %d: ciphertext mismatch", size)
 		}
-		if !bytes.Equal(tag, want[size:]) {
+		if !bytes.Equal(tag[:], want[size:]) {
 			t.Fatalf("size %d: tag mismatch: %x vs %x", size, tag, want[size:])
 		}
 	}
@@ -220,7 +220,7 @@ func TestEngineOutOfOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ct, want[:size]) || !bytes.Equal(tag, want[size:]) {
+		if !bytes.Equal(ct, want[:size]) || !bytes.Equal(tag[:], want[size:]) {
 			t.Fatalf("trial %d: out-of-order result differs from in-order", trial)
 		}
 	}
@@ -378,7 +378,7 @@ func TestEngineZeroLengthRecord(t *testing.T) {
 	}
 	g, _ := NewGCM([]byte("0123456789abcdef"))
 	want, _ := g.Seal(nil, []byte("abcdefghijkl"), nil, nil)
-	if !bytes.Equal(tag, want) {
+	if !bytes.Equal(tag[:], want) {
 		t.Fatal("zero-length tag mismatch")
 	}
 }

@@ -56,14 +56,20 @@ func (g *GCM) H() []byte {
 // EIV returns E_K(J0), the encrypted initial counter block for the given
 // 96-bit IV — the "EIV" the CPU supplies to the DSA so the final tag can
 // be produced entirely near memory (§V-A, Fig. 7).
-func (g *GCM) EIV(iv []byte) ([]byte, error) {
+func (g *GCM) EIV(iv []byte) ([]byte, error) { return g.AppendEIV(nil, iv) }
+
+// AppendEIV appends the EIV for iv to dst and returns the extended
+// slice; a caller that keeps a 16-byte buffer computes it without
+// allocating.
+func (g *GCM) AppendEIV(dst, iv []byte) ([]byte, error) {
 	j0, err := counterBlock(iv, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := j0[:]
-	g.cipher.Encrypt(out, out)
-	return out, nil
+	n := len(dst)
+	dst = append(dst, j0[:]...)
+	g.cipher.Encrypt(dst[n:], dst[n:])
+	return dst, nil
 }
 
 // counterBlock builds the CTR block for a 96-bit IV with the given

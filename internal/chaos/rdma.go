@@ -168,7 +168,7 @@ func (s *rdmaSoak) forceUnregisterInFlight() {
 		s.violate("op %d: quiesce found no MR for conn %d", s.op, conn.ID)
 		return
 	}
-	snap, _, err := s.sys.DMAOut(conn.Src, 1024)
+	snap, _, err := s.sys.DMAOut(nil, conn.Src, 1024)
 	if err != nil {
 		s.violate("op %d: unregister-race snapshot: %v", s.op, err)
 		return
@@ -180,7 +180,7 @@ func (s *rdmaSoak) forceUnregisterInFlight() {
 	// The ring may be eaten by injected doorbell loss; only a delivered
 	// ring must produce the clean "stale" failure.
 	if s.nic.Stats().Failed > failedBefore {
-		now, _, err := s.sys.DMAOut(conn.Src, 1024)
+		now, _, err := s.sys.DMAOut(nil, conn.Src, 1024)
 		if err != nil {
 			s.violate("op %d: unregister-race readback: %v", s.op, err)
 		} else if !bytes.Equal(snap, now) {
@@ -221,7 +221,7 @@ func (s *rdmaSoak) forceMigrationInFlight() {
 		s.readmitAll()
 		return
 	}
-	oldSnap, _, err := s.sys.DMAOut(oldSrc, len(data))
+	oldSnap, _, err := s.sys.DMAOut(nil, oldSrc, len(data))
 	if err != nil {
 		s.violate("op %d: migration-race snapshot: %v", s.op, err)
 		return
@@ -231,7 +231,7 @@ func (s *rdmaSoak) forceMigrationInFlight() {
 		s.violate("op %d: migration-race ring: %v", s.op, err)
 	}
 	if s.nic.Stats().Completed > completedBefore {
-		oldNow, _, err := s.sys.DMAOut(oldSrc, len(data))
+		oldNow, _, err := s.sys.DMAOut(nil, oldSrc, len(data))
 		if err != nil {
 			s.violate("op %d: migration-race readback: %v", s.op, err)
 		} else if !bytes.Equal(oldSnap, oldNow) {

@@ -90,7 +90,7 @@ func (r *rawDevice) registerTLS(cycle int64, payloadLen int, key, iv []byte) (ui
 			H: g.H(), EIV: eiv, PayloadLen: payloadLen},
 		Length: payloadLen,
 	}
-	raw, err := marshalContext(ctx)
+	raw, err := marshalContext(nil, ctx)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -310,16 +310,16 @@ func TestDestCoverage(t *testing.T) {
 }
 
 func TestMarshalContextErrors(t *testing.T) {
-	if _, err := marshalContext(&OffloadContext{Op: OpTLSEncrypt}); err == nil {
+	if _, err := marshalContext(nil, &OffloadContext{Op: OpTLSEncrypt}); err == nil {
 		t.Fatal("TLS opcode without context accepted")
 	}
-	if _, err := marshalContext(&OffloadContext{Op: OpNone}); err == nil {
+	if _, err := marshalContext(nil, &OffloadContext{Op: OpNone}); err == nil {
 		t.Fatal("OpNone accepted")
 	}
 	bad := &OffloadContext{Op: OpTLSEncrypt, TLS: &TLSContext{
 		Key: make([]byte, 16), IV: make([]byte, 12), H: make([]byte, 8), EIV: make([]byte, 16),
 	}}
-	if _, err := marshalContext(bad); err == nil {
+	if _, err := marshalContext(nil, bad); err == nil {
 		t.Fatal("short H accepted")
 	}
 }
@@ -351,7 +351,7 @@ func TestBuildDSAErrors(t *testing.T) {
 		"negative-wraps-large": {ParallelWindow: 8, WindowSize: -1},
 	}
 	for name, cfg := range bad {
-		raw, err := marshalContext(&OffloadContext{Op: OpCompress, HW: cfg})
+		raw, err := marshalContext(nil, &OffloadContext{Op: OpCompress, HW: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestBuildDSAErrors(t *testing.T) {
 		{ParallelWindow: 1, Banks: 3, TableEntries: 3},
 	}
 	for _, cfg := range good {
-		raw, _ := marshalContext(&OffloadContext{Op: OpCompress, HW: cfg})
+		raw, _ := marshalContext(nil, &OffloadContext{Op: OpCompress, HW: cfg})
 		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)
 		}
@@ -393,7 +393,7 @@ func TestEncoderSlot(t *testing.T) {
 		before := enc
 		if _, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc); err == nil {
 			built++
-		} else if enc != before {
+		} else if enc.cfg != before.cfg || enc.enc != before.enc || enc.page != before.page {
 			t.Fatalf("rejected config %x replaced the encoder", raw)
 		}
 		if enc.enc != nil && (enc.cfg.TableEntries > maxDSATableEntries || enc.cfg.Banks > enc.cfg.TableEntries) {

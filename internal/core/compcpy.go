@@ -81,6 +81,10 @@ type Driver struct {
 	limitPage uint64
 	freeLists map[int][]uint64 // free buffer lists keyed by page count
 	stats     DriverStats
+	// line is the 64-byte buffer of every host access on the CompCpy
+	// path. A stack array passed through the Host interface would move
+	// to the heap on each call; the host copies what it keeps.
+	line [dram.CachelineSize]byte
 }
 
 // NewDriver binds a driver to the host memory system. base is the global
@@ -173,8 +177,8 @@ func (d *Driver) FreePages(addr uint64, n int) {
 
 // readStatus refreshes freePages from the device's MMIO status word.
 func (d *Driver) readStatus() (free int64, pendingCount int64, err error) {
-	var buf [dram.CachelineSize]byte
-	if _, err := d.host.MMIORead(d.MMIOBase, buf[:]); err != nil {
+	buf := d.line[:]
+	if _, err := d.host.MMIORead(d.MMIOBase, buf); err != nil {
 		return 0, 0, err
 	}
 	d.stats.StatusReads++
@@ -193,9 +197,9 @@ func (d *Driver) forceRecycle(requiredToBeFree int) error {
 		return err
 	}
 	freed := 0
-	var buf [dram.CachelineSize]byte
+	buf := d.line[:]
 	for chunk := 0; int64(chunk*8) < pending; chunk++ {
-		if _, err := d.host.MMIORead(d.MMIOBase+uint64(chunk+1)*dram.CachelineSize, buf[:]); err != nil {
+		if _, err := d.host.MMIORead(d.MMIOBase+uint64(chunk+1)*dram.CachelineSize, buf); err != nil {
 			return err
 		}
 		for i := 0; i < 8 && int64(chunk*8+i) < pending; i++ {
@@ -289,15 +293,15 @@ func (d *Driver) CompCpy(core int, dbuf, sbuf uint64, size int, ctx *OffloadCont
 	// Lines 24-31: the copy itself, optionally ordered. The unordered
 	// copy overlaps outstanding misses (memMLP); the ordered variant
 	// serializes on the fence between 64-byte segments.
-	var line [dram.CachelineSize]byte
+	line := d.line[:]
 	var copyLat int64
 	for off := 0; off < size; off += dram.CachelineSize {
-		rl, err := d.host.Read64(core, sbuf+uint64(off), line[:])
+		rl, err := d.host.Read64(core, sbuf+uint64(off), line)
 		if err != nil {
 			d.abortOffload(sbuf)
 			return 0, err
 		}
-		wl, err := d.host.Write64(core, dbuf+uint64(off), line[:])
+		wl, err := d.host.Write64(core, dbuf+uint64(off), line)
 		if err != nil {
 			d.abortOffload(sbuf)
 			return 0, err
@@ -370,7 +374,8 @@ const memMLP = 4
 // register transmits the per-page registration headers and the record
 // context through the MMIO window (S17).
 func (d *Driver) register(sbuf, dbuf uint64, size, nPages int, ctx *OffloadContext) (int64, error) {
-	raw, err := marshalContext(ctx)
+	var buf [maxContextBytes]byte
+	raw, err := marshalContext(buf[:0], ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -383,11 +388,9 @@ func (d *Driver) register(sbuf, dbuf uint64, size, nPages int, ctx *OffloadConte
 		return 0, fmt.Errorf("core: record length %d exceeds CompCpy size %d", recordLen, size)
 	}
 	var elapsed int64
-	var hdr [dram.CachelineSize]byte
+	hdr := d.line[:]
 	for p := 0; p < nPages; p++ {
-		for i := range hdr {
-			hdr[i] = 0
-		}
+		clear(hdr)
 		binary.LittleEndian.PutUint16(hdr[0:], regMagic)
 		hdr[2] = byte(ctx.Op)
 		ctxLen := 0
@@ -400,17 +403,16 @@ func (d *Driver) register(sbuf, dbuf uint64, size, nPages int, ctx *OffloadConte
 		binary.LittleEndian.PutUint64(hdr[16:], d.localPage(dbuf)+uint64(p))
 		binary.LittleEndian.PutUint32(hdr[24:], uint32(recordLen))
 		binary.LittleEndian.PutUint64(hdr[28:], d.localPage(sbuf))
-		lat, err := d.host.MMIOWrite(d.MMIOBase, hdr[:])
+		lat, err := d.host.MMIOWrite(d.MMIOBase, hdr)
 		if err != nil {
 			return 0, err
 		}
 		elapsed += lat
 		if p == 0 {
 			for off := 0; off < len(raw); off += dram.CachelineSize {
-				var chunk [dram.CachelineSize]byte
-				copy(chunk[:], raw[off:])
+				clear(hdr[copy(hdr, raw[off:]):])
 				k := off / dram.CachelineSize
-				lat, err := d.host.MMIOWrite(d.MMIOBase+uint64(k+1)*dram.CachelineSize, chunk[:])
+				lat, err := d.host.MMIOWrite(d.MMIOBase+uint64(k+1)*dram.CachelineSize, hdr)
 				if err != nil {
 					return 0, err
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -27,7 +28,13 @@ type rig struct {
 // contention that exercises self-recycling).
 func newRig(t testing.TB, llcBytes int, llcWays int) *rig {
 	t.Helper()
-	dev, err := NewDevice(PaperDeviceConfig(dram.SmallGeometry()))
+	return newRigConfig(t, PaperDeviceConfig(dram.SmallGeometry()), llcBytes, llcWays)
+}
+
+// newRigConfig is newRig over a device sized by cfg.
+func newRigConfig(t testing.TB, cfg DeviceConfig, llcBytes int, llcWays int) *rig {
+	t.Helper()
+	dev, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +597,7 @@ func TestBuildDSARejectsUnknownDirection(t *testing.T) {
 		ctx := tlsOffloadContext(t, aesgcm.Decrypt, key, iv, nil, 100)
 		ctx.Op = op
 		ctx.TLS.Direction = 2
-		raw, err := marshalContext(ctx)
+		raw, err := marshalContext(nil, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -634,8 +641,8 @@ func TestFeedDSAZeroAllocs(t *testing.T) {
 // registered, its 64 source rdCAS, including the one that runs the
 // encoder and frames the page into the Scratchpad, allocate nothing.
 // Consecutive records re-register the same pages, which retires the
-// previous record, so each takes the source buffer its predecessor
-// returned to the free list.
+// previous record, so each takes the DSA, source buffer included, that
+// its predecessor returned to the free list.
 func TestCompressRecordZeroAllocs(t *testing.T) {
 	r := newRig(t, 256*1024, 8)
 	sbuf, _ := r.driver.AllocPages(1)
@@ -646,7 +653,7 @@ func TestCompressRecordZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var line [dram.CachelineSize]byte
 	var before, after runtime.MemStats
-	var firstBuf *srcBuf
+	var first *deflateDSA
 	const records = 5
 	for i := 0; i < records; i++ {
 		data := corpus.Generate(corpus.HTML, MaxCompressInput, int64(i))
@@ -663,11 +670,11 @@ func TestCompressRecordZeroAllocs(t *testing.T) {
 		if !ok {
 			t.Fatal("source page not registered")
 		}
-		buf := tr.rec.dsa.(*deflateDSA).src
+		dsa := tr.rec.dsa.(*deflateDSA)
 		if i == 0 {
-			firstBuf = buf
-		} else if buf != firstBuf {
-			t.Fatalf("record %d did not reuse the retired record's source buffer", i)
+			first = dsa
+		} else if dsa != first {
+			t.Fatalf("record %d did not reuse the retired record's DSA and source buffer", i)
 		}
 		runtime.ReadMemStats(&before)
 		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
@@ -691,5 +698,245 @@ func TestCompressRecordZeroAllocs(t *testing.T) {
 	}
 	if st := r.dev.Stats(); st.DSALinesFed != records*LinesPerPage || st.DSAErrors != 0 {
 		t.Fatalf("fed %d lines with %d DSA errors, want %d and 0", st.DSALinesFed, st.DSAErrors, records*LinesPerPage)
+	}
+}
+
+// TestTLSRecordZeroAllocs checks that once the device has served a TLS
+// record, later records on the same key allocate nothing from
+// registration to retirement: CompCpy (status read, registration and
+// context, the source rdCAS through the DSA into the Scratchpad) and the
+// destination flush whose writebacks self-recycle every line. Each
+// record re-registers the same two pages; the output must match
+// crypto/cipher's GCM.
+func TestTLSRecordZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	const payload = PageSize // with the tag, a two-page record
+	sbuf, _ := r.driver.AllocPages(2)
+	dbuf, _ := r.driver.AllocPages(2)
+	key := []byte("0123456789abcdef")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	const records = 5
+	for i := 0; i < records; i++ {
+		iv := []byte("abcdefghijk" + string(rune('a'+i)))
+		aad := []byte{0x17, 0x03, 0x03, byte(i), 0}
+		pt := corpus.Generate(corpus.Text, payload, int64(i))
+		if _, err := r.driver.WriteBuffer(0, sbuf, pt); err != nil {
+			t.Fatal(err)
+		}
+		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, aad, payload)
+		runtime.ReadMemStats(&before)
+		if _, err := r.driver.CompCpy(0, dbuf, sbuf, payload+TagSize, ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.hier.Flush(dbuf, payload+TagSize); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		// The first record backs the device's pools, key schedule and
+		// Scratchpad pages.
+		if n := after.Mallocs - before.Mallocs; i > 0 && n != 0 {
+			t.Fatalf("record %d: %d allocs from registration to retirement, want 0", i, n)
+		}
+		if n := r.dev.InFlightRecords(); n != 0 {
+			t.Fatalf("record %d: %d records in flight after the flush, want 0 (retired)", i, n)
+		}
+		got, _, err := r.driver.Use(0, dbuf, payload+TagSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stdSeal(t, key, iv, pt, aad); !bytes.Equal(got, want) {
+			t.Fatalf("record %d: ciphertext||tag differs from crypto/cipher", i)
+		}
+	}
+	st := r.dev.Stats()
+	if st.DSAErrors != 0 || st.RecordAborts != 0 || st.PagesRecycled != 2*records {
+		t.Fatalf("%d DSA errors, %d aborts, %d pages recycled; want 0, 0, %d", st.DSAErrors, st.RecordAborts, st.PagesRecycled, 2*records)
+	}
+}
+
+// backedPages counts the Scratchpad pages that hold host memory.
+func backedPages(d *Device) int {
+	n := 0
+	for _, p := range d.sp.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// registerTLS registers (without copying) a one-page TLS record of n
+// payload bytes on fresh source and destination pages.
+func registerTLS(t *testing.T, r *rig, n int) (sbuf, dbuf uint64, err error) {
+	t.Helper()
+	sbuf, _ = r.driver.AllocPages(1)
+	dbuf, _ = r.driver.AllocPages(1)
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, []byte("0123456789abcdef"), []byte("abcdefghijkl"), nil, n)
+	_, err = r.driver.register(sbuf, dbuf, n+TagSize, 1, ctx)
+	return sbuf, dbuf, err
+}
+
+// TestScratchpadBacksPagesOnFirstUse checks that Scratchpad pages hold
+// host memory only once a record takes them: records served one at a
+// time back one page, k records held open back k pages, the device
+// still runs out at exactly ScratchpadPages, and a reused page never
+// serves the bytes of the record that used it before.
+func TestScratchpadBacksPagesOnFirstUse(t *testing.T) {
+	key, iv := []byte("0123456789abcdef"), []byte("abcdefghijkl")
+	r := newRig(t, 256*1024, 8)
+	if n := backedPages(r.dev); n != 0 {
+		t.Fatalf("fresh device backs %d pages, want 0", n)
+	}
+	for i := 0; i < 4; i++ {
+		runTLSEncrypt(t, r, key, iv, nil, corpus.Generate(corpus.Text, 1000, int64(i)))
+		if free := r.dev.ScratchpadFreePages(); free != r.dev.cfg.ScratchpadPages {
+			t.Fatalf("record %d: %d free pages after its use, want all %d", i, free, r.dev.cfg.ScratchpadPages)
+		}
+		if n := backedPages(r.dev); n != 1 {
+			t.Fatalf("record %d: %d backed pages, want 1", i, n)
+		}
+	}
+
+	r = newRig(t, 256*1024, 8)
+	const open = 5
+	for i := 0; i < open; i++ {
+		if _, _, err := registerTLS(t, r, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := backedPages(r.dev); n != open {
+		t.Fatalf("%d records open back %d pages, want %d", open, n, open)
+	}
+
+	cfg := PaperDeviceConfig(dram.SmallGeometry())
+	cfg.ScratchpadPages, cfg.ConfigPages = 16, 64
+	r = newRigConfig(t, cfg, 256*1024, 8)
+	for i := 0; i < cfg.ScratchpadPages; i++ {
+		if _, _, err := registerTLS(t, r, 1000); err != nil {
+			t.Fatalf("record %d of %d: %v", i, cfg.ScratchpadPages, err)
+		}
+	}
+	if _, _, err := registerTLS(t, r, 1000); !errors.Is(err, ErrNoScratchpad) {
+		t.Fatalf("record %d: err = %v, want ErrNoScratchpad", cfg.ScratchpadPages, err)
+	}
+	if n := backedPages(r.dev); n != cfg.ScratchpadPages {
+		t.Fatalf("full device backs %d pages, want %d", n, cfg.ScratchpadPages)
+	}
+
+	// The page record 1 used holds its ciphertext; record 2 takes the
+	// same page, and a read of a line its DSA has not produced yet must
+	// assert ALERT_N (S13), not serve record 1's bytes.
+	r = newRig(t, 256*1024, 8)
+	runTLSEncrypt(t, r, key, iv, nil, corpus.Generate(corpus.Text, 1000, 1))
+	_, dbuf, err := registerTLS(t, r, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := backedPages(r.dev); n != 1 {
+		t.Fatalf("second record backs %d pages, want the first record's 1", n)
+	}
+	alerts := r.dev.Stats().Alerts
+	var line [dram.CachelineSize]byte
+	if _, err := r.hier.Channels[0].Ctl.Read(dbuf, 0, line[:]); !errors.Is(err, memctrl.ErrAlertRetryExhausted) {
+		t.Fatalf("read of a pending line: err = %v, want ALERT_N retries exhausted", err)
+	}
+	if r.dev.Stats().Alerts == alerts {
+		t.Fatal("read of a pending line on a reused page asserted no ALERT_N")
+	}
+}
+
+// pendingList is the Force-Recycle page list as the MMIO config space
+// reported it when it built the whole list per read: the destination
+// pages of the in-use Scratchpad pages, in page order.
+func pendingList(d *Device) []uint64 {
+	var out []uint64
+	for _, p := range d.sp.pages {
+		if p != nil && p.inUse {
+			out = append(out, p.dbufPage)
+		}
+	}
+	return out
+}
+
+// TestMMIOReadsMatchPendingList checks the MMIO status word and the
+// pending-page chunks against the list-built reference on a device
+// holding pending pages around holes a retired and an aborted record
+// left, and that a status read allocates nothing.
+func TestMMIOReadsMatchPendingList(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	var srcs []uint64
+	for i := 0; i < 12; i++ {
+		sbuf, _, err := registerTLS(t, r, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, sbuf)
+	}
+	r.driver.abortOffload(srcs[3])
+	r.driver.abortOffload(srcs[7])
+	runTLSEncrypt(t, r, []byte("0123456789abcdef"), []byte("abcdefghijkl"), nil, make([]byte, 1000))
+	list := pendingList(r.dev)
+	if len(list) != 10 || backedPages(r.dev) != 12 {
+		t.Fatalf("%d pending of %d backed pages, want 10 of 12", len(list), backedPages(r.dev))
+	}
+
+	var got [dram.CachelineSize]byte
+	read := func(off uint64) []byte {
+		t.Helper()
+		if err := r.dev.mmioRead(r.dev.mmioBase+off, dram.Command{}, got[:]); err != nil {
+			t.Fatal(err)
+		}
+		return got[:]
+	}
+	var want [dram.CachelineSize]byte
+	binary.LittleEndian.PutUint64(want[0:], uint64(r.dev.sp.freePages()))
+	binary.LittleEndian.PutUint64(want[8:], uint64(len(list)))
+	binary.LittleEndian.PutUint64(want[16:], r.dev.stats.AuthFailures)
+	binary.LittleEndian.PutUint64(want[24:], uint64(r.dev.sp.occupancyBytes()))
+	if !bytes.Equal(read(0), want[:]) {
+		t.Fatalf("status read %x, want %x", got, want)
+	}
+	for chunk := 0; chunk < 3; chunk++ {
+		want = [dram.CachelineSize]byte{}
+		for i := 0; i < 8 && chunk*8+i < len(list); i++ {
+			binary.LittleEndian.PutUint64(want[i*8:], list[chunk*8+i])
+		}
+		if !bytes.Equal(read(uint64(chunk+1)*dram.CachelineSize), want[:]) {
+			t.Fatalf("chunk %d read %x, want %x", chunk, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { read(0) }); n != 0 {
+		t.Fatalf("status read: %v allocs, want 0", n)
+	}
+}
+
+// TestRetiredRecordDisownsTranslations checks the generation stamp that
+// keeps pooled records sound: once a record is torn down and its struct
+// serves the next record, a translation made for the old record no
+// longer names an owner, so retirePage and abortRecord cannot take it
+// for the new record's.
+func TestRetiredRecordDisownsTranslations(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _, err := registerTLS(t, r, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+	if !ok || tr.owner() == nil {
+		t.Fatal("registered source page has no owning record")
+	}
+	stale := *tr
+	r.driver.abortOffload(sbuf)
+	sbuf, _, err = registerTLS(t, r, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _ = r.dev.tt.Lookup(r.driver.localPage(sbuf))
+	if tr.rec != stale.rec {
+		t.Fatal("the second record did not reuse the aborted record's struct")
+	}
+	if tr.owner() != stale.rec || stale.owner() != nil {
+		t.Fatalf("owner of the live entry = %p, of the stale one = %p; want the record and nil", tr.owner(), stale.owner())
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/cuckoo"
 	"repro/internal/dram"
@@ -74,26 +75,34 @@ type DeviceStats struct {
 // Device is the SmartDIMM buffer device: a dram.Module interposed
 // between the memory controller and the DRAM chips.
 type Device struct {
-	cfg      DeviceConfig
-	chips    *dram.Chips
-	mapper   *dram.Mapper
-	bank     []int32 // the buffer device's own Bank Table (§IV-C)
-	tt       *cuckoo.Table[*translation]
-	sp       *scratchpad
-	cm       *configMem
+	cfg    DeviceConfig
+	chips  *dram.Chips
+	mapper *dram.Mapper
+	bank   []int32 // the buffer device's own Bank Table (§IV-C)
+	tt     *cuckoo.Table[*translation]
+	sp     *scratchpad
+	// cfgFree counts the free Config Memory pages (§IV-C): a source page
+	// holds one while registered. The context bytes themselves are
+	// parsed as the last of them arrives, so only the count is kept.
+	cfgFree  int
 	mmioBase uint64
-	// reg is the in-flight registration awaiting context bytes; the
-	// CompCpy lock serializes registrations so a single cursor suffices.
-	reg   *regState
+	// reg is the in-flight registration awaiting context bytes (none
+	// while reg.rec is nil); the CompCpy lock serializes registrations so
+	// a single cursor suffices.
+	reg   regState
 	stats DeviceStats
 	// records maps the record's first source page to its record for
 	// multi-page attach.
 	records map[uint64]*record
-	// keys holds the TLS key schedules of recent records, at most one
-	// per Config Memory page.
+	// freeRecs and freeTrs hold retired records and Translation Table
+	// entries for reuse (takeFree).
+	freeRecs []*record
+	freeTrs  []*translation
+	// keys holds the TLS DSA state: the key schedules of recent
+	// records, at most one per Config Memory page, and retired DSAs.
 	keys *scheduleCache
 	// enc holds the Deflate DSA encoder of the last compression record,
-	// the page it frames into and the free source buffers.
+	// the page it frames into and retired DSAs.
 	enc encoderSlot
 	// lines is the buffer every DSA appends its destination lines to;
 	// feedDSA places them before the next source line is fed.
@@ -114,11 +123,11 @@ type Device struct {
 }
 
 type regState struct {
-	rec     *record
-	ctxLen  int
-	rx      int
-	cfgIdx  int
-	srcPage uint64
+	rec    *record
+	ctxLen int
+	// ctx accumulates the context bytes; every registration reuses its
+	// buffer.
+	ctx []byte
 }
 
 // NewDevice builds a SmartDIMM over fresh DRAM chips.
@@ -137,7 +146,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		bank:    make([]int32, cfg.Geometry.TotalBanks()),
 		tt:      cuckoo.New[*translation](3*(cfg.ScratchpadPages+cfg.ConfigPages), cuckoo.DefaultWays, cuckoo.DefaultCAMEntries),
 		sp:      newScratchpad(cfg.ScratchpadPages),
-		cm:      newConfigMem(cfg.ConfigPages),
+		cfgFree: cfg.ConfigPages,
 		records: make(map[uint64]*record),
 		keys:    newScheduleCache(cfg.ConfigPages),
 	}
@@ -185,16 +194,13 @@ func (d *Device) ScratchpadOccupancyBytes() int { return d.sp.occupancyBytes() }
 // ScratchpadFreePages returns the free Scratchpad page count.
 func (d *Device) ScratchpadFreePages() int { return d.sp.freePages() }
 
-// PendingPages returns the destination pages not yet fully recycled.
-func (d *Device) PendingPages() []uint64 { return d.sp.pendingPages() }
-
 // TranslationStats exposes the cuckoo table statistics for the §IV-C
 // ablation.
 func (d *Device) TranslationStats() cuckoo.Stats { return d.tt.Stats() }
 
 // ConfigFreePages returns the free Config Memory page count (the chaos
 // soak's conservation invariant reads it alongside ScratchpadFreePages).
-func (d *Device) ConfigFreePages() int { return d.cm.freePages() }
+func (d *Device) ConfigFreePages() int { return d.cfgFree }
 
 // TranslationCount returns the live Translation Table entry count.
 func (d *Device) TranslationCount() int { return d.tt.Len() }
@@ -272,7 +278,7 @@ func (d *Device) handleRead(cycle int64, cmd dram.Command, rdata []byte) (bool, 
 		return false, nil
 	}
 	// Destination page: S8-S13.
-	sp := &d.sp.pages[tr.spIdx]
+	sp := d.sp.pages[tr.spIdx]
 	lineIdx := int(phys%PageSize) / dram.CachelineSize
 	switch sp.state[lineIdx] {
 	case lineRecycled:
@@ -316,7 +322,7 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 		d.stats.SourceWrites++
 		return false, d.chips.Write(cmd, wdata)
 	}
-	sp := &d.sp.pages[tr.spIdx]
+	sp := d.sp.pages[tr.spIdx]
 	lineIdx := int(phys%PageSize) / dram.CachelineSize
 	switch sp.state[lineIdx] {
 	case lineReady:
@@ -349,7 +355,7 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 // feedDSA sends one source cacheline to the record's DSA and stores the
 // produced destination lines in the Scratchpad.
 func (d *Device) feedDSA(cycle int64, tr *translation, phys uint64, data []byte) {
-	rec := tr.rec
+	rec := tr.owner()
 	if rec == nil || rec.dsa == nil {
 		d.stats.DSAErrors++
 		if rec != nil {
@@ -408,7 +414,7 @@ func (d *Device) placeDestLine(cycle int64, rec *record, dl *destLine) {
 		d.stats.DSAErrors++
 		return
 	}
-	sp := &d.sp.pages[tr.spIdx]
+	sp := d.sp.pages[tr.spIdx]
 	off := dl.RecOff % PageSize
 	lineIdx := off / dram.CachelineSize
 	copy(sp.data[off:off+dram.CachelineSize], dl.Data[:])
@@ -428,20 +434,19 @@ func (d *Device) evictStale(page uint64) {
 	if tr.isSource {
 		// Source translations normally retire with their record; a
 		// straggler means the record's destinations are being reused.
-		d.cm.release(tr.cfgIdx)
-		d.tt.Delete(page)
+		d.cfgFree++
+		d.untrack(page, tr)
 		return
 	}
-	sp := &d.sp.pages[tr.spIdx]
-	d.retirePage(tr, sp)
+	d.retirePage(tr, d.sp.pages[tr.spIdx])
 }
 
 // retirePage frees a fully recycled Scratchpad page and, when the whole
 // record is done, its Config Memory pages and source translations.
 func (d *Device) retirePage(tr *translation, sp *spPage) {
 	rec := sp.rec
-	d.tt.Delete(sp.dbufPage)
 	d.sp.release(tr.spIdx)
+	d.untrack(sp.dbufPage, tr)
 	d.stats.PagesRecycled++
 	d.traceInstant("page-recycled")
 	rec.donePages++
@@ -449,15 +454,15 @@ func (d *Device) retirePage(tr *translation, sp *spPage) {
 		for _, src := range rec.srcPages {
 			// Only drop translations still belonging to this record — a
 			// buffer-reusing successor may have registered the same page.
-			if st, ok := d.tt.Lookup(src); ok && st.isSource && st.rec == rec {
-				d.cm.release(st.cfgIdx)
-				d.tt.Delete(src)
+			if st, ok := d.tt.Lookup(src); ok && st.isSource && st.owner() == rec {
+				d.cfgFree++
+				d.untrack(src, st)
 			}
 		}
 		if d.records[rec.srcPages[0]] == rec {
 			delete(d.records, rec.srcPages[0])
 		}
-		d.enc.release(rec)
+		d.freeRecord(rec)
 	}
 }
 
@@ -467,24 +472,21 @@ func (d *Device) retirePage(tr *translation, sp *spPage) {
 // DIMM again (no stranded pending lines asserting ALERT_N forever).
 func (d *Device) abortRecord(rec *record) {
 	for _, dp := range rec.destPages {
-		if tr, ok := d.tt.Lookup(dp); ok && !tr.isSource && tr.rec == rec {
+		if tr, ok := d.tt.Lookup(dp); ok && !tr.isSource && tr.owner() == rec {
 			d.sp.release(tr.spIdx)
-			d.tt.Delete(dp)
+			d.untrack(dp, tr)
 		}
 	}
 	for _, sp := range rec.srcPages {
-		if tr, ok := d.tt.Lookup(sp); ok && tr.isSource && tr.rec == rec {
-			d.cm.release(tr.cfgIdx)
-			d.tt.Delete(sp)
+		if tr, ok := d.tt.Lookup(sp); ok && tr.isSource && tr.owner() == rec {
+			d.cfgFree++
+			d.untrack(sp, tr)
 		}
 	}
 	if len(rec.srcPages) > 0 && d.records[rec.srcPages[0]] == rec {
 		delete(d.records, rec.srcPages[0])
 	}
-	if d.reg != nil && d.reg.rec == rec {
-		d.reg = nil
-	}
-	d.enc.release(rec)
+	d.freeRecord(rec)
 	d.stats.RecordAborts++
 	d.traceInstant("record-abort")
 }
@@ -497,9 +499,56 @@ func (d *Device) abortByPage(page uint64) {
 		d.abortRecord(rec)
 		return
 	}
-	if tr, ok := d.tt.Lookup(page); ok && tr.rec != nil {
-		d.abortRecord(tr.rec)
+	if tr, ok := d.tt.Lookup(page); ok {
+		if rec := tr.owner(); rec != nil {
+			d.abortRecord(rec)
+		}
 	}
+}
+
+// newRecord takes a retired record from the free list, or makes one,
+// and starts it as an op record of length bytes.
+func (d *Device) newRecord(op Opcode, length int) *record {
+	rec := takeFree(&d.freeRecs)
+	lines := (length + dram.CachelineSize - 1) / dram.CachelineSize
+	rec.op, rec.length, rec.donePages = op, length, 0
+	rec.srcPages, rec.destPages = rec.srcPages[:0], rec.destPages[:0]
+	rec.processed = slices.Grow(rec.processed[:0], lines)[:lines]
+	clear(rec.processed)
+	return rec
+}
+
+// freeRecord retires rec once nothing maps to it any more: its DSA
+// state returns to the device's free lists, and the generation bump
+// disowns any translation that still names it before the struct itself
+// joins the free list.
+func (d *Device) freeRecord(rec *record) {
+	d.releaseDSA(rec)
+	if d.reg.rec == rec {
+		d.reg.rec = nil
+	}
+	rec.gen++
+	d.freeRecs = append(d.freeRecs, rec)
+}
+
+// track inserts entry t for page into the Translation Table, stamped
+// with its record's generation, in a struct from the free list.
+func (d *Device) track(page uint64, t translation) error {
+	tr := takeFree(&d.freeTrs)
+	*tr = t
+	tr.gen = t.rec.gen
+	if err := d.tt.Insert(page, tr); err != nil {
+		d.freeTrs = append(d.freeTrs, tr)
+		return err
+	}
+	return nil
+}
+
+// untrack deletes page's Translation Table entry tr and keeps tr for
+// reuse.
+func (d *Device) untrack(page uint64, tr *translation) {
+	d.tt.Delete(page)
+	d.freeTrs = append(d.freeTrs, tr)
 }
 
 // --- MMIO config space ---------------------------------------------------
@@ -508,25 +557,18 @@ func (d *Device) abortByPage(page uint64) {
 // 64, 128, ...; eight page numbers per 64-byte read).
 func (d *Device) mmioRead(phys uint64, cmd dram.Command, dst []byte) error {
 	off := phys - d.mmioBase
-	for i := 0; i < dram.CachelineSize; i++ {
-		dst[i] = 0
-	}
+	clear(dst[:dram.CachelineSize])
 	if off == 0 {
 		binary.LittleEndian.PutUint64(dst[0:], uint64(d.sp.freePages()))
-		pend := d.sp.pendingPages()
-		binary.LittleEndian.PutUint64(dst[8:], uint64(len(pend)))
+		binary.LittleEndian.PutUint64(dst[8:], uint64(d.sp.usedPages()))
 		binary.LittleEndian.PutUint64(dst[16:], d.stats.AuthFailures)
 		binary.LittleEndian.PutUint64(dst[24:], uint64(d.sp.occupancyBytes()))
 		return nil
 	}
 	chunk := int(off/dram.CachelineSize) - 1
-	pend := d.sp.pendingPages()
-	for i := 0; i < 8; i++ {
-		idx := chunk*8 + i
-		if idx >= len(pend) {
-			break
-		}
-		binary.LittleEndian.PutUint64(dst[i*8:], pend[idx])
+	var pend [dram.CachelineSize / 8]uint64
+	for i, page := range pend[:d.sp.pendingFrom(chunk*len(pend), pend[:])] {
+		binary.LittleEndian.PutUint64(dst[i*8:], page)
 	}
 	return nil
 }
@@ -539,18 +581,12 @@ func (d *Device) mmioWrite(phys uint64, src []byte) error {
 		return d.register(src)
 	}
 	// Context chunk for the in-flight registration.
-	if d.reg == nil {
+	r := &d.reg
+	if r.rec == nil {
 		return fmt.Errorf("core: context write with no registration in flight")
 	}
-	r := d.reg
-	take := r.ctxLen - r.rx
-	if take > dram.CachelineSize {
-		take = dram.CachelineSize
-	}
-	cp := &d.cm.pages[r.cfgIdx]
-	cp.raw = append(cp.raw, src[:take]...)
-	r.rx += take
-	if r.rx >= r.ctxLen {
+	r.ctx = append(r.ctx, src[:min(r.ctxLen-len(r.ctx), dram.CachelineSize)]...)
+	if len(r.ctx) >= r.ctxLen {
 		return d.finishRegistration()
 	}
 	return nil
@@ -593,12 +629,6 @@ func (d *Device) register(src []byte) error {
 		if recordLen <= 0 {
 			return fmt.Errorf("core: record length %d invalid", recordLen)
 		}
-		rec = &record{
-			op:        op,
-			length:    recordLen,
-			processed: make([]bool, (recordLen+dram.CachelineSize-1)/dram.CachelineSize),
-		}
-		d.records[sbufPage] = rec
 	} else {
 		var ok bool
 		rec, ok = d.records[ctxPage]
@@ -609,55 +639,44 @@ func (d *Device) register(src []byte) error {
 			return fmt.Errorf("core: out-of-order page registration %d", pageIndex)
 		}
 	}
-
-	cfgIdx := d.cm.alloc(rec)
-	if cfgIdx == -1 {
-		if pageIndex == 0 {
-			delete(d.records, sbufPage)
-		}
+	if d.cfgFree == 0 || d.sp.freePages() == 0 {
 		return ErrNoScratchpad
 	}
+	if pageIndex == 0 {
+		rec = d.newRecord(op, recordLen)
+		d.records[sbufPage] = rec
+	}
+	d.cfgFree--
 	spIdx := d.sp.alloc(dbufPage, rec)
-	if spIdx == -1 {
-		d.cm.release(cfgIdx)
-		if pageIndex == 0 {
-			delete(d.records, sbufPage)
-		}
-		return ErrNoScratchpad
-	}
 	// Lines beyond the record's destination coverage in this page can
 	// never be produced by the DSA; pre-mark them recycled so the page
 	// retires once the covered lines are written back.
 	covered := destCoverage(op, recordLen, pageIndex)
-	sp := &d.sp.pages[spIdx]
+	sp := d.sp.pages[spIdx]
 	for l := (covered + dram.CachelineSize - 1) / dram.CachelineSize; l < LinesPerPage; l++ {
 		sp.state[l] = lineRecycled
 		sp.remaining--
 	}
-	if pageIndex == 0 {
-		rec.cfgIdx = cfgIdx
-	}
 	rec.srcPages = append(rec.srcPages, sbufPage)
 	rec.destPages = append(rec.destPages, dbufPage)
 
-	srcTr := &translation{isSource: true, cfgIdx: cfgIdx, destPage: dbufPage, pageIndex: pageIndex, rec: rec}
 	if d.Faults.Fire("core.ttinsert", int64(d.stats.Registrations)) {
-		d.failRegistration(rec, cfgIdx, spIdx, pageIndex)
+		d.failRegistration(rec, spIdx, pageIndex)
 		return fmt.Errorf("core: translation insert (injected): %w", ErrTranslationInsert)
 	}
-	if err := d.tt.Insert(sbufPage, srcTr); err != nil {
-		d.failRegistration(rec, cfgIdx, spIdx, pageIndex)
+	if err := d.track(sbufPage, translation{isSource: true, pageIndex: pageIndex, rec: rec}); err != nil {
+		d.failRegistration(rec, spIdx, pageIndex)
 		return fmt.Errorf("core: translation insert (%v): %w", err, ErrTranslationInsert)
 	}
-	dstTr := &translation{spIdx: spIdx, rec: rec}
-	if err := d.tt.Insert(dbufPage, dstTr); err != nil {
-		d.tt.Delete(sbufPage)
-		d.failRegistration(rec, cfgIdx, spIdx, pageIndex)
+	if err := d.track(dbufPage, translation{spIdx: spIdx, rec: rec}); err != nil {
+		tr, _ := d.tt.Lookup(sbufPage)
+		d.untrack(sbufPage, tr)
+		d.failRegistration(rec, spIdx, pageIndex)
 		return fmt.Errorf("core: translation insert (%v): %w", err, ErrTranslationInsert)
 	}
 
 	if pageIndex == 0 {
-		d.reg = &regState{rec: rec, ctxLen: ctxLen, cfgIdx: cfgIdx, srcPage: sbufPage}
+		d.reg = regState{rec: rec, ctxLen: ctxLen, ctx: d.reg.ctx[:0]}
 		if ctxLen == 0 {
 			return d.finishRegistration()
 		}
@@ -668,20 +687,19 @@ func (d *Device) register(src []byte) error {
 // failRegistration unwinds a page registration that could not complete:
 // its Config Memory and Scratchpad allocations return to the free lists
 // and the record forgets the page, so nothing leaks on the error path.
-// (Earlier pages of a multi-page record stay registered; the driver
-// aborts the whole record when registration fails partway.)
-func (d *Device) failRegistration(rec *record, cfgIdx, spIdx, pageIndex int) {
-	d.cm.release(cfgIdx)
+// A record that fails on its first page is retired outright. (Earlier
+// pages of a multi-page record stay registered; the driver aborts the
+// whole record when registration fails partway.)
+func (d *Device) failRegistration(rec *record, spIdx, pageIndex int) {
+	d.cfgFree++
 	d.sp.release(spIdx)
+	if pageIndex == 0 {
+		delete(d.records, rec.srcPages[0])
+		d.freeRecord(rec)
+		return
+	}
 	rec.srcPages = rec.srcPages[:pageIndex]
 	rec.destPages = rec.destPages[:pageIndex]
-	if pageIndex == 0 && len(rec.srcPages) == 0 {
-		for page, r := range d.records {
-			if r == rec {
-				delete(d.records, page)
-			}
-		}
-	}
 }
 
 // destCoverage returns how many bytes of the destination page at
@@ -706,14 +724,14 @@ func destCoverage(op Opcode, recordLen, pageIndex int) int {
 
 // finishRegistration builds the DSA from the accumulated context.
 func (d *Device) finishRegistration() error {
-	r := d.reg
-	d.reg = nil
-	dsa, err := buildDSA(r.rec.op, r.rec.length, d.cm.pages[r.cfgIdx].raw, d.keys, &d.enc)
+	rec := d.reg.rec
+	d.reg.rec = nil
+	dsa, err := buildDSA(rec.op, rec.length, d.reg.ctx, d.keys, &d.enc)
 	if err != nil {
 		d.stats.DSAErrors++
-		d.abortRecord(r.rec)
+		d.abortRecord(rec)
 		return fmt.Errorf("core: DSA build: %w", err)
 	}
-	r.rec.dsa = dsa
+	rec.dsa = dsa
 	return nil
 }

@@ -83,7 +83,7 @@ type TLSContext struct {
 
 // tlsDSA adapts the out-of-order cacheline engine to the record layout.
 type tlsDSA struct {
-	eng        *aesgcm.CachelineEngine
+	eng        aesgcm.CachelineEngine
 	dir        aesgcm.Direction
 	payloadLen int
 	// held buffers the lines overlapping the trailer until the tag is
@@ -104,14 +104,17 @@ func newTLSDSA(ctx TLSContext, keys *scheduleCache) (*tlsDSA, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := ks.NewEngine(ctx.Direction, aesgcm.RecordConfig{
+	d := takeFree(&keys.free)
+	err = d.eng.Reset(ks, ctx.Direction, aesgcm.RecordConfig{
 		Key: ctx.Key, IV: ctx.IV, H: ctx.H, EIV: ctx.EIV, AAD: ctx.AAD,
 		Length: ctx.PayloadLen,
 	})
 	if err != nil {
+		keys.free = append(keys.free, d)
 		return nil, err
 	}
-	return &tlsDSA{eng: eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen}, nil
+	*d = tlsDSA{eng: d.eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen}
+	return d, nil
 }
 
 // DestLen implements dsaInstance: payload plus the tag trailer.
@@ -208,7 +211,7 @@ func (d *tlsDSA) flushTrailer(lines []destLine) ([]destLine, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(d.trailer[:], tag)
+		d.trailer = tag
 	} else {
 		if err := d.eng.VerifyTag(d.srcTag[:]); err != nil {
 			d.authErr = true
@@ -330,21 +333,24 @@ func CompressedPayloadLen(page []byte) (int, error) {
 
 // deflateDSA compresses one page arriving strictly in order (compression
 // offloads use CompCpy's ordered mode, Algorithm 2 lines 24-28). Its
-// encoder, source buffer and output page belong to the device's
-// encoderSlot.
+// encoder and output page belong to the device's encoderSlot, which
+// keeps retired DSAs, source buffer included, for later records.
 type deflateDSA struct {
 	enc     *deflate.HWEncoder
-	src     *srcBuf
 	page    *[PageSize]byte
 	length  int // input bytes expected
 	nextOff int
+	src     [PageSize]byte
 }
 
 func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
-	return &deflateDSA{enc: slot.get(cfg), src: slot.take(), page: slot.page, length: length}, nil
+	enc := slot.get(cfg)
+	d := takeFree(&slot.free)
+	d.enc, d.page, d.length, d.nextOff = enc, slot.page, length, 0
+	return d, nil
 }
 
 // DestLen implements dsaInstance: the destination is always a full page.
@@ -354,12 +360,12 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([
 	if off != d.nextOff {
 		return nil, fmt.Errorf("core: deflate DSA requires in-order lines (got %d, want %d); use ordered CompCpy", off, d.nextOff)
 	}
-	n := copy(d.src.data[off:], src)
+	n := copy(d.src[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
 		return lines, nil
 	}
-	return pageToLines(lines, framePage(d.page, d.src.data[:d.length], d.enc)), nil
+	return pageToLines(lines, framePage(d.page, d.src[:d.length], d.enc)), nil
 }
 
 // inflateDSA decompresses one compressed page arriving in order.
@@ -420,9 +426,9 @@ type OffloadContext struct {
 	Length int
 }
 
-// marshalContext serializes the context for transmission over the MMIO
-// window (the Config Memory bytes of §IV-C).
-func marshalContext(ctx *OffloadContext) ([]byte, error) {
+// marshalContext appends the serialized context to dst for transmission
+// over the MMIO window (the Config Memory bytes of §IV-C).
+func marshalContext(dst []byte, ctx *OffloadContext) ([]byte, error) {
 	switch ctx.Op {
 	case OpTLSEncrypt, OpTLSDecrypt:
 		t := ctx.TLS
@@ -435,41 +441,42 @@ func marshalContext(ctx *OffloadContext) ([]byte, error) {
 		if len(t.H) != 16 || len(t.EIV) != 16 {
 			return nil, errors.New("core: H and EIV must be 16 bytes")
 		}
-		buf := make([]byte, 0, 8+len(t.Key)+len(t.IV)+32+len(t.AAD))
-		buf = append(buf, byte(t.Direction), byte(len(t.Key)), byte(len(t.IV)), byte(len(t.AAD)))
-		var lenb [4]byte
-		binary.LittleEndian.PutUint32(lenb[:], uint32(t.PayloadLen))
-		buf = append(buf, lenb[:]...)
-		buf = append(buf, t.Key...)
-		buf = append(buf, t.IV...)
-		buf = append(buf, t.H...)
-		buf = append(buf, t.EIV...)
-		buf = append(buf, t.AAD...)
-		return buf, nil
+		dst = append(dst, byte(t.Direction), byte(len(t.Key)), byte(len(t.IV)), byte(len(t.AAD)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(t.PayloadLen))
+		dst = append(dst, t.Key...)
+		dst = append(dst, t.IV...)
+		dst = append(dst, t.H...)
+		dst = append(dst, t.EIV...)
+		return append(dst, t.AAD...), nil
 	case OpCompress:
-		var b [20]byte
-		binary.LittleEndian.PutUint32(b[0:], uint32(ctx.HW.ParallelWindow))
-		binary.LittleEndian.PutUint32(b[4:], uint32(ctx.HW.Banks))
-		binary.LittleEndian.PutUint32(b[8:], uint32(ctx.HW.PortsPerBank))
-		binary.LittleEndian.PutUint32(b[12:], uint32(ctx.HW.WindowSize))
-		binary.LittleEndian.PutUint32(b[16:], uint32(ctx.HW.TableEntries))
-		return b[:], nil
+		for _, f := range [...]int{ctx.HW.ParallelWindow, ctx.HW.Banks, ctx.HW.PortsPerBank, ctx.HW.WindowSize, ctx.HW.TableEntries} {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
+		}
+		return dst, nil
 	case OpDecompress:
-		return nil, nil
+		return dst, nil
 	default:
 		return nil, fmt.Errorf("core: cannot marshal context for %v", ctx.Op)
 	}
 }
 
-// scheduleCache is a device's store of TLS key schedules, keyed by the
-// (key, H) pair of the config: records of one connection reuse the
-// expanded key and the H powers instead of rebuilding them. H is part of
-// the key because the CPU supplies it, so a record whose H does not
-// match gets a schedule of its own. The store holds at most max entries
-// and is emptied when full, which keeps eviction deterministic.
+// maxContextBytes bounds a serialized context: a TLS context with
+// every variable field at its 255-byte limit.
+const maxContextBytes = 8 + 3*255 + 2*aesgcm.BlockSize
+
+// scheduleCache is a device's TLS DSA state: its key schedules and its
+// free record DSAs. Schedules are keyed by the (key, H) pair of the
+// config: records of one connection reuse the expanded key and the H
+// powers instead of rebuilding them. H is part of the key because the
+// CPU supplies it, so a record whose H does not match gets a schedule
+// of its own. The store holds at most max schedules and is emptied when
+// full, which keeps eviction deterministic. A record takes a DSA, with
+// its engine, from the free list when it is built and gives it back
+// when it retires, so the list grows to the peak of concurrent records.
 type scheduleCache struct {
-	max int
-	m   map[string]*aesgcm.KeySchedule
+	max  int
+	m    map[string]*aesgcm.KeySchedule
+	free []*tlsDSA
 }
 
 func newScheduleCache(max int) *scheduleCache {
@@ -496,26 +503,19 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 }
 
 // encoderSlot holds a device's Deflate DSA: its encoder, the page the
-// encoder frames into and a free list of source buffers. A compression
+// encoder frames into and a free list of retired DSAs. A compression
 // record borrows the encoder and the page instead of building its own:
 // the page is compressed, framed and copied out inside the record's
 // last ProcessSourceLine call, so records never interleave on them.
 // The slot keeps one encoder, for the last record's HWConfig, and
 // rebuilds it when a record asks for another; buildDSA bounds each
-// config's table at maxDSATableEntries. A record takes a source buffer
-// when its DSA is built and gives it back when the record retires.
+// config's table at maxDSATableEntries. A record takes a DSA, with its
+// source buffer, when it is built and gives it back when it retires.
 type encoderSlot struct {
 	cfg  deflate.HWConfig
 	enc  *deflate.HWEncoder
 	page *[PageSize]byte
-	free *srcBuf
-}
-
-// srcBuf is a compression record's source buffer; next links the
-// unused ones into the slot's free list.
-type srcBuf struct {
-	data [PageSize]byte
-	next *srcBuf
+	free []*deflateDSA
 }
 
 // get returns the encoder for cfg, rebuilding the slot's on a change.
@@ -530,25 +530,29 @@ func (s *encoderSlot) get(cfg deflate.HWConfig) *deflate.HWEncoder {
 	return s.enc
 }
 
-// take returns a source buffer from the free list, or a new one.
-func (s *encoderSlot) take() *srcBuf {
-	b := s.free
-	if b == nil {
-		return new(srcBuf)
+// takeFree pops the last entry of a free list, or returns a new T when
+// the list is empty. The device's free lists grow to the peak of what
+// it has held at once.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
 	}
-	s.free, b.next = b.next, nil
-	return b
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
 }
 
-// release returns a retired record's source buffer to the free list.
-// The record keeps no reference to it, so a second release is a no-op.
-func (s *encoderSlot) release(rec *record) {
-	d, ok := rec.dsa.(*deflateDSA)
-	if !ok || d.src == nil {
-		return
+// releaseDSA returns a retired record's DSA state to the device's free
+// lists. The record drops its DSA, so a second release is a no-op.
+func (d *Device) releaseDSA(rec *record) {
+	switch dsa := rec.dsa.(type) {
+	case *tlsDSA:
+		d.keys.free = append(d.keys.free, dsa)
+	case *deflateDSA:
+		d.enc.free = append(d.enc.free, dsa)
 	}
-	d.src.next, s.free = s.free, d.src
-	d.src = nil
+	rec.dsa = nil
 }
 
 // ErrDSAConfig marks a context whose DSA configuration is out of the

@@ -46,7 +46,7 @@ func startTLSRecord(t *testing.T, keys *scheduleCache, dir aesgcm.Direction, key
 	if h != nil {
 		ctx.TLS.H = h
 	}
-	raw, err := marshalContext(ctx)
+	raw, err := marshalContext(nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,25 +40,29 @@ const (
 )
 
 // spPage is one 4KB Scratchpad page holding a destination buffer's DSA
-// results until LLC writebacks recycle them into DRAM.
+// results until LLC writebacks recycle them into DRAM. Only a lineReady
+// line's bytes are ever read, and they are written before the line
+// turns ready, so a reused page never needs its data cleared.
 type spPage struct {
 	inUse     bool
 	dbufPage  uint64 // physical page number served by this scratchpad page
 	data      [PageSize]byte
 	state     [LinesPerPage]lineState
-	readyAt   [LinesPerPage]int64 // DRAM cycle when the DSA result lands
+	readyAt   [LinesPerPage]int64 // DRAM cycle when the DSA result lands; valid while lineReady
 	remaining int                 // lines not yet recycled
 	rec       *record
 }
 
-// scratchpad manages the on-chip SRAM pages (§IV-B/C).
+// scratchpad manages the on-chip SRAM pages (§IV-B/C). A page is backed
+// by host memory when a record first takes it; the free list is LIFO,
+// so a run backs only as many pages as it ever holds at once.
 type scratchpad struct {
-	pages []spPage
-	free  []int // free page indices (LIFO)
+	pages []*spPage // nil until the page's first alloc
+	free  []int     // free page indices (LIFO)
 }
 
 func newScratchpad(nPages int) *scratchpad {
-	s := &scratchpad{pages: make([]spPage, nPages), free: make([]int, 0, nPages)}
+	s := &scratchpad{pages: make([]*spPage, nPages), free: make([]int, 0, nPages)}
 	for i := nPages - 1; i >= 0; i-- {
 		s.free = append(s.free, i)
 	}
@@ -72,17 +76,20 @@ func (s *scratchpad) alloc(dbufPage uint64, rec *record) int {
 	}
 	idx := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	p := &s.pages[idx]
-	*p = spPage{inUse: true, dbufPage: dbufPage, remaining: LinesPerPage, rec: rec}
-	for i := range p.state {
-		p.state[i] = linePending
+	p := s.pages[idx]
+	if p == nil {
+		p = new(spPage)
+		s.pages[idx] = p
 	}
+	p.inUse, p.dbufPage, p.remaining, p.rec = true, dbufPage, LinesPerPage, rec
+	p.state = [LinesPerPage]lineState{} // every line linePending
 	return idx
 }
 
 // release returns a fully recycled page to the free list.
 func (s *scratchpad) release(idx int) {
-	s.pages[idx].inUse = false
+	p := s.pages[idx]
+	p.inUse, p.rec = false, nil
 	s.free = append(s.free, idx)
 }
 
@@ -96,88 +103,65 @@ func (s *scratchpad) usedPages() int { return len(s.pages) - len(s.free) }
 // un-recycled results — the quantity Fig. 10 plots.
 func (s *scratchpad) occupancyBytes() int {
 	n := 0
-	for i := range s.pages {
-		p := &s.pages[i]
-		if p.inUse {
+	for _, p := range s.pages {
+		if p != nil && p.inUse {
 			n += p.remaining * dram.CachelineSize
 		}
 	}
 	return n
 }
 
-// pendingPages lists the physical page numbers of in-use (not fully
-// recycled) destination pages — what Force-Recycle reads from the MMIO
-// config space (Algorithm 1).
-func (s *scratchpad) pendingPages() []uint64 {
-	var out []uint64
-	for i := range s.pages {
-		if s.pages[i].inUse {
-			out = append(out, s.pages[i].dbufPage)
+// pendingFrom fills dst with the physical page numbers of in-use (not
+// fully recycled) destination pages, in page order from the skip-th
+// one, and returns how many it filled: the list Force-Recycle reads from
+// the MMIO config space (Algorithm 1), one chunk at a time.
+func (s *scratchpad) pendingFrom(skip int, dst []uint64) int {
+	n := 0
+	for _, p := range s.pages {
+		if n == len(dst) {
+			break
 		}
+		if p == nil || !p.inUse {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		dst[n] = p.dbufPage
+		n++
 	}
-	return out
+	return n
 }
-
-// configPage is one 4KB Config Memory page holding the per-source-page
-// offload context (§IV-C). raw accumulates the serialized context bytes
-// the CPU writes through the MMIO window.
-type configPage struct {
-	inUse bool
-	raw   []byte
-	rec   *record
-}
-
-// configMem manages Config Memory pages.
-type configMem struct {
-	pages []configPage
-	free  []int
-}
-
-func newConfigMem(nPages int) *configMem {
-	c := &configMem{pages: make([]configPage, nPages), free: make([]int, 0, nPages)}
-	for i := nPages - 1; i >= 0; i-- {
-		c.free = append(c.free, i)
-	}
-	return c
-}
-
-func (c *configMem) alloc(rec *record) int {
-	if len(c.free) == 0 {
-		return -1
-	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.pages[idx] = configPage{inUse: true, raw: nil, rec: rec}
-	return idx
-}
-
-func (c *configMem) release(idx int) {
-	c.pages[idx] = configPage{}
-	c.free = append(c.free, idx)
-}
-
-func (c *configMem) freePages() int { return len(c.free) }
 
 // translation is a Translation Table entry: the paper differentiates
 // Config Memory and Scratchpad mappings with a single-bit flag; source
-// entries also carry the destination page(s) and context offset.
+// entries also carry the page's index within the record. Entries are
+// pooled by the device, as are records, so an entry names its record
+// incarnation by (rec, gen).
 type translation struct {
-	isSource bool
-	// For source pages:
-	cfgIdx    int    // Config Memory page holding the context
-	destPage  uint64 // physical page number of the paired destination
-	pageIndex int    // index of this page within the record
+	isSource  bool
+	pageIndex int // source pages: index of this page within the record
+	spIdx     int // destination pages: Scratchpad page index
 	rec       *record
-	// For destination pages:
-	spIdx int // Scratchpad page index
+	gen       uint64 // rec.gen when the entry was made
+}
+
+// owner returns the record the entry belongs to, or nil once that
+// record has retired and its struct serves a later record.
+func (tr *translation) owner() *record {
+	if tr.rec == nil || tr.rec.gen != tr.gen {
+		return nil
+	}
+	return tr.rec
 }
 
 // record is one in-flight offload: a ULP message spanning one or more
-// 4KB pages, processed by one DSA instance.
+// 4KB pages, processed by one DSA instance. The device recycles retired
+// records; gen counts the incarnations.
 type record struct {
 	op        Opcode
 	dsa       dsaInstance
-	cfgIdx    int
 	srcPages  []uint64 // physical page numbers, record order
 	destPages []uint64
 	length    int // total record bytes
@@ -185,6 +169,7 @@ type record struct {
 	// (S6/S7 bookkeeping); indexed by record cacheline index.
 	processed []bool
 	donePages int // destination pages fully recycled
+	gen       uint64
 }
 
 func (r *record) String() string {

@@ -605,14 +605,14 @@ func (f *Fleet) migrate(rec *homeRec, to int, now int64) error {
 	// Dst through DMA also retires any record the old device still holds
 	// in flight for these pages, materializing its output on the way out.
 	bufBytes := rec.pages * core.PageSize
-	data, lat, err := f.cfg.Sys.DMAOut(conn.Src, conn.Size)
+	data, lat, err := f.cfg.Sys.DMAOut(nil, conn.Src, conn.Size)
 	if err == nil {
 		err = f.cfg.Sys.DMAIn(newSrc, data)
 	}
 	var out []byte
 	if err == nil {
 		var dlat int64
-		out, dlat, err = f.cfg.Sys.DMAOut(conn.Dst, bufBytes)
+		out, dlat, err = f.cfg.Sys.DMAOut(nil, conn.Dst, bufBytes)
 		lat += dlat
 	}
 	if err == nil {

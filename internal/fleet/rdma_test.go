@@ -76,7 +76,7 @@ func TestFleetRDMAMigrationQuiescesInFlightMR(t *testing.T) {
 	if conn.Src == oldSrc {
 		t.Fatalf("buffers did not move")
 	}
-	oldSnap, _, err := sys.DMAOut(oldSrc, len(data))
+	oldSnap, _, err := sys.DMAOut(nil, oldSrc, len(data))
 	if err != nil {
 		t.Fatalf("DMAOut old region: %v", err)
 	}
@@ -95,14 +95,14 @@ func TestFleetRDMAMigrationQuiescesInFlightMR(t *testing.T) {
 		t.Fatalf("stale WQE should complete after retarget: %+v", st)
 	}
 
-	got, _, err := sys.DMAOut(conn.Src, len(data))
+	got, _, err := sys.DMAOut(nil, conn.Src, len(data))
 	if err != nil {
 		t.Fatalf("DMAOut new region: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("in-flight write missing from the migrated buffer")
 	}
-	oldNow, _, err := sys.DMAOut(oldSrc, len(data))
+	oldNow, _, err := sys.DMAOut(nil, oldSrc, len(data))
 	if err != nil {
 		t.Fatalf("DMAOut old region: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestFleetRDMAMigrationReregisters(t *testing.T) {
 	if _, err := b.Ingest(conn, payload); err != nil {
 		t.Fatalf("Ingest after migration: %v", err)
 	}
-	got, _, err := sys.DMAOut(conn.Src, len(payload))
+	got, _, err := sys.DMAOut(nil, conn.Src, len(payload))
 	if err != nil {
 		t.Fatalf("DMAOut: %v", err)
 	}

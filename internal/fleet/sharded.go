@@ -95,6 +95,21 @@ type Sharded struct {
 
 	dispTrack  telemetry.TrackID // fe-tracer lane for fabric spans
 	dispatched uint64
+	// crossings holds finished request crossings for reuse; only shard 0
+	// events touch it.
+	crossings []*crossing
+}
+
+// crossing is one request's round trip between the front-end and its
+// home shard. Its callbacks are bound once, so a reused crossing
+// allocates nothing: submit runs on the home shard, respond there when
+// the server completes, finish back on the front-end.
+type crossing struct {
+	srv                     *server.Server
+	shard, local            int
+	id                      uint64
+	done                    func()
+	submit, respond, finish func()
 }
 
 // ShardedMetrics carries the aggregated and per-shard measurements of
@@ -238,24 +253,38 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 // the forward emission and the retroactive return-hop emission run on
 // shard 0 events, keeping the fe tracer single-writer.
 func (sc *Sharded) Submit(connID int, done func()) {
-	s := connID % sc.cfg.Shards
-	local := connID / sc.cfg.Shards
-	srv := sc.servers[s]
+	var x *crossing
+	if n := len(sc.crossings); n > 0 {
+		x = sc.crossings[n-1]
+		sc.crossings = sc.crossings[:n-1]
+	} else {
+		x = sc.newCrossing()
+	}
+	x.shard, x.local, x.done = connID%sc.cfg.Shards, connID/sc.cfg.Shards, done
+	x.srv = sc.servers[x.shard]
 	sc.dispatched++
-	id := sc.dispatched
-	tr := sc.tracers[0]
+	x.id = sc.dispatched
 	fe := sc.eng.Shard(0)
-	tr.AsyncBegin(sc.dispTrack, "creq", id, fe.Now())
-	tr.Span(sc.dispTrack, "dispatch", fe.Now(), sc.dispPs)
-	sc.eng.Send(0, 1+s, sc.dispPs, func() {
-		srv.Submit(local, func() {
-			sc.eng.Send(1+s, 0, sc.dispPs, func() {
-				tr.Span(sc.dispTrack, "dispatch", fe.Now()-sc.dispPs, sc.dispPs)
-				tr.AsyncEnd(sc.dispTrack, "creq", id, fe.Now())
-				done()
-			})
-		})
-	})
+	sc.tracers[0].AsyncBegin(sc.dispTrack, "creq", x.id, fe.Now())
+	sc.tracers[0].Span(sc.dispTrack, "dispatch", fe.Now(), sc.dispPs)
+	sc.eng.Send(0, 1+x.shard, sc.dispPs, x.submit)
+}
+
+// newCrossing makes a crossing with its callbacks bound.
+func (sc *Sharded) newCrossing() *crossing {
+	x := &crossing{}
+	x.submit = func() { x.srv.Submit(x.local, x.respond) }
+	x.respond = func() { sc.eng.Send(1+x.shard, 0, sc.dispPs, x.finish) }
+	x.finish = func() {
+		tr, fe := sc.tracers[0], sc.eng.Shard(0)
+		tr.Span(sc.dispTrack, "dispatch", fe.Now()-sc.dispPs, sc.dispPs)
+		tr.AsyncEnd(sc.dispTrack, "creq", x.id, fe.Now())
+		done := x.done
+		x.done = nil
+		sc.crossings = append(sc.crossings, x)
+		done()
+	}
+	return x
 }
 
 // Engine exposes the sharded engine (shard 0 is the front-end).

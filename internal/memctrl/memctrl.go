@@ -206,7 +206,7 @@ func (c *Controller) WriteQueuePressure() float64 {
 // prepareBank issues PRE/ACT as needed and returns the cycle at which a
 // CAS to (cmd) may issue, updating bank state.
 func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	idx := c.mod.Mapper().BankIndex(cmd.Rank, cmd.BG, cmd.BA)
 	b := &c.banks[idx]
 	at := c.now
@@ -253,7 +253,7 @@ func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
 // reserveBus accounts bus occupancy and turnaround, returning the CAS
 // issue cycle for a burst starting no earlier than at.
 func (c *Controller) reserveBus(at int64, dir int) int64 {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	if at < c.busReady {
 		at = c.busReady
 	}
@@ -297,7 +297,7 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 	}
 	at = c.reserveBus(at, dirRead)
 
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	for attempt := 0; ; attempt++ {
 		alert, err := c.mod.HandleCommand(at, cmd, nil, dst)
 		if err != nil {
@@ -381,7 +381,7 @@ func (c *Controller) DrainWrites() (int64, error) {
 	}
 	c.st.Drains++
 	startCyc := c.now
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	var last int64
 	for i := range c.wq {
 		// Index, not range: a ranged copy of the 64-byte entry would
@@ -459,7 +459,7 @@ func (c *Controller) recordCAS(at int64, kind stats.CASKind, addr uint64, core i
 // the queue must fill to the drain threshold before any wrCAS issues,
 // plus the bus turnaround (§IV-D micro-experiment).
 func (c *Controller) ReadWriteSlackCycles() int64 {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	// Each queued write was produced by roughly one read burst: the gap
 	// is DrainThreshold bursts of read traffic plus the turnaround.
 	return int64(c.cfg.DrainThreshold)*int64(t.TCCD) + int64(t.TRTW)

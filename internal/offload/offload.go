@@ -125,7 +125,9 @@ type Result struct {
 	TXBytes int
 	// Records is how many ULP records/chunks were produced.
 	Records int
-	// DstSpans lists the destination regions for NIC TX DMA.
+	// DstSpans lists the destination regions for NIC TX DMA. It may
+	// share a buffer the backend reuses on its next Process call, so a
+	// caller that keeps the spans copies them.
 	DstSpans []Span
 	// DstFlushNeeded marks destinations whose cached (stale) copies must
 	// be flushed before TX DMA — the USE step of Algorithm 2. Only the
@@ -527,7 +529,7 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		res.CPUPs += lat + p.QATSetupNs*sim.Ns
 		// Card DMA-reads the payload from the pinned buffer (real
 		// channel traffic), computes, DMA-writes the result.
-		_, dmaLat, err := b.Sys.DMAOut(b.pinned, n)
+		_, dmaLat, err := b.Sys.DMAOut(nil, b.pinned, n)
 		if err != nil {
 			return res, err
 		}
@@ -600,6 +602,11 @@ type SmartDIMM struct {
 	Degraded stats.Degradation
 
 	hw *deflate.HWEncoder // CPU-fallback encoder, built on first use by hwEncoder
+	// Process's buffers: the spans it returns, a record's EIV and the DMA
+	// peek at a compressed page's first line.
+	spans []Span
+	eiv   [aesgcm.BlockSize]byte
+	peek  []byte
 }
 
 // hwEncoder returns the backend's Deflate DSA-model encoder, which
@@ -658,10 +665,13 @@ func (b *SmartDIMM) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 
 // Process implements Backend.
 func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, error) {
-	var res Result
+	res := Result{DstSpans: b.spans[:0]}
+	defer func() { b.spans = res.DstSpans }()
 	drv := b.drv()
 	l := LayoutFor(u)
-	for k, n := range l.Chunks(payloadLen) {
+	// The chunks of l.Chunks, without building the list.
+	for k := 0; k*l.MaxChunk < payloadLen; k++ {
+		n := min(payloadLen-k*l.MaxChunk, l.MaxChunk)
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
 		var ctx *core.OffloadContext
@@ -674,7 +684,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 			if err != nil {
 				return res, err
 			}
-			eiv, err := g.EIV(iv)
+			eiv, err := g.AppendEIV(b.eiv[:0], iv)
 			if err != nil {
 				return res, err
 			}
@@ -727,11 +737,11 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 				return res, err
 			}
 			res.CPUPs += flat
-			page, _, err := b.Sys.DMAOut(dbuf, 64)
+			b.peek, _, err = b.Sys.DMAOut(b.peek[:0], dbuf, 64)
 			if err != nil {
 				return res, err
 			}
-			clen, err := core.CompressedPayloadLen(page)
+			clen, err := core.CompressedPayloadLen(b.peek)
 			if err != nil {
 				return res, err
 			}

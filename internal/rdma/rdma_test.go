@@ -62,7 +62,7 @@ func TestRDMADepositLandsInMR(t *testing.T) {
 	if lat <= 0 {
 		t.Fatalf("deposit charged %d ps", lat)
 	}
-	got, _, err := sys.DMAOut(addr, len(data))
+	got, _, err := sys.DMAOut(nil, addr, len(data))
 	if err != nil {
 		t.Fatalf("DMAOut: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestRDMADepositLandsInMR(t *testing.T) {
 func TestRDMABoundsRefusedWithoutWrite(t *testing.T) {
 	sys := testSys(t)
 	n, addr, _ := testNIC(t, sys, Config{RecordLandings: true})
-	snap, _, err := sys.DMAOut(addr, 4*4096)
+	snap, _, err := sys.DMAOut(nil, addr, 4*4096)
 	if err != nil {
 		t.Fatalf("DMAOut: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestRDMABoundsRefusedWithoutWrite(t *testing.T) {
 	if len(n.Landings()) != 0 {
 		t.Fatalf("out-of-bounds WQE landed: %+v", n.Landings())
 	}
-	after, _, err := sys.DMAOut(addr, 4*4096)
+	after, _, err := sys.DMAOut(nil, addr, 4*4096)
 	if err != nil {
 		t.Fatalf("DMAOut: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestRDMAStaleRkeyRetargetsToRebind(t *testing.T) {
 	if rk := n.QuiesceQP(0); rk != oldRkey {
 		t.Fatalf("quiesced rk%d, want rk%d", rk, oldRkey)
 	}
-	oldSnap, _, _ := sys.DMAOut(oldAddr, 2048)
+	oldSnap, _, _ := sys.DMAOut(nil, oldAddr, 2048)
 	newAddr, err := sys.Driver.AllocPages(4)
 	if err != nil {
 		t.Fatalf("AllocPages: %v", err)
@@ -150,11 +150,11 @@ func TestRDMAStaleRkeyRetargetsToRebind(t *testing.T) {
 	if st.StaleRkeyRetries != 1 {
 		t.Fatalf("stale retries %d, want 1 (%+v)", st.StaleRkeyRetries, st)
 	}
-	got, _, _ := sys.DMAOut(newAddr, 2048)
+	got, _, _ := sys.DMAOut(nil, newAddr, 2048)
 	if !bytes.Equal(got, data) {
 		t.Fatalf("retargeted write missing from new MR")
 	}
-	oldNow, _, _ := sys.DMAOut(oldAddr, 2048)
+	oldNow, _, _ := sys.DMAOut(nil, oldAddr, 2048)
 	if !bytes.Equal(oldSnap, oldNow) {
 		t.Fatalf("in-flight write landed in the quiesced region")
 	}
@@ -176,7 +176,7 @@ func TestRDMADoorbellLossReRings(t *testing.T) {
 	if st.Completed != 1 || n.Pending() != 0 {
 		t.Fatalf("WQE not delivered after re-ring: %+v pending=%d", st, n.Pending())
 	}
-	got, _, _ := sys.DMAOut(addr, len(data))
+	got, _, _ := sys.DMAOut(nil, addr, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatalf("payload missing after re-rung doorbell")
 	}
@@ -187,7 +187,7 @@ func TestRDMARNRRetryExhaustionFailsCleanly(t *testing.T) {
 	inj := fault.New(7)
 	inj.Arm(SiteRNR, fault.Bernoulli{Prob: 1}) // receiver never ready
 	n, addr, _ := testNIC(t, sys, Config{Faults: inj, RetryLimit: 3, RecordLandings: true})
-	snap, _, _ := sys.DMAOut(addr, 4096)
+	snap, _, _ := sys.DMAOut(nil, addr, 4096)
 	if err := n.PostWrite(0, 0, payload(4096)); err != nil {
 		t.Fatalf("PostWrite: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestRDMARNRRetryExhaustionFailsCleanly(t *testing.T) {
 	if len(n.Landings()) != 0 {
 		t.Fatalf("NAKed WQE landed")
 	}
-	after, _, _ := sys.DMAOut(addr, 4096)
+	after, _, _ := sys.DMAOut(nil, addr, 4096)
 	if !bytes.Equal(snap, after) {
 		t.Fatalf("NAKed WQE mutated memory")
 	}
@@ -218,7 +218,7 @@ func TestRDMASQFullBackpressureDrains(t *testing.T) {
 	if _, err := n.Deposit(0, 0, data); err != nil {
 		t.Fatalf("Deposit: %v", err)
 	}
-	got, _, _ := sys.DMAOut(addr, len(data))
+	got, _, _ := sys.DMAOut(nil, addr, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatalf("payload mismatch")
 	}
@@ -234,7 +234,7 @@ func TestRDMAPreloadStagesWithoutWireTime(t *testing.T) {
 	if err := n.Preload(0, 0, data); err != nil {
 		t.Fatalf("Preload: %v", err)
 	}
-	got, _, _ := sys.DMAOut(addr, len(data))
+	got, _, _ := sys.DMAOut(nil, addr, len(data))
 	if !bytes.Equal(got, data) {
 		t.Fatalf("preload missing")
 	}

@@ -199,7 +199,14 @@ type Server struct {
 	// counter); the ids only attribute stages to per-worker trace
 	// tracks.
 	freeWorkers []int
-	queue       []pendingReq
+	// queue[qHead:] are the requests waiting for a worker.
+	queue []pendingReq
+	qHead int
+	// freeCtx holds finished request contexts for reuse. txBuf is the
+	// buffer every TX and gather DMA reads into: the server uses only
+	// their latency.
+	freeCtx []*reqCtx
+	txBuf   []byte
 
 	// link transmitter occupancy (shared NIC)
 	linkBusyPs int64
@@ -352,15 +359,28 @@ func (s *Server) Submit(connID int, done func()) {
 		req.seq = s.reqSeq
 		s.tr.AsyncBegin(s.reqTrack, "req", req.seq, req.at)
 	}
-	s.queue = append(s.queue, req)
+	s.enqueue(req)
 	s.dispatch()
+}
+
+// enqueue appends req to the work queue, first sliding the waiting
+// requests to the front of a full backing array.
+func (s *Server) enqueue(req pendingReq) {
+	if len(s.queue) == cap(s.queue) && s.qHead > 0 {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.qHead:])]
+		s.qHead = 0
+	}
+	s.queue = append(s.queue, req)
 }
 
 // dispatch hands queued requests to idle workers.
 func (s *Server) dispatch() {
-	for len(s.freeWorkers) > 0 && len(s.queue) > 0 {
-		req := s.queue[0]
-		s.queue = s.queue[1:]
+	for len(s.freeWorkers) > 0 && s.qHead < len(s.queue) {
+		req := s.queue[s.qHead]
+		s.queue[s.qHead] = pendingReq{}
+		if s.qHead++; s.qHead == len(s.queue) {
+			s.queue, s.qHead = s.queue[:0], 0
+		}
 		w := s.freeWorkers[len(s.freeWorkers)-1]
 		s.freeWorkers = s.freeWorkers[:len(s.freeWorkers)-1]
 		if req.ctx != nil {
@@ -388,18 +408,42 @@ type reqCtx struct {
 	txBytes  int
 	spans    []offload.Span
 	flushDst bool
+	// next and finish are the engine callbacks that end a stage, bound
+	// once when the context is made: both release the worker, then next
+	// queues the request's next stage and finish recycles the context.
+	next, finish func()
 }
 
-// serve runs the request's current stage on worker w.
+// serve starts a request on worker w, in a context from the free list.
 func (s *Server) serve(req pendingReq, w int) {
-	s.runStage(&reqCtx{req: req, conn: s.conns[req.connID%len(s.conns)], worker: w})
+	var rc *reqCtx
+	if n := len(s.freeCtx); n > 0 {
+		rc = s.freeCtx[n-1]
+		s.freeCtx = s.freeCtx[:n-1]
+	} else {
+		rc = new(reqCtx)
+		rc.next = func() {
+			s.freeWorkers = append(s.freeWorkers, rc.worker)
+			rc.stage++
+			s.queueCtx(rc)
+			s.dispatch()
+		}
+		rc.finish = func() {
+			s.freeWorkers = append(s.freeWorkers, rc.worker)
+			s.freeCtx = append(s.freeCtx, rc)
+			s.dispatch()
+		}
+	}
+	*rc = reqCtx{req: req, conn: s.conns[req.connID%len(s.conns)], worker: w,
+		spans: rc.spans[:0], next: rc.next, finish: rc.finish}
+	s.runStage(rc)
 }
 
 // requeue releases the worker after stageCPU+stageDev and re-enters the
-// request for its next stage (or completes it). ran names the stage
-// that just executed (PlainHTTP bumps rc.stage before releasing).
-func (s *Server) requeue(rc *reqCtx, ran int, stageCPU, stageDev int64, final bool) {
-	s.requeueSplit(rc, ran, stageCPU, ran, stageDev, final)
+// request for its next stage. ran names the stage that just executed
+// (PlainHTTP bumps rc.stage before releasing).
+func (s *Server) requeue(rc *reqCtx, ran int, stageCPU, stageDev int64) {
+	s.requeueSplit(rc, ran, stageCPU, ran, stageDev)
 }
 
 // requeueSplit is requeue with separate attribution for the CPU and
@@ -408,15 +452,15 @@ func (s *Server) requeue(rc *reqCtx, ran int, stageCPU, stageDev int64, final bo
 // deposit) stage while its CPU time stays on "parse". Timing is
 // identical to the single-stage form; only the breakdown accounting and
 // span names differ.
-func (s *Server) requeueSplit(rc *reqCtx, cpuStage int, stageCPU int64, devStage int, stageDev int64, final bool) {
+func (s *Server) requeueSplit(rc *reqCtx, cpuStage int, stageCPU int64, devStage int, stageDev int64) {
 	if cpuStage == devStage {
-		s.requeueParts(rc, []stagePart{{stage: cpuStage, cpu: stageCPU, dev: stageDev}}, final)
+		s.requeueParts(rc, []stagePart{{stage: cpuStage, cpu: stageCPU, dev: stageDev}})
 		return
 	}
 	s.requeueParts(rc, []stagePart{
 		{stage: cpuStage, cpu: stageCPU},
 		{stage: devStage, dev: stageDev},
-	}, final)
+	})
 }
 
 // stagePart is one attributed slice of a worker occupancy window.
@@ -430,7 +474,7 @@ type stagePart struct {
 // gather+ulp window is two parts back to back. Total occupancy is the
 // sum; each part books its duration to its own stage and emits its own
 // span, consecutively from now.
-func (s *Server) requeueParts(rc *reqCtx, parts []stagePart, final bool) {
+func (s *Server) requeueParts(rc *reqCtx, parts []stagePart) {
 	now := s.eng.Now()
 	var dur int64
 	for _, pt := range parts {
@@ -445,20 +489,11 @@ func (s *Server) requeueParts(rc *reqCtx, parts []stagePart, final bool) {
 		}
 		dur += d
 	}
-	s.eng.At(now+dur, func() {
-		s.freeWorkers = append(s.freeWorkers, rc.worker)
-		if !final {
-			rc.stage++
-			s.queueCtx(rc)
-		}
-		s.dispatch()
-	})
+	s.eng.At(now+dur, rc.next)
 }
 
 // queueCtx re-enters a staged request at the back of the work queue.
-func (s *Server) queueCtx(rc *reqCtx) {
-	s.queue = append(s.queue, pendingReq{connID: rc.req.connID, done: rc.req.done, at: rc.req.at, seq: rc.req.seq, ctx: rc})
-}
+func (s *Server) queueCtx(rc *reqCtx) { s.enqueue(pendingReq{ctx: rc}) }
 
 // failReq abandons a request after a processing error: the worker is
 // released, the request completes with no response bytes, and the error
@@ -474,10 +509,7 @@ func (s *Server) failReq(rc *reqCtx, err error) {
 		s.tr.Instant(s.workerTracks[rc.worker], "error", now)
 		s.tr.AsyncEnd(s.reqTrack, "req", rc.req.seq, now)
 	}
-	s.eng.At(now, func() {
-		s.freeWorkers = append(s.freeWorkers, rc.worker)
-		s.dispatch()
-	})
+	s.eng.At(now, rc.finish)
 	s.eng.At(now, rc.req.done)
 }
 
@@ -571,7 +603,7 @@ func (s *Server) runStage(rc *reqCtx) {
 		if s.cfg.Mode == PlainHTTP {
 			rc.stage++ // skip the copy and ULP stages
 		}
-		s.requeueSplit(rc, StageParse, cpu, devStage, device, false)
+		s.requeueSplit(rc, StageParse, cpu, devStage, device)
 
 	case 1: // app copy out of the page cache (skipped for inline)
 		var cpu int64
@@ -588,7 +620,7 @@ func (s *Server) runStage(rc *reqCtx) {
 			}
 			cpu = rdLat + stageLat
 		}
-		s.requeue(rc, StageCopy, cpu, 0, false)
+		s.requeue(rc, StageCopy, cpu, 0)
 
 	case 2: // (embedding gather +) ULP processing
 		if s.cfg.Mode == PlainHTTP {
@@ -596,7 +628,8 @@ func (s *Server) runStage(rc *reqCtx) {
 				[]offload.Span{{Off: 0, Len: spec.Payload}})
 			return
 		}
-		var parts []stagePart
+		var buf [2]stagePart
+		parts := buf[:0]
 		if spec.GatherBytes > 0 {
 			gcpu, gdev, err := s.gather(rc, spec.GatherBytes, coreID, inline)
 			if err != nil {
@@ -610,7 +643,7 @@ func (s *Server) runStage(rc *reqCtx) {
 			s.failReq(rc, err)
 			return
 		}
-		rc.spans = res.DstSpans
+		rc.spans = append(rc.spans[:0], res.DstSpans...)
 		rc.txBytes = res.TXBytes
 		rc.flushDst = res.DstFlushNeeded
 		if spec.Store {
@@ -624,11 +657,11 @@ func (s *Server) runStage(rc *reqCtx) {
 				ack = spec.Payload
 			}
 			rc.txBytes = ack
-			rc.spans = []offload.Span{{Off: 0, Len: ack}}
+			rc.spans = append(rc.spans[:0], offload.Span{Off: 0, Len: ack})
 			rc.flushDst = false
 		}
 		parts = append(parts, stagePart{stage: StageULP, cpu: res.CPUPs, dev: res.DevicePs})
-		s.requeueParts(rc, parts, false)
+		s.requeueParts(rc, parts)
 
 	case 3: // transmission
 		s.transmit(rc, c.oconn.Dst, rc.txBytes, rc.spans)
@@ -650,9 +683,10 @@ func (s *Server) gather(rc *reqCtx, n, coreID int, inline bool) (cpu, dev int64,
 			step = chunk
 		}
 		if inline {
-			_, lat, e := s.cfg.Sys.DMAOut(c.oconn.Src, step)
-			if e != nil {
-				return 0, 0, e
+			var lat int64
+			s.txBuf, lat, err = s.cfg.Sys.DMAOut(s.txBuf[:0], c.oconn.Src, step)
+			if err != nil {
+				return 0, 0, err
 			}
 			dev += lat
 		} else {
@@ -688,7 +722,9 @@ func (s *Server) transmit(rc *reqCtx, base uint64, txBytes int, spans []offload.
 	}
 	var dmaLat int64
 	for _, sp := range spans {
-		_, l, err := s.cfg.Sys.DMAOut(base+uint64(sp.Off), sp.Len)
+		var l int64
+		var err error
+		s.txBuf, l, err = s.cfg.Sys.DMAOut(s.txBuf[:0], base+uint64(sp.Off), sp.Len)
 		if err != nil {
 			s.failReq(rc, fmt.Errorf("TX DMA: %w", err))
 			return
@@ -729,10 +765,7 @@ func (s *Server) transmit(rc *reqCtx, base uint64, txBytes int, spans []offload.
 		s.tr.Span(s.nicTrack, "wire", wireStart, s.linkBusyPs-wireStart)
 		s.tr.AsyncEnd(s.reqTrack, "req", rc.req.seq, wireDone)
 	}
-	s.eng.At(now+cpu, func() {
-		s.freeWorkers = append(s.freeWorkers, rc.worker)
-		s.dispatch()
-	})
+	s.eng.At(now+cpu, rc.finish)
 	s.eng.At(wireDone, rc.req.done)
 }
 

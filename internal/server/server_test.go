@@ -240,3 +240,49 @@ func TestAdaptiveBackendInServer(t *testing.T) {
 		t.Fatal("adaptive never offloaded in a contended server run")
 	}
 }
+
+// TestRequestZeroAllocs checks that a steady-state HTTPS request on the
+// serial stack allocates nothing: the server's queue and request
+// context, the SmartDIMM offload (registration, DSA, Scratchpad) and
+// the TX DMA all reuse what earlier requests left. The client is a
+// closed loop whose callbacks are bound once per connection.
+func TestRequestZeroAllocs(t *testing.T) {
+	sys := newSys(t, 256<<10, true)
+	const conns = 16
+	srv, err := New(sys.Engine, Config{
+		Sys: sys, Backend: &offload.SmartDIMM{Sys: sys}, Mode: HTTPSMode,
+		Workers: 4, MsgSize: 4096, Connections: conns, FileKind: corpus.Text, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sys.Engine
+	think := int64(sys.Params.RTTUs * float64(sim.Us))
+	issue := make([]func(), conns)
+	done := make([]func(), conns)
+	completed := 0
+	for c := range issue {
+		issue[c] = func() { srv.Submit(c, done[c]) }
+		done[c] = func() {
+			completed++
+			eng.After(think, issue[c])
+		}
+		issue[c]()
+	}
+	eng.RunUntil(2 * sim.Ms) // warm up: every connection's first records
+	before := completed
+	allocs := testing.AllocsPerRun(100, func() {
+		for n := completed; completed == n; {
+			eng.Step()
+		}
+	})
+	if err := srv.LastError(); err != nil {
+		t.Fatal(err)
+	}
+	if completed-before < 100 {
+		t.Fatalf("%d requests completed in the measured runs, want >= 100", completed-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per request, want 0", allocs)
+	}
+}

@@ -169,7 +169,7 @@ func TestSystemWithSmartDIMMSharesRange(t *testing.T) {
 	if err := sys.DMAIn(plain, data); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sys.DMAOut(plain, 4096)
+	got, _, err := sys.DMAOut(nil, plain, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +197,65 @@ func TestSystemTrace(t *testing.T) {
 	sys.ReadBytes(0, addr, 256*1024)
 	if sys.Trace == nil || sys.Trace.Reads() == 0 {
 		t.Fatal("trace not capturing")
+	}
+}
+
+// TestDMAOutAppends checks DMAOut's append contract: the bytes and the
+// latency it appends equal those of one DMARead64 per line, collected
+// into a fresh slice (the data and timing of the NIC's TX DMA), for
+// lengths off the line size; dst's prefix survives; and a dst with room
+// for the read allocates nothing.
+func TestDMAOutAppends(t *testing.T) {
+	newSys := func() *System {
+		sys, err := NewSystem(SystemConfig{Params: DefaultParams(), LLCBytes: 64 * 1024, LLCWays: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys, ref := newSys(), newSys()
+	addr, _ := sys.AllocPlain(1 << 16)
+	data := make([]byte, 1<<16)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	// DDIO keeps some of the lines in the LLC's DMA ways and writes the
+	// rest back to DRAM, so the reads below meet both.
+	for _, s := range []*System{sys, ref} {
+		if err := s.DMAIn(addr, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := []byte("hdr")
+	for _, n := range []int{1, 63, 65, 100, 4095, 4096 + 17, 40000} {
+		off := uint64(len(data)-n) &^ 63
+		got, lat, err := sys.DMAOut(append([]byte(nil), prefix...), addr+off, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		var wantLat int64
+		var line [64]byte
+		for o := 0; o < n; o += 64 {
+			l, err := ref.Hier.DMARead64(addr+off+uint64(o), line[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLat += l
+			want = append(want, line[:min(n-o, 64)]...)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("n=%d: appended %d bytes differ from the per-line reads (or the prefix was lost)", n, len(got)-len(prefix))
+		}
+		if !bytes.Equal(want, data[off:int(off)+n]) {
+			t.Fatalf("n=%d: DMA read differs from the data written", n)
+		}
+		if lat != wantLat/MemMLP {
+			t.Fatalf("n=%d: latency %d, want %d", n, lat, wantLat/MemMLP)
+		}
+	}
+	buf := make([]byte, 0, 4096)
+	if a := testing.AllocsPerRun(20, func() { buf, _, _ = sys.DMAOut(buf[:0], addr, 4000) }); a != 0 {
+		t.Fatalf("DMAOut into a buffer with room: %v allocs, want 0", a)
 	}
 }

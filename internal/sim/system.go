@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -369,26 +370,27 @@ func (s *System) PeerDMAWrite(addr uint64, data []byte) (int64, error) {
 	return lat / MemMLP, nil
 }
 
-// DMAOut models NIC TX DMA reading n bytes, returning the data and the
-// aggregate device-side latency.
-func (s *System) DMAOut(addr uint64, n int) ([]byte, int64, error) {
-	out := make([]byte, 0, n)
+// DMAOut models NIC TX DMA reading n bytes at addr: it appends them to
+// dst and returns the extended slice and the aggregate device-side
+// latency. A caller that needs only the latency passes a buffer it
+// keeps, buf[:0], so steady-state transmits allocate nothing. On error
+// dst comes back as it was passed.
+func (s *System) DMAOut(dst []byte, addr uint64, n int) ([]byte, int64, error) {
+	// Grow by whole lines: each read lands in dst's spare capacity.
+	start := len(dst)
+	dst = slices.Grow(dst, (n+dram.CachelineSize-1)/dram.CachelineSize*dram.CachelineSize)
 	var lat int64
-	var line [dram.CachelineSize]byte
 	for off := 0; off < n; off += dram.CachelineSize {
-		l, err := s.Hier.DMARead64(addr+uint64(off), line[:])
+		at := len(dst)
+		l, err := s.Hier.DMARead64(addr+uint64(off), dst[at:at+dram.CachelineSize])
 		if err != nil {
-			return nil, 0, err
+			return dst[:start], 0, err
 		}
 		lat += l
-		take := n - off
-		if take > dram.CachelineSize {
-			take = dram.CachelineSize
-		}
-		out = append(out, line[:take]...)
+		dst = dst[:at+min(n-off, dram.CachelineSize)]
 	}
 	// NIC DMA engines pipeline outstanding reads like a core's MLP.
-	return out, lat / MemMLP, nil
+	return dst, lat / MemMLP, nil
 }
 
 // MemoryBytesMoved returns total metered DRAM channel traffic: channel

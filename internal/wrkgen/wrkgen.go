@@ -41,6 +41,16 @@ type Generator struct {
 	// measuring gates stats so warmup requests don't pollute them.
 	measuring   bool
 	measureFrom int64
+	conns       []*conn
+}
+
+// conn is one client connection. Its callbacks are bound once, so the
+// closed loop allocates nothing per request.
+type conn struct {
+	id    int
+	start int64 // when the outstanding request was issued
+	// done completes the outstanding request; issue sends the next.
+	done, issue func()
 }
 
 // New builds a generator; Start begins the closed loop.
@@ -52,12 +62,19 @@ func New(eng *sim.Engine, target Target, cfg Config) *Generator {
 	// The latency record grows with every completed request; bounded
 	// mode keeps a long measurement window at fleet RPS in fixed memory.
 	g.Latency.SetBounded()
+	g.conns = make([]*conn, cfg.Connections)
+	for id := range g.conns {
+		c := &conn{id: id}
+		c.issue = func() { g.issue(c) }
+		c.done = func() { g.complete(c) }
+		g.conns[id] = c
+	}
 	return g
 }
 
 // Start issues the first request on every connection.
 func (g *Generator) Start() {
-	for c := 0; c < g.cfg.Connections; c++ {
+	for _, c := range g.conns {
 		g.issue(c)
 	}
 }
@@ -79,21 +96,25 @@ func (g *Generator) RPS() float64 {
 	return float64(g.Completed) / (float64(elapsed) * 1e-12)
 }
 
-func (g *Generator) issue(connID int) {
-	start := g.eng.Now()
-	g.target.Submit(connID, func() {
-		if g.measuring {
-			g.Completed++
-			g.Latency.Observe(float64(g.eng.Now()-start) * 1e-12)
-		}
-		think := g.cfg.ThinkPs
-		if g.cfg.ThinkPsFor != nil {
-			think = g.cfg.ThinkPsFor(connID)
-		}
-		if think > 0 {
-			g.eng.After(think, func() { g.issue(connID) })
-		} else {
-			g.eng.At(g.eng.Now(), func() { g.issue(connID) })
-		}
-	})
+func (g *Generator) issue(c *conn) {
+	c.start = g.eng.Now()
+	g.target.Submit(c.id, c.done)
+}
+
+// complete records a finished request and schedules the connection's
+// next one after its think time.
+func (g *Generator) complete(c *conn) {
+	if g.measuring {
+		g.Completed++
+		g.Latency.Observe(float64(g.eng.Now()-c.start) * 1e-12)
+	}
+	think := g.cfg.ThinkPs
+	if g.cfg.ThinkPsFor != nil {
+		think = g.cfg.ThinkPsFor(c.id)
+	}
+	if think > 0 {
+		g.eng.After(think, c.issue)
+	} else {
+		g.eng.At(g.eng.Now(), c.issue)
+	}
 }
