@@ -383,7 +383,7 @@ func BenchmarkAblationOrderedCopy(b *testing.B) {
 				dbuf, _ := sys.Driver.AllocPages(1)
 				src := make([]byte, core.PageSize)
 				copy(src, payload)
-				sys.Driver.WriteBuffer(0, sbuf, src)
+				sys.Hier.Write(0, sbuf, src)
 				ctx := &core.OffloadContext{
 					Op: core.OpTLSEncrypt,
 					TLS: &core.TLSContext{Direction: aesgcm.Encrypt, Key: key, IV: iv,
@@ -432,7 +432,7 @@ func BenchmarkAblationAdaptiveThreshold(b *testing.B) {
 					if _, err := ad.Process(offload.TLS, 0, conn, len(payload)); err != nil {
 						b.Fatal(err)
 					}
-					sys.ReadBytes(1, big, 128<<10) // background contention
+					sys.Hier.Read(nil, 1, big, 128<<10) // background contention
 				}
 				b.ReportMetric(float64(ad.OffloadedN)/float64(ad.OffloadedN+ad.OnCPUN), "offload-fraction")
 			}

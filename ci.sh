@@ -14,7 +14,11 @@
 #   5. wall-clock gate — no simulator code may read the host clock:
 #                     trace timestamps come from simulated picoseconds
 #                     only, so any time.Now() inside internal/ breaks
-#                     byte-reproducible traces and fails the build
+#                     byte-reproducible traces and fails the build;
+#                     and the overlap gate: a memory-level-parallelism
+#                     constant or a division by one may appear in
+#                     non-test Go only in internal/memsys, which owns
+#                     the bulk-access overlap rule (DESIGN §7)
 #   6. race tests   — the concurrency-bearing packages (the runner pool
 #                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
@@ -253,6 +257,15 @@ run_all() {
 	fi
 	if grep -rn "time\.Now()" cmd/ --include="*.go" | grep -v "wallclock:ok"; then
 		echo "ci.sh: unannotated time.Now() in cmd/ — annotate intentional host-clock reads with wallclock:ok" >&2
+		exit 1
+	fi
+
+	echo "== overlap gate (the MLP rule only in internal/memsys)"
+	# Every bulk memory access charges its overlapped latency through
+	# internal/memsys (a bulk form or memsys.Overlap): a second MLP
+	# constant or division elsewhere would fork the rule.
+	if grep -rnE '\b[A-Za-z_]*(MLP|mlp)\b[A-Za-z0-9_ ]*:?=|[^/]/ *[A-Za-z_.]*(MLP|mlp)\b' internal/ cmd/ examples/ --include="*.go" --exclude="*_test.go" | grep -v "^internal/memsys/"; then
+		echo "ci.sh: MLP constant or division outside internal/memsys — charge bulk accesses through its bulk forms or memsys.Overlap" >&2
 		exit 1
 	fi
 

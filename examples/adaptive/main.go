@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.WriteBytes(1, antagonist, make([]byte, 1<<20))
+	sys.Hier.Write(1, antagonist, make([]byte, 1<<20))
 
 	phases := []struct {
 		name      string
@@ -59,7 +59,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if ph.contended {
-				sys.ReadBytes(1, antagonist, 256<<10)
+				sys.Hier.Read(nil, 1, antagonist, 256<<10)
 			}
 		}
 		startOff, startCPU := ad.OffloadedN, ad.OnCPUN
@@ -72,7 +72,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if ph.contended {
-				sys.ReadBytes(1, antagonist, 256<<10)
+				sys.Hier.Read(nil, 1, antagonist, 256<<10)
 			}
 		}
 		fmt.Printf("%-48s miss-rate=%.3f  offloaded=%2d  on-cpu=%2d\n",

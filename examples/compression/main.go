@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := drv.WriteBuffer(0, sbuf, data); err != nil {
+		if _, err := sys.Hier.Write(0, sbuf, data); err != nil {
 			log.Fatal(err)
 		}
 		ctx := &core.OffloadContext{Op: core.OpCompress, Length: len(data)}

@@ -60,7 +60,7 @@ func main() {
 	}
 	src := make([]byte, core.PageSize)
 	copy(src, plaintext)
-	if _, err := drv.WriteBuffer(0, sbuf, src); err != nil {
+	if _, err := sys.Hier.Write(0, sbuf, src); err != nil {
 		log.Fatal(err)
 	}
 

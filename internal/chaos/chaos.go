@@ -282,7 +282,7 @@ func (s *soak) drain() {
 			s.violate("drain: USE(%#x,%d) after disarm: %v", addr, c.size, err)
 		}
 		wlen := (c.size + 63) &^ 63 // stays within the chunk's pages
-		if _, err := s.sys.Driver.WriteBuffer(0, addr, zeros[:wlen]); err != nil {
+		if _, err := s.sys.Hier.Write(0, addr, zeros[:wlen]); err != nil {
 			s.violate("drain: rewrite(%#x,%d): %v", addr, wlen, err)
 		}
 		if _, err := s.sys.Hier.Flush(addr, wlen); err != nil {
@@ -610,7 +610,7 @@ func (s *deviceSoak) plainDIMMPhase() (*sim.System, error) {
 		return nil, err
 	}
 	data := s.payload(2 * dram.PageSize)
-	if _, err := psys.WriteBytes(0, 0, data); err != nil {
+	if _, err := psys.Hier.Write(0, 0, data); err != nil {
 		s.fail("plain-dimm write", err)
 		return psys, nil
 	}
@@ -618,7 +618,7 @@ func (s *deviceSoak) plainDIMMPhase() (*sim.System, error) {
 		s.fail("plain-dimm flush", err)
 		return psys, nil
 	}
-	got, _, err := psys.ReadBytes(0, 0, len(data))
+	got, _, err := psys.Hier.Read(nil, 0, 0, len(data))
 	if err != nil {
 		s.fail("plain-dimm read", err)
 		return psys, nil

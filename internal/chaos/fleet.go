@@ -158,7 +158,7 @@ func (s *fleetSoak) opComp(slot int) error {
 			s.violate("fleet comp: op %d conn %d (home d%d) page %d undecodable: %v",
 				s.op, conn.ID, s.fl.Home(conn.ID), k, derr)
 		} else if !bytes.Equal(orig, rest[:cn]) {
-			srcNow, _, _ := s.sys.ReadBytes(0, conn.Src+uint64(k*l.SrcStride), cn)
+			srcNow, _, _ := s.sys.Hier.Read(nil, 0, conn.Src+uint64(k*l.SrcStride), cn)
 			s.violate("fleet comp: op %d conn %d (home d%d) page %d round-trip mismatch (got %d bytes, want %d, srcStale=%v, outIsSrcNow=%v)",
 				s.op, conn.ID, s.fl.Home(conn.ID), k, len(orig), cn,
 				!bytes.Equal(srcNow, rest[:cn]), bytes.Equal(orig, srcNow))

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/dram"
+	"repro/internal/memsys"
 	"repro/internal/telemetry"
 )
 
@@ -33,6 +34,7 @@ var (
 type Host interface {
 	Read64(core int, addr uint64, dst []byte) (int64, error)
 	Write64(core int, addr uint64, src []byte) (int64, error)
+	Read(dst []byte, core int, addr uint64, n int) ([]byte, int64, error)
 	Flush(addr uint64, size int) (int64, error)
 	Membar() error
 	MMIOWrite(addr uint64, src []byte) (int64, error)
@@ -290,9 +292,10 @@ func (d *Driver) CompCpy(core int, dbuf, sbuf uint64, size int, ctx *OffloadCont
 	}
 	elapsed += lat
 
-	// Lines 24-31: the copy itself, optionally ordered. The unordered
-	// copy overlaps outstanding misses (memMLP); the ordered variant
-	// serializes on the fence between 64-byte segments.
+	// Lines 24-31: the copy itself, optionally ordered. The copy
+	// overlaps outstanding misses (memsys.Overlap); the ordered variant
+	// also serializes on the fence between 64-byte segments, which is
+	// not overlapped.
 	line := d.line[:]
 	var copyLat int64
 	for off := 0; off < size; off += dram.CachelineSize {
@@ -311,7 +314,6 @@ func (d *Driver) CompCpy(core int, dbuf, sbuf uint64, size int, ctx *OffloadCont
 			if err := d.host.Membar(); err != nil {
 				return 0, err
 			}
-			copyLat += membarPs * memMLP // fence cost is not overlapped
 		}
 	}
 	if d.AbortProbe != nil && d.AbortProbe() > abortsBefore {
@@ -320,7 +322,10 @@ func (d *Driver) CompCpy(core int, dbuf, sbuf uint64, size int, ctx *OffloadCont
 		d.mu.Unlock()
 		return 0, fmt.Errorf("core: record aborted mid-offload: %w", ErrDSAFault)
 	}
-	elapsed += copyLat / memMLP
+	elapsed += memsys.Overlap(copyLat)
+	if ordered {
+		elapsed += int64((size+dram.CachelineSize-1)/dram.CachelineSize) * membarPs
+	}
 	if d.Tracer != nil {
 		d.Tracer.Span(d.TraceTrack, "CompCpy", d.nowPs(), elapsed)
 	}
@@ -367,9 +372,6 @@ func (d *Driver) AbortBuffer(addr uint64, n int) {
 // membarPs is the modelled cost of the store fence inserted between
 // ordered 64-byte copies (Algorithm 2, line 27).
 const membarPs = 25_000
-
-// memMLP mirrors sim.MemMLP: bulk copies overlap outstanding misses.
-const memMLP = 4
 
 // register transmits the per-page registration headers and the record
 // context through the MMIO window (S17).
@@ -437,39 +439,9 @@ func (d *Driver) Use(core int, dbuf uint64, size int) ([]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]byte, 0, size)
-	var line [dram.CachelineSize]byte
-	var rdLat int64
-	for off := 0; off < size; off += dram.CachelineSize {
-		rl, err := d.host.Read64(core, dbuf+uint64(off), line[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		rdLat += rl
-		n := size - off
-		if n > dram.CachelineSize {
-			n = dram.CachelineSize
-		}
-		out = append(out, line[:n]...)
+	out, rl, err := d.host.Read(nil, core, dbuf, size)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, lat + rdLat/memMLP, nil
-}
-
-// WriteBuffer copies data into a SmartDIMM buffer through the cache (the
-// application filling sbuf before CompCpy).
-func (d *Driver) WriteBuffer(core int, addr uint64, data []byte) (int64, error) {
-	var elapsed int64
-	var line [dram.CachelineSize]byte
-	for off := 0; off < len(data); off += dram.CachelineSize {
-		n := copy(line[:], data[off:])
-		for i := n; i < dram.CachelineSize; i++ {
-			line[i] = 0
-		}
-		lat, err := d.host.Write64(core, addr+uint64(off), line[:])
-		if err != nil {
-			return 0, err
-		}
-		elapsed += lat
-	}
-	return elapsed / memMLP, nil
+	return out, lat + rl, nil
 }

@@ -86,7 +86,7 @@ func runTLSEncrypt(t testing.TB, r *rig, key, iv, aad, plaintext []byte) []byte 
 	}
 	src := make([]byte, nPages*PageSize)
 	copy(src, plaintext)
-	if _, err := r.driver.WriteBuffer(0, sbuf, src); err != nil {
+	if _, err := r.hier.Write(0, sbuf, src); err != nil {
 		t.Fatal(err)
 	}
 	ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, aad, len(plaintext))
@@ -148,7 +148,7 @@ func TestTLSDecryptOffloadRoundTrip(t *testing.T) {
 	dbuf, _ := r.driver.AllocPages(nPages)
 	src := make([]byte, nPages*PageSize)
 	copy(src, sealed)
-	r.driver.WriteBuffer(0, sbuf, src)
+	r.hier.Write(0, sbuf, src)
 
 	ctx := tlsOffloadContext(t, aesgcm.Decrypt, key, iv, aad, size)
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, recordLen, ctx, false); err != nil {
@@ -184,7 +184,7 @@ func TestTLSDecryptDetectsTampering(t *testing.T) {
 	dbuf, _ := r.driver.AllocPages(nPages)
 	src := make([]byte, PageSize)
 	copy(src, sealed)
-	r.driver.WriteBuffer(0, sbuf, src)
+	r.hier.Write(0, sbuf, src)
 	ctx := tlsOffloadContext(t, aesgcm.Decrypt, key, iv, nil, size)
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, len(sealed), ctx, false); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestCompressionOffloadRoundTrip(t *testing.T) {
 		data := corpus.Generate(kind, MaxCompressInput, 3)
 		sbuf, _ := r.driver.AllocPages(1)
 		dbuf, _ := r.driver.AllocPages(1)
-		r.driver.WriteBuffer(0, sbuf, data)
+		r.hier.Write(0, sbuf, data)
 
 		ctx := &OffloadContext{Op: OpCompress, Length: MaxCompressInput}
 		if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
@@ -242,7 +242,7 @@ func TestDecompressionOffloadRoundTrip(t *testing.T) {
 
 	sbuf, _ := r.driver.AllocPages(1)
 	dbuf, _ := r.driver.AllocPages(1)
-	r.driver.WriteBuffer(0, sbuf, compressed)
+	r.hier.Write(0, sbuf, compressed)
 	ctx := &OffloadContext{Op: OpDecompress, Length: PageSize}
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestForceRecycleWhenScratchpadTiny(t *testing.T) {
 		dbuf, _ := drv.AllocPages(1)
 		src := make([]byte, PageSize)
 		copy(src, pt)
-		drv.WriteBuffer(0, sbuf, src)
+		hier.Write(0, sbuf, src)
 		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, len(pt))
 		if _, err := drv.CompCpy(0, dbuf, sbuf, len(pt)+TagSize, ctx, false); err != nil {
 			t.Fatalf("offload %d: %v", i, err)
@@ -353,7 +353,7 @@ func TestConcurrentOffloadsInterleaved(t *testing.T) {
 		dbuf, _ := r.driver.AllocPages(1)
 		src := make([]byte, PageSize)
 		copy(src, pt)
-		r.driver.WriteBuffer(i, sbuf, src)
+		r.hier.Write(i, sbuf, src)
 		offs[i] = off{sbuf, dbuf, pt, iv}
 	}
 	// Register all, then interleave... CompCpy performs its own copy, so
@@ -384,7 +384,7 @@ func TestNonAcceleratedTrafficUntouched(t *testing.T) {
 	r := newRig(t, 128*1024, 8)
 	plain := uint64(2 << 20)
 	want := corpus.Generate(corpus.Random, PageSize, 9)
-	r.driver.WriteBuffer(0, plain, want)
+	r.hier.Write(0, plain, want)
 	r.hier.Flush(plain, PageSize)
 
 	key := []byte("0123456789abcdef")
@@ -454,7 +454,7 @@ func TestMMIOStatusReflectsScratchpad(t *testing.T) {
 	}
 	sbuf, _ := r.driver.AllocPages(1)
 	dbuf, _ := r.driver.AllocPages(1)
-	r.driver.WriteBuffer(0, sbuf, corpus.Generate(corpus.Text, MaxCompressInput, 1))
+	r.hier.Write(0, sbuf, corpus.Generate(corpus.Text, MaxCompressInput, 1))
 	ctx := &OffloadContext{Op: OpCompress, Length: MaxCompressInput}
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
 		t.Fatal(err)
@@ -475,7 +475,7 @@ func TestReRegistrationEvictsStaleAllocation(t *testing.T) {
 	sbuf, _ := r.driver.AllocPages(1)
 	dbuf, _ := r.driver.AllocPages(1)
 	data := corpus.Generate(corpus.Text, MaxCompressInput, 21)
-	r.driver.WriteBuffer(0, sbuf, data)
+	r.hier.Write(0, sbuf, data)
 	ctx := &OffloadContext{Op: OpCompress, Length: MaxCompressInput}
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestReRegistrationEvictsStaleAllocation(t *testing.T) {
 	// Reusing the buffers while the old record is still un-recycled
 	// implicitly retires the stale allocation (buffer reuse = consent).
 	data2 := corpus.Generate(corpus.Text, MaxCompressInput, 22)
-	r.driver.WriteBuffer(0, sbuf, data2)
+	r.hier.Write(0, sbuf, data2)
 	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
 		t.Fatalf("re-registration failed: %v", err)
 	}
@@ -657,7 +657,7 @@ func TestCompressRecordZeroAllocs(t *testing.T) {
 	const records = 5
 	for i := 0; i < records; i++ {
 		data := corpus.Generate(corpus.HTML, MaxCompressInput, int64(i))
-		if _, err := r.driver.WriteBuffer(0, sbuf, data); err != nil {
+		if _, err := r.hier.Write(0, sbuf, data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.hier.Flush(sbuf, PageSize); err != nil {
@@ -701,6 +701,64 @@ func TestCompressRecordZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDecompressRecordReusesDSA checks that the Inflate DSA is pooled
+// like the Deflate and TLS ones: consecutive decompression records
+// re-register the same pages, which retires the previous record, so
+// each takes the DSA, page buffer included, that its predecessor
+// returned to the free list; and every page still round-trips.
+func TestDecompressRecordReusesDSA(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	ctl := r.hier.Channels[0].Ctl
+	ctx := &OffloadContext{Op: OpDecompress, Length: PageSize}
+	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	var line [dram.CachelineSize]byte
+	var first *inflateDSA
+	const records = 4
+	for i := 0; i < records; i++ {
+		data := corpus.Generate(corpus.HTML, MaxCompressInput-i*100, int64(i))
+		page, err := EncodeCompressedPage(data, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.hier.Write(0, sbuf, page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.hier.Flush(sbuf, PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.driver.register(sbuf, dbuf, PageSize, 1, ctx); err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+		if !ok {
+			t.Fatal("source page not registered")
+		}
+		dsa := tr.rec.dsa.(*inflateDSA)
+		if i == 0 {
+			first = dsa
+		} else if dsa != first {
+			t.Fatalf("record %d did not reuse the retired record's Inflate DSA", i)
+		}
+		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+			if _, err := ctl.Read(sbuf+off, 0, line[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, _, err := r.driver.Use(0, dbuf, PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out[:len(data)], data) || !bytes.Equal(out[len(data):], make([]byte, PageSize-len(data))) {
+			t.Fatalf("record %d: inflated page differs from the original", i)
+		}
+	}
+	if st := r.dev.Stats(); st.DSALinesFed != records*LinesPerPage || st.DSAErrors != 0 {
+		t.Fatalf("fed %d lines with %d DSA errors, want %d and 0", st.DSALinesFed, st.DSAErrors, records*LinesPerPage)
+	}
+}
+
 // TestTLSRecordZeroAllocs checks that once the device has served a TLS
 // record, later records on the same key allocate nothing from
 // registration to retirement: CompCpy (status read, registration and
@@ -721,7 +779,7 @@ func TestTLSRecordZeroAllocs(t *testing.T) {
 		iv := []byte("abcdefghijk" + string(rune('a'+i)))
 		aad := []byte{0x17, 0x03, 0x03, byte(i), 0}
 		pt := corpus.Generate(corpus.Text, payload, int64(i))
-		if _, err := r.driver.WriteBuffer(0, sbuf, pt); err != nil {
+		if _, err := r.hier.Write(0, sbuf, pt); err != nil {
 			t.Fatal(err)
 		}
 		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, aad, payload)

@@ -368,18 +368,22 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([
 	return pageToLines(lines, framePage(d.page, d.src[:d.length], d.enc)), nil
 }
 
-// inflateDSA decompresses one compressed page arriving in order.
+// inflateDSA decompresses one compressed page arriving in order. The
+// device's encoderSlot keeps retired ones, page buffer included, for
+// later records.
 type inflateDSA struct {
 	buf     [PageSize]byte
 	length  int
 	nextOff int
 }
 
-func newInflateDSA(length int) (*inflateDSA, error) {
+func newInflateDSA(length int, slot *encoderSlot) (*inflateDSA, error) {
 	if length <= 0 || length > PageSize {
 		return nil, fmt.Errorf("core: decompression length %d not within one page", length)
 	}
-	return &inflateDSA{length: length}, nil
+	d := takeFree(&slot.inflate)
+	d.length, d.nextOff = length, 0
+	return d, nil
 }
 
 // DestLen implements dsaInstance.
@@ -503,7 +507,8 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 }
 
 // encoderSlot holds a device's Deflate DSA: its encoder, the page the
-// encoder frames into and a free list of retired DSAs. A compression
+// encoder frames into and a free list of retired DSAs, plus the free
+// list of retired Inflate DSAs (each owns its page buffer). A compression
 // record borrows the encoder and the page instead of building its own:
 // the page is compressed, framed and copied out inside the record's
 // last ProcessSourceLine call, so records never interleave on them.
@@ -512,10 +517,11 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 // config's table at maxDSATableEntries. A record takes a DSA, with its
 // source buffer, when it is built and gives it back when it retires.
 type encoderSlot struct {
-	cfg  deflate.HWConfig
-	enc  *deflate.HWEncoder
-	page *[PageSize]byte
-	free []*deflateDSA
+	cfg     deflate.HWConfig
+	enc     *deflate.HWEncoder
+	page    *[PageSize]byte
+	free    []*deflateDSA
+	inflate []*inflateDSA
 }
 
 // get returns the encoder for cfg, rebuilding the slot's on a change.
@@ -551,6 +557,8 @@ func (d *Device) releaseDSA(rec *record) {
 		d.keys.free = append(d.keys.free, dsa)
 	case *deflateDSA:
 		d.enc.free = append(d.enc.free, dsa)
+	case *inflateDSA:
+		d.enc.inflate = append(d.enc.inflate, dsa)
 	}
 	rec.dsa = nil
 }
@@ -601,7 +609,7 @@ func parseHWConfig(raw []byte) (deflate.HWConfig, error) {
 
 // buildDSA deserializes the context bytes and instantiates the record's
 // DSA, as the device does once registration completes. TLS records take
-// their key schedule from keys, compression records their encoder from
+// their key schedule from keys, (de)compression records their DSA from
 // enc.
 func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encoderSlot) (dsaInstance, error) {
 	switch op {
@@ -640,7 +648,7 @@ func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encod
 		}
 		return newDeflateDSA(length, cfg, enc)
 	case OpDecompress:
-		return newInflateDSA(length)
+		return newInflateDSA(length, enc)
 	default:
 		return nil, fmt.Errorf("core: unknown opcode %v", op)
 	}

@@ -248,18 +248,13 @@ type Fleet struct {
 }
 
 // New builds a fleet over every SmartDIMM rank cfg.Sys exposes. The
-// system must have at least one rank (use sim.SystemConfig.SmartDIMMRanks)
-// and be in range mode: the Affinity policy is undefined under 64B
-// channel interleaving, and per-rank drivers assume ranked ranges.
+// system must have at least one rank (use sim.SystemConfig.SmartDIMMRanks).
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Sys == nil {
 		return nil, fmt.Errorf("fleet: nil system")
 	}
 	if len(cfg.Sys.Drivers) == 0 {
 		return nil, fmt.Errorf("fleet: system has no SmartDIMM ranks (empty fleet)")
-	}
-	if cfg.Sys.Hier.Interleave {
-		return nil, fmt.Errorf("fleet: channel interleaving defeats per-rank placement; use range mode")
 	}
 	if cfg.MigrateCooldownOps <= 0 {
 		cfg.MigrateCooldownOps = 16
@@ -605,18 +600,18 @@ func (f *Fleet) migrate(rec *homeRec, to int, now int64) error {
 	// Dst through DMA also retires any record the old device still holds
 	// in flight for these pages, materializing its output on the way out.
 	bufBytes := rec.pages * core.PageSize
-	data, lat, err := f.cfg.Sys.DMAOut(nil, conn.Src, conn.Size)
+	data, lat, err := f.cfg.Sys.Hier.DMARead(nil, conn.Src, conn.Size)
 	if err == nil {
-		err = f.cfg.Sys.DMAIn(newSrc, data)
+		err = f.cfg.Sys.Hier.DMAWrite(newSrc, data)
 	}
 	var out []byte
 	if err == nil {
 		var dlat int64
-		out, dlat, err = f.cfg.Sys.DMAOut(nil, conn.Dst, bufBytes)
+		out, dlat, err = f.cfg.Sys.Hier.DMARead(nil, conn.Dst, bufBytes)
 		lat += dlat
 	}
 	if err == nil {
-		err = f.cfg.Sys.DMAIn(newDst, out)
+		err = f.cfg.Sys.Hier.DMAWrite(newDst, out)
 	}
 	if err != nil {
 		t.drv.FreePages(newSrc, rec.pages)

@@ -137,8 +137,7 @@ func TestPlacementPolicies(t *testing.T) {
 }
 
 // TestEmptyFleetRejected covers the empty-fleet edge: a system without
-// SmartDIMM ranks, and one in channel-interleave mode, must both refuse
-// to build a fleet.
+// SmartDIMM ranks, or no system at all, must refuse to build a fleet.
 func TestEmptyFleetRejected(t *testing.T) {
 	sys, err := sim.NewSystem(sim.SystemConfig{
 		Params: sim.DefaultParams(), LLCBytes: 256 << 10, LLCWays: 8,
@@ -151,11 +150,6 @@ func TestEmptyFleetRejected(t *testing.T) {
 	}
 	if _, err := fleet.New(fleet.Config{Sys: nil}); err == nil {
 		t.Error("fleet.New accepted a nil system")
-	}
-	sys2 := newFleetSystem(t, 2)
-	sys2.Hier.Interleave = true
-	if _, err := fleet.New(fleet.Config{Sys: sys2}); err == nil {
-		t.Error("fleet.New accepted a channel-interleaved memory system")
 	}
 }
 

@@ -6,9 +6,7 @@
 //
 // Address space layout follows the AxDIMM prototype's single-channel
 // mode (§V, §VI): each DIMM module owns a contiguous physical range, so
-// 4KB pages map entirely to one DIMM. An optional fine-grain interleave
-// mode spreads consecutive cachelines across channels for the §V-D
-// discussion experiments.
+// 4KB pages map entirely to one DIMM.
 package memsys
 
 import (
@@ -32,7 +30,7 @@ const (
 type Channel struct {
 	Ctl *memctrl.Controller
 	Mod dram.Module
-	// Base is the start of this channel's physical range (range mode).
+	// Base is the start of this channel's physical range.
 	Base uint64
 	Size uint64
 }
@@ -40,9 +38,8 @@ type Channel struct {
 // Hierarchy is the host memory system: one shared LLC in front of one or
 // more channels.
 type Hierarchy struct {
-	LLC        *cache.Cache
-	Channels   []Channel
-	Interleave bool // false: range mode (default); true: 64B round-robin
+	LLC      *cache.Cache
+	Channels []Channel
 
 	// Clock, when set (the discrete-event engine's Now), enables the
 	// bandwidth-contention model: DRAM demand from all actors within a
@@ -54,6 +51,12 @@ type Hierarchy struct {
 	winStartPs int64
 	winBusyPs  int64
 	loadFactor float64
+
+	// tail is the zero-filled last line of a bulk write whose length is
+	// not a line multiple. A stack array would escape: the walker hands
+	// the same line slice to the reads, whose dst leaks into the
+	// controller.
+	tail [dram.CachelineSize]byte
 }
 
 // Contention-model constants: the pure burst occupancy of one 64-byte
@@ -100,8 +103,8 @@ func (h *Hierarchy) LoadFactor() float64 {
 	return h.loadFactor
 }
 
-// New builds a hierarchy in range mode over the given channels; channel
-// bases are assigned contiguously in order.
+// New builds a hierarchy over the given channels; channel bases are
+// assigned contiguously in order.
 func New(llc *cache.Cache, chans ...Channel) (*Hierarchy, error) {
 	if len(chans) == 0 {
 		return nil, fmt.Errorf("memsys: need at least one channel")
@@ -116,27 +119,8 @@ func New(llc *cache.Cache, chans ...Channel) (*Hierarchy, error) {
 	return &Hierarchy{LLC: llc, Channels: chans}, nil
 }
 
-// TotalBytes returns the aggregate capacity.
-func (h *Hierarchy) TotalBytes() uint64 {
-	var n uint64
-	for _, c := range h.Channels {
-		n += c.Size
-	}
-	return n
-}
-
 // route returns the channel and channel-local address for phys.
 func (h *Hierarchy) route(phys uint64) (*Channel, uint64, error) {
-	if h.Interleave {
-		n := uint64(len(h.Channels))
-		cl := phys / dram.CachelineSize
-		ch := &h.Channels[cl%n]
-		local := (cl/n)*dram.CachelineSize + phys%dram.CachelineSize
-		if local >= ch.Size {
-			return nil, 0, fmt.Errorf("memsys: address %#x beyond capacity", phys)
-		}
-		return ch, local, nil
-	}
 	for i := range h.Channels {
 		c := &h.Channels[i]
 		if phys >= c.Base && phys < c.Base+c.Size {

@@ -150,30 +150,6 @@ func TestRangeModeRouting(t *testing.T) {
 	}
 }
 
-func TestInterleaveModeRouting(t *testing.T) {
-	h := newHier(t, 2)
-	h.Interleave = true
-	a, _ := h.ChannelOf(0)
-	b, _ := h.ChannelOf(64)
-	c, _ := h.ChannelOf(128)
-	if a == b || a != c {
-		t.Fatalf("interleave pattern wrong: %d %d %d", a, b, c)
-	}
-	// Functional integrity across interleaved channels.
-	want := bytes.Repeat([]byte{0xEE}, 64)
-	for i := uint64(0); i < 16; i++ {
-		h.Write64(0, i*64, want)
-	}
-	h.Flush(0, 16*64)
-	got := make([]byte, 64)
-	for i := uint64(0); i < 16; i++ {
-		h.Read64(0, i*64, got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("interleaved line %d corrupted", i)
-		}
-	}
-}
-
 func TestMMIOBypassesCache(t *testing.T) {
 	h := newHier(t, 1)
 	data := bytes.Repeat([]byte{0xAB}, 64)
@@ -189,13 +165,6 @@ func TestMMIOBypassesCache(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("MMIO round trip mismatch")
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	h := newHier(t, 2)
-	if h.TotalBytes() != 2*dram.SmallGeometry().CapacityBytes() {
-		t.Fatal("TotalBytes wrong")
 	}
 }
 

@@ -45,7 +45,7 @@ func TestAdaptiveCompressionBothPathsDecodable(t *testing.T) {
 		}
 		// Alternate contention so the policy flips.
 		if i%2 == 0 {
-			sys.ReadBytes(1, big, 256<<10)
+			sys.Hier.Read(nil, 1, big, 256<<10)
 		}
 	}
 	if ad.OffloadedN == 0 {

@@ -213,7 +213,7 @@ func StagePayloadCPU(sys *sim.System, coreID int, conn *Conn, payload []byte) (i
 	l := LayoutFor(conn.U)
 	var lat int64
 	for k, n := range l.Chunks(len(payload)) {
-		w, err := sys.WriteBytes(coreID, conn.Src+uint64(k*l.SrcStride), payload[:n])
+		w, err := sys.Hier.Write(coreID, conn.Src+uint64(k*l.SrcStride), payload[:n])
 		if err != nil {
 			return 0, err
 		}
@@ -228,7 +228,7 @@ func StagePayloadCPU(sys *sim.System, coreID int, conn *Conn, payload []byte) (i
 func StagePayloadDMA(sys *sim.System, conn *Conn, payload []byte) error {
 	l := LayoutFor(conn.U)
 	for k, n := range l.Chunks(len(payload)) {
-		if err := sys.DMAIn(conn.Src+uint64(k*l.SrcStride), payload[:n]); err != nil {
+		if err := sys.Hier.DMAWrite(conn.Src+uint64(k*l.SrcStride), payload[:n]); err != nil {
 			return err
 		}
 		payload = payload[n:]
@@ -248,7 +248,7 @@ func ReadOutput(sys *sim.System, coreID int, conn *Conn, res Result) ([][]byte, 
 				return nil, err
 			}
 		}
-		b, _, err := sys.ReadBytes(coreID, conn.Dst+uint64(sp.Off), sp.Len)
+		b, _, err := sys.Hier.Read(nil, coreID, conn.Dst+uint64(sp.Off), sp.Len)
 		if err != nil {
 			return nil, err
 		}
@@ -334,25 +334,17 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	var res Result
 	p := b.Sys.Params
 	l := LayoutFor(u)
-	var gcm *aesgcm.GCM
-	if b.Functional && u == TLS {
-		var err error
-		gcm, err = conn.gcm()
-		if err != nil {
-			return res, err
-		}
-	}
 	if u == Compression && conn.StateBytes > 0 {
 		// The software compressor streams through its window and hash
 		// state: half read, half updated, all through the LLC. Under
 		// many concurrent connections this state is what thrashes.
 		half := conn.StateBytes / 2
-		_, lat, err := b.Sys.ReadBytes(coreID, conn.State, half)
+		_, lat, err := b.Sys.Hier.Read(nil, coreID, conn.State, half)
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
-		lat, err = b.Sys.WriteBytes(coreID, conn.State+uint64(half), make([]byte, half))
+		lat, err = b.Sys.Hier.Write(coreID, conn.State+uint64(half), make([]byte, half))
 		if err != nil {
 			return res, err
 		}
@@ -360,36 +352,22 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	}
 	for k, n := range l.Chunks(payloadLen) {
 		// Read the plaintext through the cache (first ULP pass).
-		data, lat, err := b.Sys.ReadBytes(coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
-
-		var out []byte
-		switch u {
-		case TLS:
+		if u == TLS {
 			res.CPUPs += p.AESGCMComputePs(n)
-			if b.Functional {
-				hdr := ulp.Header(n + aesgcm.TagSize)
-				out, err = gcm.Seal(hdr, conn.NextIV(), data, hdr)
-				if err != nil {
-					return res, err
-				}
-			} else {
-				conn.NextIV()
-				out = make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize)
-			}
-		case Compression:
+		} else {
 			res.CPUPs += p.DeflateComputePs(n)
-			if b.Functional {
-				out = core.SoftCompressPage(data)
-			} else {
-				out = make([]byte, estimateCompressed(n))
-			}
+		}
+		out, err := transform(u, b.Functional, conn, data)
+		if err != nil {
+			return res, err
 		}
 		// Write the record through the cache (second ULP pass).
-		lat, err = b.Sys.WriteBytes(coreID, conn.Dst+uint64(k*l.DstStride), out)
+		lat, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), out)
 		if err != nil {
 			return res, err
 		}
@@ -399,6 +377,30 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		res.DstSpans = append(res.DstSpans, Span{Off: k * l.DstStride, Len: len(out)})
 	}
 	return res, nil
+}
+
+// transform is the software TX transform of one record, shared by the
+// CPU and QuickAssist placements: the sealed TLS record (header,
+// ciphertext, tag) or the deflate page of data. When not functional it
+// returns an output of the modelled size instead. A TLS record draws
+// its nonce from conn either way.
+func transform(u ULP, functional bool, conn *Conn, data []byte) ([]byte, error) {
+	n := len(data)
+	switch {
+	case u == TLS && functional:
+		g, err := conn.gcm()
+		if err != nil {
+			return nil, err
+		}
+		hdr := ulp.Header(n + aesgcm.TagSize)
+		return g.Seal(hdr, conn.NextIV(), data, hdr)
+	case u == TLS:
+		conn.NextIV()
+		return make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize), nil
+	case functional:
+		return core.SoftCompressPage(data), nil
+	}
+	return make([]byte, estimateCompressed(n)), nil
 }
 
 // --- SmartNIC backend ------------------------------------------------------
@@ -440,7 +442,7 @@ func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resul
 	p := b.Sys.Params
 	l := LayoutFor(u)
 	for k, n := range l.Chunks(payloadLen) {
-		data, lat, err := b.Sys.ReadBytes(coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
@@ -450,7 +452,7 @@ func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resul
 		out = append(out, data...)                         // plaintext: NIC encrypts in flight
 		out = append(out, make([]byte, aesgcm.TagSize)...) // tag placeholder
 		conn.NextIV()
-		lat, err = b.Sys.WriteBytes(coreID, conn.Dst+uint64(k*l.DstStride), out)
+		lat, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), out)
 		if err != nil {
 			return res, err
 		}
@@ -506,50 +508,30 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	var res Result
 	p := b.Sys.Params
 	l := LayoutFor(u)
-	var gcm *aesgcm.GCM
-	if b.Functional && u == TLS {
-		var err error
-		gcm, err = conn.gcm()
-		if err != nil {
-			return res, err
-		}
-	}
 	for k, n := range l.Chunks(payloadLen) {
 		// CPU: copy the payload into the pinned DMA staging buffer
 		// (the qatzip/QAT-engine flow), build the descriptor, doorbell.
-		data, lat, err := b.Sys.ReadBytes(coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
-		lat, err = b.Sys.WriteBytes(coreID, b.pinned, data[:n])
+		lat, err = b.Sys.Hier.Write(coreID, b.pinned, data[:n])
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat + p.QATSetupNs*sim.Ns
 		// Card DMA-reads the payload from the pinned buffer (real
 		// channel traffic), computes, DMA-writes the result.
-		_, dmaLat, err := b.Sys.DMAOut(nil, b.pinned, n)
+		_, dmaLat, err := b.Sys.Hier.DMARead(nil, b.pinned, n)
 		if err != nil {
 			return res, err
 		}
-		var out []byte
-		switch {
-		case u == TLS && b.Functional:
-			hdr := ulp.Header(n + aesgcm.TagSize)
-			out, err = gcm.Seal(hdr, conn.NextIV(), data, hdr)
-			if err != nil {
-				return res, err
-			}
-		case u == TLS:
-			conn.NextIV()
-			out = make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize)
-		case b.Functional:
-			out = core.SoftCompressPage(data)
-		default:
-			out = make([]byte, estimateCompressed(n))
+		out, err := transform(u, b.Functional, conn, data)
+		if err != nil {
+			return res, err
 		}
-		if err := b.Sys.DMAIn(b.pinned+uint64(b.pinnedSize/2), out); err != nil {
+		if err := b.Sys.Hier.DMAWrite(b.pinned+uint64(b.pinnedSize/2), out); err != nil {
 			return res, err
 		}
 		// Synchronous mode: the CPU spin-polls for the whole device
@@ -559,12 +541,12 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 			p.PCIeTransferPs(n) + p.PCIeTransferPs(len(out)) + dmaLat +
 			p.QATCompletionNs*sim.Ns
 		res.CPUPs += spin
-		out2, lat2, err := b.Sys.ReadBytes(coreID, b.pinned+uint64(b.pinnedSize/2), len(out))
+		out2, lat2, err := b.Sys.Hier.Read(nil, coreID, b.pinned+uint64(b.pinnedSize/2), len(out))
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat2
-		lat2, err = b.Sys.WriteBytes(coreID, conn.Dst+uint64(k*l.DstStride), out2)
+		lat2, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), out2)
 		if err != nil {
 			return res, err
 		}
@@ -587,7 +569,7 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 // translation-table insert failure, DSA fault, ALERT_N budget), the
 // affected chunk is processed by the CPU software path into the same
 // destination buffer — the degradation ladder's last rung — and counted
-// in Degraded.
+// in Degraded. TX and both RX paths run that ladder through offload.
 type SmartDIMM struct {
 	Sys *sim.System
 	// Driver selects which rank's buffer device serves this backend; nil
@@ -602,11 +584,16 @@ type SmartDIMM struct {
 	Degraded stats.Degradation
 
 	hw *deflate.HWEncoder // CPU-fallback encoder, built on first use by hwEncoder
-	// Process's buffers: the spans it returns, a record's EIV and the DMA
-	// peek at a compressed page's first line.
+	// Process's buffers: the spans it returns and the DMA peek at a
+	// compressed page's first line.
 	spans []Span
-	eiv   [aesgcm.BlockSize]byte
 	peek  []byte
+	// A TLS record's offload context and the nonce, AAD, H and EIV it
+	// points into; each record overwrites them.
+	tls    core.TLSContext
+	iv     [12]byte
+	aad    [ulp.RecordHeaderLen]byte
+	h, eiv [aesgcm.BlockSize]byte
 }
 
 // hwEncoder returns the backend's Deflate DSA-model encoder, which
@@ -667,67 +654,30 @@ func (b *SmartDIMM) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, error) {
 	res := Result{DstSpans: b.spans[:0]}
 	defer func() { b.spans = res.DstSpans }()
-	drv := b.drv()
 	l := LayoutFor(u)
 	// The chunks of l.Chunks, without building the list.
 	for k := 0; k*l.MaxChunk < payloadLen; k++ {
 		n := min(payloadLen-k*l.MaxChunk, l.MaxChunk)
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
-		var ctx *core.OffloadContext
-		var size int
-		ordered := false
-		switch u {
-		case TLS:
-			iv := conn.NextIV()
-			g, err := conn.gcm()
-			if err != nil {
+		ctx := core.OffloadContext{Op: core.OpCompress, Length: n}
+		size := core.PageSize
+		if u == TLS {
+			var err error
+			if ctx, err = b.tlsContext(conn, core.OpTLSEncrypt, n); err != nil {
 				return res, err
-			}
-			eiv, err := g.AppendEIV(b.eiv[:0], iv)
-			if err != nil {
-				return res, err
-			}
-			ctx = &core.OffloadContext{
-				Op: core.OpTLSEncrypt,
-				TLS: &core.TLSContext{
-					Direction: aesgcm.Encrypt, Key: conn.Key, IV: iv,
-					H: g.H(), EIV: eiv, AAD: ulp.Header(n + aesgcm.TagSize), PayloadLen: n,
-				},
-				Length: n,
 			}
 			size = n + core.TagSize
 			res.TXBytes += ulp.RecordHeaderLen + n + core.TagSize
 			res.DstSpans = append(res.DstSpans, Span{Off: k * l.DstStride, Len: n + core.TagSize})
-		case Compression:
-			ctx = &core.OffloadContext{Op: core.OpCompress, Length: n}
-			size = core.PageSize
-			ordered = true
 		}
-		var lat int64
-		err := errSoftRung
-		if !b.Soft {
-			lat, err = drv.CompCpy(coreID, dbuf, sbuf, size, ctx, ordered)
-		}
-		switch {
-		case err == nil:
-			res.CPUPs += lat
-			b.Degraded.PrimaryOps++
-		case Degradable(err):
-			// Degradation ladder: CompCpy already tried Force-Recycle;
-			// process this chunk on the CPU into the same destination.
-			if tr := b.Sys.Tracer; tr != nil {
-				tr.Instant(tr.Track("offload"), "cpu-fallback", b.Sys.Engine.Now())
-			}
-			flat, ferr := b.fallbackChunk(u, coreID, conn, ctx, sbuf, dbuf, n)
-			if ferr != nil {
-				return res, fmt.Errorf("offload: CPU fallback after %v: %w", err, ferr)
-			}
-			res.CPUPs += flat
-			b.Degraded.FallbackOps++
-		default:
+		lat, _, err := b.offload(coreID, dbuf, sbuf, size, &ctx, func() (int64, error) {
+			return b.fallbackChunk(u, coreID, conn, &ctx, sbuf, dbuf, n)
+		})
+		if err != nil {
 			return res, err
 		}
+		res.CPUPs += lat
 		if u == Compression {
 			// Wire bytes: the compressed payload length from the page
 			// header. Flush just that line so the DMA peek observes the
@@ -737,7 +687,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 				return res, err
 			}
 			res.CPUPs += flat
-			b.peek, _, err = b.Sys.DMAOut(b.peek[:0], dbuf, 64)
+			b.peek, _, err = b.Sys.Hier.DMARead(b.peek[:0], dbuf, 64)
 			if err != nil {
 				return res, err
 			}
@@ -757,12 +707,73 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 	return res, nil
 }
 
+// offload runs one record down the degradation ladder: CompCpy of size
+// bytes from sbuf into dbuf unless the backend is Soft, then, if that
+// fails with a degradable error, cpuRung, which processes the record in
+// software into the same destination. The (de)compression DSAs get an
+// ordered copy. It counts the record in Degraded, returns the CPU time
+// charged, and reports whether the device served the record (so a
+// receive runs USE on its output).
+func (b *SmartDIMM) offload(coreID int, dbuf, sbuf uint64, size int, ctx *core.OffloadContext, cpuRung func() (int64, error)) (int64, bool, error) {
+	err := errSoftRung
+	if !b.Soft {
+		ordered := ctx.Op == core.OpCompress || ctx.Op == core.OpDecompress
+		var lat int64
+		if lat, err = b.drv().CompCpy(coreID, dbuf, sbuf, size, ctx, ordered); err == nil {
+			b.Degraded.PrimaryOps++
+			return lat, true, nil
+		}
+	}
+	if !Degradable(err) {
+		return 0, false, err
+	}
+	// CompCpy already tried Force-Recycle; process this record on the
+	// CPU into the same destination.
+	if tr := b.Sys.Tracer; tr != nil {
+		tr.Instant(tr.Track("offload"), "cpu-fallback", b.Sys.Engine.Now())
+	}
+	lat, ferr := cpuRung()
+	if ferr != nil {
+		return 0, false, fmt.Errorf("offload: CPU fallback after %v: %w", err, ferr)
+	}
+	b.Degraded.FallbackOps++
+	return lat, false, nil
+}
+
+// tlsContext builds the offload context of one TLS record of n payload
+// bytes, for either direction (op). It draws the record's nonce from
+// conn. The context and every byte it points to live in the backend's
+// buffers, which the next record overwrites, so a record allocates
+// nothing.
+func (b *SmartDIMM) tlsContext(conn *Conn, op core.Opcode, n int) (core.OffloadContext, error) {
+	copy(b.iv[:], conn.NextIV())
+	g, err := conn.gcm()
+	if err != nil {
+		return core.OffloadContext{}, err
+	}
+	eiv, err := g.AppendEIV(b.eiv[:0], b.iv[:])
+	if err != nil {
+		return core.OffloadContext{}, err
+	}
+	copy(b.h[:], g.H())
+	copy(b.aad[:], ulp.Header(n+aesgcm.TagSize))
+	dir := aesgcm.Encrypt
+	if op == core.OpTLSDecrypt {
+		dir = aesgcm.Decrypt
+	}
+	b.tls = core.TLSContext{
+		Direction: dir, Key: conn.Key, IV: b.iv[:],
+		H: b.h[:], EIV: eiv, AAD: b.aad[:], PayloadLen: n,
+	}
+	return core.OffloadContext{Op: op, TLS: &b.tls, Length: n}, nil
+}
+
 // fallbackChunk runs one chunk of a failed offload on the CPU software
 // path, writing the same wire format the DSA would have produced into
 // the destination buffer. Returns the CPU time charged.
 func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.OffloadContext, sbuf, dbuf uint64, n int) (int64, error) {
 	p := b.Sys.Params
-	data, lat, err := b.Sys.ReadBytes(coreID, sbuf, n)
+	data, lat, err := b.Sys.Hier.Read(nil, coreID, sbuf, n)
 	if err != nil {
 		return 0, err
 	}
@@ -788,7 +799,7 @@ func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.Offlo
 		out = page
 		lat += p.DeflateComputePs(n)
 	}
-	wlat, err := b.Sys.WriteBytes(coreID, dbuf, out)
+	wlat, err := b.Sys.Hier.Write(coreID, dbuf, out)
 	if err != nil {
 		return 0, err
 	}

@@ -261,8 +261,8 @@ func TestAdaptiveSwitchesOnContention(t *testing.T) {
 	payload := corpus.Generate(corpus.Text, 4096, 1)
 	// Generate contention: stream a large range through the tiny LLC.
 	big, _ := sys.AllocPlain(1 << 20)
-	sys.WriteBytes(1, big, make([]byte, 1<<20))
-	sys.ReadBytes(1, big, 1<<20)
+	sys.Hier.Write(1, big, make([]byte, 1<<20))
+	sys.Hier.Read(nil, 1, big, 1<<20)
 
 	for i := 0; i < 16; i++ {
 		stage(t, sys, conn, payload)
@@ -270,7 +270,7 @@ func TestAdaptiveSwitchesOnContention(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Keep contention high between probes.
-		sys.ReadBytes(1, big, 256<<10)
+		sys.Hier.Read(nil, 1, big, 256<<10)
 	}
 	if ad.OffloadedN == 0 {
 		t.Fatalf("adaptive never offloaded under contention (miss rate %.3f)", ad.LastMissRate)

@@ -39,7 +39,7 @@ func StageRXRecordsDMA(sys *sim.System, conn *Conn, records [][]byte) error {
 		if len(rec) > l.SrcStride {
 			return fmt.Errorf("offload: RX record %d (%dB) exceeds stride", k, len(rec))
 		}
-		if err := sys.DMAIn(conn.Src+uint64(k*l.SrcStride), rec); err != nil {
+		if err := sys.Hier.DMAWrite(conn.Src+uint64(k*l.SrcStride), rec); err != nil {
 			return err
 		}
 	}
@@ -50,7 +50,6 @@ func StageRXRecordsDMA(sys *sim.System, conn *Conn, records [][]byte) error {
 // payloadLens[k] is record k's plaintext length.
 func (b *CPU) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, error) {
 	res := RXResult{AuthOK: true}
-	p := b.Sys.Params
 	l := LayoutFor(TLS)
 	var gcm *aesgcm.GCM
 	if b.Functional {
@@ -61,31 +60,44 @@ func (b *CPU) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, e
 		}
 	}
 	for k, n := range payloadLens {
-		sealed, lat, err := b.Sys.ReadBytes(coreID, conn.Src+uint64(k*l.SrcStride), n+aesgcm.TagSize)
-		if err != nil {
-			return res, err
-		}
-		res.CPUPs += lat + p.AESGCMComputePs(n)
-		var pt []byte
-		if b.Functional {
-			pt, err = gcm.Open(nil, conn.NextIV(), sealed, ulp.Header(n+aesgcm.TagSize))
-			if err != nil {
-				res.AuthOK = false
-				pt = make([]byte, n)
-			}
-		} else {
-			conn.NextIV()
-			pt = make([]byte, n)
-		}
-		lat, err = b.Sys.WriteBytes(coreID, conn.Dst+uint64(k*l.DstStride), pt)
+		pt, ok, lat, err := openRecord(b.Sys, coreID, gcm, conn.NextIV(),
+			conn.Src+uint64(k*l.SrcStride), conn.Dst+uint64(k*l.DstStride), n)
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
+		res.AuthOK = res.AuthOK && ok
 		res.Payload = append(res.Payload, pt...)
 		res.Records++
 	}
 	return res, nil
+}
+
+// openRecord is the software TLS receive of one record, shared by the
+// CPU placement and SmartDIMM's CPU rung: read the sealed record of n
+// payload bytes at src through the cache, open it with g under nonce
+// iv, and write the plaintext to dst. A nil g models the cost only. ok
+// is false when the tag does not verify; the plaintext is then zeros.
+// It returns the CPU time charged.
+func openRecord(sys *sim.System, coreID int, g *aesgcm.GCM, iv []byte, src, dst uint64, n int) (pt []byte, ok bool, lat int64, err error) {
+	sealed, lat, err := sys.Hier.Read(nil, coreID, src, n+aesgcm.TagSize)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	lat += sys.Params.AESGCMComputePs(n)
+	ok = true
+	if g != nil {
+		pt, err = g.Open(nil, iv, sealed, ulp.Header(n+aesgcm.TagSize))
+		ok = err == nil
+	}
+	if g == nil || !ok {
+		pt = make([]byte, n)
+	}
+	wlat, err := sys.Hier.Write(coreID, dst, pt)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	return pt, ok, lat + wlat, nil
 }
 
 // ReceiveTLS decrypts staged records through CompCpy: the DSA decrypts
@@ -93,69 +105,39 @@ func (b *CPU) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, e
 // first byte carries the verification verdict (§V-A decrypt path).
 func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXResult, error) {
 	res := RXResult{AuthOK: true}
-	drv := b.drv()
 	l := LayoutFor(TLS)
 	for k, n := range payloadLens {
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
-		iv := conn.NextIV()
-		g, err := conn.gcm()
+		ctx, err := b.tlsContext(conn, core.OpTLSDecrypt, n)
 		if err != nil {
 			return res, err
 		}
-		eiv, err := g.EIV(iv)
+		var pt []byte
+		ok := true
+		lat, onDevice, err := b.offload(coreID, dbuf, sbuf, n+core.TagSize, &ctx, func() (lat int64, err error) {
+			g, err := conn.gcm()
+			if err != nil {
+				return 0, err
+			}
+			pt, ok, lat, err = openRecord(b.Sys, coreID, g, ctx.TLS.IV, sbuf, dbuf, n)
+			return lat, err
+		})
 		if err != nil {
 			return res, err
 		}
-		ctx := &core.OffloadContext{
-			Op: core.OpTLSDecrypt,
-			TLS: &core.TLSContext{
-				Direction: aesgcm.Decrypt, Key: conn.Key, IV: iv,
-				H: g.H(), EIV: eiv, AAD: ulp.Header(n + aesgcm.TagSize), PayloadLen: n,
-			},
-			Length: n,
-		}
-		lat := int64(0)
-		err = errSoftRung
-		if !b.Soft {
-			lat, err = drv.CompCpy(coreID, dbuf, sbuf, n+core.TagSize, ctx, false)
-		}
-		if err != nil {
-			if !Degradable(err) {
+		res.CPUPs += lat
+		if onDevice {
+			// USE: flush and read the plaintext plus the verification byte.
+			out, lat, err := b.drv().Use(coreID, dbuf, n+core.TagSize)
+			if err != nil {
 				return res, err
 			}
-			// CPU fallback: decrypt the staged record with AES-NI.
-			sealed, rlat, rerr := b.Sys.ReadBytes(coreID, sbuf, n+core.TagSize)
-			if rerr != nil {
-				return res, rerr
-			}
-			pt, oerr := g.Open(nil, iv, sealed, ctx.TLS.AAD)
-			if oerr != nil {
-				res.AuthOK = false
-				pt = make([]byte, n)
-			}
-			wlat, werr := b.Sys.WriteBytes(coreID, dbuf, pt)
-			if werr != nil {
-				return res, werr
-			}
-			res.CPUPs += rlat + wlat + b.Sys.Params.AESGCMComputePs(n)
-			res.Payload = append(res.Payload, pt...)
-			res.Records++
-			b.Degraded.FallbackOps++
-			continue
+			res.CPUPs += lat
+			pt, ok = out[:n], out[n] == 1
 		}
-		res.CPUPs += lat
-		b.Degraded.PrimaryOps++
-		// USE: flush and read the plaintext plus the verification byte.
-		out, lat, err := drv.Use(coreID, dbuf, n+core.TagSize)
-		if err != nil {
-			return res, err
-		}
-		res.CPUPs += lat
-		if out[n] != 1 {
-			res.AuthOK = false
-		}
-		res.Payload = append(res.Payload, out[:n]...)
+		res.AuthOK = res.AuthOK && ok
+		res.Payload = append(res.Payload, pt...)
 		res.Records++
 	}
 	return res, nil
@@ -167,7 +149,7 @@ func (b *CPU) ReceiveCompressed(coreID int, conn *Conn, pageLens []int) (RXResul
 	p := b.Sys.Params
 	l := LayoutFor(Compression)
 	for k, n := range pageLens {
-		page, lat, err := b.Sys.ReadBytes(coreID, conn.Src+uint64(k*l.SrcStride), n)
+		page, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
@@ -182,7 +164,7 @@ func (b *CPU) ReceiveCompressed(coreID int, conn *Conn, pageLens []int) (RXResul
 			orig = make([]byte, core.MaxCompressInput)
 		}
 		res.CPUPs += p.InflateComputePs(len(orig))
-		lat, err = b.Sys.WriteBytes(coreID, conn.Dst+uint64(k*l.DstStride), orig)
+		lat, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), orig)
 		if err != nil {
 			return res, err
 		}
@@ -196,53 +178,47 @@ func (b *CPU) ReceiveCompressed(coreID int, conn *Conn, pageLens []int) (RXResul
 // ReceiveCompressed inflates staged pages through the Inflate DSA.
 func (b *SmartDIMM) ReceiveCompressed(coreID int, conn *Conn, pageLens []int) (RXResult, error) {
 	res := RXResult{AuthOK: true}
-	drv := b.drv()
 	l := LayoutFor(Compression)
 	for k := range pageLens {
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
-		ctx := &core.OffloadContext{Op: core.OpDecompress, Length: core.PageSize}
-		var lat int64
-		err := errSoftRung
-		if !b.Soft {
-			lat, err = drv.CompCpy(coreID, dbuf, sbuf, core.PageSize, ctx, true)
-		}
-		if err != nil {
-			if !Degradable(err) {
-				return res, err
+		ctx := core.OffloadContext{Op: core.OpDecompress, Length: core.PageSize}
+		var page []byte
+		lat, onDevice, err := b.offload(coreID, dbuf, sbuf, core.PageSize, &ctx, func() (int64, error) {
+			// Inflate the staged page in software. Output is padded to
+			// the page size to match the Inflate DSA.
+			src, rlat, err := b.Sys.Hier.Read(nil, coreID, sbuf, core.PageSize)
+			if err != nil {
+				return 0, err
 			}
-			// CPU fallback: inflate the staged page in software. Output
-			// is padded to the page size to match the Inflate DSA.
-			page, rlat, rerr := b.Sys.ReadBytes(coreID, sbuf, core.PageSize)
-			if rerr != nil {
-				return res, rerr
+			orig, err := core.DecodeCompressedPage(src)
+			if err != nil {
+				return 0, fmt.Errorf("offload: RX fallback page %d: %w", k, err)
 			}
-			orig, derr := core.DecodeCompressedPage(page)
-			if derr != nil {
-				return res, fmt.Errorf("offload: RX fallback page %d: %w", k, derr)
+			page = make([]byte, core.PageSize)
+			copy(page, orig)
+			wlat, err := b.Sys.Hier.Write(coreID, dbuf, page)
+			if err != nil {
+				return 0, err
 			}
-			padded := make([]byte, core.PageSize)
-			copy(padded, orig)
-			wlat, werr := b.Sys.WriteBytes(coreID, dbuf, padded)
-			if werr != nil {
-				return res, werr
-			}
-			res.CPUPs += rlat + wlat + b.Sys.Params.InflateComputePs(len(orig))
-			res.Payload = append(res.Payload, padded...)
-			res.Records++
-			b.Degraded.FallbackOps++
-			continue
-		}
-		res.CPUPs += lat
-		b.Degraded.PrimaryOps++
-		out, lat, err := drv.Use(coreID, dbuf, core.PageSize)
+			return rlat + wlat + b.Sys.Params.InflateComputePs(len(orig)), nil
+		})
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
-		// The original length comes from the framing the peer sent; the
-		// caller trims. Here each page holds up to MaxCompressInput bytes.
-		res.Payload = append(res.Payload, out...)
+		if onDevice {
+			out, lat, err := b.drv().Use(coreID, dbuf, core.PageSize)
+			if err != nil {
+				return res, err
+			}
+			res.CPUPs += lat
+			// The original length comes from the framing the peer sent;
+			// the caller trims. Each page holds up to MaxCompressInput
+			// bytes.
+			page = out
+		}
+		res.Payload = append(res.Payload, page...)
 		res.Records++
 	}
 	return res, nil

@@ -89,6 +89,50 @@ func TestRXTLSOnSmartDIMM(t *testing.T) {
 	}
 }
 
+// TestRXTLSSoftRungMatchesCPU checks that SmartDIMM's CPU rung on
+// receive is the CPU placement's record open: a Soft backend and a
+// functional CPU backend, on identically built systems with the same
+// staged records at the same addresses (one record tampered), return
+// the same payload, verdict, record count and CPU time.
+func TestRXTLSSoftRungMatchesCPU(t *testing.T) {
+	payload := corpus.Generate(corpus.HTML, 40000, 6)
+	run := func(soft bool) RXResult {
+		sys := newSys(t, 256<<10, true)
+		dimm := &SmartDIMM{Sys: sys, Soft: true}
+		conn, err := dimm.NewConn(TLS, 10, len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, lens := buildWireTLS(t, conn, payload)
+		records[1][7] ^= 0x01
+		if err := StageRXRecordsDMA(sys, conn, records); err != nil {
+			t.Fatal(err)
+		}
+		var res RXResult
+		if soft {
+			res, err = dimm.ReceiveTLS(0, conn, lens)
+		} else {
+			res, err = (&CPU{Sys: sys, Functional: true}).ReceiveTLS(0, conn, lens)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	soft, cpu := run(true), run(false)
+	if soft.AuthOK || cpu.AuthOK {
+		t.Fatalf("tampered record verified: soft %v, cpu %v", soft.AuthOK, cpu.AuthOK)
+	}
+	if !bytes.Equal(soft.Payload, cpu.Payload) || soft.Records != cpu.Records || soft.CPUPs != cpu.CPUPs {
+		t.Fatalf("soft rung: %d records, %d ps, %d payload bytes; cpu: %d records, %d ps, %d payload bytes",
+			soft.Records, soft.CPUPs, len(soft.Payload), cpu.Records, cpu.CPUPs, len(cpu.Payload))
+	}
+	l := LayoutFor(TLS)
+	if !bytes.Equal(cpu.Payload[:l.MaxChunk], payload[:l.MaxChunk]) {
+		t.Fatal("the untampered first record did not decrypt")
+	}
+}
+
 func TestRXTLSTamperDetectedNearMemory(t *testing.T) {
 	sys := newSys(t, 256<<10, true)
 	b := &SmartDIMM{Sys: sys}

@@ -438,7 +438,7 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 	}
 	n.wireBusyPs = start + ser
 	n.stats.WirePs += ser
-	wlat, err := n.cfg.Sys.PeerDMAWrite(mr.Addr+uint64(w.off), w.data)
+	wlat, err := n.cfg.Sys.Hier.PeerDMAWrite(mr.Addr+uint64(w.off), w.data)
 	if err != nil {
 		// Unmapped addresses cannot happen through a validated MR; a
 		// controller refusal is a completion error, not a landing.
@@ -536,7 +536,7 @@ func (n *NIC) Preload(id, off int, data []byte) error {
 	if off < 0 || off+len(data) > mr.Len {
 		return fmt.Errorf("rdma: preload c%d: off=%d len=%d outside MR (%d bytes)", id, off, len(data), mr.Len)
 	}
-	if _, err := n.cfg.Sys.PeerDMAWrite(mr.Addr+uint64(off), data); err != nil {
+	if _, err := n.cfg.Sys.Hier.PeerDMAWrite(mr.Addr+uint64(off), data); err != nil {
 		return err
 	}
 	n.stats.Preloaded += uint64(len(data))

@@ -203,8 +203,8 @@ type Server struct {
 	queue []pendingReq
 	qHead int
 	// freeCtx holds finished request contexts for reuse. txBuf is the
-	// buffer every TX and gather DMA reads into: the server uses only
-	// their latency.
+	// buffer every TX and gather DMA and every app-copy read lands in:
+	// the server uses only their latency.
 	freeCtx []*reqCtx
 	txBuf   []byte
 
@@ -331,7 +331,7 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			}
 			c.filePage = addr
 			// Populate the page cache via storage DMA (DDIO).
-			if err := cfg.Sys.DMAIn(addr, c.payload); err != nil {
+			if err := cfg.Sys.Hier.DMAWrite(addr, c.payload); err != nil {
 				return nil, err
 			}
 		}
@@ -554,7 +554,7 @@ func (s *Server) runStage(rc *reqCtx) {
 						s.failReq(rc, err)
 						return
 					}
-				} else if err := s.cfg.Sys.DMAIn(c.filePage, payload); err != nil {
+				} else if err := s.cfg.Sys.Hier.DMAWrite(c.filePage, payload); err != nil {
 					s.failReq(rc, err)
 					return
 				}
@@ -589,7 +589,7 @@ func (s *Server) runStage(rc *reqCtx) {
 						s.failReq(rc, err)
 						return
 					}
-				} else if err := s.cfg.Sys.DMAIn(c.filePage, payload); err != nil {
+				} else if err := s.cfg.Sys.Hier.DMAWrite(c.filePage, payload); err != nil {
 					s.failReq(rc, err)
 					return
 				}
@@ -608,7 +608,9 @@ func (s *Server) runStage(rc *reqCtx) {
 	case 1: // app copy out of the page cache (skipped for inline)
 		var cpu int64
 		if !inline {
-			_, rdLat, err := s.cfg.Sys.ReadBytes(coreID, c.filePage, spec.Payload)
+			var rdLat int64
+			var err error
+			s.txBuf, rdLat, err = s.cfg.Sys.Hier.Read(s.txBuf[:0], coreID, c.filePage, spec.Payload)
 			if err != nil {
 				s.failReq(rc, err)
 				return
@@ -684,15 +686,16 @@ func (s *Server) gather(rc *reqCtx, n, coreID int, inline bool) (cpu, dev int64,
 		}
 		if inline {
 			var lat int64
-			s.txBuf, lat, err = s.cfg.Sys.DMAOut(s.txBuf[:0], c.oconn.Src, step)
+			s.txBuf, lat, err = s.cfg.Sys.Hier.DMARead(s.txBuf[:0], c.oconn.Src, step)
 			if err != nil {
 				return 0, 0, err
 			}
 			dev += lat
 		} else {
-			_, lat, e := s.cfg.Sys.ReadBytes(coreID, c.filePage, step)
-			if e != nil {
-				return 0, 0, e
+			var lat int64
+			s.txBuf, lat, err = s.cfg.Sys.Hier.Read(s.txBuf[:0], coreID, c.filePage, step)
+			if err != nil {
+				return 0, 0, err
 			}
 			cpu += lat
 		}
@@ -724,7 +727,7 @@ func (s *Server) transmit(rc *reqCtx, base uint64, txBytes int, spans []offload.
 	for _, sp := range spans {
 		var l int64
 		var err error
-		s.txBuf, l, err = s.cfg.Sys.DMAOut(s.txBuf[:0], base+uint64(sp.Off), sp.Len)
+		s.txBuf, l, err = s.cfg.Sys.Hier.DMARead(s.txBuf[:0], base+uint64(sp.Off), sp.Len)
 		if err != nil {
 			s.failReq(rc, fmt.Errorf("TX DMA: %w", err))
 			return

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -97,7 +96,6 @@ type System struct {
 	Dev      *core.Device // nil without SmartDIMM; rank 0 with several
 	Driver   *core.Driver // nil without SmartDIMM; rank 0 with several
 	Trace    *stats.CASTrace
-	BWMeter  *stats.BandwidthMeter
 
 	// Devs/Drivers list every SmartDIMM rank in channel order; with a
 	// single rank they alias Dev/Driver. Meters holds the per-channel
@@ -171,8 +169,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	var chans []memsys.Channel
 
-	meter := &stats.BandwidthMeter{PeakBytesPerSec: timing.PeakBytesPerSec()}
-	sys.BWMeter = meter
+	peak := timing.PeakBytesPerSec()
 
 	if ranks > 0 {
 		dc := core.PaperDeviceConfig(cfg.Geometry)
@@ -195,12 +192,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 				dev.TraceCycPs = tck
 			}
 			// Every rank's channel gets its own bandwidth meter so fleet
-			// totals can be reported per device; channel 0 keeps the
-			// shared BWMeter so single-rank behaviour is unchanged.
-			m := meter
-			if r > 0 {
-				m = &stats.BandwidthMeter{PeakBytesPerSec: meter.PeakBytesPerSec}
-			}
+			// totals can be reported per device.
+			m := &stats.BandwidthMeter{PeakBytesPerSec: peak}
 			ctl.Meter = m
 			sys.Meters = append(sys.Meters, m)
 			sys.Ctls = append(sys.Ctls, ctl)
@@ -220,6 +213,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			return nil, err
 		}
 		d.Faults = cfg.Faults
+		meter := &stats.BandwidthMeter{PeakBytesPerSec: peak}
 		ctl := memctrl.New(memctrl.DefaultConfig(), d)
 		ctl.Meter = meter
 		ctl.Faults = cfg.Faults
@@ -288,109 +282,11 @@ func (s *System) AllocPlain(n int) (uint64, error) {
 	return 0, fmt.Errorf("sim: plain memory exhausted")
 }
 
-// MemMLP is the memory-level parallelism of bulk sequential accesses:
-// an out-of-order core overlaps several outstanding cacheline misses,
-// so the time of an N-line stream is the summed latency divided by the
-// achievable MLP, not the serial sum.
-const MemMLP = 4
-
-// WriteBytes copies data into memory through the cache (CPU writes).
-func (s *System) WriteBytes(core int, addr uint64, data []byte) (int64, error) {
-	var lat int64
-	var line [dram.CachelineSize]byte
-	for off := 0; off < len(data); off += dram.CachelineSize {
-		n := copy(line[:], data[off:])
-		for i := n; i < dram.CachelineSize; i++ {
-			line[i] = 0
-		}
-		l, err := s.Hier.Write64(core, addr+uint64(off), line[:])
-		if err != nil {
-			return 0, err
-		}
-		lat += l
-	}
-	return lat / MemMLP, nil
-}
-
-// ReadBytes reads n bytes from memory through the cache (CPU reads).
+// ReadBytes reads n bytes at addr through the cache into a new slice.
+// It forwards to Hier.Read and stays only because the benchmark module
+// calls it; everything else calls the memsys bulk forms on Hier.
 func (s *System) ReadBytes(core int, addr uint64, n int) ([]byte, int64, error) {
-	out := make([]byte, 0, n)
-	var lat int64
-	var line [dram.CachelineSize]byte
-	for off := 0; off < n; off += dram.CachelineSize {
-		l, err := s.Hier.Read64(core, addr+uint64(off), line[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		lat += l
-		take := n - off
-		if take > dram.CachelineSize {
-			take = dram.CachelineSize
-		}
-		out = append(out, line[:take]...)
-	}
-	return out, lat / MemMLP, nil
-}
-
-// DMAIn models a device (NIC RX or storage) delivering data via DDIO.
-func (s *System) DMAIn(addr uint64, data []byte) error {
-	var line [dram.CachelineSize]byte
-	for off := 0; off < len(data); off += dram.CachelineSize {
-		n := copy(line[:], data[off:])
-		for i := n; i < dram.CachelineSize; i++ {
-			line[i] = 0
-		}
-		if err := s.Hier.DMAWrite64(addr+uint64(off), line[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PeerDMAWrite models an RDMA NIC depositing data directly into
-// device-adjacent memory (peer DMA): every line goes to the owning
-// rank's controller — metered and priced by that rank's write-queue
-// timing — without touching the LLC's DDIO ways. Returns the aggregate
-// device-side latency; like DMAOut, the NIC's write engine pipelines
-// outstanding lines MLP-wide.
-func (s *System) PeerDMAWrite(addr uint64, data []byte) (int64, error) {
-	var lat int64
-	var line [dram.CachelineSize]byte
-	for off := 0; off < len(data); off += dram.CachelineSize {
-		n := copy(line[:], data[off:])
-		for i := n; i < dram.CachelineSize; i++ {
-			line[i] = 0
-		}
-		l, err := s.Hier.PeerDMAWrite64(addr+uint64(off), line[:])
-		if err != nil {
-			return 0, err
-		}
-		lat += l
-	}
-	return lat / MemMLP, nil
-}
-
-// DMAOut models NIC TX DMA reading n bytes at addr: it appends them to
-// dst and returns the extended slice and the aggregate device-side
-// latency. A caller that needs only the latency passes a buffer it
-// keeps, buf[:0], so steady-state transmits allocate nothing. On error
-// dst comes back as it was passed.
-func (s *System) DMAOut(dst []byte, addr uint64, n int) ([]byte, int64, error) {
-	// Grow by whole lines: each read lands in dst's spare capacity.
-	start := len(dst)
-	dst = slices.Grow(dst, (n+dram.CachelineSize-1)/dram.CachelineSize*dram.CachelineSize)
-	var lat int64
-	for off := 0; off < n; off += dram.CachelineSize {
-		at := len(dst)
-		l, err := s.Hier.DMARead64(addr+uint64(off), dst[at:at+dram.CachelineSize])
-		if err != nil {
-			return dst[:start], 0, err
-		}
-		lat += l
-		dst = dst[:at+min(n-off, dram.CachelineSize)]
-	}
-	// NIC DMA engines pipeline outstanding reads like a core's MLP.
-	return dst, lat / MemMLP, nil
+	return s.Hier.Read(nil, core, addr, n)
 }
 
 // MemoryBytesMoved returns total metered DRAM channel traffic: channel

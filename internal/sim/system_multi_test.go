@@ -34,7 +34,7 @@ func TestContentionModelInflatesLatency(t *testing.T) {
 	var hammer func()
 	rounds := 0
 	hammer = func() {
-		_, lat, err := sys.ReadBytes(0, addr+uint64(rounds%64)*128*1024, 128*1024)
+		_, lat, err := sys.Hier.Read(nil, 0, addr+uint64(rounds%64)*128*1024, 128*1024)
 		if err != nil {
 			tickErr = err
 			return
