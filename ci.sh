@@ -22,8 +22,11 @@
 #   6. race tests   — the concurrency-bearing packages (the runner pool
 #                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
-#                     dispatcher's determinism gate, and telemetry
-#                     tracing under the parallel runner) under -race
+#                     dispatcher's determinism gate, telemetry
+#                     tracing under the parallel runner, and the TLS
+#                     DSA's datapath worker in core with the aesgcm
+#                     engine it runs beside a growing key schedule)
+#                     under -race
 #   7. golden trace — the Perfetto exporter against its committed golden
 #                     file plus the full-stack byte-reproducibility gate
 #   8. tracestat golden — the trace analyzers (profile tree, critical
@@ -142,7 +145,7 @@ gate() {
 # gate. run_stage runs a stage's rows in table order.
 TESTS='
 smoke    -short        -                                                  ./internal/chaos/
-race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
+race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/ ./internal/core/ ./internal/aesgcm/
 golden   -             TestPerfettoGolden|TestFullStackTraceReproducible  ./internal/telemetry/
 golden   -             TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers ./internal/experiments/
 golden   -             TestGoToolPprofAcceptsExport                       ./internal/profile/

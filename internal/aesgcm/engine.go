@@ -56,11 +56,20 @@ func (c *RecordConfig) ConfigBytes() int {
 // rdCAS commands arrive out of order. An engine serves one registered
 // record at a time, and Reset re-keys it for the next; the only state
 // records share is the read-mostly KeySchedule.
+//
+// The engine has two halves, as the device does: Claim is the arbiter's
+// bookkeeping (the line's range and its processed bit) and the only
+// half that can fail; Transform is the datapath (keystream, XOR, GHASH
+// fold) and cannot. A claimed line may be transformed later and on
+// another goroutine, provided the claims happen before it.
 type CachelineEngine struct {
-	dir       Direction
-	cipher    *Cipher
-	eiv       [BlockSize]byte
-	powers    *HPowers
+	dir    Direction
+	cipher *Cipher
+	eiv    [BlockSize]byte
+	// powers is the schedule's table as Reset left it: a later record
+	// that grows the schedule appends past this slice's length, so a
+	// fold still pending here never reads what the growth writes.
+	powers    []hpower
 	length    int
 	ctBlocks  int
 	totalCLs  int
@@ -148,7 +157,7 @@ func (e *CachelineEngine) Reset(k *KeySchedule, dir Direction, cfg RecordConfig)
 	// earlier blocks carry correspondingly higher powers).
 	k.powers.grow(aadBlocks + ctBlocks + 1)
 	totalCLs := (cfg.Length + CachelineSize - 1) / CachelineSize
-	e.dir, e.cipher, e.powers = dir, k.cipher, k.powers
+	e.dir, e.cipher, e.powers = dir, k.cipher, k.powers.powers
 	e.length, e.ctBlocks, e.totalCLs, e.doneCLs = cfg.Length, ctBlocks, totalCLs, 0
 	e.processed = slices.Grow(e.processed[:0], totalCLs)[:totalCLs]
 	clear(e.processed)
@@ -166,13 +175,13 @@ func (e *CachelineEngine) Reset(k *KeySchedule, dir Direction, cfg RecordConfig)
 	for j := 0; j < aadBlocks; j++ {
 		var blk [BlockSize]byte
 		copy(blk[:], cfg.AAD[j*BlockSize:])
-		acc.add(LoadEl(blk[:]), k.powers.powers[exp-1])
+		acc.add(LoadEl(blk[:]), e.powers[exp-1])
 		exp--
 	}
 	var lenBlk [BlockSize]byte
 	binary.BigEndian.PutUint64(lenBlk[0:8], uint64(len(cfg.AAD))*8)
 	binary.BigEndian.PutUint64(lenBlk[8:16], uint64(cfg.Length)*8)
-	acc.add(LoadEl(lenBlk[:]), k.powers.powers[0])
+	acc.add(LoadEl(lenBlk[:]), e.powers[0])
 	e.partial = acc.reduce()
 	return nil
 }
@@ -185,47 +194,83 @@ func (e *CachelineEngine) Remaining() int { return e.totalCLs - e.doneCLs }
 func (e *CachelineEngine) Done() bool { return e.doneCLs == e.totalCLs }
 
 // ProcessCacheline transforms one 64-byte-aligned cacheline of the
-// record. offset is the byte offset within the record and must be a
-// multiple of 64; src holds the input bytes (plaintext when encrypting,
-// ciphertext when decrypting) and dst receives the output. The final
-// cacheline of a record may be short. Cachelines may arrive in any
-// order; processing the same cacheline twice is rejected, modelling the
-// arbiter's "pending computation" bookkeeping (Fig. 6, S6/S7). dst and
-// src must overlap exactly or not at all.
+// record: Claim, then Transform. offset is the byte offset within the
+// record and must be a multiple of 64; src holds the input bytes
+// (plaintext when encrypting, ciphertext when decrypting) and dst
+// receives the output. The final cacheline of a record may be short.
+// Cachelines may arrive in any order; processing the same cacheline
+// twice is rejected, modelling the arbiter's "pending computation"
+// bookkeeping (Fig. 6, S6/S7). dst and src must overlap exactly or not
+// at all.
 func (e *CachelineEngine) ProcessCacheline(dst, src []byte, offset int) error {
-	if offset%CachelineSize != 0 {
-		return fmt.Errorf("aesgcm: offset %d not cacheline aligned", offset)
+	n, err := e.span(offset)
+	if err != nil {
+		return err
 	}
-	cl := offset / CachelineSize
-	if cl < 0 || cl >= e.totalCLs {
-		return fmt.Errorf("aesgcm: offset %d outside record of %d bytes", offset, e.length)
-	}
-	want := CachelineSize
-	if offset+want > e.length {
-		want = e.length - offset
-	}
-	if len(src) < want || len(dst) < want {
+	if len(src) < n || len(dst) < n {
 		return fmt.Errorf("aesgcm: cacheline at %d needs %d bytes, have src=%d dst=%d",
-			offset, want, len(src), len(dst))
+			offset, n, len(src), len(dst))
 	}
+	if err := e.claim(offset); err != nil {
+		return err
+	}
+	e.Transform(dst[:n], src[:n], offset)
+	return nil
+}
+
+// Claim is the bookkeeping half of ProcessCacheline: it checks the
+// cacheline at offset and marks it processed, and returns how many of
+// its bytes belong to the record. The line's bytes must then go
+// through Transform before the tag is read.
+func (e *CachelineEngine) Claim(offset int) (int, error) {
+	n, err := e.span(offset)
+	if err != nil {
+		return 0, err
+	}
+	return n, e.claim(offset)
+}
+
+// span returns the record bytes of the cacheline at offset.
+func (e *CachelineEngine) span(offset int) (int, error) {
+	if offset%CachelineSize != 0 {
+		return 0, fmt.Errorf("aesgcm: offset %d not cacheline aligned", offset)
+	}
+	if cl := offset / CachelineSize; cl < 0 || cl >= e.totalCLs {
+		return 0, fmt.Errorf("aesgcm: offset %d outside record of %d bytes", offset, e.length)
+	}
+	return min(CachelineSize, e.length-offset), nil
+}
+
+// claim marks the in-range cacheline at offset processed.
+func (e *CachelineEngine) claim(offset int) error {
+	cl := offset / CachelineSize
 	if e.processed[cl] {
 		return fmt.Errorf("aesgcm: cacheline %d already processed", cl)
-	}
-
-	// CTR transform: XOR with the randomly accessed keystream. GHASH
-	// folds ciphertext: dst after encrypting, src before decrypting
-	// (dst may alias src).
-	e.keystreamAt(offset, want)
-	if e.dir == Decrypt {
-		e.foldCiphertext(src[:want], offset)
-	}
-	subtle.XORBytes(dst[:want], src[:want], e.ks[:want])
-	if e.dir == Encrypt {
-		e.foldCiphertext(dst[:want], offset)
 	}
 	e.processed[cl] = true
 	e.doneCLs++
 	return nil
+}
+
+// Transform is the datapath half of ProcessCacheline: it (de/en)crypts
+// the claimed cacheline at offset from src into dst and folds its
+// GHASH contribution into the partial tag. src and dst hold exactly the
+// line's record bytes, as Claim returned, and overlap exactly or not at
+// all. Transforming a line twice, or one never claimed, corrupts the
+// tag.
+func (e *CachelineEngine) Transform(dst, src []byte, offset int) {
+	// CTR transform: XOR with the randomly accessed keystream. GHASH
+	// folds ciphertext: dst after encrypting, src before decrypting
+	// (dst may alias src).
+	n := len(src)
+	e.keystreamAt(offset, n)
+	if e.dir == Decrypt {
+		e.foldCiphertext(src, offset)
+	}
+	subtle.XORBytes(dst, src, e.ks[:n])
+	if e.dir == Encrypt {
+		e.foldCiphertext(dst, offset)
+	}
 }
 
 // keystreamAt fills e.ks[:n] with the CTR keystream of the cacheline at
@@ -248,14 +293,14 @@ func (e *CachelineEngine) foldCiphertext(ct []byte, off int) {
 	exp := e.ctBlocks - off/BlockSize + 1
 	var acc product
 	for len(ct) >= BlockSize {
-		acc.add(LoadEl(ct), e.powers.powers[exp-1])
+		acc.add(LoadEl(ct), e.powers[exp-1])
 		ct = ct[BlockSize:]
 		exp--
 	}
 	if len(ct) > 0 {
 		var blk [BlockSize]byte
 		copy(blk[:], ct)
-		acc.add(LoadEl(blk[:]), e.powers.powers[exp-1])
+		acc.add(LoadEl(blk[:]), e.powers[exp-1])
 	}
 	e.partial = e.partial.Xor(acc.reduce())
 }

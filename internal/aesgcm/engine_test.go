@@ -2,6 +2,8 @@ package aesgcm
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -178,6 +180,65 @@ func TestEngineMatchesSealInOrder(t *testing.T) {
 		if !bytes.Equal(tag[:], want[size:]) {
 			t.Fatalf("size %d: tag mismatch: %x vs %x", size, tag, want[size:])
 		}
+	}
+}
+
+// TestEngineFoldsSurviveScheduleGrowth claims a record on a key
+// schedule and runs its datapath on another goroutine while a longer
+// record grows the same schedule, as a device's worker does while the
+// device registers the next record. The engine reads the powers Reset
+// left it, so the record still gets crypto/cipher's tag; run under
+// -race, any read of the growing table is a report.
+func TestEngineFoldsSurviveScheduleGrowth(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	iv := []byte("abcdefghijkl")
+	aad := []byte("\x17\x03\x03\x03\xf8")
+	const short, long = 1000, 16384
+	pt := make([]byte, short)
+	rand.New(rand.NewSource(11)).Read(pt)
+	cfg := engineConfig(t, key, iv, aad, short)
+	ks, err := NewKeySchedule(key, cfg.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e CachelineEngine
+	if err := e.Reset(ks, Encrypt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(nil), pt...)
+	for off := 0; off < short; off += CachelineSize {
+		if _, err := e.Claim(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for off := 0; off < short; off += CachelineSize {
+			end := min(off+CachelineSize, short)
+			e.Transform(buf[off:end], buf[off:end], off)
+		}
+	}()
+	var next CachelineEngine
+	if err := next.Reset(ks, Encrypt, engineConfig(t, key, iv, aad, long)); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	tag, err := e.Tag()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := cipher.NewGCM(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := std.Seal(nil, iv, pt, aad)
+	if !bytes.Equal(append(buf, tag[:]...), want) {
+		t.Fatal("record sealed beside a growing schedule differs from crypto/cipher")
 	}
 }
 

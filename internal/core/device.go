@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/aesgcm"
 	"repro/internal/cuckoo"
 	"repro/internal/dram"
 	"repro/internal/fault"
@@ -104,9 +105,9 @@ type Device struct {
 	// enc holds the Deflate DSA encoder of the last compression record,
 	// the page it frames into and retired DSAs.
 	enc encoderSlot
-	// lines is the buffer every DSA appends its destination lines to;
-	// feedDSA places them before the next source line is fed.
-	lines []destLine
+	// out is the sink every DSA puts its destination lines in, kept in
+	// the device so passing it as a lineSink allocates nothing.
+	out destSpace
 	// Faults, when non-nil, injects device-side faults: "core.alert"
 	// (spurious ALERT_N on a data read), "core.dsa" (DSA processing
 	// fault, aborting the record), and "core.ttinsert" (Translation
@@ -291,8 +292,8 @@ func (d *Device) handleRead(cycle int64, cmd dram.Command, rdata []byte) (bool, 
 		}
 		// S10: serve from the Scratchpad; the line stays pending until a
 		// writeback recycles it.
-		off := lineIdx * dram.CachelineSize
-		copy(rdata, sp.data[off:off+dram.CachelineSize])
+		settle(sp.rec)
+		copy(rdata, sp.line(lineIdx)[:])
 		d.stats.ScratchpadReads++
 		return false, nil
 	default: // linePending
@@ -332,8 +333,8 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 		}
 		// Self-Recycle (§IV-B): replace the wrCAS data with the
 		// Scratchpad's, write to DRAM, and invalidate the Scratchpad line.
-		off := lineIdx * dram.CachelineSize
-		if err := d.chips.Write(cmd, sp.data[off:off+dram.CachelineSize]); err != nil {
+		settle(sp.rec)
+		if err := d.chips.Write(cmd, sp.line(lineIdx)[:]); err != nil {
 			return false, err
 		}
 		sp.state[lineIdx] = lineRecycled
@@ -352,8 +353,10 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 	}
 }
 
-// feedDSA sends one source cacheline to the record's DSA and stores the
-// produced destination lines in the Scratchpad.
+// feedDSA sends one source cacheline to the record's DSA, which puts the
+// destination lines it produces in the Scratchpad. The last source line
+// of a page-sized TLS encrypt record hands its datapath to the worker
+// pool (datapath.go).
 func (d *Device) feedDSA(cycle int64, tr *translation, phys uint64, data []byte) {
 	rec := tr.owner()
 	if rec == nil || rec.dsa == nil {
@@ -376,6 +379,7 @@ func (d *Device) feedDSA(cycle int64, tr *translation, phys uint64, data []byte)
 		return
 	}
 	rec.processed[clIdx] = true
+	rec.fed++
 	d.stats.DSALinesFed++
 	if d.Faults.Fire("core.dsa", cycle) {
 		// Injected DSA fault: abort the whole record so its buffers fall
@@ -386,42 +390,51 @@ func (d *Device) feedDSA(cycle int64, tr *translation, phys uint64, data []byte)
 		d.abortRecord(rec)
 		return
 	}
-	lines, err := rec.dsa.ProcessSourceLine(recOff, data[:end-recOff], d.lines[:0])
-	if err != nil {
+	d.out = destSpace{d: d, rec: rec, cycle: cycle}
+	if err := rec.dsa.ProcessSourceLine(recOff, data[:end-recOff], &d.out); err != nil {
 		d.stats.DSAErrors++
 		d.abortRecord(rec)
 		return
 	}
-	d.lines = lines
-	if t, ok := rec.dsa.(*tlsDSA); ok && t.AuthFailed() {
-		d.stats.AuthFailures++
-	}
-	for i := range lines {
-		d.placeDestLine(cycle, rec, &lines[i])
+	if t, ok := rec.dsa.(*tlsDSA); ok {
+		if t.AuthFailed() {
+			d.stats.AuthFailures++
+		}
+		if rec.fed == len(rec.processed) && t.dir == aesgcm.Encrypt && t.payloadLen >= minHandOffPayload && t.pending() {
+			handOff(rec)
+		}
 	}
 }
 
-// placeDestLine stores one DSA output line into the Scratchpad page of
-// the destination page that covers its record offset.
-func (d *Device) placeDestLine(cycle int64, rec *record, dl *destLine) {
-	pageIdx := dl.RecOff / PageSize
+// destSpace is the device's lineSink for one source line: it puts a
+// record's destination lines in the Scratchpad page that covers their
+// record offset, and marks them ready dsaLatencyCycles after the
+// source rdCAS.
+type destSpace struct {
+	d     *Device
+	rec   *record
+	cycle int64
+}
+
+func (s *destSpace) put(off int) *[dram.CachelineSize]byte {
+	d, rec := s.d, s.rec
+	pageIdx := off / PageSize
 	if pageIdx >= len(rec.destPages) {
 		d.stats.DSAErrors++
-		return
+		return nil
 	}
 	tr, ok := d.tt.Lookup(rec.destPages[pageIdx])
 	if !ok || tr.isSource {
 		d.stats.DSAErrors++
-		return
+		return nil
 	}
 	sp := d.sp.pages[tr.spIdx]
-	off := dl.RecOff % PageSize
-	lineIdx := off / dram.CachelineSize
-	copy(sp.data[off:off+dram.CachelineSize], dl.Data[:])
+	lineIdx := off % PageSize / dram.CachelineSize
 	if sp.state[lineIdx] == linePending {
 		sp.state[lineIdx] = lineReady
-		sp.readyAt[lineIdx] = cycle + dsaLatencyCycles
+		sp.readyAt[lineIdx] = s.cycle + dsaLatencyCycles
 	}
+	return sp.line(lineIdx)
 }
 
 // evictStale force-retires a leftover allocation on page, if any.
@@ -445,6 +458,7 @@ func (d *Device) evictStale(page uint64) {
 // record is done, its Config Memory pages and source translations.
 func (d *Device) retirePage(tr *translation, sp *spPage) {
 	rec := sp.rec
+	settle(rec)
 	d.sp.release(tr.spIdx)
 	d.untrack(sp.dbufPage, tr)
 	d.stats.PagesRecycled++
@@ -471,6 +485,7 @@ func (d *Device) retirePage(tr *translation, sp *spPage) {
 // Memory page of the record is freed, so its buffers behave like a plain
 // DIMM again (no stranded pending lines asserting ALERT_N forever).
 func (d *Device) abortRecord(rec *record) {
+	settle(rec)
 	for _, dp := range rec.destPages {
 		if tr, ok := d.tt.Lookup(dp); ok && !tr.isSource && tr.owner() == rec {
 			d.sp.release(tr.spIdx)
@@ -511,17 +526,18 @@ func (d *Device) abortByPage(page uint64) {
 func (d *Device) newRecord(op Opcode, length int) *record {
 	rec := takeFree(&d.freeRecs)
 	lines := (length + dram.CachelineSize - 1) / dram.CachelineSize
-	rec.op, rec.length, rec.donePages = op, length, 0
+	rec.op, rec.length, rec.donePages, rec.fed = op, length, 0, 0
 	rec.srcPages, rec.destPages = rec.srcPages[:0], rec.destPages[:0]
 	rec.processed = slices.Grow(rec.processed[:0], lines)[:lines]
 	clear(rec.processed)
 	return rec
 }
 
-// freeRecord retires rec once nothing maps to it any more: its DSA
-// state returns to the device's free lists, and the generation bump
-// disowns any translation that still names it before the struct itself
-// joins the free list.
+// freeRecord retires rec once nothing maps to it any more and its
+// datapath has settled: its DSA state returns to the device's free
+// lists, and the generation bump disowns any translation (and any
+// hand-off) that still names it before the struct itself joins the
+// free list.
 func (d *Device) freeRecord(rec *record) {
 	d.releaseDSA(rec)
 	if d.reg.rec == rec {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/aesgcm"
 	"repro/internal/deflate"
@@ -43,26 +44,23 @@ func (o Opcode) String() string {
 // TagSize re-exports the AEAD tag size for record-layout computations.
 const TagSize = aesgcm.TagSize
 
-// destLine is one 64-byte output the DSA produced, addressed by byte
-// offset within the destination record space.
-type destLine struct {
-	RecOff int
-	Data   [dram.CachelineSize]byte
+// lineSink is where a DSA puts its destination lines: put returns the
+// 64-byte line at record offset off for the DSA to fill, or nil when the
+// record has no destination there. The device's sink is the record's
+// Scratchpad, and put marks the line ready (destSpace).
+type lineSink interface {
+	put(off int) *[dram.CachelineSize]byte
 }
 
 // dsaInstance is the per-record accelerator state machine. The arbiter
-// feeds it source cachelines (in rdCAS arrival order, §IV-D) and places
-// the returned destination lines into the Scratchpad.
+// feeds it source cachelines (in rdCAS arrival order, §IV-D) and it
+// puts the destination lines it produces into the sink.
 type dsaInstance interface {
 	// ProcessSourceLine consumes the source cacheline at byte offset off
-	// within the record and appends the destination lines it produced to
-	// lines. They may include earlier offsets that only now became
-	// computable (e.g. the TLS trailer once the tag is final). The device
-	// passes one reused buffer, so the caller consumes the lines before
-	// its next call.
-	ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error)
-	// DestLen returns the size in bytes of the destination record space.
-	DestLen() int
+	// within the record and puts the destination lines it produced. They
+	// may include earlier offsets that only now became computable (e.g.
+	// the TLS trailer once the record is finished).
+	ProcessSourceLine(off int, src []byte, out lineSink) error
 }
 
 // --- TLS DSA (§V-A, Fig. 7) -------------------------------------------
@@ -82,21 +80,54 @@ type TLSContext struct {
 }
 
 // tlsDSA adapts the out-of-order cacheline engine to the record layout.
+// Like the device it has two halves. The control half,
+// ProcessSourceLine, runs on the arbiter's thread: it claims the line in
+// the engine, puts the source bytes in the destination line at the same
+// record offset (TLS keeps offsets) and decides when lines leave, as
+// Fig. 6 does. The datapath half, settle, transforms those bytes in
+// place and writes the trailer; it may run later and on another
+// goroutine (datapath.go), but never concurrently with the control half.
 type tlsDSA struct {
 	eng        aesgcm.CachelineEngine
 	dir        aesgcm.Direction
 	payloadLen int
-	// held buffers the lines overlapping the trailer until the tag is
-	// final: a 16-byte trailer spans at most two lines.
-	held  [2]destLine
+	// held buffers the lines overlapping the trailer until the record is
+	// finished: a 16-byte trailer spans at most two lines.
+	held  [2]heldLine
 	nHeld int
 	// srcTag accumulates the received tag bytes on the decrypt path;
 	// tagSeen counts captured bytes so verification waits for all 16.
 	srcTag  [TagSize]byte
 	tagSeen int
-	trailer [TagSize]byte // final trailer content, valid once flushed
-	authErr bool
-	flushed bool
+	// finished is set once every payload line is claimed (and, on
+	// decrypt, the received tag is whole): the trailer can be computed.
+	finished bool
+	authErr  bool
+
+	// The datapath's state. todo lists the claimed lines still holding
+	// their input bytes, tails the claimed lines overlapping the
+	// trailer, which settle patches once the trailer is final; sealed
+	// reports that it is. spare takes a line that has no destination, so
+	// the tag still covers it.
+	todo    []lineRef
+	tails   [2]lineRef
+	nTail   int
+	trailer [TagSize]byte
+	sealed  bool
+	spare   [dram.CachelineSize]byte
+}
+
+// heldLine is a line overlapping the trailer, kept until the record is
+// finished.
+type heldLine struct {
+	off  int
+	data [dram.CachelineSize]byte
+}
+
+// lineRef names a claimed line by its record offset and its bytes.
+type lineRef struct {
+	off  int
+	data *[dram.CachelineSize]byte
 }
 
 func newTLSDSA(ctx TLSContext, keys *scheduleCache) (*tlsDSA, error) {
@@ -113,119 +144,144 @@ func newTLSDSA(ctx TLSContext, keys *scheduleCache) (*tlsDSA, error) {
 		keys.free = append(keys.free, d)
 		return nil, err
 	}
-	*d = tlsDSA{eng: d.eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen}
+	// Room for every payload line, so claiming never allocates.
+	lines := (ctx.PayloadLen + dram.CachelineSize - 1) / dram.CachelineSize
+	*d = tlsDSA{eng: d.eng, dir: ctx.Direction, payloadLen: ctx.PayloadLen,
+		todo: slices.Grow(d.todo[:0], lines)}
 	return d, nil
 }
 
-// DestLen implements dsaInstance: payload plus the tag trailer.
-func (d *tlsDSA) DestLen() int { return d.payloadLen + TagSize }
-
-// trailerEnd is the end of the record space.
+// trailerEnd is the end of the record space: payload plus the tag
+// trailer.
 func (d *tlsDSA) trailerEnd() int { return d.payloadLen + TagSize }
 
-func (d *tlsDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
+func (d *tlsDSA) ProcessSourceLine(off int, src []byte, out lineSink) error {
 	if off%dram.CachelineSize != 0 {
-		return nil, fmt.Errorf("core: unaligned DSA offset %d", off)
+		return fmt.Errorf("core: unaligned DSA offset %d", off)
 	}
 	if off >= d.trailerEnd() {
-		return nil, fmt.Errorf("core: offset %d beyond record", off)
+		return fmt.Errorf("core: offset %d beyond record", off)
 	}
-	lineEnd := off + dram.CachelineSize
-	if lineEnd > d.trailerEnd() {
-		lineEnd = d.trailerEnd()
-	}
-
-	lines = append(lines, destLine{RecOff: off})
-	out := &lines[len(lines)-1].Data
+	lineEnd := min(off+dram.CachelineSize, d.trailerEnd())
+	n := 0 // payload bytes in the line
 	if off < d.payloadLen {
-		want := d.payloadLen - off
-		if want > dram.CachelineSize {
-			want = dram.CachelineSize
+		var err error
+		if n, err = d.eng.Claim(off); err != nil {
+			return err
 		}
-		if len(src) < want {
-			return nil, fmt.Errorf("core: short source line at %d", off)
-		}
-		if err := d.eng.ProcessCacheline(out[:want], src[:want], off); err != nil {
-			return nil, err
+		if len(src) < n {
+			return fmt.Errorf("core: short source line at %d", off)
 		}
 	}
 	// Capture received tag bytes (decrypt path) from the trailer region.
 	if d.dir == aesgcm.Decrypt && lineEnd > d.payloadLen {
-		from := d.payloadLen
-		if off > from {
-			from = off
-		}
+		from := max(d.payloadLen, off)
 		for b := from; b < lineEnd && b-off < len(src); b++ {
 			d.srcTag[b-d.payloadLen] = src[b-off]
 			d.tagSeen++
 		}
 	}
 
-	switch {
-	case lineEnd <= d.payloadLen:
-	case d.flushed:
-		// Tag already final: patch the trailer bytes in directly.
-		d.patchTrailer(out, off, lineEnd)
-	default:
-		// Overlaps the trailer: hold until the tag is final.
-		d.hold(lines[len(lines)-1])
-		lines = lines[:len(lines)-1]
+	// The line that finishes the record leaves at once, as do the lines
+	// after it; one overlapping the trailer before then is held.
+	finishing := !d.finished && d.eng.Done() && (d.dir == aesgcm.Encrypt || d.tagSeen >= TagSize)
+	tail := lineEnd > d.payloadLen
+	var line *[dram.CachelineSize]byte
+	unplaced := false
+	if tail && !d.finished && !finishing {
+		line = d.hold(off)
+	} else if line = out.put(off); line == nil {
+		line, unplaced = &d.spare, true
 	}
-	canFlush := d.eng.Done() && (d.dir == aesgcm.Encrypt || d.tagSeen >= TagSize)
-	if canFlush && !d.flushed {
-		return d.flushTrailer(lines)
+	copy(line[:], src[:n])
+	clear(line[n:])
+	if n > 0 {
+		d.todo = append(d.todo, lineRef{off, line})
 	}
-	return lines, nil
+	if tail {
+		if d.sealed {
+			d.patchTrailer(line, off)
+		} else {
+			d.tails[d.nTail] = lineRef{off, line}
+			d.nTail++
+		}
+	}
+	if unplaced {
+		d.settle()
+	}
+	if !finishing {
+		return nil
+	}
+	d.finished = true
+	// A decrypt record's verdict feeds the device's AuthFailures at once,
+	// and a held line leaves final: both settle now.
+	if d.dir == aesgcm.Decrypt || d.nHeld > 0 {
+		d.settle()
+	}
+	for i := range d.held[:d.nHeld] {
+		h := &d.held[i]
+		if l := out.put(h.off); l != nil {
+			*l = h.data
+		}
+	}
+	d.nHeld = 0
+	return nil
 }
 
-// hold keeps a line overlapping the trailer, replacing an earlier copy
-// at the same offset.
-func (d *tlsDSA) hold(dl destLine) {
+// hold returns the held buffer for the line at off, replacing an
+// earlier copy at the same offset.
+func (d *tlsDSA) hold(off int) *[dram.CachelineSize]byte {
 	i := 0
-	for i < d.nHeld && d.held[i].RecOff != dl.RecOff {
+	for i < d.nHeld && d.held[i].off != off {
 		i++
 	}
-	d.held[i] = dl
 	if i == d.nHeld {
 		d.nHeld++
 	}
+	d.held[i].off = off
+	return &d.held[i].data
 }
 
-// patchTrailer copies the final trailer bytes into a line's buffer.
-func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off, lineEnd int) {
-	for b := d.payloadLen; b < lineEnd && b < d.trailerEnd(); b++ {
-		if b >= off {
-			data[b-off] = d.trailer[b-d.payloadLen]
-		}
+// patchTrailer copies the final trailer bytes into the line at off.
+func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off int) {
+	for b := max(d.payloadLen, off); b < off+dram.CachelineSize && b < d.trailerEnd(); b++ {
+		data[b-off] = d.trailer[b-d.payloadLen]
 	}
 }
 
-// flushTrailer finalizes held lines once the engine is done and appends
-// them to lines: on encrypt the tag is written into the trailer bytes; on
-// decrypt the received tag is verified and the trailer's first byte
-// reports the result (1 = ok).
-func (d *tlsDSA) flushTrailer(lines []destLine) ([]destLine, error) {
-	d.flushed = true
+// pending reports whether settle has work: claimed lines still holding
+// their input, or a finished record's trailer.
+func (d *tlsDSA) pending() bool {
+	return len(d.todo) > 0 || d.finished && !d.sealed
+}
+
+// settle is the TLS DSA's datapath: it transforms every claimed line
+// still holding its input in place and, once the record is finished,
+// writes the trailer into the claimed lines that overlap it: the tag
+// on encrypt; on decrypt the received tag's verdict in the trailer's
+// first byte (1 = ok). Its result does not depend on when it runs: the
+// GHASH fold is a sum.
+func (d *tlsDSA) settle() {
+	for _, l := range d.todo {
+		n := min(d.payloadLen-l.off, dram.CachelineSize)
+		d.eng.Transform(l.data[:n], l.data[:n], l.off)
+	}
+	d.todo = d.todo[:0]
+	if !d.finished || d.sealed {
+		return
+	}
+	d.sealed = true
 	if d.dir == aesgcm.Encrypt {
-		tag, err := d.eng.Tag()
-		if err != nil {
-			return nil, err
-		}
-		d.trailer = tag
+		// Every payload line is claimed and now transformed.
+		d.trailer, _ = d.eng.Tag()
+	} else if d.eng.VerifyTag(d.srcTag[:]) != nil {
+		d.authErr = true // the trailer stays zero: verification failed
 	} else {
-		if err := d.eng.VerifyTag(d.srcTag[:]); err != nil {
-			d.authErr = true
-			// trailer stays zero: verification failed.
-		} else {
-			d.trailer[0] = 1
-		}
+		d.trailer[0] = 1
 	}
-	for _, dl := range d.held[:d.nHeld] {
-		d.patchTrailer(&dl.Data, dl.RecOff, dl.RecOff+dram.CachelineSize)
-		lines = append(lines, dl)
+	for _, t := range d.tails[:d.nTail] {
+		d.patchTrailer(t.data, t.off)
 	}
-	d.nHeld = 0
-	return lines, nil
 }
 
 // AuthFailed reports a tag verification failure on the decrypt path.
@@ -353,19 +409,17 @@ func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot) (*deflat
 	return d, nil
 }
 
-// DestLen implements dsaInstance: the destination is always a full page.
-func (d *deflateDSA) DestLen() int { return PageSize }
-
-func (d *deflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
+func (d *deflateDSA) ProcessSourceLine(off int, src []byte, out lineSink) error {
 	if off != d.nextOff {
-		return nil, fmt.Errorf("core: deflate DSA requires in-order lines (got %d, want %d); use ordered CompCpy", off, d.nextOff)
+		return fmt.Errorf("core: deflate DSA requires in-order lines (got %d, want %d); use ordered CompCpy", off, d.nextOff)
 	}
 	n := copy(d.src[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
-		return lines, nil
+		return nil
 	}
-	return pageToLines(lines, framePage(d.page, d.src[:d.length], d.enc)), nil
+	putPage(out, framePage(d.page, d.src[:d.length], d.enc))
+	return nil
 }
 
 // inflateDSA decompresses one compressed page arriving in order. The
@@ -386,35 +440,31 @@ func newInflateDSA(length int, slot *encoderSlot) (*inflateDSA, error) {
 	return d, nil
 }
 
-// DestLen implements dsaInstance.
-func (d *inflateDSA) DestLen() int { return PageSize }
-
-func (d *inflateDSA) ProcessSourceLine(off int, src []byte, lines []destLine) ([]destLine, error) {
+func (d *inflateDSA) ProcessSourceLine(off int, src []byte, out lineSink) error {
 	if off != d.nextOff {
-		return nil, fmt.Errorf("core: inflate DSA requires in-order lines (got %d, want %d)", off, d.nextOff)
+		return fmt.Errorf("core: inflate DSA requires in-order lines (got %d, want %d)", off, d.nextOff)
 	}
 	n := copy(d.buf[off:], src)
 	d.nextOff += n
 	if d.nextOff < d.length {
-		return lines, nil
+		return nil
 	}
 	orig, err := DecodeCompressedPage(d.buf[:d.length])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return pageToLines(lines, orig), nil
+	putPage(out, orig)
+	return nil
 }
 
-// pageToLines appends the lines of a full page holding page's bytes,
-// zero-filled past its end, to lines.
-func pageToLines(lines []destLine, page []byte) []destLine {
+// putPage puts the lines of a full destination page holding page's
+// bytes, zero-filled past its end.
+func putPage(out lineSink, page []byte) {
 	for off := 0; off < PageSize; off += dram.CachelineSize {
-		lines = append(lines, destLine{RecOff: off})
-		if off < len(page) {
-			copy(lines[len(lines)-1].Data[:], page[off:])
+		if l := out.put(off); l != nil {
+			clear(l[copy(l[:], page[min(off, len(page)):]):])
 		}
 	}
-	return lines
 }
 
 // --- Context serialization ---------------------------------------------

@@ -32,10 +32,17 @@ func stdSeal(t *testing.T, key, iv, pt, aad []byte) []byte {
 // dsaRecord drives one TLS record through a DSA built by buildDSA, one
 // 64-byte source line per step, collecting the destination record.
 type dsaRecord struct {
-	dsa  dsaInstance
+	dsa  *tlsDSA
 	src  []byte // the record space: payload || 16-byte trailer
 	out  []byte
 	next int
+}
+
+// lineBuf is a lineSink over a byte slice padded to whole lines.
+type lineBuf []byte
+
+func (b lineBuf) put(off int) *[dram.CachelineSize]byte {
+	return (*[dram.CachelineSize]byte)(b[off:])
 }
 
 // startTLSRecord registers a record on keys. src is the whole record
@@ -54,25 +61,28 @@ func startTLSRecord(t *testing.T, keys *scheduleCache, dir aesgcm.Direction, key
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dsaRecord{dsa: dsa, src: src, out: make([]byte, len(src))}
+	lines := (len(src) + dram.CachelineSize - 1) / dram.CachelineSize
+	return &dsaRecord{dsa: dsa.(*tlsDSA), src: src, out: make([]byte, lines*dram.CachelineSize)}
 }
 
-// step feeds the next source line and reports whether any remain.
+// step feeds the next source line and reports whether any remain; after
+// the last one it settles the record and trims out to the record space.
 func (r *dsaRecord) step(t *testing.T) bool {
 	t.Helper()
 	end := r.next + dram.CachelineSize
 	if end > len(r.src) {
 		end = len(r.src)
 	}
-	lines, err := r.dsa.ProcessSourceLine(r.next, r.src[r.next:end], nil)
-	if err != nil {
+	if err := r.dsa.ProcessSourceLine(r.next, r.src[r.next:end], lineBuf(r.out)); err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range lines {
-		copy(r.out[l.RecOff:], l.Data[:])
-	}
 	r.next = end
-	return r.next < len(r.src)
+	if r.next < len(r.src) {
+		return true
+	}
+	r.dsa.settle()
+	r.out = r.out[:len(r.src)]
+	return false
 }
 
 // runTLSRecord runs a whole record in order and returns the destination.

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dram"
 )
@@ -84,6 +85,11 @@ func (s *scratchpad) alloc(dbufPage uint64, rec *record) int {
 	p.inUse, p.dbufPage, p.remaining, p.rec = true, dbufPage, LinesPerPage, rec
 	p.state = [LinesPerPage]lineState{} // every line linePending
 	return idx
+}
+
+// line returns the page's i-th 64-byte line.
+func (p *spPage) line(i int) *[dram.CachelineSize]byte {
+	return (*[dram.CachelineSize]byte)(p.data[i*dram.CachelineSize:])
 }
 
 // release returns a fully recycled page to the free list.
@@ -160,6 +166,10 @@ func (tr *translation) owner() *record {
 // 4KB pages, processed by one DSA instance. The device recycles retired
 // records; gen counts the incarnations.
 type record struct {
+	// phase is the datapath hand-off word, tagged with gen
+	// (datapath.go); it is the only field a worker reads without
+	// owning the record.
+	phase     atomic.Uint64
 	op        Opcode
 	dsa       dsaInstance
 	srcPages  []uint64 // physical page numbers, record order
@@ -168,6 +178,7 @@ type record struct {
 	// processed tracks which source cachelines have been fed to the DSA
 	// (S6/S7 bookkeeping); indexed by record cacheline index.
 	processed []bool
+	fed       int // source cachelines fed to the DSA
 	donePages int // destination pages fully recycled
 	gen       uint64
 }

@@ -312,6 +312,9 @@ func estimateCompressed(n int) int { return 4 + n/3 }
 type CPU struct {
 	Sys        *sim.System
 	Functional bool
+	// Process's buffers: the bytes a read returns, and the zeros the
+	// compressor's state update writes.
+	buf, zeros []byte
 }
 
 // Name implements Backend.
@@ -339,12 +342,17 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		// state: half read, half updated, all through the LLC. Under
 		// many concurrent connections this state is what thrashes.
 		half := conn.StateBytes / 2
-		_, lat, err := b.Sys.Hier.Read(nil, coreID, conn.State, half)
+		var lat int64
+		var err error
+		b.buf, lat, err = b.Sys.Hier.Read(b.buf[:0], coreID, conn.State, half)
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
-		lat, err = b.Sys.Hier.Write(coreID, conn.State+uint64(half), make([]byte, half))
+		if len(b.zeros) < half {
+			b.zeros = make([]byte, half)
+		}
+		lat, err = b.Sys.Hier.Write(coreID, conn.State+uint64(half), b.zeros[:half])
 		if err != nil {
 			return res, err
 		}
@@ -352,10 +360,11 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	}
 	for k, n := range l.Chunks(payloadLen) {
 		// Read the plaintext through the cache (first ULP pass).
-		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
+		b.buf = data
 		res.CPUPs += lat
 		if u == TLS {
 			res.CPUPs += p.AESGCMComputePs(n)
@@ -413,6 +422,7 @@ func transform(u ULP, functional bool, conn *Conn, data []byte) ([]byte, error) 
 // cost nettcp.NICTLSHook charges per retransmission.
 type SmartNIC struct {
 	Sys *sim.System
+	buf []byte // Process's plaintext read
 }
 
 // Name implements Backend.
@@ -442,10 +452,11 @@ func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resul
 	p := b.Sys.Params
 	l := LayoutFor(u)
 	for k, n := range l.Chunks(payloadLen) {
-		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
+		b.buf = data
 		res.CPUPs += lat + p.NICCryptoSetupNs*sim.Ns
 		out := make([]byte, 0, ulp.RecordHeaderLen+n+aesgcm.TagSize)
 		out = append(out, ulp.Header(n+aesgcm.TagSize)...)
@@ -480,6 +491,9 @@ type QAT struct {
 	// pinned DMA staging buffers, shared per backend (QAT instance).
 	pinned     uint64
 	pinnedSize int
+	// Process's buffers: the plaintext read, and the card's DMA read
+	// and the result copied out of the pinned buffer.
+	buf, out []byte
 }
 
 // Name implements Backend.
@@ -511,10 +525,11 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 	for k, n := range l.Chunks(payloadLen) {
 		// CPU: copy the payload into the pinned DMA staging buffer
 		// (the qatzip/QAT-engine flow), build the descriptor, doorbell.
-		data, lat, err := b.Sys.Hier.Read(nil, coreID, conn.Src+uint64(k*l.SrcStride), n)
+		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
+		b.buf = data
 		res.CPUPs += lat
 		lat, err = b.Sys.Hier.Write(coreID, b.pinned, data[:n])
 		if err != nil {
@@ -523,7 +538,8 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		res.CPUPs += lat + p.QATSetupNs*sim.Ns
 		// Card DMA-reads the payload from the pinned buffer (real
 		// channel traffic), computes, DMA-writes the result.
-		_, dmaLat, err := b.Sys.Hier.DMARead(nil, b.pinned, n)
+		var dmaLat int64
+		b.out, dmaLat, err = b.Sys.Hier.DMARead(b.out[:0], b.pinned, n)
 		if err != nil {
 			return res, err
 		}
@@ -541,10 +557,11 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 			p.PCIeTransferPs(n) + p.PCIeTransferPs(len(out)) + dmaLat +
 			p.QATCompletionNs*sim.Ns
 		res.CPUPs += spin
-		out2, lat2, err := b.Sys.Hier.Read(nil, coreID, b.pinned+uint64(b.pinnedSize/2), len(out))
+		out2, lat2, err := b.Sys.Hier.Read(b.out[:0], coreID, b.pinned+uint64(b.pinnedSize/2), len(out))
 		if err != nil {
 			return res, err
 		}
+		b.out = out2
 		res.CPUPs += lat2
 		lat2, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), out2)
 		if err != nil {

@@ -333,3 +333,26 @@ func TestULPString(t *testing.T) {
 		t.Fatal("ULP names")
 	}
 }
+
+// TestCPURequestKeepsBuffers checks that a non-functional CPU
+// compression request reads its window state and plaintext into buffers
+// the backend keeps and writes its state update from kept zeros: what
+// it still allocates is the chunk list, the modelled output record and
+// the span list it returns.
+func TestCPURequestKeepsBuffers(t *testing.T) {
+	sys := newSys(t, 1<<20, false)
+	b := &CPU{Sys: sys}
+	const msg = 4000
+	conn, err := b.NewConn(Compression, 0, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.Process(Compression, 0, conn, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("%v allocs per request, want at most 3 (chunks, output, spans)", allocs)
+	}
+}
