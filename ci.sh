@@ -18,7 +18,11 @@
 #                     and the overlap gate: a memory-level-parallelism
 #                     constant or a division by one may appear in
 #                     non-test Go only in internal/memsys, which owns
-#                     the bulk-access overlap rule (DESIGN §7)
+#                     the bulk-access overlap rule (DESIGN §7); and the
+#                     soft-deflate gate: a compress/flate writer may be
+#                     built in non-test Go only in internal/core, whose
+#                     SoftCompressPage is the one software page
+#                     producer (DESIGN §9)
 #   6. race tests   — the concurrency-bearing packages (the runner pool
 #                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
@@ -88,9 +92,10 @@
 #                     source lines of consecutive compression records
 #                     (the encoder run and page framing included), a
 #                     whole TLS record from registration to retirement
-#                     on pooled device state, and a whole HTTPS request
+#                     on pooled device state, a whole HTTPS request
 #                     on the serial stack (server, SmartDIMM offload,
-#                     TX DMA)
+#                     TX DMA), and a modelled CPU, SmartNIC or
+#                     QuickAssist request
 #
 #  17. benchmod    — bench/ is its own Go module, so the root `go build
 #                     ./...` never compiles it: vet and test it in place
@@ -159,7 +164,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCPURequestKeepsBuffers ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {
@@ -269,6 +274,14 @@ run_all() {
 	# constant or division elsewhere would fork the rule.
 	if grep -rnE '\b[A-Za-z_]*(MLP|mlp)\b[A-Za-z0-9_ ]*:?=|[^/]/ *[A-Za-z_.]*(MLP|mlp)\b' internal/ cmd/ examples/ --include="*.go" --exclude="*_test.go" | grep -v "^internal/memsys/"; then
 		echo "ci.sh: MLP constant or division outside internal/memsys — charge bulk accesses through its bulk forms or memsys.Overlap" >&2
+		exit 1
+	fi
+
+	echo "== soft-deflate gate (compress/flate writers only in internal/core)"
+	# core.SoftCompressPage is the one software page producer: a second
+	# compress/flate writer elsewhere would fork the CPU baseline's pages.
+	if grep -rn "flate\.NewWriter" internal/ cmd/ examples/ --include="*.go" --exclude="*_test.go" | grep -v "^internal/core/"; then
+		echo "ci.sh: flate.NewWriter outside internal/core — produce software pages with core.SoftCompressPage" >&2
 		exit 1
 	fi
 

@@ -1,6 +1,7 @@
 // Compression: offload Deflate compression of different corpora to the
-// SmartDIMM DSA, compare its best-effort hardware pipeline against the
-// software encoder, and verify every page round-trips.
+// SmartDIMM DSA, compare its best-effort hardware pipeline against
+// software deflate (the CPU baseline's page producer), and verify every
+// page round-trips.
 //
 //	go run ./examples/compression
 package main
@@ -63,8 +64,9 @@ func main() {
 		}
 		ok := bytes.Equal(back, data)
 
-		// Software encoder for comparison (what the CPU baseline runs).
-		sw := deflate.Compress(data)
+		// Software deflate for comparison: the page the CPU baseline
+		// produces.
+		sw := core.SoftCompressPage(data)
 
 		// A standalone DSA instance to read out the conflict statistics.
 		enc := deflate.NewHWEncoder(deflate.PaperHWConfig())

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -561,6 +563,43 @@ func TestCompressedPageFormat(t *testing.T) {
 	}
 }
 
+// TestSoftCompressPage checks the software page producer: its HTML page
+// holds a compress/flate stream that compress/flate and
+// DecodeCompressedPage both inflate, shorter than the DSA's, and a
+// page resets a pooled writer instead of building a new one (about
+// 1 MB of state), which leaves the page buffer and the writer's sink:
+// 2 allocations per page, measured (not under -race, which empties
+// pools at random).
+func TestSoftCompressPage(t *testing.T) {
+	html := corpus.Generate(corpus.HTML, MaxCompressInput, 4)
+	page := SoftCompressPage(html)
+	n, err := CompressedPayloadLen(page)
+	if err != nil || binary.LittleEndian.Uint32(page)&compRawFlag != 0 || len(page) != compHeaderSize+n {
+		t.Fatalf("HTML page: header %#x, %d bytes, err %v", binary.LittleEndian.Uint32(page), len(page), err)
+	}
+	ref, err := io.ReadAll(flate.NewReader(bytes.NewReader(page[compHeaderSize:])))
+	if err != nil || !bytes.Equal(ref, html) {
+		t.Fatalf("compress/flate inflate: %v", err)
+	}
+	if out, err := DecodeCompressedPage(page); err != nil || !bytes.Equal(out, html) {
+		t.Fatalf("DecodeCompressedPage: %v", err)
+	}
+	dsa, err := EncodeCompressedPage(html, deflate.NewHWEncoder(deflate.PaperHWConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dn, _ := CompressedPayloadLen(dsa); n >= dn {
+		t.Fatalf("software stream %d bytes, DSA stream %d: software should compress better", n, dn)
+	}
+	if raceEnabled {
+		return
+	}
+	const maxAllocs = 2
+	if allocs := testing.AllocsPerRun(50, func() { SoftCompressPage(html) }); allocs > maxAllocs {
+		t.Fatalf("%v allocs per page, want at most %d", allocs, maxAllocs)
+	}
+}
+
 func TestDeviceConfigValidation(t *testing.T) {
 	if _, err := NewDevice(DeviceConfig{Geometry: dram.SmallGeometry()}); err == nil {
 		t.Fatal("zero scratchpad accepted")
@@ -996,5 +1035,68 @@ func TestRetiredRecordDisownsTranslations(t *testing.T) {
 	}
 	if tr.owner() != stale.rec || stale.owner() != nil {
 		t.Fatalf("owner of the live entry = %p, of the stale one = %p; want the record and nil", tr.owner(), stale.owner())
+	}
+}
+
+// TestStaleDestinationKeepsNewOwner is the regression for a record
+// whose destination page was stale-evicted and re-registered by another
+// record while it still had a source line to feed: that line's output
+// must not land in the other record's Scratchpad page or mark its line
+// ready. It is dropped and counted as a DSA error, as for a destination
+// with no Translation Table entry.
+func TestStaleDestinationKeepsNewOwner(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	key, iv := []byte("0123456789abcdef"), []byte("abcdefghijkl")
+	const nPages = 2
+	sbufA, _ := r.driver.AllocPages(nPages)
+	dbufA, _ := r.driver.AllocPages(nPages)
+	payload := nPages*PageSize - TagSize
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+	if _, err := r.driver.register(sbufA, dbufA, payload+TagSize, nPages, ctx); err != nil {
+		t.Fatal(err)
+	}
+	trA, _ := r.dev.tt.Lookup(r.driver.localPage(sbufA))
+	recA := trA.owner()
+	// Feed every source line of A but the first of its second page.
+	ctl := r.hier.Channels[0].Ctl
+	var line [dram.CachelineSize]byte
+	last := sbufA + PageSize
+	for off := uint64(0); off < nPages*PageSize; off += dram.CachelineSize {
+		if sbufA+off == last {
+			continue
+		}
+		if _, err := ctl.Read(sbufA+off, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Record B takes A's second destination page, which evicts A's
+	// allocation there.
+	sbufB, _ := r.driver.AllocPages(1)
+	shared := dbufA + PageSize
+	ctx = tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, 1000)
+	if _, err := r.driver.register(sbufB, shared, 1000+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	trB, ok := r.dev.tt.Lookup(r.driver.localPage(shared))
+	if !ok || trB.isSource || trB.owner() == nil || trB.owner() == recA {
+		t.Fatal("the shared page is not B's destination")
+	}
+	sp := r.dev.sp.pages[trB.spIdx]
+	data, state := sp.data, sp.state
+	if state[0] != linePending {
+		t.Fatalf("B's first line in state %v, want pending", state[0])
+	}
+	errs := r.dev.Stats().DSAErrors
+
+	if _, err := ctl.Read(last, 0, line[:]); err != nil {
+		t.Fatal(err)
+	}
+	settle(recA)
+	if sp.state != state || sp.data != data {
+		t.Fatalf("A's last line changed B's Scratchpad page (first line now %v)", sp.state[0])
+	}
+	if r.dev.Stats().DSAErrors == errs {
+		t.Fatal("A's unplaceable line counted no DSA error")
 	}
 }

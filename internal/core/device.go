@@ -423,8 +423,10 @@ func (s *destSpace) put(off int) *[dram.CachelineSize]byte {
 		d.stats.DSAErrors++
 		return nil
 	}
+	// A page stale-evicted and re-registered by another record is that
+	// record's now.
 	tr, ok := d.tt.Lookup(rec.destPages[pageIdx])
-	if !ok || tr.isSource {
+	if !ok || tr.isSource || tr.owner() != rec {
 		d.stats.DSAErrors++
 		return nil
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/aesgcm"
 	"repro/internal/deflate"
@@ -335,21 +338,35 @@ func framePage(page *[PageSize]byte, orig []byte, enc *deflate.HWEncoder) []byte
 }
 
 // SoftCompressPage frames data (at most MaxCompressInput bytes) in the
-// page format with the software encoder, which compresses better than
-// the DSA: the deflate stream when it is no longer than data, else data
-// stored raw, so the page never outgrows its input by more than the
-// header. The page is not padded: it is header plus payload.
+// page format with software deflate, compress/flate at zlib's default
+// level 6, which compresses better than the DSA: the deflate stream
+// when it is no longer than data, else data stored raw, so the page
+// never outgrows its input by more than the header. The page is not
+// padded: it is header plus payload.
 func SoftCompressPage(data []byte) []byte {
-	payload := deflate.Compress(data)
-	raw := len(payload) > len(data)
+	// Room for the stream a stored fallback makes: data plus a few
+	// block headers. Writes to a bytes.Buffer cannot fail.
+	out := bytes.NewBuffer(make([]byte, compHeaderSize, compHeaderSize+len(data)+64))
+	w := softWriters.Get().(*flate.Writer)
+	w.Reset(out)
+	w.Write(data)
+	w.Close()
+	softWriters.Put(w)
+	page := out.Bytes()
+	raw := len(page)-compHeaderSize > len(data)
 	if raw {
-		payload = data
+		page = append(page[:compHeaderSize], data...)
 	}
-	out := make([]byte, compHeaderSize+len(payload))
-	putPageHeader(out, len(payload), raw)
-	copy(out[compHeaderSize:], payload)
-	return out
+	putPageHeader(page, len(page)-compHeaderSize, raw)
+	return page
 }
+
+// softWriters keeps SoftCompressPage's compress/flate writers: one holds
+// about 1 MB of match-finder state, so a page resets a kept one.
+var softWriters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.DefaultCompression) // a valid level cannot fail
+	return w
+}}
 
 // putPageHeader writes the page header of an n-byte payload, flagged
 // raw when the payload is the input stored uncompressed.

@@ -1,20 +1,20 @@
-// Package deflate is a from-scratch implementation of the Deflate
-// compressed data format (RFC 1951) in the two shapes the paper uses:
+// Package deflate implements the Deflate compressed data format
+// (RFC 1951) in the two shapes SmartDIMM's (de)compression ULP uses:
 //
-//   - a software encoder with hash-chain LZ77 match finding and
-//     stored/fixed/dynamic Huffman blocks — the "CPU" baseline that
-//     Nginx's gzip filter stands in for;
 //   - a hardware-style encoder modelling SmartDIMM's Deflate DSA
 //     (§V-B): a specialization of the Fowers et al. fully pipelined
 //     FPGA architecture with an 8-byte parallelization window, an
 //     8-bank candidate memory that drops candidates on bank conflicts,
 //     a 4KB history window, and oldest-entry replacement — best-effort
 //     compression with deterministic latency;
-//   - a complete inflate decoder used to verify round trips of both
-//     encoders and interoperability with the reference codec.
+//   - a complete inflate decoder, the Inflate DSA's model and the
+//     receive path's decoder.
 //
-// Both encoders emit RFC 1951 compliant streams; the tests prove every
-// stream inflates with compress/flate and vice versa.
+// The CPU baseline the paper compares against is ordinary software
+// deflate (Nginx's gzip filter over zlib); the model takes it from
+// compress/flate (core.SoftCompressPage). The tests prove every DSA
+// stream inflates with compress/flate and every compress/flate stream
+// inflates here.
 package deflate
 
 import (
@@ -25,7 +25,7 @@ import (
 
 // bitWriter packs bits LSB-first into bytes, as RFC 1951 §3.1.1
 // prescribes for everything except Huffman codes (which callers must
-// pre-reverse; see writeCode). Bits collect in a 64-bit accumulator
+// pre-reverse; see reverseBits). Bits collect in a 64-bit accumulator
 // that is flushed 32 bits at a time, so nAcc < 32 between calls.
 type bitWriter struct {
 	buf  []byte
@@ -45,13 +45,6 @@ func (w *bitWriter) writeBits(v uint32, n uint) {
 	}
 }
 
-// writeCode appends a Huffman code of n bits. Huffman codes are packed
-// starting from their most significant bit, so the canonical code value
-// is bit-reversed before packing.
-func (w *bitWriter) writeCode(code uint32, n uint) {
-	w.writeBits(reverseBits(code, n), n)
-}
-
 // alignByte flushes the accumulator, padding with zero bits to the
 // next byte boundary.
 func (w *bitWriter) alignByte() {
@@ -62,22 +55,11 @@ func (w *bitWriter) alignByte() {
 	}
 }
 
-// writeBytes appends raw bytes; the stream must be byte-aligned.
-func (w *bitWriter) writeBytes(p []byte) {
-	if w.nAcc != 0 {
-		panic("deflate: writeBytes on unaligned stream")
-	}
-	w.buf = append(w.buf, p...)
-}
-
 // bytes returns the stream, flushing any partial final byte.
 func (w *bitWriter) bytes() []byte {
 	w.alignByte()
 	return w.buf
 }
-
-// bitLen returns the total number of bits written so far.
-func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 
 // reverseBits reverses the low n bits of v (n <= 32).
 func reverseBits(v uint32, n uint) uint32 { return bits.Reverse32(v) >> (32 - n) }

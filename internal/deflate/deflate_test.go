@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,11 +24,14 @@ func stdInflate(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// stdDeflate encodes with compress/flate as the reference encoder.
-func stdDeflate(t *testing.T, data []byte) []byte {
-	t.Helper()
+// flateCompress encodes with compress/flate, the reference encoder, at
+// the given level.
+func flateCompress(data []byte, level int) []byte {
 	var buf bytes.Buffer
-	w, _ := flate.NewWriter(&buf, flate.DefaultCompression)
+	w, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		panic(err)
+	}
 	w.Write(data)
 	w.Close()
 	return buf.Bytes()
@@ -54,26 +58,6 @@ func testInputs() map[string][]byte {
 	}
 }
 
-func TestSoftwareEncoderRoundTrip(t *testing.T) {
-	for name, in := range testInputs() {
-		t.Run(name, func(t *testing.T) {
-			c := Compress(in)
-			// Our decoder.
-			out, err := Decompress(c)
-			if err != nil {
-				t.Fatalf("own inflate: %v", err)
-			}
-			if !bytes.Equal(out, in) {
-				t.Fatal("own round trip mismatch")
-			}
-			// Reference decoder accepts our stream.
-			if ref := stdInflate(t, c); !bytes.Equal(ref, in) {
-				t.Fatal("reference decoder disagrees")
-			}
-		})
-	}
-}
-
 func TestHWEncoderRoundTrip(t *testing.T) {
 	enc := NewHWEncoder(PaperHWConfig())
 	for name, in := range testInputs() {
@@ -96,7 +80,7 @@ func TestHWEncoderRoundTrip(t *testing.T) {
 func TestDecompressAcceptsReferenceStreams(t *testing.T) {
 	for name, in := range testInputs() {
 		t.Run(name, func(t *testing.T) {
-			c := stdDeflate(t, in)
+			c := flateCompress(in, flate.DefaultCompression)
 			out, err := Decompress(c)
 			if err != nil {
 				t.Fatalf("inflate of reference stream: %v", err)
@@ -111,7 +95,7 @@ func TestDecompressAcceptsReferenceStreams(t *testing.T) {
 func TestRoundTripQuick(t *testing.T) {
 	enc := NewHWEncoder(PaperHWConfig())
 	f := func(data []byte) bool {
-		c1 := Compress(data)
+		c1 := flateCompress(data, flate.DefaultCompression)
 		o1, err := Decompress(c1)
 		if err != nil || !bytes.Equal(o1, data) {
 			return false
@@ -127,10 +111,10 @@ func TestRoundTripQuick(t *testing.T) {
 
 func TestSoftwareBeatsHWOnRatio(t *testing.T) {
 	// The DSA trades compression ratio for deterministic latency; on
-	// redundant data the software encoder (32KB window, dynamic Huffman)
-	// must compress at least as well.
+	// redundant data software deflate (compress/flate: 32KB window, lazy
+	// matching, dynamic Huffman) must compress at least as well.
 	in := corpus.Generate(corpus.HTML, 16384, 3)
-	sw := len(Compress(in))
+	sw := len(flateCompress(in, flate.DefaultCompression))
 	hw := len(NewHWEncoder(PaperHWConfig()).Compress(in))
 	if sw > hw {
 		t.Fatalf("software (%dB) worse than hardware (%dB)", sw, hw)
@@ -198,15 +182,6 @@ func TestHWHistoryWindowRespected(t *testing.T) {
 	}
 }
 
-func TestCompressOptsWindow(t *testing.T) {
-	in := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16KB
-	narrow := CompressOpts(in, EncoderOptions{WindowSize: 256})
-	out, err := Decompress(narrow)
-	if err != nil || !bytes.Equal(out, in) {
-		t.Fatal("narrow-window round trip failed")
-	}
-}
-
 func TestDecompressCorruptInputs(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
@@ -221,7 +196,7 @@ func TestDecompressCorruptInputs(t *testing.T) {
 	}
 	// Bit flips in a valid stream must not panic (errors are fine, and
 	// some flips may decode to different bytes; we only require safety).
-	valid := Compress(corpus.Generate(corpus.Text, 2048, 8))
+	valid := flateCompress(corpus.Generate(corpus.Text, 2048, 8), flate.DefaultCompression)
 	for i := 0; i < len(valid); i += 7 {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x10
@@ -231,24 +206,13 @@ func TestDecompressCorruptInputs(t *testing.T) {
 
 func TestDecompressLimit(t *testing.T) {
 	in := make([]byte, 100000)
-	c := Compress(in)
+	c := flateCompress(in, flate.DefaultCompression)
 	if _, err := DecompressLimit(c, 1000); err == nil {
 		t.Fatal("limit not enforced")
 	}
 	out, err := DecompressLimit(c, len(in))
 	if err != nil || len(out) != len(in) {
 		t.Fatalf("exact limit rejected: %v", err)
-	}
-}
-
-func TestStoredBlockChosenForRandom(t *testing.T) {
-	// Incompressible data should cost at most a few bytes of overhead,
-	// i.e. the encoder must fall back to stored blocks.
-	rnd := make([]byte, 4096)
-	rand.New(rand.NewSource(10)).Read(rnd)
-	c := Compress(rnd)
-	if len(c) > len(rnd)+16 {
-		t.Fatalf("random data expanded to %d bytes (want stored fallback)", len(c))
 	}
 }
 
@@ -289,62 +253,6 @@ func TestHuffmanCanonical(t *testing.T) {
 	}
 }
 
-func TestBuildLengthsProperties(t *testing.T) {
-	f := func(rawFreq []uint16) bool {
-		freq := make([]int, len(rawFreq))
-		used := 0
-		for i, v := range rawFreq {
-			freq[i] = int(v)
-			if v > 0 {
-				used++
-			}
-		}
-		// The literal/length and distance trees are limited to 15 bits,
-		// the code-length tree to 7.
-		for _, limit := range []int{maxCodeLen, 7} {
-			if !lengthsValid(t, freq, buildLengths(freq, limit), limit) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// lengthsValid reports whether lengths is a usable Deflate code for
-// freq: every used symbol and no unused one has a code of at most limit
-// bits, and the code is complete (Kraft sum exactly 1) unless a single
-// symbol is used, which takes one 1-bit code.
-func lengthsValid(t *testing.T, freq []int, lengths []uint8, limit int) bool {
-	t.Helper()
-	kraft, used := 0, 0
-	for i, l := range lengths {
-		if (freq[i] > 0) != (l > 0) || int(l) > limit {
-			t.Logf("limit %d: symbol %d freq %d has length %d", limit, i, freq[i], l)
-			return false
-		}
-		if l > 0 {
-			used++
-			kraft += 1 << (maxCodeLen - int(l))
-		}
-	}
-	want := 1 << maxCodeLen
-	switch used {
-	case 0:
-		want = 0
-	case 1:
-		want = 1 << (maxCodeLen - 1)
-	}
-	if kraft != want {
-		t.Logf("limit %d: Kraft sum %d, want %d (lengths %v)", limit, kraft, want, lengths)
-		return false
-	}
-	_, err := canonicalCodes(lengths)
-	return err == nil
-}
-
 // fibFreqs returns n Fibonacci frequencies, whose unlimited Huffman
 // tree is n-1 deep: the worst case for length limiting.
 func fibFreqs(n int) []int {
@@ -357,44 +265,46 @@ func fibFreqs(n int) []int {
 	return freq
 }
 
-func TestLengthLimitedCodesComplete(t *testing.T) {
-	for n := 2; n <= 30; n++ {
-		freq := fibFreqs(n)
-		for _, limit := range []int{maxCodeLen, 7} {
-			if !lengthsValid(t, freq, buildLengths(freq, limit), limit) {
-				t.Fatalf("%d Fibonacci frequencies, limit %d: invalid code", n, limit)
-			}
-		}
+// huffmanDepth returns the depth of the unlimited Huffman tree for
+// freq: merging the two lightest subtrees, one level above the deeper.
+func huffmanDepth(freq []int) int {
+	type subtree struct{ weight, depth int }
+	trees := make([]subtree, len(freq))
+	for i, f := range freq {
+		trees[i] = subtree{f, 0}
 	}
+	for len(trees) > 1 {
+		sort.Slice(trees, func(i, j int) bool { return trees[i].weight < trees[j].weight })
+		a, b := trees[0], trees[1]
+		trees = append(trees[2:], subtree{a.weight + b.weight, max(a.depth, b.depth) + 1})
+	}
+	return trees[0].depth
 }
 
-// TestDeepHuffmanRoundTrip feeds the software encoder token streams
-// whose Huffman trees exceed 15 levels, so the emitted dynamic block
-// carries length-limited codes, and checks both inflaters accept it.
+// TestDeepHuffmanRoundTrip feeds compress/flate inputs whose Huffman
+// trees exceed 15 levels, so the emitted dynamic blocks carry
+// length-limited codes, and checks both inflaters accept them.
 func TestDeepHuffmanRoundTrip(t *testing.T) {
-	// Literal-only tokens with Fibonacci counts: the literal tree alone
-	// is 23 levels deep before limiting.
+	// Literal-only Huffman coding of Fibonacci byte counts: the literal
+	// tree alone is 23 levels deep before limiting.
+	freq := fibFreqs(24)
+	if d := huffmanDepth(freq); d <= maxCodeLen {
+		t.Fatalf("unlimited tree %d levels deep, want more than %d", d, maxCodeLen)
+	}
 	var src []byte
-	for sym, f := range fibFreqs(24) {
+	for sym, f := range freq {
 		src = append(src, bytes.Repeat([]byte{byte(sym * 7)}, f)...)
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(src), func(i, j int) { src[i], src[j] = src[j], src[i] })
-	e := NewEncoder(EncoderOptions{})
-	tokens := make([]token, len(src))
-	for i, b := range src {
-		tokens[i] = literalToken(b)
-	}
-	e.writeBlock(tokens, src, true)
-	stream := e.w.bytes()
-	e.w.buf = nil
+	stream := flateCompress(src, flate.HuffmanOnly)
 	if btype := (stream[0] >> 1) & 3; btype != 2 {
 		t.Fatalf("BTYPE %d, want a dynamic block", btype)
 	}
 	checkBothInflaters(t, "fibonacci literals", stream, src)
 
-	// Whole Compress calls on geometric byte distributions (each byte
-	// value a fixed factor rarer than the last): over 256KB the rarest
-	// values sit below depth 15.
+	// Whole streams of geometric byte distributions (each byte value a
+	// fixed factor rarer than the last): over 256KB the rarest values
+	// sit below depth 15.
 	for _, stop := range []float64{0.3, 0.35, 0.382, 0.42} {
 		rng := rand.New(rand.NewSource(1))
 		src := make([]byte, 256<<10)
@@ -405,7 +315,7 @@ func TestDeepHuffmanRoundTrip(t *testing.T) {
 			}
 			src[i] = byte(s)
 		}
-		checkBothInflaters(t, fmt.Sprintf("geometric %.3f", stop), Compress(src), src)
+		checkBothInflaters(t, fmt.Sprintf("geometric %.3f", stop), flateCompress(src, flate.DefaultCompression), src)
 	}
 }
 
@@ -460,14 +370,6 @@ func TestReverseBits(t *testing.T) {
 	}
 }
 
-func BenchmarkSoftwareCompress4KB(b *testing.B) {
-	in := corpus.Generate(corpus.HTML, 4096, 1)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		Compress(in)
-	}
-}
-
 func BenchmarkHWCompress4KB(b *testing.B) {
 	in := corpus.Generate(corpus.HTML, 4096, 1)
 	enc := NewHWEncoder(PaperHWConfig())
@@ -478,7 +380,7 @@ func BenchmarkHWCompress4KB(b *testing.B) {
 }
 
 func BenchmarkDecompress4KB(b *testing.B) {
-	c := Compress(corpus.Generate(corpus.HTML, 4096, 1))
+	c := flateCompress(corpus.Generate(corpus.HTML, 4096, 1), flate.DefaultCompression)
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		Decompress(c)

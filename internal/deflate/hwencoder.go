@@ -24,6 +24,7 @@ package deflate
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 )
 
 // HWConfig parameterizes the DSA model. The zero value is invalid; use
@@ -149,6 +150,33 @@ func (c HWConfig) WithDefaults() HWConfig {
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+const (
+	hashBits  = 15
+	hashShift = (32 - hashBits)
+)
+
+func hash4(b []byte) uint32 {
+	// 4-byte rolling hash (multiplicative); requires len(b) >= 4.
+	return (binary.LittleEndian.Uint32(b) * 2654435761) >> hashShift
+}
+
+// matchLen returns the length of the common prefix of src[a:] and
+// src[b:], capped at maxLen, comparing eight bytes at a time. a < b
+// and b+maxLen <= len(src).
+func matchLen(src []byte, a, b, maxLen int) int {
+	n := 0
+	for n+8 <= maxLen {
+		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for n < maxLen && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
+}
 
 // Stats returns the accumulated DSA statistics.
 func (e *HWEncoder) Stats() HWStats { return e.stats }

@@ -10,6 +10,16 @@ import (
 	"repro/internal/corpus"
 )
 
+// token is one symbol of the reference pipeline's output: a literal
+// byte (dist == 0) or a match.
+type token struct {
+	lit  byte
+	len  uint16 // match length, MinMatch..MaxMatch
+	dist uint16 // match distance, 1..MaxDistance; 0 => literal
+}
+
+func (t token) isLiteral() bool { return t.dist == 0 }
+
 // lz77HWReference is the straightforward banked match pipeline whose
 // tokens, emitted bit by bit by compressReference, the one-pass
 // HWEncoder must reproduce byte for byte and counter for counter: a
@@ -77,12 +87,12 @@ func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 				continue
 			}
 			for consumed < c.at {
-				tokens = append(tokens, literalToken(src[consumed]))
+				tokens = append(tokens, token{lit: src[consumed]})
 				st.Literals++
 				consumed++
 			}
 			if c.prev < 0 {
-				tokens = append(tokens, literalToken(src[c.at]))
+				tokens = append(tokens, token{lit: src[c.at]})
 				st.Literals++
 				consumed++
 				continue
@@ -96,17 +106,17 @@ func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 				l++
 			}
 			if l < MinMatch {
-				tokens = append(tokens, literalToken(src[c.at]))
+				tokens = append(tokens, token{lit: src[c.at]})
 				st.Literals++
 				consumed++
 				continue
 			}
-			tokens = append(tokens, matchToken(l, c.at-c.prev))
+			tokens = append(tokens, token{len: uint16(l), dist: uint16(c.at - c.prev)})
 			st.Matches++
 			consumed += l
 		}
 		for consumed < winEnd {
-			tokens = append(tokens, literalToken(src[consumed]))
+			tokens = append(tokens, token{lit: src[consumed]})
 			st.Literals++
 			consumed++
 		}
@@ -351,4 +361,23 @@ func FuzzHWEncoder(f *testing.F) {
 		checkHWAgainstReference(t, reused, data[len(data)/2:])
 		checkHWAgainstReference(t, reused, data)
 	})
+}
+
+// BenchmarkHWEncoderPages compresses 64 distinct 4092-byte HTML pages in
+// turn, as deflate4k-dimm's connections do. A single repeated page lets
+// the branch predictor learn its match pattern, which flatters branchy
+// match loops.
+func BenchmarkHWEncoderPages(b *testing.B) {
+	pages := make([][]byte, 64)
+	for i := range pages {
+		pages[i] = corpus.Generate(corpus.HTML, 4092, int64(i))
+	}
+	enc := NewHWEncoder(PaperHWConfig())
+	dst := make([]byte, 0, 8192)
+	b.SetBytes(4092)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = enc.AppendCompress(dst[:0], pages[i%len(pages)])
+	}
 }

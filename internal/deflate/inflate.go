@@ -11,8 +11,8 @@ var (
 )
 
 // Decompress inflates a complete RFC 1951 stream. It accepts output from
-// this package's encoders and from any conforming encoder (the tests
-// check compress/flate interop), and is used by the receive path of the
+// HWEncoder and from any conforming encoder (the tests check
+// compress/flate interop), and is used by the receive path of the
 // (de)compression ULP.
 func Decompress(data []byte) ([]byte, error) {
 	return DecompressLimit(data, 1<<30)
@@ -85,6 +85,9 @@ func init() {
 	fixedLitDecode, _ = newDecodeTable(fixedLitLenLengths())
 	fixedDistDecode, _ = newDecodeTable(fixedDistLengths())
 }
+
+// clOrder is the fixed transmission order of code length code lengths.
+var clOrder = [19]int{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 
 // readDynamicTables parses the dynamic block header (HLIT/HDIST/HCLEN and
 // the RLE-compressed code lengths).

@@ -2,6 +2,7 @@ package deflate
 
 import (
 	"bytes"
+	"compress/flate"
 	"testing"
 )
 
@@ -10,9 +11,10 @@ import (
 // reject it, and DecompressLimit agrees too unless compress/flate's
 // output is over the limit. Neither may panic.
 func FuzzInflate(f *testing.F) {
-	f.Add([]byte{0x03, 0x00}, uint16(0))                            // empty fixed block
-	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff}, uint16(0))          // empty stored block
-	f.Add(Compress([]byte("hello, hello, hello world")), uint16(8)) // dynamic or fixed
+	f.Add([]byte{0x03, 0x00}, uint16(0))                   // empty fixed block
+	f.Add([]byte{0x01, 0x00, 0x00, 0xff, 0xff}, uint16(0)) // empty stored block
+	// A compress/flate stream, dynamic or fixed.
+	f.Add(flateCompress([]byte("hello, hello, hello world"), flate.DefaultCompression), uint16(8))
 	f.Add(NewHWEncoder(PaperHWConfig()).Compress(bytes.Repeat([]byte("abcd"), 64)), uint16(300))
 	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
 		// Deflate expands at most ~1032:1, so this caps the output at

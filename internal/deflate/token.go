@@ -1,7 +1,7 @@
 package deflate
 
-// LZ77 token stream representation shared by the software and
-// hardware-style encoders.
+// The Deflate symbol alphabets (RFC 1951 §3.2.5-6): length and
+// distance codes and the fixed Huffman code tables.
 
 // Match-length limits of Deflate.
 const (
@@ -14,24 +14,6 @@ const (
 	numLitLenSyms = 286
 	numDistSyms   = 30
 )
-
-// token is either a literal byte (dist == 0) or a match.
-type token struct {
-	lit  byte
-	len  uint16 // match length, MinMatch..MaxMatch
-	dist uint16 // match distance, 1..MaxDistance; 0 => literal
-}
-
-func literalToken(b byte) token { return token{lit: b} }
-func matchToken(l, d int) token { return token{len: uint16(l), dist: uint16(d)} }
-func (t token) isLiteral() bool { return t.dist == 0 }
-
-func (t token) expandedLen() int {
-	if t.isLiteral() {
-		return 1
-	}
-	return int(t.len)
-}
 
 // lengthCode maps a match length (3..258) to its litlen symbol, extra
 // bit count, and extra bit value. Tables generated at init per RFC 1951
@@ -137,8 +119,8 @@ func fixedDistLengths() []uint8 {
 	return l
 }
 
-// The fixed Huffman codes never change, so both encoders share one
-// canonical assignment built at init instead of rebuilding per block.
+// The fixed Huffman codes never change, so their canonical assignment
+// is built once at init.
 var (
 	fixedLitCodes  []huffCode
 	fixedDistCodes []huffCode
@@ -147,32 +129,6 @@ var (
 func init() {
 	fixedLitCodes, _ = canonicalCodes(fixedLitLenLengths())
 	fixedDistCodes, _ = canonicalCodes(fixedDistLengths())
-}
-
-// writeTokens emits the token stream plus end-of-block with the given
-// codes.
-func writeTokens(w *bitWriter, tokens []token, lit, dist []huffCode) {
-	for _, t := range tokens {
-		if t.isLiteral() {
-			c := lit[t.lit]
-			w.writeCode(c.code, uint(c.len))
-			continue
-		}
-		sym := lengthSym[t.len]
-		c := lit[sym]
-		w.writeCode(c.code, uint(c.len))
-		if e := lengthExtra[sym]; e > 0 {
-			w.writeBits(uint32(t.len-lengthBase[sym]), uint(e))
-		}
-		dsym := distCode(int(t.dist))
-		dc := dist[dsym]
-		w.writeCode(dc.code, uint(dc.len))
-		if e := distExtra[dsym]; e > 0 {
-			w.writeBits(uint32(t.dist)-distBase[dsym], uint(e))
-		}
-	}
-	eob := lit[endBlockSym]
-	w.writeCode(eob.code, uint(eob.len))
 }
 
 // revCode is a pre-reversed bit string ready for bitWriter.writeBits.
@@ -209,21 +165,4 @@ func init() {
 		fixedDistRev[d] = rev(fixedDistCodes[d]).bits
 	}
 	fixedEOBBits = rev(fixedLitCodes[endBlockSym])
-}
-
-// writeFixedTokens is writeTokens specialised to the fixed Huffman
-// codes: one writeBits per literal, two per match.
-func writeFixedTokens(w *bitWriter, tokens []token) {
-	for _, t := range tokens {
-		if t.isLiteral() {
-			c := fixedLitBits[t.lit]
-			w.writeBits(c.bits, uint(c.n))
-			continue
-		}
-		c := fixedLenBits[t.len]
-		w.writeBits(c.bits, uint(c.n))
-		dsym := distCode(int(t.dist))
-		w.writeBits(fixedDistRev[dsym]|(uint32(t.dist)-distBase[dsym])<<5, 5+uint(distExtra[dsym]))
-	}
-	w.writeBits(fixedEOBBits.bits, uint(fixedEOBBits.n))
 }

@@ -84,15 +84,29 @@ func LayoutFor(u ULP) Layout {
 // Chunks returns the per-record payload sizes for a message.
 func (l Layout) Chunks(payloadLen int) []int {
 	var out []int
-	for payloadLen > 0 {
-		c := payloadLen
-		if c > l.MaxChunk {
-			c = l.MaxChunk
-		}
-		out = append(out, c)
-		payloadLen -= c
+	for k := range l.records(payloadLen) {
+		out = append(out, l.chunk(k, payloadLen))
 	}
 	return out
+}
+
+// records returns how many records a payloadLen-byte message takes. With
+// chunk it is the allocation-free walk of Chunks every backend takes:
+// record k carries chunk(k, payloadLen) bytes.
+func (l Layout) records(payloadLen int) int {
+	return (max(payloadLen, 0) + l.MaxChunk - 1) / l.MaxChunk
+}
+
+// chunk returns the payload bytes of record k of a payloadLen-byte
+// message.
+func (l Layout) chunk(k, payloadLen int) int {
+	return min(payloadLen-k*l.MaxChunk, l.MaxChunk)
+}
+
+// chunkOf returns record k's part of payload.
+func (l Layout) chunkOf(payload []byte, k int) []byte {
+	off := k * l.MaxChunk
+	return payload[off : off+l.chunk(k, len(payload))]
 }
 
 // BufBytes returns the buffer size needed for a message of msgSize.
@@ -212,13 +226,12 @@ type Backend interface {
 func StagePayloadCPU(sys *sim.System, coreID int, conn *Conn, payload []byte) (int64, error) {
 	l := LayoutFor(conn.U)
 	var lat int64
-	for k, n := range l.Chunks(len(payload)) {
-		w, err := sys.Hier.Write(coreID, conn.Src+uint64(k*l.SrcStride), payload[:n])
+	for k := range l.records(len(payload)) {
+		w, err := sys.Hier.Write(coreID, conn.Src+uint64(k*l.SrcStride), l.chunkOf(payload, k))
 		if err != nil {
 			return 0, err
 		}
 		lat += w
-		payload = payload[n:]
 	}
 	return lat, nil
 }
@@ -227,11 +240,10 @@ func StagePayloadCPU(sys *sim.System, coreID int, conn *Conn, payload []byte) (i
 // (storage or NIC RX through DDIO).
 func StagePayloadDMA(sys *sim.System, conn *Conn, payload []byte) error {
 	l := LayoutFor(conn.U)
-	for k, n := range l.Chunks(len(payload)) {
-		if err := sys.Hier.DMAWrite(conn.Src+uint64(k*l.SrcStride), payload[:n]); err != nil {
+	for k := range l.records(len(payload)) {
+		if err := sys.Hier.DMAWrite(conn.Src+uint64(k*l.SrcStride), l.chunkOf(payload, k)); err != nil {
 			return err
 		}
-		payload = payload[n:]
 	}
 	return nil
 }
@@ -271,9 +283,12 @@ func connKey(id int) ([]byte, [12]byte) {
 }
 
 // newPlainConn allocates connection buffers in regular memory.
-// SoftDeflateStateBytes models the software compressor's working state
-// (32KB sliding window x2 + hash heads/chains), the dominant source of
-// cache pressure on the CPU compression path.
+// SoftDeflateStateBytes models the cache footprint of software
+// deflate's working state (zlib's 32KB sliding window x2 plus hash
+// heads and chains), the dominant source of cache pressure on the CPU
+// compression path. It is a model: the functional path's
+// compress/flate writer is host memory, pooled by
+// core.SoftCompressPage.
 const SoftDeflateStateBytes = 64 << 10
 
 func newPlainConn(sys *sim.System, u ULP, id, msgSize int) (*Conn, error) {
@@ -312,9 +327,11 @@ func estimateCompressed(n int) int { return 4 + n/3 }
 type CPU struct {
 	Sys        *sim.System
 	Functional bool
-	// Process's buffers: the bytes a read returns, and the zeros the
-	// compressor's state update writes.
+	// Process's buffers: the bytes a read returns, the zeros the
+	// compressor's state update and a modelled output write, and the
+	// spans it returns.
 	buf, zeros []byte
+	spans      []Span
 }
 
 // Name implements Backend.
@@ -334,7 +351,8 @@ func (b *CPU) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 
 // Process implements Backend.
 func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, error) {
-	var res Result
+	res := Result{DstSpans: b.spans[:0]}
+	defer func() { b.spans = res.DstSpans }()
 	p := b.Sys.Params
 	l := LayoutFor(u)
 	if u == Compression && conn.StateBytes > 0 {
@@ -349,16 +367,14 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 			return res, err
 		}
 		res.CPUPs += lat
-		if len(b.zeros) < half {
-			b.zeros = make([]byte, half)
-		}
-		lat, err = b.Sys.Hier.Write(coreID, conn.State+uint64(half), b.zeros[:half])
+		lat, err = b.Sys.Hier.Write(coreID, conn.State+uint64(half), zeroed(&b.zeros, half))
 		if err != nil {
 			return res, err
 		}
 		res.CPUPs += lat
 	}
-	for k, n := range l.Chunks(payloadLen) {
+	for k := range l.records(payloadLen) {
+		n := l.chunk(k, payloadLen)
 		// Read the plaintext through the cache (first ULP pass).
 		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
@@ -371,7 +387,7 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		} else {
 			res.CPUPs += p.DeflateComputePs(n)
 		}
-		out, err := transform(u, b.Functional, conn, data)
+		out, err := transform(u, b.Functional, conn, data, &b.zeros)
 		if err != nil {
 			return res, err
 		}
@@ -391,9 +407,9 @@ func (b *CPU) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 // transform is the software TX transform of one record, shared by the
 // CPU and QuickAssist placements: the sealed TLS record (header,
 // ciphertext, tag) or the deflate page of data. When not functional it
-// returns an output of the modelled size instead. A TLS record draws
-// its nonce from conn either way.
-func transform(u ULP, functional bool, conn *Conn, data []byte) ([]byte, error) {
+// returns zeros of the modelled size from the kept buffer *zeros
+// instead. A TLS record draws its nonce from conn either way.
+func transform(u ULP, functional bool, conn *Conn, data []byte, zeros *[]byte) ([]byte, error) {
 	n := len(data)
 	switch {
 	case u == TLS && functional:
@@ -405,11 +421,20 @@ func transform(u ULP, functional bool, conn *Conn, data []byte) ([]byte, error) 
 		return g.Seal(hdr, conn.NextIV(), data, hdr)
 	case u == TLS:
 		conn.NextIV()
-		return make([]byte, ulp.RecordHeaderLen+n+aesgcm.TagSize), nil
+		return zeroed(zeros, ulp.RecordHeaderLen+n+aesgcm.TagSize), nil
 	case functional:
 		return core.SoftCompressPage(data), nil
 	}
-	return make([]byte, estimateCompressed(n)), nil
+	return zeroed(zeros, estimateCompressed(n)), nil
+}
+
+// zeroed returns n zero bytes from the kept buffer *buf, growing it
+// first when it is shorter. Nothing may write into what it returns.
+func zeroed(buf *[]byte, n int) []byte {
+	if len(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // --- SmartNIC backend ------------------------------------------------------
@@ -422,7 +447,10 @@ func transform(u ULP, functional bool, conn *Conn, data []byte) ([]byte, error) 
 // cost nettcp.NICTLSHook charges per retransmission.
 type SmartNIC struct {
 	Sys *sim.System
-	buf []byte // Process's plaintext read
+	// Process's buffers: the plaintext read, the record it builds and
+	// the spans it returns.
+	buf, rec []byte
+	spans    []Span
 }
 
 // Name implements Backend.
@@ -445,23 +473,26 @@ func (b *SmartNIC) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 // software"); encryption happens on the NIC at line rate with no CPU or
 // host-memory cost beyond the TX DMA the server model already performs.
 func (b *SmartNIC) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, error) {
-	var res Result
+	res := Result{DstSpans: b.spans[:0]}
+	defer func() { b.spans = res.DstSpans }()
 	if u != TLS {
 		return res, fmt.Errorf("offload: SmartNIC cannot offload %v", u)
 	}
 	p := b.Sys.Params
 	l := LayoutFor(u)
-	for k, n := range l.Chunks(payloadLen) {
+	for k := range l.records(payloadLen) {
+		n := l.chunk(k, payloadLen)
 		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
 		if err != nil {
 			return res, err
 		}
 		b.buf = data
 		res.CPUPs += lat + p.NICCryptoSetupNs*sim.Ns
-		out := make([]byte, 0, ulp.RecordHeaderLen+n+aesgcm.TagSize)
-		out = append(out, ulp.Header(n+aesgcm.TagSize)...)
-		out = append(out, data...)                         // plaintext: NIC encrypts in flight
-		out = append(out, make([]byte, aesgcm.TagSize)...) // tag placeholder
+		var tag [aesgcm.TagSize]byte // placeholder
+		out := append(b.rec[:0], ulp.Header(n+aesgcm.TagSize)...)
+		out = append(out, data...) // plaintext: NIC encrypts in flight
+		out = append(out, tag[:]...)
+		b.rec = out
 		conn.NextIV()
 		lat, err = b.Sys.Hier.Write(coreID, conn.Dst+uint64(k*l.DstStride), out)
 		if err != nil {
@@ -491,9 +522,11 @@ type QAT struct {
 	// pinned DMA staging buffers, shared per backend (QAT instance).
 	pinned     uint64
 	pinnedSize int
-	// Process's buffers: the plaintext read, and the card's DMA read
-	// and the result copied out of the pinned buffer.
-	buf, out []byte
+	// Process's buffers: the plaintext read, the card's DMA read and
+	// the result copied out of the pinned buffer, a modelled output, and
+	// the spans it returns.
+	buf, out, zeros []byte
+	spans           []Span
 }
 
 // Name implements Backend.
@@ -519,10 +552,12 @@ func (b *QAT) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 
 // Process implements Backend.
 func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, error) {
-	var res Result
+	res := Result{DstSpans: b.spans[:0]}
+	defer func() { b.spans = res.DstSpans }()
 	p := b.Sys.Params
 	l := LayoutFor(u)
-	for k, n := range l.Chunks(payloadLen) {
+	for k := range l.records(payloadLen) {
+		n := l.chunk(k, payloadLen)
 		// CPU: copy the payload into the pinned DMA staging buffer
 		// (the qatzip/QAT-engine flow), build the descriptor, doorbell.
 		data, lat, err := b.Sys.Hier.Read(b.buf[:0], coreID, conn.Src+uint64(k*l.SrcStride), n)
@@ -543,7 +578,7 @@ func (b *QAT) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, er
 		if err != nil {
 			return res, err
 		}
-		out, err := transform(u, b.Functional, conn, data)
+		out, err := transform(u, b.Functional, conn, data, &b.zeros)
 		if err != nil {
 			return res, err
 		}
@@ -672,9 +707,8 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 	res := Result{DstSpans: b.spans[:0]}
 	defer func() { b.spans = res.DstSpans }()
 	l := LayoutFor(u)
-	// The chunks of l.Chunks, without building the list.
-	for k := 0; k*l.MaxChunk < payloadLen; k++ {
-		n := min(payloadLen-k*l.MaxChunk, l.MaxChunk)
+	for k := range l.records(payloadLen) {
+		n := l.chunk(k, payloadLen)
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
 		ctx := core.OffloadContext{Op: core.OpCompress, Length: n}

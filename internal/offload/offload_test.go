@@ -334,25 +334,33 @@ func TestULPString(t *testing.T) {
 	}
 }
 
-// TestCPURequestKeepsBuffers checks that a non-functional CPU
-// compression request reads its window state and plaintext into buffers
-// the backend keeps and writes its state update from kept zeros: what
-// it still allocates is the chunk list, the modelled output record and
-// the span list it returns.
+// TestCPURequestKeepsBuffers checks that a request whose records the
+// host CPU builds in software allocates nothing: a non-functional CPU
+// request of either ULP, a SmartNIC record (header, plaintext and tag
+// placeholder) and a non-functional QuickAssist request. Each walks its
+// records without building a chunk list, reads into buffers the backend
+// keeps, writes modelled outputs from kept zeros, and returns its spans
+// in a kept slice.
 func TestCPURequestKeepsBuffers(t *testing.T) {
 	sys := newSys(t, 1<<20, false)
-	b := &CPU{Sys: sys}
-	const msg = 4000
-	conn, err := b.NewConn(Compression, 0, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := b.Process(Compression, 0, conn, msg); err != nil {
+	cpu, qat := &CPU{Sys: sys}, &QAT{Sys: sys}
+	const msg = 20000 // two TLS records, five compression records
+	cases := []struct {
+		b Backend
+		u ULP
+	}{{cpu, Compression}, {cpu, TLS}, {&SmartNIC{Sys: sys}, TLS}, {qat, TLS}, {qat, Compression}}
+	for _, c := range cases {
+		conn, err := c.b.NewConn(c.u, 0, msg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 3 {
-		t.Fatalf("%v allocs per request, want at most 3 (chunks, output, spans)", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.b.Process(c.u, 0, conn, msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s %v: %v allocs per request, want 0", c.b.Name(), c.u, allocs)
+		}
 	}
 }

@@ -85,13 +85,12 @@ func (b *RDMA) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Result, e
 func (b *RDMA) Ingest(conn *Conn, payload []byte) (int64, error) {
 	l := LayoutFor(conn.U)
 	var lat int64
-	for k, c := range l.Chunks(len(payload)) {
-		d, err := b.NIC.Deposit(conn.ID, k*l.SrcStride, payload[:c])
+	for k := range l.records(len(payload)) {
+		d, err := b.NIC.Deposit(conn.ID, k*l.SrcStride, l.chunkOf(payload, k))
 		lat += d
 		if err != nil {
 			return lat, fmt.Errorf("offload: ingest conn %d: %w", conn.ID, err)
 		}
-		payload = payload[c:]
 	}
 	return lat, nil
 }
@@ -99,11 +98,10 @@ func (b *RDMA) Ingest(conn *Conn, payload []byte) (int64, error) {
 // Preload implements Ingestor.
 func (b *RDMA) Preload(conn *Conn, payload []byte) error {
 	l := LayoutFor(conn.U)
-	for k, c := range l.Chunks(len(payload)) {
-		if err := b.NIC.Preload(conn.ID, k*l.SrcStride, payload[:c]); err != nil {
+	for k := range l.records(len(payload)) {
+		if err := b.NIC.Preload(conn.ID, k*l.SrcStride, l.chunkOf(payload, k)); err != nil {
 			return err
 		}
-		payload = payload[c:]
 	}
 	return nil
 }
