@@ -27,10 +27,12 @@
 #                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
 #                     dispatcher's determinism gate, telemetry
-#                     tracing under the parallel runner, and the TLS
-#                     DSA's datapath worker in core with the aesgcm
-#                     engine it runs beside a growing key schedule)
-#                     under -race
+#                     tracing under the parallel runner, and the DSAs'
+#                     datapath workers in core with the aesgcm engine
+#                     and the deflate encoder they run) under -race;
+#                     then core's settle and hand-off tests at
+#                     GOMAXPROCS=1, where the datapath pool has no
+#                     worker and every record runs inline
 #   7. golden trace — the Perfetto exporter against its committed golden
 #                     file plus the full-stack byte-reproducibility gate
 #   8. tracestat golden — the trace analyzers (profile tree, critical
@@ -145,12 +147,15 @@ gate() {
 }
 
 # The targeted test runs, one row each: stage, flags (comma-separated;
-# - for none), -run pattern, packages. A row with pattern - runs every
-# test of its packages with plain `go test`; any other row goes through
-# gate. run_stage runs a stage's rows in table order.
+# - for none; a NAME=value flag is set in the environment of the row's
+# go commands instead of passed to go test), -run pattern, packages. A
+# row with pattern - runs every test of its packages with plain
+# `go test`; any other row goes through gate. run_stage runs a stage's
+# rows in table order.
 TESTS='
 smoke    -short        -                                                  ./internal/chaos/
-race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/ ./internal/core/ ./internal/aesgcm/
+race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/ ./internal/core/ ./internal/aesgcm/ ./internal/deflate/
+race     GOMAXPROCS=1  TestSettle|TestAbortUnsettled|TestAbortQueued|TestHandedOff|TestCompressVerify ./internal/core/
 golden   -             TestPerfettoGolden|TestFullStackTraceReproducible  ./internal/telemetry/
 golden   -             TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers ./internal/experiments/
 golden   -             TestGoToolPprofAcceptsExport                       ./internal/profile/
@@ -170,15 +175,29 @@ alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFee
 run_stage() {
 	while read -r stage flags pattern pkgs; do
 		[ "$stage" = "$1" ] || continue
-		flags=$(echo "$flags" | tr ',' ' ')
-		[ "$flags" = "-" ] && flags=""
-		# $flags and $pkgs are deliberately unquoted: each is a word list.
+		vars=""
+		args=""
+		for f in $(echo "$flags" | tr ',' ' '); do
+			case $f in
+			-) ;;
+			-*) args="$args $f" ;;
+			*) vars="$vars $f" ;;
+			esac
+		done
+		# $vars, $args and $pkgs are deliberately unquoted: each is a
+		# word list. The subshell keeps the row's variables to its row.
 		if [ "$pattern" = "-" ]; then
-			echo "== $stage: go test $flags $pkgs"
-			go test $flags $pkgs
+			echo "== $stage:$vars go test$args $pkgs"
+			(
+				[ -z "$vars" ] || export $vars
+				go test $args $pkgs
+			)
 		else
-			echo "== $stage: go test $flags $pkgs -run '$pattern'"
-			gate "$pattern" $flags $pkgs
+			echo "== $stage:$vars go test$args $pkgs -run '$pattern'"
+			(
+				[ -z "$vars" ] || export $vars
+				gate "$pattern" $args $pkgs
+			)
 		fi
 	done <<EOF
 $TESTS

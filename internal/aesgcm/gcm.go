@@ -132,11 +132,9 @@ func (g *GCM) Seal(dst, iv, plaintext, aad []byte) ([]byte, error) {
 	for i := range plaintext {
 		ct[i] ^= plaintext[i]
 	}
-	tag, err := g.computeTag(iv, ct, aad)
-	if err != nil {
+	if err := g.computeTag(out[len(plaintext):], iv, ct, aad); err != nil {
 		return nil, err
 	}
-	copy(out[len(plaintext):], tag)
 	return ret, nil
 }
 
@@ -148,11 +146,11 @@ func (g *GCM) Open(dst, iv, sealed, aad []byte) ([]byte, error) {
 	}
 	ct := sealed[:len(sealed)-TagSize]
 	tag := sealed[len(sealed)-TagSize:]
-	want, err := g.computeTag(iv, ct, aad)
-	if err != nil {
+	var want [TagSize]byte
+	if err := g.computeTag(want[:], iv, ct, aad); err != nil {
 		return nil, err
 	}
-	if subtle.ConstantTimeCompare(tag, want) != 1 {
+	if subtle.ConstantTimeCompare(tag, want[:]) != 1 {
 		return nil, ErrAuth
 	}
 	ret, out := sliceForAppend(dst, len(ct))
@@ -165,9 +163,10 @@ func (g *GCM) Open(dst, iv, sealed, aad []byte) ([]byte, error) {
 	return ret, nil
 }
 
-// computeTag runs GHASH over aad||ct||lengths and encrypts with E_K(J0),
-// reusing the per-key table instead of rebuilding it per record.
-func (g *GCM) computeTag(iv, ct, aad []byte) ([]byte, error) {
+// computeTag writes the tag into its TagSize bytes: GHASH over
+// aad||ct||lengths, encrypted with E_K(J0). It reuses the per-key
+// table instead of rebuilding it per record.
+func (g *GCM) computeTag(tag, iv, ct, aad []byte) error {
 	t := g.table.Load()
 	if t == nil {
 		// Concurrent first calls may each build the table; every copy
@@ -181,14 +180,13 @@ func (g *GCM) computeTag(iv, ct, aad []byte) ([]byte, error) {
 	gh.UpdateLengths(len(aad), len(ct))
 	var s [BlockSize]byte
 	gh.Sum(s[:])
-	eiv, err := g.EIV(iv)
-	if err != nil {
-		return nil, err
+	if _, err := g.AppendEIV(tag[:0], iv); err != nil {
+		return err
 	}
 	for i := range s {
-		s[i] ^= eiv[i]
+		tag[i] ^= s[i]
 	}
-	return s[:], nil
+	return nil
 }
 
 // Overhead returns the ciphertext expansion of Seal.

@@ -253,9 +253,6 @@ func (c *Cluster) Net() *Net { return c.net }
 // read it only when the simulation is not running).
 func (c *Cluster) History() []Op { return c.rt.history }
 
-// GroupMembers returns group g's member node ids.
-func (c *Cluster) GroupMembers(g int) []int { return c.groups[g] }
-
 // Start opens the client loops.
 func (c *Cluster) Start() { c.rt.Start() }
 

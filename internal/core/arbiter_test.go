@@ -359,8 +359,8 @@ func TestBuildDSAErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrDSAConfig", name, err)
 		}
 	}
-	if enc.enc != nil {
-		t.Fatalf("rejected configs built an encoder for %+v", enc.cfg)
+	if len(enc.work) != 0 {
+		t.Fatal("rejected configs built a work unit")
 	}
 	good := []deflate.HWConfig{
 		{}, // paper config
@@ -375,10 +375,10 @@ func TestBuildDSAErrors(t *testing.T) {
 	}
 }
 
-// TestEncoderSlot feeds arbitrary context bytes to buildDSA: the
-// device's encoder slot never holds a table over maxDSATableEntries,
-// a rejected config leaves it as it was, a repeated config reuses its
-// encoder and a new one replaces it.
+// TestEncoderSlot feeds arbitrary context bytes to buildDSA: an accepted
+// config never asks for a table over maxDSATableEntries, and building a
+// DSA builds no work unit. A work unit taken again for the same config
+// keeps its encoder; one taken for another config gets a new one.
 func TestEncoderSlot(t *testing.T) {
 	var enc encoderSlot
 	rng := rand.New(rand.NewSource(14))
@@ -390,27 +390,33 @@ func TestEncoderSlot(t *testing.T) {
 			v := rng.Uint32() >> uint(rng.Intn(32))
 			binary.LittleEndian.PutUint32(raw[4*f:], v)
 		}
-		before := enc
-		if _, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc); err == nil {
-			built++
-		} else if enc.cfg != before.cfg || enc.enc != before.enc || enc.page != before.page {
-			t.Fatalf("rejected config %x replaced the encoder", raw)
+		dsa, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc)
+		if err != nil {
+			continue
 		}
-		if enc.enc != nil && (enc.cfg.TableEntries > maxDSATableEntries || enc.cfg.Banks > enc.cfg.TableEntries) {
-			t.Fatalf("encoder slot holds an oversized config %+v", enc.cfg)
+		built++
+		if cfg := dsa.(*deflateDSA).cfg; cfg.TableEntries > maxDSATableEntries || cfg.Banks > cfg.TableEntries {
+			t.Fatalf("config %x accepted as oversized %+v", raw, cfg)
 		}
+		enc.free = append(enc.free, dsa.(*deflateDSA))
 	}
 	if built < 20 {
 		t.Fatalf("only %d of 2000 random configs were valid; the bound is untested", built)
 	}
+	if len(enc.work) != 0 {
+		t.Fatal("buildDSA built a work unit")
+	}
 	p := deflate.PaperHWConfig()
-	first := enc.get(p)
-	if enc.get(p) != first {
+	w := enc.take(p)
+	first := w.enc
+	enc.work = append(enc.work, w)
+	if w = enc.take(p); w.enc != first {
 		t.Fatal("a repeated config rebuilt its encoder")
 	}
+	enc.work = append(enc.work, w)
 	q := p
 	q.Banks = 4
-	if enc.get(q) == first || enc.cfg != q {
+	if w = enc.take(q); w.enc == first || w.cfg != q {
 		t.Fatal("a new config kept the old encoder")
 	}
 }

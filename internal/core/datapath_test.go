@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/aesgcm"
@@ -223,6 +224,250 @@ func TestHandedOffRecordsMatchInline(t *testing.T) {
 		}
 		if !bytes.Equal(got, stdSeal(t, key, iv, pt, nil)) {
 			t.Fatalf("record %d differs from crypto/cipher", i)
+		}
+	}
+	checkConserved(t, r.dev)
+}
+
+// queueCompress registers a one-page compression record of data on the
+// rig and queues its datapath on a channel of the test's own, so no
+// worker starts it: whatever the pool did at registration is settled
+// first, then the DSA snapshots its source page again and is queued.
+// It returns the destination base, the record and the queue.
+func queueCompress(t *testing.T, r *rig, sbuf, dbuf uint64, data []byte) (*record, chan settleJob) {
+	t.Helper()
+	if _, err := r.hier.Write(0, sbuf, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.hier.Flush(sbuf, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+	if _, err := r.driver.register(sbuf, dbuf, PageSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+	if !ok || tr.owner() == nil {
+		t.Fatal("record not registered")
+	}
+	rec := tr.owner()
+	settle(rec)
+	if !rec.dsa.handOff(r.dev.chips, rec.srcPages[0]) {
+		t.Fatal("a page-sized compression record readied no datapath")
+	}
+	jobs := make(chan settleJob, 1)
+	if !enqueue(jobs, rec) {
+		t.Fatal("record not queued")
+	}
+	return rec, jobs
+}
+
+// feedSource reads every source line of the page at sbuf through the
+// controller, so the device feeds them to the DSA in order (S6).
+func feedSource(t *testing.T, r *rig, sbuf uint64) {
+	t.Helper()
+	var line [dram.CachelineSize]byte
+	for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+		if _, err := r.hier.Channels[0].Ctl.Read(sbuf+off, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// observePage returns the destination page at dbuf as the controller
+// reads it: by S10 reads of the ready lines, or after a Self-Recycle
+// writeback of each line, when the reads are served by the chips.
+func observePage(t *testing.T, r *rig, dbuf uint64, selfRecycle bool) []byte {
+	t.Helper()
+	ctl := r.hier.Channels[0].Ctl
+	if selfRecycle {
+		junk := bytes.Repeat([]byte{0xAA}, dram.CachelineSize)
+		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+			if _, err := ctl.Write(dbuf+off, 0, junk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ctl.DrainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := make([]byte, PageSize)
+	for off := 0; off < PageSize; off += dram.CachelineSize {
+		if _, err := ctl.Read(dbuf+uint64(off), 0, page[off:off+dram.CachelineSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return page
+}
+
+// TestSettleQueuedCompressRecord checks that a compression record handed
+// off at registration yields the inline path's page whether the S10
+// read or the Self-Recycle write observes it first, and whether the
+// worker framed the snapshot before that or starts only after it, when
+// it must change nothing.
+func TestSettleQueuedCompressRecord(t *testing.T) {
+	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	for _, selfRecycle := range []bool{false, true} {
+		for _, workerFirst := range []bool{false, true} {
+			name := fmt.Sprintf("selfRecycle=%v/workerFirst=%v", selfRecycle, workerFirst)
+			t.Run(name, func(t *testing.T) {
+				r := newRig(t, 256*1024, 8)
+				sbuf, _ := r.driver.AllocPages(1)
+				dbuf, _ := r.driver.AllocPages(1)
+				data := corpus.Generate(corpus.HTML, MaxCompressInput, 11)
+				rec, jobs := queueCompress(t, r, sbuf, dbuf, data)
+				feedSource(t, r, sbuf)
+				if !rec.dsa.pending() {
+					t.Fatal("record settled before it was observed")
+				}
+				if workerFirst {
+					lateWorker(jobs)
+				}
+				got := observePage(t, r, dbuf, selfRecycle)
+				want, _ := EncodeCompressedPage(data, enc)
+				if !bytes.Equal(got, want) {
+					t.Fatal("destination differs from the inline path's page")
+				}
+				if p := rec.phase.Load(); p == phaseWord(rec.gen, phaseQueued) {
+					t.Fatal("record still queued after its lines were observed")
+				}
+				if !workerFirst {
+					lateWorker(jobs)
+					if got := observePage(t, r, dbuf, false); !bytes.Equal(got, want) {
+						t.Fatal("destination changed after the late worker ran")
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCompressVerifyCatchesRewrite rewrites a source line in DRAM
+// between registration and its rdCAS: the worker frames the stale
+// snapshot, so the last line's check must fail and settle must frame the
+// bytes the DSA was fed instead.
+func TestCompressVerifyCatchesRewrite(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	data := corpus.Generate(corpus.HTML, MaxCompressInput, 12)
+	_, jobs := queueCompress(t, r, sbuf, dbuf, data)
+	lateWorker(jobs) // frames the snapshot of data
+
+	fed := append([]byte(nil), data...)
+	const at = 17 * dram.CachelineSize
+	copy(fed[at:], bytes.Repeat([]byte("rewritten!"), 7)[:dram.CachelineSize])
+	ctl := r.hier.Channels[0].Ctl
+	if _, err := ctl.Write(sbuf+at, 0, fed[at:at+dram.CachelineSize]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.DrainWrites(); err != nil {
+		t.Fatal(err)
+	}
+	if r.dev.Stats().SourceWrites == 0 {
+		t.Fatal("the rewrite did not reach the registered source page")
+	}
+	feedSource(t, r, sbuf)
+
+	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	want, _ := EncodeCompressedPage(fed, enc)
+	stale, _ := EncodeCompressedPage(data, enc)
+	if bytes.Equal(want, stale) {
+		t.Fatal("the rewrite does not change the page; the test checks nothing")
+	}
+	if got := observePage(t, r, dbuf, false); !bytes.Equal(got, want) {
+		t.Fatal("destination is not the page of the fed bytes")
+	}
+}
+
+// TestAbortQueuedCompressRecordConserves tears down a compression record
+// whose datapath is queued, by a core.dsa fault on its last source line
+// (before the claim finishes it) and by an abort op once every line is
+// claimed. Either way the device's Scratchpad pages, Config Memory,
+// Translation Table, records and work units are conserved, and a record
+// that reuses them comes out intact even when the aborted record's job
+// starts only then.
+func TestAbortQueuedCompressRecordConserves(t *testing.T) {
+	for _, dsaFault := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dsaFault=%v", dsaFault), func(t *testing.T) {
+			r := newRig(t, 256*1024, 8)
+			r.driver.AbortProbe = func() uint64 { return r.dev.Stats().RecordAborts }
+			sbuf, _ := r.driver.AllocPages(1)
+			dbuf, _ := r.driver.AllocPages(1)
+			data := corpus.Generate(corpus.HTML, MaxCompressInput, 13)
+			rec, jobs := queueCompress(t, r, sbuf, dbuf, data)
+			units := len(r.dev.enc.work) + 1 // the queued record holds one
+			if dsaFault {
+				inj := fault.New(1)
+				inj.Arm("core.dsa", fault.OneShot{N: LinesPerPage})
+				r.dev.Faults = inj
+				feedSource(t, r, sbuf)
+				r.dev.Faults = nil
+			} else {
+				feedSource(t, r, sbuf)
+				r.driver.AbortBuffer(sbuf, 1)
+			}
+			if r.dev.Stats().RecordAborts != 1 {
+				t.Fatalf("%d record aborts, want 1", r.dev.Stats().RecordAborts)
+			}
+			if rec.phase.Load() == phaseWord(rec.gen-1, phaseQueued) {
+				t.Fatal("aborted record left queued")
+			}
+			checkConserved(t, r.dev)
+			if n := len(r.dev.enc.work); n != units {
+				t.Fatalf("%d work units free after the abort, want %d", n, units)
+			}
+
+			next := corpus.Generate(corpus.Text, MaxCompressInput, 14)
+			if _, err := r.hier.Write(0, sbuf, next); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &OffloadContext{Op: OpCompress, Length: MaxCompressInput}
+			if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
+				t.Fatal(err)
+			}
+			lateWorker(jobs)
+			page, _, err := r.driver.Use(0, dbuf, PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := EncodeCompressedPage(next, deflate.NewHWEncoder(deflate.PaperHWConfig()))
+			if !bytes.Equal(page, want) {
+				t.Fatal("the next record's page is not intact")
+			}
+			checkConserved(t, r.dev)
+			if n := len(r.dev.enc.work); n != units {
+				t.Fatalf("%d work units free after the next record, want %d", n, units)
+			}
+		})
+	}
+}
+
+// TestHandedOffCompressRecordsMatchInline runs page-sized compression
+// records through CompCpy, whose datapath the device hands to the worker
+// pool at registration, reading each back at once, so the first read
+// meets the worker at every phase. Every page must match the inline
+// framing of its input.
+func TestHandedOffCompressRecordsMatchInline(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
+	for i := 0; i < 24; i++ {
+		data := corpus.Generate(corpus.HTML, MaxCompressInput-i*97, int64(i))
+		if _, err := r.hier.Write(0, sbuf, data); err != nil {
+			t.Fatal(err)
+		}
+		ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+		if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := r.driver.Use(0, dbuf, PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := EncodeCompressedPage(data, enc); !bytes.Equal(got, want) {
+			t.Fatalf("record %d differs from the inline framing", i)
 		}
 	}
 	checkConserved(t, r.dev)

@@ -50,20 +50,39 @@ const TagSize = aesgcm.TagSize
 // lineSink is where a DSA puts its destination lines: put returns the
 // 64-byte line at record offset off for the DSA to fill, or nil when the
 // record has no destination there. The device's sink is the record's
-// Scratchpad, and put marks the line ready (destSpace).
+// Scratchpad, and put marks the line ready (destSpace). authFailed
+// reports a decrypt record whose received tag did not verify.
 type lineSink interface {
 	put(off int) *[dram.CachelineSize]byte
+	authFailed()
 }
 
-// dsaInstance is the per-record accelerator state machine. The arbiter
-// feeds it source cachelines (in rdCAS arrival order, §IV-D) and it
-// puts the destination lines it produces into the sink.
+// dsaInstance is the per-record accelerator state machine, in two
+// halves (datapath.go). The claim, ProcessSourceLine, runs on the
+// arbiter's thread; the datapath, run and settle, may run later.
 type dsaInstance interface {
-	// ProcessSourceLine consumes the source cacheline at byte offset off
-	// within the record and puts the destination lines it produced. They
-	// may include earlier offsets that only now became computable (e.g.
-	// the TLS trailer once the record is finished).
+	// ProcessSourceLine is the claim: it consumes the source cacheline
+	// at byte offset off within the record (in rdCAS arrival order,
+	// §IV-D), raises every error the record can raise, and puts the
+	// destination lines it decides are ready. They may include earlier
+	// offsets that only now became computable (e.g. the TLS trailer
+	// once the record is finished). Their bytes are final once the
+	// record has settled.
 	ProcessSourceLine(off int, src []byte, out lineSink) error
+	// handOff readies the datapath for a worker and reports whether
+	// there is work worth one. The device asks at registration and
+	// after the record's last source line; page is the record's first
+	// source page in chips, flushed there before registration.
+	handOff(chips *dram.Chips, page uint64) bool
+	// run is the handed-off work, on a worker. It touches only memory
+	// the claim no longer writes, so the device may keep claiming lines.
+	run()
+	// pending reports whether settle has work.
+	pending() bool
+	// settle finishes the datapath on the device's thread, after any
+	// worker is done with it: the destination lines hold their final
+	// bytes.
+	settle()
 }
 
 // --- TLS DSA (§V-A, Fig. 7) -------------------------------------------
@@ -221,6 +240,9 @@ func (d *tlsDSA) ProcessSourceLine(off int, src []byte, out lineSink) error {
 	if d.dir == aesgcm.Decrypt || d.nHeld > 0 {
 		d.settle()
 	}
+	if d.authErr {
+		out.authFailed()
+	}
 	for i := range d.held[:d.nHeld] {
 		h := &d.held[i]
 		if l := out.put(h.off); l != nil {
@@ -251,6 +273,15 @@ func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off int) {
 		data[b-off] = d.trailer[b-d.payloadLen]
 	}
 }
+
+// handOff reports whether a finished encrypt record of at least
+// minHandOffPayload bytes has datapath work left for a worker.
+func (d *tlsDSA) handOff(*dram.Chips, uint64) bool {
+	return d.finished && d.dir == aesgcm.Encrypt && d.payloadLen >= minHandOffPayload && d.pending()
+}
+
+// run is settle: a handed-off record has claimed all its lines.
+func (d *tlsDSA) run() { d.settle() }
 
 // pending reports whether settle has work: claimed lines still holding
 // their input, or a finished record's trailer.
@@ -287,9 +318,6 @@ func (d *tlsDSA) settle() {
 	}
 }
 
-// AuthFailed reports a tag verification failure on the decrypt path.
-func (d *tlsDSA) AuthFailed() bool { return d.authErr }
-
 // --- Deflate DSA (§V-B) ------------------------------------------------
 
 // Compressed page format produced by the Deflate DSA: a 4-byte
@@ -309,17 +337,26 @@ const (
 // "4KB granularity" wording that the paper's format leaves unspecified).
 const MaxCompressInput = PageSize - compHeaderSize
 
-// EncodeCompressedPage formats a compressed (or raw-fallback) page.
-// Inputs longer than MaxCompressInput cannot be framed (no room for the
-// raw fallback) and are rejected with an error.
+// EncodeCompressedPage formats a compressed (or raw-fallback) page in a
+// new slice. Inputs longer than MaxCompressInput cannot be framed (no
+// room for the raw fallback) and are rejected with an error.
 func EncodeCompressedPage(orig []byte, enc *deflate.HWEncoder) ([]byte, error) {
+	return AppendCompressedPage(nil, orig, enc)
+}
+
+// AppendCompressedPage appends the page EncodeCompressedPage would
+// return to dst. With a page of spare capacity in dst it frames in
+// place, without allocating.
+func AppendCompressedPage(dst, orig []byte, enc *deflate.HWEncoder) ([]byte, error) {
 	if len(orig) > MaxCompressInput {
-		return nil, fmt.Errorf("core: compression input %d exceeds %d", len(orig), MaxCompressInput)
+		return dst, fmt.Errorf("core: compression input %d exceeds %d", len(orig), MaxCompressInput)
 	}
-	page := new([PageSize]byte)
+	n := len(dst)
+	dst = slices.Grow(dst, PageSize)[:n+PageSize]
+	page := (*[PageSize]byte)(dst[n:])
 	// Zero what a stream dropped for the raw fallback left behind.
 	clear(page[len(framePage(page, orig, enc)):])
-	return page[:], nil
+	return dst, nil
 }
 
 // framePage frames orig (at most MaxCompressInput bytes) into page and
@@ -405,24 +442,53 @@ func CompressedPayloadLen(page []byte) (int, error) {
 }
 
 // deflateDSA compresses one page arriving strictly in order (compression
-// offloads use CompCpy's ordered mode, Algorithm 2 lines 24-28). Its
-// encoder and output page belong to the device's encoderSlot, which
-// keeps retired DSAs, source buffer included, for later records.
+// offloads use CompCpy's ordered mode, Algorithm 2 lines 24-28). The
+// claim copies each line into src and checks its order. Its datapath,
+// deflate plus framing, runs one of two ways:
+//
+//   - Inline: the last line borrows a work unit, frames src into its
+//     page and puts the page's lines at once.
+//   - Handed off at registration (handOff): the record borrows a work
+//     unit, snapshots its source page from the device's DRAM into it,
+//     and a worker frames the snapshot. The last line checks the fed
+//     bytes against the snapshot and marks the destination lines ready;
+//     settle copies the framed page into them, framing src inline first
+//     when the bytes differ (a source line rewritten after the flush)
+//     or no worker ran.
+//
+// The device's encoderSlot keeps retired DSAs, source buffer included,
+// and the work units.
 type deflateDSA struct {
-	enc     *deflate.HWEncoder
-	page    *[PageSize]byte
-	length  int // input bytes expected
+	slot   *encoderSlot
+	cfg    deflate.HWConfig
+	length int // input bytes expected
+	// work is the borrowed work unit while the datapath is unsettled.
+	work    *deflateWork
 	nextOff int
-	src     [PageSize]byte
+	// fresh reports that the fed bytes equal work's snapshot; lines are
+	// the destination lines the last line marked ready.
+	fresh bool
+	lines [LinesPerPage]*[dram.CachelineSize]byte
+	src   [PageSize]byte
+}
+
+// deflateWork is one compression's datapath state: an encoder for cfg,
+// the source snapshot a worker frames and the page it frames into
+// (framed bytes long, 0 until framed).
+type deflateWork struct {
+	cfg    deflate.HWConfig
+	enc    *deflate.HWEncoder
+	framed int
+	page   [PageSize]byte
+	snap   [PageSize]byte
 }
 
 func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
-	enc := slot.get(cfg)
 	d := takeFree(&slot.free)
-	d.enc, d.page, d.length, d.nextOff = enc, slot.page, length, 0
+	d.slot, d.cfg, d.length, d.nextOff = slot, cfg, length, 0
 	return d, nil
 }
 
@@ -435,13 +501,62 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, out lineSink) error 
 	if d.nextOff < d.length {
 		return nil
 	}
-	putPage(out, framePage(d.page, d.src[:d.length], d.enc))
+	for i := range d.lines {
+		d.lines[i] = out.put(i * dram.CachelineSize)
+	}
+	if d.work == nil {
+		d.work, d.fresh = d.slot.take(d.cfg), false
+		d.settle()
+		return nil
+	}
+	d.fresh = bytes.Equal(d.src[:d.length], d.work.snap[:d.length])
 	return nil
+}
+
+// handOff borrows a work unit for a record of at least
+// minCompressHandOff bytes and snapshots its source page into it: CompCpy
+// flushed the page to DRAM before it registered (Algorithm 2, line 19).
+func (d *deflateDSA) handOff(chips *dram.Chips, page uint64) bool {
+	if d.nextOff > 0 || d.length < minCompressHandOff {
+		return false
+	}
+	d.work = d.slot.take(d.cfg)
+	chips.PeekPage(page, &d.work.snap)
+	return true
+}
+
+// run frames the snapshot into the work unit's page.
+func (d *deflateDSA) run() {
+	w := d.work
+	w.framed = len(framePage(&w.page, w.snap[:d.length], w.enc))
+}
+
+func (d *deflateDSA) pending() bool { return d.work != nil }
+
+// settle copies the framed page into the destination lines once every
+// source line is claimed, framing the fed bytes first unless the worker
+// framed the same bytes, and returns the work unit. A record torn down
+// before its last line only returns the unit.
+func (d *deflateDSA) settle() {
+	w := d.work
+	d.work = nil
+	if d.nextOff >= d.length {
+		if !d.fresh || w.framed == 0 {
+			w.framed = len(framePage(&w.page, d.src[:d.length], w.enc))
+		}
+		for i, l := range d.lines {
+			if l != nil {
+				clear(l[copy(l[:], w.page[min(i*dram.CachelineSize, w.framed):w.framed]):])
+			}
+		}
+	}
+	d.slot.work = append(d.slot.work, w)
 }
 
 // inflateDSA decompresses one compressed page arriving in order. The
 // device's encoderSlot keeps retired ones, page buffer included, for
-// later records.
+// later records. Its datapath stays in the claim: a corrupt stream is
+// an error of the record, known only once the stream is decoded.
 type inflateDSA struct {
 	buf     [PageSize]byte
 	length  int
@@ -483,6 +598,11 @@ func putPage(out lineSink, page []byte) {
 		}
 	}
 }
+
+func (d *inflateDSA) handOff(*dram.Chips, uint64) bool { return false }
+func (d *inflateDSA) run()                             {}
+func (d *inflateDSA) pending() bool                    { return false }
+func (d *inflateDSA) settle()                          {}
 
 // --- Context serialization ---------------------------------------------
 
@@ -573,34 +693,29 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 	return ks, nil
 }
 
-// encoderSlot holds a device's Deflate DSA: its encoder, the page the
-// encoder frames into and a free list of retired DSAs, plus the free
-// list of retired Inflate DSAs (each owns its page buffer). A compression
-// record borrows the encoder and the page instead of building its own:
-// the page is compressed, framed and copied out inside the record's
-// last ProcessSourceLine call, so records never interleave on them.
-// The slot keeps one encoder, for the last record's HWConfig, and
-// rebuilds it when a record asks for another; buildDSA bounds each
-// config's table at maxDSATableEntries. A record takes a DSA, with its
-// source buffer, when it is built and gives it back when it retires.
+// encoderSlot holds a device's (de)compression DSA state: free lists of
+// retired Deflate DSAs (each owns its source buffer), of retired
+// Inflate DSAs (each owns its page buffer) and of work units. A
+// compression record borrows a work unit, with an encoder for its
+// HWConfig, from its last source line, or from registration when it is
+// handed off, until it settles, so the list grows only to the peak of
+// unsettled records: about one per device. A unit keeps its encoder
+// and rebuilds it when a record asks for another config; buildDSA
+// bounds each config's table at maxDSATableEntries.
 type encoderSlot struct {
-	cfg     deflate.HWConfig
-	enc     *deflate.HWEncoder
-	page    *[PageSize]byte
 	free    []*deflateDSA
 	inflate []*inflateDSA
+	work    []*deflateWork
 }
 
-// get returns the encoder for cfg, rebuilding the slot's on a change.
-// The first call also allocates the slot's page.
-func (s *encoderSlot) get(cfg deflate.HWConfig) *deflate.HWEncoder {
-	if s.enc == nil || s.cfg != cfg {
-		s.cfg, s.enc = cfg, deflate.NewHWEncoder(cfg)
+// take borrows a work unit with an encoder for cfg.
+func (s *encoderSlot) take(cfg deflate.HWConfig) *deflateWork {
+	w := takeFree(&s.work)
+	if w.enc == nil || w.cfg != cfg {
+		w.cfg, w.enc = cfg, deflate.NewHWEncoder(cfg)
 	}
-	if s.page == nil {
-		s.page = new([PageSize]byte)
-	}
-	return s.enc
+	w.framed = 0
+	return w
 }
 
 // takeFree pops the last entry of a free list, or returns a new T when

@@ -45,6 +45,8 @@ func (b lineBuf) put(off int) *[dram.CachelineSize]byte {
 	return (*[dram.CachelineSize]byte)(b[off:])
 }
 
+func (lineBuf) authFailed() {}
+
 // startTLSRecord registers a record on keys. src is the whole record
 // space; h, when non-nil, replaces the CPU-computed hash subkey.
 func startTLSRecord(t *testing.T, keys *scheduleCache, dir aesgcm.Direction, key, iv, aad, src, h []byte) *dsaRecord {

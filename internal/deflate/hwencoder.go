@@ -323,13 +323,3 @@ func (e *HWEncoder) takePort(h uint32) bool {
 	e.portUse[b]++
 	return true
 }
-
-// CompressionRatio is a convenience helper returning the achieved
-// original/compressed size ratio for this encoder on src.
-func (e *HWEncoder) CompressionRatio(src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	out := e.Compress(src)
-	return float64(len(src)) / float64(len(out))
-}

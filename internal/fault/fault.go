@@ -228,17 +228,6 @@ func (in *Injector) Arm(name string, p Plan) {
 	}
 }
 
-// Disarm removes the plan for a named site; subsequent Fire calls on it
-// never fire. A no-op for nil receivers and unarmed sites.
-func (in *Injector) Disarm(name string) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.sites, name)
-}
-
 // DisarmAll removes every armed plan — used to quiesce injection before
 // a drain/cleanup phase whose reads must succeed.
 func (in *Injector) DisarmAll() {
@@ -399,6 +388,3 @@ func NewGilbertElliott(cfg GEConfig, seed int64) *GilbertElliott {
 
 // Lose steps the chain one packet and reports whether it is lost.
 func (g *GilbertElliott) Lose() bool { return g.cfg.step(g.rng, &g.bad) }
-
-// Bad reports whether the chain is currently in the bursty state.
-func (g *GilbertElliott) Bad() bool { return g.bad }

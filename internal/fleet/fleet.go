@@ -1064,16 +1064,6 @@ func (t Totals) Collect(emit func(telemetry.Sample)) {
 	})
 }
 
-// AggregateBW merges every rank channel's bandwidth meter into one.
-func (f *Fleet) AggregateBW() *stats.BandwidthMeter {
-	agg := &stats.BandwidthMeter{}
-	for _, m := range f.cfg.Sys.Meters {
-		agg.PeakBytesPerSec += m.PeakBytesPerSec
-		agg.Merge(m)
-	}
-	return agg
-}
-
 // TraceString renders the placement trace (TracePlacement must be set).
 // Identical configurations and request streams produce byte-identical
 // traces regardless of GOMAXPROCS — the fleet determinism gate.

@@ -138,10 +138,6 @@ func (l *Link) Send(p Packet) {
 	})
 }
 
-// BusyUntil returns when the transmitter frees up (for senders that
-// pace against the link).
-func (l *Link) BusyUntil() int64 { return l.busy }
-
 // flapDown reports whether the link is inside a down window at time t.
 func (l *Link) flapDown(t int64) bool {
 	if l.cfg.FlapEveryPs <= 0 || l.cfg.FlapDownPs <= 0 {

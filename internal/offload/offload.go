@@ -640,6 +640,9 @@ type SmartDIMM struct {
 	// compressed page's first line.
 	spans []Span
 	peek  []byte
+	// fallbackChunk's buffers: the chunk's source bytes and the sealed
+	// record or framed page it writes.
+	in, out []byte
 	// A TLS record's offload context and the nonce, AAD, H and EIV it
 	// points into; each record overwrites them.
 	tls    core.TLSContext
@@ -824,11 +827,12 @@ func (b *SmartDIMM) tlsContext(conn *Conn, op core.Opcode, n int) (core.OffloadC
 // the destination buffer. Returns the CPU time charged.
 func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.OffloadContext, sbuf, dbuf uint64, n int) (int64, error) {
 	p := b.Sys.Params
-	data, lat, err := b.Sys.Hier.Read(nil, coreID, sbuf, n)
+	data, lat, err := b.Sys.Hier.Read(b.in[:0], coreID, sbuf, n)
 	if err != nil {
 		return 0, err
 	}
-	var out []byte
+	b.in = data
+	out := b.out[:0]
 	switch u {
 	case TLS:
 		g, err := conn.gcm()
@@ -837,19 +841,17 @@ func (b *SmartDIMM) fallbackChunk(u ULP, coreID int, conn *Conn, ctx *core.Offlo
 		}
 		// Same IV and AAD the DSA was registered with, so the peer
 		// decrypts the record identically.
-		out, err = g.Seal(nil, ctx.TLS.IV, data, ctx.TLS.AAD)
-		if err != nil {
+		if out, err = g.Seal(out, ctx.TLS.IV, data, ctx.TLS.AAD); err != nil {
 			return 0, err
 		}
 		lat += p.AESGCMComputePs(n)
 	case Compression:
-		page, err := core.EncodeCompressedPage(data, b.hwEncoder())
-		if err != nil {
+		if out, err = core.AppendCompressedPage(out, data, b.hwEncoder()); err != nil {
 			return 0, err
 		}
-		out = page
 		lat += p.DeflateComputePs(n)
 	}
+	b.out = out
 	wlat, err := b.Sys.Hier.Write(coreID, dbuf, out)
 	if err != nil {
 		return 0, err

@@ -337,18 +337,22 @@ func TestULPString(t *testing.T) {
 // TestCPURequestKeepsBuffers checks that a request whose records the
 // host CPU builds in software allocates nothing: a non-functional CPU
 // request of either ULP, a SmartNIC record (header, plaintext and tag
-// placeholder) and a non-functional QuickAssist request. Each walks its
-// records without building a chunk list, reads into buffers the backend
-// keeps, writes modelled outputs from kept zeros, and returns its spans
-// in a kept slice.
+// placeholder), a non-functional QuickAssist request, and a Soft
+// SmartDIMM request of either ULP, whose every record takes the CPU
+// rung (sealed or framed as the DSA would). Each walks its records
+// without building a chunk list, reads into buffers the backend keeps,
+// writes its outputs from kept buffers, and returns its spans in a kept
+// slice.
 func TestCPURequestKeepsBuffers(t *testing.T) {
-	sys := newSys(t, 1<<20, false)
+	sys := newSys(t, 1<<20, true)
 	cpu, qat := &CPU{Sys: sys}, &QAT{Sys: sys}
+	soft := &SmartDIMM{Sys: sys, Soft: true}
 	const msg = 20000 // two TLS records, five compression records
 	cases := []struct {
 		b Backend
 		u ULP
-	}{{cpu, Compression}, {cpu, TLS}, {&SmartNIC{Sys: sys}, TLS}, {qat, TLS}, {qat, Compression}}
+	}{{cpu, Compression}, {cpu, TLS}, {&SmartNIC{Sys: sys}, TLS}, {qat, TLS}, {qat, Compression},
+		{soft, Compression}, {soft, TLS}}
 	for _, c := range cases {
 		conn, err := c.b.NewConn(c.u, 0, msg)
 		if err != nil {

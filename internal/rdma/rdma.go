@@ -584,15 +584,6 @@ func (n *NIC) DrainAll() (int64, error) {
 // Landings returns the executed-write log (RecordLandings only).
 func (n *NIC) Landings() []Landing { return n.landings }
 
-// MRSnapshot returns the MR table in registration order.
-func (n *NIC) MRSnapshot() []MR {
-	out := make([]MR, 0, len(n.mrOrder))
-	for _, rk := range n.mrOrder {
-		out = append(out, *n.mrs[rk])
-	}
-	return out
-}
-
 // Stats returns a snapshot of the NIC counters.
 func (n *NIC) Stats() Stats {
 	s := n.stats
