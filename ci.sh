@@ -30,9 +30,10 @@
 #                     tracing under the parallel runner, and the DSAs'
 #                     datapath workers in core with the aesgcm engine
 #                     and the deflate encoder they run) under -race;
-#                     then core's settle and hand-off tests at
+#                     then core's settle, hand-off and hint tests at
 #                     GOMAXPROCS=1, where the datapath pool has no
-#                     worker and every record runs inline
+#                     worker, every hint is dropped and every record
+#                     runs inline
 #   7. golden trace — the Perfetto exporter against its committed golden
 #                     file plus the full-stack byte-reproducibility gate
 #   8. tracestat golden — the trace analyzers (profile tree, critical
@@ -96,7 +97,8 @@
 #                     whole TLS record from registration to retirement
 #                     on pooled device state, a whole HTTPS request
 #                     on the serial stack (server, SmartDIMM offload,
-#                     TX DMA), and a modelled CPU, SmartNIC or
+#                     TX DMA), a whole compressed HTTP request with its
+#                     parse-stage hint live, and a modelled CPU, SmartNIC or
 #                     QuickAssist request
 #
 #  17. benchmod    — bench/ is its own Go module, so the root `go build
@@ -155,7 +157,7 @@ gate() {
 TESTS='
 smoke    -short        -                                                  ./internal/chaos/
 race     -race         -                                                  ./internal/runner/... ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/ ./internal/core/ ./internal/aesgcm/ ./internal/deflate/
-race     GOMAXPROCS=1  TestSettle|TestAbortUnsettled|TestAbortQueued|TestHandedOff|TestCompressVerify ./internal/core/
+race     GOMAXPROCS=1  TestSettle|TestAbortUnsettled|TestAbortQueued|TestHandedOff|TestCompressVerify|TestStaleHint|TestHint|TestUnhinted ./internal/core/
 golden   -             TestPerfettoGolden|TestFullStackTraceReproducible  ./internal/telemetry/
 golden   -             TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers ./internal/experiments/
 golden   -             TestGoToolPprofAcceptsExport                       ./internal/profile/
@@ -169,7 +171,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCPURequestKeepsBuffers ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {

@@ -527,6 +527,18 @@ func (s *deviceSoak) opCompTX() error {
 	if err := offload.StagePayloadDMA(s.sys, s.comp, payload); err != nil {
 		return s.opFailed("comp-tx stage", err, s.newComp)
 	}
+	// Hint the staged bytes, as the server does after its parse stage.
+	// Every third op hints corrupted bytes instead, so the device's
+	// verify rejects their units under faults, aborts and Force-Recycle.
+	// Hints change no simulated state: the report is the same without.
+	hint := payload
+	if s.op%3 == 0 {
+		hint = bytes.Clone(payload)
+		for k := range chunks {
+			hint[k*l.MaxChunk] ^= 0x5A
+		}
+	}
+	s.off.Staged(offload.Compression, s.comp, hint)
 	if _, err := s.off.Process(offload.Compression, 0, s.comp, n); err != nil {
 		return s.opFailed("comp-tx process", err, s.newComp)
 	}

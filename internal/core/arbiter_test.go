@@ -325,16 +325,16 @@ func TestMarshalContextErrors(t *testing.T) {
 }
 
 func TestBuildDSAErrors(t *testing.T) {
-	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}, nil, nil); err == nil {
+	if _, err := buildDSA(OpTLSEncrypt, 100, []byte{1, 2}, nil, nil, 0); err == nil {
 		t.Fatal("truncated TLS context accepted")
 	}
-	if _, err := buildDSA(Opcode(99), 100, nil, nil, nil); err == nil {
+	if _, err := buildDSA(Opcode(99), 100, nil, nil, nil, 0); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	if _, err := buildDSA(OpCompress, PageSize+1, nil, nil, nil); err == nil {
+	if _, err := buildDSA(OpCompress, PageSize+1, nil, nil, nil, 0); err == nil {
 		t.Fatal("oversized compress accepted")
 	}
-	if _, err := buildDSA(OpDecompress, 0, nil, nil, nil); err == nil {
+	if _, err := buildDSA(OpDecompress, 0, nil, nil, nil, 0); err == nil {
 		t.Fatal("zero-length decompress accepted")
 	}
 
@@ -355,12 +355,12 @@ func TestBuildDSAErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc); !errors.Is(err, ErrDSAConfig) {
+		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc, 0); !errors.Is(err, ErrDSAConfig) {
 			t.Errorf("%s: err = %v, want ErrDSAConfig", name, err)
 		}
 	}
-	if len(enc.work) != 0 {
-		t.Fatal("rejected configs built a work unit")
+	if len(enc.units)+len(enc.spare) != 0 || enc.framer != nil {
+		t.Fatal("rejected configs built a work unit or a framer")
 	}
 	good := []deflate.HWConfig{
 		{}, // paper config
@@ -369,7 +369,7 @@ func TestBuildDSAErrors(t *testing.T) {
 	}
 	for _, cfg := range good {
 		raw, _ := marshalContext(nil, &OffloadContext{Op: OpCompress, HW: cfg})
-		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc); err != nil {
+		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc, 0); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)
 		}
 	}
@@ -377,8 +377,8 @@ func TestBuildDSAErrors(t *testing.T) {
 
 // TestEncoderSlot feeds arbitrary context bytes to buildDSA: an accepted
 // config never asks for a table over maxDSATableEntries, and building a
-// DSA builds no work unit. A work unit taken again for the same config
-// keeps its encoder; one taken for another config gets a new one.
+// DSA builds no work unit and no framer. The framer keeps its encoder
+// for a repeated config and builds a new one for another.
 func TestEncoderSlot(t *testing.T) {
 	var enc encoderSlot
 	rng := rand.New(rand.NewSource(14))
@@ -390,7 +390,7 @@ func TestEncoderSlot(t *testing.T) {
 			v := rng.Uint32() >> uint(rng.Intn(32))
 			binary.LittleEndian.PutUint32(raw[4*f:], v)
 		}
-		dsa, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc)
+		dsa, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc, 0)
 		if err != nil {
 			continue
 		}
@@ -403,20 +403,19 @@ func TestEncoderSlot(t *testing.T) {
 	if built < 20 {
 		t.Fatalf("only %d of 2000 random configs were valid; the bound is untested", built)
 	}
-	if len(enc.work) != 0 {
-		t.Fatal("buildDSA built a work unit")
+	if len(enc.units)+len(enc.spare) != 0 || enc.framer != nil {
+		t.Fatal("buildDSA built a work unit or a framer")
 	}
 	p := deflate.PaperHWConfig()
-	w := enc.take(p)
-	first := w.enc
-	enc.work = append(enc.work, w)
-	if w = enc.take(p); w.enc != first {
+	f := enc.inline()
+	f.frame([]byte("page"), p)
+	first := f.enc
+	if f.frame([]byte("page"), p); f.enc != first {
 		t.Fatal("a repeated config rebuilt its encoder")
 	}
-	enc.work = append(enc.work, w)
 	q := p
 	q.Banks = 4
-	if w = enc.take(q); w.enc == first || w.cfg != q {
+	if f.frame([]byte("page"), q); f.enc == first || f.cfg != q {
 		t.Fatal("a new config kept the old encoder")
 	}
 }

@@ -70,6 +70,11 @@ type Driver struct {
 	// own record.
 	AbortProbe func() uint64
 
+	// Hint, when non-nil, passes a staged record's source to the device
+	// ahead of its CompCpy (Device.Hint): the device-local page, the
+	// record's context and the staged bytes. Staged calls it.
+	Hint func(page uint64, ctx OffloadContext, src []byte)
+
 	// Clock, when non-nil, supplies the current simulated time in
 	// picoseconds (sim.Engine.Now); Tracer then records one span per
 	// CompCpy call and an instant per Force-Recycle on TraceTrack.
@@ -366,6 +371,17 @@ func (d *Driver) AbortBuffer(addr uint64, n int) {
 				break
 			}
 		}
+	}
+}
+
+// Staged tells the device that src is staged at sbuf, ahead of the
+// CompCpy of a record with context ctx, so it may start the record's
+// datapath early (Device.Hint). It is a prediction the device verifies,
+// not a command: it makes no memory access and changes no simulated
+// state, and without a Hint hook it does nothing.
+func (d *Driver) Staged(sbuf uint64, ctx OffloadContext, src []byte) {
+	if d.Hint != nil && sbuf%PageSize == 0 && sbuf >= d.Base {
+		d.Hint(d.localPage(sbuf), ctx, src)
 	}
 }
 

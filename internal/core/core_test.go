@@ -640,7 +640,7 @@ func TestBuildDSARejectsUnknownDirection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := buildDSA(op, 100+TagSize, raw, newScheduleCache(1), nil); !errors.Is(err, ErrDSAConfig) {
+		if _, err := buildDSA(op, 100+TagSize, raw, newScheduleCache(1), nil, 0); !errors.Is(err, ErrDSAConfig) {
 			t.Errorf("%v with direction 2: err = %v, want ErrDSAConfig", op, err)
 		}
 	}

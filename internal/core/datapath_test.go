@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/aesgcm"
@@ -42,7 +43,7 @@ func queueRecord(t *testing.T, r *rawDevice) (uint64, *record, chan settleJob, [
 		t.Fatal("record settled before the test queued it")
 	}
 	jobs := make(chan settleJob, 1)
-	enqueue(jobs, rec)
+	enqueue(jobs, rec, rec.gen)
 	if rec.phase.Load() != phaseWord(rec.gen, phaseQueued) {
 		t.Fatal("record not queued")
 	}
@@ -166,7 +167,7 @@ func TestAbortUnsettledRecordConserves(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				enqueue(jobs, rec)
+				enqueue(jobs, rec, rec.gen)
 				r.driver.AbortBuffer(sbuf, 1)
 				if rec.phase.Load() == phaseWord(rec.gen-1, phaseQueued) {
 					t.Fatal("aborted record left queued")
@@ -229,13 +230,15 @@ func TestHandedOffRecordsMatchInline(t *testing.T) {
 	checkConserved(t, r.dev)
 }
 
-// queueCompress registers a one-page compression record of data on the
-// rig and queues its datapath on a channel of the test's own, so no
-// worker starts it: whatever the pool did at registration is settled
-// first, then the DSA snapshots its source page again and is queued.
-// It returns the destination base, the record and the queue.
-func queueCompress(t *testing.T, r *rig, sbuf, dbuf uint64, data []byte) (*record, chan settleJob) {
+// queueCompress hints data as the source of a one-page compression
+// record at sbuf, queueing the hinted unit on a channel of the test's
+// own so no worker starts it, then writes data at sbuf and registers
+// the record, which adopts the unit. It returns the record, the unit
+// and the queue.
+func queueCompress(t *testing.T, r *rig, sbuf, dbuf uint64, data []byte) (*record, *frameUnit, chan settleJob) {
 	t.Helper()
+	jobs := make(chan settleJob, 1)
+	u := hintUnit(t, r, jobs, sbuf, data)
 	if _, err := r.hier.Write(0, sbuf, data); err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +254,28 @@ func queueCompress(t *testing.T, r *rig, sbuf, dbuf uint64, data []byte) (*recor
 		t.Fatal("record not registered")
 	}
 	rec := tr.owner()
-	settle(rec)
-	if !rec.dsa.handOff(r.dev.chips, rec.srcPages[0]) {
-		t.Fatal("a page-sized compression record readied no datapath")
+	if rec.dsa.(*deflateDSA).unit != u {
+		t.Fatal("the record did not adopt the unit hinted for its page")
 	}
-	jobs := make(chan settleJob, 1)
-	if !enqueue(jobs, rec) {
-		t.Fatal("record not queued")
+	return rec, u, jobs
+}
+
+// hintUnit hints src as the source of a compression record at sbuf,
+// at the paper's config, queueing its unit on jobs, and returns the
+// unit.
+func hintUnit(t *testing.T, r *rig, jobs chan settleJob, sbuf uint64, src []byte) *frameUnit {
+	t.Helper()
+	page := r.driver.localPage(sbuf)
+	r.dev.enc.hint(jobs, page, deflate.PaperHWConfig(), src)
+	i := r.dev.enc.find(page)
+	if i < 0 {
+		t.Fatal("the hint queued no unit")
 	}
-	return rec, jobs
+	u := r.dev.enc.units[i]
+	if u.phase.Load() != phaseWord(u.gen, phaseQueued) {
+		t.Fatal("unit not queued")
+	}
+	return u
 }
 
 // feedSource reads every source line of the page at sbuf through the
@@ -300,8 +316,8 @@ func observePage(t *testing.T, r *rig, dbuf uint64, selfRecycle bool) []byte {
 	return page
 }
 
-// TestSettleQueuedCompressRecord checks that a compression record handed
-// off at registration yields the inline path's page whether the S10
+// TestSettleQueuedCompressRecord checks that a compression record that
+// adopted a hinted unit yields the inline path's page whether the S10
 // read or the Self-Recycle write observes it first, and whether the
 // worker framed the snapshot before that or starts only after it, when
 // it must change nothing.
@@ -315,7 +331,7 @@ func TestSettleQueuedCompressRecord(t *testing.T) {
 				sbuf, _ := r.driver.AllocPages(1)
 				dbuf, _ := r.driver.AllocPages(1)
 				data := corpus.Generate(corpus.HTML, MaxCompressInput, 11)
-				rec, jobs := queueCompress(t, r, sbuf, dbuf, data)
+				rec, u, jobs := queueCompress(t, r, sbuf, dbuf, data)
 				feedSource(t, r, sbuf)
 				if !rec.dsa.pending() {
 					t.Fatal("record settled before it was observed")
@@ -328,8 +344,8 @@ func TestSettleQueuedCompressRecord(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatal("destination differs from the inline path's page")
 				}
-				if p := rec.phase.Load(); p == phaseWord(rec.gen, phaseQueued) {
-					t.Fatal("record still queued after its lines were observed")
+				if p := u.phase.Load(); p == phaseWord(u.gen, phaseQueued) {
+					t.Fatal("unit still queued after its record's lines were observed")
 				}
 				if !workerFirst {
 					lateWorker(jobs)
@@ -343,15 +359,15 @@ func TestSettleQueuedCompressRecord(t *testing.T) {
 }
 
 // TestCompressVerifyCatchesRewrite rewrites a source line in DRAM
-// between registration and its rdCAS: the worker frames the stale
-// snapshot, so the last line's check must fail and settle must frame the
+// between the hint and its rdCAS: the worker frames the stale snapshot,
+// so the last line's check must fail and the record must frame the
 // bytes the DSA was fed instead.
 func TestCompressVerifyCatchesRewrite(t *testing.T) {
 	r := newRig(t, 256*1024, 8)
 	sbuf, _ := r.driver.AllocPages(1)
 	dbuf, _ := r.driver.AllocPages(1)
 	data := corpus.Generate(corpus.HTML, MaxCompressInput, 12)
-	_, jobs := queueCompress(t, r, sbuf, dbuf, data)
+	_, _, jobs := queueCompress(t, r, sbuf, dbuf, data)
 	lateWorker(jobs) // frames the snapshot of data
 
 	fed := append([]byte(nil), data...)
@@ -380,10 +396,209 @@ func TestCompressVerifyCatchesRewrite(t *testing.T) {
 	}
 }
 
+// TestStaleHintFramesFedBytes hints bytes that differ from the staged
+// source in one byte, lets the worker frame them, and runs the record
+// through CompCpy: the destination must be framePage of the fed bytes,
+// and the unit must go back to the device.
+func TestStaleHintFramesFedBytes(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	data := corpus.Generate(corpus.HTML, MaxCompressInput, 15)
+	hinted := append([]byte(nil), data...)
+	hinted[MaxCompressInput-1] ^= 0xFF
+	jobs := make(chan settleJob, 1)
+	hintUnit(t, r, jobs, sbuf, hinted)
+	lateWorker(jobs)
+	if _, err := r.hier.Write(0, sbuf, data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := r.driver.Use(0, dbuf, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page [PageSize]byte
+	want := framePage(&page, data, deflate.NewHWEncoder(deflate.PaperHWConfig()))
+	if !bytes.Equal(got[:len(want)], want) || !bytes.Equal(got[len(want):], make([]byte, PageSize-len(want))) {
+		t.Fatal("destination is not framePage of the fed bytes")
+	}
+	if len(r.dev.enc.units) != 0 || len(r.dev.enc.spare) != 1 {
+		t.Fatalf("%d units hinted and %d spare after the record, want 0 and 1", len(r.dev.enc.units), len(r.dev.enc.spare))
+	}
+	checkConserved(t, r.dev)
+}
+
+// units returns every work unit the device holds: hinted, adopted by a
+// record still unsettled, or spare.
+func units(d *Device) int {
+	n := len(d.enc.units) + len(d.enc.spare)
+	for _, rec := range d.records {
+		if dsa, ok := rec.dsa.(*deflateDSA); ok && dsa.unit != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHintUnitsConserved hints more pages than the device holds units
+// for, replaces a hint, lets hints go stale and registers what is left:
+// no unit is lost or made twice, the table never holds more than
+// maxUnits, a hint past the bound is skipped until the oldest unit is
+// stale, and a replaced hint's worker framed nothing the record sees.
+func TestHintUnitsConserved(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	cfg := deflate.PaperHWConfig()
+	jobs := make(chan settleJob, 4*maxUnits)
+	src := func(i int) []byte { return corpus.Generate(corpus.HTML, MaxCompressInput, int64(100+i)) }
+	for p := 0; p <= maxUnits; p++ {
+		r.dev.enc.hint(jobs, uint64(p), cfg, src(p))
+	}
+	if n := len(r.dev.enc.units); n != maxUnits {
+		t.Fatalf("%d units hinted past the bound, want %d", n, maxUnits)
+	}
+	if r.dev.enc.find(maxUnits) >= 0 {
+		t.Fatal("a hint past the bound took a unit from a fresh one")
+	}
+	if n := units(r.dev); n != maxUnits {
+		t.Fatalf("%d units built, want %d", n, maxUnits)
+	}
+
+	// A newer hint for page 0 replaces its unit: the same unit, a new
+	// incarnation, now the newest.
+	old := r.dev.enc.units[0]
+	gen := old.gen
+	r.dev.enc.hint(jobs, 0, cfg, src(1000))
+	if i := r.dev.enc.find(0); i != maxUnits-1 || r.dev.enc.units[i] != old || old.gen != gen+1 {
+		t.Fatal("a newer hint did not replace its page's unit")
+	}
+	if n := units(r.dev); n != maxUnits {
+		t.Fatalf("%d units after a replaced hint, want %d", n, maxUnits)
+	}
+
+	// Hints that never register age the table until its oldest unit is
+	// stale; a new page then takes that unit.
+	for r.dev.enc.hints+1-r.dev.enc.units[0].hinted <= staleHints {
+		r.dev.enc.hint(jobs, 1<<20, cfg, src(0)) // the table is full: skipped
+		if r.dev.enc.find(1<<20) >= 0 {
+			t.Fatal("a hint took the slot of a unit not yet stale")
+		}
+	}
+	stale := r.dev.enc.units[0]
+	r.dev.enc.hint(jobs, 1<<20, cfg, src(0))
+	if i := r.dev.enc.find(1 << 20); i < 0 || r.dev.enc.units[i] != stale {
+		t.Fatal("a stale unit kept its slot from a new hint")
+	}
+	if n := units(r.dev); n != maxUnits {
+		t.Fatalf("%d units after a stale one was retaken, want %d", n, maxUnits)
+	}
+
+	// Workers frame every queued incarnation; the stale ones find
+	// nothing to do. Registering page 0 with the replacing hint's bytes
+	// adopts its unit and frames the newer snapshot.
+	close(jobs)
+	serveDatapath(jobs)
+	sbuf, dbuf := uint64(0), uint64(maxUnits+8)*PageSize
+	data := src(1000)
+	if _, err := r.hier.Write(0, sbuf, data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := r.driver.Use(0, dbuf, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := EncodeCompressedPage(data, deflate.NewHWEncoder(cfg)); !bytes.Equal(got, want) {
+		t.Fatal("the record that adopted a replaced hint's unit differs from the inline framing")
+	}
+	if n := len(r.dev.enc.units); n != maxUnits-1 {
+		t.Fatalf("%d units hinted after page 0 adopted its unit, want %d", n, maxUnits-1)
+	}
+	if n := units(r.dev); n != maxUnits {
+		t.Fatalf("%d units after the record, want %d", n, maxUnits)
+	}
+	checkConserved(t, r.dev)
+}
+
+// TestUnhintedRecordFramesInline registers a compression record no hint
+// named: its last source line frames the page at once, the device
+// builds no unit, and the page matches the inline framing.
+func TestUnhintedRecordFramesInline(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	data := corpus.Generate(corpus.HTML, MaxCompressInput, 16)
+	if _, err := r.hier.Write(0, sbuf, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.hier.Flush(sbuf, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+	if _, err := r.driver.register(sbuf, dbuf, PageSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr, _ := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+	rec := tr.owner()
+	feedSource(t, r, sbuf)
+	if rec.dsa.pending() {
+		t.Fatal("an unhinted record left its framing pending after its last line")
+	}
+	if n := units(r.dev); n != 0 {
+		t.Fatalf("%d work units built for an unhinted record, want 0", n)
+	}
+	want, _ := EncodeCompressedPage(data, deflate.NewHWEncoder(deflate.PaperHWConfig()))
+	if got := observePage(t, r, dbuf, false); !bytes.Equal(got, want) {
+		t.Fatal("destination differs from the inline framing")
+	}
+}
+
+// TestHintNeedsAWorker hints a page-sized record through Device.Hint:
+// with no datapath worker (GOMAXPROCS=1 when the pool started) the hint
+// does nothing, and with one it queues a unit. Either way the record
+// that registers the page yields the inline framing. ci.sh runs it at
+// GOMAXPROCS=1 as well as in the default run.
+func TestHintNeedsAWorker(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	r.driver.Hint = r.dev.Hint
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	data := corpus.Generate(corpus.HTML, MaxCompressInput, 17)
+	ctx := OffloadContext{Op: OpCompress, Length: len(data)}
+	r.driver.Staged(sbuf, ctx, data)
+	want := 0
+	if startDatapathPool() {
+		want = 1
+	}
+	if n := units(r.dev); n != want {
+		t.Fatalf("GOMAXPROCS=%d: %d units after a hint, want %d", runtime.GOMAXPROCS(0), n, want)
+	}
+	if _, err := r.hier.Write(0, sbuf, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, &ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := r.driver.Use(0, dbuf, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := EncodeCompressedPage(data, deflate.NewHWEncoder(deflate.PaperHWConfig())); !bytes.Equal(got, w) {
+		t.Fatal("destination differs from the inline framing")
+	}
+	checkConserved(t, r.dev)
+}
+
 // TestAbortQueuedCompressRecordConserves tears down a compression record
-// whose datapath is queued, by a core.dsa fault on its last source line
-// (before the claim finishes it) and by an abort op once every line is
-// claimed. Either way the device's Scratchpad pages, Config Memory,
+// whose adopted unit is queued, by a core.dsa fault on its last source
+// line (before the claim finishes it) and by an abort op once every line
+// is claimed. Either way the device's Scratchpad pages, Config Memory,
 // Translation Table, records and work units are conserved, and a record
 // that reuses them comes out intact even when the aborted record's job
 // starts only then.
@@ -395,8 +610,8 @@ func TestAbortQueuedCompressRecordConserves(t *testing.T) {
 			sbuf, _ := r.driver.AllocPages(1)
 			dbuf, _ := r.driver.AllocPages(1)
 			data := corpus.Generate(corpus.HTML, MaxCompressInput, 13)
-			rec, jobs := queueCompress(t, r, sbuf, dbuf, data)
-			units := len(r.dev.enc.work) + 1 // the queued record holds one
+			_, u, jobs := queueCompress(t, r, sbuf, dbuf, data)
+			spare := len(r.dev.enc.spare) + 1 // the record holds one
 			if dsaFault {
 				inj := fault.New(1)
 				inj.Arm("core.dsa", fault.OneShot{N: LinesPerPage})
@@ -410,12 +625,12 @@ func TestAbortQueuedCompressRecordConserves(t *testing.T) {
 			if r.dev.Stats().RecordAborts != 1 {
 				t.Fatalf("%d record aborts, want 1", r.dev.Stats().RecordAborts)
 			}
-			if rec.phase.Load() == phaseWord(rec.gen-1, phaseQueued) {
-				t.Fatal("aborted record left queued")
+			if u.phase.Load() == phaseWord(u.gen, phaseQueued) {
+				t.Fatal("aborted record's unit left queued")
 			}
 			checkConserved(t, r.dev)
-			if n := len(r.dev.enc.work); n != units {
-				t.Fatalf("%d work units free after the abort, want %d", n, units)
+			if n := len(r.dev.enc.spare); n != spare {
+				t.Fatalf("%d work units free after the abort, want %d", n, spare)
 			}
 
 			next := corpus.Generate(corpus.Text, MaxCompressInput, 14)
@@ -436,20 +651,21 @@ func TestAbortQueuedCompressRecordConserves(t *testing.T) {
 				t.Fatal("the next record's page is not intact")
 			}
 			checkConserved(t, r.dev)
-			if n := len(r.dev.enc.work); n != units {
-				t.Fatalf("%d work units free after the next record, want %d", n, units)
+			if n := len(r.dev.enc.spare); n != spare {
+				t.Fatalf("%d work units free after the next record, want %d", n, spare)
 			}
 		})
 	}
 }
 
 // TestHandedOffCompressRecordsMatchInline runs page-sized compression
-// records through CompCpy, whose datapath the device hands to the worker
-// pool at registration, reading each back at once, so the first read
-// meets the worker at every phase. Every page must match the inline
-// framing of its input.
+// records through CompCpy, each hinted to the device just before it, so
+// the worker pool frames them, reading each back at once, so the first
+// read meets the worker at every phase. Every page must match the
+// inline framing of its input.
 func TestHandedOffCompressRecordsMatchInline(t *testing.T) {
 	r := newRig(t, 256*1024, 8)
+	r.driver.Hint = r.dev.Hint
 	sbuf, _ := r.driver.AllocPages(1)
 	dbuf, _ := r.driver.AllocPages(1)
 	enc := deflate.NewHWEncoder(deflate.PaperHWConfig())
@@ -459,6 +675,7 @@ func TestHandedOffCompressRecordsMatchInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &OffloadContext{Op: OpCompress, Length: len(data)}
+		r.driver.Staged(sbuf, *ctx, data)
 		if _, err := r.driver.CompCpy(0, dbuf, sbuf, PageSize, ctx, true); err != nil {
 			t.Fatal(err)
 		}

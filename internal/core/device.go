@@ -101,8 +101,8 @@ type Device struct {
 	// keys holds the TLS DSA state: the key schedules of recent
 	// records, at most one per Config Memory page, and retired DSAs.
 	keys *scheduleCache
-	// enc holds retired (de)compression DSAs and the compression work
-	// units.
+	// enc holds retired (de)compression DSAs, the hinted compression
+	// work units and the framer.
 	enc encoderSlot
 	// out is the sink every DSA puts its destination lines in, kept in
 	// the device so passing it as a lineSink allocates nothing.
@@ -736,26 +736,17 @@ func destCoverage(op Opcode, recordLen, pageIndex int) int {
 	}
 }
 
-// finishRegistration builds the DSA from the accumulated context and
-// offers its datapath to the worker pool.
+// finishRegistration builds the DSA from the accumulated context; a
+// compression record adopts the unit hinted for its source page.
 func (d *Device) finishRegistration() error {
 	rec := d.reg.rec
 	d.reg.rec = nil
-	dsa, err := buildDSA(rec.op, rec.length, d.reg.ctx, d.keys, &d.enc)
+	dsa, err := buildDSA(rec.op, rec.length, d.reg.ctx, d.keys, &d.enc, rec.srcPages[0])
 	if err != nil {
 		d.stats.DSAErrors++
 		d.abortRecord(rec)
 		return fmt.Errorf("core: DSA build: %w", err)
 	}
 	rec.dsa = dsa
-	// A record handed off at registration is read back as soon as
-	// CompCpy returns, ~30 us later, so its worker must start at once.
-	// One handed off at its last line is read back later: nudging those
-	// too cost kv-zipf-open's 4 KiB TLS records 0.974x (8 of 8 runs
-	// slower), its engine waiting on running workers it used to take
-	// back.
-	if d.offer(rec) {
-		nudge()
-	}
 	return nil
 }

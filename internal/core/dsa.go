@@ -69,11 +69,9 @@ type dsaInstance interface {
 	// once the record is finished). Their bytes are final once the
 	// record has settled.
 	ProcessSourceLine(off int, src []byte, out lineSink) error
-	// handOff readies the datapath for a worker and reports whether
-	// there is work worth one. The device asks at registration and
-	// after the record's last source line; page is the record's first
-	// source page in chips, flushed there before registration.
-	handOff(chips *dram.Chips, page uint64) bool
+	// handOff reports whether the datapath has work worth a worker.
+	// The device asks after the record's last source line.
+	handOff() bool
 	// run is the handed-off work, on a worker. It touches only memory
 	// the claim no longer writes, so the device may keep claiming lines.
 	run()
@@ -276,7 +274,7 @@ func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off int) {
 
 // handOff reports whether a finished encrypt record of at least
 // minHandOffPayload bytes has datapath work left for a worker.
-func (d *tlsDSA) handOff(*dram.Chips, uint64) bool {
+func (d *tlsDSA) handOff() bool {
 	return d.finished && d.dir == aesgcm.Encrypt && d.payloadLen >= minHandOffPayload && d.pending()
 }
 
@@ -446,49 +444,40 @@ func CompressedPayloadLen(page []byte) (int, error) {
 // claim copies each line into src and checks its order. Its datapath,
 // deflate plus framing, runs one of two ways:
 //
-//   - Inline: the last line borrows a work unit, frames src into its
-//     page and puts the page's lines at once.
-//   - Handed off at registration (handOff): the record borrows a work
-//     unit, snapshots its source page from the device's DRAM into it,
-//     and a worker frames the snapshot. The last line checks the fed
+//   - Inline: the last line frames src with the device's framer and
+//     puts the page's lines at once.
+//   - From a hint (hint.go): the record adopted at registration a work
+//     unit whose snapshot a worker frames. The last line checks the fed
 //     bytes against the snapshot and marks the destination lines ready;
-//     settle copies the framed page into them, framing src inline first
-//     when the bytes differ (a source line rewritten after the flush)
-//     or no worker ran.
+//     settle copies the framed page into them. When the bytes differ (a
+//     stale hint) the last line frames src inline instead, as settle
+//     does when no worker ran.
 //
 // The device's encoderSlot keeps retired DSAs, source buffer included,
-// and the work units.
+// the hinted units and the framer.
 type deflateDSA struct {
 	slot   *encoderSlot
 	cfg    deflate.HWConfig
 	length int // input bytes expected
-	// work is the borrowed work unit while the datapath is unsettled.
-	work    *deflateWork
+	// unit is the adopted work unit while the datapath is unsettled.
+	unit    *frameUnit
 	nextOff int
-	// fresh reports that the fed bytes equal work's snapshot; lines are
+	// fresh reports that the fed bytes equal unit's snapshot; lines are
 	// the destination lines the last line marked ready.
 	fresh bool
 	lines [LinesPerPage]*[dram.CachelineSize]byte
 	src   [PageSize]byte
 }
 
-// deflateWork is one compression's datapath state: an encoder for cfg,
-// the source snapshot a worker frames and the page it frames into
-// (framed bytes long, 0 until framed).
-type deflateWork struct {
-	cfg    deflate.HWConfig
-	enc    *deflate.HWEncoder
-	framed int
-	page   [PageSize]byte
-	snap   [PageSize]byte
-}
-
-func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot) (*deflateDSA, error) {
+// newDeflateDSA builds the DSA of a length-byte compression record
+// whose first source page is page, adopting the unit hinted for it.
+func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot, page uint64) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
 	d := takeFree(&slot.free)
-	d.slot, d.cfg, d.length, d.nextOff = slot, cfg, length, 0
+	d.slot, d.cfg, d.length, d.nextOff, d.fresh = slot, cfg, length, 0, false
+	d.unit = slot.adopt(page, length, cfg)
 	return d, nil
 }
 
@@ -504,53 +493,46 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, out lineSink) error 
 	for i := range d.lines {
 		d.lines[i] = out.put(i * dram.CachelineSize)
 	}
-	if d.work == nil {
-		d.work, d.fresh = d.slot.take(d.cfg), false
+	if d.fresh = d.unit != nil && bytes.Equal(d.src[:d.length], d.unit.snap[:d.length]); !d.fresh {
 		d.settle()
-		return nil
 	}
-	d.fresh = bytes.Equal(d.src[:d.length], d.work.snap[:d.length])
 	return nil
 }
 
-// handOff borrows a work unit for a record of at least
-// minCompressHandOff bytes and snapshots its source page into it: CompCpy
-// flushed the page to DRAM before it registered (Algorithm 2, line 19).
-func (d *deflateDSA) handOff(chips *dram.Chips, page uint64) bool {
-	if d.nextOff > 0 || d.length < minCompressHandOff {
-		return false
-	}
-	d.work = d.slot.take(d.cfg)
-	chips.PeekPage(page, &d.work.snap)
-	return true
-}
+// handOff is false: the record's unit was queued by its hint.
+func (d *deflateDSA) handOff() bool { return false }
+func (d *deflateDSA) run()          {}
 
-// run frames the snapshot into the work unit's page.
-func (d *deflateDSA) run() {
-	w := d.work
-	w.framed = len(framePage(&w.page, w.snap[:d.length], w.enc))
-}
+func (d *deflateDSA) pending() bool { return d.unit != nil }
 
-func (d *deflateDSA) pending() bool { return d.work != nil }
-
-// settle copies the framed page into the destination lines once every
-// source line is claimed, framing the fed bytes first unless the worker
-// framed the same bytes, and returns the work unit. A record torn down
-// before its last line only returns the unit.
+// settle takes the unit back from any worker, copies the framed page
+// into the destination lines once every source line is claimed, framing
+// the fed bytes inline unless the worker framed the same bytes, and
+// returns the unit. A record torn down before its last line only
+// returns the unit.
 func (d *deflateDSA) settle() {
-	w := d.work
-	d.work = nil
+	u := d.unit
+	d.unit = nil
+	var framed []byte
+	if u != nil {
+		reclaim(&u.phase, u.gen)
+		if d.fresh {
+			framed = u.framed
+		}
+	}
 	if d.nextOff >= d.length {
-		if !d.fresh || w.framed == 0 {
-			w.framed = len(framePage(&w.page, d.src[:d.length], w.enc))
+		if len(framed) == 0 {
+			framed = d.slot.inline().frame(d.src[:d.length], d.cfg)
 		}
 		for i, l := range d.lines {
 			if l != nil {
-				clear(l[copy(l[:], w.page[min(i*dram.CachelineSize, w.framed):w.framed]):])
+				clear(l[copy(l[:], framed[min(i*dram.CachelineSize, len(framed)):]):])
 			}
 		}
 	}
-	d.slot.work = append(d.slot.work, w)
+	if u != nil {
+		d.slot.spare = append(d.slot.spare, u)
+	}
 }
 
 // inflateDSA decompresses one compressed page arriving in order. The
@@ -599,10 +581,10 @@ func putPage(out lineSink, page []byte) {
 	}
 }
 
-func (d *inflateDSA) handOff(*dram.Chips, uint64) bool { return false }
-func (d *inflateDSA) run()                             {}
-func (d *inflateDSA) pending() bool                    { return false }
-func (d *inflateDSA) settle()                          {}
+func (d *inflateDSA) handOff() bool { return false }
+func (d *inflateDSA) run()          {}
+func (d *inflateDSA) pending() bool { return false }
+func (d *inflateDSA) settle()       {}
 
 // --- Context serialization ---------------------------------------------
 
@@ -694,28 +676,32 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 }
 
 // encoderSlot holds a device's (de)compression DSA state: free lists of
-// retired Deflate DSAs (each owns its source buffer), of retired
-// Inflate DSAs (each owns its page buffer) and of work units. A
-// compression record borrows a work unit, with an encoder for its
-// HWConfig, from its last source line, or from registration when it is
-// handed off, until it settles, so the list grows only to the peak of
-// unsettled records: about one per device. A unit keeps its encoder
-// and rebuilds it when a record asks for another config; buildDSA
-// bounds each config's table at maxDSATableEntries.
+// retired Deflate DSAs (each owns its source buffer) and of retired
+// Inflate DSAs (each owns its page buffer), the hinted work units
+// (hint.go) and the framer the device frames inline with. Nothing is
+// built at construction: units only as hints need them, never more
+// than maxUnits plus the few that adopting records hold, and the framer
+// on the first inline record. The framer rebuilds its encoder when a
+// record asks for another config, which buildDSA bounds at
+// maxDSATableEntries.
 type encoderSlot struct {
 	free    []*deflateDSA
 	inflate []*inflateDSA
-	work    []*deflateWork
+	// units are the hinted units no record has adopted, oldest first;
+	// spare keeps retired ones. hints counts the hints taken, the clock
+	// a unit ages by.
+	units  []*frameUnit
+	spare  []*frameUnit
+	hints  uint64
+	framer *framer
 }
 
-// take borrows a work unit with an encoder for cfg.
-func (s *encoderSlot) take(cfg deflate.HWConfig) *deflateWork {
-	w := takeFree(&s.work)
-	if w.enc == nil || w.cfg != cfg {
-		w.cfg, w.enc = cfg, deflate.NewHWEncoder(cfg)
+// inline returns the framer the device's thread frames with.
+func (s *encoderSlot) inline() *framer {
+	if s.framer == nil {
+		s.framer = new(framer)
 	}
-	w.framed = 0
-	return w
+	return s.framer
 }
 
 // takeFree pops the last entry of a free list, or returns a new T when
@@ -792,8 +778,9 @@ func parseHWConfig(raw []byte) (deflate.HWConfig, error) {
 // buildDSA deserializes the context bytes and instantiates the record's
 // DSA, as the device does once registration completes. TLS records take
 // their key schedule from keys, (de)compression records their DSA from
-// enc.
-func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encoderSlot) (dsaInstance, error) {
+// enc, and a compression record the unit hinted for its first source
+// page.
+func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encoderSlot, page uint64) (dsaInstance, error) {
 	switch op {
 	case OpTLSEncrypt, OpTLSDecrypt:
 		if len(raw) < 8 {
@@ -828,7 +815,7 @@ func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encod
 		if err != nil {
 			return nil, err
 		}
-		return newDeflateDSA(length, cfg, enc)
+		return newDeflateDSA(length, cfg, enc, page)
 	case OpDecompress:
 		return newInflateDSA(length, enc)
 	default:

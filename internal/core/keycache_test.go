@@ -59,7 +59,7 @@ func startTLSRecord(t *testing.T, keys *scheduleCache, dir aesgcm.Direction, key
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsa, err := buildDSA(ctx.Op, len(src), raw, keys, nil)
+	dsa, err := buildDSA(ctx.Op, len(src), raw, keys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

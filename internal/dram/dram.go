@@ -341,18 +341,6 @@ func (c *Chips) Write(cmd Command, src []byte) error {
 	return nil
 }
 
-// PeekPage copies the stored bytes of the physical page numbered page
-// into dst (zeros where nothing was ever written). It is the buffer
-// device's own view of its chips, not a command: no row need be open
-// and Reads does not count it.
-func (c *Chips) PeekPage(page uint64, dst *[PageSize]byte) {
-	if p := c.pages[page]; p != nil {
-		*dst = *p
-	} else {
-		*dst = [PageSize]byte{}
-	}
-}
-
 // Module is the channel-facing interface of a DIMM: the memory
 // controller issues decoded commands and receives data and the ALERT_N
 // indication. A plain DIMM forwards to the chips; SmartDIMM interposes

@@ -302,6 +302,14 @@ func (f *Fleet) Supports(offload.ULP) bool { return true }
 // the home device; CompCpy consumes the page cache in place.
 func (f *Fleet) InlineSource() bool { return true }
 
+// Staged implements offload.Backend: the hint goes to the connection's
+// home device, if it has one. It moves no fleet state.
+func (f *Fleet) Staged(u offload.ULP, conn *offload.Conn, payload []byte) {
+	if rec, ok := f.conns[conn.ID]; ok && rec.home >= 0 {
+		f.members[rec.home].backend.Staged(u, conn, payload)
+	}
+}
+
 // Members returns the fleet size (including tripped members).
 func (f *Fleet) Members() int { return len(f.members) }
 

@@ -219,6 +219,14 @@ type Backend interface {
 	// goals: "minimized data movement"), so the server keeps file data
 	// in conn.Src (on-DIMM page cache, Benefit B2) and skips staging.
 	InlineSource() bool
+	// Staged tells an inline-source backend that conn.Src holds payload,
+	// staged per LayoutFor(u), ahead of the Process that will consume
+	// it, so a device may start the records' datapath while the request
+	// waits (core.Device.Hint). It is a prediction the device verifies
+	// against the bytes Process feeds it: it makes no memory access,
+	// consults no fault, draws no random number and moves no counter,
+	// so it changes no byte and no simulated time.
+	Staged(u ULP, conn *Conn, payload []byte)
 }
 
 // StagePayloadCPU writes a message into conn.Src per the ULP layout via
@@ -344,6 +352,9 @@ func (b *CPU) Supports(ULP) bool { return true }
 // the page cache into its buffers before processing.
 func (b *CPU) InlineSource() bool { return false }
 
+// Staged implements Backend: the CPU has no device to hint.
+func (b *CPU) Staged(ULP, *Conn, []byte) {}
+
 // NewConn implements Backend.
 func (b *CPU) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 	return newPlainConn(b.Sys, u, id, msgSize)
@@ -463,6 +474,9 @@ func (b *SmartNIC) Supports(u ULP) bool { return u == TLS }
 // InlineSource implements Backend.
 func (b *SmartNIC) InlineSource() bool { return false }
 
+// Staged implements Backend: the NIC has nothing to start early.
+func (b *SmartNIC) Staged(ULP, *Conn, []byte) {}
+
 // NewConn implements Backend.
 func (b *SmartNIC) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 	return newPlainConn(b.Sys, u, id, msgSize)
@@ -537,6 +551,9 @@ func (b *QAT) Supports(ULP) bool { return true }
 
 // InlineSource implements Backend.
 func (b *QAT) InlineSource() bool { return false }
+
+// Staged implements Backend: the card is handed its payload in Process.
+func (b *QAT) Staged(ULP, *Conn, []byte) {}
 
 // NewConn implements Backend.
 func (b *QAT) NewConn(u ULP, id, msgSize int) (*Conn, error) {
@@ -684,6 +701,32 @@ func (b *SmartDIMM) Supports(ULP) bool { return true }
 // copy out of the page cache; conn.Src holds the file data itself.
 func (b *SmartDIMM) InlineSource() bool { return true }
 
+// Staged implements Backend: it passes the device each compression
+// record of the staged message, at its source page, with the context
+// Process will register it with. A TLS record's context draws its nonce
+// in Process, and a Soft backend never reaches the device, so both
+// return at once.
+func (b *SmartDIMM) Staged(u ULP, conn *Conn, payload []byte) {
+	if u != Compression || b.Soft {
+		return
+	}
+	drv := b.drv()
+	if drv == nil {
+		return
+	}
+	l := LayoutFor(u)
+	for k := range l.records(len(payload)) {
+		chunk := l.chunkOf(payload, k)
+		drv.Staged(conn.Src+uint64(k*l.SrcStride), compressContext(len(chunk)), chunk)
+	}
+}
+
+// compressContext is the offload context of an n-byte compression
+// record, at the paper's DSA configuration.
+func compressContext(n int) core.OffloadContext {
+	return core.OffloadContext{Op: core.OpCompress, Length: n}
+}
+
 // NewConn implements Backend: buffers come from the SmartDIMM driver.
 func (b *SmartDIMM) NewConn(u ULP, id, msgSize int) (*Conn, error) {
 	drv := b.drv()
@@ -714,7 +757,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 		n := l.chunk(k, payloadLen)
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
-		ctx := core.OffloadContext{Op: core.OpCompress, Length: n}
+		ctx := compressContext(n)
 		size := core.PageSize
 		if u == TLS {
 			var err error
@@ -886,6 +929,14 @@ func (b *Adaptive) Supports(ULP) bool { return true }
 // InlineSource implements Backend: both adaptive paths read the on-DIMM
 // page cache directly.
 func (b *Adaptive) InlineSource() bool { return true }
+
+// Staged implements Backend: it hints the SmartDIMM path while the last
+// probe has the backend offloading.
+func (b *Adaptive) Staged(u ULP, conn *Conn, payload []byte) {
+	if b.offloading {
+		b.DIMM.Staged(u, conn, payload)
+	}
+}
 
 // NewConn implements Backend: buffers live on SmartDIMM so both paths
 // can use them (its capacity counts toward system memory, Benefit B2).

@@ -53,6 +53,9 @@ func (b *RDMA) Supports(u ULP) bool { return b.Inner.Supports(u) }
 // the device, exactly like the inner backend.
 func (b *RDMA) InlineSource() bool { return true }
 
+// Staged implements Backend by delegation.
+func (b *RDMA) Staged(u ULP, conn *Conn, payload []byte) { b.Inner.Staged(u, conn, payload) }
+
 // NewConn implements Backend: allocate through the inner backend, then
 // register the staging buffer as a remotely-writable MR and bind a QP
 // to it. Fleet migrations re-register through the same NIC (the fleet

@@ -602,6 +602,10 @@ func (s *Server) runStage(rc *reqCtx) {
 		}
 		if s.cfg.Mode == PlainHTTP {
 			rc.stage++ // skip the copy and ULP stages
+		} else if inline {
+			// conn.Src now holds the payload Process will consume: tell
+			// the backend while the request waits for its ULP stage.
+			s.cfg.Backend.Staged(s.cfg.Mode.ULP(), c.oconn, payload)
 		}
 		s.requeueSplit(rc, StageParse, cpu, devStage, device)
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -247,11 +248,41 @@ func TestAdaptiveBackendInServer(t *testing.T) {
 // the TX DMA all reuse what earlier requests left. The client is a
 // closed loop whose callbacks are bound once per connection.
 func TestRequestZeroAllocs(t *testing.T) {
+	requestZeroAllocs(t, HTTPSMode, corpus.Text)
+}
+
+// TestCompressedRequestZeroAllocs is TestRequestZeroAllocs for a
+// CompressedHTTP request, whose parse stage hints the staged payload to
+// the device: the hint's work unit and queued framing job, the
+// record's adoption of the unit and the page it copies out allocate
+// nothing once warm. The datapath pool gets a worker, so hints are
+// live.
+func TestCompressedRequestZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	requestZeroAllocs(t, CompressedHTTP, corpus.HTML)
+}
+
+// stagedCounter counts the hints the server passes its backend.
+type stagedCounter struct {
+	offload.Backend
+	n int
+}
+
+func (b *stagedCounter) Staged(u offload.ULP, conn *offload.Conn, payload []byte) {
+	b.n++
+	b.Backend.Staged(u, conn, payload)
+}
+
+// requestZeroAllocs runs a closed loop of mode requests for files of
+// kind on a SmartDIMM backend and fails unless a steady-state request
+// allocates nothing and the server hinted every request.
+func requestZeroAllocs(t *testing.T, mode Mode, kind corpus.Kind) {
 	sys := newSys(t, 256<<10, true)
 	const conns = 16
+	backend := &stagedCounter{Backend: &offload.SmartDIMM{Sys: sys}}
 	srv, err := New(sys.Engine, Config{
-		Sys: sys, Backend: &offload.SmartDIMM{Sys: sys}, Mode: HTTPSMode,
-		Workers: 4, MsgSize: 4096, Connections: conns, FileKind: corpus.Text, Seed: 1,
+		Sys: sys, Backend: backend, Mode: mode,
+		Workers: 4, MsgSize: 4096, Connections: conns, FileKind: kind, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +312,9 @@ func TestRequestZeroAllocs(t *testing.T) {
 	}
 	if completed-before < 100 {
 		t.Fatalf("%d requests completed in the measured runs, want >= 100", completed-before)
+	}
+	if backend.n < completed {
+		t.Fatalf("%d hints for %d completed requests", backend.n, completed)
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocs per request, want 0", allocs)

@@ -242,6 +242,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		drv := core.NewDriver(hier, base, devCap, 1)
 		dev := sys.Devs[r]
 		drv.AbortProbe = func() uint64 { return dev.Stats().RecordAborts }
+		drv.Hint = dev.Hint
 		if cfg.Tracer != nil {
 			drv.Clock = sys.Engine.Now
 			drv.Tracer = cfg.Tracer
