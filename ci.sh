@@ -22,7 +22,9 @@
 #                     soft-deflate gate: a compress/flate writer may be
 #                     built in non-test Go only in internal/core, whose
 #                     SoftCompressPage is the one software page
-#                     producer (DESIGN §9)
+#                     producer, and a compress/flate reader only in
+#                     internal/deflate, whose Decompress is the one
+#                     decoder (DESIGN §9)
 #   6. race tests   — the concurrency-bearing packages (the runner pool
 #                     and its SameBytes determinism helper, the event kernel, the offload/nettcp layers the
 #                     server model drives from pool workers, the fleet
@@ -89,7 +91,8 @@
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
 ##  16. alloc gate — the steady state allocates nothing: a TLS
-#                     cacheline on a kept key schedule, a full
+#                     cacheline on a kept key schedule, a GCM Open
+#                     into a kept buffer, a full
 #                     write-queue drain, a TLS source line's rdCAS
 #                     through the device into the Scratchpad, all 64
 #                     source lines of consecutive compression records
@@ -171,7 +174,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {
@@ -298,11 +301,17 @@ run_all() {
 		exit 1
 	fi
 
-	echo "== soft-deflate gate (compress/flate writers only in internal/core)"
+	echo "== soft-deflate gate (compress/flate writers only in internal/core, readers only in internal/deflate)"
 	# core.SoftCompressPage is the one software page producer: a second
 	# compress/flate writer elsewhere would fork the CPU baseline's pages.
 	if grep -rn "flate\.NewWriter" internal/ cmd/ examples/ --include="*.go" --exclude="*_test.go" | grep -v "^internal/core/"; then
 		echo "ci.sh: flate.NewWriter outside internal/core — produce software pages with core.SoftCompressPage" >&2
+		exit 1
+	fi
+	# deflate.Decompress is the one decoder: a second compress/flate
+	# reader elsewhere would bypass its pool, limit and ErrCorrupt.
+	if grep -rn "flate\.NewReader" internal/ cmd/ examples/ --include="*.go" --exclude="*_test.go" | grep -v "^internal/deflate/"; then
+		echo "ci.sh: flate.NewReader outside internal/deflate — inflate with deflate.Decompress" >&2
 		exit 1
 	fi
 

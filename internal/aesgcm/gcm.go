@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -84,6 +85,11 @@ func counterBlock(iv []byte, ctr uint32) ([BlockSize]byte, error) {
 	return b, nil
 }
 
+// blocks lends 16-byte scratch blocks: a block handed to the AES
+// interface escapes, so a stack array would be a heap allocation per
+// call.
+var blocks = sync.Pool{New: func() any { return new([BlockSize]byte) }}
+
 // KeystreamAt fills dst with the CTR keystream bytes covering message
 // offsets [offset, offset+len(dst)). Offset 0 is the first plaintext
 // byte (counter value 2; counter 1 is reserved for the tag per the GCM
@@ -97,7 +103,7 @@ func (g *GCM) KeystreamAt(dst []byte, iv []byte, offset int) error {
 		return errors.New("aesgcm: negative keystream offset")
 	}
 	// A whole block's counter is built and encrypted in place in dst; only
-	// a partial first or last block needs a buffer of its own.
+	// a partial first or last block needs a scratch block.
 	ctr := uint32(offset/BlockSize) + 2
 	within := offset % BlockSize
 	for ; len(dst) > 0; ctr++ {
@@ -108,11 +114,12 @@ func (g *GCM) KeystreamAt(dst []byte, iv []byte, offset int) error {
 			dst = dst[BlockSize:]
 			continue
 		}
-		var ks [BlockSize]byte
+		ks := blocks.Get().(*[BlockSize]byte)
 		copy(ks[:], iv)
 		binary.BigEndian.PutUint32(ks[StandardIVSize:], ctr)
 		g.cipher.Encrypt(ks[:], ks[:])
 		dst = dst[copy(dst, ks[within:]):]
+		blocks.Put(ks)
 		within = 0
 	}
 	return nil
@@ -146,7 +153,8 @@ func (g *GCM) Open(dst, iv, sealed, aad []byte) ([]byte, error) {
 	}
 	ct := sealed[:len(sealed)-TagSize]
 	tag := sealed[len(sealed)-TagSize:]
-	var want [TagSize]byte
+	want := blocks.Get().(*[BlockSize]byte)
+	defer blocks.Put(want)
 	if err := g.computeTag(want[:], iv, ct, aad); err != nil {
 		return nil, err
 	}

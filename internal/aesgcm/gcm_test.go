@@ -228,6 +228,34 @@ func TestGCMConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestOpenZeroAllocs checks that Open into a kept dst allocates
+// nothing, for a whole-block record and one ending in a partial block:
+// the expected tag and the partial keystream block use pooled scratch
+// (measured without -race, which empties pools at random).
+func TestOpenZeroAllocs(t *testing.T) {
+	g, err := NewGCM([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, aad := []byte("abcdefghijkl"), []byte("\x17\x03\x03")
+	for _, n := range []int{4096, 1000} {
+		pt := bytes.Repeat([]byte("smartdimm"), n/9+1)[:n]
+		sealed, err := g.Seal(nil, iv, pt, aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, n)
+		allocs := testing.AllocsPerRun(50, func() {
+			if out, err := g.Open(dst[:0], iv, sealed, aad); err != nil || !bytes.Equal(out, pt) {
+				t.Fatalf("%d bytes: Open: %v", n, err)
+			}
+		})
+		if !raceEnabled && allocs != 0 {
+			t.Errorf("%d bytes: %v allocs per Open, want 0", n, allocs)
+		}
+	}
+}
+
 func BenchmarkGCMSeal4KB(b *testing.B) {
 	g, _ := NewGCM(make([]byte, 16))
 	iv := make([]byte, 12)

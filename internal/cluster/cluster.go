@@ -243,9 +243,6 @@ func sortInts(s []int) {
 	}
 }
 
-// Engine exposes the sharded engine (shard 0 is the router).
-func (c *Cluster) Engine() *sim.ShardedEngine { return c.se }
-
 // Net exposes the inter-node fabric.
 func (c *Cluster) Net() *Net { return c.net }
 

@@ -550,16 +550,27 @@ func TestCompressedPageFormat(t *testing.T) {
 	if _, err := EncodeCompressedPage(make([]byte, PageSize), enc); err == nil {
 		t.Error("oversized compression input accepted")
 	}
-	// Corrupt header rejected.
-	if _, err := DecodeCompressedPage([]byte{1}); err == nil {
-		t.Fatal("short page accepted")
+	// Corrupt headers and payloads are rejected with deflate.ErrCorrupt.
+	if _, err := DecodeCompressedPage([]byte{1}); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("short page: %v", err)
+	}
+	if _, err := CompressedPayloadLen([]byte{1}); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("short page length: %v", err)
 	}
 	bad := make([]byte, 64)
 	bad[0] = 0xFF
 	bad[1] = 0xFF
 	bad[2] = 0xFF
-	if _, err := DecodeCompressedPage(bad); err == nil {
-		t.Fatal("overrun length accepted")
+	if _, err := DecodeCompressedPage(bad); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("overrun length: %v", err)
+	}
+	page, err = EncodeCompressedPage(data, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page[compHeaderSize] |= 0x06 // BTYPE=11, reserved
+	if _, err := DecodeCompressedPage(page); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("reserved block type: %v", err)
 	}
 }
 

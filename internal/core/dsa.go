@@ -413,15 +413,19 @@ func putPageHeader(page []byte, n int, raw bool) {
 	binary.LittleEndian.PutUint32(page, h)
 }
 
-// DecodeCompressedPage reverses EncodeCompressedPage.
+// errShortPage is a compressed page too short to hold its header.
+var errShortPage = fmt.Errorf("core: compressed page too short: %w", deflate.ErrCorrupt)
+
+// DecodeCompressedPage reverses EncodeCompressedPage. Every error wraps
+// deflate.ErrCorrupt.
 func DecodeCompressedPage(page []byte) ([]byte, error) {
 	if len(page) < compHeaderSize {
-		return nil, errors.New("core: compressed page too short")
+		return nil, errShortPage
 	}
 	hdr := binary.LittleEndian.Uint32(page)
 	n := int(hdr &^ compRawFlag)
 	if compHeaderSize+n > len(page) {
-		return nil, fmt.Errorf("core: compressed payload length %d overruns page", n)
+		return nil, fmt.Errorf("core: compressed payload length %d overruns page: %w", n, deflate.ErrCorrupt)
 	}
 	payload := page[compHeaderSize : compHeaderSize+n]
 	if hdr&compRawFlag != 0 {
@@ -434,7 +438,7 @@ func DecodeCompressedPage(page []byte) ([]byte, error) {
 // compressed page header (for bandwidth accounting in the server model).
 func CompressedPayloadLen(page []byte) (int, error) {
 	if len(page) < compHeaderSize {
-		return 0, errors.New("core: compressed page too short")
+		return 0, errShortPage
 	}
 	return int(binary.LittleEndian.Uint32(page) &^ compRawFlag), nil
 }

@@ -7,19 +7,17 @@
 //     8-bank candidate memory that drops candidates on bank conflicts,
 //     a 4KB history window, and oldest-entry replacement — best-effort
 //     compression with deterministic latency;
-//   - a complete inflate decoder, the Inflate DSA's model and the
-//     receive path's decoder.
+//   - Decompress, the Inflate DSA's model and the receive path's
+//     decoder: compress/flate's decoder behind a pool.
 //
 // The CPU baseline the paper compares against is ordinary software
 // deflate (Nginx's gzip filter over zlib); the model takes it from
 // compress/flate (core.SoftCompressPage). The tests prove every DSA
-// stream inflates with compress/flate and every compress/flate stream
-// inflates here.
+// stream inflates with compress/flate.
 package deflate
 
 import (
 	"encoding/binary"
-	"errors"
 	"math/bits"
 )
 
@@ -63,64 +61,3 @@ func (w *bitWriter) bytes() []byte {
 
 // reverseBits reverses the low n bits of v (n <= 32).
 func reverseBits(v uint32, n uint) uint32 { return bits.Reverse32(v) >> (32 - n) }
-
-// errUnexpectedEOF mirrors io.ErrUnexpectedEOF for truncated streams.
-var errUnexpectedEOF = errors.New("deflate: unexpected end of stream")
-
-// bitReader consumes bits LSB-first from a byte slice.
-type bitReader struct {
-	data []byte
-	pos  int // byte position
-	acc  uint32
-	nAcc uint
-}
-
-func newBitReader(data []byte) *bitReader { return &bitReader{data: data} }
-
-// readBits returns the next n bits (n <= 24), LSB-first.
-func (r *bitReader) readBits(n uint) (uint32, error) {
-	for r.nAcc < n {
-		if r.pos >= len(r.data) {
-			return 0, errUnexpectedEOF
-		}
-		r.acc |= uint32(r.data[r.pos]) << r.nAcc
-		r.pos++
-		r.nAcc += 8
-	}
-	v := r.acc & (1<<n - 1)
-	r.acc >>= n
-	r.nAcc -= n
-	return v, nil
-}
-
-// readBit returns a single bit.
-func (r *bitReader) readBit() (uint32, error) { return r.readBits(1) }
-
-// alignByte discards bits up to the next byte boundary.
-func (r *bitReader) alignByte() {
-	drop := r.nAcc % 8
-	r.acc >>= drop
-	r.nAcc -= drop
-}
-
-// readBytes copies n raw bytes; the stream must be byte-aligned (any
-// buffered whole bytes are consumed first).
-func (r *bitReader) readBytes(p []byte) error {
-	if r.nAcc%8 != 0 {
-		panic("deflate: readBytes on unaligned stream")
-	}
-	for i := range p {
-		if r.nAcc >= 8 {
-			p[i] = byte(r.acc)
-			r.acc >>= 8
-			r.nAcc -= 8
-			continue
-		}
-		if r.pos >= len(r.data) {
-			return errUnexpectedEOF
-		}
-		p[i] = r.data[r.pos]
-		r.pos++
-	}
-	return nil
-}

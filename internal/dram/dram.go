@@ -374,10 +374,6 @@ func NewPlainDIMM(geo Geometry) (*PlainDIMM, error) {
 	return &PlainDIMM{chips: ch}, nil
 }
 
-// Chips exposes the underlying device array (tests and the SmartDIMM
-// prototype share it).
-func (d *PlainDIMM) Chips() *Chips { return d.chips }
-
 // Mapper implements Module.
 func (d *PlainDIMM) Mapper() *Mapper { return d.chips.mapper }
 

@@ -203,9 +203,6 @@ func New(seed int64) *Injector {
 	return &Injector{seed: seed, sites: make(map[string]*site)}
 }
 
-// Seed returns the seed the Injector was built with.
-func (in *Injector) Seed() int64 { return in.seed }
-
 // siteSeed derives a per-site stream so the order in which different
 // sites are consulted cannot perturb any one site's decisions.
 func siteSeed(seed int64, name string) int64 {

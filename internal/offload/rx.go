@@ -22,8 +22,7 @@ import (
 
 // RXResult is the cost and outcome breakdown of receive-side processing.
 type RXResult struct {
-	CPUPs    int64
-	DevicePs int64
+	CPUPs int64
 	// AuthOK reports whether every record's tag verified.
 	AuthOK bool
 	// Payload is the reassembled plaintext/decompressed body.

@@ -2,6 +2,7 @@ package ulp
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -129,12 +130,12 @@ func TestCompressBodyRoundTripBothEncoders(t *testing.T) {
 }
 
 func TestDecompressBodyErrors(t *testing.T) {
-	if _, err := DecompressBody([]byte{1, 2}); err == nil {
-		t.Fatal("truncated header accepted")
+	if _, err := DecompressBody([]byte{1, 2}); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("truncated header: %v", err)
 	}
 	hdr := []byte{100, 0, 0, 0, 1, 2, 3} // claims 100 payload bytes
-	if _, err := DecompressBody(hdr); err == nil {
-		t.Fatal("truncated payload accepted")
+	if _, err := DecompressBody(hdr); !errors.Is(err, deflate.ErrCorrupt) {
+		t.Fatalf("truncated payload: %v", err)
 	}
 }
 

@@ -254,8 +254,7 @@ type OpenLoop struct {
 	Latency stats.Histogram
 	Window  *stats.Window
 
-	measuring   bool
-	measureFrom int64
+	measuring bool
 }
 
 // NewOpenLoop builds a replayer; Start schedules the first arrival.
@@ -307,16 +306,6 @@ func (g *OpenLoop) submit(a Arrival) {
 // BeginMeasurement zeroes the windowed stats; call after warmup.
 func (g *OpenLoop) BeginMeasurement() {
 	g.measuring = true
-	g.measureFrom = g.eng.Now()
 	g.Completed = 0
 	g.Latency.Reset()
-}
-
-// RPS returns completed requests per second since BeginMeasurement.
-func (g *OpenLoop) RPS() float64 {
-	elapsed := g.eng.Now() - g.measureFrom
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(g.Completed) / (float64(elapsed) * 1e-12)
 }
