@@ -207,7 +207,10 @@ func BenchmarkPowerModel(b *testing.B) {
 // BenchmarkFlushResidency validates the §IV-A claim: flushing 4KB is
 // ~50% faster when the data is already in DRAM.
 func BenchmarkFlushResidency(b *testing.B) {
-	llc := cache.MustNew(cache.Config{SizeBytes: 1 << 20, Ways: 8})
+	llc, err := cache.New(cache.Config{SizeBytes: 1 << 20, Ways: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
 	d, err := dram.NewPlainDIMM(dram.SmallGeometry())
 	if err != nil {
 		b.Fatal(err)

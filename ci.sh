@@ -90,7 +90,7 @@
 #                     armed — whose run canonical AND every incident
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
-##  16. alloc gate — the steady state allocates nothing: a TLS
+#  16. alloc gate — the steady state allocates nothing: a TLS
 #                     cacheline on a kept key schedule, a GCM Open
 #                     into a kept buffer, a full
 #                     write-queue drain, a TLS source line's rdCAS
@@ -115,10 +115,17 @@
 #                     non-zero exit fails the gate (`go build` alone only
 #                     compiles them)
 #
+#  19. unused      — internal/unused type-checks the module and bench/,
+#                     tests included, and fails on an exported
+#                     identifier of a non-main package that nothing
+#                     references (a method that satisfies an interface
+#                     and an embedded field are exempt): delete it, or
+#                     unexport it if only its package's tests use it
+#
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
 # (each of these three followed by the KPI bench), obs, alloc, benchmod,
-# examples, or fuzz (each
+# examples, unused, or fuzz (each
 # Fuzz* target run for a bounded 10 s of coverage-guided fuzzing on top
 # of the committed seed corpora, which plain `go test` already replays;
 # not part of the full gate). An unknown stage name fails with the
@@ -252,6 +259,11 @@ run_examples() {
 	rm -rf "$bin"
 }
 
+run_unused() {
+	echo "== unused: exported identifiers nothing references"
+	go run ./internal/unused . bench
+}
+
 run_fuzz() {
 	echo "== fuzz: every Fuzz* target for 10s each"
 	for pkg in $(go list ./...); do
@@ -325,6 +337,7 @@ run_all() {
 	run_bench
 	run_benchmod
 	run_examples
+	run_unused
 
 	echo "== go test -shuffle=on ./..."
 	go test -shuffle=on ./...
@@ -343,9 +356,10 @@ cluster | rdma | workload)
 obs | alloc) run_stage "$1" ;;
 benchmod) run_benchmod ;;
 examples) run_examples ;;
+unused) run_unused ;;
 fuzz) run_fuzz ;;
 *)
-	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc benchmod examples fuzz; no argument runs the full gate)" >&2
+	echo "ci.sh: unknown stage '$1' (stages: bench shard cluster rdma workload obs alloc benchmod examples unused fuzz; no argument runs the full gate)" >&2
 	exit 2
 	;;
 esac

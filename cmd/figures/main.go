@@ -387,8 +387,8 @@ func fig10(pool *runner.Pool, sc experiments.Scale) {
 	for _, s := range series {
 		fmt.Printf("LLC %6dKB: equilibrium occupancy %8.1fKB  force-recycles %d\n",
 			s.LLCBytes>>10, s.EquilibriumKB, s.ForceRecycles)
-		for _, p := range s.Series.Downsample(8) {
-			fmt.Printf("    t=%6.2fms  occupancy=%7.1fKB\n", float64(p.AtPs)/float64(sim.Ms), p.Value/1024)
+		for _, p := range experiments.Downsample(s.Points, 8) {
+			fmt.Printf("    t=%6.2fms  occupancy=%7.1fKB\n", float64(p.AtPs)/float64(sim.Ms), p.V/1024)
 		}
 	}
 	fmt.Println()

@@ -37,7 +37,7 @@ type RecordConfig struct {
 	Length int    // plaintext/ciphertext length in bytes
 }
 
-// ConfigBytes returns the Config Memory footprint of this record's
+// configBytes returns the Config Memory footprint of this record's
 // context as laid out in hardware: the key, IV, EIV and AAD, an 8-byte
 // header (direction, field lengths, payload length), and Stride+1 hash
 // blocks: the four lane heads H^1..H^4 plus the lane multiplier H^4.
@@ -45,7 +45,7 @@ type RecordConfig struct {
 // a 4 KB page, four times the ~1 KB per source page the paper budgets;
 // the DSA instead multiplies each lane forward by H^4 as cachelines
 // arrive, the recurrence NewHPowers models.
-func (c *RecordConfig) ConfigBytes() int {
+func (c *RecordConfig) configBytes() int {
 	return len(c.Key) + len(c.IV) + len(c.EIV) + len(c.AAD) + (Stride+1)*BlockSize + 8
 }
 

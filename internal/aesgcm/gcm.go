@@ -197,9 +197,6 @@ func (g *GCM) computeTag(tag, iv, ct, aad []byte) error {
 	return nil
 }
 
-// Overhead returns the ciphertext expansion of Seal.
-func (g *GCM) Overhead() int { return TagSize }
-
 // sliceForAppend extends in by n bytes, reusing capacity when possible,
 // following the pattern used by the standard library's AEADs.
 func sliceForAppend(in []byte, n int) (head, tail []byte) {

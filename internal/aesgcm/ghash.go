@@ -31,9 +31,6 @@ func (e FieldEl) Xor(o FieldEl) FieldEl {
 	return FieldEl{Hi: e.Hi ^ o.Hi, Lo: e.Lo ^ o.Lo}
 }
 
-// IsZero reports whether the element is the additive identity.
-func (e FieldEl) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
-
 // gcmR is the reduction constant for GF(2^128) with GCM's polynomial
 // x^128 + x^7 + x^2 + x + 1 in the shifted representation.
 const gcmR = 0xe100000000000000
@@ -246,14 +243,11 @@ func (g *GHASH) Sum(dst []byte) []byte {
 	return dst[:BlockSize]
 }
 
-// Reset restores the initial state, keeping the subkey.
-func (g *GHASH) Reset() { g.y = FieldEl{} }
-
 // HPowers precomputes powers of the hash subkey H. The paper's TLS DSA
 // computes the i-th powers of H "in strides of 4" as soon as the source
 // buffer is registered, so the GHASH contributions of different 64-byte
 // cachelines (4 AES blocks each) have no dependency chain (§V-A). Powers
-// are 1-indexed: Power(i) == H^i. Each is kept beside its bit-reversed
+// are 1-indexed: power(i) == H^i. Each is kept beside its bit-reversed
 // halves, so a fold reverses only its input.
 type HPowers struct {
 	h      FieldEl
@@ -295,15 +289,12 @@ func (p *HPowers) grow(n int) {
 	}
 }
 
-// Power returns H^i (1-indexed). It panics if i is out of the
+// power returns H^i (1-indexed). It panics if i is out of the
 // precomputed range, mirroring the fixed-size Config Memory region that
 // holds the powers in hardware.
-func (p *HPowers) Power(i int) FieldEl {
+func (p *HPowers) power(i int) FieldEl {
 	if i < 1 || i > len(p.powers) {
 		panic("aesgcm: H power out of precomputed range")
 	}
 	return p.powers[i-1].el
 }
-
-// Count returns how many powers were precomputed.
-func (p *HPowers) Count() int { return len(p.powers) }

@@ -16,10 +16,7 @@
 // swaps in the DSA's result.
 package cache
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -59,19 +56,6 @@ type Stats struct {
 	Misses     [numClasses]uint64
 	Writebacks uint64 // dirty evictions + dirty flushes
 	Fills      uint64
-}
-
-// MissRate returns the aggregate miss rate across classes, 0 when idle.
-func (s *Stats) MissRate() float64 {
-	var acc, miss uint64
-	for c := 0; c < int(numClasses); c++ {
-		acc += s.Accesses[c]
-		miss += s.Misses[c]
-	}
-	if acc == 0 {
-		return 0
-	}
-	return float64(miss) / float64(acc)
 }
 
 // line is one way's payload and replacement state. Its tag and valid
@@ -140,22 +124,6 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{cfg: cfg, keys: make([]uint64, n), lines: make([]line, n), setMask: uint64(nSets - 1)}, nil
 }
 
-// MustNew is New that panics on error. It exists for tests and
-// compile-time-fixed configurations only: a failure means the literal
-// config in the source is invalid — a programmer error, which is the
-// one class of failure the codebase still panics on. Anything built
-// from runtime input must call New and propagate the error.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// SetWayMask applies a CAT mask for a class; 0 restores all ways.
-func (c *Cache) SetWayMask(class Class, mask uint64) { c.cfg.WayMask[class] = mask }
-
 // Stats returns a copy of the statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -182,13 +150,6 @@ func (c *Cache) lookup(addr uint64) int {
 // Contains reports whether the line is cached, without touching LRU or
 // statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr) != -1 }
-
-// IsDirty reports whether the line is cached and dirty, without touching
-// LRU or statistics.
-func (c *Cache) IsDirty(addr uint64) bool {
-	i := c.lookup(addr)
-	return i != -1 && c.lines[i].dirty
-}
 
 // Read performs a demand read of the line containing addr. On a hit the
 // line data is copied into dst (which must hold 64 bytes) and ok=true.
@@ -298,16 +259,9 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victi
 	return v, ok
 }
 
-// FlushLine removes the line containing addr (clflush semantics). When
-// the line was present ok is true and v is the line, for writeback if it
-// is dirty; clean lines are simply invalidated.
-func (c *Cache) FlushLine(addr uint64) (v Victim, ok bool) {
-	ok = c.flush(addr, &v)
-	return v, ok
-}
-
-// flush removes the line containing addr, describing it in v, and
-// reports whether it was present.
+// flush removes the line containing addr (clflush semantics), describing
+// it in v for writeback if it is dirty, and reports whether it was
+// present; clean lines are simply invalidated.
 func (c *Cache) flush(addr uint64, v *Victim) bool {
 	i := c.lookup(addr)
 	if i == -1 {
@@ -341,18 +295,6 @@ func (c *Cache) FlushRange(addr uint64, size int, wb func(*Victim)) int {
 	return present
 }
 
-// OccupancyOf counts how many valid lines fall within [addr, addr+size).
-func (c *Cache) OccupancyOf(addr uint64, size int) int {
-	n := 0
-	start := addr &^ (LineSize - 1)
-	for a := start; a < addr+uint64(size); a += LineSize {
-		if c.Contains(a) {
-			n++
-		}
-	}
-	return n
-}
-
 // SampleMissRate returns the miss rate since the previous sample and
 // resets the window — the probe the adaptive offload policy calls
 // periodically (§IV goals, §V-C).
@@ -363,18 +305,4 @@ func (c *Cache) SampleMissRate() float64 {
 	r := float64(c.winMiss) / float64(c.winAcc)
 	c.winAcc, c.winMiss = 0, 0
 	return r
-}
-
-// EffectiveWays returns the number of ways usable by the class under its
-// current mask.
-func (c *Cache) EffectiveWays(class Class) int {
-	mask := c.cfg.WayMask[class]
-	if mask == 0 {
-		return c.cfg.Ways
-	}
-	n := bits.OnesCount64(mask & ((1 << uint(c.cfg.Ways)) - 1))
-	if n == 0 {
-		return 1
-	}
-	return n
 }

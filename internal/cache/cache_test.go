@@ -7,7 +7,21 @@ import (
 
 func tiny() *Cache {
 	// 2 sets x 4 ways x 64B = 512B cache for deterministic eviction tests.
-	return MustNew(Config{SizeBytes: 512, Ways: 4})
+	return mustNew(Config{SizeBytes: 512, Ways: 4})
+}
+
+func mustNew(cfg Config) *Cache {
+	c, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// dirty reports whether the line is cached and dirty.
+func dirty(c *Cache, addr uint64) bool {
+	i := c.lookup(addr)
+	return i != -1 && c.lines[i].dirty
 }
 
 func lineData(b byte) []byte { return bytes.Repeat([]byte{b}, LineSize) }
@@ -54,10 +68,11 @@ func TestWriteDirtyAndWriteback(t *testing.T) {
 	if !c.Write(0x1000, ClassCPU, lineData(0xBB)) {
 		t.Fatal("write to present line missed")
 	}
-	if !c.IsDirty(0x1000) {
+	if !dirty(c, 0x1000) {
 		t.Fatal("write did not mark dirty")
 	}
-	v, ok := c.FlushLine(0x1000)
+	var v Victim
+	ok := c.flush(0x1000, &v)
 	if !ok || !v.Dirty || v.Addr != 0x1000 {
 		t.Fatalf("flush victim %+v", v)
 	}
@@ -107,7 +122,7 @@ func TestFillDirtyVictimCarriesData(t *testing.T) {
 
 func TestCATWayMaskRestrictsAllocation(t *testing.T) {
 	c := tiny()
-	c.SetWayMask(ClassDMA, 0b0001) // DMA may only use way 0
+	c.cfg.WayMask[ClassDMA] = 0b0001 // DMA may only use way 0
 	// Two DMA fills to the same set must evict each other.
 	_, ok1 := c.FillDirty(0, ClassDMA, lineData(1))
 	v2, ok2 := c.FillDirty(128, ClassDMA, lineData(2))
@@ -122,8 +137,12 @@ func TestCATWayMaskRestrictsAllocation(t *testing.T) {
 	if !c.Contains(128) {
 		t.Fatal("CPU fill evicted DMA line despite free ways")
 	}
-	if c.EffectiveWays(ClassDMA) != 1 || c.EffectiveWays(ClassCPU) != 4 {
-		t.Fatalf("effective ways %d/%d", c.EffectiveWays(ClassDMA), c.EffectiveWays(ClassCPU))
+	// The set's last two ways take CPU fills without an eviction.
+	for i := uint64(2); i < 4; i++ {
+		c.Fill(i*256, ClassCPU, lineData(byte(i)))
+	}
+	if !c.Contains(128) || !c.Contains(256) {
+		t.Fatal("CPU fills evicted a line with CPU-usable ways free")
 	}
 }
 
@@ -131,7 +150,7 @@ func TestDDIOLeakToDRAM(t *testing.T) {
 	// Observation 3: DMA data with long usage distance leaks to DRAM.
 	// With DDIO limited to 2 ways, streaming DMA fills evict earlier DMA
 	// lines before the CPU reads them.
-	c := MustNew(Config{SizeBytes: 64 * 1024, Ways: 8, WayMask: [numClasses]uint64{ClassDMA: 0b11}})
+	c := mustNew(Config{SizeBytes: 64 * 1024, Ways: 8, WayMask: [numClasses]uint64{ClassDMA: 0b11}})
 	leaked := 0
 	var addrs []uint64
 	for i := 0; i < 1024; i++ {
@@ -179,11 +198,10 @@ func TestOccupancyOf(t *testing.T) {
 	c := tiny()
 	c.Fill(0, ClassCPU, lineData(1))
 	c.Fill(64, ClassCPU, lineData(2))
-	if got := c.OccupancyOf(0, 256); got != 2 {
-		t.Fatalf("occupancy = %d, want 2", got)
-	}
-	if got := c.OccupancyOf(1024, 256); got != 0 {
-		t.Fatalf("occupancy of empty range = %d", got)
+	for a, want := range map[uint64]bool{0: true, 64: true, 128: false, 192: false, 1024: false, 1088: false} {
+		if c.Contains(a) != want {
+			t.Fatalf("Contains(%#x) = %v, want %v", a, !want, want)
+		}
 	}
 }
 
@@ -206,16 +224,27 @@ func TestSampleMissRateWindow(t *testing.T) {
 	}
 }
 
+// The sampled miss rate aggregates the classes' Stats.
 func TestStatsMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
+	c := tiny()
+	if c.SampleMissRate() != 0 {
 		t.Fatal("idle miss rate should be 0")
 	}
-	s.Accesses[ClassCPU] = 10
-	s.Misses[ClassCPU] = 3
-	s.Accesses[ClassDMA] = 10
-	s.Misses[ClassDMA] = 1
-	if got := s.MissRate(); got != 0.2 {
+	buf := make([]byte, LineSize)
+	for a := uint64(0); a < 20; a++ {
+		addr, class := a%3*128, ClassCPU // 3 CPU lines, 1 DMA line
+		if a >= 10 {
+			addr, class = 64, ClassDMA
+		}
+		if !c.Read(addr, class, buf) {
+			c.Fill(addr, class, lineData(0))
+		}
+	}
+	st := c.Stats()
+	if st.Accesses != [numClasses]uint64{10, 10} || st.Misses != [numClasses]uint64{3, 1} {
+		t.Fatalf("stats %+v, want 10/10 accesses, 3/1 misses", st)
+	}
+	if got := c.SampleMissRate(); got != 0.2 {
 		t.Fatalf("miss rate = %v, want 0.2", got)
 	}
 }
@@ -224,7 +253,7 @@ func TestFillExistingLinePreservesDirty(t *testing.T) {
 	c := tiny()
 	c.FillDirty(0, ClassCPU, lineData(1))
 	c.Fill(0, ClassCPU, lineData(2)) // re-fill clean over dirty line
-	if !c.IsDirty(0) {
+	if !dirty(c, 0) {
 		t.Fatal("re-fill cleared dirty bit")
 	}
 	buf := make([]byte, LineSize)
@@ -241,7 +270,7 @@ func TestClassString(t *testing.T) {
 }
 
 func BenchmarkCacheReadHit(b *testing.B) {
-	c := MustNew(DefaultXeonLLC())
+	c := mustNew(DefaultXeonLLC())
 	c.Fill(0x4000, ClassCPU, lineData(1))
 	buf := make([]byte, LineSize)
 	b.SetBytes(LineSize)

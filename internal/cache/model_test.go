@@ -114,7 +114,7 @@ func (r *refCache) flush(addr uint64) (Victim, bool) {
 }
 
 // TestCacheMatchesReferenceModel drives random Read/Write/Fill/
-// FillDirty/FlushLine/FlushRange sequences, with a DDIO-style 2-way DMA
+// FillDirty/flush/FlushRange sequences, with a DDIO-style 2-way DMA
 // mask and occasional CAT mask changes, through Cache and the model:
 // hits, victims (address, dirty bit, data) and Stats must agree.
 func TestCacheMatchesReferenceModel(t *testing.T) {
@@ -124,7 +124,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		if seed%2 == 0 {
 			cfg = Config{SizeBytes: 4 * 8 * LineSize, Ways: 8, WayMask: [numClasses]uint64{ClassDMA: 0b11}}
 		}
-		c, ref := MustNew(cfg), newRefCache(cfg)
+		c, ref := mustNew(cfg), newRefCache(cfg)
 		// 3x the cache's lines, so sets overflow and evict.
 		nAddrs := 3 * cfg.SizeBytes / LineSize
 		addr := func() uint64 { return uint64(rng.Intn(nAddrs))*LineSize + 1<<30 }
@@ -164,10 +164,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: fill(%#x) victim %v/%+v, model %v/%+v", seed, op, a, ok, v.Addr, wok, wv.Addr)
 				}
 			case k < 18:
-				v, ok := c.FlushLine(a)
+				var v Victim
+				ok := c.flush(a, &v)
 				wv, wok := ref.flush(a)
 				if ok != wok || v != wv {
-					t.Fatalf("seed %d op %d: FlushLine(%#x) %v, model %v", seed, op, a, ok, wok)
+					t.Fatalf("seed %d op %d: flush(%#x) %v, model %v", seed, op, a, ok, wok)
 				}
 			case k < 19:
 				from, size := a+uint64(rng.Intn(LineSize)), 1+rng.Intn(4*LineSize)
@@ -192,7 +193,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				}
 			default:
 				m := uint64(rng.Intn(1 << uint(cfg.Ways+1)))
-				c.SetWayMask(class, m)
+				c.cfg.WayMask[class] = m
 				ref.mask[class] = m
 			}
 			if c.Stats() != ref.stats {
@@ -218,7 +219,7 @@ func TestFillFlushAllocs(t *testing.T) {
 	flush := testing.AllocsPerRun(100, func() {
 		n++
 		c.Fill((n%8)*128, ClassCPU, data)
-		c.FlushLine((n % 8) * 128)
+		c.flush((n%8)*128, &c.victim)
 		c.FlushRange(0, 512, nil)
 	})
 	if fill != 0 || flush != 0 {

@@ -1,6 +1,6 @@
 // Workload chaos: the production-workload soak behind `./ci.sh
 // workload`. One seeded scenario — a KV-cache fleet starting half
-// parked, an open-loop trace with a 3x flash crowd, and a forced rank
+// parked, an open-loop trace with a 2.5x flash crowd, and a forced rank
 // failure injected mid-crowd — runs under the SLO autoscaler, and the
 // harness checks the operational invariants a production cache owner
 // would page on:
@@ -24,44 +24,17 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/autoscale"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
 // workloadSoakConfig is the pinned scenario; seed and the trace
 // generator's worker count (as for runner.New) vary.
 func workloadSoakConfig(seed int64, workers int) workload.RunConfig {
-	// Calibration (probe runs at these knobs): two ranks hold ~2.0M rps
-	// of this KV mix at p99 ~17us and collapse near 2.8M; three or four
-	// ranks hold 2.8M at ~25us. Base 900k with a 3x crowd peaks ~2.7M —
-	// inside the parked capacity, far outside the initial two ranks —
-	// so the SLO genuinely hinges on the autoscaler deploying them.
-	return workload.RunConfig{
-		Kind: "kv", Ranks: 4, InitialActive: 2, Conns: 48, Workers: 16, Seed: seed,
-		HorizonPs: 8 * sim.Ms, WarmupPs: sim.Ms, DrainPs: 2 * sim.Ms,
-		KV: workload.KVConfig{Keys: 1024, ZipfS: 0.99, ReadFrac: 0.9},
-		Arrivals: wrkgen.ArrivalConfig{
-			Streams: 4, BaseRPS: 9e5,
-			DiurnalAmp: 0.15, DiurnalPeriodPs: 10 * sim.Ms,
-			Flash:        []wrkgen.FlashCrowd{{StartPs: 3 * sim.Ms, EndPs: 6 * sim.Ms, Mult: 2.5}},
-			BurstEveryPs: 2 * sim.Ms, BurstLen: 12, BurstGapPs: sim.Us,
-		},
-		Scale: &autoscale.Config{
-			SLOPs: float64(100 * sim.Us), TickPs: 200 * sim.Us,
-			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
-		},
-		// The fault lands mid-crowd — the worst moment: capacity is
-		// already short and the breaker drains an active rank. Restore
-		// arrives after the crowd passes.
-		Faults: []workload.Fault{
-			{AtPs: 4200 * sim.Us, Rank: 1},
-			{AtPs: 7 * sim.Ms, Rank: 1, Restore: true},
-		},
-		Pool: runner.New(workers),
-	}
+	cfg := workload.FlashCrowdScenario(seed)
+	cfg.Pool = runner.New(workers)
+	return cfg
 }
 
 // RunWorkloadSoak executes the soak once. Construction failures return

@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/dram"
@@ -204,7 +205,7 @@ func New(cfg Config) (*Cluster, error) {
 		for j := 0; j < rf; j++ {
 			members = append(members, (g+j)%cfg.Nodes)
 		}
-		sortInts(members)
+		slices.Sort(members)
 		c.groups = append(c.groups, members)
 	}
 	for g, members := range c.groups {
@@ -233,14 +234,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.rt = newRouter(c)
 	return c, nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Net exposes the inter-node fabric.
@@ -408,24 +401,4 @@ func (c *Cluster) MergedTrace() *telemetry.Tracer {
 		prefixes[i] = fmt.Sprintf("n%d/", i-1)
 	}
 	return telemetry.MergeShards(prefixes, c.tracers)
-}
-
-// RegisterMetrics registers the cluster aggregates plus every node's
-// sub-system under "node<N>.*".
-func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
-	m, err := c.Collect()
-	if err == nil {
-		reg.Register("cluster", m)
-		reg.Register("cluster.net", m.Net)
-	}
-	reg.Register("sim", telemetry.CollectorFunc(func(emit func(telemetry.Sample)) {
-		emit(telemetry.Sample{Name: "nodes", Value: float64(len(c.nodes))})
-		emit(telemetry.Sample{Name: "lookahead_ps", Value: float64(c.se.Lookahead())})
-		emit(telemetry.Sample{Name: "epochs", Value: float64(c.se.Epochs())})
-		emit(telemetry.Sample{Name: "cross_shard_msgs", Value: float64(c.se.Sent())})
-		emit(telemetry.Sample{Name: "events", Value: float64(c.se.Processed())})
-	}))
-	for i, n := range c.nodes {
-		n.sys.RegisterMetricsPrefixed(reg, fmt.Sprintf("node%d", i))
-	}
 }

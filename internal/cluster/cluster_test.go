@@ -171,8 +171,18 @@ func clusterFingerprint(t *testing.T, execWorkers int) []byte {
 	fmt.Fprintf(&b, "net=%+v\n", m.Net)
 	fmt.Fprintf(&b, "epochs=%d msgs=%d events=%d\n", m.Epochs, m.SentMsgs, m.Processed)
 	b.WriteString(c.Check().String())
+	// The cluster aggregates after the quiesce, plus every node's
+	// sub-system metrics.
+	cm, err := c.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := telemetry.NewRegistry()
-	c.RegisterMetrics(reg)
+	reg.Register("cluster", cm)
+	reg.Register("cluster.net", cm.Net)
+	for i, n := range c.nodes {
+		n.sys.RegisterMetricsPrefixed(reg, fmt.Sprintf("node%d", i))
+	}
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}

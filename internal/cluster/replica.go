@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -178,7 +179,7 @@ func (r *replica) startElection(xfer bool) {
 	r.xfer = xfer
 	r.leader = -1
 	n.tr.Instant(n.replTrack, "election", n.eng.Now())
-	if int(popcount(r.votes)) >= r.majority() {
+	if bits.OnesCount32(r.votes) >= r.majority() {
 		r.becomeLeader()
 		return
 	}
@@ -194,14 +195,6 @@ func (r *replica) startElection(xfer bool) {
 			mn.onVoteReq(g, term, lastT, lastI, from, xfer)
 		})
 	}
-}
-
-func popcount(v uint32) int {
-	c := 0
-	for ; v != 0; v &= v - 1 {
-		c++
-	}
-	return c
 }
 
 func (n *node) onVoteReq(g int, term, lastT int64, lastI, from int, xfer bool) {
@@ -241,7 +234,7 @@ func (n *node) onVoteResp(g int, term int64, granted bool, from int) {
 		return
 	}
 	r.votes |= 1 << uint(r.pos(from))
-	if popcount(r.votes) >= r.majority() {
+	if bits.OnesCount32(r.votes) >= r.majority() {
 		r.becomeLeader()
 	}
 }

@@ -104,14 +104,14 @@ func (r *rawDevice) registerTLS(cycle int64, payloadLen int, key, iv []byte) (ui
 	binary.LittleEndian.PutUint64(hdr[16:], dbufPage)
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(payloadLen+TagSize))
 	binary.LittleEndian.PutUint64(hdr[28:], sbufPage)
-	if alert := r.write(cycle, r.dev.MMIOBase(), hdr[:]); alert {
+	if alert := r.write(cycle, r.dev.mmioBase, hdr[:]); alert {
 		r.t.Fatal("MMIO write alerted")
 	}
 	for off := 0; off < len(raw); off += 64 {
 		var chunk [64]byte
 		copy(chunk[:], raw[off:])
 		k := off / 64
-		r.write(cycle, r.dev.MMIOBase()+uint64(k+1)*64, chunk[:])
+		r.write(cycle, r.dev.mmioBase+uint64(k+1)*64, chunk[:])
 	}
 	return sbufPage * PageSize, dbufPage * PageSize
 }
@@ -217,14 +217,14 @@ func TestMMIOStatusAndPendingList(t *testing.T) {
 	r := newRawDevice(t)
 	_, dbuf := r.registerTLS(0, 64, []byte("0123456789abcdef"), []byte("abcdefghijkl"))
 	var status [64]byte
-	r.read(1, r.dev.MMIOBase(), status[:])
+	r.read(1, r.dev.mmioBase, status[:])
 	free := binary.LittleEndian.Uint64(status[0:])
 	pending := binary.LittleEndian.Uint64(status[8:])
 	if free != 2047 || pending != 1 {
 		t.Fatalf("status free=%d pending=%d, want 2047/1", free, pending)
 	}
 	var list [64]byte
-	r.read(2, r.dev.MMIOBase()+64, list[:])
+	r.read(2, r.dev.mmioBase+64, list[:])
 	if got := binary.LittleEndian.Uint64(list[0:]); got != dbuf/PageSize {
 		t.Fatalf("pending list[0] = %d, want %d", got, dbuf/PageSize)
 	}
@@ -234,24 +234,24 @@ func TestMMIORegistrationErrors(t *testing.T) {
 	r := newRawDevice(t)
 	var hdr [64]byte
 	// Bad magic.
-	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.MMIOBase()), hdr[:], nil); err == nil {
+	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.mmioBase), hdr[:], nil); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Valid magic, zero record length.
 	binary.LittleEndian.PutUint16(hdr[0:], regMagic)
 	hdr[2] = byte(OpCompress)
-	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.MMIOBase()), hdr[:], nil); err == nil {
+	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.mmioBase), hdr[:], nil); err == nil {
 		t.Fatal("zero record length accepted")
 	}
 	// Context write with no registration in flight.
-	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.MMIOBase()+64), hdr[:], nil); err == nil {
+	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.mmioBase+64), hdr[:], nil); err == nil {
 		t.Fatal("orphan context write accepted")
 	}
 	// Page referencing an unknown record.
 	binary.LittleEndian.PutUint16(hdr[6:], 1)      // pageIndex 1
 	binary.LittleEndian.PutUint64(hdr[28:], 0x999) // unknown ctx page
 	binary.LittleEndian.PutUint32(hdr[24:], 4096)
-	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.MMIOBase()), hdr[:], nil); err == nil {
+	if _, err := r.dev.HandleCommand(0, r.openedWr(r.dev.mmioBase), hdr[:], nil); err == nil {
 		t.Fatal("unknown record reference accepted")
 	}
 }

@@ -40,8 +40,11 @@ func newRigConfig(t testing.TB, cfg DeviceConfig, llcBytes int, llcWays int) *ri
 	if err != nil {
 		t.Fatal(err)
 	}
-	llc := cache.MustNew(cache.Config{SizeBytes: llcBytes, Ways: llcWays,
+	llc, err := cache.New(cache.Config{SizeBytes: llcBytes, Ways: llcWays,
 		WayMask: [2]uint64{cache.ClassDMA: 0b11}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctl := memctrl.New(memctrl.DefaultConfig(), dev)
 	hier, err := memsys.New(llc, memsys.Channel{Ctl: ctl, Mod: dev})
 	if err != nil {
@@ -291,7 +294,10 @@ func TestForceRecycleWhenScratchpadTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llc := cache.MustNew(cache.Config{SizeBytes: 4 << 20, Ways: 8})
+	llc, err := cache.New(cache.Config{SizeBytes: 4 << 20, Ways: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctl := memctrl.New(memctrl.DefaultConfig(), dev)
 	hier, _ := memsys.New(llc, memsys.Channel{Ctl: ctl, Mod: dev})
 	drv := NewDriver(hier, 0, dram.SmallGeometry().CapacityBytes(), 1)
@@ -611,6 +617,25 @@ func TestSoftCompressPage(t *testing.T) {
 	}
 }
 
+// TestDecodeCompressedPageAllocs bounds the receive path's decode of a
+// 4 KB page at 7 allocations: the output, read into one buffer sized
+// from PageSize, and the 6 Huffman tables compress/flate builds per
+// stream (not under -race, which empties pools at random).
+func TestDecodeCompressedPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pools at random")
+	}
+	page := SoftCompressPage(corpus.Generate(corpus.HTML, MaxCompressInput, 4))
+	const maxAllocs = 7
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeCompressedPage(page); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > maxAllocs {
+		t.Fatalf("%v allocs per page, want at most %d", allocs, maxAllocs)
+	}
+}
+
 func TestDeviceConfigValidation(t *testing.T) {
 	if _, err := NewDevice(DeviceConfig{Geometry: dram.SmallGeometry()}); err == nil {
 		t.Fatal("zero scratchpad accepted")
@@ -628,7 +653,7 @@ func TestTranslationTableStaysHealthy(t *testing.T) {
 		pt := corpus.Generate(corpus.Text, 3000, int64(i))
 		runTLSEncrypt(t, r, key, []byte("abcdefghijkl"), nil, pt)
 	}
-	ts := r.dev.TranslationStats()
+	ts := r.dev.tt.Stats()
 	if ts.FailedInserts != 0 {
 		t.Fatalf("translation insert failures: %+v", ts)
 	}

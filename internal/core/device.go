@@ -161,9 +161,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 // Mapper implements dram.Module.
 func (d *Device) Mapper() *dram.Mapper { return d.mapper }
 
-// MMIOBase returns the channel-local base address of the config space.
-func (d *Device) MMIOBase() uint64 { return d.mmioBase }
-
 // Stats returns a copy of the arbiter statistics.
 func (d *Device) Stats() DeviceStats { return d.stats }
 
@@ -193,10 +190,6 @@ func (d *Device) ScratchpadOccupancyBytes() int { return d.sp.occupancyBytes() }
 
 // ScratchpadFreePages returns the free Scratchpad page count.
 func (d *Device) ScratchpadFreePages() int { return d.sp.freePages() }
-
-// TranslationStats exposes the cuckoo table statistics for the §IV-C
-// ablation.
-func (d *Device) TranslationStats() cuckoo.Stats { return d.tt.Stats() }
 
 // ConfigFreePages returns the free Config Memory page count (the chaos
 // soak's conservation invariant reads it alongside ScratchpadFreePages).

@@ -209,8 +209,11 @@ func TestKeyCacheBoundedByConfigPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llc := cache.MustNew(cache.Config{SizeBytes: 256 * 1024, Ways: 8,
+	llc, err := cache.New(cache.Config{SizeBytes: 256 * 1024, Ways: 8,
 		WayMask: [2]uint64{cache.ClassDMA: 0b11}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	hier, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), dev), Mod: dev})
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,7 @@ func TestAntagonistThrashesLLC(t *testing.T) {
 	if sys.MemoryBytesMoved() == 0 {
 		t.Fatal("no DRAM traffic from antagonist")
 	}
-	st := sys.Hier.LLC.Stats()
-	if mr := st.MissRate(); mr < 0.5 {
+	if mr := sys.LLCMissRateSample(); mr < 0.5 {
 		t.Fatalf("antagonist miss rate %.2f, want high", mr)
 	}
 }

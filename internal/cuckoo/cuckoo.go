@@ -300,8 +300,8 @@ func (t *Table[V]) Delete(key uint64) bool {
 	return false
 }
 
-// Reset empties the table, keeping configuration and zeroing statistics.
-func (t *Table[V]) Reset() {
+// reset empties the table, keeping configuration and zeroing statistics.
+func (t *Table[V]) reset() {
 	for w := range t.slots {
 		for i := range t.slots[w] {
 			t.slots[w][i].used = false

@@ -144,7 +144,7 @@ func TestReset(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		tbl.Insert(i, int(i))
 	}
-	tbl.Reset()
+	tbl.reset()
 	if tbl.Len() != 0 {
 		t.Fatalf("len after reset = %d", tbl.Len())
 	}
@@ -244,7 +244,7 @@ func BenchmarkInsertPaperOccupancy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Reset()
+		tbl.reset()
 		for j, k := range keys {
 			tbl.Insert(k, uint64(j))
 		}

@@ -181,9 +181,6 @@ func matchLen(src []byte, a, b, maxLen int) int {
 // Stats returns the accumulated DSA statistics.
 func (e *HWEncoder) Stats() HWStats { return e.stats }
 
-// ResetStats zeroes the statistics.
-func (e *HWEncoder) ResetStats() { e.stats = HWStats{} }
-
 // ChunkSize is the data consumed per DSA cycle (one DDR burst).
 const ChunkSize = 64
 

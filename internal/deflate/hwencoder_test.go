@@ -276,9 +276,8 @@ func TestHWEncoderPortCounters(t *testing.T) {
 // call consumes one cycle per started 64-byte chunk.
 func TestHWStatsCycles(t *testing.T) {
 	page := corpus.Generate(corpus.HTML, 4096, 1)
-	enc := NewHWEncoder(PaperHWConfig())
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
-		enc.ResetStats()
+		enc := NewHWEncoder(PaperHWConfig())
 		enc.Compress(page[:n])
 		if got, want := enc.Stats().Cycles, uint64((n+ChunkSize-1)/ChunkSize); got != want {
 			t.Errorf("%d bytes: Cycles = %d, want %d", n, got, want)

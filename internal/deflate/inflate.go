@@ -13,13 +13,19 @@ import (
 // truncated stream, or one that inflates past the caller's limit.
 var ErrCorrupt = errors.New("deflate: corrupt stream")
 
-// inflater is one pooled compress/flate decoder with its source. A new
-// decoder allocates its 32 KB window and code tables, so each call
-// resets a pooled one instead.
+// inflater is one pooled compress/flate decoder with its source and
+// output limit. A new decoder allocates its 32 KB window and code
+// tables, so each call resets a pooled one instead.
 type inflater struct {
 	src bytes.Reader
 	fr  io.ReadCloser
+	lr  io.LimitedReader
 }
+
+// maxPrealloc caps the output buffer a call sizes from its limit: a
+// receive-path page (limit PageSize) is read into one buffer, and a
+// larger output grows from here.
+const maxPrealloc = 8 << 10
 
 var inflaters = sync.Pool{New: func() any {
 	in := new(inflater)
@@ -42,11 +48,22 @@ func DecompressLimit(data []byte, limit int) ([]byte, error) {
 	in.src.Reset(data)
 	defer in.src.Reset(nil) // the pool must not pin the caller's stream
 	in.fr.(flate.Resetter).Reset(&in.src, nil)
-	out, err := io.ReadAll(io.LimitReader(in.fr, int64(limit)+1))
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	case len(out) > limit:
+	in.lr = io.LimitedReader{R: in.fr, N: int64(limit) + 1}
+	out := make([]byte, 0, min(max(limit, 0), maxPrealloc)+1)
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := in.lr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	if len(out) > limit {
 		return nil, fmt.Errorf("%w: output exceeds %d bytes", ErrCorrupt, limit)
 	}
 	return out, nil

@@ -76,13 +76,6 @@ type Geometry struct {
 	ColsPerRow int // cachelines per row (a 8KB row = 128 cachelines)
 }
 
-// DDR4Geometry16GB returns the geometry used for the testbed's 16GB
-// DIMMs: 2 ranks x 4 bank groups x 4 banks x 64K rows x 128 columns
-// (8KB rows) x 64B = 16GB.
-func DDR4Geometry16GB() Geometry {
-	return Geometry{Ranks: 2, BankGroups: 4, BanksPerBG: 4, Rows: 65536, ColsPerRow: 128}
-}
-
 // SmallGeometry returns a reduced geometry that keeps unit tests and
 // short simulations fast while preserving all structural behaviour.
 func SmallGeometry() Geometry {
@@ -249,11 +242,6 @@ func NewChips(geo Geometry) (*Chips, error) {
 
 // Mapper returns the address mapper bound to this device's geometry.
 func (c *Chips) Mapper() *Mapper { return c.mapper }
-
-// OpenRow returns the open row of the bank, or -1 if precharged.
-func (c *Chips) OpenRow(rank, bg, ba int) int {
-	return int(c.openRow[c.mapper.BankIndex(rank, bg, ba)])
-}
 
 // Activate opens a row. Activating an already-active bank is a protocol
 // error (the controller must precharge first).

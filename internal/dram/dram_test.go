@@ -7,8 +7,12 @@ import (
 	"testing/quick"
 )
 
+// ddr4Geometry16GB is the testbed's 16GB DIMM: 2 ranks x 4 bank groups
+// x 4 banks x 64K rows x 128 columns (8KB rows) x 64B = 16GB.
+var ddr4Geometry16GB = Geometry{Ranks: 2, BankGroups: 4, BanksPerBG: 4, Rows: 65536, ColsPerRow: 128}
+
 func TestMapperRoundTrip(t *testing.T) {
-	for _, geo := range []Geometry{SmallGeometry(), DDR4Geometry16GB()} {
+	for _, geo := range []Geometry{SmallGeometry(), ddr4Geometry16GB} {
 		m, err := NewMapper(geo)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +109,7 @@ func TestChipsProtocolRules(t *testing.T) {
 	}
 	// Precharge then re-activate another row.
 	ch.Precharge(0, 1, 2)
-	if ch.OpenRow(0, 1, 2) != -1 {
+	if ch.openRow[ch.mapper.BankIndex(0, 1, 2)] != -1 {
 		t.Fatal("precharge did not close row")
 	}
 	if err := ch.Activate(0, 1, 2, 6); err != nil {
@@ -181,7 +185,7 @@ func TestPlainDIMMPassThrough(t *testing.T) {
 }
 
 func TestGeometryCapacity(t *testing.T) {
-	if got := DDR4Geometry16GB().CapacityBytes(); got != 16<<30 {
+	if got := ddr4Geometry16GB.CapacityBytes(); got != 16<<30 {
 		t.Fatalf("16GB geometry = %d bytes", got)
 	}
 	if got := SmallGeometry().CapacityBytes(); got != uint64(16)*1024*128*64 {

@@ -12,10 +12,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/autoscale"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
 // AutoscalePoint is one control tick of the timeline.
@@ -37,41 +35,17 @@ type AutoscaleResult struct {
 	Report      workload.Report
 }
 
-// Autoscale runs the flash-crowd + rank-fault scenario (the same shape
-// the chaos workload soak pins) and assembles the per-tick timeline.
+// Autoscale runs workload.FlashCrowdScenario and assembles the
+// per-tick timeline.
 func Autoscale(seed int64) (AutoscaleResult, error) {
-	const (
-		tickPs  = 200 * sim.Us
-		crowdOn = 3 * sim.Ms
-		crowdOf = 6 * sim.Ms
-		faultPs = 4200 * sim.Us
-	)
-	res := AutoscaleResult{
-		TickPs: tickPs, SLOPs: float64(100 * sim.Us),
-		CrowdPs: [2]int64{crowdOn, crowdOf}, FaultPs: faultPs,
-	}
-	rep, err := workload.Run(workload.RunConfig{
-		Kind: "kv", Ranks: 4, InitialActive: 2, Conns: 48, Workers: 16, Seed: seed,
-		HorizonPs: 8 * sim.Ms, WarmupPs: sim.Ms, DrainPs: 2 * sim.Ms,
-		KV: workload.KVConfig{Keys: 1024, ZipfS: 0.99, ReadFrac: 0.9},
-		Arrivals: wrkgen.ArrivalConfig{
-			Streams: 4, BaseRPS: 9e5,
-			DiurnalAmp: 0.15, DiurnalPeriodPs: 10 * sim.Ms,
-			Flash:        []wrkgen.FlashCrowd{{StartPs: crowdOn, EndPs: crowdOf, Mult: 2.5}},
-			BurstEveryPs: 2 * sim.Ms, BurstLen: 12, BurstGapPs: sim.Us,
-		},
-		Scale: &autoscale.Config{
-			SLOPs: res.SLOPs, TickPs: tickPs,
-			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
-		},
-		Faults: []workload.Fault{
-			{AtPs: faultPs, Rank: 1},
-			{AtPs: 7 * sim.Ms, Rank: 1, Restore: true},
-		},
-		// The default alert rules ride the same scraper the controller
-		// reads; their transitions land on the timeline as tick marks.
-		Rules: workload.DefaultAlertRules(res.SLOPs),
-	})
+	cfg := workload.FlashCrowdScenario(seed)
+	// The default alert rules ride the same scraper the controller
+	// reads; their transitions land on the timeline as tick marks.
+	cfg.Rules = workload.DefaultAlertRules(cfg.Scale.SLOPs)
+	res := AutoscaleResult{TickPs: cfg.Scale.TickPs, SLOPs: cfg.Scale.SLOPs,
+		CrowdPs: [2]int64{cfg.Arrivals.Flash[0].StartPs, cfg.Arrivals.Flash[0].EndPs},
+		FaultPs: cfg.Faults[0].AtPs}
+	rep, err := workload.Run(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -81,7 +55,7 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 	res.Points = make([]AutoscalePoint, len(rep.ActiveTimeline))
 	for i := range res.Points {
 		res.Points[i] = AutoscalePoint{
-			AtPs: int64(i+1) * tickPs, Active: rep.ActiveTimeline[i],
+			AtPs: int64(i+1) * res.TickPs, Active: rep.ActiveTimeline[i],
 		}
 		if i < len(rep.P99Timeline) {
 			res.Points[i].P99Ps = rep.P99Timeline[i]
@@ -95,7 +69,7 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 		if _, err := fmt.Sscanf(line, "%d %s", &at, &what); err != nil {
 			continue
 		}
-		idx := int(at/tickPs) - 1
+		idx := int(at/res.TickPs) - 1
 		if idx < 0 || idx >= len(res.Points) {
 			continue
 		}
@@ -107,7 +81,7 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 	// Alert transitions land on scrape instants — tick instants here, the
 	// scraper defaulting to the control interval.
 	for _, tr := range rep.Alerts {
-		idx := int(tr.AtPs/tickPs) - 1
+		idx := int(tr.AtPs/res.TickPs) - 1
 		if idx < 0 || idx >= len(res.Points) {
 			continue
 		}

@@ -47,8 +47,8 @@ func renderSweeps(t *testing.T, pool *runner.Pool) string {
 	}
 	for _, s := range f10 {
 		fmt.Fprintf(&b, "fig10 %d %.6f %d\n", s.LLCBytes, s.EquilibriumKB, s.ForceRecycles)
-		for _, p := range s.Series.Downsample(8) {
-			fmt.Fprintf(&b, "fig10pt %d %.6f\n", p.AtPs, p.Value)
+		for _, p := range Downsample(s.Points, 8) {
+			fmt.Fprintf(&b, "fig10pt %d %.6f\n", p.AtPs, p.V)
 		}
 	}
 

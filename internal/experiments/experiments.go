@@ -7,13 +7,13 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/corun"
 	"repro/internal/fault"
 	"repro/internal/nettcp"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -331,8 +331,8 @@ func Fig9() (*Fig9Result, error) {
 // Fig10Series is the scratchpad occupancy over time for one LLC size.
 type Fig10Series struct {
 	LLCBytes      int
-	Series        *stats.TimeSeries
-	EquilibriumKB float64 // max occupancy after warmup
+	Points        []obs.Point // occupancy bytes every 100us from t=0
+	EquilibriumKB float64     // max occupancy after warmup
 	ForceRecycles uint64
 }
 
@@ -349,10 +349,10 @@ func Fig10(pool *runner.Pool, llcSizes []int, sc Scale) ([]Fig10Series, error) {
 				return Fig10Series{}, err
 			}
 			sys, eng := st.Sys, st.Sys.Engine
-			series := &stats.TimeSeries{Name: fmt.Sprintf("llc=%dMB", llc>>20)}
+			var points []obs.Point
 			var tick func()
 			tick = func() {
-				series.Append(eng.Now(), float64(sys.Dev.ScratchpadOccupancyBytes()))
+				points = append(points, obs.Point{AtPs: eng.Now(), V: float64(sys.Dev.ScratchpadOccupancyBytes())})
 				eng.After(100*sim.Us, tick)
 			}
 			eng.After(0, tick)
@@ -361,8 +361,8 @@ func Fig10(pool *runner.Pool, llcSizes []int, sc Scale) ([]Fig10Series, error) {
 			}
 			return Fig10Series{
 				LLCBytes:      llc,
-				Series:        series,
-				EquilibriumKB: series.MaxAfter(sc.WarmupPs) / 1024,
+				Points:        points,
+				EquilibriumKB: maxAfter(points, sc.WarmupPs) / 1024,
 				ForceRecycles: sys.Driver.Stats().ForceRecycleCalls,
 			}, nil
 		})
@@ -370,6 +370,32 @@ func Fig10(pool *runner.Pool, llcSizes []int, sc Scale) ([]Fig10Series, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// maxAfter returns the largest value among pts at or after fromPs, or 0
+// when there is none: Fig. 10's equilibrium occupancy after warmup.
+func maxAfter(pts []obs.Point, fromPs int64) float64 {
+	max := 0.0
+	for _, p := range pts {
+		if p.AtPs >= fromPs && p.V > max {
+			max = p.V
+		}
+	}
+	return max
+}
+
+// Downsample returns at most n points evenly spaced across pts, which
+// keeps figure dumps readable; n <= 0 returns pts.
+func Downsample(pts []obs.Point, n int) []obs.Point {
+	if n <= 0 || len(pts) <= n {
+		return pts
+	}
+	out := make([]obs.Point, 0, n)
+	step := float64(len(pts)) / float64(n)
+	for i := 0; i < n; i++ {
+		out = append(out, pts[int(float64(i)*step)])
+	}
+	return out
 }
 
 // --- Fig. 11 / Fig. 12 -------------------------------------------------------

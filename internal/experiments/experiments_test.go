@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -105,7 +106,7 @@ func TestFig10EquilibriumScalesWithLLC(t *testing.T) {
 		t.Fatal("series count")
 	}
 	for _, s := range series {
-		if len(s.Series.Points) == 0 {
+		if len(s.Points) == 0 {
 			t.Fatal("no occupancy samples")
 		}
 	}
@@ -222,5 +223,31 @@ func TestPlacementString(t *testing.T) {
 		if p.String() != s {
 			t.Errorf("%d = %q", p, p.String())
 		}
+	}
+}
+
+func TestMaxAfterDownsample(t *testing.T) {
+	var pts []obs.Point
+	for i := int64(0); i < 10; i++ {
+		pts = append(pts, obs.Point{AtPs: i * 100, V: float64(i)})
+	}
+	if got := maxAfter(pts, 500); got != 9 {
+		t.Fatalf("max after 500 = %v, want 9", got)
+	}
+	if got := maxAfter(pts, 10_000); got != 0 {
+		t.Fatalf("max after end = %v, want 0", got)
+	}
+	if ds := Downsample(pts, 3); len(ds) != 3 {
+		t.Fatalf("downsample = %d points, want 3", len(ds))
+	}
+}
+
+func TestDownsampleSmall(t *testing.T) {
+	pts := []obs.Point{{AtPs: 1, V: 1}}
+	if got := Downsample(pts, 10); len(got) != 1 {
+		t.Fatalf("downsample of 1 point = %d, want 1", len(got))
+	}
+	if got := Downsample(pts, 0); len(got) != 1 {
+		t.Fatalf("downsample(0) should return all points")
 	}
 }

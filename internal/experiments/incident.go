@@ -12,10 +12,8 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/autoscale"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
 // IncidentResult is the run plus the rendering parameters.
@@ -32,39 +30,14 @@ type IncidentResult struct {
 // two initial ranks' collapse point — so the burn-rate page fires from
 // the crowd alone, before the injected fault trips the breaker.
 func Incident(seed int64) (IncidentResult, error) {
-	const (
-		tickPs  = 200 * sim.Us
-		crowdOn = 3 * sim.Ms
-		crowdOf = 6 * sim.Ms
-		faultPs = 4200 * sim.Us
-	)
-	res := IncidentResult{
-		TickPs: tickPs, SLOPs: float64(100 * sim.Us),
-		CrowdPs: [2]int64{crowdOn, crowdOf}, FaultPs: faultPs,
-	}
-	rep, err := workload.Run(workload.RunConfig{
-		Kind: "kv", Ranks: 4, InitialActive: 2, Conns: 48, Workers: 16, Seed: seed,
-		HorizonPs: 8 * sim.Ms, WarmupPs: sim.Ms, DrainPs: 2 * sim.Ms,
-		KV: workload.KVConfig{Keys: 1024, ZipfS: 0.99, ReadFrac: 0.9},
-		Arrivals: wrkgen.ArrivalConfig{
-			Streams: 4, BaseRPS: 9e5,
-			DiurnalAmp: 0.15, DiurnalPeriodPs: 10 * sim.Ms,
-			Flash:        []wrkgen.FlashCrowd{{StartPs: crowdOn, EndPs: crowdOf, Mult: 3.0}},
-			BurstEveryPs: 2 * sim.Ms, BurstLen: 12, BurstGapPs: sim.Us,
-		},
-		Scale: &autoscale.Config{
-			SLOPs: res.SLOPs, TickPs: tickPs,
-			DownAfter: 6, CooldownTicks: 2, MinActive: 2,
-		},
-		Faults: []workload.Fault{
-			{AtPs: faultPs, Rank: 1},
-			{AtPs: 7 * sim.Ms, Rank: 1, Restore: true},
-		},
-		ScrapePs:   100 * sim.Us,
-		Rules:      workload.DefaultAlertRules(res.SLOPs),
-		Record:     true,
-		LookbackPs: 2 * sim.Ms,
-	})
+	cfg := workload.FlashCrowdScenario(seed)
+	cfg.Arrivals.Flash[0].Mult = 3.0
+	cfg.ScrapePs, cfg.Record, cfg.LookbackPs = 100*sim.Us, true, 2*sim.Ms
+	cfg.Rules = workload.DefaultAlertRules(cfg.Scale.SLOPs)
+	res := IncidentResult{TickPs: cfg.Scale.TickPs, SLOPs: cfg.Scale.SLOPs,
+		CrowdPs: [2]int64{cfg.Arrivals.Flash[0].StartPs, cfg.Arrivals.Flash[0].EndPs},
+		FaultPs: cfg.Faults[0].AtPs}
+	rep, err := workload.Run(cfg)
 	if err != nil {
 		return res, err
 	}

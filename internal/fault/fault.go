@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -64,17 +64,17 @@ func (p Periodic) fire(_ *rand.Rand, seq, _ int64) bool {
 	return (seq-p.Offset)%p.Every == 0
 }
 
-// Window fires with probability Prob while FromPs <= now < ToPs.
-type Window struct {
-	FromPs, ToPs int64
-	Prob         float64
+// window fires with probability prob while fromPs <= now < toPs.
+type window struct {
+	fromPs, toPs int64
+	prob         float64
 }
 
-func (p Window) fire(rng *rand.Rand, _, now int64) bool {
-	if now < p.FromPs || now >= p.ToPs {
+func (p window) fire(rng *rand.Rand, _, now int64) bool {
+	if now < p.fromPs || now >= p.toPs {
 		return false
 	}
-	return rng.Float64() < p.Prob
+	return rng.Float64() < p.prob
 }
 
 // Bernoulli fires independently with probability Prob on every
@@ -134,10 +134,10 @@ func (p Partition) cuts(src, dst int, now int64) bool {
 	if !p.active(now) {
 		return false
 	}
-	if contains(p.A, src) && contains(p.B, dst) {
+	if slices.Contains(p.A, src) && slices.Contains(p.B, dst) {
 		return true
 	}
-	return !p.OneWay && contains(p.B, src) && contains(p.A, dst)
+	return !p.OneWay && slices.Contains(p.B, src) && slices.Contains(p.A, dst)
 }
 
 // Partitions composes several Partition windows into one plan: a link
@@ -156,15 +156,6 @@ func (ps Partitions) fire(rng *rand.Rand, seq, now int64) bool {
 func (ps Partitions) cuts(src, dst int, now int64) bool {
 	for _, p := range ps {
 		if p.cuts(src, dst, now) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
 			return true
 		}
 	}
@@ -320,21 +311,6 @@ func (in *Injector) TraceString() string {
 		}
 	}
 	return b.String()
-}
-
-// Sites returns the armed site names, sorted.
-func (in *Injector) Sites() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.sites))
-	for name := range in.sites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- Gilbert-Elliott bursty-loss chain ------------------------------------

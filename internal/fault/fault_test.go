@@ -40,7 +40,7 @@ func TestOneShotAndPeriodic(t *testing.T) {
 
 func TestWindowConfinesFiring(t *testing.T) {
 	in := New(7)
-	in.Arm("w", Window{FromPs: 100, ToPs: 200, Prob: 1})
+	in.Arm("w", window{fromPs: 100, toPs: 200, prob: 1})
 	for now := int64(0); now < 300; now += 10 {
 		got := in.Fire("w", now)
 		want := now >= 100 && now < 200
@@ -132,9 +132,8 @@ func TestCountsAndSites(t *testing.T) {
 	if total != 3 || fired != 2 {
 		t.Fatalf("counts = (%d,%d), want (3,2)", total, fired)
 	}
-	s := in.Sites()
-	if len(s) != 2 || s[0] != "x" || s[1] != "y" {
-		t.Fatalf("sites = %v", s)
+	if len(in.sites) != 2 || in.sites["x"] == nil || in.sites["y"] == nil {
+		t.Fatalf("sites = %v", in.sites)
 	}
 }
 

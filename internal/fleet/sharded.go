@@ -302,9 +302,6 @@ func (sc *Sharded) Systems() []*sim.System { return sc.systems }
 // Fleets exposes the per-shard fleet backends in shard order.
 func (sc *Sharded) Fleets() []*Fleet { return sc.fleets }
 
-// Dispatched returns how many requests crossed the dispatch fabric.
-func (sc *Sharded) Dispatched() uint64 { return sc.dispatched }
-
 // Run drives the standard measurement protocol: warm up, snapshot every
 // shard's counters, measure, aggregate. It returns the aggregated and
 // per-shard metrics; a request-processing error on any shard fails the

@@ -45,7 +45,7 @@ func shardedFingerprint(t *testing.T, execWorkers int, lookahead int64, withExec
 			s, ps.Requests, ps.CPUBusyPs, ps.TXBytes, ps.StagePs)
 	}
 	fmt.Fprintf(&b, "msgs=%d dispatched=%d completed=%d\n",
-		m.SentMsgs, sc.Dispatched(), sc.Generator().Completed)
+		m.SentMsgs, sc.dispatched, sc.Generator().Completed)
 	reg := telemetry.NewRegistry()
 	reg.Register("server", m.Agg)
 	if withExec {

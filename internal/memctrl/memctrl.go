@@ -180,9 +180,6 @@ func (s Stats) Collect(emit func(telemetry.Sample)) {
 // Now returns the controller clock in DRAM cycles.
 func (c *Controller) Now() int64 { return c.now }
 
-// NowPs returns the controller clock in picoseconds.
-func (c *Controller) NowPs() int64 { return c.now * c.cfg.Timing.TCKps }
-
 // CycleToPs converts controller cycles to picoseconds.
 func (c *Controller) CycleToPs(cyc int64) int64 { return cyc * c.cfg.Timing.TCKps }
 
@@ -192,9 +189,6 @@ func (c *Controller) AdvanceTo(cycle int64) {
 		c.now = cycle
 	}
 }
-
-// PendingWrites returns the current write-queue depth.
-func (c *Controller) PendingWrites() int { return len(c.wq) }
 
 // WriteQueuePressure returns the write-pending-queue occupancy as a
 // fraction of its capacity, a cheap congestion signal the fleet's
@@ -452,17 +446,6 @@ func (c *Controller) recordCAS(at int64, kind stats.CASKind, addr uint64, core i
 			AtPs: c.CycleToPs(at), Kind: kind, PhysAddr: addr, Core: core,
 		})
 	}
-}
-
-// ReadWriteSlackCycles estimates the controller-induced gap between a
-// read stream's first rdCAS and the corresponding writes' first wrCAS:
-// the queue must fill to the drain threshold before any wrCAS issues,
-// plus the bus turnaround (§IV-D micro-experiment).
-func (c *Controller) ReadWriteSlackCycles() int64 {
-	t := &c.cfg.Timing
-	// Each queued write was produced by roughly one read burst: the gap
-	// is DrainThreshold bursts of read traffic plus the turnaround.
-	return int64(c.cfg.DrainThreshold)*int64(t.TCCD) + int64(t.TRTW)
 }
 
 func maxI64(a, b int64) int64 {

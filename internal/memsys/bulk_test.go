@@ -19,8 +19,11 @@ func newBulkHier(t *testing.T) *memsys.Hierarchy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	llc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, Ways: 8,
+	llc, err := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 8,
 		WayMask: [2]uint64{cache.ClassDMA: 0b11}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), d), Mod: d})
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func TestWrite64MissEvictsAndWritesBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Channels[0].Ctl.Stats().Writes == 0 && h.Channels[0].Ctl.PendingWrites() == 0 {
+	if h.Channels[0].Ctl.Stats().Writes == 0 && h.Channels[0].Ctl.WriteQueuePressure() == 0 {
 		t.Fatal("streaming writes produced no writebacks")
 	}
 	// Out-of-range write fails cleanly at eviction time.

@@ -11,8 +11,11 @@ import (
 
 func newHier(t *testing.T, nChannels int) *Hierarchy {
 	t.Helper()
-	llc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, Ways: 8,
+	llc, err := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 8,
 		WayMask: [2]uint64{cache.ClassDMA: 0b11}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var chans []Channel
 	for i := 0; i < nChannels; i++ {
 		d, err := dram.NewPlainDIMM(dram.SmallGeometry())
@@ -169,7 +172,10 @@ func TestMMIOBypassesCache(t *testing.T) {
 }
 
 func TestNewRequiresChannel(t *testing.T) {
-	llc := cache.MustNew(cache.Config{SizeBytes: 64 * 1024, Ways: 8})
+	llc, err := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(llc); err == nil {
 		t.Fatal("hierarchy without channels accepted")
 	}

@@ -15,7 +15,8 @@ func TestLinkDeliversInOrder(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		l.Send(Packet{Seq: i, Len: 1000, Wire: 1040})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if len(got) != 10 {
 		t.Fatalf("delivered %d, want 10", len(got))
 	}
@@ -36,7 +37,8 @@ func TestLinkSerializationPacing(t *testing.T) {
 	l.Deliver = func(p Packet) { times = append(times, eng.Now()) }
 	l.Send(Packet{Len: 1250, Wire: 1250})
 	l.Send(Packet{Len: 1250, Wire: 1250})
-	eng.Run()
+	for eng.Step() {
+	}
 	if len(times) != 2 {
 		t.Fatal("delivery count")
 	}
@@ -54,7 +56,8 @@ func TestLinkDropRate(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		l.Send(Packet{Len: 100, Wire: 140})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if l.Dropped == 0 {
 		t.Fatal("nothing dropped at p=0.5")
 	}
@@ -76,7 +79,8 @@ func TestLinkReorder(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		l.Send(Packet{Seq: i, Len: 100, Wire: 140})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if l.Reordered == 0 {
 		t.Fatal("no reordering at p=0.3")
 	}
@@ -102,7 +106,8 @@ func TestLinkBurstLoss(t *testing.T) {
 		l.Send(Packet{Len: 100, Wire: 140})
 		lost = append(lost, l.BurstDropped > before)
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if l.BurstDropped == 0 {
 		t.Fatal("no burst losses")
 	}
@@ -142,7 +147,8 @@ func TestLinkBurstDoesNotPerturbBernoulliStream(t *testing.T) {
 				bern = append(bern, uint64(i))
 			}
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		return bern
 	}
 	plain := run(fault.GEConfig{})
@@ -170,7 +176,8 @@ func TestLinkFlapWindows(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l.Send(Packet{Len: 1250, Wire: 1250})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if l.FlapDropped == 0 {
 		t.Fatal("no flap drops")
 	}
@@ -192,7 +199,8 @@ func TestLinkFlapWindows(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l2.Send(Packet{Len: 1250, Wire: 1250})
 	}
-	eng2.Run()
+	for eng2.Step() {
+	}
 	if l2.FlapDropped != l.FlapDropped {
 		t.Fatalf("flap drops not deterministic: %d vs %d", l2.FlapDropped, l.FlapDropped)
 	}
@@ -206,7 +214,8 @@ func TestLinkDeterminism(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			l.Send(Packet{Len: 100, Wire: 140})
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		return l.Dropped, l.Delivered
 	}
 	d1, del1 := run()

@@ -25,45 +25,7 @@ type GoodputResult struct {
 // 100GbE link with the given ULP hook and drop probability, returning
 // achieved goodput — one point of Fig. 2.
 func MeasureGoodput(p sim.Params, hook ULPHook, dropProb float64, total int64, seed int64) GoodputResult {
-	eng := sim.NewEngine()
-	rttHalf := int64(p.RTTUs * float64(sim.Us) / 2)
-	data := netsim.NewLink(eng, netsim.LinkConfig{
-		Gbps: p.LinkGbps, PropPs: rttHalf, DropProb: dropProb, Seed: seed,
-	})
-	ack := netsim.NewLink(eng, netsim.LinkConfig{
-		Gbps: p.LinkGbps, PropPs: rttHalf, Seed: seed + 1,
-	})
-	cfg := DefaultConfig()
-	cfg.MSS = p.MTUBytes - 40
-	sender, recv, err := NewTransfer(eng, data, ack, cfg, hook, total)
-	if err != nil {
-		// Inputs are internally derived; an error here means a broken
-		// caller, reported as a never-completed zero-goodput point.
-		return GoodputResult{DropProb: dropProb}
-	}
-
-	// Bound the run: generous deadline scaled to the ideal time.
-	ideal := int64(float64(total*8) / (p.LinkGbps * 1e9) * 1e12)
-	deadline := 200*ideal + 2*sim.S
-	eng.RunUntil(deadline)
-
-	res := GoodputResult{
-		DropProb:    dropProb,
-		Retransmits: sender.Retransmits,
-		Timeouts:    sender.Timeouts,
-		Completed:   sender.Done(),
-	}
-	elapsed := sender.DonePs
-	if !sender.Done() {
-		elapsed = eng.Now()
-	}
-	if elapsed > 0 {
-		res.GoodputGbps = float64(recv.Received*8) / (float64(elapsed) * 1e-12) / 1e9
-	}
-	if nic, ok := hook.(*NICTLSHook); ok {
-		res.Resyncs = nic.Resyncs
-	}
-	return res
+	return measure(p, hook, netsim.LinkConfig{DropProb: dropProb}, total, seed)
 }
 
 // BurstyNet describes the impaired data path for MeasureGoodputBursty:
@@ -83,13 +45,19 @@ type BurstyNet struct {
 // per net, returning the achieved goodput and the drop/degradation
 // accounting — one point of the Fig. 2b bursty-loss experiment.
 func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64, seed int64) GoodputResult {
-	eng := sim.NewEngine()
-	rttHalf := int64(p.RTTUs * float64(sim.Us) / 2)
-	data := netsim.NewLink(eng, netsim.LinkConfig{
-		Gbps: p.LinkGbps, PropPs: rttHalf, Seed: seed, Burst: net.Burst,
+	return measure(p, hook, netsim.LinkConfig{Burst: net.Burst,
 		FlapEveryPs: net.FlapEveryPs, FlapDownPs: net.FlapDownPs,
 		ReorderProb: net.ReorderProb, ReorderDelayPs: net.ReorderDelayPs,
-	})
+	}, total, seed)
+}
+
+// measure runs one bulk transfer of total bytes over a 100GbE data link
+// impaired as impair says (its rate, delay and seed are set here).
+func measure(p sim.Params, hook ULPHook, impair netsim.LinkConfig, total int64, seed int64) GoodputResult {
+	eng := sim.NewEngine()
+	rttHalf := int64(p.RTTUs * float64(sim.Us) / 2)
+	impair.Gbps, impair.PropPs, impair.Seed = p.LinkGbps, rttHalf, seed
+	data := netsim.NewLink(eng, impair)
 	ack := netsim.NewLink(eng, netsim.LinkConfig{
 		Gbps: p.LinkGbps, PropPs: rttHalf, Seed: seed + 1,
 	})
@@ -99,14 +67,16 @@ func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64
 	if err != nil {
 		// Inputs are internally derived; an error here means a broken
 		// caller, reported as a never-completed zero-goodput point.
-		return GoodputResult{}
+		return GoodputResult{DropProb: impair.DropProb}
 	}
 
+	// Bound the run: generous deadline scaled to the ideal time.
 	ideal := int64(float64(total*8) / (p.LinkGbps * 1e9) * 1e12)
 	deadline := 200*ideal + 2*sim.S
 	eng.RunUntil(deadline)
 
 	res := GoodputResult{
+		DropProb:    impair.DropProb,
 		Retransmits: sender.Retransmits,
 		Timeouts:    sender.Timeouts,
 		Completed:   sender.Done(),
@@ -118,9 +88,7 @@ func MeasureGoodputBursty(p sim.Params, hook ULPHook, net BurstyNet, total int64
 	if !sender.Done() {
 		elapsed = eng.Now()
 	}
-	if elapsed > 0 {
-		res.GoodputGbps = float64(recv.Received*8) / (float64(elapsed) * 1e-12) / 1e9
-	}
+	res.GoodputGbps = recv.Goodput(elapsed) * 8 / 1e9
 	if nic, ok := hook.(*NICTLSHook); ok {
 		res.Resyncs = nic.Resyncs
 		res.FallbackEncrypts = nic.FallbackEncrypts

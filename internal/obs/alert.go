@@ -46,9 +46,9 @@ func (r Reduce) String() string {
 	return "?"
 }
 
-// Rule is one declarative alert. Build them with the Threshold,
-// Absence, and BurnRate constructors; zero-valued knobs take defaults
-// in Scraper.New.
+// Rule is one declarative alert. Build them with the Threshold and
+// BurnRate constructors or, for an absence rule, as a literal;
+// zero-valued knobs take defaults in Scraper.New.
 type Rule struct {
 	Name   string
 	Kind   RuleKind
@@ -78,12 +78,6 @@ type Rule struct {
 func Threshold(name, series string, red Reduce, windowPs int64, above float64, forPs int64) Rule {
 	return Rule{Name: name, Kind: KindThreshold, Series: series,
 		Reduce: red, WindowPs: windowPs, Above: above, ForPs: forPs}
-}
-
-// Absence builds an absence rule: fire while the series is silent for
-// longer than windowPs.
-func Absence(name, series string, windowPs int64) Rule {
-	return Rule{Name: name, Kind: KindAbsence, Series: series, WindowPs: windowPs}
 }
 
 // BurnRate builds a multi-window SLO burn-rate rule over a latency

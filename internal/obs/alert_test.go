@@ -109,7 +109,7 @@ func TestAlertDeltaThresholdResolves(t *testing.T) {
 // Absence: a series that stops reporting fires; one that never reported
 // fires with v=-1.
 func TestAlertAbsence(t *testing.T) {
-	r := Absence("gone", "x", 250)
+	r := Rule{Name: "gone", Kind: KindAbsence, Series: "x", WindowPs: 250}
 	if err := r.defaults(); err != nil {
 		t.Fatal(err)
 	}

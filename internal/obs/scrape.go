@@ -91,9 +91,6 @@ func (s *Scraper) IntervalPs() int64 { return s.cfg.IntervalPs }
 // Store returns the series store.
 func (s *Scraper) Store() *Store { return s.store }
 
-// Recorder returns the attached flight recorder (may be nil).
-func (s *Scraper) Recorder() *Recorder { return s.cfg.Recorder }
-
 // OnScrape subscribes a hook to run at the end of every scrape tick —
 // after sampling and alert evaluation, inside the same engine event.
 // Hooks run in subscription order. Subscribe before Start.

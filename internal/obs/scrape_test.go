@@ -70,7 +70,7 @@ func TestScraperEndToEnd(t *testing.T) {
 		t.Fatalf("alert order = %v, want %v\nlog:\n%s", order, want, sc.AlertLogString())
 	}
 
-	rec := sc.Recorder()
+	rec := sc.cfg.Recorder
 	if len(rec.Incidents) != 2 || rec.Dropped != 0 {
 		t.Fatalf("incidents = %d dropped = %d, want 2/0", len(rec.Incidents), rec.Dropped)
 	}
@@ -95,7 +95,7 @@ func TestScraperDeterministicReplay(t *testing.T) {
 	if a.AlertLogString() != b.AlertLogString() {
 		t.Fatalf("alert logs diverged:\n%s\nvs:\n%s", a.AlertLogString(), b.AlertLogString())
 	}
-	ra, rb := a.Recorder().Incidents, b.Recorder().Incidents
+	ra, rb := a.cfg.Recorder.Incidents, b.cfg.Recorder.Incidents
 	if len(ra) != len(rb) {
 		t.Fatalf("incident counts diverged: %d vs %d", len(ra), len(rb))
 	}

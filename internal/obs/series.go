@@ -50,9 +50,6 @@ func (s *Series) Len() int {
 	return s.n
 }
 
-// Dropped reports whether the ring has wrapped (oldest points lost).
-func (s *Series) Dropped() bool { return s != nil && s.n == len(s.buf) && s.head != 0 }
-
 // At returns the i-th retained point, oldest first (0 <= i < Len).
 func (s *Series) At(i int) Point { return s.buf[(s.head+i)%len(s.buf)] }
 
@@ -212,14 +209,6 @@ func (st *Store) Each(f func(*Series)) {
 	for _, se := range st.list {
 		f(se)
 	}
-}
-
-// Len returns the number of distinct series.
-func (st *Store) Len() int {
-	if st == nil {
-		return 0
-	}
-	return len(st.list)
 }
 
 // LastValue returns the newest value of the named series (0 if absent)

@@ -13,8 +13,8 @@ func TestSeriesRingWrap(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		s.push(Point{AtPs: i * 10, V: float64(i)})
 	}
-	if s.Len() != 4 || !s.Dropped() {
-		t.Fatalf("Len=%d Dropped=%v, want 4/true", s.Len(), s.Dropped())
+	if s.Len() != 4 || s.head == 0 {
+		t.Fatalf("Len=%d head=%d, want a wrapped ring of 4", s.Len(), s.head)
 	}
 	for i := 0; i < 4; i++ {
 		if got := s.At(i); got.V != float64(i+3) {
@@ -87,7 +87,7 @@ func TestStoreFirstSeenOrder(t *testing.T) {
 	if st.LastValue("b") != 3 || st.LastValue("a") != 2 || st.LastValue("missing") != 0 {
 		t.Fatalf("LastValue wrong: b=%g a=%g", st.LastValue("b"), st.LastValue("a"))
 	}
-	if st.Len() != 2 || st.Series("b").Len() != 2 {
+	if len(st.list) != 2 || st.Series("b").Len() != 2 {
 		t.Fatal("store counts wrong")
 	}
 }

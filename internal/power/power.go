@@ -52,9 +52,9 @@ func (m Model) DynamicAtFullWatts() float64 {
 	return sum
 }
 
-// PowerAt returns total power at the given DDR channel utilization
+// powerAt returns total power at the given DDR channel utilization
 // (0..1): static plus activity-proportional dynamic power.
-func (m Model) PowerAt(utilization float64) float64 {
+func (m Model) powerAt(utilization float64) float64 {
 	if utilization < 0 {
 		utilization = 0
 	}

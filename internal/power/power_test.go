@@ -31,14 +31,14 @@ func TestPowerMonotonicInUtilization(t *testing.T) {
 	m := PaperModel()
 	prev := -1.0
 	for u := 0.0; u <= 1.0; u += 0.1 {
-		p := m.PowerAt(u)
+		p := m.powerAt(u)
 		if p <= prev {
 			t.Fatalf("power not increasing at u=%.1f", u)
 		}
 		prev = p
 	}
 	// Clamping.
-	if m.PowerAt(-1) != m.PowerAt(0) || m.PowerAt(2) != m.PowerAt(1) {
+	if m.powerAt(-1) != m.powerAt(0) || m.powerAt(2) != m.powerAt(1) {
 		t.Fatal("utilization not clamped")
 	}
 	if m.AddedPowerAt(-1) != m.AddedPowerAt(0) || m.AddedPowerAt(2) != m.AddedPowerAt(1) {
@@ -48,10 +48,10 @@ func TestPowerMonotonicInUtilization(t *testing.T) {
 
 func TestPowerAtFullIncludesStatic(t *testing.T) {
 	m := PaperModel()
-	if m.PowerAt(1) <= m.DynamicAtFullWatts() {
+	if m.powerAt(1) <= m.DynamicAtFullWatts() {
 		t.Fatal("full power should include static")
 	}
-	if m.PowerAt(0) != m.StaticWatts {
+	if m.powerAt(0) != m.StaticWatts {
 		t.Fatal("idle power should equal static")
 	}
 }

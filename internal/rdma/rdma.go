@@ -9,8 +9,8 @@
 //     lands wholly inside a currently-valid MR — the invariant the
 //     chaos soak replays against.
 //   - Queue pairs (QP): a per-connection send queue of work-queue
-//     entries (WQE) bound to one MR, plus a shared completion queue
-//     (CQE per WQE, success or failure).
+//     entries (WQE) bound to one MR; each WQE completes, with success
+//     or failure, into the NIC's Stats.
 //   - Doorbells: posted WQEs execute only when the doorbell rings; the
 //     ring batches ceil(pending/doorbellBatch) descriptors per MMIO
 //     write exactly like the fleet's submission queues (same
@@ -137,14 +137,6 @@ type QP struct {
 	sq   []wqe
 }
 
-// CQE is one completion-queue entry.
-type CQE struct {
-	QP     int
-	Len    int
-	Status string // "ok", "rnr", "stale", "bounds"
-	AtPs   int64
-}
-
 // Landing records one executed write for invariant checks.
 type Landing struct {
 	Rkey uint32
@@ -182,7 +174,6 @@ type NIC struct {
 	qps     map[int]*QP
 	qpOrder []int
 
-	cq       []CQE
 	landings []Landing
 	trace    []string
 
@@ -412,20 +403,20 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 		}
 		cursor += rnrTimeoutPs << shift
 		if attempt+1 >= n.cfg.RetryLimit {
-			n.complete(qp.ID, len(w.data), "rnr", cursor)
+			n.complete(false)
 			n.tracef("fail c%d rnr", qp.ID)
 			return cursor
 		}
 	}
 	mr := n.mrs[w.rkey]
 	if mr == nil || !mr.Valid {
-		n.complete(qp.ID, len(w.data), "stale", cursor)
+		n.complete(false)
 		n.tracef("fail c%d rk%d invalid", qp.ID, w.rkey)
 		return cursor
 	}
 	if w.off < 0 || w.off+len(w.data) > mr.Len {
 		n.stats.BoundsRefusals++
-		n.complete(qp.ID, len(w.data), "bounds", cursor)
+		n.complete(false)
 		n.tracef("fail c%d rk%d bounds off=%d len=%d", qp.ID, w.rkey, w.off, len(w.data))
 		return cursor
 	}
@@ -442,7 +433,7 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 	if err != nil {
 		// Unmapped addresses cannot happen through a validated MR; a
 		// controller refusal is a completion error, not a landing.
-		n.complete(qp.ID, len(w.data), "bounds", cursor)
+		n.complete(false)
 		n.tracef("fail c%d write: %v", qp.ID, err)
 		return n.wireBusyPs
 	}
@@ -451,20 +442,19 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 		n.landings = append(n.landings, Landing{Rkey: w.rkey, Addr: mr.Addr + uint64(w.off), Len: len(w.data)})
 	}
 	cursor = n.wireBusyPs + wlat
-	n.complete(qp.ID, len(w.data), "ok", cursor)
+	n.complete(true)
 	n.tracef("exec c%d rk%d off=%d len=%d", qp.ID, w.rkey, w.off, len(w.data))
 	return cursor
 }
 
-// complete retires a WQE onto the completion queue.
-func (n *NIC) complete(qpID, ln int, status string, atPs int64) {
+// complete retires a WQE, counting whether it succeeded.
+func (n *NIC) complete(ok bool) {
 	n.pending--
-	if status == "ok" {
+	if ok {
 		n.stats.Completed++
 	} else {
 		n.stats.Failed++
 	}
-	n.cq = append(n.cq, CQE{QP: qpID, Len: ln, Status: status, AtPs: atPs})
 }
 
 // wirePs is the serialization time of one WQE payload on the port.
@@ -544,16 +534,6 @@ func (n *NIC) Preload(id, off int, data []byte) error {
 		n.landings = append(n.landings, Landing{Rkey: qp.Rkey, Addr: mr.Addr + uint64(off), Len: len(data)})
 	}
 	return nil
-}
-
-// PollCQ drains up to max completions (max <= 0 drains all).
-func (n *NIC) PollCQ(max int) []CQE {
-	if max <= 0 || max > len(n.cq) {
-		max = len(n.cq)
-	}
-	out := n.cq[:max]
-	n.cq = n.cq[max:]
-	return out
 }
 
 // qLen returns a QP's send-queue depth.

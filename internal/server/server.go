@@ -215,6 +215,9 @@ type Server struct {
 	// and construction-time staging go through the RDMA NIC instead of
 	// storage DMA through DDIO. Nil on the host-mediated path.
 	ing offload.Ingestor
+	// inline is the backend's InlineSource outside plain HTTP: the
+	// payload stays in conn.Src and the app copy is skipped.
+	inline bool
 	// bounceBytes accumulates host-DRAM bounce traffic (DDIO restages)
 	// for the LLC-pressure counter on the nic track.
 	bounceBytes uint64
@@ -286,10 +289,10 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 		s.nicTrack = tr.Track("nic")
 		s.reqTrack = tr.Track("requests")
 	}
-	inline := cfg.Mode != PlainHTTP && cfg.Backend != nil && cfg.Backend.InlineSource()
+	s.inline = cfg.Mode != PlainHTTP && cfg.Backend != nil && cfg.Backend.InlineSource()
 	if cfg.Sys.DataPath == sim.DataPathPeer {
 		ing, ok := cfg.Backend.(offload.Ingestor)
-		if !ok || !inline {
+		if !ok || !s.inline {
 			return nil, fmt.Errorf("server: peer data path needs an RDMA-backed inline backend (have %T)", cfg.Backend)
 		}
 		s.ing = ing
@@ -310,7 +313,7 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			}
 			c.oconn = oc
 		}
-		if inline {
+		if s.inline {
 			// The page cache lives in conn.Src on the SmartDIMM itself
 			// (Benefit B2); CompCpy consumes it without a staging copy.
 			c.filePage = c.oconn.Src
@@ -516,13 +519,41 @@ func (s *Server) failReq(rc *reqCtx, err error) {
 // LastError returns the most recent request-processing error, if any.
 func (s *Server) LastError() error { return s.lastErr }
 
+// stageIn lands payload in the connection's buffers. On the peer path
+// the record arrives as one-sided RDMA WRITEs in the connection's
+// registered MR: no storage read, no host-DRAM bounce, no DDIO
+// occupancy; the NIC charges doorbells, wire serialization and the
+// owning rank's write timing. On the host path it bounces through host
+// DRAM and the LLC's DMA ways, into conn.Src for an inline placement
+// and the file page otherwise, and takes hostPs. It returns the device
+// stage and its time.
+func (s *Server) stageIn(c *connState, payload []byte, hostPs int64) (int, int64, error) {
+	if s.ing != nil {
+		d, err := s.ing.Ingest(c.oconn, payload)
+		return StageRDMA, d, err
+	}
+	var err error
+	if s.inline {
+		err = offload.StagePayloadDMA(s.cfg.Sys, c.oconn, payload)
+	} else {
+		err = s.cfg.Sys.Hier.DMAWrite(c.filePage, payload)
+	}
+	if err != nil {
+		return StageParse, 0, err
+	}
+	if s.tr != nil {
+		s.bounceBytes += uint64(len(payload))
+		s.tr.Counter(s.nicTrack, "ddio_bounce_bytes", s.eng.Now(), float64(s.bounceBytes))
+	}
+	return StageBounce, hostPs, nil
+}
+
 // runStage executes one pipeline stage synchronously against the memory
 // system and schedules the next.
 func (s *Server) runStage(rc *reqCtx) {
 	c := rc.conn
 	p := s.cfg.Sys.Params
 	coreID := workerCore(rc.req.connID)
-	inline := s.cfg.Mode != PlainHTTP && s.cfg.Backend.InlineSource()
 
 	spec := rc.req.spec
 	payload := c.payload
@@ -534,75 +565,25 @@ func (s *Server) runStage(rc *reqCtx) {
 	case 0: // parse + payload fetch (file for GETs, request body for SETs)
 		cpu := p.HTTPParseNs * sim.Ns
 		var device int64
+		var err error
 		devStage := StageParse
 		if spec.Store {
-			// SET ingest: the value arrives with the request and is
-			// staged into the connection's buffers — over one-sided RDMA
-			// on the peer path, through the DDIO bounce on the host path
-			// (priced as the NIC's RX DMA window, no storage read).
-			if s.ing != nil {
-				d, err := s.ing.Ingest(c.oconn, payload)
-				if err != nil {
-					s.failReq(rc, err)
-					return
-				}
-				device = d
-				devStage = StageRDMA
-			} else {
-				if inline {
-					if err := offload.StagePayloadDMA(s.cfg.Sys, c.oconn, payload); err != nil {
-						s.failReq(rc, err)
-						return
-					}
-				} else if err := s.cfg.Sys.Hier.DMAWrite(c.filePage, payload); err != nil {
-					s.failReq(rc, err)
-					return
-				}
-				device = p.LinkSerializationPs(len(payload))
-				devStage = StageBounce
-				if s.tr != nil {
-					s.bounceBytes += uint64(len(payload))
-					s.tr.Counter(s.nicTrack, "ddio_bounce_bytes", s.eng.Now(), float64(s.bounceBytes))
-				}
-			}
+			// SET ingest: the value arrives with the request. On the host
+			// path its bounce is priced as the NIC's RX DMA window, no
+			// storage read.
+			devStage, device, err = s.stageIn(c, payload, p.LinkSerializationPs(len(payload)))
 		} else if s.rng.Float64() >= p.PageCacheHitRate {
-			if s.ing != nil {
-				// Peer-DMA refill: the record is re-fetched from the
-				// remote origin as one-sided RDMA WRITEs landing in the
-				// connection's registered MR — no storage read, no
-				// host-DRAM bounce, no DDIO occupancy. The NIC charges
-				// doorbells, wire serialization and the owning rank's
-				// write timing.
-				d, err := s.ing.Ingest(c.oconn, payload)
-				if err != nil {
-					s.failReq(rc, err)
-					return
-				}
-				device = d
-				devStage = StageRDMA
-			} else {
-				// Host-mediated refill: storage read plus the DDIO
-				// bounce through host DRAM / the LLC's DMA ways.
-				device = int64(p.StorageReadUsPer4KB * float64(sim.Us) * float64((spec.Payload+4095)/4096))
-				if inline {
-					if err := offload.StagePayloadDMA(s.cfg.Sys, c.oconn, payload); err != nil {
-						s.failReq(rc, err)
-						return
-					}
-				} else if err := s.cfg.Sys.Hier.DMAWrite(c.filePage, payload); err != nil {
-					s.failReq(rc, err)
-					return
-				}
-				devStage = StageBounce
-				if s.tr != nil {
-					s.bounceBytes += uint64(len(payload))
-					s.tr.Counter(s.nicTrack, "ddio_bounce_bytes", s.eng.Now(), float64(s.bounceBytes))
-				}
-			}
+			// Refill: on the host path a storage read plus the bounce.
+			devStage, device, err = s.stageIn(c, payload,
+				int64(p.StorageReadUsPer4KB*float64(sim.Us)*float64((spec.Payload+4095)/4096)))
+		}
+		if err != nil {
+			s.failReq(rc, err)
+			return
 		}
 		if s.cfg.Mode == PlainHTTP {
 			rc.stage++ // skip the copy and ULP stages
-		} else if inline {
+		} else if s.inline {
 			// conn.Src now holds the payload Process will consume: tell
 			// the backend while the request waits for its ULP stage.
 			s.cfg.Backend.Staged(s.cfg.Mode.ULP(), c.oconn, payload)
@@ -611,7 +592,7 @@ func (s *Server) runStage(rc *reqCtx) {
 
 	case 1: // app copy out of the page cache (skipped for inline)
 		var cpu int64
-		if !inline {
+		if !s.inline {
 			var rdLat int64
 			var err error
 			s.txBuf, rdLat, err = s.cfg.Sys.Hier.Read(s.txBuf[:0], coreID, c.filePage, spec.Payload)
@@ -637,7 +618,7 @@ func (s *Server) runStage(rc *reqCtx) {
 		var buf [2]stagePart
 		parts := buf[:0]
 		if spec.GatherBytes > 0 {
-			gcpu, gdev, err := s.gather(rc, spec.GatherBytes, coreID, inline)
+			gcpu, gdev, err := s.gather(rc, spec.GatherBytes, coreID)
 			if err != nil {
 				s.failReq(rc, err)
 				return
@@ -680,7 +661,7 @@ func (s *Server) runStage(rc *reqCtx) {
 // near-memory gather; otherwise the CPU pulls the rows through the
 // cache hierarchy (CPU time). Gathers wider than the staged region wrap
 // around it chunk by chunk.
-func (s *Server) gather(rc *reqCtx, n, coreID int, inline bool) (cpu, dev int64, err error) {
+func (s *Server) gather(rc *reqCtx, n, coreID int) (cpu, dev int64, err error) {
 	c := rc.conn
 	chunk := s.cfg.MsgSize
 	for n > 0 {
@@ -688,7 +669,7 @@ func (s *Server) gather(rc *reqCtx, n, coreID int, inline bool) (cpu, dev int64,
 		if step > chunk {
 			step = chunk
 		}
-		if inline {
+		if s.inline {
 			var lat int64
 			s.txBuf, lat, err = s.cfg.Sys.Hier.DMARead(s.txBuf[:0], c.oconn.Src, step)
 			if err != nil {

@@ -6,7 +6,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 
 	"repro/internal/telemetry"
 )
@@ -164,20 +163,6 @@ func (e *Engine) RunUntil(deadline int64) uint64 {
 	}
 	if e.Tracer != nil && deadline > start {
 		e.Tracer.Span(e.Tracer.Track("engine"), "run", start, deadline-start)
-	}
-	return n
-}
-
-// Run processes events until none remain. It guards against runaway
-// simulations with a generous event cap.
-func (e *Engine) Run() uint64 {
-	const maxEvents = 500_000_000
-	n := uint64(0)
-	for e.Step() {
-		n++
-		if n > maxEvents {
-			panic(fmt.Sprintf("sim: runaway simulation (> %d events)", uint64(maxEvents)))
-		}
 	}
 	return n
 }

@@ -75,7 +75,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 				left[s] = 512
 				se.Shard(s).After(100, ticks[s])
 			}
-			se.Run()
+			drain(se)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -83,7 +83,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 					left[s] = 512
 					se.Shard(s).After(100, ticks[s])
 				}
-				se.Run()
+				drain(se)
 			}
 			b.StopTimer()
 			// Per-op work is 512 events per shard; report the rate the

@@ -108,20 +108,6 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // global simulated time.
 func (se *ShardedEngine) Now() int64 { return se.shards[0].Now() }
 
-// Pending aggregates live queued events across every shard plus
-// cross-shard messages still buffered for barrier delivery — not shard
-// 0's queue alone.
-func (se *ShardedEngine) Pending() int {
-	n := 0
-	for _, sh := range se.shards {
-		n += sh.Pending()
-	}
-	for _, box := range se.outbox {
-		n += len(box)
-	}
-	return n
-}
-
 // Processed aggregates events run across every shard.
 func (se *ShardedEngine) Processed() uint64 {
 	n := uint64(0)
@@ -220,29 +206,6 @@ func (se *ShardedEngine) RunUntil(deadline int64) uint64 {
 		}
 	}
 	return total
-}
-
-// Run drains every shard to quiescence (no queued events, no buffered
-// messages), honoring the same runaway cap as Engine.Run.
-func (se *ShardedEngine) Run() uint64 {
-	const maxEvents = 500_000_000
-	total := uint64(0)
-	for {
-		se.deliver()
-		minNext, any := int64(0), false
-		for _, sh := range se.shards {
-			if t, ok := sh.NextAt(); ok && (!any || t < minNext) {
-				minNext, any = t, true
-			}
-		}
-		if !any {
-			return total
-		}
-		total += se.runEpoch(minNext + se.lookahead)
-		if total > maxEvents {
-			panic(fmt.Sprintf("sim: runaway sharded simulation (> %d events)", uint64(maxEvents)))
-		}
-	}
 }
 
 // runEpoch executes one lookahead window on every shard with queued

@@ -11,7 +11,8 @@ func TestEngineOrdering(t *testing.T) {
 	e.After(300, func() { order = append(order, 3) })
 	e.After(100, func() { order = append(order, 1) })
 	e.After(200, func() { order = append(order, 2) })
-	e.Run()
+	for e.Step() {
+	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -27,7 +28,8 @@ func TestEngineTieBreakInsertionOrder(t *testing.T) {
 		i := i
 		e.At(50, func() { order = append(order, i) })
 	}
-	e.Run()
+	for e.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-break violated: %v", order)
@@ -41,7 +43,8 @@ func TestEngineCancel(t *testing.T) {
 	cancel := e.After(10, func() { ran = true })
 	cancel.Cancel()
 	cancel.Cancel() // idempotent
-	e.Run()
+	for e.Step() {
+	}
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -74,7 +77,8 @@ func TestEngineEventsScheduledDuringRun(t *testing.T) {
 	e.After(10, func() {
 		e.After(5, func() { hits = append(hits, e.Now()) })
 	})
-	e.Run()
+	for e.Step() {
+	}
 	if len(hits) != 1 || hits[0] != 15 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -89,7 +93,8 @@ func TestEnginePastEventClampsToNow(t *testing.T) {
 			}
 		})
 	})
-	e.Run()
+	for e.Step() {
+	}
 }
 
 func TestParamsConversions(t *testing.T) {

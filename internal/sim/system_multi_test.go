@@ -45,7 +45,8 @@ func TestContentionModelInflatesLatency(t *testing.T) {
 		}
 	}
 	sys.Engine.After(0, hammer)
-	sys.Engine.Run()
+	for sys.Engine.Step() {
+	}
 	if tickErr != nil {
 		t.Fatal(tickErr)
 	}

@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -90,11 +89,10 @@ func (m *BandwidthMeter) Utilization() float64 {
 	return m.MeanBytesPerSec() / m.PeakBytesPerSec
 }
 
-// Merge folds another meter's traffic into this one, so per-device
-// channel meters aggregate into a fleet total. Byte counts add; the
-// merged observation window spans both meters' windows (fleet members
-// run under one simulated clock, so the union interval is meaningful).
-func (m *BandwidthMeter) Merge(o *BandwidthMeter) {
+// merge folds another meter's traffic into this one. Byte counts add;
+// the merged observation window spans both meters' windows (meters
+// under one simulated clock, so the union interval is meaningful).
+func (m *BandwidthMeter) merge(o *BandwidthMeter) {
 	if o == nil || !o.started {
 		return
 	}
@@ -211,9 +209,6 @@ func (h *Histogram) SetBounded() {
 	}
 	h.samples, h.sorted = nil, false
 }
-
-// Bounded reports whether the histogram is in log2-bucketed mode.
-func (h *Histogram) Bounded() bool { return h.bounded }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
@@ -384,9 +379,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() float64 { return h.Percentile(100) }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
 // Collect implements telemetry.Collector.
 func (h *Histogram) Collect(emit func(telemetry.Sample)) {
 	emit(telemetry.Sample{Name: "count", Value: float64(h.Count())})
@@ -404,64 +396,5 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.n = 0
 	h.min, h.max = 0, 0
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-}
-
-// TimeSeries captures (time, value) pairs for figures that plot a value
-// over time, such as Fig. 10's scratchpad occupancy curves.
-type TimeSeries struct {
-	Name   string
-	Points []SeriesPoint
-}
-
-// SeriesPoint is one (time, value) observation.
-type SeriesPoint struct {
-	AtPs  int64
-	Value float64
-}
-
-// Append records a point at simulated time atPs.
-func (t *TimeSeries) Append(atPs int64, v float64) {
-	t.Points = append(t.Points, SeriesPoint{AtPs: atPs, Value: v})
-}
-
-// Last returns the most recent value, or 0 when empty.
-func (t *TimeSeries) Last() float64 {
-	if len(t.Points) == 0 {
-		return 0
-	}
-	return t.Points[len(t.Points)-1].Value
-}
-
-// MaxAfter returns the maximum value among points at or after fromPs.
-// It is used to check equilibrium occupancy in Fig. 10 after warmup.
-func (t *TimeSeries) MaxAfter(fromPs int64) float64 {
-	max := 0.0
-	for _, p := range t.Points {
-		if p.AtPs >= fromPs && p.Value > max {
-			max = p.Value
-		}
-	}
-	return max
-}
-
-// Downsample returns at most n points evenly spaced across the series,
-// which keeps figure dumps readable.
-func (t *TimeSeries) Downsample(n int) []SeriesPoint {
-	if n <= 0 || len(t.Points) <= n {
-		return t.Points
-	}
-	out := make([]SeriesPoint, 0, n)
-	step := float64(len(t.Points)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, t.Points[int(float64(i)*step)])
-	}
-	return out
-}
-
-// String renders a short summary of the series.
-func (t *TimeSeries) String() string {
-	return fmt.Sprintf("series %q: %d points, last=%.3f", t.Name, len(t.Points), t.Last())
+	clear(h.buckets)
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,8 +57,8 @@ func TestHistogramPercentiles(t *testing.T) {
 	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", got)
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Percentile(0) != 1 || h.Max() != 100 {
+		t.Fatalf("min/max = %v/%v", h.Percentile(0), h.Max())
 	}
 }
 
@@ -104,40 +103,6 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := TimeSeries{Name: "occupancy"}
-	for i := int64(0); i < 10; i++ {
-		ts.Append(i*100, float64(i))
-	}
-	if ts.Last() != 9 {
-		t.Fatalf("last = %v, want 9", ts.Last())
-	}
-	if got := ts.MaxAfter(500); got != 9 {
-		t.Fatalf("max after 500 = %v, want 9", got)
-	}
-	if got := ts.MaxAfter(10_000); got != 0 {
-		t.Fatalf("max after end = %v, want 0", got)
-	}
-	ds := ts.Downsample(3)
-	if len(ds) != 3 {
-		t.Fatalf("downsample = %d points, want 3", len(ds))
-	}
-	if !strings.Contains(ts.String(), "occupancy") {
-		t.Fatalf("String() = %q", ts.String())
-	}
-}
-
-func TestTimeSeriesDownsampleSmall(t *testing.T) {
-	ts := TimeSeries{}
-	ts.Append(1, 1)
-	if got := ts.Downsample(10); len(got) != 1 {
-		t.Fatalf("downsample of 1 point = %d, want 1", len(got))
-	}
-	if got := ts.Downsample(0); len(got) != 1 {
-		t.Fatalf("downsample(0) should return all points")
-	}
-}
-
 func TestCASTraceCountsAndLimit(t *testing.T) {
 	tr := CASTrace{Limit: 2}
 	tr.Record(CASEvent{AtPs: 1, Kind: RdCAS, PhysAddr: 0x1000, Core: 0})
@@ -146,8 +111,8 @@ func TestCASTraceCountsAndLimit(t *testing.T) {
 	if tr.Reads() != 2 || tr.Writes() != 1 {
 		t.Fatalf("reads/writes = %d/%d, want 2/1", tr.Reads(), tr.Writes())
 	}
-	if tr.Dropped() != 1 || len(tr.Events) != 2 {
-		t.Fatalf("dropped=%d stored=%d, want 1/2", tr.Dropped(), len(tr.Events))
+	if tr.dropped != 1 || len(tr.Events) != 2 {
+		t.Fatalf("dropped=%d stored=%d, want 1/2", tr.dropped, len(tr.Events))
 	}
 }
 
@@ -262,7 +227,7 @@ func TestBandwidthMeterMerge(t *testing.T) {
 	a.Record(1e12, 1000) // 2000B over 1s
 	b.Record(5e11, 500)
 	b.Record(2e12, 1500) // 2000B, window extends to 2s
-	a.Merge(b)
+	a.merge(b)
 	if got := a.TotalBytes(); got != 4000 {
 		t.Fatalf("merged total = %d, want 4000", got)
 	}
@@ -272,12 +237,12 @@ func TestBandwidthMeterMerge(t *testing.T) {
 	}
 	// Merging into a fresh meter adopts the argument's window.
 	total := &BandwidthMeter{}
-	total.Merge(a)
+	total.merge(a)
 	if total.TotalBytes() != 4000 || total.MeanBytesPerSec() != a.MeanBytesPerSec() {
 		t.Fatal("merge into fresh meter should adopt totals and window")
 	}
 	var idle BandwidthMeter
-	total.Merge(&idle) // unstarted argument is a no-op
+	total.merge(&idle) // unstarted argument is a no-op
 	if total.TotalBytes() != 4000 {
 		t.Fatal("merging an unstarted meter must not change totals")
 	}
@@ -288,7 +253,7 @@ func TestBandwidthMeterMerge(t *testing.T) {
 func TestBoundedHistogramPercentiles(t *testing.T) {
 	var h Histogram
 	h.SetBounded()
-	if !h.Bounded() {
+	if !h.bounded {
 		t.Fatal("SetBounded did not switch modes")
 	}
 	for i := 1; i <= 1000; i++ {
@@ -300,8 +265,8 @@ func TestBoundedHistogramPercentiles(t *testing.T) {
 	if got := h.Mean(); math.Abs(got-500.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 500.5 (mean must stay exact)", got)
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min/max = %v/%v, want exact 1/1000", h.Min(), h.Max())
+	if h.Percentile(0) != 1 || h.Max() != 1000 {
+		t.Fatalf("min/max = %v/%v, want exact 1/1000", h.Percentile(0), h.Max())
 	}
 	// One sub-bucket spans 1/histSubBuckets of an octave: relative error
 	// is bounded by a factor of 2^(1/16)-ish; 10% is comfortably outside.
@@ -321,8 +286,8 @@ func TestSetBoundedConvertsExistingSamples(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	h.SetBounded()
-	if h.Count() != 100 || h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("conversion lost state: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 100 || h.Percentile(0) != 1 || h.Max() != 100 {
+		t.Fatalf("conversion lost state: count=%d min=%v max=%v", h.Count(), h.Percentile(0), h.Max())
 	}
 	if got := h.Percentile(50); math.Abs(got-50)/50 > 0.10 {
 		t.Fatalf("p50 after conversion = %v, want ~50", got)
@@ -354,8 +319,8 @@ func TestBoundedMergeMatchesUnion(t *testing.T) {
 			t.Fatalf("merged p%v = %v, union = %v", p, got, w)
 		}
 	}
-	if a.Min() != want.Min() || a.Max() != want.Max() {
-		t.Fatalf("merged min/max = %v/%v, want %v/%v", a.Min(), a.Max(), want.Min(), want.Max())
+	if a.Percentile(0) != want.Percentile(0) || a.Max() != want.Max() {
+		t.Fatalf("merged min/max = %v/%v, want %v/%v", a.Percentile(0), a.Max(), want.Percentile(0), want.Max())
 	}
 }
 
@@ -371,11 +336,11 @@ func TestHistogramMergeModeContagion(t *testing.T) {
 	}
 	recv := exact // copy: exact receiver, bounded argument
 	recv.Merge(&bounded)
-	if !recv.Bounded() {
+	if !recv.bounded {
 		t.Fatal("exact receiver did not promote on bounded merge")
 	}
-	if recv.Count() != 100 || recv.Min() != 1 || recv.Max() != 100 {
-		t.Fatalf("promoted merge state: count=%d min=%v max=%v", recv.Count(), recv.Min(), recv.Max())
+	if recv.Count() != 100 || recv.Percentile(0) != 1 || recv.Max() != 100 {
+		t.Fatalf("promoted merge state: count=%d min=%v max=%v", recv.Count(), recv.Percentile(0), recv.Max())
 	}
 
 	var recv2 Histogram
@@ -384,8 +349,8 @@ func TestHistogramMergeModeContagion(t *testing.T) {
 		recv2.Observe(float64(i + 50))
 	}
 	recv2.Merge(&exact) // bounded receiver, exact argument
-	if recv2.Count() != 100 || recv2.Min() != 1 || recv2.Max() != 100 {
-		t.Fatalf("bounded<-exact merge state: count=%d min=%v max=%v", recv2.Count(), recv2.Min(), recv2.Max())
+	if recv2.Count() != 100 || recv2.Percentile(0) != 1 || recv2.Max() != 100 {
+		t.Fatalf("bounded<-exact merge state: count=%d min=%v max=%v", recv2.Count(), recv2.Percentile(0), recv2.Max())
 	}
 	if got := recv2.Percentile(50); math.Abs(got-50)/50 > 0.10 {
 		t.Fatalf("bounded<-exact p50 = %v, want ~50", got)
@@ -443,7 +408,7 @@ func TestBoundedReset(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("reset did not clear bounded histogram")
 	}
-	if !h.Bounded() {
+	if !h.bounded {
 		t.Fatal("reset dropped bounded mode")
 	}
 	h.Observe(7)

@@ -66,9 +66,6 @@ func (t *CASTrace) Reads() uint64 { return t.reads }
 // Writes returns the total wrCAS count, including unstored events.
 func (t *CASTrace) Writes() uint64 { return t.writes }
 
-// Dropped returns how many events exceeded Limit and were not stored.
-func (t *CASTrace) Dropped() uint64 { return t.dropped }
-
 // Dump writes the trace as "time_ps kind phys_addr core" rows, suitable
 // for plotting Fig. 9 with gnuplot.
 func (t *CASTrace) Dump(w io.Writer) error {

@@ -34,9 +34,6 @@ func NewWindow(epochs int) *Window {
 	return w
 }
 
-// Epochs returns the window length in Roll intervals.
-func (w *Window) Epochs() int { return len(w.epochs) }
-
 // Observe records one sample into the current epoch.
 func (w *Window) Observe(v float64) {
 	w.epochs[w.cur].Observe(v)
@@ -45,7 +42,7 @@ func (w *Window) Observe(v float64) {
 
 // Roll closes the current epoch and evicts the oldest one. The
 // autoscaler calls it once per control tick, making the window span
-// Epochs() ticks of history.
+// NewWindow's epochs ticks of history.
 func (w *Window) Roll() {
 	w.cur = (w.cur + 1) % len(w.epochs)
 	w.epochs[w.cur].Reset()
@@ -64,16 +61,6 @@ func (w *Window) merged() *Histogram {
 	}
 	return &w.scratch
 }
-
-// Count returns the number of samples across the live epochs.
-func (w *Window) Count() int { return w.merged().Count() }
-
-// Mean returns the mean over the live epochs, or 0 when empty.
-func (w *Window) Mean() float64 { return w.merged().Mean() }
-
-// Percentile returns the p-th percentile over the live epochs (bounded
-// histogram semantics), or 0 when empty.
-func (w *Window) Percentile(p float64) float64 { return w.merged().Percentile(p) }
 
 // Collect implements telemetry.Collector with the same sample names as
 // Histogram, so "prefix.p99" reads the windowed tail.

@@ -12,7 +12,7 @@ func TestWindowRollEvictsOldEpochs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		w.Observe(1000) // epoch A: high
 	}
-	if got := w.Percentile(99); math.Abs(got-1000)/1000 > 0.1 {
+	if got := w.merged().Percentile(99); math.Abs(got-1000)/1000 > 0.1 {
 		t.Fatalf("p99 before roll = %g, want ~1000", got)
 	}
 	w.Roll()
@@ -20,7 +20,7 @@ func TestWindowRollEvictsOldEpochs(t *testing.T) {
 		w.Observe(10)
 	}
 	// Window still spans both epochs: p99 dominated by the old highs.
-	if got := w.Percentile(99); got < 500 {
+	if got := w.merged().Percentile(99); got < 500 {
 		t.Fatalf("p99 with high epoch live = %g, want > 500", got)
 	}
 	// Two more rolls push epoch A out of the window entirely.
@@ -32,10 +32,10 @@ func TestWindowRollEvictsOldEpochs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		w.Observe(10)
 	}
-	if got := w.Percentile(99); got > 50 {
+	if got := w.merged().Percentile(99); got > 50 {
 		t.Fatalf("p99 after eviction = %g, want ~10", got)
 	}
-	if n := w.Count(); n != 300 {
+	if n := w.merged().Count(); n != 300 {
 		t.Fatalf("count = %d, want 300 (3 live epochs x 100)", n)
 	}
 }
@@ -55,15 +55,15 @@ func TestWindowRollWrapsPastEpochs(t *testing.T) {
 			w.Observe(100 * float64(epoch+1))
 		}
 	}
-	if n := w.Count(); n != 30 {
+	if n := w.merged().Count(); n != 30 {
 		t.Fatalf("count after wraparound = %d, want 30 (3 live epochs)", n)
 	}
 	// Oldest live epoch holds value 800: the minimum must not reach
 	// further back than that, and the mean must be ~(800+900+1000)/3.
-	if min := w.Percentile(0); min < 700 {
+	if min := w.merged().Percentile(0); min < 700 {
 		t.Fatalf("min = %g, want >= ~800 (older epochs must be evicted)", min)
 	}
-	if mean := w.Mean(); math.Abs(mean-900)/900 > 0.01 {
+	if mean := w.merged().Mean(); math.Abs(mean-900)/900 > 0.01 {
 		t.Fatalf("mean = %g, want ~900", mean)
 	}
 }
@@ -73,22 +73,22 @@ func TestWindowRollWrapsPastEpochs(t *testing.T) {
 func TestWindowSingleEpochDegenerate(t *testing.T) {
 	for _, req := range []int{1, 0, -5} {
 		w := NewWindow(req)
-		if w.Epochs() != 1 {
-			t.Fatalf("NewWindow(%d).Epochs() = %d, want 1", req, w.Epochs())
+		if len(w.epochs) != 1 {
+			t.Fatalf("NewWindow(%d).Epochs() = %d, want 1", req, len(w.epochs))
 		}
 		w.Observe(100)
 		w.Observe(200)
-		if w.Count() != 2 {
-			t.Fatalf("count = %d, want 2", w.Count())
+		if w.merged().Count() != 2 {
+			t.Fatalf("count = %d, want 2", w.merged().Count())
 		}
 		w.Roll()
-		if w.Count() != 0 || w.Percentile(99) != 0 || w.Mean() != 0 {
+		if w.merged().Count() != 0 || w.merged().Percentile(99) != 0 || w.merged().Mean() != 0 {
 			t.Fatalf("NewWindow(%d): roll did not clear the single epoch: count=%d",
-				req, w.Count())
+				req, w.merged().Count())
 		}
 		w.Observe(50)
-		if w.Count() != 1 {
-			t.Fatalf("post-roll observe lost: count = %d", w.Count())
+		if w.merged().Count() != 1 {
+			t.Fatalf("post-roll observe lost: count = %d", w.merged().Count())
 		}
 	}
 }
@@ -98,18 +98,18 @@ func TestWindowSingleEpochDegenerate(t *testing.T) {
 func TestWindowObserveAfterRollIsFresh(t *testing.T) {
 	w := NewWindow(4)
 	w.Observe(10)
-	if w.Count() != 1 { // force the merge cache to populate
+	if w.merged().Count() != 1 { // force the merge cache to populate
 		t.Fatal("setup")
 	}
 	w.Roll()
-	if w.Count() != 1 { // cache rebuilt after roll, old sample still live
-		t.Fatalf("post-roll count = %d, want 1", w.Count())
+	if w.merged().Count() != 1 { // cache rebuilt after roll, old sample still live
+		t.Fatalf("post-roll count = %d, want 1", w.merged().Count())
 	}
 	w.Observe(1000)
-	if w.Count() != 2 {
-		t.Fatalf("observe after roll invisible: count = %d, want 2", w.Count())
+	if w.merged().Count() != 2 {
+		t.Fatalf("observe after roll invisible: count = %d, want 2", w.merged().Count())
 	}
-	if max := w.Percentile(100); max < 900 {
+	if max := w.merged().Percentile(100); max < 900 {
 		t.Fatalf("fresh sample missing from percentile: max = %g", max)
 	}
 }
@@ -128,16 +128,16 @@ func TestWindowMergeContagionThroughCollect(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		total.Observe(3)
 	}
-	if total.Bounded() {
+	if total.bounded {
 		t.Fatal("fresh histogram should start exact")
 	}
 	// Merge the window's aggregate (bounded by construction) into the
 	// exact total: the receiver must promote itself.
-	if !w.merged().Bounded() {
+	if !w.merged().bounded {
 		t.Fatal("window aggregate should be bounded by construction")
 	}
 	total.Merge(w.merged())
-	if !total.Bounded() {
+	if !total.bounded {
 		t.Fatal("merging a bounded sketch did not promote the receiver")
 	}
 
@@ -159,7 +159,7 @@ func TestWindowMergeContagionThroughCollect(t *testing.T) {
 
 func TestWindowEmptyAndCollect(t *testing.T) {
 	w := NewWindow(2)
-	if w.Count() != 0 || w.Percentile(99) != 0 || w.Mean() != 0 {
+	if w.merged().Count() != 0 || w.merged().Percentile(99) != 0 || w.merged().Mean() != 0 {
 		t.Fatalf("empty window should report zeros")
 	}
 	w.Observe(4)

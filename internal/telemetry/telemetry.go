@@ -58,9 +58,6 @@ type Tracer struct {
 // New returns an enabled Tracer.
 func New() *Tracer { return &Tracer{byName: map[string]TrackID{}} }
 
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Track returns the ID of the named track, creating it on first use.
 // Components cache the ID at construction so per-event sites skip the
 // map lookup. On a nil Tracer it returns 0.

@@ -25,8 +25,7 @@ import (
 // the RNG out of the sampler is deliberate — per-connection determinism
 // needs the caller to own every bit of random state.
 type Zipf struct {
-	cum  []float64 // cum[k] = P(key <= k), cum[n-1] == 1
-	mean float64   // analytic E[key]
+	cum []float64 // cum[k] = P(key <= k), cum[n-1] == 1
 }
 
 // NewZipf builds the inverse-CDF table for n keys at skew s (s=0 is
@@ -43,34 +42,16 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	for k := 0; k < n; k++ {
 		total += math.Pow(float64(k+1), -s)
 	}
-	run, meanAcc := 0.0, 0.0
+	run := 0.0
 	for k := 0; k < n; k++ {
-		p := math.Pow(float64(k+1), -s) / total
-		run += p
-		meanAcc += float64(k) * p
+		run += math.Pow(float64(k+1), -s) / total
 		z.cum[k] = run
 	}
 	z.cum[n-1] = 1 // absorb rounding
-	z.mean = meanAcc
 	return z, nil
 }
 
 // Sample maps a uniform variate u in [0,1) to a key.
 func (z *Zipf) Sample(u float64) int {
 	return sort.SearchFloat64s(z.cum, u)
-}
-
-// N returns the key-space size.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Mean returns the analytic expected key index — the exact moment the
-// sampler test compares empirical draws against.
-func (z *Zipf) Mean() float64 { return z.mean }
-
-// P returns the probability of key k.
-func (z *Zipf) P(k int) float64 {
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
 }
