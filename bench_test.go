@@ -215,7 +215,7 @@ func BenchmarkFlushResidency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), d), Mod: d})
+	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(dram.DDR4_3200(), d), Mod: d})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func BenchmarkReadWriteSlack(b *testing.B) {
 	var slackSum int64
 	for i := 0; i < b.N; i++ {
 		d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
-		ctl := memctrl.New(memctrl.DefaultConfig(), d)
+		ctl := memctrl.New(dram.DDR4_3200(), d)
 		tr := &stats.CASTrace{}
 		ctl.Trace = tr
 		buf := make([]byte, 64)

@@ -116,7 +116,9 @@
 #                     compiles them)
 #
 #  19. unused      — internal/unused type-checks the module and bench/,
-#                     tests included, and fails on an exported
+#                     tests included, under the default build tags
+#                     and again under the race tag (a use seen under
+#                     either counts), and fails on an exported
 #                     identifier of a non-main package that nothing
 #                     references (a method that satisfies an interface
 #                     and an embedded field are exempt): delete it, or
@@ -177,7 +179,7 @@ cluster  -race         TestClusterDeterministicAcrossWorkers|TestClusterServesLi
 rdma     -race         RDMA                                               ./internal/rdma/ ./internal/fleet/ ./internal/experiments/
 rdma     -race,-short  TestRDMASoak|TestRDMASameSeedSameTrace             ./internal/chaos/
 workload -race         -                                                  ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
-workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration ./internal/fleet/
+workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry ./internal/fleet/
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/

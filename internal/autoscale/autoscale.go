@@ -60,6 +60,11 @@ const (
 	// minSamples skips control decisions on ticks whose window holds
 	// fewer completions (idle start, post-reshard gap).
 	minSamples = 32
+	// The active ranks' qdepth p99s are imbalanced when max >
+	// imbalanceRatio*min; imbalanceAfter consecutive imbalanced ticks
+	// flip the policy.
+	imbalanceRatio = 4
+	imbalanceAfter = 3
 )
 
 // Config parameterizes a controller.
@@ -88,12 +93,10 @@ type Config struct {
 	MinActive int
 
 	// FlipPolicy, when non-nil, is invoked (once) when the active ranks'
-	// qdepth p99s stay imbalanced — max > ImbalanceRatio*min — for
-	// ImbalanceAfter consecutive ticks: the hook where the fleet flips
+	// qdepth p99s stay imbalanced — max > imbalanceRatio*min — for
+	// imbalanceAfter consecutive ticks: the hook where the fleet flips
 	// rr/affinity to leastload live.
-	FlipPolicy     func()
-	ImbalanceRatio float64 // zero selects 4
-	ImbalanceAfter int     // zero selects 3
+	FlipPolicy func()
 
 	// OnAction, when non-nil, observes every control decision as it is
 	// taken — the flight recorder's correlation feed.
@@ -121,12 +124,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MinActive <= 0 {
 		c.MinActive = 1
-	}
-	if c.ImbalanceRatio <= 0 {
-		c.ImbalanceRatio = 4
-	}
-	if c.ImbalanceAfter <= 0 {
-		c.ImbalanceAfter = 3
 	}
 	return nil
 }
@@ -296,11 +293,11 @@ func (c *Controller) checkImbalance(atPs int64, st *obs.Store, p99 float64) {
 		}
 		n++
 	}
-	if n < 2 || max <= (min+1)*c.cfg.ImbalanceRatio {
+	if n < 2 || max <= (min+1)*imbalanceRatio {
 		c.imbStreak = 0
 		return
 	}
-	if c.imbStreak++; c.imbStreak >= c.cfg.ImbalanceAfter {
+	if c.imbStreak++; c.imbStreak >= imbalanceAfter {
 		c.cfg.FlipPolicy()
 		c.flipped = true
 		c.act(atPs, "flip-policy", -1, p99)

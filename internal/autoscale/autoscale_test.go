@@ -204,7 +204,7 @@ func TestImbalanceFlipsPolicyOnce(t *testing.T) {
 	fl := newFakeScaler(2, 2)
 	c := newController(t, eng, reg, fl, Config{
 		SLOPs: slo, TickPs: 100 * sim.Us,
-		FlipPolicy: func() { flips++ }, ImbalanceRatio: 4, ImbalanceAfter: 3,
+		FlipPolicy: func() { flips++ },
 	})
 	eng.RunUntil(30 * 100 * sim.Us)
 	if flips != 1 {

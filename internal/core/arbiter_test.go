@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/aesgcm"
-	"repro/internal/deflate"
 	"repro/internal/dram"
 )
 
@@ -338,84 +338,72 @@ func TestBuildDSAErrors(t *testing.T) {
 		t.Fatal("zero-length decompress accepted")
 	}
 
-	// Out-of-range compression configs are rejected with ErrDSAConfig
-	// before any encoder is built.
+	// A compression context whose reserved word is not all zero is
+	// rejected with ErrDSAConfig before anything is built.
 	var enc encoderSlot
-	bad := map[string]deflate.HWConfig{
-		"window-over-chunk":    {ParallelWindow: deflate.ChunkSize + 1},
-		"huge-table":           {ParallelWindow: 8, Banks: 8, TableEntries: maxDSATableEntries + 1},
-		"billions-of-entries":  {ParallelWindow: 8, Banks: 1 << 31, TableEntries: 1<<32 - 1},
-		"banks-over-entries":   {ParallelWindow: 8, Banks: 64, TableEntries: 32},
-		"banks-over-default":   {ParallelWindow: 8, Banks: 5000},
-		"history-over-rfc":     {ParallelWindow: 8, WindowSize: deflate.MaxDistance + 1},
-		"negative-wraps-large": {ParallelWindow: 8, WindowSize: -1},
+	good, err := marshalContext(nil, &OffloadContext{Op: OpCompress, Length: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, cfg := range bad {
-		raw, err := marshalContext(nil, &OffloadContext{Op: OpCompress, HW: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
+	bad := map[string][]byte{
+		"first-byte":  {0: 8},
+		"last-byte":   {compressContextBytes - 1: 1},
+		"all-ones":    bytes.Repeat([]byte{0xff}, compressContextBytes),
+		"past-word":   append(make([]byte, compressContextBytes), 1),
+		"short-word":  {3: 0x80},
+		"paper-value": binary.LittleEndian.AppendUint32(make([]byte, 4), 8),
+	}
+	for name, raw := range bad {
 		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc, 0); !errors.Is(err, ErrDSAConfig) {
 			t.Errorf("%s: err = %v, want ErrDSAConfig", name, err)
 		}
 	}
+	if len(enc.free)+len(enc.units)+len(enc.spare) != 0 || enc.framer != nil {
+		t.Fatal("rejected contexts built a DSA, a work unit or a framer")
+	}
+	if len(good) != compressContextBytes {
+		t.Fatalf("compression context is %d bytes, want %d", len(good), compressContextBytes)
+	}
+	if _, err := buildDSA(OpCompress, 100, good, nil, &enc, 0); err != nil {
+		t.Errorf("marshalled context %x rejected: %v", good, err)
+	}
 	if len(enc.units)+len(enc.spare) != 0 || enc.framer != nil {
-		t.Fatal("rejected configs built a work unit or a framer")
-	}
-	good := []deflate.HWConfig{
-		{}, // paper config
-		{ParallelWindow: deflate.ChunkSize, Banks: 7, PortsPerBank: 1, WindowSize: deflate.MaxDistance, TableEntries: maxDSATableEntries},
-		{ParallelWindow: 1, Banks: 3, TableEntries: 3},
-	}
-	for _, cfg := range good {
-		raw, _ := marshalContext(nil, &OffloadContext{Op: OpCompress, HW: cfg})
-		if _, err := buildDSA(OpCompress, 100, raw, nil, &enc, 0); err != nil {
-			t.Errorf("%+v rejected: %v", cfg, err)
-		}
+		t.Fatal("the accepted context built a work unit or a framer")
 	}
 }
 
-// TestEncoderSlot feeds arbitrary context bytes to buildDSA: an accepted
-// config never asks for a table over maxDSATableEntries, and building a
-// DSA builds no work unit and no framer. The framer keeps its encoder
-// for a repeated config and builds a new one for another.
+// TestEncoderSlot feeds arbitrary context bytes to buildDSA: only the
+// all-zero reserved word builds a DSA, any other is refused with
+// ErrDSAConfig, and building a DSA builds no work unit and no framer.
 func TestEncoderSlot(t *testing.T) {
 	var enc encoderSlot
 	rng := rand.New(rand.NewSource(14))
-	raw := make([]byte, 20)
+	raw := make([]byte, compressContextBytes)
 	built := 0
 	for i := 0; i < 2000; i++ {
 		for f := 0; f < 5; f++ {
-			// Mostly small values, so many configs are valid.
+			// Mostly small values, and every other word all zero.
 			v := rng.Uint32() >> uint(rng.Intn(32))
+			if i%2 == 0 {
+				v = 0
+			}
 			binary.LittleEndian.PutUint32(raw[4*f:], v)
 		}
+		zero := !slices.ContainsFunc(raw, func(b byte) bool { return b != 0 })
 		dsa, err := buildDSA(OpCompress, 1+rng.Intn(MaxCompressInput), raw, nil, &enc, 0)
+		if zero != (err == nil) || (err != nil && !errors.Is(err, ErrDSAConfig)) {
+			t.Fatalf("context %x: err = %v", raw, err)
+		}
 		if err != nil {
 			continue
 		}
 		built++
-		if cfg := dsa.(*deflateDSA).cfg; cfg.TableEntries > maxDSATableEntries || cfg.Banks > cfg.TableEntries {
-			t.Fatalf("config %x accepted as oversized %+v", raw, cfg)
-		}
 		enc.free = append(enc.free, dsa.(*deflateDSA))
 	}
-	if built < 20 {
-		t.Fatalf("only %d of 2000 random configs were valid; the bound is untested", built)
+	if built < 1000 {
+		t.Fatalf("only %d of 2000 contexts built a DSA", built)
 	}
 	if len(enc.units)+len(enc.spare) != 0 || enc.framer != nil {
 		t.Fatal("buildDSA built a work unit or a framer")
-	}
-	p := deflate.PaperHWConfig()
-	f := enc.inline()
-	f.frame([]byte("page"), p)
-	first := f.enc
-	if f.frame([]byte("page"), p); f.enc != first {
-		t.Fatal("a repeated config rebuilt its encoder")
-	}
-	q := p
-	q.Banks = 4
-	if f.frame([]byte("page"), q); f.enc == first || f.cfg != q {
-		t.Fatal("a new config kept the old encoder")
 	}
 }

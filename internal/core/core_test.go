@@ -45,7 +45,7 @@ func newRigConfig(t testing.TB, cfg DeviceConfig, llcBytes int, llcWays int) *ri
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := memctrl.New(memctrl.DefaultConfig(), dev)
+	ctl := memctrl.New(dram.DDR4_3200(), dev)
 	hier, err := memsys.New(llc, memsys.Channel{Ctl: ctl, Mod: dev})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestForceRecycleWhenScratchpadTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := memctrl.New(memctrl.DefaultConfig(), dev)
+	ctl := memctrl.New(dram.DDR4_3200(), dev)
 	hier, _ := memsys.New(llc, memsys.Channel{Ctl: ctl, Mod: dev})
 	drv := NewDriver(hier, 0, dram.SmallGeometry().CapacityBytes(), 1)
 	r := &rig{dev: dev, hier: hier, driver: drv}

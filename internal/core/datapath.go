@@ -30,7 +30,7 @@ import (
 //     the server has staged a record's payload, the device snapshots it
 //     into a work unit and queues the unit, and a worker frames the
 //     snapshot while the request waits in the server's queue. The
-//     record that registers the same page, length and config adopts the
+//     record that registers the same page and length adopts the
 //     unit, and the claim's last line checks the fed bytes against the
 //     snapshot.
 

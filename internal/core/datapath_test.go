@@ -261,12 +261,11 @@ func queueCompress(t *testing.T, r *rig, sbuf, dbuf uint64, data []byte) (*recor
 }
 
 // hintUnit hints src as the source of a compression record at sbuf,
-// at the paper's config, queueing its unit on jobs, and returns the
-// unit.
+// queueing its unit on jobs, and returns the unit.
 func hintUnit(t *testing.T, r *rig, jobs chan settleJob, sbuf uint64, src []byte) *frameUnit {
 	t.Helper()
 	page := r.driver.localPage(sbuf)
-	r.dev.enc.hint(jobs, page, deflate.PaperHWConfig(), src)
+	r.dev.enc.hint(jobs, page, src)
 	i := r.dev.enc.find(page)
 	if i < 0 {
 		t.Fatal("the hint queued no unit")
@@ -451,11 +450,10 @@ func units(d *Device) int {
 // stale, and a replaced hint's worker framed nothing the record sees.
 func TestHintUnitsConserved(t *testing.T) {
 	r := newRig(t, 256*1024, 8)
-	cfg := deflate.PaperHWConfig()
 	jobs := make(chan settleJob, 4*maxUnits)
 	src := func(i int) []byte { return corpus.Generate(corpus.HTML, MaxCompressInput, int64(100+i)) }
 	for p := 0; p <= maxUnits; p++ {
-		r.dev.enc.hint(jobs, uint64(p), cfg, src(p))
+		r.dev.enc.hint(jobs, uint64(p), src(p))
 	}
 	if n := len(r.dev.enc.units); n != maxUnits {
 		t.Fatalf("%d units hinted past the bound, want %d", n, maxUnits)
@@ -471,7 +469,7 @@ func TestHintUnitsConserved(t *testing.T) {
 	// incarnation, now the newest.
 	old := r.dev.enc.units[0]
 	gen := old.gen
-	r.dev.enc.hint(jobs, 0, cfg, src(1000))
+	r.dev.enc.hint(jobs, 0, src(1000))
 	if i := r.dev.enc.find(0); i != maxUnits-1 || r.dev.enc.units[i] != old || old.gen != gen+1 {
 		t.Fatal("a newer hint did not replace its page's unit")
 	}
@@ -482,13 +480,13 @@ func TestHintUnitsConserved(t *testing.T) {
 	// Hints that never register age the table until its oldest unit is
 	// stale; a new page then takes that unit.
 	for r.dev.enc.hints+1-r.dev.enc.units[0].hinted <= staleHints {
-		r.dev.enc.hint(jobs, 1<<20, cfg, src(0)) // the table is full: skipped
+		r.dev.enc.hint(jobs, 1<<20, src(0)) // the table is full: skipped
 		if r.dev.enc.find(1<<20) >= 0 {
 			t.Fatal("a hint took the slot of a unit not yet stale")
 		}
 	}
 	stale := r.dev.enc.units[0]
-	r.dev.enc.hint(jobs, 1<<20, cfg, src(0))
+	r.dev.enc.hint(jobs, 1<<20, src(0))
 	if i := r.dev.enc.find(1 << 20); i < 0 || r.dev.enc.units[i] != stale {
 		t.Fatal("a stale unit kept its slot from a new hint")
 	}
@@ -514,7 +512,7 @@ func TestHintUnitsConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := EncodeCompressedPage(data, deflate.NewHWEncoder(cfg)); !bytes.Equal(got, want) {
+	if want, _ := EncodeCompressedPage(data, deflate.NewHWEncoder(deflate.PaperHWConfig())); !bytes.Equal(got, want) {
 		t.Fatal("the record that adopted a replaced hint's unit differs from the inline framing")
 	}
 	if n := len(r.dev.enc.units); n != maxUnits-1 {

@@ -144,7 +144,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		chips:   chips,
 		mapper:  chips.Mapper(),
 		bank:    make([]int32, cfg.Geometry.TotalBanks()),
-		tt:      cuckoo.New[*translation](3*(cfg.ScratchpadPages+cfg.ConfigPages), cuckoo.DefaultWays, cuckoo.DefaultCAMEntries),
+		tt:      cuckoo.New[*translation](3 * (cfg.ScratchpadPages + cfg.ConfigPages)),
 		sp:      newScratchpad(cfg.ScratchpadPages),
 		cfgFree: cfg.ConfigPages,
 		records: make(map[uint64]*record),

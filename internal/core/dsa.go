@@ -461,7 +461,6 @@ func CompressedPayloadLen(page []byte) (int, error) {
 // the hinted units and the framer.
 type deflateDSA struct {
 	slot   *encoderSlot
-	cfg    deflate.HWConfig
 	length int // input bytes expected
 	// unit is the adopted work unit while the datapath is unsettled.
 	unit    *frameUnit
@@ -475,13 +474,13 @@ type deflateDSA struct {
 
 // newDeflateDSA builds the DSA of a length-byte compression record
 // whose first source page is page, adopting the unit hinted for it.
-func newDeflateDSA(length int, cfg deflate.HWConfig, slot *encoderSlot, page uint64) (*deflateDSA, error) {
+func newDeflateDSA(length int, slot *encoderSlot, page uint64) (*deflateDSA, error) {
 	if length <= 0 || length > MaxCompressInput {
 		return nil, fmt.Errorf("core: compression length %d not within %d", length, MaxCompressInput)
 	}
 	d := takeFree(&slot.free)
-	d.slot, d.cfg, d.length, d.nextOff, d.fresh = slot, cfg, length, 0, false
-	d.unit = slot.adopt(page, length, cfg)
+	d.slot, d.length, d.nextOff, d.fresh = slot, length, 0, false
+	d.unit = slot.adopt(page, length)
 	return d, nil
 }
 
@@ -526,7 +525,7 @@ func (d *deflateDSA) settle() {
 	}
 	if d.nextOff >= d.length {
 		if len(framed) == 0 {
-			framed = d.slot.inline().frame(d.src[:d.length], d.cfg)
+			framed = d.slot.inline().frame(d.src[:d.length])
 		}
 		for i, l := range d.lines {
 			if l != nil {
@@ -596,8 +595,7 @@ func (d *inflateDSA) settle()       {}
 // the MMIO registration header and subsequent Config Memory writes.
 type OffloadContext struct {
 	Op  Opcode
-	TLS *TLSContext      // for OpTLSEncrypt / OpTLSDecrypt
-	HW  deflate.HWConfig // for OpCompress (zero value = paper config)
+	TLS *TLSContext // for OpTLSEncrypt / OpTLSDecrypt
 	// Length is the record length in bytes: the TLS payload length, or
 	// the input byte count for (de)compression.
 	Length int
@@ -626,16 +624,19 @@ func marshalContext(dst []byte, ctx *OffloadContext) ([]byte, error) {
 		dst = append(dst, t.EIV...)
 		return append(dst, t.AAD...), nil
 	case OpCompress:
-		for _, f := range [...]int{ctx.HW.ParallelWindow, ctx.HW.Banks, ctx.HW.PortsPerBank, ctx.HW.WindowSize, ctx.HW.TableEntries} {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
-		}
-		return dst, nil
+		return append(dst, make([]byte, compressContextBytes)...), nil
 	case OpDecompress:
 		return dst, nil
 	default:
 		return nil, fmt.Errorf("core: cannot marshal context for %v", ctx.Op)
 	}
 }
+
+// compressContextBytes is a compression record's context: a reserved
+// word, all zero, that still takes the record's one Config Memory line
+// (S17). The Deflate DSA has one configuration, the paper's (§V-B), so
+// the word carries none.
+const compressContextBytes = 20
 
 // maxContextBytes bounds a serialized context: a TLS context with
 // every variable field at its 255-byte limit.
@@ -685,9 +686,7 @@ func (c *scheduleCache) get(key, h []byte) (*aesgcm.KeySchedule, error) {
 // (hint.go) and the framer the device frames inline with. Nothing is
 // built at construction: units only as hints need them, never more
 // than maxUnits plus the few that adopting records hold, and the framer
-// on the first inline record. The framer rebuilds its encoder when a
-// record asks for another config, which buildDSA bounds at
-// maxDSATableEntries.
+// on the first inline record.
 type encoderSlot struct {
 	free    []*deflateDSA
 	inflate []*inflateDSA
@@ -735,49 +734,10 @@ func (d *Device) releaseDSA(rec *record) {
 	rec.dsa = nil
 }
 
-// ErrDSAConfig marks a context whose DSA configuration is out of the
-// range the device accepts: a compression table or window too large, or
-// a TLS direction that is neither encrypt nor decrypt.
+// ErrDSAConfig marks a context the device refuses: a compression
+// context whose reserved word is not all zero, or a TLS direction that
+// is neither encrypt nor decrypt.
 var ErrDSAConfig = errors.New("core: DSA config out of range")
-
-// maxDSATableEntries bounds the candidate table, across all banks, that
-// one compression context may ask the device to hold.
-const maxDSATableEntries = 1 << 16
-
-// parseHWConfig decodes the five little-endian uint32 fields of a
-// compression context. A zero ParallelWindow selects the paper's
-// configuration; otherwise zero fields take the paper's values and the
-// rest must satisfy ParallelWindow <= ChunkSize,
-// Banks <= TableEntries <= maxDSATableEntries and
-// WindowSize <= MaxDistance.
-func parseHWConfig(raw []byte) (deflate.HWConfig, error) {
-	if len(raw) < 20 {
-		return deflate.PaperHWConfig(), nil
-	}
-	field := func(i int) int { return int(binary.LittleEndian.Uint32(raw[4*i:])) }
-	cfg := deflate.HWConfig{
-		ParallelWindow: field(0),
-		Banks:          field(1),
-		PortsPerBank:   field(2),
-		WindowSize:     field(3),
-		TableEntries:   field(4),
-	}
-	if cfg.ParallelWindow == 0 {
-		return deflate.PaperHWConfig(), nil
-	}
-	cfg = cfg.WithDefaults()
-	switch {
-	case cfg.ParallelWindow > deflate.ChunkSize:
-		return cfg, fmt.Errorf("%w: parallel window %d > %d", ErrDSAConfig, cfg.ParallelWindow, deflate.ChunkSize)
-	case cfg.TableEntries > maxDSATableEntries:
-		return cfg, fmt.Errorf("%w: %d table entries > %d", ErrDSAConfig, cfg.TableEntries, maxDSATableEntries)
-	case cfg.Banks > cfg.TableEntries:
-		return cfg, fmt.Errorf("%w: %d banks > %d table entries", ErrDSAConfig, cfg.Banks, cfg.TableEntries)
-	case cfg.WindowSize > deflate.MaxDistance:
-		return cfg, fmt.Errorf("%w: window %d > %d", ErrDSAConfig, cfg.WindowSize, deflate.MaxDistance)
-	}
-	return cfg, nil
-}
 
 // buildDSA deserializes the context bytes and instantiates the record's
 // DSA, as the device does once registration completes. TLS records take
@@ -815,11 +775,10 @@ func buildDSA(op Opcode, length int, raw []byte, keys *scheduleCache, enc *encod
 		}
 		return newTLSDSA(ctx, keys)
 	case OpCompress:
-		cfg, err := parseHWConfig(raw)
-		if err != nil {
-			return nil, err
+		if i := slices.IndexFunc(raw, func(b byte) bool { return b != 0 }); i >= 0 {
+			return nil, fmt.Errorf("%w: compression context byte %d is %#x", ErrDSAConfig, i, raw[i])
 		}
-		return newDeflateDSA(length, cfg, enc, page)
+		return newDeflateDSA(length, enc, page)
 	case OpDecompress:
 		return newInflateDSA(length, enc)
 	default:

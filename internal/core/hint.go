@@ -15,11 +15,11 @@ import (
 // the server has staged a record, it passes the device the bytes
 // (Driver.Staged, Device.Hint); the device copies them into a work unit
 // and queues the unit's framing on the datapath pool. The record that
-// later registers the same source page, length and config adopts the
-// unit. The hint is only a prediction: the claim's last line checks the
-// fed bytes against the unit's snapshot, and frames the fed bytes
-// inline when they differ or no worker framed the snapshot. The hint
-// makes no memory access, consults no fault, draws no random number and
+// later registers the same source page and length adopts the unit. The
+// hint is only a prediction: the claim's last line checks the fed bytes
+// against the unit's snapshot, and frames the fed bytes inline when
+// they differ or no worker framed the snapshot. The hint makes no
+// memory access, consults no fault, draws no random number and
 // moves no counter, so it can never change a byte, a readyAt or a KPI.
 
 // maxUnits bounds the hinted units a device holds; a hint that finds
@@ -49,8 +49,8 @@ const staleHints = 8 * maxUnits
 const minCompressHandOff = PageSize / 2
 
 // frameUnit is one hinted compression: the snapshot of the staged bytes
-// a worker frames, keyed by the source page, length and config a record
-// must register with to adopt it, and the framed page, header plus
+// a worker frames, keyed by the source page and length a record must
+// register with to adopt it, and the framed page, header plus
 // payload, compact (empty until a worker framed the snapshot). It holds
 // no encoder: each worker keeps its own framer.
 type frameUnit struct {
@@ -60,7 +60,6 @@ type frameUnit struct {
 	gen    uint64
 	page   uint64
 	length int
-	cfg    deflate.HWConfig
 	// hinted is the device's hint count when the unit was hinted.
 	hinted uint64
 	framed []byte
@@ -71,23 +70,23 @@ type frameUnit struct {
 func (u *frameUnit) phaseWord() *atomic.Uint64 { return &u.phase }
 
 func (u *frameUnit) run(f *framer) {
-	u.framed = append(u.framed[:0], f.frame(u.snap[:u.length], u.cfg)...)
+	u.framed = append(u.framed[:0], f.frame(u.snap[:u.length])...)
 }
 
-// framer frames pages: an encoder for the last config it framed and the
-// page it frames into. The device's thread keeps one for the records it
-// frames inline, and each pool worker keeps one of its own.
+// framer frames pages: an encoder of the paper's configuration, built
+// on the first page, and the page it frames into. The device's thread
+// keeps one for the records it frames inline, and each pool worker
+// keeps one of its own.
 type framer struct {
-	cfg  deflate.HWConfig
 	enc  *deflate.HWEncoder
 	page [PageSize]byte
 }
 
-// frame frames src (at most MaxCompressInput bytes) with an encoder for
-// cfg and returns the framed prefix of the framer's page.
-func (f *framer) frame(src []byte, cfg deflate.HWConfig) []byte {
-	if f.enc == nil || f.cfg != cfg {
-		f.cfg, f.enc = cfg, deflate.NewHWEncoder(cfg)
+// frame frames src (at most MaxCompressInput bytes) and returns the
+// framed prefix of the framer's page.
+func (f *framer) frame(src []byte) []byte {
+	if f.enc == nil {
+		f.enc = deflate.NewHWEncoder(deflate.PaperHWConfig())
 	}
 	return framePage(&f.page, src, f.enc)
 }
@@ -104,23 +103,13 @@ func (d *Device) Hint(page uint64, ctx OffloadContext, src []byte) {
 		len(src) > MaxCompressInput || !startDatapathPool() {
 		return
 	}
-	// The config the record's context will carry to the device.
-	var buf [maxContextBytes]byte
-	raw, err := marshalContext(buf[:0], &ctx)
-	if err != nil {
-		return
-	}
-	cfg, err := parseHWConfig(raw)
-	if err != nil {
-		return
-	}
-	d.enc.hint(datapathPool.jobs, page, cfg, src)
+	d.enc.hint(datapathPool.jobs, page, src)
 }
 
 // hint starts a unit for src on page and queues it on jobs: a newer
 // hint for the page replaces the older one's unit, and a full table
 // gives up its oldest unit only once that unit is stale.
-func (s *encoderSlot) hint(jobs chan<- settleJob, page uint64, cfg deflate.HWConfig, src []byte) {
+func (s *encoderSlot) hint(jobs chan<- settleJob, page uint64, src []byte) {
 	s.hints++
 	var u *frameUnit
 	if i := s.find(page); i >= 0 {
@@ -133,7 +122,7 @@ func (s *encoderSlot) hint(jobs chan<- settleJob, page uint64, cfg deflate.HWCon
 		return
 	}
 	reclaim(&u.phase, u.gen)
-	u.page, u.length, u.cfg, u.hinted = page, len(src), cfg, s.hints
+	u.page, u.length, u.hinted = page, len(src), s.hints
 	u.framed = u.framed[:0]
 	copy(u.snap[:], src)
 	u.gen++
@@ -145,15 +134,15 @@ func (s *encoderSlot) hint(jobs chan<- settleJob, page uint64, cfg deflate.HWCon
 }
 
 // adopt hands the unit hinted for page to the record registering it,
-// when the record's length and config are the hint's; a unit that does
-// not match is given up.
-func (s *encoderSlot) adopt(page uint64, length int, cfg deflate.HWConfig) *frameUnit {
+// when the record's length is the hint's; a unit that does not match is
+// given up.
+func (s *encoderSlot) adopt(page uint64, length int) *frameUnit {
 	i := s.find(page)
 	if i < 0 {
 		return nil
 	}
 	u := s.remove(i)
-	if u.length != length || u.cfg != cfg {
+	if u.length != length {
 		reclaim(&u.phase, u.gen)
 		s.spare = append(s.spare, u)
 		return nil

@@ -214,7 +214,7 @@ func TestKeyCacheBoundedByConfigPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), dev), Mod: dev})
+	hier, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(dram.DDR4_3200(), dev), Mod: dev})
 	if err != nil {
 		t.Fatal(err)
 	}

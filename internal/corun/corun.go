@@ -13,19 +13,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes one antagonist instance.
-type Config struct {
-	Sys *sim.System
-	// Instances is how many copies run (the paper co-runs 10 mcf
-	// instances on 10 cores).
-	Instances int
-	// WorkingSetBytes per instance; mcf's resident set is ~350MB on the
-	// testbed, scaled here to dominate the modelled LLC.
-	WorkingSetBytes int
-}
-
 // The antagonist's fixed pointer-chasing shape.
 const (
+	// instances is how many copies run: the paper co-runs 10 mcf
+	// instances on 10 cores.
+	instances = 10
+	// workingSetBytes is each instance's working set; mcf's resident
+	// set is ~350MB on the testbed, scaled here to dominate the
+	// modelled LLC.
+	workingSetBytes = 4 << 20
 	// batchReads is the number of dependent loads per scheduling quantum.
 	batchReads = 64
 	// computeNsPerRead is the non-memory work between loads (mcf is
@@ -35,14 +31,9 @@ const (
 	seed = 7
 )
 
-// DefaultConfig sizes the antagonist against the given system.
-func DefaultConfig(sys *sim.System) Config {
-	return Config{Sys: sys, Instances: 10, WorkingSetBytes: 4 << 20}
-}
-
 // Antagonist is the running co-runner set.
 type Antagonist struct {
-	cfg   Config
+	sys   *sim.System
 	eng   *sim.Engine
 	bases []uint64
 	rngs  []*rand.Rand
@@ -52,18 +43,12 @@ type Antagonist struct {
 	fromPs    int64
 }
 
-// Start allocates working sets and schedules the instances on the
-// engine. It must be called before the engine runs.
-func Start(eng *sim.Engine, cfg Config) (*Antagonist, error) {
-	if cfg.Instances <= 0 {
-		cfg.Instances = 1
-	}
-	if cfg.WorkingSetBytes <= 0 {
-		cfg.WorkingSetBytes = 4 << 20
-	}
-	a := &Antagonist{cfg: cfg, eng: eng}
-	for i := 0; i < cfg.Instances; i++ {
-		base, err := cfg.Sys.AllocPlain(cfg.WorkingSetBytes)
+// Start allocates the instances' working sets on sys and schedules the
+// instances on the engine. It must be called before the engine runs.
+func Start(eng *sim.Engine, sys *sim.System) (*Antagonist, error) {
+	a := &Antagonist{sys: sys, eng: eng}
+	for i := 0; i < instances; i++ {
+		base, err := sys.AllocPlain(workingSetBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -80,10 +65,10 @@ func (a *Antagonist) batch(inst int) {
 	var line [64]byte
 	var wall int64
 	rng := a.rngs[inst]
-	lines := uint64(a.cfg.WorkingSetBytes / 64)
+	const lines = workingSetBytes / 64
 	for r := 0; r < batchReads; r++ {
 		addr := a.bases[inst] + (rng.Uint64()%lines)*64
-		lat, err := a.cfg.Sys.Hier.Read64(10+inst, addr, line[:])
+		lat, err := a.sys.Hier.Read64(10+inst, addr, line[:])
 		if err != nil {
 			return // working set unmapped: stop this instance
 		}

@@ -20,10 +20,7 @@ func newSys(t *testing.T, llcBytes int) *sim.System {
 func TestAntagonistMakesProgress(t *testing.T) {
 	sys := newSys(t, 256<<10)
 	eng := sim.NewEngine()
-	cfg := DefaultConfig(sys)
-	cfg.Instances = 2
-	cfg.WorkingSetBytes = 1 << 20
-	a, err := Start(eng, cfg)
+	a, err := Start(eng, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +35,8 @@ func TestAntagonistMakesProgress(t *testing.T) {
 func TestAntagonistThrashesLLC(t *testing.T) {
 	sys := newSys(t, 256<<10)
 	eng := sim.NewEngine()
-	cfg := DefaultConfig(sys)
-	cfg.Instances = 4
-	cfg.WorkingSetBytes = 2 << 20 // 8MB total >> 256KB LLC
-	if _, err := Start(eng, cfg); err != nil {
+	// 40MB of working sets >> 256KB LLC.
+	if _, err := Start(eng, sys); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(2 * sim.Ms)
@@ -57,10 +52,7 @@ func TestSmallerLLCSlowsAntagonist(t *testing.T) {
 	run := func(llc int) float64 {
 		sys := newSys(t, llc)
 		eng := sim.NewEngine()
-		cfg := DefaultConfig(sys)
-		cfg.Instances = 2
-		cfg.WorkingSetBytes = 1 << 20
-		a, err := Start(eng, cfg)
+		a, err := Start(eng, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +61,7 @@ func TestSmallerLLCSlowsAntagonist(t *testing.T) {
 		eng.RunUntil(6 * sim.Ms)
 		return a.OpsPerSecond()
 	}
-	big := run(4 << 20) // working set fits: mostly hits
+	big := run(16 << 20) // 40% of the working sets fit
 	small := run(64 << 10)
 	if small >= big {
 		t.Fatalf("smaller LLC did not slow the antagonist: %.0f vs %.0f", small, big)
@@ -79,12 +71,12 @@ func TestSmallerLLCSlowsAntagonist(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	sys := newSys(t, 256<<10)
 	eng := sim.NewEngine()
-	a, err := Start(eng, Config{Sys: sys})
+	a, err := Start(eng, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.bases) != 1 {
-		t.Fatalf("instances = %d, want defaulted 1", len(a.bases))
+	if len(a.bases) != 10 || a.bases[1]-a.bases[0] < 4<<20 {
+		t.Fatalf("%d instances at %#x, want the paper's 10 of 4MB each", len(a.bases), a.bases)
 	}
 	if a.OpsPerSecond() != 0 {
 		t.Fatal("ops before measurement should be 0")

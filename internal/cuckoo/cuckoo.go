@@ -21,11 +21,11 @@ import (
 // At the paper's <33% occupancy this is effectively unreachable.
 var ErrFull = errors.New("cuckoo: table full (displacement budget and CAM exhausted)")
 
-// DefaultWays is the arity used by SmartDIMM's Translation Table.
-const DefaultWays = 3
+// ways is the arity of SmartDIMM's Translation Table (§IV-C).
+const ways = 3
 
-// DefaultCAMEntries is the size of the staging CAM in the paper.
-const DefaultCAMEntries = 8
+// camEntries is the size of the staging CAM in the paper (§IV-C).
+const camEntries = 8
 
 // maxDisplacements bounds a single insertion's displacement chain. The
 // hardware performs these one per cycle off the critical path; 32 is far
@@ -52,55 +52,35 @@ type slot[V any] struct {
 	used  bool
 }
 
-// Table is a d-ary cuckoo hash table with CAM overflow staging. Keys are
-// uint64 (SmartDIMM keys translations by physical page number). The zero
-// value is not usable; construct with New.
+// Table is a 3-ary cuckoo hash table with an 8-entry CAM for overflow
+// staging. Keys are uint64 (SmartDIMM keys translations by physical page
+// number). The zero value is not usable; construct with New.
 type Table[V any] struct {
-	ways      int
-	perWay    int // buckets per way
-	slots     [][]slot[V]
-	cam       []slot[V]
-	camSize   int
+	perWay int // buckets per way
+	slots  [ways][]slot[V]
+	// cam's first camLen entries have held staged entries; a freed one
+	// is reused only once all camEntries have been taken.
+	cam       [camEntries]slot[V]
+	camLen    int
 	occupancy int
 	stats     Stats
-	seeds     []uint64
 }
 
-// New constructs a table with the given total capacity (rounded up to a
-// multiple of ways), arity, and CAM size. Passing ways <= 0 or camSize < 0
-// selects the paper defaults.
-func New[V any](capacity, ways, camSize int) *Table[V] {
-	if ways <= 0 {
-		ways = DefaultWays
-	}
-	if camSize < 0 {
-		camSize = DefaultCAMEntries
-	}
-	if capacity < ways {
-		capacity = ways
-	}
-	perWay := (capacity + ways - 1) / ways
-	t := &Table[V]{
-		ways:    ways,
-		perWay:  perWay,
-		slots:   make([][]slot[V], ways),
-		camSize: camSize,
-		seeds:   make([]uint64, ways),
-	}
-	for w := 0; w < ways; w++ {
+// New constructs a table with the given total capacity, rounded up to a
+// multiple of the arity.
+func New[V any](capacity int) *Table[V] {
+	perWay := max((capacity+ways-1)/ways, 1)
+	t := &Table[V]{perWay: perWay}
+	for w := range t.slots {
 		t.slots[w] = make([]slot[V], perWay)
-		// Distinct odd multipliers give the distinct hash functions the
-		// paper requires for each way.
-		t.seeds[w] = 0x9e3779b97f4a7c15 + uint64(w)*0xbf58476d1ce4e5b9
 	}
 	return t
 }
 
 // NewPaperConfig constructs the Translation Table exactly as the paper
-// configures it: 12288 entries (3x the 4096 required translations),
-// 3-ary, with an 8-entry CAM.
+// configures it: 12288 entries (3x the 4096 required translations).
 func NewPaperConfig[V any]() *Table[V] {
-	return New[V](12288, DefaultWays, DefaultCAMEntries)
+	return New[V](12288)
 }
 
 // mix is a 64-bit finalizer (splitmix64) applied per way with a
@@ -112,21 +92,23 @@ func mix(key, seed uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// bucket hashes key into one of way's buckets. Distinct odd multipliers
+// give the distinct hash functions the paper requires for each way.
 func (t *Table[V]) bucket(way int, key uint64) int {
-	return int(mix(key, t.seeds[way]) % uint64(t.perWay))
+	return int(mix(key, 0x9e3779b97f4a7c15+uint64(way)*0xbf58476d1ce4e5b9) % uint64(t.perWay))
 }
 
 // Len returns the number of stored entries, including CAM residents.
 func (t *Table[V]) Len() int { return t.occupancy }
 
 // Capacity returns the total table capacity excluding the CAM.
-func (t *Table[V]) Capacity() int { return t.ways * t.perWay }
+func (t *Table[V]) Capacity() int { return ways * t.perWay }
 
 // Occupancy returns the load factor of the main table (0..1), excluding
 // CAM residents.
 func (t *Table[V]) Occupancy() float64 {
 	inCAM := 0
-	for i := range t.cam {
+	for i := range t.camLen {
 		if t.cam[i].used {
 			inCAM++
 		}
@@ -141,13 +123,13 @@ func (t *Table[V]) Stats() Stats { return t.stats }
 // cycle as the table ways, as in the hardware.
 func (t *Table[V]) Lookup(key uint64) (V, bool) {
 	t.stats.Lookups++
-	for i := range t.cam {
+	for i := range t.camLen {
 		if t.cam[i].used && t.cam[i].key == key {
 			t.stats.Hits++
 			return t.cam[i].value, true
 		}
 	}
-	for w := 0; w < t.ways; w++ {
+	for w := range ways {
 		s := &t.slots[w][t.bucket(w, key)]
 		if s.used && s.key == key {
 			t.stats.Hits++
@@ -172,13 +154,13 @@ func (t *Table[V]) Contains(key uint64) bool {
 // exhausted.
 func (t *Table[V]) Insert(key uint64, value V) error {
 	// Update in place if present (table or CAM).
-	for i := range t.cam {
+	for i := range t.camLen {
 		if t.cam[i].used && t.cam[i].key == key {
 			t.cam[i].value = value
 			return nil
 		}
 	}
-	for w := 0; w < t.ways; w++ {
+	for w := range ways {
 		s := &t.slots[w][t.bucket(w, key)]
 		if s.used && s.key == key {
 			s.value = value
@@ -187,7 +169,7 @@ func (t *Table[V]) Insert(key uint64, value V) error {
 	}
 
 	// Fast path: any empty candidate bucket.
-	for w := 0; w < t.ways; w++ {
+	for w := range ways {
 		s := &t.slots[w][t.bucket(w, key)]
 		if !s.used {
 			*s = slot[V]{key: key, value: value, used: true}
@@ -199,11 +181,12 @@ func (t *Table[V]) Insert(key uint64, value V) error {
 	}
 
 	// Park in the CAM and drain via displacements.
-	if len(t.cam) < t.camSize {
-		t.cam = append(t.cam, slot[V]{key: key, value: value, used: true})
+	if t.camLen < camEntries {
+		t.cam[t.camLen] = slot[V]{key: key, value: value, used: true}
+		t.camLen++
 	} else {
 		placed := false
-		for i := range t.cam {
+		for i := range t.camLen {
 			if !t.cam[i].used {
 				t.cam[i] = slot[V]{key: key, value: value, used: true}
 				placed = true
@@ -226,7 +209,7 @@ func (t *Table[V]) Insert(key uint64, value V) error {
 // displacement chains. Failure to drain leaves the entry in the CAM; it
 // remains fully visible to lookups.
 func (t *Table[V]) drainCAM() {
-	for i := range t.cam {
+	for i := range t.camLen {
 		if !t.cam[i].used {
 			continue
 		}
@@ -251,7 +234,7 @@ func (t *Table[V]) placeWithDisplacement(key uint64, value V) bool {
 	way := 0
 	for d := 0; d <= maxDisplacements; d++ {
 		// Try all ways for an empty bucket first.
-		for w := 0; w < t.ways; w++ {
+		for w := range ways {
 			idx := t.bucket(w, curKey)
 			if !t.slots[w][idx].used {
 				t.slots[w][idx] = slot[V]{key: curKey, value: curVal, used: true}
@@ -268,7 +251,7 @@ func (t *Table[V]) placeWithDisplacement(key uint64, value V) bool {
 		trail = append(trail, move{way: way, idx: idx, old: victim})
 		t.slots[way][idx] = slot[V]{key: curKey, value: curVal, used: true}
 		curKey, curVal = victim.key, victim.value
-		way = (way + 1) % t.ways
+		way = (way + 1) % ways
 	}
 	// Roll back so the displaced chain does not lose entries.
 	for i := len(trail) - 1; i >= 0; i-- {
@@ -280,7 +263,7 @@ func (t *Table[V]) placeWithDisplacement(key uint64, value V) bool {
 
 // Delete removes key, returning whether it was present.
 func (t *Table[V]) Delete(key uint64) bool {
-	for i := range t.cam {
+	for i := range t.camLen {
 		if t.cam[i].used && t.cam[i].key == key {
 			t.cam[i].used = false
 			t.occupancy--
@@ -288,7 +271,7 @@ func (t *Table[V]) Delete(key uint64) bool {
 			return true
 		}
 	}
-	for w := 0; w < t.ways; w++ {
+	for w := range ways {
 		s := &t.slots[w][t.bucket(w, key)]
 		if s.used && s.key == key {
 			s.used = false
@@ -307,7 +290,7 @@ func (t *Table[V]) reset() {
 			t.slots[w][i].used = false
 		}
 	}
-	t.cam = t.cam[:0]
+	t.cam, t.camLen = [camEntries]slot[V]{}, 0
 	t.occupancy = 0
 	t.stats = Stats{}
 }
@@ -315,5 +298,5 @@ func (t *Table[V]) reset() {
 // String summarizes the table state.
 func (t *Table[V]) String() string {
 	return fmt.Sprintf("cuckoo(%d-ary, cap=%d, len=%d, occ=%.1f%%)",
-		t.ways, t.Capacity(), t.Len(), t.Occupancy()*100)
+		ways, t.Capacity(), t.Len(), t.Occupancy()*100)
 }

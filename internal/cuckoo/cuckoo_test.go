@@ -9,7 +9,7 @@ import (
 )
 
 func TestInsertLookup(t *testing.T) {
-	tbl := New[string](64, 3, 8)
+	tbl := New[string](64)
 	if err := tbl.Insert(42, "hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestInsertReplacesExisting(t *testing.T) {
-	tbl := New[int](64, 3, 8)
+	tbl := New[int](64)
 	tbl.Insert(7, 1)
 	tbl.Insert(7, 2)
 	if tbl.Len() != 1 {
@@ -38,7 +38,7 @@ func TestInsertReplacesExisting(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tbl := New[int](64, 3, 8)
+	tbl := New[int](64)
 	tbl.Insert(1, 10)
 	tbl.Insert(2, 20)
 	if !tbl.Delete(1) {
@@ -92,7 +92,7 @@ func TestPaperConfigDimensions(t *testing.T) {
 }
 
 func TestAllInsertedKeysFound(t *testing.T) {
-	tbl := New[uint64](1024, 3, 8)
+	tbl := New[uint64](1024)
 	rng := rand.New(rand.NewSource(2))
 	keys := make(map[uint64]uint64)
 	for i := 0; i < 500; i++ { // ~49% occupancy
@@ -113,13 +113,26 @@ func TestAllInsertedKeysFound(t *testing.T) {
 func TestHighOccupancyUsesCAMOrFails(t *testing.T) {
 	// A tiny table force-fed far beyond capacity must either stage in the
 	// CAM or report ErrFull — never lose an acknowledged entry.
-	tbl := New[int](12, 3, 4)
+	tbl := New[int](12)
+	if len(tbl.slots) != 3 || tbl.Capacity() != 12 {
+		t.Fatalf("%d ways of %d buckets, want 3 ways of 4", len(tbl.slots), tbl.perWay)
+	}
 	rng := rand.New(rand.NewSource(3))
 	accepted := map[uint64]int{}
 	for i := 0; i < 64; i++ {
 		k := rng.Uint64()
 		if err := tbl.Insert(k, i); err == nil {
 			accepted[k] = i
+			continue
+		}
+		staged := 0
+		for _, s := range tbl.cam[:tbl.camLen] {
+			if s.used {
+				staged++
+			}
+		}
+		if staged != 8 {
+			t.Fatalf("ErrFull with %d entries in the CAM, want the paper's 8", staged)
 		}
 	}
 	if len(accepted) == 0 {
@@ -140,7 +153,7 @@ func TestHighOccupancyUsesCAMOrFails(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tbl := New[int](64, 3, 8)
+	tbl := New[int](64)
 	for i := uint64(0); i < 10; i++ {
 		tbl.Insert(i, int(i))
 	}
@@ -163,18 +176,8 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestDefaultsSelected(t *testing.T) {
-	tbl := New[int](10, 0, -1)
-	if tbl.ways != DefaultWays {
-		t.Fatalf("ways = %d, want %d", tbl.ways, DefaultWays)
-	}
-	if tbl.camSize != DefaultCAMEntries {
-		t.Fatalf("cam = %d, want %d", tbl.camSize, DefaultCAMEntries)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
-	tbl := New[int](64, 3, 8)
+	tbl := New[int](64)
 	tbl.Insert(1, 1)
 	tbl.Lookup(1)
 	tbl.Lookup(2)
@@ -186,7 +189,7 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestStringSummary(t *testing.T) {
-	tbl := New[int](64, 3, 8)
+	tbl := New[int](64)
 	if s := tbl.String(); !strings.Contains(s, "3-ary") {
 		t.Fatalf("String() = %q", s)
 	}
@@ -200,7 +203,7 @@ func TestQuickMapEquivalence(t *testing.T) {
 		Val uint16
 		Del bool
 	}) bool {
-		tbl := New[uint16](4*len(ops)+16, 3, 8)
+		tbl := New[uint16](4*len(ops) + 16)
 		ref := map[uint64]uint16{}
 		for _, op := range ops {
 			if op.Del {
@@ -266,8 +269,8 @@ func BenchmarkLookupHit(b *testing.B) {
 }
 
 // FuzzCuckooTable runs random insert/lookup/delete sequences against a
-// map model on tiny tables (capacity 1-64, 1-4 ways, CAM 0-3) whose
-// 256-key space saturates them, the regime TestQuickMapEquivalence's
+// map model on tiny tables (capacity 1-64, so 1-22 buckets per way
+// beside the 8-entry CAM) whose 256-key space saturates them, the regime TestQuickMapEquivalence's
 // 4x-oversized table never reaches. It checks that ErrFull is returned
 // only for an absent key, that every key stored before an ErrFull still
 // looks up with its value afterwards, and that Len always matches the
@@ -275,8 +278,8 @@ func BenchmarkLookupHit(b *testing.B) {
 // or delete, to keep the table full) and key. The seeds are under
 // testdata/fuzz/FuzzCuckooTable.
 func FuzzCuckooTable(f *testing.F) {
-	f.Fuzz(func(t *testing.T, capacity, ways, cam uint8, ops []byte) {
-		tbl := New[uint16](1+int(capacity)%64, 1+int(ways)%4, int(cam)%4)
+	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
+		tbl := New[uint16](1 + int(capacity)%64)
 		model := map[uint64]uint16{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			key, val := uint64(ops[i+1]), uint16(i)

@@ -169,6 +169,12 @@ func TestHWHistoryWindowRespected(t *testing.T) {
 	rng.Read(gap)
 	in := append(append(append([]byte{}, chunk...), gap...), chunk...)
 
+	// §V-B: an 8-byte parallelization window, 8 banks x 8 ports and a
+	// 4KB history.
+	paper := HWConfig{ParallelWindow: 8, Banks: 8, PortsPerBank: 8, WindowSize: 4096, TableEntries: 4096}
+	if PaperHWConfig() != paper {
+		t.Fatalf("PaperHWConfig() = %+v, want %+v", PaperHWConfig(), paper)
+	}
 	enc := NewHWEncoder(PaperHWConfig())
 	var st HWStats
 	tokens := lz77HWReference(enc.cfg, &st, in)

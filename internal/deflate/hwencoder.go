@@ -101,12 +101,12 @@ type HWEncoder struct {
 }
 
 // NewHWEncoder returns an encoder for cfg. Non-positive fields take the
-// paper's values, and WindowSize is clamped to MaxDistance, the longest
+// paper's values, and WindowSize is clamped to maxDistance, the longest
 // distance a Deflate stream can encode.
 func NewHWEncoder(cfg HWConfig) *HWEncoder {
-	cfg = cfg.WithDefaults()
-	if cfg.WindowSize > MaxDistance {
-		cfg.WindowSize = MaxDistance
+	cfg = cfg.withDefaults()
+	if cfg.WindowSize > maxDistance {
+		cfg.WindowSize = maxDistance
 	}
 	epb := max(cfg.TableEntries/cfg.Banks, 1)
 	e := &HWEncoder{
@@ -127,9 +127,9 @@ func NewHWEncoder(cfg HWConfig) *HWEncoder {
 	return e
 }
 
-// WithDefaults returns c with every non-positive field replaced by the
+// withDefaults returns c with every non-positive field replaced by the
 // paper's value (PaperHWConfig).
-func (c HWConfig) WithDefaults() HWConfig {
+func (c HWConfig) withDefaults() HWConfig {
 	p := PaperHWConfig()
 	if c.ParallelWindow <= 0 {
 		c.ParallelWindow = p.ParallelWindow
@@ -181,8 +181,8 @@ func matchLen(src []byte, a, b, maxLen int) int {
 // Stats returns the accumulated DSA statistics.
 func (e *HWEncoder) Stats() HWStats { return e.stats }
 
-// ChunkSize is the data consumed per DSA cycle (one DDR burst).
-const ChunkSize = 64
+// chunkSize is the data consumed per DSA cycle (one DDR burst).
+const chunkSize = 64
 
 // Compress deflates src as the DSA would, returning an RFC 1951 stream
 // (single final block, fixed Huffman codes) in a new slice the caller
@@ -261,7 +261,7 @@ func (e *HWEncoder) AppendCompress(dst, src []byte) []byte {
 		}
 		pos = at
 	}
-	e.stats.Cycles += uint64((n + ChunkSize - 1) / ChunkSize)
+	e.stats.Cycles += uint64((n + chunkSize - 1) / chunkSize)
 	e.stats.Matches += matches
 	e.stats.Literals += literals
 

@@ -15,7 +15,7 @@ import (
 type token struct {
 	lit  byte
 	len  uint16 // match length, MinMatch..MaxMatch
-	dist uint16 // match distance, 1..MaxDistance; 0 => literal
+	dist uint16 // match distance, 1..maxDistance; 0 => literal
 }
 
 func (t token) isLiteral() bool { return t.dist == 0 }
@@ -39,7 +39,7 @@ func lz77HWReference(cfg HWConfig, st *HWStats, src []byte) []token {
 	if entriesPerBank == 0 {
 		entriesPerBank = 1
 	}
-	st.Cycles += uint64((len(src) + ChunkSize - 1) / ChunkSize)
+	st.Cycles += uint64((len(src) + chunkSize - 1) / chunkSize)
 	table := make([][]hwRefEntry, cfg.Banks)
 	for b := range table {
 		table[b] = make([]hwRefEntry, entriesPerBank)
@@ -223,7 +223,7 @@ func TestHWEncoderMatchesReference(t *testing.T) {
 		PaperHWConfig(),
 		{ParallelWindow: 8, Banks: 2, PortsPerBank: 1, WindowSize: 4096, TableEntries: 4096},
 		{ParallelWindow: 5, Banks: 3, PortsPerBank: 1, WindowSize: 300, TableEntries: 100},
-		{ParallelWindow: 64, Banks: 7, PortsPerBank: 2, WindowSize: MaxDistance, TableEntries: 1 << 12},
+		{ParallelWindow: 64, Banks: 7, PortsPerBank: 2, WindowSize: maxDistance, TableEntries: 1 << 12},
 		{ParallelWindow: 1, Banks: 16, PortsPerBank: 8, WindowSize: 1, TableEntries: 8},
 	}
 	for _, cfg := range cfgs {
@@ -279,14 +279,14 @@ func TestHWStatsCycles(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096} {
 		enc := NewHWEncoder(PaperHWConfig())
 		enc.Compress(page[:n])
-		if got, want := enc.Stats().Cycles, uint64((n+ChunkSize-1)/ChunkSize); got != want {
+		if got, want := enc.Stats().Cycles, uint64((n+chunkSize-1)/chunkSize); got != want {
 			t.Errorf("%d bytes: Cycles = %d, want %d", n, got, want)
 		}
 	}
 }
 
 func TestDistCodeTable(t *testing.T) {
-	for d := 1; d <= MaxDistance; d++ {
+	for d := 1; d <= maxDistance; d++ {
 		if got, want := distCode(d), distCodeReference(d); got != want {
 			t.Fatalf("distCode(%d) = %d, want %d", d, got, want)
 		}
@@ -294,7 +294,7 @@ func TestDistCodeTable(t *testing.T) {
 }
 
 // TestHWWindowClampedToMaxDistance is the regression for a WindowSize
-// above MaxDistance: the encoder used to emit distances Deflate cannot
+// above maxDistance: the encoder used to emit distances Deflate cannot
 // encode, and the stream failed to inflate.
 func TestHWWindowClampedToMaxDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -304,8 +304,8 @@ func TestHWWindowClampedToMaxDistance(t *testing.T) {
 	in := append(append(append([]byte{}, block...), filler...), block...)
 
 	enc := NewHWEncoder(HWConfig{WindowSize: 1 << 20, TableEntries: 1 << 20})
-	if enc.cfg.WindowSize != MaxDistance {
-		t.Fatalf("WindowSize = %d, want clamp to %d", enc.cfg.WindowSize, MaxDistance)
+	if enc.cfg.WindowSize != maxDistance {
+		t.Fatalf("WindowSize = %d, want clamp to %d", enc.cfg.WindowSize, maxDistance)
 	}
 	stream := enc.Compress(in)
 	out, err := flateInflate(stream)
@@ -348,10 +348,10 @@ func FuzzHWEncoder(f *testing.F) {
 			data = data[:1<<16]
 		}
 		cfg := HWConfig{
-			ParallelWindow: 1 + int(pw)%ChunkSize,
+			ParallelWindow: 1 + int(pw)%chunkSize,
 			Banks:          1 + int(banks)%16,
 			PortsPerBank:   1 + int(ports)%8,
-			WindowSize:     1 + int(window)%MaxDistance,
+			WindowSize:     1 + int(window)%maxDistance,
 			TableEntries:   1 + int(entries)%1024,
 		}
 		reused := NewHWEncoder(cfg)

@@ -7,8 +7,8 @@ package deflate
 const (
 	MinMatch = 3
 	MaxMatch = 258
-	// MaxDistance is the largest backward distance RFC 1951 allows.
-	MaxDistance = 32768
+	// maxDistance is the largest backward distance RFC 1951 allows.
+	maxDistance = 32768
 
 	endBlockSym   = 256
 	numLitLenSyms = 286
@@ -71,7 +71,7 @@ var distSym [512]uint8
 
 func init() {
 	code := 0
-	for d := 1; d <= MaxDistance; d++ {
+	for d := 1; d <= maxDistance; d++ {
 		for code+1 < numDistSyms && int(distBase[code+1]) <= d {
 			code++
 		}

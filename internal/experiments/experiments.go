@@ -575,7 +575,7 @@ func runAntagonist(sp scenario.Spec) (float64, error) {
 		return 0, err
 	}
 	sys.Hier.Clock = nil // as buildUncontended
-	a, err := corun.Start(sys.Engine, corun.DefaultConfig(sys))
+	a, err := corun.Start(sys.Engine, sys)
 	if err != nil {
 		return 0, err
 	}
@@ -593,7 +593,7 @@ func runCoLocated(sp scenario.Spec) (rps, ops float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	ant, err := corun.Start(st.Sys.Engine, corun.DefaultConfig(st.Sys))
+	ant, err := corun.Start(st.Sys.Engine, st.Sys)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -105,7 +105,7 @@ func runRDMAConfig(cf rdmaConfig, sc Scale) (RDMAPoint, error) {
 	}
 	var ant *corun.Antagonist
 	if cf.corun {
-		if ant, err = corun.Start(st.Sys.Engine, corun.DefaultConfig(st.Sys)); err != nil {
+		if ant, err = corun.Start(st.Sys.Engine, st.Sys); err != nil {
 			return RDMAPoint{}, err
 		}
 	}

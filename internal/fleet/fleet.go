@@ -886,11 +886,6 @@ func (f *Fleet) Readmit(i int) error {
 // QueueDepth returns member i's current submission-queue depth.
 func (f *Fleet) QueueDepth(i int) int { return len(f.members[i].inflight) }
 
-// RankQDepth returns member i's queue-depth sketch, for callers that
-// register per-rank collectors themselves (RegisterMetrics does all
-// ranks at once).
-func (f *Fleet) RankQDepth(i int) *stats.Histogram { return &f.members[i].QDepth }
-
 // IsActive reports whether member i currently accepts placements.
 func (f *Fleet) IsActive(i int) bool {
 	return i >= 0 && i < len(f.members) && f.members[i].state == memberActive
@@ -962,8 +957,7 @@ func (f *Fleet) Policy() Policy { return f.cfg.Policy }
 // rank's queue-depth sketch under fleet.rank<i>.qdepth (the autoscaler's
 // per-rank signal — p50/p99 arrive as .p50/.p99 samples), a live
 // per-rank activity bitmap under fleet.state, and the fleet totals under
-// fleet. Registration is concurrency-safe (Registry locks), so per-rank
-// setup workers may call pieces of this in parallel and Sort after.
+// fleet.
 func (f *Fleet) RegisterMetrics(reg *telemetry.Registry) {
 	for _, m := range f.members {
 		reg.Register(fmt.Sprintf("fleet.rank%d.qdepth", m.idx), &m.QDepth)

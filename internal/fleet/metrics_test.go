@@ -2,13 +2,10 @@ package fleet_test
 
 // Tests for the fleet's autoscaler-facing surface: administrative
 // Drain/Admit (held members must not auto-readmit), live policy
-// switching, and the per-rank queue-depth telemetry — including the
-// concurrent-registration gate run under -race.
+// switching, and the per-rank queue-depth telemetry.
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -169,55 +166,5 @@ func TestFleetQDepthTelemetry(t *testing.T) {
 	}
 	if got["fleet.state.rank1"] != 0 {
 		t.Fatalf("state.rank1 = %g after drain, want 0 (collectors must be live)", got["fleet.state.rank1"])
-	}
-}
-
-// TestFleetMetricsConcurrentRegistration is the -race gate for the
-// registry path: one goroutine per rank registers that rank's sketch
-// concurrently (plus the state bitmap), then a single Sort restores a
-// deterministic order — two snapshots must agree byte-for-byte, and a
-// serially-registered registry must produce the identical report.
-func TestFleetMetricsConcurrentRegistration(t *testing.T) {
-	sys := newFleetSystem(t, 4)
-	fl := newTestFleet(t, sys, fleet.RoundRobin)
-	conns, _ := openConns(t, fl, 8)
-	payload := corpus.Generate(corpus.HTML, 4096, 3)
-	stageAll(t, fl, func(c *offload.Conn) error { return offload.StagePayloadDMA(sys, c, payload) }, conns)
-	driveFleet(t, fl, conns, 48)
-
-	render := func(reg *telemetry.Registry) string {
-		var b strings.Builder
-		if err := reg.WriteText(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-
-	conc := telemetry.NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < fl.Members(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conc.Register(fmt.Sprintf("fleet.rank%d.qdepth", i), fl.RankQDepth(i))
-		}(i)
-	}
-	wg.Wait()
-	conc.Sort()
-	first := render(conc)
-	if first != render(conc) {
-		t.Fatal("two snapshots of the same registry differ")
-	}
-
-	serial := telemetry.NewRegistry()
-	for i := 0; i < fl.Members(); i++ {
-		serial.Register(fmt.Sprintf("fleet.rank%d.qdepth", i), fl.RankQDepth(i))
-	}
-	serial.Sort()
-	if got := render(serial); got != first {
-		t.Fatalf("concurrent registration report differs from serial:\n%s\nvs\n%s", first, got)
-	}
-	if !strings.Contains(first, "fleet.rank3.qdepth.p99") {
-		t.Fatal("report missing rank3 p99")
 	}
 }

@@ -131,7 +131,7 @@ type ShardedMetrics struct {
 // latencies inside a shard's lookahead horizon. See DESIGN.md §14.
 func DeriveDispatchPs(p sim.Params) int64 {
 	d := int64(p.RTTUs * float64(sim.Us) / 2)
-	if floor := memctrl.DefaultConfig().CommandRoundTripPs(); d < floor {
+	if floor := memctrl.CommandRoundTripPs(dram.DDR4_3200()); d < floor {
 		d = floor
 	}
 	if floor := int64(120 * sim.Ns); d < floor { // default doorbell batch overhead

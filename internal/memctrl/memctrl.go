@@ -41,46 +41,34 @@ const (
 	dirWrite
 )
 
-// Config tunes the controller model.
-type Config struct {
-	Timing dram.Timing
-	// WriteQueueDepth is the write-pending-queue capacity; the queue
-	// drains when DrainThreshold is reached (high-water-mark policy).
-	WriteQueueDepth int
-	DrainThreshold  int
-	// AlertRetryCycles is the backoff base: retry k of a rdCAS answered
-	// with ALERT_N (or failing CRC) waits min(AlertRetryCycles<<k,
-	// AlertBackoffCapCycles) cycles before reissuing.
-	AlertRetryCycles int
-	// AlertBackoffCapCycles caps the exponential backoff; 0 defaults to
-	// 8x the base.
-	AlertBackoffCapCycles int
-	// MaxAlertRetries bounds retries before giving up with
+// The controller's write-pending queue and ALERT_N retry policy.
+const (
+	// writeQueueDepth is the write-pending-queue capacity; the queue
+	// drains when drainThreshold writes are pending (high-water-mark
+	// policy). A 64-entry WPQ draining at 48 is in the range of
+	// Skylake-SP documentation.
+	writeQueueDepth = 64
+	drainThreshold  = 48
+	// alertRetryCycles is the backoff base: retry k of a rdCAS answered
+	// with ALERT_N (or failing CRC) waits min(alertRetryCycles<<k,
+	// alertBackoffCapCycles) cycles before reissuing.
+	alertRetryCycles      = 100
+	alertBackoffCapCycles = 8 * alertRetryCycles
+	// maxAlertRetries bounds retries before giving up with
 	// ErrAlertRetryExhausted.
-	MaxAlertRetries int
-}
-
-// DefaultConfig returns a DDR4-3200 controller with a 64-entry WPQ
-// draining at 48 (values in the range of Skylake-SP documentation).
-func DefaultConfig() Config {
-	return Config{
-		Timing:           dram.DDR4_3200(),
-		WriteQueueDepth:  64,
-		DrainThreshold:   48,
-		AlertRetryCycles: 100,
-		MaxAlertRetries:  64,
-	}
-}
+	maxAlertRetries = 64
+)
 
 // CommandRoundTripPs returns the controller<->device command round trip
-// in picoseconds: an activate, the CAS latency, and the ALERT_N retry
-// base — the shortest interval across which the memory domain can react
-// to a command. The sharded engine's conservative lookahead derivation
-// uses it as a floor: no cross-shard interaction in this model resolves
-// faster than a command/ALERT exchange on the DRAM bus.
-func (c Config) CommandRoundTripPs() int64 {
-	cycles := int64(c.Timing.TRCD+c.Timing.CL) + int64(c.AlertRetryCycles)
-	return cycles * c.Timing.TCKps
+// in picoseconds at timing t: an activate, the CAS latency, and the
+// ALERT_N retry base — the shortest interval across which the memory
+// domain can react to a command. The sharded engine's conservative
+// lookahead derivation uses it as a floor: no cross-shard interaction
+// in this model resolves faster than a command/ALERT exchange on the
+// DRAM bus.
+func CommandRoundTripPs(t dram.Timing) int64 {
+	cycles := int64(t.TRCD+t.CL) + alertRetryCycles
+	return cycles * t.TCKps
 }
 
 // Stats aggregates controller activity.
@@ -112,7 +100,7 @@ type pendingWrite struct {
 
 // Controller drives one dram.Module (one channel).
 type Controller struct {
-	cfg      Config
+	timing   dram.Timing
 	mod      dram.Module
 	banks    []bankState
 	wq       []pendingWrite
@@ -135,29 +123,14 @@ type Controller struct {
 	TraceTrack telemetry.TrackID
 }
 
-// New builds a controller over the module.
-func New(cfg Config, mod dram.Module) *Controller {
-	if cfg.WriteQueueDepth <= 0 {
-		cfg.WriteQueueDepth = 64
-	}
-	if cfg.DrainThreshold <= 0 || cfg.DrainThreshold > cfg.WriteQueueDepth {
-		cfg.DrainThreshold = cfg.WriteQueueDepth * 3 / 4
-	}
-	if cfg.AlertRetryCycles <= 0 {
-		cfg.AlertRetryCycles = 100
-	}
-	if cfg.AlertBackoffCapCycles <= 0 {
-		cfg.AlertBackoffCapCycles = cfg.AlertRetryCycles * 8
-	}
-	if cfg.MaxAlertRetries <= 0 {
-		cfg.MaxAlertRetries = 64
-	}
+// New builds a controller with DRAM timing t over the module.
+func New(t dram.Timing, mod dram.Module) *Controller {
 	geo := mod.Mapper().Geometry()
 	banks := make([]bankState, geo.TotalBanks())
 	for i := range banks {
 		banks[i].openRow = -1
 	}
-	return &Controller{cfg: cfg, mod: mod, banks: banks}
+	return &Controller{timing: t, mod: mod, banks: banks}
 }
 
 // Stats returns a copy of the counters.
@@ -181,7 +154,7 @@ func (s Stats) Collect(emit func(telemetry.Sample)) {
 func (c *Controller) Now() int64 { return c.now }
 
 // CycleToPs converts controller cycles to picoseconds.
-func (c *Controller) CycleToPs(cyc int64) int64 { return cyc * c.cfg.Timing.TCKps }
+func (c *Controller) CycleToPs(cyc int64) int64 { return cyc * c.timing.TCKps }
 
 // AdvanceTo moves the controller clock forward (never backward).
 func (c *Controller) AdvanceTo(cycle int64) {
@@ -194,13 +167,13 @@ func (c *Controller) AdvanceTo(cycle int64) {
 // fraction of its capacity, a cheap congestion signal the fleet's
 // least-loaded placement policy folds into its per-device score.
 func (c *Controller) WriteQueuePressure() float64 {
-	return float64(len(c.wq)) / float64(c.cfg.WriteQueueDepth)
+	return float64(len(c.wq)) / writeQueueDepth
 }
 
 // prepareBank issues PRE/ACT as needed and returns the cycle at which a
 // CAS to (cmd) may issue, updating bank state.
 func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
-	t := &c.cfg.Timing
+	t := &c.timing
 	idx := c.mod.Mapper().BankIndex(cmd.Rank, cmd.BG, cmd.BA)
 	b := &c.banks[idx]
 	at := c.now
@@ -247,7 +220,7 @@ func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
 // reserveBus accounts bus occupancy and turnaround, returning the CAS
 // issue cycle for a burst starting no earlier than at.
 func (c *Controller) reserveBus(at int64, dir int) int64 {
-	t := &c.cfg.Timing
+	t := &c.timing
 	if at < c.busReady {
 		at = c.busReady
 	}
@@ -291,7 +264,7 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 	}
 	at = c.reserveBus(at, dirRead)
 
-	t := &c.cfg.Timing
+	t := &c.timing
 	for attempt := 0; ; attempt++ {
 		alert, err := c.mod.HandleCommand(at, cmd, nil, dst)
 		if err != nil {
@@ -316,7 +289,7 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 		}
 		c.st.Alerts++
 		c.Tracer.Instant(c.TraceTrack, "ALERT_N", c.CycleToPs(at))
-		if attempt >= c.cfg.MaxAlertRetries {
+		if attempt >= maxAlertRetries {
 			return 0, fmt.Errorf("%w: %#x after %d retries",
 				ErrAlertRetryExhausted, addr, attempt)
 		}
@@ -327,8 +300,8 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 // backoffCycles returns the wait before retry number attempt (0-based):
 // base<<attempt, capped.
 func (c *Controller) backoffCycles(attempt int) int64 {
-	d := int64(c.cfg.AlertRetryCycles)
-	cap := int64(c.cfg.AlertBackoffCapCycles)
+	d := int64(alertRetryCycles)
+	cap := int64(alertBackoffCapCycles)
 	if attempt > 62 {
 		return cap
 	}
@@ -359,7 +332,7 @@ func (c *Controller) Write(addr uint64, core int, src []byte) (int64, error) {
 	pw.atCyc = c.now
 	copy(pw.data[:], src)
 	c.wq = append(c.wq, pw)
-	if len(c.wq) >= c.cfg.DrainThreshold {
+	if len(c.wq) >= drainThreshold {
 		if _, err := c.DrainWrites(); err != nil {
 			return 0, err
 		}
@@ -375,7 +348,7 @@ func (c *Controller) DrainWrites() (int64, error) {
 	}
 	c.st.Drains++
 	startCyc := c.now
-	t := &c.cfg.Timing
+	t := &c.timing
 	var last int64
 	for i := range c.wq {
 		// Index, not range: a ranged copy of the 64-byte entry would
@@ -431,9 +404,9 @@ func (c *Controller) dropDrained(i int) {
 func (c *Controller) bankDone(cmd dram.Command, at int64) {
 	idx := c.mod.Mapper().BankIndex(cmd.Rank, cmd.BG, cmd.BA)
 	b := &c.banks[idx]
-	next := at + int64(c.cfg.Timing.TCCD)
+	next := at + int64(c.timing.TCCD)
 	if cmd.Kind == dram.CmdWr {
-		next = at + int64(c.cfg.Timing.TWR)
+		next = at + int64(c.timing.TWR)
 	}
 	if next > b.readyCycle {
 		b.readyCycle = next

@@ -17,7 +17,7 @@ func newCtl(t *testing.T) (*Controller, *dram.PlainDIMM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(DefaultConfig(), d), d
+	return New(dram.DDR4_3200(), d), d
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -54,19 +54,19 @@ func TestWriteCoalescing(t *testing.T) {
 }
 
 func TestWriteBatching(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DrainThreshold = 8
-	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
-	c := New(cfg, d)
+	c, _ := newCtl(t)
 	buf := bytes.Repeat([]byte{7}, 64)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < drainThreshold-1; i++ {
 		c.Write(uint64(i)*64, 0, buf)
 	}
 	if c.Stats().Writes != 0 {
 		t.Fatal("writes issued before threshold")
 	}
-	c.Write(7*64, 0, buf)
-	if c.Stats().Writes != 8 || len(c.wq) != 0 {
+	if p := c.WriteQueuePressure(); p != 47.0/64 {
+		t.Fatalf("write queue pressure %g, want 47 of a 64-entry WPQ", p)
+	}
+	c.Write((drainThreshold-1)*64, 0, buf)
+	if c.Stats().Writes != drainThreshold || len(c.wq) != 0 {
 		t.Fatalf("threshold drain broken: %+v pending=%d", c.Stats(), len(c.wq))
 	}
 }
@@ -169,8 +169,7 @@ func (a *alertModule) HandleCommand(cycle int64, cmd dram.Command, wdata, rdata 
 func TestAlertRetry(t *testing.T) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
 	am := &alertModule{Module: d, alertAddr: 0x40, alertsLeft: 3}
-	cfg := DefaultConfig()
-	c := New(cfg, am)
+	c := New(dram.DDR4_3200(), am)
 
 	buf := make([]byte, 64)
 	done, err := c.Read(0x40, 0, buf)
@@ -181,7 +180,7 @@ func TestAlertRetry(t *testing.T) {
 		t.Fatalf("alerts = %d, want 3", c.Stats().Alerts)
 	}
 	// Backoff doubles per retry: base + 2*base + 4*base before success.
-	if done < 7*int64(cfg.AlertRetryCycles) {
+	if done < 7*alertRetryCycles {
 		t.Fatalf("backoff penalty not applied: done=%d", done)
 	}
 }
@@ -191,10 +190,7 @@ func TestAlertRetry(t *testing.T) {
 func TestAlertBackoffCurve(t *testing.T) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
 	am := &alertModule{Module: d, alertAddr: 0x40, alertsLeft: 5}
-	cfg := DefaultConfig()
-	cfg.AlertRetryCycles = 10
-	cfg.AlertBackoffCapCycles = 40
-	c := New(cfg, am)
+	c := New(dram.DDR4_3200(), am)
 	tr := &stats.CASTrace{}
 	c.Trace = tr
 
@@ -204,8 +200,8 @@ func TestAlertBackoffCurve(t *testing.T) {
 	if len(tr.Events) != 6 { // 5 alerted attempts + success
 		t.Fatalf("CAS reissues = %d, want 6", len(tr.Events))
 	}
-	tck := cfg.Timing.TCKps
-	wantGaps := []int64{10, 20, 40, 40, 40} // base<<k capped at 40
+	tck := c.timing.TCKps
+	wantGaps := []int64{100, 200, 400, 800, 800} // base<<k capped at 8x base
 	for i, want := range wantGaps {
 		gap := (tr.Events[i+1].AtPs - tr.Events[i].AtPs) / tck
 		if gap != want {
@@ -217,9 +213,7 @@ func TestAlertBackoffCurve(t *testing.T) {
 func TestAlertRetryLimit(t *testing.T) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
 	am := &alertModule{Module: d, alertAddr: 0x40, alertsLeft: 1 << 30}
-	cfg := DefaultConfig()
-	cfg.MaxAlertRetries = 4
-	c := New(cfg, am)
+	c := New(dram.DDR4_3200(), am)
 	_, err := c.Read(0x40, 0, make([]byte, 64))
 	if err == nil {
 		t.Fatal("endless ALERT_N should error out")
@@ -233,7 +227,7 @@ func TestAlertRetryLimit(t *testing.T) {
 // failure must retry transparently and still return correct data.
 func TestCRCInjectionRetries(t *testing.T) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
-	c := New(DefaultConfig(), d)
+	c := New(dram.DDR4_3200(), d)
 	inj := fault.New(11)
 	inj.Arm("memctrl.crc", fault.OneShot{N: 1})
 	c.Faults = inj
@@ -262,7 +256,7 @@ func TestDramAlertInjection(t *testing.T) {
 	inj := fault.New(12)
 	inj.Arm("dram.alert", fault.OneShot{N: 1})
 	d.Faults = inj
-	c := New(DefaultConfig(), d)
+	c := New(dram.DDR4_3200(), d)
 	if _, err := c.Read(0, 0, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +287,7 @@ func (m *errWriteModule) HandleCommand(cycle int64, cmd dram.Command, wdata, rda
 func TestDrainAbortKeepsQueueConsistent(t *testing.T) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
 	m := &errWriteModule{Module: d, badAddr: 0x40}
-	c := New(DefaultConfig(), m)
+	c := New(dram.DDR4_3200(), m)
 	buf := bytes.Repeat([]byte{9}, 64)
 	c.Write(0x00, 0, buf)
 	c.Write(0x40, 0, buf) // will fail
@@ -332,8 +326,8 @@ func TestReadWriteSlackExceedsOneMicrosecond(t *testing.T) {
 	// Analytically the queue must fill to the drain threshold before any
 	// wrCAS issues, each queued write produced by about one read burst,
 	// plus the bus turnaround.
-	tm := &c.cfg.Timing
-	slackPs := c.CycleToPs(int64(c.cfg.DrainThreshold)*int64(tm.TCCD) + int64(tm.TRTW))
+	tm := &c.timing
+	slackPs := c.CycleToPs(drainThreshold*int64(tm.TCCD) + int64(tm.TRTW))
 	if slackPs < 100_000 { // >= 0.1us analytically...
 		t.Fatalf("analytic slack %d ps implausibly small", slackPs)
 	}
@@ -389,7 +383,7 @@ func TestShortWriteRejected(t *testing.T) {
 
 func BenchmarkStreamRead(b *testing.B) {
 	d, _ := dram.NewPlainDIMM(dram.SmallGeometry())
-	c := New(DefaultConfig(), d)
+	c := New(dram.DDR4_3200(), d)
 	buf := make([]byte, 64)
 	cap := dram.SmallGeometry().CapacityBytes()
 	b.SetBytes(64)
@@ -406,7 +400,7 @@ func BenchmarkStreamRead(b *testing.B) {
 func TestDrainWritesZeroAllocs(t *testing.T) {
 	c, _ := newCtl(t)
 	buf := bytes.Repeat([]byte{7}, 64)
-	full := c.cfg.DrainThreshold - 1 // one more write would drain itself
+	full := drainThreshold - 1 // one more write would drain itself
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < full; i++ {
 			if _, err := c.Write(uint64(i)*64, 0, buf); err != nil {

@@ -24,7 +24,7 @@ func newBulkHier(t *testing.T) *memsys.Hierarchy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), d), Mod: d})
+	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(dram.DDR4_3200(), d), Mod: d})
 	if err != nil {
 		t.Fatal(err)
 	}

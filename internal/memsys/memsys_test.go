@@ -22,7 +22,7 @@ func newHier(t *testing.T, nChannels int) *Hierarchy {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, Channel{Ctl: memctrl.New(memctrl.DefaultConfig(), d), Mod: d})
+		chans = append(chans, Channel{Ctl: memctrl.New(dram.DDR4_3200(), d), Mod: d})
 	}
 	h, err := New(llc, chans...)
 	if err != nil {

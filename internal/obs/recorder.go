@@ -26,45 +26,39 @@ func (n Note) String() string {
 	return fmt.Sprintf("%d %s %s", n.AtPs, n.Kind, n.Text)
 }
 
-// RecorderConfig parameterizes a flight recorder.
-type RecorderConfig struct {
-	// LookbackPs is the incident window: a bundle covers
-	// [firingPs-LookbackPs, firingPs]. Zero selects 2ms.
-	LookbackPs int64
-	// NoteCap bounds the note ring. Zero selects 512.
-	NoteCap int
-	// MaxIncidents bounds captured bundles; later firings only count
-	// Dropped. Zero selects 4.
-	MaxIncidents int
-}
+// The flight recorder's bounds.
+const (
+	// noteCap bounds the note ring.
+	noteCap = 512
+	// maxIncidents bounds captured bundles; later firings only count
+	// Dropped.
+	maxIncidents = 4
+)
 
 // Recorder is the flight recorder. It is fed from inside engine events
 // (scrape ticks, fault closures, autoscaler hooks), so insertion order
 // is simulated-time order and everything it renders is deterministic.
 type Recorder struct {
-	cfg   RecorderConfig
-	notes []Note // ring
-	head  int
-	n     int
+	// lookbackPs is the incident window: a bundle covers
+	// [firingPs-lookbackPs, firingPs].
+	lookbackPs int64
+	notes      [noteCap]Note // ring
+	head       int
+	n          int
 
 	// Incidents are the captured bundles, in firing order.
 	Incidents []Incident
-	// Dropped counts firings past MaxIncidents.
+	// Dropped counts firings past maxIncidents.
 	Dropped int
 }
 
-// NewRecorder builds a recorder.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.LookbackPs <= 0 {
-		cfg.LookbackPs = 2_000_000_000 // 2ms
+// NewRecorder builds a recorder whose incident bundles look back
+// lookbackPs; zero selects 2ms.
+func NewRecorder(lookbackPs int64) *Recorder {
+	if lookbackPs <= 0 {
+		lookbackPs = 2_000_000_000 // 2ms
 	}
-	if cfg.NoteCap <= 0 {
-		cfg.NoteCap = 512
-	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 4
-	}
-	return &Recorder{cfg: cfg, notes: make([]Note, cfg.NoteCap)}
+	return &Recorder{lookbackPs: lookbackPs}
 }
 
 // Note appends an operational event to the ring (oldest dropped when
@@ -89,7 +83,7 @@ func (r *Recorder) noteAt(i int) Note { return r.notes[(r.head+i)%len(r.notes)] 
 type Incident struct {
 	AtPs   int64  // firing instant
 	Rule   string // the rule that fired
-	FromPs int64  // window start (AtPs - LookbackPs, floored at 0)
+	FromPs int64  // window start (AtPs minus the lookback, floored at 0)
 	// Report is the canonical text report: the correlated timeline of
 	// notes in the window plus a last-value summary of every series.
 	Report string
@@ -119,11 +113,11 @@ func (r *Recorder) trigger(atPs int64, rule string, sc *Scraper) {
 	if r == nil {
 		return
 	}
-	if len(r.Incidents) >= r.cfg.MaxIncidents {
+	if len(r.Incidents) >= maxIncidents {
 		r.Dropped++
 		return
 	}
-	from := atPs - r.cfg.LookbackPs
+	from := atPs - r.lookbackPs
 	if from < 0 {
 		from = 0
 	}
@@ -141,7 +135,7 @@ func (r *Recorder) trigger(atPs int64, rule string, sc *Scraper) {
 	b.WriteString("--- series ---\n")
 	sc.Store().Each(func(se *Series) {
 		fmt.Fprintf(&b, "%s last=%g points=%d window_max=%g\n",
-			se.Name(), se.LastValue(), se.Len(), se.MaxOver(atPs, r.cfg.LookbackPs))
+			se.Name(), se.LastValue(), se.Len(), se.MaxOver(atPs, r.lookbackPs))
 	})
 	in := Incident{AtPs: atPs, Rule: rule, FromPs: from, Report: b.String()}
 	if tr := sc.cfg.Tracer; tr != nil {

@@ -23,7 +23,7 @@ func buildRun(t *testing.T) *Scraper {
 		emit(telemetry.Sample{Name: "trips", Value: trips})
 	}))
 	const iv = 100 * sim.Us
-	rec := NewRecorder(RecorderConfig{LookbackPs: 10 * iv, NoteCap: 64})
+	rec := NewRecorder(10 * iv)
 	tr := telemetry.New()
 	sc, err := New(Config{
 		Eng: eng, Reg: reg, IntervalPs: iv, SeriesCap: 256,
@@ -138,7 +138,8 @@ func TestScraperHooksOrderAndFreshness(t *testing.T) {
 	}
 }
 
-// MaxIncidents caps capture; later firings only count Dropped.
+// maxIncidents caps capture; later firings only count Dropped. noteCap
+// bounds the note ring.
 func TestRecorderIncidentCap(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := telemetry.NewRegistry()
@@ -146,7 +147,7 @@ func TestRecorderIncidentCap(t *testing.T) {
 	reg.Register("g", telemetry.CollectorFunc(func(emit func(telemetry.Sample)) {
 		emit(telemetry.Sample{Name: "v", Value: v})
 	}))
-	rec := NewRecorder(RecorderConfig{MaxIncidents: 2, NoteCap: 8})
+	rec := NewRecorder(0)
 	sc, err := New(Config{
 		Eng: eng, Reg: reg, IntervalPs: 100,
 		Rules:    []Rule{Threshold("hi", "g.v", ReduceLast, 0, 5, 0)},
@@ -155,15 +156,23 @@ func TestRecorderIncidentCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the gauge across the threshold slowly enough to re-fire 4x.
-	for i := int64(0); i < 4; i++ {
+	// Flip the gauge across the threshold slowly enough to fire one
+	// more time than the cap.
+	for i := int64(0); i <= maxIncidents; i++ {
 		at := i * 300
 		eng.At(at+50, func() { v = 10 })
 		eng.At(at+150, func() { v = 0 })
 	}
 	sc.Start()
-	eng.RunUntil(1300)
-	if len(rec.Incidents) != 2 || rec.Dropped != 2 {
-		t.Fatalf("incidents = %d dropped = %d, want 2/2", len(rec.Incidents), rec.Dropped)
+	eng.RunUntil(300*(maxIncidents+1) + 100)
+	if len(rec.Incidents) != maxIncidents || rec.Dropped != 1 {
+		t.Fatalf("incidents = %d dropped = %d, want %d/1", len(rec.Incidents), rec.Dropped, maxIncidents)
+	}
+	// The note ring keeps the newest noteCap notes.
+	for i := int64(0); i <= noteCap; i++ {
+		rec.Note(2000+i, "test", "")
+	}
+	if rec.n != noteCap || rec.noteAt(0).AtPs != 2001 {
+		t.Fatalf("ring holds %d notes from %d, want %d from 2001", rec.n, rec.noteAt(0).AtPs, noteCap)
 	}
 }

@@ -18,7 +18,7 @@
 //     measurable quantity.
 //   - RNR/retry: receiver-not-ready NAKs (injected, or a stale rkey
 //     after the MR moved mid-flight) back off exponentially and retry
-//     up to RetryLimit before completing in error — never by writing
+//     up to retryLimit before completing in error — never by writing
 //     outside a registration.
 //
 // Executed writes go through sim.System.PeerDMAWrite: each line is
@@ -50,7 +50,7 @@ const (
 	// the ring and the posted WQEs stay pending until the next ring.
 	SiteDoorbell = "rdma.doorbell"
 	// SiteRNR makes the receiver NAK a WQE "not ready": the sender
-	// backs off and retries, up to Config.RetryLimit times.
+	// backs off and retries, up to retryLimit times.
 	SiteRNR = "rdma.rnr"
 )
 
@@ -82,19 +82,19 @@ const (
 	// rnrTimeoutPs is the base receiver-not-ready backoff; attempt k
 	// waits rnrTimeoutPs<<min(k,3).
 	rnrTimeoutPs = 4 * sim.Us
+	// qpDepth is the send-queue WQE capacity per QP.
+	qpDepth = 16
+	// mtu bounds the payload bytes of one WQE; larger deposits split.
+	mtu = 4096
+	// retryLimit bounds RNR retries per WQE and doorbell re-rings per
+	// deposit: 7, the largest value InfiniBand's 3-bit retry count
+	// carries (the IB-verbs default).
+	retryLimit = 7
 )
 
 // Config assembles a NIC.
 type Config struct {
 	Sys *sim.System
-	// QPDepth is the send-queue WQE capacity per QP. Zero selects 16.
-	QPDepth int
-	// MTU bounds the payload bytes of one WQE; larger deposits split.
-	// Zero selects 4096.
-	MTU int
-	// RetryLimit bounds RNR retries per WQE and doorbell re-rings per
-	// deposit. Zero selects 7 (the IB-verbs retry-count default).
-	RetryLimit int
 	// Faults arms the rdma.* injection sites; nil never fires.
 	Faults *fault.Injector
 	// Tracer, when non-nil, records deposit spans, doorbell/RNR
@@ -191,15 +191,6 @@ type NIC struct {
 func New(cfg Config) (*NIC, error) {
 	if cfg.Sys == nil {
 		return nil, fmt.Errorf("rdma: nil system")
-	}
-	if cfg.QPDepth <= 0 {
-		cfg.QPDepth = 16
-	}
-	if cfg.MTU <= 0 {
-		cfg.MTU = 4096
-	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 7
 	}
 	n := &NIC{
 		cfg: cfg,
@@ -316,7 +307,7 @@ func (n *NIC) PostWrite(id, off int, data []byte) error {
 	if qp == nil {
 		return ErrNoQP
 	}
-	if len(qp.sq) >= n.cfg.QPDepth {
+	if len(qp.sq) >= qpDepth {
 		return ErrSQFull
 	}
 	d := make([]byte, len(data))
@@ -402,7 +393,7 @@ func (n *NIC) exec(qp *QP, w wqe, cursor int64) int64 {
 			shift = 3
 		}
 		cursor += rnrTimeoutPs << shift
-		if attempt+1 >= n.cfg.RetryLimit {
+		if attempt+1 >= retryLimit {
 			n.complete(false)
 			n.tracef("fail c%d rnr", qp.ID)
 			return cursor
@@ -466,15 +457,15 @@ func (n *NIC) wirePs(payload int) int64 {
 // Deposit is the sender-side convenience verb the ingress path uses:
 // split data into MTU-sized WQEs landing at MR offset off onward, post
 // them, and ring the doorbell until the queue drains (re-ringing when
-// the injector eats a doorbell, up to RetryLimit). Returns the modelled
+// the injector eats a doorbell, up to retryLimit). Returns the modelled
 // device time. On ErrRetryExhausted the remaining WQEs stay posted and
 // a later ring drains them — nothing is lost, only late.
 func (n *NIC) Deposit(id, off int, data []byte) (int64, error) {
 	var lat int64
 	for len(data) > 0 {
 		c := len(data)
-		if c > n.cfg.MTU {
-			c = n.cfg.MTU
+		if c > mtu {
+			c = mtu
 		}
 		if err := n.PostWrite(id, off, data[:c]); err != nil {
 			if !errors.Is(err, ErrSQFull) {
@@ -505,7 +496,7 @@ func (n *NIC) Deposit(id, off int, data []byte) (int64, error) {
 		if n.qLen(id) == 0 {
 			return lat, nil
 		}
-		if attempt+1 >= n.cfg.RetryLimit {
+		if attempt+1 >= retryLimit {
 			return lat, ErrRetryExhausted
 		}
 	}

@@ -23,7 +23,13 @@ func testSys(t *testing.T) *sim.System {
 
 func testNIC(t *testing.T, sys *sim.System, cfg Config) (*NIC, uint64, uint32) {
 	t.Helper()
-	addr, err := sys.Driver.AllocPages(4)
+	return testNICPages(t, sys, cfg, 4)
+}
+
+// testNICPages builds a NIC with QP 0 bound to an MR of pages pages.
+func testNICPages(t *testing.T, sys *sim.System, cfg Config, pages int) (*NIC, uint64, uint32) {
+	t.Helper()
+	addr, err := sys.Driver.AllocPages(pages)
 	if err != nil {
 		t.Fatalf("AllocPages: %v", err)
 	}
@@ -32,7 +38,7 @@ func testNIC(t *testing.T, sys *sim.System, cfg Config) (*NIC, uint64, uint32) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rkey, err := n.RegisterMR(addr, 4*4096)
+	rkey, err := n.RegisterMR(addr, pages*4096)
 	if err != nil {
 		t.Fatalf("RegisterMR: %v", err)
 	}
@@ -185,7 +191,7 @@ func TestRDMARNRRetryExhaustionFailsCleanly(t *testing.T) {
 	sys := testSys(t)
 	inj := fault.New(7)
 	inj.Arm(SiteRNR, fault.Bernoulli{Prob: 1}) // receiver never ready
-	n, addr, _ := testNIC(t, sys, Config{Faults: inj, RetryLimit: 3, RecordLandings: true})
+	n, addr, _ := testNIC(t, sys, Config{Faults: inj, RecordLandings: true})
 	snap, _, _ := sys.Hier.DMARead(nil, addr, 4096)
 	if err := n.PostWrite(0, 0, payload(4096)); err != nil {
 		t.Fatalf("PostWrite: %v", err)
@@ -195,7 +201,7 @@ func TestRDMARNRRetryExhaustionFailsCleanly(t *testing.T) {
 		t.Fatalf("RingDoorbell: %v", err)
 	}
 	st := n.Stats()
-	if st.Failed != 1 || st.RNRNaks != 3 {
+	if st.Failed != 1 || st.RNRNaks != retryLimit {
 		t.Fatalf("stats: %+v", st)
 	}
 	if lat <= 0 {
@@ -212,8 +218,8 @@ func TestRDMARNRRetryExhaustionFailsCleanly(t *testing.T) {
 
 func TestRDMASQFullBackpressureDrains(t *testing.T) {
 	sys := testSys(t)
-	n, addr, _ := testNIC(t, sys, Config{QPDepth: 2, MTU: 1024})
-	data := payload(8192) // 8 WQEs through a 2-deep SQ
+	n, addr, _ := testNICPages(t, sys, Config{}, 4*qpDepth*mtu/4096)
+	data := payload(4 * qpDepth * mtu) // 4 SQs' worth of WQEs
 	if _, err := n.Deposit(0, 0, data); err != nil {
 		t.Fatalf("Deposit: %v", err)
 	}
@@ -265,14 +271,16 @@ func TestRDMATraceByteIdentical(t *testing.T) {
 
 func TestRDMAErrorsTyped(t *testing.T) {
 	sys := testSys(t)
-	n, _, _ := testNIC(t, sys, Config{QPDepth: 1})
+	n, _, _ := testNIC(t, sys, Config{})
 	if err := n.PostWrite(9, 0, payload(64)); !errors.Is(err, ErrNoQP) {
 		t.Fatalf("unknown QP: %v", err)
 	}
-	if err := n.PostWrite(0, 0, payload(64)); err != nil {
-		t.Fatalf("post: %v", err)
+	for i := 0; i < qpDepth; i++ {
+		if err := n.PostWrite(0, 64*i, payload(64)); err != nil {
+			t.Fatalf("post %d: %v", i, err)
+		}
 	}
-	if err := n.PostWrite(0, 64, payload(64)); !errors.Is(err, ErrSQFull) {
+	if err := n.PostWrite(0, 64*qpDepth, payload(64)); !errors.Is(err, ErrSQFull) {
 		t.Fatalf("full SQ: %v", err)
 	}
 }

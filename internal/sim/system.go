@@ -158,7 +158,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys.Engine.Tracer = cfg.Tracer
 	// Channel-0 fault sites (core.*, memctrl.crc, dram.alert) all fire on
 	// the DRAM-cycle clock; scale to picoseconds for the trace timeline.
-	timing := memctrl.DefaultConfig().Timing
+	timing := dram.DDR4_3200()
 	tck := timing.TCKps
 	if cfg.Faults != nil && cfg.Tracer != nil {
 		tr := cfg.Tracer
@@ -182,7 +182,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 				return nil, err
 			}
 			dev.Faults = cfg.Faults
-			ctl := memctrl.New(memctrl.DefaultConfig(), dev)
+			ctl := memctrl.New(timing, dev)
 			ctl.Faults = cfg.Faults
 			if cfg.Tracer != nil {
 				ctl.Tracer = cfg.Tracer
@@ -214,7 +214,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 		d.Faults = cfg.Faults
 		meter := &stats.BandwidthMeter{PeakBytesPerSec: peak}
-		ctl := memctrl.New(memctrl.DefaultConfig(), d)
+		ctl := memctrl.New(timing, d)
 		ctl.Meter = meter
 		ctl.Faults = cfg.Faults
 		if cfg.Tracer != nil {

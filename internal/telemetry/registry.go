@@ -7,7 +7,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -34,10 +33,8 @@ func (f CollectorFunc) Collect(emit func(Sample)) { f(emit) }
 
 // Registry holds named collectors in registration order, which is the
 // order Snapshot and WriteText report in — deterministic by
-// construction, no map iteration. Register, Sort, and Snapshot are safe
-// for concurrent use: a fleet's per-rank workers may register their
-// collectors in parallel, then call Sort once to restore a deterministic
-// report order (arrival order under concurrency is scheduler-dependent).
+// construction, no map iteration. Register and Snapshot are safe for
+// concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	prefixes []string
@@ -68,32 +65,8 @@ func (r *Registry) Register(prefix string, c Collector) {
 	r.mu.Unlock()
 }
 
-// Sort stable-sorts the registered collectors by prefix, leaving each
-// collector's own sample order untouched. After concurrent registration
-// (per-rank fleet workers racing into the registry), one Sort call makes
-// Snapshot/WriteText output independent of arrival order; serial callers
-// never need it.
-func (r *Registry) Sort() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := make([]int, len(r.cs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return r.prefixes[idx[a]] < r.prefixes[idx[b]] })
-	prefixes := make([]string, len(idx))
-	cs := make([]Collector, len(idx))
-	for i, j := range idx {
-		prefixes[i], cs[i] = r.prefixes[j], r.cs[j]
-	}
-	r.prefixes, r.cs = prefixes, cs
-}
-
 // Snapshot collects every registered collector once, in registration
-// order (or prefix order after Sort).
+// order.
 func (r *Registry) Snapshot() []Sample {
 	return r.SnapshotInto(nil)
 }

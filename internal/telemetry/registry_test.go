@@ -1,15 +1,10 @@
-// Concurrency coverage for the metrics registry: per-rank fleet workers
-// may register their collectors in parallel, so Register/Snapshot must
-// be race-free, and Sort must restore a deterministic report order no
-// matter how the scheduler interleaved the registrations. The telemetry
-// package runs under -race in ci.sh, which is what gives the concurrent
-// registrations here their teeth.
+// Concurrency coverage for the metrics registry: Register and Snapshot
+// must be race-free. The telemetry package runs under -race in ci.sh,
+// which is what gives the concurrent registrations here their teeth.
 package telemetry
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -20,53 +15,6 @@ func rankCollector(rank int) Collector {
 		emit(Sample{Name: "ops", Value: float64(100 + rank)})
 		emit(Sample{Name: "errors", Value: float64(rank % 3)})
 	})
-}
-
-// registerConcurrently fans rank registrations across goroutines and
-// returns the sorted WriteText output.
-func registerConcurrently(t *testing.T, ranks int) string {
-	t.Helper()
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < ranks; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			r.Register(fmt.Sprintf("mem.rank%02d", rank), rankCollector(rank))
-		}(i)
-	}
-	wg.Wait()
-	r.Sort()
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestRegistryConcurrentRegistrationDeterministic registers per-rank
-// collectors from racing goroutines at several GOMAXPROCS settings and
-// asserts the sorted text report is identical to a serial registration.
-func TestRegistryConcurrentRegistrationDeterministic(t *testing.T) {
-	const ranks = 16
-	serial := NewRegistry()
-	for i := 0; i < ranks; i++ {
-		serial.Register(fmt.Sprintf("mem.rank%02d", i), rankCollector(i))
-	}
-	var want strings.Builder
-	if err := serial.WriteText(&want); err != nil {
-		t.Fatal(err)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for round := 0; round < 8; round++ {
-			if got := registerConcurrently(t, ranks); got != want.String() {
-				t.Fatalf("GOMAXPROCS=%d round %d: concurrent+Sort output diverged:\ngot:\n%swant:\n%s",
-					procs, round, got, want.String())
-			}
-		}
-	}
 }
 
 // Concurrent Register while another goroutine snapshots must be safe
@@ -150,23 +98,4 @@ func BenchmarkSnapshotInto(b *testing.B) {
 		buf = r.SnapshotInto(buf)
 	}
 	_ = buf
-}
-
-// Sort is stable: collectors sharing a prefix keep registration order.
-func TestRegistrySortStable(t *testing.T) {
-	r := NewRegistry()
-	r.Register("b", CollectorFunc(func(emit func(Sample)) { emit(Sample{Name: "first", Value: 1}) }))
-	r.Register("a", CollectorFunc(func(emit func(Sample)) { emit(Sample{Name: "x", Value: 2}) }))
-	r.Register("b", CollectorFunc(func(emit func(Sample)) { emit(Sample{Name: "second", Value: 3}) }))
-	r.Sort()
-	snap := r.Snapshot()
-	want := []string{"a.x", "b.first", "b.second"}
-	if len(snap) != len(want) {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	for i, n := range want {
-		if snap[i].Name != n {
-			t.Fatalf("snapshot[%d] = %q, want %q (full: %+v)", i, snap[i].Name, n, snap)
-		}
-	}
 }

@@ -3,11 +3,14 @@
 //	go run ./internal/unused . bench
 //
 // Each argument is the directory of a Go module. The command type-checks
-// every package of those modules once, non-test files first and in
-// import order, then each package's test files, and prints one line for
-// every exported func, type, const, var, method or struct field that is
+// every package of those modules, non-test files first and in import
+// order, then each package's test files, and prints one line for every
+// exported func, type, const, var, method or struct field that is
 // declared in non-test code of a non-main package and that no file of
-// the modules, tests included, refers to. It exits 1 when it prints
+// the modules, tests included, refers to. It does so once with the
+// default build tags and once with the race tag, whose files
+// (race_test.go) pair with !race ones and so cannot be checked beside
+// them, and counts a use seen under either. It exits 1 when it prints
 // any. Exempt are embedded fields, whose promoted members are their
 // uses, and a method that lets its type, or a pointer to it, satisfy an
 // interface declared in the modules or the standard library. A field
@@ -61,13 +64,91 @@ type pkg struct {
 	files, testFiles, xtestFiles       []*ast.File
 }
 
+// tagSets are the build tags each pass lists the modules under.
+var tagSets = []string{"", "race"}
+
 // check returns one "file:line: pkg.Name" line per unreferenced export,
 // its file relative to the working directory, sorted.
 func check(dirs []string) ([]string, error) {
+	fset := token.NewFileSet()
+	l := &loader{
+		fset:     fset,
+		parsed:   map[string]*ast.File{},
+		imported: map[string]bool{},
+		std:      []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"},
+	}
+	var passes [][]*pkg
+	for _, tags := range tagSets {
+		pkgs, err := l.list(dirs, tags)
+		if err != nil {
+			return nil, err
+		}
+		passes = append(passes, pkgs)
+	}
+	stdImp, err := stdImporter(fset, dirs[0], l.std)
+	if err != nil {
+		return nil, err
+	}
+
+	// Files are parsed once, so a declaration has one position in every
+	// pass, and a use seen in any pass counts.
+	used := map[token.Pos]bool{}
+	decls := map[token.Pos]types.Object{}
+	exempt := map[token.Pos]bool{}
+	for _, pkgs := range passes {
+		mod, objs, err := checkPass(fset, pkgs, stdImp, used)
+		if err != nil {
+			return nil, err
+		}
+		ifaces := interfaces(mod)
+		for _, obj := range objs {
+			decls[obj.Pos()] = obj
+			if implementsSome(obj, ifaces) {
+				exempt[obj.Pos()] = true
+			}
+		}
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	var found []string
+	for pos, obj := range decls {
+		if used[pos] || exempt[pos] {
+			continue
+		}
+		name := obj.Name()
+		if recv := recvType(obj); recv != nil {
+			name = recv.Obj().Name() + "." + name
+		}
+		at := fset.Position(pos)
+		if rel, err := filepath.Rel(wd, at.Filename); err == nil {
+			at.Filename = rel
+		}
+		found = append(found, fmt.Sprintf("%s:%d: %s.%s", at.Filename, at.Line, obj.Pkg().Name(), name))
+	}
+	sort.Strings(found)
+	return found, nil
+}
+
+// loader lists module packages and parses each of their files once.
+// std collects the go list arguments that locate the export data of
+// every package the files import from outside the modules.
+type loader struct {
+	fset     *token.FileSet
+	parsed   map[string]*ast.File
+	imported map[string]bool
+	std      []string
+}
+
+// list returns the modules' packages in import order, as go list sees
+// them under tags, with their files parsed.
+func (l *loader) list(dirs []string, tags string) ([]*pkg, error) {
 	var pkgs []*pkg
 	seen := map[string]bool{}
 	for _, dir := range dirs {
-		out, err := goCmd(dir, "list", "-deps", "-json", "./...")
+		out, err := goCmd(dir, "list", "-tags", tags, "-deps", "-json", "./...")
 		if err != nil {
 			return nil, err
 		}
@@ -78,52 +159,59 @@ func check(dirs []string) ([]string, error) {
 			}
 			if !p.Standard && !seen[p.ImportPath] {
 				seen[p.ImportPath] = true
+				l.imported[p.ImportPath] = true
 				pkgs = append(pkgs, p)
 			}
 		}
 	}
-
-	fset := token.NewFileSet()
-	std := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
-	parse := func(dir string, names []string) ([]*ast.File, error) {
-		var files []*ast.File
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			for _, imp := range f.Imports {
-				if path := strings.Trim(imp.Path.Value, `"`); !seen[path] {
-					seen[path] = true
-					std = append(std, path)
-				}
-			}
-			files = append(files, f)
-		}
-		return files, nil
-	}
 	for _, p := range pkgs {
 		var err1, err2, err3 error
-		p.files, err1 = parse(p.Dir, p.GoFiles)
-		p.testFiles, err2 = parse(p.Dir, p.TestGoFiles)
-		p.xtestFiles, err3 = parse(p.Dir, p.XTestGoFiles)
+		p.files, err1 = l.parse(p.Dir, p.GoFiles)
+		p.testFiles, err2 = l.parse(p.Dir, p.TestGoFiles)
+		p.xtestFiles, err3 = l.parse(p.Dir, p.XTestGoFiles)
 		if err := errors.Join(err1, err2, err3); err != nil {
 			return nil, err
 		}
 	}
-	stdImp, err := stdImporter(fset, dirs[0], std)
-	if err != nil {
-		return nil, err
-	}
+	return pkgs, nil
+}
 
-	used := map[token.Pos]bool{}
+// parse returns the named files of dir, parsing those not yet parsed.
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		f := l.parsed[path]
+		if f == nil {
+			var err error
+			if f, err = parser.ParseFile(l.fset, path, nil, parser.SkipObjectResolution); err != nil {
+				return nil, err
+			}
+			l.parsed[path] = f
+			for _, imp := range f.Imports {
+				if path := strings.Trim(imp.Path.Value, `"`); !l.imported[path] {
+					l.imported[path] = true
+					l.std = append(l.std, path)
+				}
+			}
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// checkPass type-checks one pass's packages, non-test files first and
+// in import order, then their test variants, marking in used every
+// declaration they refer to. It returns the checked packages and the
+// exported declarations of the non-main ones.
+func checkPass(fset *token.FileSet, pkgs []*pkg, stdImp types.Importer, used map[token.Pos]bool) (map[string]*types.Package, []types.Object, error) {
 	mod := map[string]*types.Package{}
 	imp := mapImporter{mod, stdImp}
 	var decls []types.Object
 	for _, p := range pkgs {
 		info, tp, err := checkPkg(fset, p.ImportPath, p.files, imp, used)
 		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		mod[p.ImportPath] = tp
 		if p.Name != "main" {
@@ -144,29 +232,7 @@ func check(dirs []string) ([]string, error) {
 			checkPkg(fset, p.ImportPath+"_test", p.xtestFiles, xtest, used)
 		}
 	}
-
-	ifaces := interfaces(mod)
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	var found []string
-	for _, obj := range decls {
-		if used[obj.Pos()] || implementsSome(obj, ifaces) {
-			continue
-		}
-		name := obj.Name()
-		if recv := recvType(obj); recv != nil {
-			name = recv.Obj().Name() + "." + name
-		}
-		pos := fset.Position(obj.Pos())
-		if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
-			pos.Filename = rel
-		}
-		found = append(found, fmt.Sprintf("%s:%d: %s.%s", pos.Filename, pos.Line, obj.Pkg().Name(), name))
-	}
-	sort.Strings(found)
-	return found, nil
+	return mod, decls, nil
 }
 
 // goCmd runs the go command in dir and returns its standard output.

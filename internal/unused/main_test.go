@@ -8,8 +8,9 @@ import (
 
 // The fixture module has one unreferenced export, a method that only
 // satisfies fmt.Stringer, an embedded field used only through its
-// promoted methods and an export that only a test references: the
-// checker reports exactly the first.
+// promoted methods, an export that only a test references and one that
+// only a race-tagged test references: the checker reports exactly the
+// first.
 func TestCheckFixture(t *testing.T) {
 	found, err := check([]string{filepath.Join("testdata", "fixture")})
 	if err != nil {

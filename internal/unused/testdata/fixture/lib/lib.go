@@ -22,3 +22,6 @@ func (c Count) String() string { return fmt.Sprintf("count %d", int(c)) }
 
 // TestOnly is referenced only by a test.
 func TestOnly() int { return 1 }
+
+// RaceOnly is referenced only by a test built with the race tag.
+func RaceOnly() bool { return true }

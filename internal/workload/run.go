@@ -296,7 +296,7 @@ func Run(cfg RunConfig) (Report, error) {
 		// straight into a ring only while it has not wrapped.
 		seriesCap := int((cfg.HorizonPs+cfg.DrainPs)/scrapePs) + 8
 		if cfg.Record {
-			rec = obs.NewRecorder(obs.RecorderConfig{LookbackPs: cfg.LookbackPs})
+			rec = obs.NewRecorder(cfg.LookbackPs)
 		}
 		scraper, err = obs.New(obs.Config{
 			Eng: sys.Engine, Reg: reg, IntervalPs: scrapePs, SeriesCap: seriesCap,
