@@ -93,7 +93,8 @@
 #  16. alloc gate — the steady state allocates nothing: a TLS
 #                     cacheline on a kept key schedule, a GCM Open
 #                     into a kept buffer, a full
-#                     write-queue drain, a TLS source line's rdCAS
+#                     write-queue drain, a row-hit read through the
+#                     controller, a TLS source line's rdCAS
 #                     through the device into the Scratchpad, all 64
 #                     source lines of consecutive compression records
 #                     (the encoder run and page framing included), a
@@ -123,6 +124,9 @@
 #                     references (a method that satisfies an interface
 #                     and an embedded field are exempt): delete it, or
 #                     unexport it if only its package's tests use it
+#
+# The full gate prints each stage's wall time as the stage ends
+# ("ci.sh: stage race took 61 s") and the total at the end.
 #
 # `./ci.sh <stage>` runs one gate alone: bench (the KPI bench — the
 # quick loop while tuning performance), shard, cluster, rdma, workload
@@ -183,7 +187,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestReadRowHitZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {
@@ -276,10 +280,22 @@ run_fuzz() {
 	done
 }
 
-run_all() {
+# timed NAME CMD... runs CMD, then prints how many seconds of wall time
+# it took, so a growth of the full gate can be put down to its stages.
+timed() {
+	name=$1
+	shift
+	start=$(date +%s)
+	"$@"
+	echo "ci.sh: stage $name took $(($(date +%s) - start)) s"
+}
+
+run_vet() {
 	echo "== go vet ./..."
 	go vet ./...
+}
 
+run_gofmt() {
 	echo "== gofmt -l internal cmd examples"
 	unformatted=$(gofmt -l internal cmd examples)
 	if [ -n "$unformatted" ]; then
@@ -287,12 +303,14 @@ run_all() {
 		echo "ci.sh: files above are not gofmt-formatted — run gofmt -w on them" >&2
 		exit 1
 	fi
+}
 
+run_build() {
 	echo "== go build ./..."
 	go build ./...
+}
 
-	run_stage smoke
-
+run_greps() {
 	echo "== wall-clock gate (no time.Now() in internal/ or cmd/)"
 	# internal/ is absolute: simulator code must use simulated picoseconds.
 	# cmd/ may measure host wall-clock only where annotated `wallclock:ok`
@@ -328,23 +346,34 @@ run_all() {
 		echo "ci.sh: flate.NewReader outside internal/deflate — inflate with deflate.Decompress" >&2
 		exit 1
 	fi
+}
 
-	for stage in race golden; do
-		run_stage $stage
-	done
-	run_shard
-	for stage in cluster rdma workload obs alloc; do
-		run_stage $stage
-	done
-	run_bench
-	run_benchmod
-	run_examples
-	run_unused
-
+run_test() {
 	echo "== go test -shuffle=on ./..."
 	go test -shuffle=on ./...
+}
 
-	echo "ci.sh: all gates passed"
+run_all() {
+	begin=$(date +%s)
+	timed vet run_vet
+	timed gofmt run_gofmt
+	timed build run_build
+	timed smoke run_stage smoke
+	timed greps run_greps
+	for stage in race golden; do
+		timed $stage run_stage $stage
+	done
+	timed shard run_shard
+	for stage in cluster rdma workload obs alloc; do
+		timed $stage run_stage $stage
+	done
+	timed bench run_bench
+	timed benchmod run_benchmod
+	timed examples run_examples
+	timed unused run_unused
+	timed test run_test
+
+	echo "ci.sh: all gates passed in $(($(date +%s) - begin)) s"
 }
 
 case "${1:-}" in

@@ -43,7 +43,8 @@ func (c Class) String() string {
 	}
 }
 
-// Victim describes a line evicted or flushed from the cache.
+// Victim describes a line evicted or flushed from the cache. Data holds
+// the line's bytes only when Dirty: a clean victim needs no writeback.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
@@ -56,15 +57,6 @@ type Stats struct {
 	Misses     [numClasses]uint64
 	Writebacks uint64 // dirty evictions + dirty flushes
 	Fills      uint64
-}
-
-// line is one way's payload and replacement state. Its tag and valid
-// bit live in Cache.keys, so a lookup scans one word per way, all in
-// a row, instead of one line per way.
-type line struct {
-	data    [LineSize]byte
-	lastUse uint64
-	dirty   bool
 }
 
 // validKey marks a live entry of Cache.keys; the rest of the key is the
@@ -92,18 +84,23 @@ func DefaultXeonLLC() Config {
 }
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement and per-class way masking. Set s occupies ways
-// [s*Ways, (s+1)*Ways) of both keys and lines.
+// replacement and per-class way masking. Each way's state sits in four
+// dense arrays indexed set*Ways + way, so a lookup and a victim choice
+// each scan one word per way, all in a row, and a line's bytes fill one
+// host cache line of their own.
 type Cache struct {
 	cfg     Config
-	keys    []uint64 // tag | validKey per set x way; 0 is an empty way
-	lines   []line
+	keys    []uint64 // tag | validKey; 0 is an empty way
+	ages    []uint64 // tick of the way's last use (LRU)
+	dirty   []bool
+	data    [][LineSize]byte
 	setMask uint64
 	tick    uint64
 	stats   Stats
 	// window counters for miss-rate sampling (adaptive offload probe)
 	winAcc, winMiss uint64
-	// victim is the line FlushRange hands to its writeback callback.
+	// victim is the line a fill evicts or FlushRange flushes, handed
+	// out by pointer.
 	victim Victim
 }
 
@@ -121,7 +118,11 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
 	}
 	n := nSets * cfg.Ways
-	return &Cache{cfg: cfg, keys: make([]uint64, n), lines: make([]line, n), setMask: uint64(nSets - 1)}, nil
+	return &Cache{
+		cfg: cfg, keys: make([]uint64, n), ages: make([]uint64, n),
+		dirty: make([]bool, n), data: make([][LineSize]byte, n),
+		setMask: uint64(nSets - 1),
+	}, nil
 }
 
 // Stats returns a copy of the statistics.
@@ -135,7 +136,7 @@ func (c *Cache) setBase(addr uint64) int {
 	return int((addr/LineSize)&c.setMask) * c.cfg.Ways
 }
 
-// lookup returns the keys/lines index holding addr, or -1.
+// lookup returns the index of the way holding addr, or -1.
 func (c *Cache) lookup(addr uint64) int {
 	base := c.setBase(addr)
 	key := addr/LineSize | validKey
@@ -165,9 +166,8 @@ func (c *Cache) Read(addr uint64, class Class, dst []byte) (ok bool) {
 		c.winMiss++
 		return false
 	}
-	l := &c.lines[i]
-	l.lastUse = c.tick
-	copy(dst, l.data[:])
+	c.ages[i] = c.tick
+	copy(dst, c.data[i][:])
 	return true
 }
 
@@ -185,41 +185,42 @@ func (c *Cache) Write(addr uint64, class Class, src []byte) (ok bool) {
 		c.winMiss++
 		return false
 	}
-	l := &c.lines[i]
-	l.lastUse = c.tick
-	l.dirty = true
-	copy(l.data[:], src)
+	c.ages[i] = c.tick
+	c.dirty[i] = true
+	copy(c.data[i][:], src)
 	return true
 }
 
 // Fill installs a clean line fetched from memory, evicting per class
-// mask + LRU if needed. When ok, v is the evicted line, which the caller
-// must write back if it is dirty.
-func (c *Cache) Fill(addr uint64, class Class, data []byte) (v Victim, ok bool) {
+// mask + LRU if needed. It returns the evicted line, or nil; the caller
+// must write a dirty victim back. The victim is the cache's own and is
+// valid until the next call that fills or flushes.
+func (c *Cache) Fill(addr uint64, class Class, data []byte) *Victim {
 	return c.fill(addr, class, data, false)
 }
 
 // FillDirty installs a line that is immediately dirty: a full-line CPU
-// store miss (no fetch needed) or a DDIO DMA write from a device.
-func (c *Cache) FillDirty(addr uint64, class Class, data []byte) (v Victim, ok bool) {
+// store miss (no fetch needed) or a DDIO DMA write from a device. It
+// returns the victim as Fill does.
+func (c *Cache) FillDirty(addr uint64, class Class, data []byte) *Victim {
 	return c.fill(addr, class, data, true)
 }
 
-func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victim, ok bool) {
+func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) *Victim {
 	c.tick++
 	c.stats.Fills++
 
 	// If present already (races between fill paths), update in place.
 	if i := c.lookup(addr); i != -1 {
-		l := &c.lines[i]
-		copy(l.data[:], data)
-		l.dirty = l.dirty || dirty
-		l.lastUse = c.tick
-		return Victim{}, false
+		copy(c.data[i][:], data)
+		c.dirty[i] = c.dirty[i] || dirty
+		c.ages[i] = c.tick
+		return nil
 	}
 
 	base := c.setBase(addr)
-	keys, lines := c.keys[base:base+c.cfg.Ways], c.lines[base:base+c.cfg.Ways]
+	ways := c.cfg.Ways
+	keys, ages := c.keys[base:base+ways], c.ages[base:base+ways]
 	mask := c.cfg.WayMask[class]
 	if mask == 0 {
 		mask = ^uint64(0)
@@ -235,9 +236,9 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victi
 			victimWay = w
 			break
 		}
-		if lines[w].lastUse < oldest {
+		if ages[w] < oldest {
 			victimWay = w
-			oldest = lines[w].lastUse
+			oldest = ages[w]
 		}
 	}
 	if victimWay == -1 {
@@ -245,35 +246,41 @@ func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) (v Victi
 		// behaviourally rather than dropping the line.
 		victimWay = 0
 	}
-	l := &lines[victimWay]
-	if k := keys[victimWay]; k != 0 {
-		v, ok = Victim{Addr: (k &^ validKey) * LineSize, Dirty: l.dirty, Data: l.data}, true
-		if v.Dirty {
-			c.stats.Writebacks++
-		}
+	i := base + victimWay
+	var v *Victim
+	if c.keys[i] != 0 {
+		v = c.evict(i)
 	}
-	keys[victimWay] = addr/LineSize | validKey
-	l.dirty, l.lastUse = dirty, c.tick
-	n := copy(l.data[:], data)
-	clear(l.data[n:])
-	return v, ok
+	c.keys[i], c.ages[i], c.dirty[i] = addr/LineSize|validKey, c.tick, dirty
+	n := copy(c.data[i][:], data)
+	clear(c.data[i][n:])
+	return v
 }
 
-// flush removes the line containing addr (clflush semantics), describing
-// it in v for writeback if it is dirty, and reports whether it was
-// present; clean lines are simply invalidated.
-func (c *Cache) flush(addr uint64, v *Victim) bool {
-	i := c.lookup(addr)
-	if i == -1 {
-		return false
-	}
-	l := &c.lines[i]
-	v.Addr, v.Dirty, v.Data = (c.keys[i]&^validKey)*LineSize, l.dirty, l.data
-	c.keys[i] = 0
+// evict describes the valid line at index i in c.victim, copying its
+// bytes only when it is dirty, and returns it. The caller reuses or
+// invalidates the way.
+func (c *Cache) evict(i int) *Victim {
+	v := &c.victim
+	v.Addr, v.Dirty = (c.keys[i]&^validKey)*LineSize, c.dirty[i]
 	if v.Dirty {
+		v.Data = c.data[i]
 		c.stats.Writebacks++
 	}
-	return true
+	return v
+}
+
+// flush removes the line containing addr (clflush semantics) and
+// returns it, or nil when it was absent; only a dirty victim needs a
+// writeback, a clean line is simply invalidated.
+func (c *Cache) flush(addr uint64) *Victim {
+	i := c.lookup(addr)
+	if i == -1 {
+		return nil
+	}
+	v := c.evict(i)
+	c.keys[i] = 0
+	return v
 }
 
 // FlushRange flushes every line in [addr, addr+size), invoking wb for
@@ -285,10 +292,10 @@ func (c *Cache) FlushRange(addr uint64, size int, wb func(*Victim)) int {
 	present := 0
 	start := addr &^ (LineSize - 1)
 	for a := start; a < addr+uint64(size); a += LineSize {
-		if c.flush(a, &c.victim) {
+		if v := c.flush(a); v != nil {
 			present++
-			if c.victim.Dirty && wb != nil {
-				wb(&c.victim)
+			if v.Dirty && wb != nil {
+				wb(v)
 			}
 		}
 	}

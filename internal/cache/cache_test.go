@@ -21,7 +21,7 @@ func mustNew(cfg Config) *Cache {
 // dirty reports whether the line is cached and dirty.
 func dirty(c *Cache, addr uint64) bool {
 	i := c.lookup(addr)
-	return i != -1 && c.lines[i].dirty
+	return i != -1 && c.dirty[i]
 }
 
 func lineData(b byte) []byte { return bytes.Repeat([]byte{b}, LineSize) }
@@ -47,7 +47,7 @@ func TestReadMissFillHit(t *testing.T) {
 	if c.Read(0x1000, ClassCPU, buf) {
 		t.Fatal("cold read hit")
 	}
-	if _, ok := c.Fill(0x1000, ClassCPU, lineData(0xAA)); ok {
+	if v := c.Fill(0x1000, ClassCPU, lineData(0xAA)); v != nil {
 		t.Fatal("fill into empty cache evicted")
 	}
 	if !c.Read(0x1000, ClassCPU, buf) {
@@ -71,9 +71,8 @@ func TestWriteDirtyAndWriteback(t *testing.T) {
 	if !dirty(c, 0x1000) {
 		t.Fatal("write did not mark dirty")
 	}
-	var v Victim
-	ok := c.flush(0x1000, &v)
-	if !ok || !v.Dirty || v.Addr != 0x1000 {
+	v := c.flush(0x1000)
+	if v == nil || !v.Dirty || v.Addr != 0x1000 {
 		t.Fatalf("flush victim %+v", v)
 	}
 	if !bytes.Equal(v.Data[:], lineData(0xBB)) {
@@ -97,8 +96,8 @@ func TestLRUEviction(t *testing.T) {
 	// Touch line 0 so line 1 becomes LRU.
 	buf := make([]byte, LineSize)
 	c.Read(base, ClassCPU, buf)
-	v, ok := c.Fill(base+4*128, ClassCPU, lineData(4))
-	if !ok || v.Addr != base+1*128 {
+	v := c.Fill(base+4*128, ClassCPU, lineData(4))
+	if v == nil || v.Addr != base+1*128 {
 		t.Fatalf("expected LRU victim at %#x, got %+v", base+128, v)
 	}
 	if v.Dirty {
@@ -111,8 +110,8 @@ func TestFillDirtyVictimCarriesData(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.FillDirty(uint64(i)*128, ClassCPU, lineData(byte(i)))
 	}
-	v, ok := c.FillDirty(4*128, ClassCPU, lineData(9))
-	if !ok || !v.Dirty {
+	v := c.FillDirty(4*128, ClassCPU, lineData(9))
+	if v == nil || !v.Dirty {
 		t.Fatalf("dirty victim expected, got %+v", v)
 	}
 	if !bytes.Equal(v.Data[:], lineData(0)) {
@@ -124,12 +123,10 @@ func TestCATWayMaskRestrictsAllocation(t *testing.T) {
 	c := tiny()
 	c.cfg.WayMask[ClassDMA] = 0b0001 // DMA may only use way 0
 	// Two DMA fills to the same set must evict each other.
-	_, ok1 := c.FillDirty(0, ClassDMA, lineData(1))
-	v2, ok2 := c.FillDirty(128, ClassDMA, lineData(2))
-	if ok1 {
+	if v := c.FillDirty(0, ClassDMA, lineData(1)); v != nil {
 		t.Fatal("first DMA fill evicted")
 	}
-	if !ok2 || v2.Addr != 0 {
+	if v2 := c.FillDirty(128, ClassDMA, lineData(2)); v2 == nil || v2.Addr != 0 {
 		t.Fatalf("second DMA fill should evict the first, got %+v", v2)
 	}
 	// CPU fills are unrestricted and do not evict the DMA line.
@@ -156,7 +153,7 @@ func TestDDIOLeakToDRAM(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		addr := uint64(i) * LineSize
 		addrs = append(addrs, addr)
-		if v, ok := c.FillDirty(addr, ClassDMA, lineData(byte(i))); ok && v.Dirty {
+		if v := c.FillDirty(addr, ClassDMA, lineData(byte(i))); v != nil && v.Dirty {
 			leaked++
 		}
 	}

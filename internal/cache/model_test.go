@@ -86,8 +86,9 @@ func (r *refCache) fill(addr uint64, class Class, data []byte, dirty bool) (Vict
 	old, evict := r.occupant[[2]int{s, way}]
 	if evict {
 		ol := r.lines[old]
-		v = Victim{Addr: old, Dirty: ol.dirty, Data: ol.data}
+		v = Victim{Addr: old, Dirty: ol.dirty}
 		if v.Dirty {
+			v.Data = ol.data
 			r.stats.Writebacks++
 		}
 		delete(r.lines, old)
@@ -104,8 +105,9 @@ func (r *refCache) flush(addr uint64) (Victim, bool) {
 	if l == nil {
 		return Victim{}, false
 	}
-	v := Victim{Addr: addr, Dirty: l.dirty, Data: l.data}
+	v := Victim{Addr: addr, Dirty: l.dirty}
 	if v.Dirty {
+		v.Data = l.data
 		r.stats.Writebacks++
 	}
 	delete(r.lines, addr)
@@ -116,7 +118,8 @@ func (r *refCache) flush(addr uint64) (Victim, bool) {
 // TestCacheMatchesReferenceModel drives random Read/Write/Fill/
 // FillDirty/flush/FlushRange sequences, with a DDIO-style 2-way DMA
 // mask and occasional CAT mask changes, through Cache and the model:
-// hits, victims (address, dirty bit, data) and Stats must agree.
+// hits, victims (address, dirty bit, a dirty victim's data) and Stats
+// must agree.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -152,23 +155,21 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				}
 			case k < 17:
 				dirty := k >= 14
-				var v Victim
-				var ok bool
+				var v *Victim
 				if dirty {
-					v, ok = c.FillDirty(a, class, data)
+					v = c.FillDirty(a, class, data)
 				} else {
-					v, ok = c.Fill(a, class, data)
+					v = c.Fill(a, class, data)
 				}
 				wv, wok := ref.fill(a, class, data, dirty)
-				if ok != wok || v != wv {
-					t.Fatalf("seed %d op %d: fill(%#x) victim %v/%+v, model %v/%+v", seed, op, a, ok, v.Addr, wok, wv.Addr)
+				if !victimIs(v, wv, wok) {
+					t.Fatalf("seed %d op %d: fill(%#x) victim %+v, model %v/%+v", seed, op, a, v, wok, wv.Addr)
 				}
 			case k < 18:
-				var v Victim
-				ok := c.flush(a, &v)
+				v := c.flush(a)
 				wv, wok := ref.flush(a)
-				if ok != wok || v != wv {
-					t.Fatalf("seed %d op %d: flush(%#x) %v, model %v", seed, op, a, ok, wok)
+				if !victimIs(v, wv, wok) {
+					t.Fatalf("seed %d op %d: flush(%#x) %v, model %v", seed, op, a, v != nil, wok)
 				}
 			case k < 19:
 				from, size := a+uint64(rng.Intn(LineSize)), 1+rng.Intn(4*LineSize)
@@ -203,7 +204,17 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestFillFlushAllocs pins the by-value victims: evicting fills and
+// victimIs reports whether v, the cache's victim or nil, is the
+// model's victim (want, ok): the same address and dirty bit, and for a
+// dirty victim the same data.
+func victimIs(v *Victim, want Victim, ok bool) bool {
+	if v == nil || !ok {
+		return v == nil && !ok
+	}
+	return v.Addr == want.Addr && v.Dirty == want.Dirty && (!v.Dirty || v.Data == want.Data)
+}
+
+// TestFillFlushAllocs pins the cache-owned victims: evicting fills and
 // flushes allocate nothing.
 func TestFillFlushAllocs(t *testing.T) {
 	c := tiny()
@@ -212,14 +223,14 @@ func TestFillFlushAllocs(t *testing.T) {
 	fill := testing.AllocsPerRun(100, func() {
 		n++
 		// Same-set stride 128 cycles through 8 lines over 4 ways.
-		if v, ok := c.FillDirty((n%8)*128, ClassCPU, data); ok && !v.Dirty {
+		if v := c.FillDirty((n%8)*128, ClassCPU, data); v != nil && !v.Dirty {
 			t.Fatal("dirty victim came back clean")
 		}
 	})
 	flush := testing.AllocsPerRun(100, func() {
 		n++
 		c.Fill((n%8)*128, ClassCPU, data)
-		c.flush((n%8)*128, &c.victim)
+		c.flush((n % 8) * 128)
 		c.FlushRange(0, 512, nil)
 	})
 	if fill != 0 || flush != 0 {

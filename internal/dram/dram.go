@@ -206,6 +206,13 @@ func (m *Mapper) BankIndex(rank, bg, ba int) int {
 	return (rank*m.geo.BankGroups+bg)*m.geo.BanksPerBG + ba
 }
 
+// leafPages is the page count of one leaf of Chips' page table.
+const leafPages = 256
+
+// pageLeaf is one leaf of Chips' page table: the backing of leafPages
+// consecutive pages, nil for a page never written.
+type pageLeaf [leafPages]*[PageSize]byte
+
 // Chips is the DRAM device array of one DIMM: per-bank row state plus
 // sparse page-granular backing storage. It enforces the protocol rules
 // that matter to the model: CAS commands require the addressed row to be
@@ -214,7 +221,11 @@ type Chips struct {
 	geo     Geometry
 	mapper  *Mapper
 	openRow []int32 // per bank: open row id, -1 when precharged
-	pages   map[uint64]*[PageSize]byte
+	// leaves is a two-level page table indexed by page number: leaf
+	// page/leafPages, slot page%leafPages. A leaf and a page are
+	// allocated on their first write; a read of an unwritten page
+	// returns zeros.
+	leaves []*pageLeaf
 	// Stats
 	Activations uint64
 	Precharges  uint64
@@ -228,11 +239,12 @@ func NewChips(geo Geometry) (*Chips, error) {
 	if err != nil {
 		return nil, err
 	}
+	pages := (geo.CapacityBytes() + PageSize - 1) / PageSize
 	c := &Chips{
 		geo:     geo,
 		mapper:  m,
 		openRow: make([]int32, geo.TotalBanks()),
-		pages:   make(map[uint64]*[PageSize]byte),
+		leaves:  make([]*pageLeaf, (pages+leafPages-1)/leafPages),
 	}
 	for i := range c.openRow {
 		c.openRow[i] = -1
@@ -284,15 +296,25 @@ func (c *Chips) checkOpen(cmd Command) error {
 	return nil
 }
 
-// locate returns the backing page and offset for a command's cacheline.
+// locate returns the backing page and offset for a command's cacheline,
+// allocating the page (and its leaf) when alloc is set; otherwise an
+// unwritten page is nil.
 func (c *Chips) locate(cmd Command, alloc bool) (*[PageSize]byte, int) {
 	phys := c.mapper.Encode(cmd.Rank, cmd.BG, cmd.BA, cmd.Row, cmd.Col)
-	pageNum := phys / PageSize
+	page := phys / PageSize
 	off := int(phys % PageSize)
-	p := c.pages[pageNum]
+	leaf := c.leaves[page/leafPages]
+	if leaf == nil {
+		if !alloc {
+			return nil, off
+		}
+		leaf = new(pageLeaf)
+		c.leaves[page/leafPages] = leaf
+	}
+	p := leaf[page%leafPages]
 	if p == nil && alloc {
 		p = new([PageSize]byte)
-		c.pages[pageNum] = p
+		leaf[page%leafPages] = p
 	}
 	return p, off
 }

@@ -151,6 +151,73 @@ func TestChipsDataPersistence(t *testing.T) {
 	}
 }
 
+// TestChipsPageTable checks the edges of the page table: a read of a
+// never-written page returns zeros and allocates nothing, not even a
+// leaf, and the last line below capacity, in the last slot of the last
+// leaf, round-trips alone.
+func TestChipsPageTable(t *testing.T) {
+	for _, geo := range []Geometry{SmallGeometry(), MediumGeometry()} {
+		ch, err := NewChips(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// open activates the row of phys and returns its CAS of kind.
+		open := func(phys uint64, kind CommandKind) Command {
+			t.Helper()
+			cmd, err := ch.Mapper().Decode(phys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch.Precharge(cmd.Rank, cmd.BG, cmd.BA)
+			if err := ch.Activate(cmd.Rank, cmd.BG, cmd.BA, cmd.Row); err != nil {
+				t.Fatal(err)
+			}
+			cmd.Kind = kind
+			return cmd
+		}
+		leaves := func() (n int) {
+			for _, l := range ch.leaves {
+				if l != nil {
+					n++
+				}
+			}
+			return n
+		}
+		zero := make([]byte, CachelineSize)
+		got := bytes.Repeat([]byte{0xFF}, CachelineSize)
+		last := geo.CapacityBytes() - CachelineSize
+		rd := open(last, CmdRd)
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := ch.Read(rd, got); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 || leaves() != 0 {
+			t.Fatalf("%+v: unwritten read made %v allocs/op and %d leaves, want 0 and 0", geo, allocs, leaves())
+		}
+		if !bytes.Equal(got, zero) {
+			t.Fatalf("%+v: unwritten last line not zero", geo)
+		}
+
+		want := bytes.Repeat([]byte{0xC3}, CachelineSize)
+		if err := ch.Write(open(last, CmdWr), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.Read(open(last, CmdRd), got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%+v: last line below capacity did not round-trip: %v", geo, err)
+		}
+		if leaves() != 1 || ch.leaves[len(ch.leaves)-1] == nil {
+			t.Fatalf("%+v: write of the last line made %d leaves, want only the last", geo, leaves())
+		}
+		// The page before it shares the leaf but is still unwritten, and
+		// page 0 is untouched.
+		for _, phys := range []uint64{last - PageSize, 0} {
+			if err := ch.Read(open(phys, CmdRd), got); err != nil || !bytes.Equal(got, zero) {
+				t.Fatalf("%+v: unwritten line %#x not zero: %v", geo, phys, err)
+			}
+		}
+	}
+}
+
 func TestPlainDIMMPassThrough(t *testing.T) {
 	d, err := NewPlainDIMM(SmallGeometry())
 	if err != nil {

@@ -22,6 +22,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/fault"
@@ -91,18 +92,23 @@ type bankState struct {
 	actCycle   int64 // time of last ACT, for tRAS
 }
 
+// pendingWrite is one write-queue entry; its line address is the entry
+// at the same index of Controller.wqAddr.
 type pendingWrite struct {
-	addr  uint64
-	core  int
-	data  [dram.CachelineSize]byte
-	atCyc int64
+	core int
+	data [dram.CachelineSize]byte
 }
 
 // Controller drives one dram.Module (one channel).
 type Controller struct {
-	timing   dram.Timing
-	mod      dram.Module
-	banks    []bankState
+	timing dram.Timing
+	mod    dram.Module
+	mapper *dram.Mapper // mod's, fetched once
+	banks  []bankState
+	// The write-pending queue. The line addresses sit in their own
+	// dense array, so the scan every Read and Write makes for its line
+	// reads 8 bytes per entry, not a whole entry.
+	wqAddr   []uint64
 	wq       []pendingWrite
 	now      int64 // controller clock, DRAM cycles
 	busDir   int
@@ -125,12 +131,16 @@ type Controller struct {
 
 // New builds a controller with DRAM timing t over the module.
 func New(t dram.Timing, mod dram.Module) *Controller {
-	geo := mod.Mapper().Geometry()
-	banks := make([]bankState, geo.TotalBanks())
+	m := mod.Mapper()
+	banks := make([]bankState, m.Geometry().TotalBanks())
 	for i := range banks {
 		banks[i].openRow = -1
 	}
-	return &Controller{timing: t, mod: mod, banks: banks}
+	return &Controller{
+		timing: t, mod: mod, mapper: m, banks: banks,
+		wqAddr: make([]uint64, 0, drainThreshold),
+		wq:     make([]pendingWrite, 0, drainThreshold),
+	}
 }
 
 // Stats returns a copy of the counters.
@@ -170,12 +180,15 @@ func (c *Controller) WriteQueuePressure() float64 {
 	return float64(len(c.wq)) / writeQueueDepth
 }
 
-// prepareBank issues PRE/ACT as needed and returns the cycle at which a
-// CAS to (cmd) may issue, updating bank state.
-func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
+// bank returns the state of the bank cmd addresses.
+func (c *Controller) bank(cmd *dram.Command) *bankState {
+	return &c.banks[c.mapper.BankIndex(cmd.Rank, cmd.BG, cmd.BA)]
+}
+
+// prepareBank issues PRE/ACT as needed on b, the bank cmd addresses, and
+// returns the cycle at which a CAS to (cmd) may issue, updating b.
+func (c *Controller) prepareBank(cmd *dram.Command, b *bankState) (int64, error) {
 	t := &c.timing
-	idx := c.mod.Mapper().BankIndex(cmd.Rank, cmd.BG, cmd.BA)
-	b := &c.banks[idx]
 	at := c.now
 	if b.readyCycle > at {
 		at = b.readyCycle
@@ -185,7 +198,7 @@ func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
 		c.st.RowHits++
 	case b.openRow == -1:
 		c.st.RowMisses++
-		act := cmd
+		act := *cmd
 		act.Kind = dram.CmdACT
 		if _, err := c.mod.HandleCommand(at, act, nil, nil); err != nil {
 			return 0, err
@@ -199,13 +212,13 @@ func (c *Controller) prepareBank(cmd dram.Command) (int64, error) {
 		if min := b.actCycle + int64(t.TRAS); at < min {
 			at = min
 		}
-		pre := cmd
+		pre := *cmd
 		pre.Kind = dram.CmdPRE
 		if _, err := c.mod.HandleCommand(at, pre, nil, nil); err != nil {
 			return 0, err
 		}
 		at += int64(t.TRP)
-		act := cmd
+		act := *cmd
 		act.Kind = dram.CmdACT
 		if _, err := c.mod.HandleCommand(at, act, nil, nil); err != nil {
 			return 0, err
@@ -243,22 +256,20 @@ func (c *Controller) reserveBus(at int64, dir int) int64 {
 // drain first (no forwarding; see package comment).
 func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 	line := addr &^ (dram.CachelineSize - 1)
-	for i := range c.wq {
-		if c.wq[i].addr == line {
-			if _, err := c.DrainWrites(); err != nil {
-				return 0, err
-			}
-			break
+	if slices.Contains(c.wqAddr, line) {
+		if _, err := c.DrainWrites(); err != nil {
+			return 0, err
 		}
 	}
-	cmd, err := c.mod.Mapper().Decode(line)
+	cmd, err := c.mapper.Decode(line)
 	if err != nil {
 		return 0, err
 	}
 	cmd.Kind = dram.CmdRd
 	cmd.Core = core
 
-	at, err := c.prepareBank(cmd)
+	b := c.bank(&cmd)
+	at, err := c.prepareBank(&cmd, b)
 	if err != nil {
 		return 0, err
 	}
@@ -279,7 +290,7 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 		}
 		if !alert {
 			done := at + int64(t.CL) + int64(t.TBL)
-			c.bankDone(cmd, at)
+			c.bankDone(b, dram.CmdRd, at)
 			c.st.Reads++
 			if c.Meter != nil {
 				c.Meter.Record(c.CycleToPs(done), dram.CachelineSize)
@@ -320,18 +331,13 @@ func (c *Controller) Write(addr uint64, core int, src []byte) (int64, error) {
 		return 0, fmt.Errorf("memctrl: short write buffer")
 	}
 	// Coalesce with an existing queued write to the same line.
-	for i := range c.wq {
-		if c.wq[i].addr == line {
-			copy(c.wq[i].data[:], src)
-			return c.now, nil
-		}
+	if i := slices.Index(c.wqAddr, line); i >= 0 {
+		copy(c.wq[i].data[:], src)
+		return c.now, nil
 	}
-	var pw pendingWrite
-	pw.addr = line
-	pw.core = core
-	pw.atCyc = c.now
-	copy(pw.data[:], src)
-	c.wq = append(c.wq, pw)
+	c.wqAddr = append(c.wqAddr, line)
+	c.wq = append(c.wq, pendingWrite{core: core})
+	copy(c.wq[len(c.wq)-1].data[:], src)
 	if len(c.wq) >= drainThreshold {
 		if _, err := c.DrainWrites(); err != nil {
 			return 0, err
@@ -353,18 +359,19 @@ func (c *Controller) DrainWrites() (int64, error) {
 	for i := range c.wq {
 		// Index, not range: a ranged copy of the 64-byte entry would
 		// escape to the heap through HandleCommand's data slice.
-		w := &c.wq[i]
+		w, addr := &c.wq[i], c.wqAddr[i]
 		// On any error, drop the writes already issued plus the failing
 		// one so the queue is not poisoned: a later drain must not
 		// re-issue half the batch or retry a write the DIMM rejected.
-		cmd, err := c.mod.Mapper().Decode(w.addr)
+		cmd, err := c.mapper.Decode(addr)
 		if err != nil {
 			c.dropDrained(i)
 			return 0, err
 		}
 		cmd.Kind = dram.CmdWr
 		cmd.Core = w.core
-		at, err := c.prepareBank(cmd)
+		b := c.bank(&cmd)
+		at, err := c.prepareBank(&cmd, b)
 		if err != nil {
 			c.dropDrained(i)
 			return 0, err
@@ -374,9 +381,9 @@ func (c *Controller) DrainWrites() (int64, error) {
 			c.dropDrained(i)
 			return 0, err
 		}
-		c.recordCAS(at, stats.WrCAS, w.addr, w.core)
+		c.recordCAS(at, stats.WrCAS, addr, w.core)
 		done := at + int64(t.CWL) + int64(t.TBL)
-		c.bankDone(cmd, at)
+		c.bankDone(b, dram.CmdWr, at)
 		c.st.Writes++
 		if c.Meter != nil {
 			c.Meter.Record(c.CycleToPs(done), dram.CachelineSize)
@@ -386,7 +393,7 @@ func (c *Controller) DrainWrites() (int64, error) {
 		}
 		c.now = maxI64(c.now, at)
 	}
-	c.wq = c.wq[:0]
+	c.wq, c.wqAddr = c.wq[:0], c.wqAddr[:0]
 	if c.Tracer != nil && last > startCyc {
 		c.Tracer.Span(c.TraceTrack, "drain", c.CycleToPs(startCyc), c.CycleToPs(last-startCyc))
 	}
@@ -396,16 +403,15 @@ func (c *Controller) DrainWrites() (int64, error) {
 // dropDrained removes queue entries 0..i (issued or failed) after a
 // drain aborts mid-batch, keeping the not-yet-attempted tail.
 func (c *Controller) dropDrained(i int) {
-	n := copy(c.wq, c.wq[i+1:])
-	c.wq = c.wq[:n]
+	c.wq = c.wq[:copy(c.wq, c.wq[i+1:])]
+	c.wqAddr = c.wqAddr[:copy(c.wqAddr, c.wqAddr[i+1:])]
 }
 
-// bankDone updates per-bank availability after a CAS at cycle at.
-func (c *Controller) bankDone(cmd dram.Command, at int64) {
-	idx := c.mod.Mapper().BankIndex(cmd.Rank, cmd.BG, cmd.BA)
-	b := &c.banks[idx]
+// bankDone updates the availability of b after a CAS of kind at cycle
+// at.
+func (c *Controller) bankDone(b *bankState, kind dram.CommandKind, at int64) {
 	next := at + int64(c.timing.TCCD)
-	if cmd.Kind == dram.CmdWr {
+	if kind == dram.CmdWr {
 		next = at + int64(c.timing.TWR)
 	}
 	if next > b.readyCycle {

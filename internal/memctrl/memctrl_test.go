@@ -295,14 +295,25 @@ func TestDrainAbortKeepsQueueConsistent(t *testing.T) {
 	if _, err := c.DrainWrites(); err == nil {
 		t.Fatal("drain should surface the wrCAS failure")
 	}
-	if len(c.wq) != 1 {
-		t.Fatalf("pending after aborted drain = %d, want 1 (unattempted tail)", len(c.wq))
+	if len(c.wq) != 1 || len(c.wqAddr) != 1 || c.wqAddr[0] != 0x80 {
+		t.Fatalf("pending after aborted drain = %d at %#x, want 1 (unattempted tail at 0x80)", len(c.wq), c.wqAddr)
+	}
+	// The tail's address still names its entry: a new write to it
+	// coalesces instead of queueing a second entry.
+	newer := bytes.Repeat([]byte{10}, 64)
+	c.Write(0x80, 0, newer)
+	if len(c.wq) != 1 || len(c.wqAddr) != 1 {
+		t.Fatalf("write to the tail's line queued %d entries at %#x, want it coalesced", len(c.wq), c.wqAddr)
 	}
 	if _, err := c.DrainWrites(); err != nil {
 		t.Fatalf("tail drain failed: %v", err)
 	}
-	if c.Stats().Writes != 2 {
-		t.Fatalf("writes = %d, want 2 issued", c.Stats().Writes)
+	if c.Stats().Writes != 2 || len(c.wq) != 0 || len(c.wqAddr) != 0 {
+		t.Fatalf("writes = %d, %d/%d pending; want 2 issued, none pending", c.Stats().Writes, len(c.wq), len(c.wqAddr))
+	}
+	got := make([]byte, 64)
+	if _, err := c.Read(0x80, 0, got); err != nil || !bytes.Equal(got, newer) {
+		t.Fatalf("tail line reads %v, %v; want the coalesced write", got[0], err)
 	}
 }
 
@@ -416,5 +427,31 @@ func TestDrainWritesZeroAllocs(t *testing.T) {
 	}
 	if got := c.Stats().Writes; got != uint64(51*full) {
 		t.Fatalf("issued %d writes, want %d", got, 51*full)
+	}
+}
+
+// TestReadRowHitZeroAllocs checks that a rdCAS to the open row
+// allocates nothing: the controller decodes the line, picks its bank
+// and reaches HandleCommand without a heap copy of the command or the
+// line.
+func TestReadRowHitZeroAllocs(t *testing.T) {
+	c, _ := newCtl(t)
+	buf := make([]byte, 64)
+	if _, err := c.Read(0, 0, buf); err != nil { // opens row 0
+		t.Fatal(err)
+	}
+	cols := uint64(dram.SmallGeometry().ColsPerRow)
+	var i uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if _, err := c.Read(i%cols*64, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("row-hit read: %v allocs/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.RowHits != 101 || st.RowMisses != 1 || st.RowConflict != 0 {
+		t.Fatalf("stats %+v, want 101 row hits after one miss", st)
 	}
 }

@@ -172,8 +172,8 @@ func (h *Hierarchy) Read64(core int, addr uint64, dst []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v, ok := h.LLC.Fill(addr, cache.ClassCPU, dst); ok && v.Dirty {
-		if err := h.writeback(&v); err != nil {
+	if v := h.LLC.Fill(addr, cache.ClassCPU, dst); v != nil && v.Dirty {
+		if err := h.writeback(v); err != nil {
 			return 0, err
 		}
 	}
@@ -188,8 +188,8 @@ func (h *Hierarchy) Write64(core int, addr uint64, src []byte) (int64, error) {
 	if h.LLC.Write(addr, cache.ClassCPU, src) {
 		return LLCHitPs, nil
 	}
-	if v, ok := h.LLC.FillDirty(addr, cache.ClassCPU, src); ok && v.Dirty {
-		if err := h.writeback(&v); err != nil {
+	if v := h.LLC.FillDirty(addr, cache.ClassCPU, src); v != nil && v.Dirty {
+		if err := h.writeback(v); err != nil {
 			return 0, err
 		}
 	}
@@ -201,8 +201,8 @@ func (h *Hierarchy) Write64(core int, addr uint64, src []byte) (int64, error) {
 // DRAM — the Observation 3 mechanism.
 func (h *Hierarchy) DMAWrite64(addr uint64, src []byte) error {
 	addr &^= dram.CachelineSize - 1
-	if v, ok := h.LLC.FillDirty(addr, cache.ClassDMA, src); ok && v.Dirty {
-		return h.writeback(&v)
+	if v := h.LLC.FillDirty(addr, cache.ClassDMA, src); v != nil && v.Dirty {
+		return h.writeback(v)
 	}
 	return nil
 }
