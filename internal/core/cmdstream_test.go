@@ -7,6 +7,7 @@ import (
 	"hash"
 	"testing"
 
+	"repro/internal/aesgcm"
 	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/dram"
@@ -208,6 +209,240 @@ func TestCommandStreamPinned(t *testing.T) {
 			if c.rec.kinds[k] == 0 {
 				t.Errorf("%s: mix issued no %v", c.name, k)
 			}
+		}
+		if got := c.rec.hash(); got != c.hash || n != c.n {
+			t.Errorf("%s: command stream of %d commands hashes %s, want %d commands hashing %s", c.name, n, got, c.n, c.hash)
+		}
+	}
+}
+
+// dataRecorder is a cmdRecorder that also hashes the bytes each CAS
+// moves: a wrCAS's burst, and a rdCAS's burst once the module answers
+// without ALERT_N. A stale translation in the device shows in the bytes
+// even where the commands match.
+type dataRecorder struct{ *cmdRecorder }
+
+// HandleCommand implements dram.Module.
+func (r dataRecorder) HandleCommand(cycle int64, cmd dram.Command, wdata, rdata []byte) (bool, error) {
+	alert, err := r.cmdRecorder.HandleCommand(cycle, cmd, wdata, rdata)
+	fmt.Fprintf(r.sum, "%t %t\n", alert, err != nil)
+	switch {
+	case cmd.Kind == dram.CmdWr:
+		r.sum.Write(wdata[:dram.CachelineSize])
+	case cmd.Kind == dram.CmdRd && !alert && err == nil:
+		r.sum.Write(rdata[:dram.CachelineSize])
+	}
+	return alert, err
+}
+
+// runEdgeMix drives the edges of row runs, in the upper half of the
+// device's range: a stream across the end of a row (column 127 to the
+// next bank group), a descending stream, one line read twice, two rows
+// of one bank in alternation, a drain and a Flush between two reads of
+// one row, injected memctrl.crc faults and module ALERT_Ns (armed on the
+// module by arm) in the middle of a run, and an address past capacity
+// right after a run, read and written.
+func runEdgeMix(t *testing.T, h *memsys.Hierarchy, ctl *memctrl.Controller, arm func(*fault.Injector)) {
+	t.Helper()
+	must := func(_ int64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	geo := dram.SmallGeometry()
+	capacity := geo.CapacityBytes()
+	rowBytes := uint64(geo.ColsPerRow * dram.CachelineSize)
+	bankStride := rowBytes * uint64(geo.TotalBanks()) // next row, same bank
+	base := capacity / 2
+	line := make([]byte, dram.CachelineSize)
+	data := corpus.Generate(corpus.HTML, 8<<10, 11)
+
+	// Across a row end, read through the LLC, then written and flushed.
+	buf, _, err := h.Read(nil, 0, base+rowBytes-8*64, 16*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(h.Write(0, base+3*rowBytes-6*64, data[:12*64]))
+	must(h.Flush(base+3*rowBytes-6*64, 12*64))
+
+	// Descending, across a row start.
+	for i := 23; i >= -24; i-- {
+		line[0] = byte(i)
+		must(h.Read64(1, base+16*rowBytes+uint64(int64(i)*64), line))
+	}
+
+	// One line read twice, by the controller and by a NIC.
+	one := base + 20*rowBytes + 5*64
+	must(ctl.Read(one, 0, line))
+	must(ctl.Read(one, 0, line))
+	must(h.DMARead64(one+64, line))
+	must(h.DMARead64(one+64, line))
+
+	// Two rows of one bank, alternating: a conflict on every CAS.
+	a := base + 1<<20
+	for i := uint64(0); i < 16; i++ {
+		must(ctl.Read(a+i*64, 2, line))
+		must(ctl.Read(a+bankStride+i*64, 2, line))
+	}
+
+	// A drain (one write in the row, one far off) and a Flush between
+	// two reads of one row; the second read sees the drained write.
+	r := base + 2<<20
+	must(ctl.Read(r, 0, line))
+	copy(line, data[64:])
+	must(ctl.Write(r+8*64, -1, line))
+	must(ctl.Write(r+4<<20, -1, line))
+	must(ctl.DrainWrites())
+	must(h.Write(0, r+16*64, data[:4*64]))
+	must(h.Flush(r+16*64, 4*64))
+	must(ctl.Read(r+64, 0, line))
+	must(ctl.Read(r+8*64, 0, line))
+	must(ctl.Read(r+17*64, 0, line))
+
+	// Faults in the middle of a run that crosses a row end.
+	inj := fault.New(1)
+	inj.Arm("memctrl.crc", fault.Periodic{Every: 5})
+	ctl.Faults = inj
+	arm(inj)
+	buf, _, err = h.DMARead(buf[:0], base+3<<20+rowBytes-12*64, 24*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.DisarmAll()
+	ctl.Faults = nil
+	if ctl.Stats().CRCRetries == 0 {
+		t.Fatal("mix injected no memctrl.crc retry")
+	}
+
+	// Past capacity right after a run at the top of the range: the
+	// read fails and the run's row serves the next reads; the write
+	// fails its drain after the write before it issued, and a second
+	// drain issues the write after it.
+	for i := uint64(4); i >= 1; i-- {
+		must(ctl.Read(capacity-i*64, 0, line))
+	}
+	if _, err := ctl.Read(capacity, 0, line); err == nil {
+		t.Fatal("read past capacity succeeded")
+	}
+	must(ctl.Read(capacity-6*64, 0, line))
+	must(ctl.Read(capacity-64, 0, line))
+	w := base + 5<<20
+	must(ctl.Write(w, -1, line))
+	must(ctl.Write(capacity, -1, line))
+	must(ctl.Write(w+64, -1, line))
+	if _, err := ctl.DrainWrites(); err == nil {
+		t.Fatal("drain of a write past capacity succeeded")
+	}
+	must(ctl.DrainWrites())
+	must(ctl.Read(w+64, 0, line))
+	if err := h.Membar(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCommandStreamRunEdges pins the command stream and the data bytes
+// of runEdgeMix over a plain DIMM and over a SmartDIMM. The SmartDIMM
+// also runs a TLS record whose source and destination pages share one
+// row: each destination read right after its source line asserts
+// ALERT_N (S13) in the middle of the run; the destination lines recycle,
+// and the two pages swap roles in a second record.
+func TestCommandStreamRunEdges(t *testing.T) {
+	const (
+		plainHash = "5c149b9fc0821a688fbc4ec1aa0bd874ab52850427605f51686f8e3571911bee"
+		plainCmds = 250
+		devHash   = "edf72964f762241a314b4db585aed1b6a11f0a77e8f606bd010fc29af005791f"
+		devCmds   = 308
+	)
+
+	plainDIMM, err := dram.NewPlainDIMM(dram.SmallGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := dataRecorder{newCmdRecorder(plainDIMM)}
+	h, ctl := streamHier(t, plain)
+	runEdgeMix(t, h, ctl, func(inj *fault.Injector) {
+		inj.Arm("dram.alert", fault.Periodic{Every: 7})
+		plainDIMM.Faults = inj
+	})
+	if ctl.Stats().Alerts == ctl.Stats().CRCRetries {
+		t.Fatal("plain mix asserted no dram.alert")
+	}
+
+	dev, err := NewDevice(PaperDeviceConfig(dram.SmallGeometry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart := dataRecorder{newCmdRecorder(dev)}
+	h, ctl = streamHier(t, smart)
+	runEdgeMix(t, h, ctl, func(inj *fault.Injector) {
+		inj.Arm("core.alert", fault.Periodic{Every: 7})
+		dev.Faults = inj
+	})
+	dev.Faults = nil
+	r := &rig{dev: dev, hier: h, driver: NewDriver(h, 0, dram.SmallGeometry().CapacityBytes(), 1)}
+
+	const payload = 8*dram.CachelineSize - TagSize
+	sbuf, dbuf, err := registerTLS(t, r, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sbuf/(2*PageSize) != dbuf/(2*PageSize) {
+		t.Fatalf("pages %#x and %#x share no row", sbuf, dbuf)
+	}
+	var line [dram.CachelineSize]byte
+	read := func(addr uint64) {
+		t.Helper()
+		if _, err := ctl.Read(addr, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alerts := dev.Stats().Alerts
+	for i := uint64(0); i < 8; i++ {
+		read(sbuf + i*64)
+		read(dbuf + i*64)
+	}
+	if dev.Stats().Alerts == alerts {
+		t.Fatal("destination reads in the DSA pipeline asserted no ALERT_N")
+	}
+	// Write the destination back: every line self-recycles, the page
+	// retires, and both pages read as plain DRAM.
+	recycled := dev.Stats().PagesRecycled
+	for i := uint64(0); i < 8; i++ {
+		if _, err := ctl.Write(dbuf+i*64, -1, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ctl.DrainWrites(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.Stats().PagesRecycled == recycled {
+		t.Fatal("destination page did not retire")
+	}
+	read(dbuf)
+	read(sbuf + 64)
+
+	// The pages swap roles in a second record.
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, []byte("fedcba9876543210"), []byte("lkjihgfedcba"), nil, payload)
+	if _, err := r.driver.register(dbuf, sbuf, payload+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		read(dbuf + i*64)
+	}
+	for i := uint64(0); i < 8; i++ {
+		read(sbuf + i*64)
+	}
+
+	for _, c := range []struct {
+		name string
+		rec  *cmdRecorder
+		hash string
+		n    int
+	}{{"plain", plain.cmdRecorder, plainHash, plainCmds}, {"smartdimm", smart.cmdRecorder, devHash, devCmds}} {
+		n := 0
+		for _, k := range c.rec.kinds {
+			n += k
 		}
 		if got := c.rec.hash(); got != c.hash || n != c.n {
 			t.Errorf("%s: command stream of %d commands hashes %s, want %d commands hashing %s", c.name, n, got, c.n, c.hash)
