@@ -94,7 +94,9 @@
 #                     cacheline on a kept key schedule, a GCM Open
 #                     into a kept buffer, a full
 #                     write-queue drain, a row-hit read through the
-#                     controller, a TLS source line's rdCAS
+#                     controller, a SmartDIMM page's row runs (S6
+#                     source reads, then S10 reads and self-recycle
+#                     writes), a TLS source line's rdCAS
 #                     through the device into the Scratchpad, all 64
 #                     source lines of consecutive compression records
 #                     (the encoder run and page framing included), a
@@ -187,7 +189,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestReadRowHitZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestReadRowHitZeroAllocs|TestDeviceRowRunZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {

@@ -207,17 +207,25 @@ func (c *Cache) FillDirty(addr uint64, class Class, data []byte) *Victim {
 }
 
 func (c *Cache) fill(addr uint64, class Class, data []byte, dirty bool) *Victim {
-	c.tick++
-	c.stats.Fills++
-
 	// If present already (races between fill paths), update in place.
 	if i := c.lookup(addr); i != -1 {
+		c.tick++
+		c.stats.Fills++
 		copy(c.data[i][:], data)
 		c.dirty[i] = c.dirty[i] || dirty
 		c.ages[i] = c.tick
 		return nil
 	}
+	return c.FillMissed(addr, class, data, dirty)
+}
 
+// FillMissed installs the line at addr that the caller's Read or Write
+// has just missed, clean (fetched from memory) or dirty (a full-line
+// store), without looking for it in the set again: Fill or FillDirty
+// for a line known to be absent. It returns the victim as Fill does.
+func (c *Cache) FillMissed(addr uint64, class Class, data []byte, dirty bool) *Victim {
+	c.tick++
+	c.stats.Fills++
 	base := c.setBase(addr)
 	ways := c.cfg.Ways
 	keys, ages := c.keys[base:base+ways], c.ages[base:base+ways]

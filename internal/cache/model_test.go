@@ -119,7 +119,9 @@ func (r *refCache) flush(addr uint64) (Victim, bool) {
 // FillDirty/flush/FlushRange sequences, with a DDIO-style 2-way DMA
 // mask and occasional CAT mask changes, through Cache and the model:
 // hits, victims (address, dirty bit, a dirty victim's data) and Stats
-// must agree.
+// must agree. It also drives the known-miss fill in the orders memsys
+// uses: a Read miss, then FillMissed clean, and a Write miss, then
+// FillMissed dirty.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -136,7 +138,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			a := addr()
 			class := Class(rng.Intn(int(numClasses)))
 			data := bytes.Repeat([]byte{byte(op)}, LineSize)
-			switch k := rng.Intn(20); {
+			switch k := rng.Intn(22); {
 			case k < 6:
 				got := c.Read(a, class, buf)
 				l := ref.access(a, class)
@@ -192,6 +194,29 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("seed %d op %d: FlushRange writeback %d differs", seed, op, i)
 					}
 				}
+			case k < 21:
+				write := k == 20
+				var hit bool
+				if write {
+					hit = c.Write(a, class, data)
+				} else {
+					hit = c.Read(a, class, buf)
+				}
+				l := ref.access(a, class)
+				if l != nil && write {
+					l.dirty = true
+					copy(l.data[:], data)
+				}
+				if hit != (l != nil) || (hit && !write && !bytes.Equal(buf, l.data[:])) {
+					t.Fatalf("seed %d op %d: access(%#x, write %v) hit=%v, model %v", seed, op, a, write, hit, l != nil)
+				}
+				if !hit {
+					v := c.FillMissed(a, class, data, write)
+					wv, wok := ref.fill(a, class, data, write)
+					if !victimIs(v, wv, wok) {
+						t.Fatalf("seed %d op %d: FillMissed(%#x) victim %+v, model %v/%+v", seed, op, a, v, wok, wv.Addr)
+					}
+				}
 			default:
 				m := uint64(rng.Intn(1 << uint(cfg.Ways+1)))
 				c.cfg.WayMask[class] = m
@@ -214,8 +239,9 @@ func victimIs(v *Victim, want Victim, ok bool) bool {
 	return v.Addr == want.Addr && v.Dirty == want.Dirty && (!v.Dirty || v.Data == want.Data)
 }
 
-// TestFillFlushAllocs pins the cache-owned victims: evicting fills and
-// flushes allocate nothing.
+// TestFillFlushAllocs pins the cache-owned victims: evicting fills,
+// known-miss fills after a Read or Write miss, and flushes allocate
+// nothing.
 func TestFillFlushAllocs(t *testing.T) {
 	c := tiny()
 	data := lineData(7)
@@ -227,13 +253,23 @@ func TestFillFlushAllocs(t *testing.T) {
 			t.Fatal("dirty victim came back clean")
 		}
 	})
+	buf := make([]byte, LineSize)
+	missed := testing.AllocsPerRun(100, func() {
+		n++
+		if a := (n % 8) * 128; !c.Read(a, ClassCPU, buf) {
+			c.FillMissed(a, ClassCPU, buf, false)
+		}
+		if a := (n%8)*128 + 64; !c.Write(a, ClassCPU, data) {
+			c.FillMissed(a, ClassCPU, data, true)
+		}
+	})
 	flush := testing.AllocsPerRun(100, func() {
 		n++
 		c.Fill((n%8)*128, ClassCPU, data)
 		c.flush((n % 8) * 128)
 		c.FlushRange(0, 512, nil)
 	})
-	if fill != 0 || flush != 0 {
-		t.Fatalf("allocs/op: fill %v, flush %v; want 0", fill, flush)
+	if fill != 0 || missed != 0 || flush != 0 {
+		t.Fatalf("allocs/op: fill %v, known-miss fill %v, flush %v; want 0", fill, missed, flush)
 	}
 }

@@ -1136,3 +1136,147 @@ func TestStaleDestinationKeepsNewOwner(t *testing.T) {
 		t.Fatal("A's unplaceable line counted no DSA error")
 	}
 }
+
+// TestTranslationMemoFollowsTable takes one page through four states,
+// with a CAS to it between each step, so the device's one-entry
+// Translation Table memo holds the page across every change of its
+// entry: untracked (a plain read), the source of a record (the next
+// rdCAS feeds the DSA, S6), retired with that record (plain again), and
+// the destination of another record (a wrCAS to a pending line is
+// ignored, S7, and the other record's source read puts its output
+// there, passing destSpace.put's owner check).
+func TestTranslationMemoFollowsTable(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	ctl := r.hier.Channels[0].Ctl
+	page, _ := r.driver.AllocPages(1)
+	other, _ := r.driver.AllocPages(1)
+	src, _ := r.driver.AllocPages(1)
+	key, iv := []byte("0123456789abcdef"), []byte("abcdefghijkl")
+	const payload = 1000
+	want := bytes.Repeat([]byte{0x5A}, dram.CachelineSize)
+	var line [dram.CachelineSize]byte
+	read := func(addr uint64) {
+		t.Helper()
+		if _, err := ctl.Read(addr, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(addr uint64, data []byte) {
+		t.Helper()
+		if _, err := ctl.Write(addr, -1, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.DrainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func(name string, check func(before, after DeviceStats) bool) func() {
+		before := r.dev.Stats()
+		return func() {
+			t.Helper()
+			if after := r.dev.Stats(); !check(before, after) {
+				t.Fatalf("%s: stats went from %+v to %+v", name, before, after)
+			}
+		}
+	}
+
+	// Untracked: a plain write and read.
+	done := step("untracked", func(b, a DeviceStats) bool {
+		return a.NormalWrites == b.NormalWrites+1 && a.NormalReads == b.NormalReads+1
+	})
+	write(page, want)
+	read(page)
+	done()
+	if !bytes.Equal(line[:], want) {
+		t.Fatal("untracked page did not read back its write")
+	}
+
+	// The source of record A: the next rdCAS feeds the DSA.
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+	if _, err := r.driver.register(page, other, payload+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	done = step("source", func(b, a DeviceStats) bool {
+		return a.SourceReads == b.SourceReads+1 && a.DSALinesFed == b.DSALinesFed+1 && a.NormalReads == b.NormalReads
+	})
+	read(page)
+	done()
+
+	// Retired with A: plain again.
+	r.driver.abortOffload(page)
+	done = step("retired", func(b, a DeviceStats) bool {
+		return a.NormalReads == b.NormalReads+1 && a.SourceReads == b.SourceReads && a.DSAErrors == b.DSAErrors
+	})
+	read(page)
+	done()
+	if !bytes.Equal(line[:], want) {
+		t.Fatal("retired source page lost its bytes")
+	}
+
+	// The destination of record B: a write to a pending line is
+	// ignored, B's first source line puts its output there, and the
+	// page then serves it from the Scratchpad.
+	ctx = tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+	if _, err := r.driver.register(src, page, payload+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	done = step("destination", func(b, a DeviceStats) bool {
+		return a.IgnoredWrites == b.IgnoredWrites+1 && a.NormalWrites == b.NormalWrites &&
+			a.DSALinesFed == b.DSALinesFed+1 && a.DSAErrors == b.DSAErrors &&
+			a.ScratchpadReads == b.ScratchpadReads+1
+	})
+	write(page, want)
+	read(src)
+	read(page)
+	done()
+	if bytes.Equal(line[:], want) {
+		t.Fatal("destination read returned the DRAM bytes, not the DSA's")
+	}
+}
+
+// TestDeviceRowRunZeroAllocs checks that the device's row runs allocate
+// nothing through a memctrl.Controller: one page of source rdCAS that
+// feed the DSA (S6), then one page of destination rdCAS served from the
+// Scratchpad (S10) and the wrCAS that self-recycle it, which retire the
+// record. Each run re-registers the same two pages.
+func TestDeviceRowRunZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	ctl := r.hier.Channels[0].Ctl
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	const payload = PageSize - TagSize // with the tag, one page
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, []byte("0123456789abcdef"), []byte("abcdefghijkl"), nil, payload)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var line [dram.CachelineSize]byte
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := r.driver.register(sbuf, dbuf, PageSize, 1, ctx); err != nil {
+			t.Fatal(err)
+		}
+		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+			if _, err := ctl.Read(sbuf+off, 0, line[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for off := uint64(0); off < PageSize; off += dram.CachelineSize {
+			if _, err := ctl.Read(dbuf+off, 0, line[:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctl.Write(dbuf+off, -1, line[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ctl.DrainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per record's row runs, want 0", allocs)
+	}
+	const lines = (runs + 1) * LinesPerPage
+	st := r.dev.Stats()
+	if st.SourceReads != lines || st.ScratchpadReads != lines || st.SelfRecycles != lines ||
+		st.PagesRecycled != runs+1 || st.DSAErrors != 0 {
+		t.Fatalf("stats %+v, want %d source reads, Scratchpad reads and self-recycles, %d pages recycled, no DSA error", st, lines, runs+1)
+	}
+}

@@ -80,7 +80,13 @@ type Device struct {
 	mapper *dram.Mapper
 	bank   []int32 // the buffer device's own Bank Table (§IV-C)
 	tt     *cuckoo.Table[*translation]
-	sp     *scratchpad
+	// memoTr is the Translation Table entry of page memoPage, nil when
+	// the page has none: the one-entry memo translate keeps for the
+	// page the CAS stream is on. track and untrack, the only callers
+	// that change the table, clear it.
+	memoPage uint64
+	memoTr   *translation
+	sp       *scratchpad
 	// cfgFree counts the free Config Memory pages (§IV-C): a source page
 	// holds one while registered. The context bytes themselves are
 	// parsed as the last of them arrives, so only the count is kept.
@@ -140,15 +146,16 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:     cfg,
-		chips:   chips,
-		mapper:  chips.Mapper(),
-		bank:    make([]int32, cfg.Geometry.TotalBanks()),
-		tt:      cuckoo.New[*translation](3 * (cfg.ScratchpadPages + cfg.ConfigPages)),
-		sp:      newScratchpad(cfg.ScratchpadPages),
-		cfgFree: cfg.ConfigPages,
-		records: make(map[uint64]*record),
-		keys:    newScheduleCache(cfg.ConfigPages),
+		cfg:      cfg,
+		chips:    chips,
+		mapper:   chips.Mapper(),
+		bank:     make([]int32, cfg.Geometry.TotalBanks()),
+		tt:       cuckoo.New[*translation](3 * (cfg.ScratchpadPages + cfg.ConfigPages)),
+		memoPage: noPage,
+		sp:       newScratchpad(cfg.ScratchpadPages),
+		cfgFree:  cfg.ConfigPages,
+		records:  make(map[uint64]*record),
+		keys:     newScheduleCache(cfg.ConfigPages),
 	}
 	for i := range d.bank {
 		d.bank[i] = -1
@@ -240,6 +247,20 @@ func (d *Device) physOf(cmd dram.Command) (uint64, error) {
 	return d.mapper.Encode(cmd.Rank, cmd.BG, cmd.BA, int(row), cmd.Col), nil
 }
 
+// noPage is the memo's page when it holds none: no address divides to
+// it.
+const noPage = ^uint64(0)
+
+// translate returns page's Translation Table entry, or nil, through the
+// one-entry memo: a run of CAS commands to one page looks it up once.
+func (d *Device) translate(page uint64) *translation {
+	if page != d.memoPage {
+		d.memoTr, _ = d.tt.Lookup(page)
+		d.memoPage = page
+	}
+	return d.memoTr
+}
+
 func (d *Device) handleRead(cycle int64, cmd dram.Command, rdata []byte) (bool, error) {
 	phys, err := d.physOf(cmd)
 	if err != nil {
@@ -255,15 +276,14 @@ func (d *Device) handleRead(cycle int64, cmd dram.Command, rdata []byte) (bool, 
 		d.stats.Alerts++
 		return true, nil
 	}
-	page := phys / PageSize
-	tr, ok := d.tt.Lookup(page)
-	if !ok {
+	tr := d.translate(phys / PageSize)
+	if tr == nil {
 		d.stats.NormalReads++
-		return false, d.chips.Read(cmd, rdata)
+		return false, d.chips.Read(&cmd, phys, rdata)
 	}
 	if tr.isSource {
 		// S6: pass the data through and feed the DSA.
-		if err := d.chips.Read(cmd, rdata); err != nil {
+		if err := d.chips.Read(&cmd, phys, rdata); err != nil {
 			return false, err
 		}
 		d.stats.SourceReads++
@@ -276,7 +296,7 @@ func (d *Device) handleRead(cycle int64, cmd dram.Command, rdata []byte) (bool, 
 	switch sp.state[lineIdx] {
 	case lineRecycled:
 		d.stats.NormalReads++
-		return false, d.chips.Read(cmd, rdata)
+		return false, d.chips.Read(&cmd, phys, rdata)
 	case lineReady:
 		if cycle < sp.readyAt[lineIdx] {
 			d.stats.Alerts++ // S13: result still in the DSA pipeline
@@ -303,17 +323,16 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 		d.stats.MMIOWrites++
 		return false, d.mmioWrite(phys, wdata)
 	}
-	page := phys / PageSize
-	tr, ok := d.tt.Lookup(page)
-	if !ok {
+	tr := d.translate(phys / PageSize)
+	if tr == nil {
 		d.stats.NormalWrites++
-		return false, d.chips.Write(cmd, wdata)
+		return false, d.chips.Write(&cmd, phys, wdata)
 	}
 	if tr.isSource {
 		// Writes into a registered source range pass through; mutating a
 		// source mid-offload is an API violation the stats surface.
 		d.stats.SourceWrites++
-		return false, d.chips.Write(cmd, wdata)
+		return false, d.chips.Write(&cmd, phys, wdata)
 	}
 	sp := d.sp.pages[tr.spIdx]
 	lineIdx := int(phys%PageSize) / dram.CachelineSize
@@ -326,7 +345,7 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 		// Self-Recycle (§IV-B): replace the wrCAS data with the
 		// Scratchpad's, write to DRAM, and invalidate the Scratchpad line.
 		settle(sp.rec)
-		if err := d.chips.Write(cmd, sp.line(lineIdx)[:]); err != nil {
+		if err := d.chips.Write(&cmd, phys, sp.line(lineIdx)[:]); err != nil {
 			return false, err
 		}
 		sp.state[lineIdx] = lineRecycled
@@ -341,7 +360,7 @@ func (d *Device) handleWrite(cycle int64, cmd dram.Command, wdata []byte) (bool,
 		return false, nil
 	default: // lineRecycled: behave as a regular DIMM
 		d.stats.NormalWrites++
-		return false, d.chips.Write(cmd, wdata)
+		return false, d.chips.Write(&cmd, phys, wdata)
 	}
 }
 
@@ -411,9 +430,13 @@ func (s *destSpace) put(off int) *[dram.CachelineSize]byte {
 		return nil
 	}
 	// A page stale-evicted and re-registered by another record is that
-	// record's now.
-	tr, ok := d.tt.Lookup(rec.destPages[pageIdx])
-	if !ok || tr.isSource || tr.owner() != rec {
+	// record's now. The memo stays on the source page the CAS stream
+	// reads.
+	tr := d.memoTr
+	if page := rec.destPages[pageIdx]; page != d.memoPage {
+		tr, _ = d.tt.Lookup(page)
+	}
+	if tr == nil || tr.isSource || tr.owner() != rec {
 		d.stats.DSAErrors++
 		return nil
 	}
@@ -539,11 +562,13 @@ func (d *Device) freeRecord(rec *record) {
 }
 
 // track inserts entry t for page into the Translation Table, stamped
-// with its record's generation, in a struct from the free list.
+// with its record's generation, in a struct from the free list, and
+// clears the memo.
 func (d *Device) track(page uint64, t translation) error {
 	tr := takeFree(&d.freeTrs)
 	*tr = t
 	tr.gen = t.rec.gen
+	d.memoPage = noPage
 	if err := d.tt.Insert(page, tr); err != nil {
 		d.freeTrs = append(d.freeTrs, tr)
 		return err
@@ -551,9 +576,10 @@ func (d *Device) track(page uint64, t translation) error {
 	return nil
 }
 
-// untrack deletes page's Translation Table entry tr and keeps tr for
-// reuse.
+// untrack deletes page's Translation Table entry tr, keeps tr for reuse
+// and clears the memo.
 func (d *Device) untrack(page uint64, tr *translation) {
+	d.memoPage = noPage
 	d.tt.Delete(page)
 	d.freeTrs = append(d.freeTrs, tr)
 }

@@ -281,7 +281,7 @@ func (c *Chips) Precharge(rank, bg, ba int) {
 }
 
 // checkOpen validates that a CAS command targets the open row.
-func (c *Chips) checkOpen(cmd Command) error {
+func (c *Chips) checkOpen(cmd *Command) error {
 	idx := c.mapper.BankIndex(cmd.Rank, cmd.BG, cmd.BA)
 	open := c.openRow[idx]
 	if open == -1 {
@@ -296,11 +296,10 @@ func (c *Chips) checkOpen(cmd Command) error {
 	return nil
 }
 
-// locate returns the backing page and offset for a command's cacheline,
+// locate returns the backing page and offset of the cacheline at phys,
 // allocating the page (and its leaf) when alloc is set; otherwise an
 // unwritten page is nil.
-func (c *Chips) locate(cmd Command, alloc bool) (*[PageSize]byte, int) {
-	phys := c.mapper.Encode(cmd.Rank, cmd.BG, cmd.BA, cmd.Row, cmd.Col)
+func (c *Chips) locate(phys uint64, alloc bool) (*[PageSize]byte, int) {
 	page := phys / PageSize
 	off := int(phys % PageSize)
 	leaf := c.leaves[page/leafPages]
@@ -319,15 +318,17 @@ func (c *Chips) locate(cmd Command, alloc bool) (*[PageSize]byte, int) {
 	return p, off
 }
 
-// Read performs a rdCAS burst, returning the 64-byte cacheline.
-func (c *Chips) Read(cmd Command, dst []byte) error {
+// Read performs the rdCAS burst cmd, returning the 64-byte cacheline.
+// phys is the physical address cmd encodes, which the caller has
+// already computed.
+func (c *Chips) Read(cmd *Command, phys uint64, dst []byte) error {
 	if err := c.checkOpen(cmd); err != nil {
 		return err
 	}
 	if len(dst) < CachelineSize {
 		return fmt.Errorf("dram: read buffer too small")
 	}
-	p, off := c.locate(cmd, false)
+	p, off := c.locate(phys, false)
 	if p == nil {
 		clear(dst[:CachelineSize])
 	} else {
@@ -337,15 +338,16 @@ func (c *Chips) Read(cmd Command, dst []byte) error {
 	return nil
 }
 
-// Write performs a wrCAS burst, storing the 64-byte cacheline.
-func (c *Chips) Write(cmd Command, src []byte) error {
+// Write performs the wrCAS burst cmd, storing the 64-byte cacheline.
+// phys is the physical address cmd encodes, as for Read.
+func (c *Chips) Write(cmd *Command, phys uint64, src []byte) error {
 	if err := c.checkOpen(cmd); err != nil {
 		return err
 	}
 	if len(src) < CachelineSize {
 		return fmt.Errorf("dram: write buffer too small")
 	}
-	p, off := c.locate(cmd, true)
+	p, off := c.locate(phys, true)
 	copy(p[off:off+CachelineSize], src[:CachelineSize])
 	c.Writes++
 	return nil
@@ -387,6 +389,11 @@ func NewPlainDIMM(geo Geometry) (*PlainDIMM, error) {
 // Mapper implements Module.
 func (d *PlainDIMM) Mapper() *Mapper { return d.chips.mapper }
 
+// phys returns the physical address of a CAS.
+func (d *PlainDIMM) phys(cmd *Command) uint64 {
+	return d.chips.mapper.Encode(cmd.Rank, cmd.BG, cmd.BA, cmd.Row, cmd.Col)
+}
+
 // HandleCommand implements Module.
 func (d *PlainDIMM) HandleCommand(cycle int64, cmd Command, wdata []byte, rdata []byte) (bool, error) {
 	switch cmd.Kind {
@@ -399,9 +406,9 @@ func (d *PlainDIMM) HandleCommand(cycle int64, cmd Command, wdata []byte, rdata 
 		if d.Faults.Fire("dram.alert", cycle) {
 			return true, nil
 		}
-		return false, d.chips.Read(cmd, rdata)
+		return false, d.chips.Read(&cmd, d.phys(&cmd), rdata)
 	case CmdWr:
-		return false, d.chips.Write(cmd, wdata)
+		return false, d.chips.Write(&cmd, d.phys(&cmd), wdata)
 	case CmdREF:
 		return false, nil
 	default:

@@ -78,6 +78,12 @@ func TestBankIndexDense(t *testing.T) {
 	}
 }
 
+// casAt returns the physical address a CAS encodes, which Chips.Read
+// and Chips.Write take from their caller.
+func casAt(ch *Chips, cmd *Command) uint64 {
+	return ch.mapper.Encode(cmd.Rank, cmd.BG, cmd.BA, cmd.Row, cmd.Col)
+}
+
 func TestChipsProtocolRules(t *testing.T) {
 	ch, err := NewChips(SmallGeometry())
 	if err != nil {
@@ -87,7 +93,7 @@ func TestChipsProtocolRules(t *testing.T) {
 	buf := make([]byte, CachelineSize)
 
 	// CAS to precharged bank fails.
-	if err := ch.Read(cmd, buf); err == nil {
+	if err := ch.Read(&cmd, casAt(ch, &cmd), buf); err == nil {
 		t.Fatal("read from precharged bank accepted")
 	}
 	if err := ch.Activate(0, 1, 2, 5); err != nil {
@@ -100,11 +106,11 @@ func TestChipsProtocolRules(t *testing.T) {
 	// Wrong-row CAS fails.
 	wrong := cmd
 	wrong.Row = 6
-	if err := ch.Read(wrong, buf); err == nil {
+	if err := ch.Read(&wrong, casAt(ch, &wrong), buf); err == nil {
 		t.Fatal("CAS to non-open row accepted")
 	}
 	// Correct CAS succeeds.
-	if err := ch.Read(cmd, buf); err != nil {
+	if err := ch.Read(&cmd, casAt(ch, &cmd), buf); err != nil {
 		t.Fatal(err)
 	}
 	// Precharge then re-activate another row.
@@ -128,13 +134,13 @@ func TestChipsDataPersistence(t *testing.T) {
 	want := bytes.Repeat([]byte{0xAB}, CachelineSize)
 	w := cmd
 	w.Kind = CmdWr
-	if err := ch.Write(w, want); err != nil {
+	if err := ch.Write(&w, casAt(ch, &w), want); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, CachelineSize)
 	r := cmd
 	r.Kind = CmdRd
-	if err := ch.Read(r, got); err != nil {
+	if err := ch.Read(&r, casAt(ch, &r), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -143,7 +149,7 @@ func TestChipsDataPersistence(t *testing.T) {
 	// Unwritten locations read as zero.
 	r2 := r
 	r2.Col = 5
-	if err := ch.Read(r2, got); err != nil {
+	if err := ch.Read(&r2, casAt(ch, &r2), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, make([]byte, CachelineSize)) {
@@ -188,7 +194,7 @@ func TestChipsPageTable(t *testing.T) {
 		last := geo.CapacityBytes() - CachelineSize
 		rd := open(last, CmdRd)
 		if allocs := testing.AllocsPerRun(10, func() {
-			if err := ch.Read(rd, got); err != nil {
+			if err := ch.Read(&rd, last, got); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 || leaves() != 0 {
@@ -199,11 +205,12 @@ func TestChipsPageTable(t *testing.T) {
 		}
 
 		want := bytes.Repeat([]byte{0xC3}, CachelineSize)
-		if err := ch.Write(open(last, CmdWr), want); err != nil {
+		wr := open(last, CmdWr)
+		if err := ch.Write(&wr, last, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := ch.Read(open(last, CmdRd), got); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%+v: last line below capacity did not round-trip: %v", geo, err)
+		if rd = open(last, CmdRd); ch.Read(&rd, last, got) != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%+v: last line below capacity did not round-trip", geo)
 		}
 		if leaves() != 1 || ch.leaves[len(ch.leaves)-1] == nil {
 			t.Fatalf("%+v: write of the last line made %d leaves, want only the last", geo, leaves())
@@ -211,7 +218,8 @@ func TestChipsPageTable(t *testing.T) {
 		// The page before it shares the leaf but is still unwritten, and
 		// page 0 is untouched.
 		for _, phys := range []uint64{last - PageSize, 0} {
-			if err := ch.Read(open(phys, CmdRd), got); err != nil || !bytes.Equal(got, zero) {
+			rd = open(phys, CmdRd)
+			if err := ch.Read(&rd, phys, got); err != nil || !bytes.Equal(got, zero) {
 				t.Fatalf("%+v: unwritten line %#x not zero: %v", geo, phys, err)
 			}
 		}
@@ -311,8 +319,8 @@ func BenchmarkChipsReadWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		col := i % 128
 		w.Col, r.Col = col, col
-		ch.Write(w, buf)
-		ch.Read(r, buf)
+		ch.Write(&w, casAt(ch, &w), buf)
+		ch.Read(&r, casAt(ch, &r), buf)
 	}
 }
 

@@ -22,6 +22,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dram"
@@ -105,6 +106,16 @@ type Controller struct {
 	mod    dram.Module
 	mapper *dram.Mapper // mod's, fetched once
 	banks  []bankState
+	// The run cursor: cur is the decoded command of the last line the
+	// controller decoded, curBank its bank index, and curRow that
+	// line's address shifted past its column bits (noRow before the
+	// first). A line with the same curRow shares rank, bank group, bank
+	// and row, so the next CAS of a run sets only the column, in place.
+	cur      dram.Command
+	curBank  int
+	curRow   uint64
+	rowShift uint // log2 of the bytes of one row
+	colMask  int  // columns per row - 1
 	// The write-pending queue. The line addresses sit in their own
 	// dense array, so the scan every Read and Write makes for its line
 	// reads 8 bytes per entry, not a whole entry.
@@ -132,14 +143,18 @@ type Controller struct {
 // New builds a controller with DRAM timing t over the module.
 func New(t dram.Timing, mod dram.Module) *Controller {
 	m := mod.Mapper()
+	cols := m.Geometry().ColsPerRow
 	banks := make([]bankState, m.Geometry().TotalBanks())
 	for i := range banks {
 		banks[i].openRow = -1
 	}
 	return &Controller{
 		timing: t, mod: mod, mapper: m, banks: banks,
-		wqAddr: make([]uint64, 0, drainThreshold),
-		wq:     make([]pendingWrite, 0, drainThreshold),
+		curRow:   noRow,
+		rowShift: uint(bits.TrailingZeros(uint(cols * dram.CachelineSize))),
+		colMask:  cols - 1,
+		wqAddr:   make([]uint64, 0, drainThreshold),
+		wq:       make([]pendingWrite, 0, drainThreshold),
 	}
 }
 
@@ -180,9 +195,35 @@ func (c *Controller) WriteQueuePressure() float64 {
 	return float64(len(c.wq)) / writeQueueDepth
 }
 
-// bank returns the state of the bank cmd addresses.
-func (c *Controller) bank(cmd *dram.Command) *bankState {
-	return &c.banks[c.mapper.BankIndex(cmd.Rank, cmd.BG, cmd.BA)]
+// cas returns *cmd, the run cursor, by value, field by field. A plain
+// *cmd copies the 56-byte command in 16-byte moves, and the move over
+// Col and Core loads across the two 8-byte stores that just set them: a
+// store-forwarding stall on every CAS.
+func cas(cmd *dram.Command) dram.Command {
+	return dram.Command{Kind: cmd.Kind, Rank: cmd.Rank, BG: cmd.BG, BA: cmd.BA,
+		Row: cmd.Row, Col: cmd.Col, Core: cmd.Core}
+}
+
+// noRow is the run cursor's row before the first decode: no line
+// address shifts to it.
+const noRow = ^uint64(0)
+
+// decode points the run cursor at line, a line address, and returns
+// it for the caller to set Kind and Core in place. A line in the
+// cursor's row sets only the column; a line of another row decodes
+// once. On error the cursor keeps its row.
+func (c *Controller) decode(line uint64) (*dram.Command, error) {
+	if row := line >> c.rowShift; row != c.curRow {
+		cmd, err := c.mapper.Decode(line)
+		if err != nil {
+			return nil, err
+		}
+		c.cur, c.curRow = cmd, row
+		c.curBank = c.mapper.BankIndex(cmd.Rank, cmd.BG, cmd.BA)
+		return &c.cur, nil
+	}
+	c.cur.Col = int(line/dram.CachelineSize) & c.colMask
+	return &c.cur, nil
 }
 
 // prepareBank issues PRE/ACT as needed on b, the bank cmd addresses, and
@@ -261,15 +302,15 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 			return 0, err
 		}
 	}
-	cmd, err := c.mapper.Decode(line)
+	cmd, err := c.decode(line)
 	if err != nil {
 		return 0, err
 	}
 	cmd.Kind = dram.CmdRd
 	cmd.Core = core
 
-	b := c.bank(&cmd)
-	at, err := c.prepareBank(&cmd, b)
+	b := &c.banks[c.curBank]
+	at, err := c.prepareBank(cmd, b)
 	if err != nil {
 		return 0, err
 	}
@@ -277,7 +318,7 @@ func (c *Controller) Read(addr uint64, core int, dst []byte) (int64, error) {
 
 	t := &c.timing
 	for attempt := 0; ; attempt++ {
-		alert, err := c.mod.HandleCommand(at, cmd, nil, dst)
+		alert, err := c.mod.HandleCommand(at, cas(cmd), nil, dst)
 		if err != nil {
 			return 0, err
 		}
@@ -363,21 +404,21 @@ func (c *Controller) DrainWrites() (int64, error) {
 		// On any error, drop the writes already issued plus the failing
 		// one so the queue is not poisoned: a later drain must not
 		// re-issue half the batch or retry a write the DIMM rejected.
-		cmd, err := c.mapper.Decode(addr)
+		cmd, err := c.decode(addr)
 		if err != nil {
 			c.dropDrained(i)
 			return 0, err
 		}
 		cmd.Kind = dram.CmdWr
 		cmd.Core = w.core
-		b := c.bank(&cmd)
-		at, err := c.prepareBank(&cmd, b)
+		b := &c.banks[c.curBank]
+		at, err := c.prepareBank(cmd, b)
 		if err != nil {
 			c.dropDrained(i)
 			return 0, err
 		}
 		at = c.reserveBus(at, dirWrite)
-		if _, err := c.mod.HandleCommand(at, cmd, w.data[:], nil); err != nil {
+		if _, err := c.mod.HandleCommand(at, cas(cmd), w.data[:], nil); err != nil {
 			c.dropDrained(i)
 			return 0, err
 		}

@@ -194,3 +194,33 @@ func readLines(t *testing.T, h *memsys.Hierarchy, addr uint64, n int) []byte {
 	}
 	return out
 }
+
+// BenchmarkDMAReadPage reads one 4 KB page that misses the LLC per
+// iteration, NIC TX style, through a controller and a SmartDIMM, and
+// reports the host time per line. The pages rotate over 1 MB, so each
+// opens its row once and then streams row hits.
+func BenchmarkDMAReadPage(b *testing.B) {
+	dev, err := core.NewDevice(core.PaperDeviceConfig(dram.SmallGeometry()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	llc, err := cache.New(cache.Config{SizeBytes: 64 * 1024, Ways: 8,
+		WayMask: [2]uint64{cache.ClassDMA: 0b11}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := memsys.New(llc, memsys.Channel{Ctl: memctrl.New(dram.DDR4_3200(), dev), Mod: dev})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pages = (1 << 20) / core.PageSize
+	buf := make([]byte, 0, core.PageSize)
+	b.SetBytes(core.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, _, err = h.DMARead(buf[:0], uint64(i%pages)*core.PageSize, core.PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*core.PageSize/dram.CachelineSize), "ns/line")
+}

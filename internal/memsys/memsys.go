@@ -48,6 +48,10 @@ type Hierarchy struct {
 	// Table I mechanism) beyond plain LLC capacity contention.
 	Clock func() int64
 
+	// last is the index of the channel route served last, which it
+	// tries first.
+	last int
+
 	winStartPs int64
 	winBusyPs  int64
 	loadFactor float64
@@ -119,11 +123,16 @@ func New(llc *cache.Cache, chans ...Channel) (*Hierarchy, error) {
 	return &Hierarchy{LLC: llc, Channels: chans}, nil
 }
 
-// route returns the channel and channel-local address for phys.
+// route returns the channel and channel-local address for phys,
+// trying the channel it served last first.
 func (h *Hierarchy) route(phys uint64) (*Channel, uint64, error) {
+	if c := &h.Channels[h.last]; phys-c.Base < c.Size {
+		return c, phys - c.Base, nil
+	}
 	for i := range h.Channels {
 		c := &h.Channels[i]
-		if phys >= c.Base && phys < c.Base+c.Size {
+		if phys-c.Base < c.Size {
+			h.last = i
 			return c, phys - c.Base, nil
 		}
 	}
@@ -172,7 +181,8 @@ func (h *Hierarchy) Read64(core int, addr uint64, dst []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v := h.LLC.Fill(addr, cache.ClassCPU, dst); v != nil && v.Dirty {
+	// The controller touches no cache line, so the line is still absent.
+	if v := h.LLC.FillMissed(addr, cache.ClassCPU, dst, false); v != nil && v.Dirty {
 		if err := h.writeback(v); err != nil {
 			return 0, err
 		}
@@ -188,7 +198,7 @@ func (h *Hierarchy) Write64(core int, addr uint64, src []byte) (int64, error) {
 	if h.LLC.Write(addr, cache.ClassCPU, src) {
 		return LLCHitPs, nil
 	}
-	if v := h.LLC.FillDirty(addr, cache.ClassCPU, src); v != nil && v.Dirty {
+	if v := h.LLC.FillMissed(addr, cache.ClassCPU, src, true); v != nil && v.Dirty {
 		if err := h.writeback(v); err != nil {
 			return 0, err
 		}
