@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -447,5 +448,110 @@ func TestCommandStreamRunEdges(t *testing.T) {
 		if got := c.rec.hash(); got != c.hash || n != c.n {
 			t.Errorf("%s: command stream of %d commands hashes %s, want %d commands hashing %s", c.name, n, got, c.n, c.hash)
 		}
+	}
+}
+
+// TestCommandStreamRetranslates pins the command stream and the data
+// bytes of CAS commands to a page right after its registration changed,
+// with no CAS to another page between: a page read as plain DRAM and
+// then registered as a record's source (track), a destination page
+// written as plain DRAM right after the writeback that retired it, and
+// one written right after an abort op that tore its record down
+// (untrack). A Translation Table memo that outlived either change would
+// serve the page as it was registered before.
+func TestCommandStreamRetranslates(t *testing.T) {
+	const (
+		devHash = "8f0133a371ef52292a1c189346eb08f0885f133bbc200c87be5e8898cb3b78c2"
+		devCmds = 49
+	)
+	dev, err := NewDevice(PaperDeviceConfig(dram.SmallGeometry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smart := dataRecorder{newCmdRecorder(dev)}
+	h, ctl := streamHier(t, smart)
+	r := &rig{dev: dev, hier: h, driver: NewDriver(h, 0, dram.SmallGeometry().CapacityBytes(), 1)}
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	var line [dram.CachelineSize]byte
+	read := func(addr uint64) {
+		t.Helper()
+		if _, err := ctl.Read(addr, 0, line[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(addr uint64, data []byte) {
+		t.Helper()
+		if _, err := ctl.Write(addr, -1, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.DrainWrites(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A plain read of the source page, then its registration: only
+	// MMIO commands reach the device between them.
+	const payload = 8*dram.CachelineSize - TagSize
+	pt := corpus.Generate(corpus.Text, payload+TagSize, 21)
+	for i := uint64(0); i < 8; i++ {
+		write(sbuf+i*64, pt[i*64:(i+1)*64])
+	}
+	read(sbuf)
+	ctx := tlsOffloadContext(t, aesgcm.Encrypt, []byte("0123456789abcdef"), []byte("abcdefghijkl"), nil, payload)
+	if _, err := r.driver.register(sbuf, dbuf, payload+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	fed := dev.Stats().DSALinesFed
+	for i := uint64(0); i < 8; i++ {
+		read(sbuf + i*64)
+	}
+	if n := dev.Stats().DSALinesFed - fed; n != 8 {
+		t.Fatalf("%d source lines fed to the DSA after registration, want 8", n)
+	}
+	for i := uint64(0); i < 8; i++ {
+		read(dbuf + i*64)
+	}
+
+	// Write the destination back: the last line retires the page, and
+	// the next write to it is a plain one that the next read returns.
+	for i := uint64(0); i < 8; i++ {
+		write(dbuf+i*64, line[:])
+	}
+	if dev.Stats().PagesRecycled != 1 {
+		t.Fatal("destination page did not retire")
+	}
+	plain := bytes.Repeat([]byte("plain!"), 11)[:dram.CachelineSize]
+	write(dbuf, plain)
+	read(dbuf)
+	if !bytes.Equal(line[:], plain) {
+		t.Fatal("a write to a retired destination page did not land")
+	}
+
+	// A second record on the same pages, aborted right after a read of
+	// its destination page: a write to a line the DSA never reached
+	// then lands, and the next read returns it.
+	ctx = tlsOffloadContext(t, aesgcm.Encrypt, []byte("fedcba9876543210"), []byte("lkjihgfedcba"), nil, payload)
+	if _, err := r.driver.register(sbuf, dbuf, payload+TagSize, 1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	read(sbuf)
+	read(dbuf)
+	r.driver.AbortBuffer(sbuf, 1)
+	if dev.Stats().RecordAborts != 1 {
+		t.Fatal("the abort op tore down no record")
+	}
+	write(dbuf+5*64, plain)
+	read(dbuf + 5*64)
+	if !bytes.Equal(line[:], plain) {
+		t.Fatal("a write to an aborted destination page did not land")
+	}
+
+	n := 0
+	for _, k := range smart.kinds {
+		n += k
+	}
+	if got := smart.hash(); got != devHash || n != devCmds {
+		t.Errorf("command stream of %d commands hashes %s, want %d commands hashing %s", n, got, devCmds, devHash)
 	}
 }
