@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sim/busy"
 )
 
 // The DSAs' datapath beside the arbiter (Fig. 6 vs Fig. 7). Every DSA
@@ -23,9 +25,10 @@ import (
 //
 // There are two kinds of job, on one queue and one phase protocol:
 //
-//   - A TLS encrypt record of at least minHandOffPayload bytes is
-//     handed off after its last source line: a worker runs its AES-CTR
-//     and GHASH.
+//   - A TLS encrypt record is handed off after its last source line: a
+//     worker runs its AES-CTR and GHASH. Any record goes while a worker
+//     is ready (awake, or parked with a core spare to wake on); one of
+//     at least minHandOffPayload bytes always goes.
 //   - A compression record's framing starts from a hint (hint.go): when
 //     the server has staged a record's payload, the device snapshots it
 //     into a work unit and queues the unit, and a worker frames the
@@ -34,13 +37,39 @@ import (
 //     unit, and the claim's last line checks the fed bytes against the
 //     snapshot.
 
-// minHandOffPayload is the smallest encrypt payload whose datapath goes
-// to a worker; smaller records settle inline when first observed. On a
-// 2-vCPU host, a prototype that handed kv-zipf-open's 128 B and 1 KiB
-// records to the worker lost 9% of that workload's simulated requests
-// per host-second, while with this one-page rule it ran 1.07x faster
-// than without the split (1.025x for this code, 5 pairs of 20 s runs).
+// minHandOffPayload is the smallest encrypt payload worth waking a
+// worker that has no core spare: with every core running an engine, a
+// woken worker waits in the sender's next-run slot, and a sub-page
+// record is settled inline before it starts. With a core spare the
+// woken worker stays awake for the records that follow: on kv-zipf-open
+// (2-vCPU host, 5 pairs of 8 s runs, 5 won) waking it for every record
+// ran 1.07x faster in the median than waking it only for a page, when
+// it stayed parked after the first gap in its work until the next
+// page-sized record.
 const minHandOffPayload = PageSize
+
+// pollLooks bounds how long a worker stays awake after a job: it looks
+// at the queue this many times, yielding its core between looks, before
+// it parks. A look costs ~115 ns on a 2-vCPU host with an engine on the
+// other core, so the window is ~200 µs there.
+//
+// A channel send to a parked worker puts it in the sender's next-run
+// slot, and another P must wake to steal it, so a parked worker starts
+// a record late: kv-zipf-open's 128 B and 1 KiB records mostly meet
+// their first settle 4-16 µs after their last source line, against a
+// ~3.4 µs transform, and handing each of them to a worker that parked
+// after every job lost 3-9% of its simulated requests per host-second.
+// An awake worker takes them at once. On that host (8 s runs of the
+// benchmark), a 200 µs window ran kv-zipf-open 1.14x faster and
+// deflate4k-dimm 1.11x; 50 µs gave kv +14% and 20 µs +7%, and 5000
+// looks (~575 µs) gained nothing over 1750. Without the spare-core rule
+// (workerPool.spare) the same poller lost 15% on tls4k-sharded8 at
+// 200 µs and 5% at 50 µs.
+//
+// The window is counted in looks, not read off a timer: the worker's
+// timer moved between the Ps' timer heaps and grew one now and then,
+// an allocation the steady state must not make.
+const pollLooks = 1750
 
 // Hand-off phases, kept in the low bits of a job's phase word beside
 // the incarnation (gen) it was queued for. A phase word naming an older
@@ -69,60 +98,130 @@ type settleJob struct {
 	gen uint64
 }
 
-// datapathPool is the process-wide set of workers that run handed-off
-// datapaths: GOMAXPROCS-1 goroutines started on first use, serving one
-// channel for every device. At GOMAXPROCS=1 it has none and nothing is
-// handed off. The workers hold no state but their framer and live as
-// long as the process, like the runtime's own background goroutines, so
-// the pool has no Close.
-var datapathPool struct {
+// workerPool is a set of workers that run handed-off datapaths,
+// serving one channel. The workers hold no state but their framer.
+type workerPool struct {
 	once sync.Once
 	// jobs holds queued jobs. A send that finds it full leaves the job
 	// with the device, so its size only bounds how far the workers may
 	// fall behind; a device keeps at most maxUnits hinted units and a
 	// few records queued.
 	jobs chan settleJob
+	// procs is GOMAXPROCS when the pool started: the cores that the
+	// busy engines and the awake workers share.
+	procs int
+	// awake counts the workers polling jobs.
+	awake atomic.Int32
 }
 
-// startDatapathPool starts the workers on first use and reports whether
-// there are any.
-func startDatapathPool() bool {
-	datapathPool.once.Do(func() {
-		n := runtime.GOMAXPROCS(0) - 1
-		if n <= 0 {
+// datapathPool is the process-wide pool: GOMAXPROCS-1 workers started
+// when the first device is built, serving every device. At GOMAXPROCS=1 it has none and
+// nothing is handed off. The workers live as long as the process, like
+// the runtime's own background goroutines, so the pool has no Close.
+var datapathPool workerPool
+
+// datapathJobs starts the process-wide pool's workers on first call and
+// returns its queue, nil when it has no workers.
+func datapathJobs() chan<- settleJob {
+	p := &datapathPool
+	p.once.Do(func() {
+		p.procs = runtime.GOMAXPROCS(0)
+		if p.procs <= 1 {
 			return
 		}
-		datapathPool.jobs = make(chan settleJob, 256)
-		for i := 0; i < n; i++ {
-			go serveDatapath(datapathPool.jobs)
+		p.jobs = make(chan settleJob, 256)
+		for i := 1; i < p.procs; i++ {
+			go p.serve(p.jobs)
 		}
 	})
-	return datapathPool.jobs != nil
+	return p.jobs
 }
 
-// serveDatapath runs queued jobs. A job the device has already claimed
-// back (or retired, which claims it back first) fails the claim and is
-// dropped without touching anything else.
-func serveDatapath(jobs <-chan settleJob) {
+// serve runs queued jobs until jobs is closed. A worker starts parked on
+// the channel; after each job it polls for the next one while it may
+// stay awake (poll), and parks again once it may not.
+func (p *workerPool) serve(jobs <-chan settleJob) {
 	var f framer
 	for j := range jobs {
-		p := j.j.phaseWord()
-		if p.CompareAndSwap(phaseWord(j.gen, phaseQueued), phaseWord(j.gen, phaseRunning)) {
-			j.j.run(&f)
-			p.Store(phaseWord(j.gen, phaseIdle))
+		for ok := true; ok; j, ok = p.poll(jobs) {
+			j.run(&f)
 		}
 	}
 }
 
-// offer hands rec's datapath to the pool's workers when there are any
+// poll waits awake for the next job, yielding its core between looks,
+// and reports false when it gives up: after pollLooks looks without a
+// job, when the busy engines leave no core spare, or when jobs is
+// closed.
+//
+// A yielding goroutine goes to the global run queue, and its P picks it
+// again before it steals from another P, so a worker that polled while
+// every core had an engine to run would hold the parallel epoch's shard
+// goroutines back. Hence the spare-core rule: a worker stays awake only
+// while the busy engines (package busy) and the awake workers, itself
+// included, fit in the pool's cores.
+func (p *workerPool) poll(jobs <-chan settleJob) (settleJob, bool) {
+	if !p.wake() {
+		return settleJob{}, false
+	}
+	defer p.awake.Add(-1)
+	for range pollLooks {
+		select {
+		case j, ok := <-jobs:
+			return j, ok
+		default:
+		}
+		if !p.spare() {
+			break
+		}
+		runtime.Gosched()
+	}
+	return settleJob{}, false
+}
+
+// wake counts the caller as an awake worker when a core is spare for
+// it, and reports whether it was.
+func (p *workerPool) wake() bool {
+	p.awake.Add(1)
+	if p.spare() {
+		return true
+	}
+	p.awake.Add(-1)
+	return false
+}
+
+// ready reports whether a worker is awake, or a parked one would find a
+// core spare to stay awake on once woken.
+func (p *workerPool) ready() bool {
+	return p.awake.Load() > 0 || busy.Engines() < p.procs
+}
+
+// spare reports whether the busy engines and the awake workers fit in
+// the pool's cores.
+func (p *workerPool) spare() bool {
+	return busy.Engines()+int(p.awake.Load()) <= p.procs
+}
+
+// run runs the job on a worker. A job the device has already claimed
+// back (or retired, which claims it back first) fails the claim and is
+// dropped without touching anything else.
+func (j settleJob) run(f *framer) {
+	p := j.j.phaseWord()
+	if p.CompareAndSwap(phaseWord(j.gen, phaseQueued), phaseWord(j.gen, phaseRunning)) {
+		j.j.run(f)
+		p.Store(phaseWord(j.gen, phaseIdle))
+	}
+}
+
+// offer hands rec's datapath to the device's queue when there is one
 // and its DSA readies work for one. When the queue is full the record
 // settles at once, on the device's thread. Once it is queued, the
 // device must not touch what the DSA's run uses before it calls settle.
 func (d *Device) offer(rec *record) {
-	if !startDatapathPool() || !rec.dsa.handOff() {
+	if d.jobs == nil || !rec.dsa.handOff(datapathPool.ready()) {
 		return
 	}
-	if !enqueue(datapathPool.jobs, rec, rec.gen) {
+	if !enqueue(d.jobs, rec, rec.gen) {
 		settle(rec)
 	}
 }

@@ -12,20 +12,23 @@ import (
 	"repro/internal/deflate"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/sim/busy"
 )
 
 // queueRecord feeds every source line of a one-page TLS encrypt record
-// on the raw device and queues its datapath on a channel of the test's
-// own, so no worker ever starts it: the record stays queued until the
-// device settles it. It returns the destination base, the record, the
-// queue and the lines the inline path produces: the sealed record,
-// zero-filled to its last line.
+// on the raw device, whose queue is a channel of the test's own, so the
+// device hands the record off at its last line and no worker ever
+// starts it: the record stays queued until the device settles it. It
+// returns the destination base, the record, the queue and the lines the
+// inline path produces: the sealed record, zero-filled to its last line.
 func queueRecord(t *testing.T, r *rawDevice) (uint64, *record, chan settleJob, []byte) {
 	t.Helper()
 	key := []byte("0123456789abcdef")
 	iv := []byte("abcdefghijkl")
-	const payload = 4000 // under a page: the device never hands it off itself
+	const payload = 4000
 	pt := corpus.Generate(corpus.HTML, payload, 5)
+	jobs := make(chan settleJob, 1)
+	r.dev.jobs = jobs
 	sbuf, dbuf := r.registerTLS(0, payload, key, iv)
 	var line [dram.CachelineSize]byte
 	for off := 0; off < payload+TagSize; off += dram.CachelineSize {
@@ -39,13 +42,11 @@ func queueRecord(t *testing.T, r *rawDevice) (uint64, *record, chan settleJob, [
 		t.Fatal("record not registered")
 	}
 	rec := tr.owner()
-	if !rec.dsa.(*tlsDSA).pending() {
-		t.Fatal("record settled before the test queued it")
-	}
-	jobs := make(chan settleJob, 1)
-	enqueue(jobs, rec, rec.gen)
 	if rec.phase.Load() != phaseWord(rec.gen, phaseQueued) {
-		t.Fatal("record not queued")
+		t.Fatal("the device did not queue the record at its last line")
+	}
+	if !rec.dsa.(*tlsDSA).pending() {
+		t.Fatal("record settled while queued")
 	}
 	want := stdSeal(t, key, iv, pt, nil)
 	lines := (len(want) + dram.CachelineSize - 1) / dram.CachelineSize
@@ -56,7 +57,7 @@ func queueRecord(t *testing.T, r *rawDevice) (uint64, *record, chan settleJob, [
 // now, after the device has moved on.
 func lateWorker(jobs chan settleJob) {
 	close(jobs)
-	serveDatapath(jobs)
+	new(workerPool).serve(jobs) // no cores: it never polls
 }
 
 // TestSettleQueuedRecordOnObservation checks that a destination line
@@ -199,25 +200,96 @@ func TestAbortUnsettledRecordConserves(t *testing.T) {
 	}
 }
 
-// TestHandedOffRecordsMatchInline runs page-sized TLS records whose
-// datapath the device hands to the worker pool, reading each back at
-// once, so the device's settle meets the worker at every phase: queued,
-// running or done. Every record must match crypto/cipher's GCM.
+// TestHandedOffRecordsMatchInline runs TLS encrypt records from one
+// line to two pages, each handed to the worker pool at its last source
+// line, and reads each back at once, so the device's settle meets the
+// worker at every phase: queued, running or done. Records follow each
+// other well within the poll window (pollLooks) and no engine runs, so
+// after the first the worker takes them awake. Every record must match
+// crypto/cipher's GCM.
 func TestHandedOffRecordsMatchInline(t *testing.T) {
 	r := newRig(t, 256*1024, 8)
-	const payload = 2 * PageSize
 	sbuf, _ := r.driver.AllocPages(3)
 	dbuf, _ := r.driver.AllocPages(3)
 	key := []byte("0123456789abcdef")
-	for i := 0; i < 24; i++ {
+	for _, payload := range []int{dram.CachelineSize - TagSize, 128, 1024, PageSize - 1, 2 * PageSize} {
+		for i := 0; i < 24; i++ {
+			iv := []byte("abcdefghijk" + string(rune('a'+i)))
+			pt := corpus.Generate(corpus.Text, payload, int64(i))
+			if _, err := r.hier.Write(0, sbuf, pt); err != nil {
+				t.Fatal(err)
+			}
+			ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+			if _, err := r.driver.CompCpy(0, dbuf, sbuf, payload+TagSize, ctx, false); err != nil {
+				t.Fatal(err)
+			}
+			if r.dev.jobs != nil && !handedOff(t, r, sbuf) {
+				t.Fatalf("%d B record %d was not handed off", payload, i)
+			}
+			got, _, err := r.driver.Use(0, dbuf, payload+TagSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, stdSeal(t, key, iv, pt, nil)) {
+				t.Fatalf("%d B record %d differs from crypto/cipher", payload, i)
+			}
+		}
+	}
+	checkConserved(t, r.dev)
+}
+
+// handedOff reports whether the record registered at sbuf was queued in
+// its current incarnation: its phase word names its generation. A
+// device's first record, at generation 0, reads as handed off either
+// way: its phase word is 0 before a hand-off and after its run.
+func handedOff(t *testing.T, r *rig, sbuf uint64) bool {
+	t.Helper()
+	tr, ok := r.dev.tt.Lookup(r.driver.localPage(sbuf))
+	if !ok || tr.owner() == nil {
+		t.Fatal("record not registered")
+	}
+	rec := tr.owner()
+	return rec.phase.Load()>>phaseBits == rec.gen
+}
+
+// TestHandOffZeroAllocs sends 1 KiB TLS records through the worker pool,
+// from registration to retirement, at the process's GOMAXPROCS, so the
+// worker runs beside the device: once the device has served a record,
+// the queue, the worker's wake-up, its poll and its parking allocate
+// nothing. ci.sh's alloc row runs it.
+func TestHandOffZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	if r.dev.jobs == nil {
+		t.Skip("GOMAXPROCS=1: the datapath pool has no workers")
+	}
+	const payload = 1024
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	key := []byte("0123456789abcdef")
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
 		iv := []byte("abcdefghijk" + string(rune('a'+i)))
 		pt := corpus.Generate(corpus.Text, payload, int64(i))
 		if _, err := r.hier.Write(0, sbuf, pt); err != nil {
 			t.Fatal(err)
 		}
 		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+		runtime.ReadMemStats(&before)
 		if _, err := r.driver.CompCpy(0, dbuf, sbuf, payload+TagSize, ctx, false); err != nil {
 			t.Fatal(err)
+		}
+		queued := handedOff(t, r, sbuf)
+		if _, err := r.hier.Flush(dbuf, payload+TagSize); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !queued {
+			t.Fatalf("record %d was not handed off", i)
+		}
+		// The first record backs the device's pools, key schedule and
+		// Scratchpad page.
+		if n := after.Mallocs - before.Mallocs; i > 0 && n != 0 {
+			t.Fatalf("record %d: %d allocs from registration to retirement, want 0", i, n)
 		}
 		got, _, err := r.driver.Use(0, dbuf, payload+TagSize)
 		if err != nil {
@@ -227,7 +299,43 @@ func TestHandedOffRecordsMatchInline(t *testing.T) {
 			t.Fatalf("record %d differs from crypto/cipher", i)
 		}
 	}
-	checkConserved(t, r.dev)
+}
+
+// TestWorkerPollsOnlyOnSpareCore checks the rule that keeps a datapath
+// worker awake: it may poll only while the busy engines and the awake
+// workers, itself included, fit in the pool's cores. With the engines
+// at the cores no worker wakes and the pool takes no sub-page record;
+// with one core spare it takes any record, one worker wakes and a
+// second does not. A pool with no cores, as the tests' late workers
+// use, never polls. And at GOMAXPROCS=1 there is no pool at all: ci.sh
+// runs this test at GOMAXPROCS=1 too.
+func TestWorkerPollsOnlyOnSpareCore(t *testing.T) {
+	if jobs := datapathJobs(); (jobs != nil) != (datapathPool.procs > 1) {
+		t.Fatalf("GOMAXPROCS=%d: pool queue %v", datapathPool.procs, jobs)
+	}
+	if new(workerPool).wake() {
+		t.Fatal("a pool with no cores woke a worker")
+	}
+	busy.Add(2)
+	defer busy.Add(-2)
+	p := &workerPool{procs: busy.Engines()}
+	if p.wake() || p.awake.Load() != 0 {
+		t.Fatalf("a worker woke with %d engines busy on %d cores", busy.Engines(), p.procs)
+	}
+	if p.ready() {
+		t.Fatal("a parked pool with no core spare took a sub-page record")
+	}
+	p.procs++
+	if !p.ready() {
+		t.Fatal("a parked pool with a core spare did not take a sub-page record")
+	}
+	if !p.wake() {
+		t.Fatal("no worker woke with a core spare")
+	}
+	if p.wake() || p.awake.Load() != 1 {
+		t.Fatalf("a second worker woke on one spare core (%d awake)", p.awake.Load())
+	}
+	p.awake.Add(-1)
 }
 
 // queueCompress hints data as the source of a one-page compression
@@ -498,7 +606,7 @@ func TestHintUnitsConserved(t *testing.T) {
 	// nothing to do. Registering page 0 with the replacing hint's bytes
 	// adopts its unit and frames the newer snapshot.
 	close(jobs)
-	serveDatapath(jobs)
+	new(workerPool).serve(jobs) // no cores: it never polls
 	sbuf, dbuf := uint64(0), uint64(maxUnits+8)*PageSize
 	data := src(1000)
 	if _, err := r.hier.Write(0, sbuf, data); err != nil {
@@ -571,7 +679,7 @@ func TestHintNeedsAWorker(t *testing.T) {
 	ctx := OffloadContext{Op: OpCompress, Length: len(data)}
 	r.driver.Staged(sbuf, ctx, data)
 	want := 0
-	if startDatapathPool() {
+	if r.dev.jobs != nil {
 		want = 1
 	}
 	if n := units(r.dev); n != want {

@@ -113,6 +113,9 @@ type Device struct {
 	// out is the sink every DSA puts its destination lines in, kept in
 	// the device so passing it as a lineSink allocates nothing.
 	out destSpace
+	// jobs is the datapath pool's queue (datapath.go), nil when the
+	// pool has no workers.
+	jobs chan<- settleJob
 	// Faults, when non-nil, injects device-side faults: "core.alert"
 	// (spurious ALERT_N on a data read), "core.dsa" (DSA processing
 	// fault, aborting the record), and "core.ttinsert" (Translation
@@ -156,6 +159,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 		cfgFree:  cfg.ConfigPages,
 		records:  make(map[uint64]*record),
 		keys:     newScheduleCache(cfg.ConfigPages),
+		jobs:     datapathJobs(),
 	}
 	for i := range d.bank {
 		d.bank[i] = -1

@@ -100,10 +100,10 @@ func (f *framer) frame(src []byte) []byte {
 // touches no simulated state.
 func (d *Device) Hint(page uint64, ctx OffloadContext, src []byte) {
 	if ctx.Op != OpCompress || len(src) != ctx.Length || len(src) < minCompressHandOff ||
-		len(src) > MaxCompressInput || !startDatapathPool() {
+		len(src) > MaxCompressInput || d.jobs == nil {
 		return
 	}
-	d.enc.hint(datapathPool.jobs, page, src)
+	d.enc.hint(d.jobs, page, src)
 }
 
 // hint starts a unit for src on page and queues it on jobs: a newer

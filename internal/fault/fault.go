@@ -232,7 +232,7 @@ func (in *Injector) DisarmAll() {
 // Fire reports whether the named site faults at this consultation.
 // Nil receivers and unarmed sites never fire.
 func (in *Injector) Fire(name string, now int64) bool {
-	return in.fire(name, now, -1, -1)
+	return in != nil && in.fire(name, now, -1, -1)
 }
 
 // FireLink reports whether the named site cuts the directed link
@@ -241,13 +241,12 @@ func (in *Injector) Fire(name string, now int64) bool {
 // back to its ordinary consultation, direction-blind — so a Bernoulli
 // loss plan on a link site behaves like uncorrelated per-message loss.
 func (in *Injector) FireLink(name string, src, dst int, now int64) bool {
-	return in.fire(name, now, src, dst)
+	return in != nil && in.fire(name, now, src, dst)
 }
 
+// fire consults an armed injector. The nil check stays in Fire and
+// FireLink, which inline, so an unarmed site costs no call.
 func (in *Injector) fire(name string, now int64, src, dst int) bool {
-	if in == nil {
-		return false
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	s, ok := in.sites[name]

@@ -12,6 +12,8 @@ import (
 	"context"
 	"runtime"
 	"sync"
+
+	"repro/internal/sim/busy"
 )
 
 // Pool bounds how many runs execute concurrently. The zero number of
@@ -80,8 +82,10 @@ func Map[T, R any](ctx context.Context, p *Pool, items []T, fn func(ctx context.
 		}
 		sem <- struct{}{}
 		wg.Add(1)
+		busy.Add(1) // a concurrent run holds a core (package busy)
 		go func(idx int) {
 			defer func() {
+				busy.Add(-1)
 				<-sem
 				wg.Done()
 			}()

@@ -32,6 +32,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"repro/internal/sim/busy"
 )
 
 // xmsg is one cross-shard message awaiting barrier delivery.
@@ -177,6 +179,8 @@ func (se *ShardedEngine) deliver() {
 // shard's clock reads exactly deadline (mirroring Engine.RunUntil), so
 // measurement windows close simultaneously on all shards.
 func (se *ShardedEngine) RunUntil(deadline int64) uint64 {
+	busy.Add(1)
+	defer busy.Add(-1)
 	starts := make([]int64, len(se.shards))
 	for i, sh := range se.shards {
 		starts[i] = sh.Now()
@@ -226,6 +230,11 @@ func (se *ShardedEngine) runEpoch(horizon int64) uint64 {
 		}
 		return n
 	}
+	// Each shard goroutine counts as busy from before it starts, so a
+	// datapath worker gives its core up before the scheduler needs it.
+	// The coordinator keeps its own count while it waits: epochs are
+	// short, and a worker woken for a one-shard epoch would only park
+	// again at the next.
 	var wg sync.WaitGroup
 	for i, sh := range se.shards {
 		se.counts[i] = 0
@@ -233,8 +242,10 @@ func (se *ShardedEngine) runEpoch(horizon int64) uint64 {
 			continue // idle this epoch; skip the goroutine
 		}
 		wg.Add(1)
+		busy.Add(1)
 		go func(i int, sh *Engine) {
 			defer wg.Done()
+			defer busy.Add(-1)
 			se.counts[i] = sh.runEpoch(horizon)
 		}(i, sh)
 	}
