@@ -252,55 +252,6 @@ func handedOff(t *testing.T, r *rig, sbuf uint64) bool {
 	return rec.phase.Load()>>phaseBits == rec.gen
 }
 
-// TestHandOffZeroAllocs sends 1 KiB TLS records through the worker pool,
-// from registration to retirement, at the process's GOMAXPROCS, so the
-// worker runs beside the device: once the device has served a record,
-// the queue, the worker's wake-up, its poll and its parking allocate
-// nothing. ci.sh's alloc row runs it.
-func TestHandOffZeroAllocs(t *testing.T) {
-	r := newRig(t, 256*1024, 8)
-	if r.dev.jobs == nil {
-		t.Skip("GOMAXPROCS=1: the datapath pool has no workers")
-	}
-	const payload = 1024
-	sbuf, _ := r.driver.AllocPages(1)
-	dbuf, _ := r.driver.AllocPages(1)
-	key := []byte("0123456789abcdef")
-	var before, after runtime.MemStats
-	for i := 0; i < 20; i++ {
-		iv := []byte("abcdefghijk" + string(rune('a'+i)))
-		pt := corpus.Generate(corpus.Text, payload, int64(i))
-		if _, err := r.hier.Write(0, sbuf, pt); err != nil {
-			t.Fatal(err)
-		}
-		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
-		runtime.ReadMemStats(&before)
-		if _, err := r.driver.CompCpy(0, dbuf, sbuf, payload+TagSize, ctx, false); err != nil {
-			t.Fatal(err)
-		}
-		queued := handedOff(t, r, sbuf)
-		if _, err := r.hier.Flush(dbuf, payload+TagSize); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if !queued {
-			t.Fatalf("record %d was not handed off", i)
-		}
-		// The first record backs the device's pools, key schedule and
-		// Scratchpad page.
-		if n := after.Mallocs - before.Mallocs; i > 0 && n != 0 {
-			t.Fatalf("record %d: %d allocs from registration to retirement, want 0", i, n)
-		}
-		got, _, err := r.driver.Use(0, dbuf, payload+TagSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, stdSeal(t, key, iv, pt, nil)) {
-			t.Fatalf("record %d differs from crypto/cipher", i)
-		}
-	}
-}
-
 // TestWorkerPollsOnlyOnSpareCore checks the rule that keeps a datapath
 // worker awake: it may poll only while the busy engines and the awake
 // workers, itself included, fit in the pool's cores. With the engines
