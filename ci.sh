@@ -101,7 +101,8 @@
 #                     source lines of consecutive compression records
 #                     (the encoder run and page framing included), a
 #                     whole TLS record from registration to retirement
-#                     on pooled device state, a whole HTTPS request
+#                     on pooled device state, 1 KiB TLS records handed
+#                     to the datapath worker, a whole HTTPS request
 #                     on the serial stack (server, SmartDIMM offload,
 #                     TX DMA), a whole compressed HTTP request with its
 #                     parse-stage hint live, and a modelled CPU, SmartNIC or
@@ -189,7 +190,7 @@ workload -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQ
 workload -race,-short  TestWorkloadSoak                                   ./internal/chaos/
 obs      -race         -                                                  ./internal/obs/
 obs      -             TestIncidentSoak                                   ./internal/chaos/
-alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestReadRowHitZeroAllocs|TestDeviceRowRunZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
+alloc    -             TestCachelineZeroAllocs|TestDrainWritesZeroAllocs|TestReadRowHitZeroAllocs|TestDeviceRowRunZeroAllocs|TestFeedDSAZeroAllocs|TestCompressRecordZeroAllocs|TestTLSRecordZeroAllocs|TestHandOffZeroAllocs|TestRequestZeroAllocs|TestCompressedRequestZeroAllocs|TestCPURequestKeepsBuffers|TestOpenZeroAllocs ./internal/aesgcm/ ./internal/memctrl/ ./internal/core/ ./internal/server/ ./internal/offload/
 '
 
 run_stage() {

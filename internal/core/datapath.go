@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/sim/busy"
 )
@@ -25,10 +26,8 @@ import (
 //
 // There are two kinds of job, on one queue and one phase protocol:
 //
-//   - A TLS encrypt record is handed off after its last source line: a
-//     worker runs its AES-CTR and GHASH. Any record goes while a worker
-//     is ready (awake, or parked with a core spare to wake on); one of
-//     at least minHandOffPayload bytes always goes.
+//   - A TLS encrypt record of any size is handed off after its last
+//     source line: a worker runs its AES-CTR and GHASH.
 //   - A compression record's framing starts from a hint (hint.go): when
 //     the server has staged a record's payload, the device snapshots it
 //     into a work unit and queues the unit, and a worker frames the
@@ -37,21 +36,9 @@ import (
 //     unit, and the claim's last line checks the fed bytes against the
 //     snapshot.
 
-// minHandOffPayload is the smallest encrypt payload worth waking a
-// worker that has no core spare: with every core running an engine, a
-// woken worker waits in the sender's next-run slot, and a sub-page
-// record is settled inline before it starts. With a core spare the
-// woken worker stays awake for the records that follow: on kv-zipf-open
-// (2-vCPU host, 5 pairs of 8 s runs, 5 won) waking it for every record
-// ran 1.07x faster in the median than waking it only for a page, when
-// it stayed parked after the first gap in its work until the next
-// page-sized record.
-const minHandOffPayload = PageSize
-
-// pollLooks bounds how long a worker stays awake after a job: it looks
-// at the queue this many times, yielding its core between looks, before
-// it parks. A look costs ~115 ns on a 2-vCPU host with an engine on the
-// other core, so the window is ~200 µs there.
+// pollWindow bounds how long a worker stays awake after a job: it looks
+// at the queue, yielding its core between looks, until this long has
+// passed without a job, then parks.
 //
 // A channel send to a parked worker puts it in the sender's next-run
 // slot, and another P must wake to steal it, so a parked worker starts
@@ -59,17 +46,23 @@ const minHandOffPayload = PageSize
 // their first settle 4-16 µs after their last source line, against a
 // ~3.4 µs transform, and handing each of them to a worker that parked
 // after every job lost 3-9% of its simulated requests per host-second.
-// An awake worker takes them at once. On that host (8 s runs of the
+// An awake worker takes them at once. On a 2-vCPU host (8 s runs of the
 // benchmark), a 200 µs window ran kv-zipf-open 1.14x faster and
-// deflate4k-dimm 1.11x; 50 µs gave kv +14% and 20 µs +7%, and 5000
-// looks (~575 µs) gained nothing over 1750. Without the spare-core rule
+// deflate4k-dimm 1.11x; 50 µs gave kv +14% and 20 µs +7%, and ~575 µs
+// gained nothing over 200 µs. Without the spare-core rule
 // (workerPool.spare) the same poller lost 15% on tls4k-sharded8 at
 // 200 µs and 5% at 50 µs.
-//
-// The window is counted in looks, not read off a timer: the worker's
-// timer moved between the Ps' timer heaps and grew one now and then,
-// an allocation the steady state must not make.
-const pollLooks = 1750
+const pollWindow = 200 * time.Microsecond
+
+// lostCore is the look that tells a worker its core ran something else
+// meanwhile: another goroutine its P picked at the yield, or another
+// thread the kernel put on its CPU. The busy count (package busy) sees
+// only this process's engines, so a worker whose look took longer than
+// this parks until its next job and leaves the core to whatever took
+// it. A look (a receive that finds nothing, a yield, a clock read)
+// takes under 0.5 µs for 99.7% of kv-zipf-open's looks on a 2-vCPU
+// host; in 8 s of it this rule ended 253 of ~400,000 windows.
+const lostCore = 20 * time.Microsecond
 
 // Hand-off phases, kept in the low bits of a job's phase word beside
 // the incarnation (gen) it was queued for. A phase word naming an older
@@ -107,17 +100,15 @@ type workerPool struct {
 	// fall behind; a device keeps at most maxUnits hinted units and a
 	// few records queued.
 	jobs chan settleJob
-	// procs is GOMAXPROCS when the pool started: the cores that the
-	// busy engines and the awake workers share.
-	procs int
 	// awake counts the workers polling jobs.
 	awake atomic.Int32
 }
 
 // datapathPool is the process-wide pool: GOMAXPROCS-1 workers started
-// when the first device is built, serving every device. At GOMAXPROCS=1 it has none and
-// nothing is handed off. The workers live as long as the process, like
-// the runtime's own background goroutines, so the pool has no Close.
+// when the first device is built, serving every device. At GOMAXPROCS=1
+// it has none and nothing is handed off. The workers live as long as
+// the process, like the runtime's own background goroutines, so the
+// pool has no Close.
 var datapathPool workerPool
 
 // datapathJobs starts the process-wide pool's workers on first call and
@@ -125,12 +116,12 @@ var datapathPool workerPool
 func datapathJobs() chan<- settleJob {
 	p := &datapathPool
 	p.once.Do(func() {
-		p.procs = runtime.GOMAXPROCS(0)
-		if p.procs <= 1 {
+		procs := runtime.GOMAXPROCS(0)
+		if procs <= 1 {
 			return
 		}
 		p.jobs = make(chan settleJob, 256)
-		for i := 1; i < p.procs; i++ {
+		for i := 1; i < procs; i++ {
 			go p.serve(p.jobs)
 		}
 	})
@@ -150,56 +141,63 @@ func (p *workerPool) serve(jobs <-chan settleJob) {
 }
 
 // poll waits awake for the next job, yielding its core between looks,
-// and reports false when it gives up: after pollLooks looks without a
-// job, when the busy engines leave no core spare, or when jobs is
-// closed.
+// and reports false when it gives up (stay) or when jobs is closed.
 //
 // A yielding goroutine goes to the global run queue, and its P picks it
 // again before it steals from another P, so a worker that polled while
 // every core had an engine to run would hold the parallel epoch's shard
-// goroutines back. Hence the spare-core rule: a worker stays awake only
-// while the busy engines (package busy) and the awake workers, itself
-// included, fit in the pool's cores.
+// goroutines back, and its looks would stay short: the shards wait in
+// another P's queue, not its own. Hence the spare-core rule, read at
+// GOMAXPROCS as it is when the worker wakes: a worker stays awake only
+// while the busy engines and the awake workers, itself included, fit in
+// the cores.
 func (p *workerPool) poll(jobs <-chan settleJob) (settleJob, bool) {
-	if !p.wake() {
+	procs := runtime.GOMAXPROCS(0)
+	if !p.wake(procs) {
 		return settleJob{}, false
 	}
 	defer p.awake.Add(-1)
-	for range pollLooks {
+	start := time.Now()
+	for last := time.Duration(0); ; {
 		select {
 		case j, ok := <-jobs:
 			return j, ok
 		default:
 		}
-		if !p.spare() {
-			break
-		}
 		runtime.Gosched()
+		now := time.Since(start)
+		if !p.stay(procs, now, now-last) {
+			return settleJob{}, false
+		}
+		last = now
 	}
-	return settleJob{}, false
 }
 
 // wake counts the caller as an awake worker when a core is spare for
 // it, and reports whether it was.
-func (p *workerPool) wake() bool {
+func (p *workerPool) wake(procs int) bool {
 	p.awake.Add(1)
-	if p.spare() {
+	if p.spare(procs) {
 		return true
 	}
 	p.awake.Add(-1)
 	return false
 }
 
-// ready reports whether a worker is awake, or a parked one would find a
-// core spare to stay awake on once woken.
-func (p *workerPool) ready() bool {
-	return p.awake.Load() > 0 || busy.Engines() < p.procs
+// stay reports whether an awake worker that has polled for elapsed, its
+// last look taking look, keeps polling: while its window lasts, its
+// core stayed its own and a core is still spare.
+func (p *workerPool) stay(procs int, elapsed, look time.Duration) bool {
+	return elapsed < pollWindow && look < lostCore && p.spare(procs)
 }
 
 // spare reports whether the busy engines and the awake workers fit in
-// the pool's cores.
-func (p *workerPool) spare() bool {
-	return busy.Engines()+int(p.awake.Load()) <= p.procs
+// procs cores. The device that queued the job runs on a core of its own
+// even when no goroutine is marked busy (one engine on the caller's
+// goroutine, or a test driving a device), so the engines count at
+// least one.
+func (p *workerPool) spare(procs int) bool {
+	return max(busy.Engines(), 1)+int(p.awake.Load()) <= procs
 }
 
 // run runs the job on a worker. A job the device has already claimed
@@ -218,7 +216,7 @@ func (j settleJob) run(f *framer) {
 // settles at once, on the device's thread. Once it is queued, the
 // device must not touch what the DSA's run uses before it calls settle.
 func (d *Device) offer(rec *record) {
-	if d.jobs == nil || !rec.dsa.handOff(datapathPool.ready()) {
+	if d.jobs == nil || !rec.dsa.handOff() {
 		return
 	}
 	if !enqueue(d.jobs, rec, rec.gen) {

@@ -57,7 +57,7 @@ func queueRecord(t *testing.T, r *rawDevice) (uint64, *record, chan settleJob, [
 // now, after the device has moved on.
 func lateWorker(jobs chan settleJob) {
 	close(jobs)
-	new(workerPool).serve(jobs) // no cores: it never polls
+	new(workerPool).serve(jobs) // jobs is closed: it stops once they have run
 }
 
 // TestSettleQueuedRecordOnObservation checks that a destination line
@@ -252,41 +252,120 @@ func handedOff(t *testing.T, r *rig, sbuf uint64) bool {
 	return rec.phase.Load()>>phaseBits == rec.gen
 }
 
-// TestWorkerPollsOnlyOnSpareCore checks the rule that keeps a datapath
-// worker awake: it may poll only while the busy engines and the awake
-// workers, itself included, fit in the pool's cores. With the engines
-// at the cores no worker wakes and the pool takes no sub-page record;
-// with one core spare it takes any record, one worker wakes and a
-// second does not. A pool with no cores, as the tests' late workers
-// use, never polls. And at GOMAXPROCS=1 there is no pool at all: ci.sh
-// runs this test at GOMAXPROCS=1 too.
+// TestHandOffZeroAllocs sends 1 KiB TLS records through the worker pool,
+// from registration to retirement, at the process's GOMAXPROCS, so the
+// worker runs beside the device: once the device has served a record,
+// the queue, the worker's wake-up, its poll and its parking allocate
+// nothing. ci.sh's alloc row runs it.
+//
+// Like testing.AllocsPerRun, it averages over the records: the
+// process-wide count also holds the runtime's own allocations of its
+// first hand-offs, once per process or per P, at whichever record they
+// fall on: a new OS thread for the woken worker (allocm's m, its g and
+// profiling stacks: 5) and a P's first parking sudog (1). A per-record
+// allocation in the hand-off would count at least one per record.
+func TestHandOffZeroAllocs(t *testing.T) {
+	r := newRig(t, 256*1024, 8)
+	if r.dev.jobs == nil {
+		t.Skip("GOMAXPROCS=1: the datapath pool has no workers")
+	}
+	const payload, records = 1024, 100
+	sbuf, _ := r.driver.AllocPages(1)
+	dbuf, _ := r.driver.AllocPages(1)
+	key := []byte("0123456789abcdef")
+	var before, after runtime.MemStats
+	mallocs := uint64(0)
+	for i := 0; i <= records; i++ {
+		iv := []byte("abcdefghijk" + string(rune('a'+i%26)))
+		pt := corpus.Generate(corpus.Text, payload, int64(i))
+		if _, err := r.hier.Write(0, sbuf, pt); err != nil {
+			t.Fatal(err)
+		}
+		ctx := tlsOffloadContext(t, aesgcm.Encrypt, key, iv, nil, payload)
+		runtime.ReadMemStats(&before)
+		if _, err := r.driver.CompCpy(0, dbuf, sbuf, payload+TagSize, ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		queued := handedOff(t, r, sbuf)
+		if _, err := r.hier.Flush(dbuf, payload+TagSize); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !queued {
+			t.Fatalf("record %d was not handed off", i)
+		}
+		// The first record backs the device's pools, key schedule and
+		// Scratchpad page.
+		if i > 0 {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		got, _, err := r.driver.Use(0, dbuf, payload+TagSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, stdSeal(t, key, iv, pt, nil)) {
+			t.Fatalf("record %d differs from crypto/cipher", i)
+		}
+	}
+	if mallocs >= records {
+		t.Fatalf("%d allocs over %d records from registration to retirement, want under one a record", mallocs, records)
+	}
+}
+
+// TestWorkerPollsOnlyOnSpareCore checks the rules that keep a datapath
+// worker awake. It wakes only while the busy engines, counted as at
+// least the one that queued its job, and the awake workers, itself
+// included, fit in GOMAXPROCS: never on one core, once on two, and not
+// with the busy engines at the cores. An awake worker keeps polling
+// only while its window lasts, its looks stay short and a core stays
+// spare. The pool reads GOMAXPROCS when a worker wakes: lowered to 1
+// after the pool started, a worker takes no queued job. And at
+// GOMAXPROCS=1 there is no pool at all: ci.sh runs this test at
+// GOMAXPROCS=1 too.
 func TestWorkerPollsOnlyOnSpareCore(t *testing.T) {
-	if jobs := datapathJobs(); (jobs != nil) != (datapathPool.procs > 1) {
-		t.Fatalf("GOMAXPROCS=%d: pool queue %v", datapathPool.procs, jobs)
+	if jobs := datapathJobs(); (jobs != nil) != (runtime.GOMAXPROCS(0) > 1) {
+		t.Fatalf("GOMAXPROCS=%d: pool queue %v", runtime.GOMAXPROCS(0), jobs)
 	}
-	if new(workerPool).wake() {
-		t.Fatal("a pool with no cores woke a worker")
+	p := new(workerPool)
+	if p.wake(1) {
+		t.Fatal("a worker woke on one core")
 	}
-	busy.Add(2)
-	defer busy.Add(-2)
-	p := &workerPool{procs: busy.Engines()}
-	if p.wake() || p.awake.Load() != 0 {
-		t.Fatalf("a worker woke with %d engines busy on %d cores", busy.Engines(), p.procs)
+	if !p.wake(2) {
+		t.Fatal("no worker woke on two cores with one engine")
 	}
-	if p.ready() {
-		t.Fatal("a parked pool with no core spare took a sub-page record")
-	}
-	p.procs++
-	if !p.ready() {
-		t.Fatal("a parked pool with a core spare did not take a sub-page record")
-	}
-	if !p.wake() {
-		t.Fatal("no worker woke with a core spare")
-	}
-	if p.wake() || p.awake.Load() != 1 {
+	if p.wake(2) || p.awake.Load() != 1 {
 		t.Fatalf("a second worker woke on one spare core (%d awake)", p.awake.Load())
 	}
+	if !p.stay(2, 0, 0) {
+		t.Fatal("an awake worker gave up a spare core at once")
+	}
+	if p.stay(2, pollWindow, 0) {
+		t.Fatal("a worker kept polling past its window")
+	}
+	if p.stay(2, 0, lostCore) {
+		t.Fatal("a worker kept polling after a look lost its core")
+	}
+	busy.Add(2)
+	if p.stay(2, 0, 0) {
+		t.Fatal("a worker kept polling with the busy engines at the cores")
+	}
 	p.awake.Add(-1)
+	if p.wake(2) || p.awake.Load() != 0 {
+		t.Fatalf("a worker woke with %d engines busy on 2 cores", busy.Engines())
+	}
+	busy.Add(-2)
+
+	jobs := make(chan settleJob, 1)
+	jobs <- settleJob{}
+	procs := runtime.GOMAXPROCS(1)
+	_, took := p.poll(jobs)
+	runtime.GOMAXPROCS(procs)
+	if took {
+		t.Fatal("a worker polled at GOMAXPROCS=1")
+	}
+	if _, took := p.poll(jobs); procs > 1 && !took {
+		t.Fatalf("an awake worker at GOMAXPROCS=%d did not take the queued job", procs)
+	}
 }
 
 // queueCompress hints data as the source of a one-page compression
@@ -557,7 +636,7 @@ func TestHintUnitsConserved(t *testing.T) {
 	// nothing to do. Registering page 0 with the replacing hint's bytes
 	// adopts its unit and frames the newer snapshot.
 	close(jobs)
-	new(workerPool).serve(jobs) // no cores: it never polls
+	new(workerPool).serve(jobs) // jobs is closed: it stops once they have run
 	sbuf, dbuf := uint64(0), uint64(maxUnits+8)*PageSize
 	data := src(1000)
 	if _, err := r.hier.Write(0, sbuf, data); err != nil {

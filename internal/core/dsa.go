@@ -69,11 +69,9 @@ type dsaInstance interface {
 	// once the record is finished). Their bytes are final once the
 	// record has settled.
 	ProcessSourceLine(off int, src []byte, out lineSink) error
-	// handOff reports whether the datapath has work for a worker: any
-	// when one is ready (workerPool.ready), and work worth waking a
-	// parked one for otherwise. The device asks after the record's last
-	// source line.
-	handOff(ready bool) bool
+	// handOff reports whether the datapath has work for a worker. The
+	// device asks after the record's last source line.
+	handOff() bool
 	// run is the handed-off work, on a worker. It touches only memory
 	// the claim no longer writes, so the device may keep claiming lines.
 	run()
@@ -275,10 +273,9 @@ func (d *tlsDSA) patchTrailer(data *[dram.CachelineSize]byte, off int) {
 }
 
 // handOff reports whether a finished encrypt record has datapath work
-// left for a worker: any record when one is ready, and one of at least
-// minHandOffPayload bytes otherwise.
-func (d *tlsDSA) handOff(ready bool) bool {
-	return d.finished && d.dir == aesgcm.Encrypt && (ready || d.payloadLen >= minHandOffPayload) && d.pending()
+// left for a worker.
+func (d *tlsDSA) handOff() bool {
+	return d.finished && d.dir == aesgcm.Encrypt && d.pending()
 }
 
 // run is settle: a handed-off record has claimed all its lines.
@@ -506,8 +503,8 @@ func (d *deflateDSA) ProcessSourceLine(off int, src []byte, out lineSink) error 
 }
 
 // handOff is false: the record's unit was queued by its hint.
-func (d *deflateDSA) handOff(bool) bool { return false }
-func (d *deflateDSA) run()              {}
+func (d *deflateDSA) handOff() bool { return false }
+func (d *deflateDSA) run()          {}
 
 func (d *deflateDSA) pending() bool { return d.unit != nil }
 
@@ -587,10 +584,10 @@ func putPage(out lineSink, page []byte) {
 	}
 }
 
-func (d *inflateDSA) handOff(bool) bool { return false }
-func (d *inflateDSA) run()              {}
-func (d *inflateDSA) pending() bool     { return false }
-func (d *inflateDSA) settle()           {}
+func (d *inflateDSA) handOff() bool { return false }
+func (d *inflateDSA) run()          {}
+func (d *inflateDSA) pending() bool { return false }
+func (d *inflateDSA) settle()       {}
 
 // --- Context serialization ---------------------------------------------
 

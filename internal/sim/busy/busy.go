@@ -1,13 +1,15 @@
-// Package busy counts the goroutines that are running a simulation
-// engine, so background host work takes a core only while one is
-// spare. sim marks Engine.RunUntil, ShardedEngine.RunUntil and each
-// parallel epoch's shard goroutines; runner marks each call Map runs
-// concurrently. core's datapath workers poll for work only while the
-// count leaves them a core (internal/core/datapath.go).
+// Package busy counts the goroutines started to run simulation work
+// side by side, so background host work takes a core only while one is
+// spare. sim marks ShardedEngine.RunUntil and each parallel epoch's
+// shard goroutines; runner marks each call Map runs concurrently. A
+// lone engine on its caller's goroutine is not marked: core's datapath
+// workers count the device that queued their job as one engine anyway,
+// and poll for work only while the count leaves them a core
+// (internal/core/datapath.go).
 //
-// A goroutine may be counted twice (a Map call that runs an engine):
-// the count only decides whether a worker may keep a core, and an
-// overcount only parks it sooner.
+// A goroutine may be counted twice (a Map call that runs a sharded
+// engine): the count only decides whether a worker may keep a core, and
+// an overcount only parks it sooner.
 package busy
 
 import "sync/atomic"

@@ -7,7 +7,6 @@ package sim
 import (
 	"container/heap"
 
-	"repro/internal/sim/busy"
 	"repro/internal/telemetry"
 )
 
@@ -150,11 +149,8 @@ func (e *Engine) Step() bool {
 }
 
 // RunUntil processes events until the queue is empty or time exceeds
-// deadline. It returns the number of events processed. Its goroutine
-// counts as busy (package busy) while it runs.
+// deadline. It returns the number of events processed.
 func (e *Engine) RunUntil(deadline int64) uint64 {
-	busy.Add(1)
-	defer busy.Add(-1)
 	start := e.now
 	n := uint64(0)
 	for len(e.events) > 0 && e.events[0].at <= deadline {
